@@ -1,9 +1,11 @@
 """Command-line entry points: generate moment data, verify identities, simulate.
 
 Exit codes follow a CI-friendly contract: 0 means every requested check
-passed, 1 means at least one exact residual was nonzero (the report names
-the failing identity and parameters), and 2 means the configuration was
-rejected before any computation ran.
+passed, 1 means at least one entry did not pass (a nonzero exact residual,
+status ``fail``, or a vanishing denominator on this seed, status
+``degenerate``; the report names the identity and parameters), and 2 means
+the configuration was rejected before any computation ran.  ``verify`` only
+drives :data:`skewpoly.bilinear.IDENTITIES`; every check lives there.
 """
 
 from __future__ import annotations
@@ -11,13 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from fractions import Fraction
+from dataclasses import replace
 
-from . import bilinear, christoffel, dynamics, lax, moments
-from .families import (orthogonality_defect, orthogonality_determinant,
-                       psop_inner_defect)
-from .moments import MomentSystem, stembridge_residual, suite_max_index, validate
+from . import bilinear, moments
+from .moments import MomentSystem, suite_max_index, validate
 from .poly import PolyInZ
+from .scalars import format_scalar
 
 PASS, FAIL, CONFIG_ERROR = 0, 1, 2
 
@@ -102,6 +103,7 @@ def _build_system(args, info: dict) -> MomentSystem:
 
 
 def cmd_gen(args) -> int:
+    _check_grid_flags(args)
     info: dict = {}
     sys_ = _build_system(args, info)
     moments.save(sys_, args.out)
@@ -120,253 +122,105 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_grid_flags(args) -> None:
+    for flag, value in (("--n-max", args.n_max), ("--m-max", args.m_max)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be nonnegative, got {value}")
+
+
 def _apply_corrupt(sys_: MomentSystem, spec: str) -> MomentSystem:
+    """Add 1 to the named entry; an entry the system never stores is rejected."""
     kind, _, where = spec.partition(":")
     try:
         a, b = (int(x) for x in where.split(","))
     except ValueError:
         raise ConfigError(f"bad --corrupt spec {spec!r}")
+    top = sys_.max_index
     if kind == "mu":
+        if not 0 <= a < b <= top:
+            raise ConfigError(f"--corrupt mu:{a},{b} needs 0 <= i < j <= {top}")
         mu = dict(sys_.mu)
-        mu[(a, b)] = mu.get((a, b), Fraction(0)) + 1
-        return MomentSystem(sys_.max_index, mu, sys_.beta, sys_.beta_bar,
-                            sys_.constraint, sys_.mode)
+        mu[(a, b)] = mu.get((a, b), 0) + 1
+        return replace(sys_, mu=mu)
     if kind == "beta":
+        if not (1 <= a <= sys_.ell and 0 <= b <= top):
+            raise ConfigError(f"--corrupt beta:{a},{b} needs 1 <= k <= {sys_.ell} "
+                              f"and 0 <= j <= {top}")
         beta = [list(seq) for seq in sys_.beta]
         beta[a - 1][b] = beta[a - 1][b] + 1
-        return MomentSystem(sys_.max_index, dict(sys_.mu),
-                            tuple(tuple(s) for s in beta), sys_.beta_bar,
-                            sys_.constraint, sys_.mode)
+        return replace(sys_, beta=tuple(tuple(s) for s in beta))
     raise ConfigError(f"bad --corrupt kind {kind!r}")
 
 
-def _residual_size(resid: PolyInZ) -> str:
-    if resid.is_zero():
+def _residual_size(residuals) -> str:
+    """The report's residual field: "0", or the largest absolute residual
+    coefficient.  Gaussian values have no order, so for them the first
+    nonzero one is reported instead."""
+    values = [c for r in residuals
+              for c in (r.coeffs if isinstance(r, PolyInZ) else [r]) if c]
+    if not values:
         return "0"
-    values = [c for c in resid.coeffs if c]
     try:
         return str(max(abs(c) for c in values))
     except TypeError:
-        # Gaussian values have no natural abs; report the first nonzero one
-        from .scalars import format_scalar
         return format_scalar(values[0])
 
 
-def _poly_entries(name, equation, results, params) -> list:
-    out = []
-    for key, poly in results.items():
-        resid = poly if isinstance(poly, PolyInZ) else PolyInZ([poly])
-        out.append({
-            "identity": f"{name}.{key}" if key else name,
-            "equation": equation,
-            "params": params,
-            "status": "pass" if resid.is_zero() else "fail",
-            "residual_max_abs_or_zero": _residual_size(resid),
-        })
-    return out
+def _instance_entries(sys_: MomentSystem, ident, params: dict) -> list:
+    """Report entries of one identity instance, one per named part."""
+    labels = [f"{ident.name}.{p}" for p in ident.parts] or [ident.name]
+    try:
+        res = bilinear.identity_residual(sys_, ident.name, **params)
+    except ZeroDivisionError as exc:
+        # a vanishing denominator on this seed, reported apart from failures
+        outcomes = [("degenerate", str(exc))] * len(labels)
+    else:
+        sizes = map(_residual_size, [[r] for r in res] if ident.parts else [res])
+        outcomes = [("pass" if size == "0" else "fail", size) for size in sizes]
+    return [{"identity": label, "equation": ident.equation, "params": params,
+             "status": status, "residual_max_abs_or_zero": size}
+            for label, (status, size) in zip(labels, outcomes)]
 
 
-def _suite_transforms(sys_, n_max, m_max) -> list:
-    entries = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            r1, r2 = christoffel.sop_transform_residual(sys_, n, m)
-            entries += _poly_entries(
-                "SOP_CT", "P_{2n+1}[m] - A P_{2n}[m] = z(P_{2n}[m+1] - B P_{2n-2}[m+1]); "
-                "P_{2n+2}[m] - C P_{2n}[m] = z(P_{2n+1}[m+1] - D P_{2n}[m+1])",
-                {"even": r1, "odd": r2}, {"n": n, "m": m})
-    for n in range(2 * n_max + 1):
-        for m in range(m_max + 1):
-            r = christoffel.psop_transform_residual(sys_, n, m)
-            entries += _poly_entries(
-                "PSOP_CT", "Q_{n+1}[m] + xi Q_n[m] = z(Q_n[m+1] + eta Q_{n-1}[m+1])",
-                {"": r}, {"n": n, "m": m})
-    if sys_.ell > 1:
-        for n in range(n_max + 1):
-            for m in range(m_max + 1):
-                for k in range(1, sys_.ell + 1):
-                    r1, r2 = christoffel.psop_multi_residuals(sys_, n, m, k)
-                    entries += _poly_entries(
-                        "PSOP_CT_MULTI", "component-resolved transform pair",
-                        {"odd": r1, "even": r2}, {"n": n, "m": m, "k": k})
-    return entries
-
-
-def _suite_orthogonality(sys_, n_max, m_max) -> list:
-    entries = []
-    for m in range(m_max + 1):
-        defect = 0
-        for ia in range(2 * n_max + 2):
-            for ib in range(2 * n_max + 2):
-                d = orthogonality_defect(sys_, ia, ib, m)
-                if d:
-                    defect = d
-        entries.append({
-            "identity": "SOP_ORTHOGONALITY",
-            "equation": "<z^m P_a[m], z^m P_b[m]> matches its closed form",
-            "params": {"m": m, "max_degree": 2 * n_max + 1},
-            "status": "pass" if not defect else "fail",
-            "residual_max_abs_or_zero": "0" if not defect else str(defect),
-        })
-        for k in range(1, sys_.ell + 1):
-            defect = 0
-            for n in range(n_max + 1):
-                for i in range(2 * n + 2):
-                    for idx in (2 * n, 2 * n + 1):
-                        d = psop_inner_defect(sys_, idx, i, m, k)
-                        if d:
-                            defect = d
-            entries.append({
-                "identity": "PSOP_INNER",
-                "equation": "<z^m Q_idx[m], z^{m+i}> matches its closed form",
-                "params": {"m": m, "k": k, "n_max": n_max},
-                "status": "pass" if not defect else "fail",
-                "residual_max_abs_or_zero": "0" if not defect else str(defect),
-            })
-    for n in range(n_max + 1):
-        for choice in ("sop", "psop"):
-            d = orthogonality_determinant(sys_, n, choice)
-            entries.append({
-                "identity": "DEFECT_DETERMINANT",
-                "equation": "the (2n+2) square consistency determinant vanishes",
-                "params": {"n": n, "choice": choice},
-                "status": "pass" if not d else "fail",
-                "residual_max_abs_or_zero": "0" if not d else str(d),
-            })
-    return entries
-
-
-def _suite_schur(sys_, n_max, m_max) -> list:
-    entries = []
-    for idx in range(2 * n_max + 2):
-        for m in range(min(m_max, 1) + 1):
-            defects = bilinear.schur_coeff_defects(sys_, idx, m)
-            ok = all(not d for d in defects)
-            entries.append({
-                "identity": "SCHUR_COEFF",
-                "equation": "s_j(-Dt) tau_idx = tau_idx * coeff(R_idx, z^{idx-j})",
-                "params": {"idx": idx, "m": m},
-                "status": "pass" if ok else "fail",
-                "residual_max_abs_or_zero": "0" if ok else "nonzero",
-            })
-    for n in range(n_max + 1):
-        for m in range(min(m_max, 1) + 1):
-            r = bilinear.derivative_residual(sys_, 2 * n, m)
-            entries += _poly_entries(
-                "DERIVATIVE", "(z + d1)(tau_{2n}[m] P_{2n}[m]) = tau_{2n}[m] P_{2n+1}[m]",
-                {"": r}, {"n": n, "m": m})
-            r = lax.mixed_residual(sys_, m, 2 * n)
-            entries += _poly_entries(
-                "MIXED", "(z + d1) Q_n = Q_{n+1} + K_n Q_n - J_n Q_{n-1}",
-                {"": r}, {"n": 2 * n, "m": m})
-    return entries
-
-
-def _suite_constraint(sys_, n_max, m_max) -> list:
-    entries = []
-    tag = sys_.constraint
-    if tag == "rank2":
-        for n in range(1, 2 * n_max + 1):
-            for m in range(m_max + 1):
-                res = lax.c2_evolution_residuals(sys_, m, n)
-                entries += _poly_entries("C2_SUITE", "rank2 derivative formulas",
-                                         res, {"n": n, "m": m})
-        for kind in ("rank2-m", "rank2-n"):
-            rep = lax.lax_compat_residual(sys_, kind, 0, 6)
-            entries.append({
-                "identity": f"LAX_{kind.upper().replace('-', '_')}",
-                "equation": "operator compatibility on the interior block",
-                "params": {"N": 6, "m": 0},
-                "status": "pass" if rep["interior_zero"] else "fail",
-                "residual_max_abs_or_zero": "0" if rep["interior_zero"] else "nonzero",
-            })
-    if tag == "rank1skew":
-        for n in range(1, n_max + 1):
-            for m in range(m_max + 1):
-                res = lax.c3_recurrence_residuals(sys_, m, n)
-                entries += _poly_entries("C3_SUITE", "rank1skew recurrences",
-                                         res, {"n": n, "m": m})
-    if tag == "laurent":
-        for n in range(1, n_max + 1):
-            res = lax.toda_vars_and_residual(sys_, n)
-            res = {k: v for k, v in res.items() if k != "vars"}
-            entries += _poly_entries("TODA_VARS", "lattice variables and flow",
-                                     res, {"n": n})
-            r1, r2 = christoffel.laurent_toda_residual(sys_, n)
-            entries += _poly_entries("TODA_CT", "reduced transform pair",
-                                     {"even": r1, "odd": r2}, {"n": n})
-            v = christoffel.laurent_lv_coeff_check(sys_, n)
-            entries += _poly_entries("LV_COEFF", "xi_n + eta_n - 1 = 0",
-                                     {"": PolyInZ([v])}, {"n": n})
-            d = stembridge_residual(sys_, n)
-            entries += _poly_entries(
-                "STEMBRIDGE", "Toeplitz Pfaffian equals the folded determinant",
-                {"": PolyInZ([d])}, {"n": n})
-    if sys_.ell == 1 and sys_.beta_bar is None:
-        rep = lax.lax_compat_residual(sys_, "mixed", 0, 6)
-        entries.append({
-            "identity": "LAX_MIXED",
-            "equation": "dL/dt1 = M[m+1] L - L M[m] on the interior block",
-            "params": {"N": 6, "m": 0},
-            "status": "pass" if rep["interior_zero"] else "fail",
-            "residual_max_abs_or_zero": "0" if rep["interior_zero"] else "nonzero",
-        })
-    return entries
-
-
-SUITES = {
-    "TRANSFORMS": _suite_transforms,
-    "ORTHOGONALITY": _suite_orthogonality,
-    "SCHUR": _suite_schur,
-    "CONSTRAINT": _suite_constraint,
-}
+def _selection(selected):
+    """Catalog names to run, and those named explicitly (which must apply)."""
+    catalog = bilinear.IDENTITIES
+    if not selected:
+        return set(catalog), set()
+    tokens = {s.strip().upper() for s in selected.split(",") if s.strip()}
+    groups = {ident.group for ident in catalog.values()}
+    unknown = tokens - set(catalog) - groups
+    if unknown:
+        raise ConfigError(f"unknown identities: {sorted(unknown)}; known: "
+                          f"{sorted(catalog)} and groups {sorted(groups - {None})}")
+    explicit = tokens & set(catalog)
+    return explicit | {n for n, i in catalog.items() if i.group in tokens}, explicit
 
 
 def run_verification(sys_: MomentSystem, n_max: int, m_max: int,
                      selected=None, seed=None) -> list:
-    """Evaluate the selected identities and suites; returns report entries."""
+    """Evaluate the selected catalog identities; returns report entries.
+
+    ``selected`` is a comma list of catalog names and suite groups; by
+    default every identity that applies to the system runs.
+    """
     sys_.require_exact()
-    names = None
-    if selected:
-        names = {s.strip().upper() for s in selected.split(",") if s.strip()}
-        unknown = names - set(bilinear.IDENTITIES) - set(SUITES)
-        if unknown:
-            raise ConfigError(f"unknown identities: {sorted(unknown)}; "
-                              f"known: {sorted(bilinear.IDENTITIES) + sorted(SUITES)}")
-    entries = []
-    for name, ident in sorted(bilinear.IDENTITIES.items()):
-        if names is not None and name not in names:
-            continue
+    names, explicit = _selection(selected)
+    plan = []
+    for name in sorted(names):
+        ident = bilinear.IDENTITIES[name]
         if not ident.applicable(sys_):
-            if names is not None:
+            if name in explicit:
                 raise ConfigError(f"identity {name} requires constraint in "
                                   f"{ident.tags}, system is {sys_.constraint!r}")
             continue
-        for params in ident.grid(sys_, n_max, m_max):
-            res = bilinear.identity_residual(sys_, name, **params)
-            ok = all(not v for v in res)
-            entries.append({
-                "identity": name,
-                "equation": ident.equation,
-                "params": params,
-                "status": "pass" if ok else "fail",
-                "residual_max_abs_or_zero": "0" if ok else "nonzero",
-            })
-    for name, suite in SUITES.items():
-        if names is not None and name not in names:
-            continue
-        try:
-            entries.extend(suite(sys_, n_max, m_max))
-        except ZeroDivisionError as exc:
-            # a vanishing coefficient denominator on this seed; reported so
-            # the caller can rerun with another seed
-            entries.append({
-                "identity": name,
-                "equation": "suite aborted",
-                "params": {},
-                "status": "degenerate",
-                "residual_max_abs_or_zero": str(exc),
-            })
+        grid = list(ident.grid(sys_, n_max, m_max))
+        if not grid and name in explicit:
+            raise ConfigError(f"identity {name} has no instance at n_max={n_max}, "
+                              f"m_max={m_max} on this system")
+        plan += [(ident, params) for params in grid]
+    entries = [e for ident, params in plan
+               for e in _instance_entries(sys_, ident, params)]
     if seed is not None:
         for e in entries:
             e["seed"] = seed
@@ -374,6 +228,7 @@ def run_verification(sys_: MomentSystem, n_max: int, m_max: int,
 
 
 def cmd_verify(args) -> int:
+    _check_grid_flags(args)
     info: dict = {}
     if args.infile:
         sys_ = moments.load(args.infile)
@@ -384,6 +239,7 @@ def cmd_verify(args) -> int:
     entries = run_verification(sys_, args.n_max, args.m_max,
                                selected=args.identities, seed=args.seed)
     failures = [e for e in entries if e["status"] != "pass"]
+    degenerate = sum(e["status"] == "degenerate" for e in failures)
     report = {
         "constraint": sys_.constraint,
         "seed": args.seed,
@@ -397,10 +253,11 @@ def cmd_verify(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=1)
-    print(f"checked {len(entries)} identity instances: "
-          f"{len(entries) - len(failures)} pass, {len(failures)} fail")
+    print(f"checked {len(entries)} identity entries: "
+          f"{len(entries) - len(failures)} pass, {len(failures) - degenerate} fail, "
+          f"{degenerate} degenerate")
     for e in failures[:10]:
-        print(f"  FAIL {e['identity']} params={e['params']} "
+        print(f"  {e['status'].upper()} {e['identity']} params={e['params']} "
               f"residual={e['residual_max_abs_or_zero']}")
     return PASS if not failures else FAIL
 
@@ -411,6 +268,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics  # numpy is only needed here
+
     try:
         lo, hi = (int(x) for x in args.window.replace(",", ":").split(":"))
     except ValueError:

@@ -11,13 +11,13 @@ Conventions (one place, used everywhere):
   / (z^m tau_{2n+1,k}^{(m)})
 
 The z^{-m} division is exact because the spectral entries start at z^m.
-All values are cached per system in a :class:`TauTable`; downstream residual
-suites reuse hundreds of tau values, so the cache is not optional.
+All values are cached per system in a :class:`TauTable` owned by the system;
+downstream residual suites reuse hundreds of tau values, so the cache is not
+optional.
 """
 
 from __future__ import annotations
 
-import weakref
 from fractions import Fraction
 
 from .jets import Jet, JetSpec
@@ -69,55 +69,35 @@ class TauTable:
 
     # -- polynomial families -------------------------------------------------
 
-    def sop(self, idx: int, m: int) -> PolyInZ:
-        """Monic degree-idx member of the m-th adjacent skew-orthogonal family."""
+    def sop(self, idx: int, m: int, spec: JetSpec | None = None) -> PolyInZ:
+        """Monic degree-idx member of the m-th adjacent skew-orthogonal family;
+        with ``spec`` its coefficients are jets (a time-dependent polynomial)."""
         if idx < 0:
             return PolyInZ.zero()
-        if idx % 2 == 0:
-            n2 = idx
-            labels = [*range(m, m + n2 + 1), "z"]
-            norm = self.tau(n2, m)
-        else:
-            n2 = idx - 1
-            labels = [*range(m, m + n2), m + n2 + 1, "z"]
-            norm = self.tau(n2, m)
-        if not norm:
-            raise ZeroDivisionError(f"vanishing normalizer tau_{n2}^{({m})}")
-        raw = pf_indexed(labels, self.sys, cache=self.cache)
-        return raw.divide_z(m) / norm
+        n2 = idx - idx % 2
+        labels = [*range(m, m + n2), m + n2 + idx % 2, "z"]
+        return self._member(labels, n2, m, 1, False, spec)
 
-    def psop(self, idx: int, m: int, k: int = 1, conj: bool = False) -> PolyInZ:
+    def psop(self, idx: int, m: int, k: int = 1, conj: bool = False,
+             spec: JetSpec | None = None) -> PolyInZ:
         """Monic degree-idx partial family member; even members coincide with sop."""
         if idx < 0:
             return PolyInZ.zero()
         if idx % 2 == 0:
-            return self.sop(idx, m)
+            return self.sop(idx, m, spec)
         head = ("cbar", k) if conj else ("comp", k)
-        labels = [head, *range(m, m + idx + 1), "z"]
-        norm = self.tau(idx, m, k, conj)
-        if not norm:
-            raise ZeroDivisionError(f"vanishing normalizer tau_{idx}^{({m})} k={k}")
-        raw = pf_indexed(labels, self.sys, cache=self.cache)
-        return raw.divide_z(m) / norm
+        return self._member([head, *range(m, m + idx + 1), "z"], idx, m, k, conj, spec)
 
-    def sop_jet(self, idx: int, m: int, spec: JetSpec) -> PolyInZ:
-        """sop with jet-valued coefficients (time-dependent polynomial)."""
-        if idx < 0:
-            return PolyInZ.zero()
-        n2 = idx if idx % 2 == 0 else idx - 1
-        labels = ([*range(m, m + n2 + 1), "z"] if idx % 2 == 0
-                  else [*range(m, m + n2), m + n2 + 1, "z"])
-        norm = self.tau_jet(n2, m, spec)
-        raw = pf_indexed(labels, self.sys, cache=self.cache, jet_spec=spec)
-        return raw.divide_z(m).map_coeffs(lambda c: _as_jet(c, spec) / norm)
-
-    def psop_jet(self, idx: int, m: int, spec: JetSpec, k: int = 1) -> PolyInZ:
-        if idx < 0:
-            return PolyInZ.zero()
-        if idx % 2 == 0:
-            return self.sop_jet(idx, m, spec)
-        labels = [("comp", k), *range(m, m + idx + 1), "z"]
-        norm = self.tau_jet(idx, m, spec, k)
+    def _member(self, labels, norm_idx, m, k, conj, spec) -> PolyInZ:
+        """Pf(labels) / (z^m tau_norm_idx), scalar or jet valued."""
+        if spec is None:
+            norm = self.tau(norm_idx, m, k, conj)
+            if not norm:
+                raise ZeroDivisionError(
+                    f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
+            raw = pf_indexed(labels, self.sys, cache=self.cache)
+            return raw.divide_z(m) / norm
+        norm = self.tau_jet(norm_idx, m, spec, k, conj)
         raw = pf_indexed(labels, self.sys, cache=self.cache, jet_spec=spec)
         return raw.divide_z(m).map_coeffs(lambda c: _as_jet(c, spec) / norm)
 
@@ -135,15 +115,12 @@ class TauTable:
         return exact_div(num, self.tau(n2, m))
 
 
-_tables: "weakref.WeakKeyDictionary[MomentSystem, TauTable]" = weakref.WeakKeyDictionary()
-
-
 def taus(sys: MomentSystem) -> TauTable:
-    """The shared TauTable of a system (created on first use)."""
-    tab = _tables.get(sys)
+    """The system's own TauTable (created on first use, freed with it)."""
+    tab = sys._tau_table
     if tab is None:
         tab = TauTable(sys)
-        _tables[sys] = tab
+        object.__setattr__(sys, "_tau_table", tab)
     return tab
 
 

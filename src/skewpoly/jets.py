@@ -18,7 +18,6 @@ Newton iteration in the truncated ring, which is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .scalars import scalar_inv
@@ -242,14 +241,3 @@ class Jet:
 def _is_zero(v) -> bool:
     return not v
 
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_extract(a: Jet, p: int, q: int = 0):
-    return a.extract(p, q) if a.spec.ndir >= 2 else a.extract(p)
-
-
-def jet_one(spec: JetSpec = DEFAULT_JET_SPEC) -> Jet:
-    return Jet.constant(Fraction(1), spec)

@@ -335,7 +335,7 @@ def wave_action_residuals(sys: MomentSystem, m: int, n_size: int) -> list:
 
 
 def _d1_poly(t: TauTable, idx: int, m: int) -> PolyInZ:
-    q = t.psop_jet(idx, m, J1)
+    q = t.psop(idx, m, spec=J1)
     return q.map_coeffs(lambda c: c.extract(1) if isinstance(c, Jet) else 0)
 
 
@@ -425,7 +425,7 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
         raise ValueError("this suite requires the rank2 constraint")
     t = taus(sys)
     tau_jet = t.tau_jet(n, m, J1)
-    q_jet = t.psop_jet(n, m, J1)
+    q_jet = t.psop(n, m, spec=J1)
     prod = q_jet.map_coeffs(lambda c: c * tau_jet)
     lhs = prod.map_coeffs(lambda c: c.extract(1))
     if n % 2 == 0:
@@ -507,7 +507,7 @@ def toda_vars_and_residual(sys: MomentSystem, n: int) -> dict:
     d_n = _s2_ratio(t, 2 * n + 2, 0, -1) + _s2_ratio(t, 2 * n, 0, +1)
     p = lambda j: t.sop(j, 0)  # noqa: E731
     tau_jet = t.tau_jet(2 * n, 0, J1)
-    podd_jet = t.sop_jet(2 * n + 1, 0, J1)
+    podd_jet = t.sop(2 * n + 1, 0, J1)
     prod = podd_jet.map_coeffs(lambda c: c * tau_jet)
     lhs = (prod.shift(1) + prod.map_coeffs(lambda c: c.extract(1))).map_coeffs(
         lambda c: c.base if isinstance(c, Jet) else c) / t.tau(2 * n, 0)
@@ -515,7 +515,7 @@ def toda_vars_and_residual(sys: MomentSystem, n: int) -> dict:
                                - d_n * p(2 * n) + b(n) * p(2 * n - 2))
 
     def d1_sop(j):
-        q = t.sop_jet(j, 0, J1)
+        q = t.sop(j, 0, J1)
         return q.map_coeffs(lambda c: c.extract(1) if isinstance(c, Jet) else 0)
 
     evolution_even = (d1_sop(2 * n) - b(n) * d1_sop(2 * n - 2)

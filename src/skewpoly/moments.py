@@ -57,6 +57,8 @@ class MomentSystem:
         if self.constraint not in CONSTRAINTS:
             raise ValueError(f"unknown constraint tag {self.constraint!r}")
         object.__setattr__(self, "_jet_cache", {})
+        # set by families.taus on first use
+        object.__setattr__(self, "_tau_table", None)
 
     @property
     def ell(self) -> int:

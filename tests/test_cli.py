@@ -1,10 +1,15 @@
 """Command-line contract: round trips, exit codes, fault injection."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 
-from skewpoly import cli, moments
+import skewpoly
+from skewpoly import bilinear, cli, moments
 
 
 def run(argv):
@@ -67,9 +72,43 @@ def test_fault_injection_names_failing_identity(tmp_path):
                 "--seed", "7", "--corrupt", "mu:2,3", "--out", str(rep)])
     assert code == 1
     data = json.loads(rep.read_text())
-    failing = [e["identity"] for e in data["entries"] if e["status"] == "fail"]
+    failing = [e for e in data["entries"] if e["status"] == "fail"]
     assert failing
-    assert any(name.startswith(("EVOD", "MKDV", "C3_SUITE")) for name in failing)
+    assert any(e["identity"].startswith(("EVOD", "MKDV", "C3_SUITE")) for e in failing)
+    # every failing entry carries its largest residual, not a placeholder
+    assert all(Fraction(e["residual_max_abs_or_zero"]) > 0 for e in failing)
+
+
+def test_degenerate_instances_reported_alone(tmp_path):
+    # this seed has a vanishing jet pivot in the three operator blocks only
+    rep = tmp_path / "rep.json"
+    code = run(["verify", "--kind", "rank2", "--seed", "6", "--n-max", "2",
+                "--m-max", "1", "--out", str(rep)])
+    assert code == 1
+    data = json.loads(rep.read_text())
+    statuses = [e["status"] for e in data["entries"]]
+    assert data["total"] == len(statuses) == 187
+    assert statuses.count("pass") == 184
+    assert {e["identity"] for e in data["entries"] if e["status"] != "pass"} == {
+        "LAX_RANK2_M", "LAX_RANK2_N", "LAX_MIXED"}
+    assert set(statuses) == {"pass", "degenerate"}
+
+
+def test_every_reported_name_selects_exactly_its_entries():
+    seen = set()
+    for kind in ("laurent", "rank2", "rank1skew", "rank1skew-multi",
+                 "rank1skew-complex"):
+        comps = 2 if kind in ("rank1skew-multi", "rank1skew-complex") else 1
+        sys_ = moments.gen(kind, moments.suite_max_index(1, 1, 4), components=comps,
+                           seed=3, require_tau=(3, 1))
+        full = cli.run_verification(sys_, 1, 0)
+        assert all(e["status"] == "pass" for e in full)
+        names = {e["identity"].split(".")[0] for e in full}
+        for name in names:
+            picked = cli.run_verification(sys_, 1, 0, selected=name)
+            assert picked == [e for e in full if e["identity"].split(".")[0] == name]
+        seen |= names
+    assert seen == set(bilinear.IDENTITIES)
 
 
 def test_identity_selection_single_entry(tmp_path):
@@ -90,11 +129,28 @@ def test_config_errors_exit_two():
     assert run(["simulate", "--window", "nope"]) == 2
     assert run(["simulate", "--dt", "-1"]) == 2
     assert run(["simulate", "--window", "1:2"]) == 2
+    small = ["verify", "--kind", "rank1skew-multi", "--seed", "3", "--n-max", "1",
+             "--m-max", "0", "--identities", "TRANSFORMS"]
+    for corrupt in ("mu:3,2", "mu:2,99", "beta:5,3", "beta:0,3"):
+        assert run(small + ["--corrupt", corrupt]) == 2
+    assert run(small + ["--n-max", "-1"]) == 2
+    assert run(small + ["--m-max", "-1"]) == 2
 
 
 def test_selected_identity_requires_matching_tag():
     assert run(["verify", "--kind", "none", "--identities", "LV",
                 "--n-max", "1"]) == 2
+    # applies to every tag but has no instance on a one-component system
+    assert run(["verify", "--kind", "rank1skew", "--identities", "PSOP_CT_MULTI",
+                "--n-max", "1"]) == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(skewpoly.__file__)))
+    subprocess.run([sys.executable, "-c",
+                    "import sys, skewpoly.cli; assert 'numpy' not in sys.modules"],
+                   env=env, check=True)
 
 
 def test_simulate_contract(tmp_path, capsys):

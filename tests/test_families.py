@@ -1,5 +1,7 @@
 """Tau table, polynomial families, skew inner product, defect determinant."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from skewpoly.families import (orthogonality_defect, orthogonality_determinant,
                                psop_inner_defect, skew_inner, sop, sop_at_zero,
                                psop, tau, taus)
+from skewpoly.jets import JetSpec
 from skewpoly.moments import gen
 from skewpoly.poly import PolyInZ
 
@@ -112,6 +115,25 @@ def test_vanishing_normalizer_raises():
                          for j in range(i + 1, 7)}, ((Fraction(1),) * 7,))
     with pytest.raises(ZeroDivisionError):
         sop(s, 2, 0)
+
+
+def test_jet_members_reduce_to_scalar_members(sys3):
+    t = taus(sys3)
+    spec = JetSpec((1,))
+    for idx in range(6):
+        assert t.sop(idx, 1, spec).map_coeffs(lambda c: c.base) == t.sop(idx, 1)
+        assert (t.psop(idx, 1, 2, spec=spec).map_coeffs(lambda c: c.base)
+                == t.psop(idx, 1, 2))
+
+
+def test_tau_table_freed_with_its_system():
+    s = gen("none", 8, seed=1)
+    assert taus(s) is taus(s)
+    taus(s).tau(4, 0)
+    ref = weakref.ref(s)
+    del s
+    gc.collect()
+    assert ref() is None
 
 
 def test_polynomial_json_export(sys3):
