@@ -14,8 +14,7 @@ from .families import psop, skew_inner, sop, sop_at_zero, tau, taus
 from .jets import DEFAULT_JET_SPEC, Jet, JetSpec, OrderMismatchError, TruncationError
 from .moments import (MomentSystem, OutOfRangeError, SolitonSpec, gen,
                       lift_to_jet, shift_derivative, soliton_system, validate)
-from .pfaffian import (LabelError, NonUnitPivot, SkewMatrix, det_bareiss,
-                       pf_indexed, pf_labels, pfaffian)
+from .pfaffian import LabelError, det_bareiss, pf_indexed, pf_labels, pfaffian
 from .poly import PolyInZ
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
@@ -28,8 +27,7 @@ __all__ = [
     "DEFAULT_JET_SPEC", "Jet", "JetSpec", "OrderMismatchError", "TruncationError",
     "MomentSystem", "OutOfRangeError", "SolitonSpec", "gen", "lift_to_jet",
     "shift_derivative", "soliton_system", "validate",
-    "LabelError", "NonUnitPivot", "SkewMatrix", "det_bareiss",
-    "pf_indexed", "pf_labels", "pfaffian",
+    "LabelError", "det_bareiss", "pf_indexed", "pf_labels", "pfaffian",
     "PolyInZ", "GaussianRational", "format_scalar", "parse_scalar",
 ]
 

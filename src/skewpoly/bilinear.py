@@ -68,19 +68,19 @@ class SchurTau:
         self.kmax = kmax
         weight = max(kmax + reserve, 1)
         self.spec = schur_jet_spec(weight)
-        key = ("schur", idx, m, k, conj, weight)
-        got = table.cache.get(key)
+        key = (idx, m, k, conj, weight)
+        got = table.schur_layers.get(key)
         if got is None:
             base = table.tau_jet(idx, m, self.spec, k, conj)
             layers = [dict(base.coeffs)]
-            # fill the whole weight budget so the cache entry serves any kmax
+            # fill the whole weight budget so the stored layers serve any kmax
             for j in range(1, weight + 1):
                 acc: dict = {}
                 for l in range(1, j + 1):
                     _accumulate(acc, self._dt(layers[j - l], l), Fraction(-1, j))
                 layers.append(acc)
             got = layers
-            table.cache[key] = got
+            table.schur_layers[key] = got
         self.layers = got
 
     def _dt(self, coeffs: dict, l: int) -> dict:

@@ -128,6 +128,22 @@ def _check_grid_flags(args) -> None:
             raise ConfigError(f"{flag} must be nonnegative, got {value}")
 
 
+def _load_checked(path) -> MomentSystem:
+    """A loaded system whose data satisfies its own constraint tag."""
+    try:
+        sys_ = moments.load(path)
+        sys_.require_exact()
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        # JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot load {path}: {type(exc).__name__}: {exc}")
+    rep = validate(sys_)
+    if not rep.all_zero:
+        where, value = rep.failures[0]
+        raise ConfigError(f"{path} breaks its {sys_.constraint!r} constraint: "
+                          f"residual {format_scalar(value)} at {where}")
+    return sys_
+
+
 def _apply_corrupt(sys_: MomentSystem, spec: str) -> MomentSystem:
     """Add 1 to the named entry; an entry the system never stores is rejected."""
     kind, _, where = spec.partition(":")
@@ -231,7 +247,7 @@ def cmd_verify(args) -> int:
     _check_grid_flags(args)
     info: dict = {}
     if args.infile:
-        sys_ = moments.load(args.infile)
+        sys_ = _load_checked(args.infile)
     else:
         sys_ = _build_system(args, info)
     if args.corrupt:

@@ -28,66 +28,6 @@ class TauCollisionError(ArithmeticError):
     """A tau value vanished (or lost all precision) along the trajectory."""
 
 
-# ---------------------------------------------------------------------------
-# Dual-number skew elimination in doubles
-# ---------------------------------------------------------------------------
-
-
-def leading_pfaffians_dual(rows) -> list:
-    """Pfaffians of all leading principal 2k x 2k blocks, as (value, d/dt).
-
-    One elimination pass with no pivoting: after stage k the running pivot
-    product equals the leading principal Pfaffian, and the stage pivot is the
-    ratio of consecutive leading Pfaffians.  A vanishing pivot therefore is a
-    vanishing tau value; callers treat it as a collision.
-    """
-    n = len(rows)
-    a = [list(r) for r in rows]
-    out = []
-    pf_v, pf_d = 1.0, 0.0
-    for k in range(0, n - 1, 2):
-        pv, pd = a[k][k + 1]
-        if pv == 0.0:
-            out.extend([(0.0, 0.0)] * ((n - k) // 2))
-            return out
-        pf_v, pf_d = pf_v * pv, pf_v * pd + pf_d * pv
-        out.append((pf_v, pf_d))
-        iv = 1.0 / pv
-        inv_v, inv_d = iv, -pd * iv * iv
-        for i in range(k + 2, n):
-            aki_v, aki_d = a[k][i]
-            bki_v, bki_d = a[k + 1][i]
-            if aki_v == 0.0 and aki_d == 0.0 and bki_v == 0.0 and bki_d == 0.0:
-                continue
-            rk, rk1, ri = a[k], a[k + 1], a[i]
-            for j in range(i + 1, n):
-                akj_v, akj_d = rk[j]
-                bkj_v, bkj_d = rk1[j]
-                num_v = aki_v * bkj_v - akj_v * bki_v
-                num_d = (aki_d * bkj_v + aki_v * bkj_d
-                         - akj_d * bki_v - akj_v * bki_d)
-                cv, cd = ri[j]
-                ri[j] = (cv - num_v * inv_v,
-                         cd - num_d * inv_v - num_v * inv_d)
-    return out
-
-
-def moment_duals(spec: SolitonSpec, t1: float, size: int) -> list:
-    """Skew matrix of (mu_{i,j}, d/dt_1 mu_{i,j}) at time (t1,)."""
-    weights = [math.exp(th) for th in spec.thetas((t1,))]
-    mu = [[spec.mu_value(i, j, weights) for j in range(size + 1)]
-          for i in range(size + 1)]
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            v = mu[i][j]
-            d = mu[i + 1][j] + mu[i][j + 1]
-            row.append((v, d))
-        rows.append(row)
-    return rows
-
-
 class PairTauEvaluator:
     """Tau chain of a disjoint-pair soliton spec, free of cancellation.
 

@@ -19,22 +19,43 @@ optional.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .jets import Jet, JetSpec
-from .moments import MomentSystem
 from .pfaffian import pf_indexed, pf_labels
 from .poly import PolyInZ
 from .scalars import exact_div
 
+if TYPE_CHECKING:
+    from .moments import MomentSystem
+
 
 class TauTable:
-    """Per-system cache of labelled Pfaffians (scalar and jet valued)."""
+    """Per-system memos of labelled Pfaffians: one per ring (``None`` for
+    scalars, else the jet spec), plus the Schur layers built on them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
-        self.cache: dict = {}
+        self._memos: dict = {}
+        # (idx, m, k, conj, weight) -> bilinear.SchurTau layers
+        self.schur_layers: dict = {}
+
+    def memo(self, spec: JetSpec | None = None) -> dict:
+        """The memo of one ring, keyed by canonical label tuples."""
+        got = self._memos.get(spec)
+        if got is None:
+            got = self._memos[spec] = {}
+        return got
 
     # -- tau values --------------------------------------------------------
+
+    @staticmethod
+    def _tau_labels(idx: int, m: int, k: int, conj: bool):
+        """Labels of tau_idx^{(m)} for idx > 0: odd idx borders the moment
+        block with the single-moment row of component k (conjugate if conj)."""
+        if idx % 2 == 0:
+            return range(m, m + idx)
+        return [("cbar" if conj else "comp", k), *range(m, m + idx)]
 
     def tau(self, idx: int, m: int, k: int = 1, conj: bool = False):
         """Unified tau_idx^{(m)}; odd idx takes the component k (conjugate row
@@ -43,10 +64,8 @@ class TauTable:
             return 0
         if idx == 0:
             return 1
-        if idx % 2 == 0:
-            return pf_labels(range(m, m + idx), self.sys, cache=self.cache)
-        head = ("cbar", k) if conj else ("comp", k)
-        return pf_labels([head, *range(m, m + idx)], self.sys, cache=self.cache)
+        return pf_labels(self._tau_labels(idx, m, k, conj), self.sys,
+                         cache=self.memo())
 
     def tau_jet(self, idx: int, m: int, spec: JetSpec, k: int = 1,
                 conj: bool = False) -> Jet:
@@ -54,12 +73,8 @@ class TauTable:
             return Jet.constant(Fraction(0), spec)
         if idx == 0:
             return Jet.constant(Fraction(1), spec)
-        if idx % 2 == 0:
-            return pf_labels(range(m, m + idx), self.sys, cache=self.cache,
-                             jet_spec=spec)
-        head = ("cbar", k) if conj else ("comp", k)
-        return pf_labels([head, *range(m, m + idx)], self.sys, cache=self.cache,
-                         jet_spec=spec)
+        return pf_labels(self._tau_labels(idx, m, k, conj), self.sys,
+                         cache=self.memo(spec), jet_spec=spec)
 
     def dt1_log_tau(self, idx: int, m: int, k: int = 1):
         """d/dt_1 log tau_idx^{(m)} as a scalar."""
@@ -95,10 +110,10 @@ class TauTable:
             if not norm:
                 raise ZeroDivisionError(
                     f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
-            raw = pf_indexed(labels, self.sys, cache=self.cache)
+            raw = pf_indexed(labels, self.sys, cache=self.memo())
             return raw.divide_z(m) / norm
         norm = self.tau_jet(norm_idx, m, spec, k, conj)
-        raw = pf_indexed(labels, self.sys, cache=self.cache, jet_spec=spec)
+        raw = pf_indexed(labels, self.sys, cache=self.memo(spec), jet_spec=spec)
         return raw.divide_z(m).map_coeffs(lambda c: _as_jet(c, spec) / norm)
 
     def sop_at_zero(self, idx: int, m: int):
@@ -111,7 +126,7 @@ class TauTable:
         if n2 == 0:
             return Fraction(0)
         num = pf_labels([*range(m + 1, m + n2), m + n2 + 1], self.sys,
-                        cache=self.cache)
+                        cache=self.memo())
         return exact_div(num, self.tau(n2, m))
 
 
@@ -122,6 +137,23 @@ def taus(sys: MomentSystem) -> TauTable:
         tab = TauTable(sys)
         object.__setattr__(sys, "_tau_table", tab)
     return tab
+
+
+def vanishing_taus(sys: MomentSystem, n_max: int, m_max: int):
+    """Yield the ``tau`` arguments (idx, m) or (idx, m, k, conj) of every
+    vanishing tau_idx^{(m)} with idx <= 2 n_max + 1 and m <= m_max, each
+    component's conjugate row included.  A throwaway table keeps the grid's
+    Pfaffians out of the system's own memo."""
+    t = TauTable(sys)
+    conjs = (False, True) if sys.beta_bar is not None else (False,)
+    for m in range(m_max + 1):
+        for n in range(n_max + 1):
+            if n and not t.tau(2 * n, m):
+                yield (2 * n, m)
+            for k in range(1, sys.ell + 1):
+                for conj in conjs:
+                    if not t.tau(2 * n + 1, m, k, conj):
+                        yield (2 * n + 1, m, k, conj)
 
 
 def tau(sys: MomentSystem, idx: int, m: int, k: int = 1, conj: bool = False):

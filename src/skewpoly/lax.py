@@ -430,9 +430,9 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     lhs = prod.map_coeffs(lambda c: c.extract(1))
     if n % 2 == 0:
         border = pf_indexed(["d0", "d1", *range(m, m + n + 1), "z"], sys,
-                            cache=t.cache)
+                            cache=t.memo())
     else:
-        border = pf_indexed(["d1", *range(m, m + n + 1), "z"], sys, cache=t.cache)
+        border = pf_indexed(["d1", *range(m, m + n + 1), "z"], sys, cache=t.memo())
     derivative_pf = lhs - border.divide_z(m)
 
     def kc(j, mm=m):

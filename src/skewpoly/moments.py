@@ -30,12 +30,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .families import vanishing_taus
 from .jets import Jet, JetSpec
-from .pfaffian import LabelError, SkewMatrix, det_bareiss, pf_labels, pfaffian
+from .pfaffian import LabelError, det_bareiss, pfaffian
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
 CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
                "rank1skew-complex")
+MODES = ("exact", "gauss", "float")
 
 
 class OutOfRangeError(IndexError):
@@ -56,6 +58,17 @@ class MomentSystem:
     def __post_init__(self):
         if self.constraint not in CONSTRAINTS:
             raise ValueError(f"unknown constraint tag {self.constraint!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
+        top = self.max_index
+        for (i, j) in self.mu:
+            if not 0 <= i < j <= top:
+                raise ValueError(f"mu key ({i},{j}) needs 0 <= i < j <= {top}")
+        for name, rows in (("beta", self.beta), ("beta_bar", self.beta_bar or ())):
+            for k, row in enumerate(rows, 1):
+                if len(row) != top + 1:
+                    raise ValueError(f"{name} row {k} has {len(row)} entries, "
+                                     f"expected max_index+1 = {top + 1}")
         object.__setattr__(self, "_jet_cache", {})
         # set by families.taus on first use
         object.__setattr__(self, "_tau_table", None)
@@ -278,10 +291,15 @@ def gen(kind: str, max_index: int, *, components: int = 1, seed: int = 0,
     for attempt in range(attempts):
         rng = random.Random(seed * 1000003 + attempt)
         sys = _gen_once(kind, max_index, components, rng, num_bound, den_bound)
-        if require_tau is None or _taus_nonzero(sys, *require_tau):
-            if info is not None:
-                info["resample_attempts"] = attempt
-            return sys
+        if require_tau is not None:
+            try:
+                if next(vanishing_taus(sys, *require_tau), None) is not None:
+                    continue
+            except OutOfRangeError:
+                raise ValueError("max_index too small for the requested tau grid")
+        if info is not None:
+            info["resample_attempts"] = attempt
+        return sys
     raise RuntimeError(f"no nondegenerate {kind} system after {attempts} attempts")
 
 
@@ -398,25 +416,6 @@ def _rank1skew_mu(betas, sums, max_index, scale) -> dict:
     return mu
 
 
-def _taus_nonzero(sys: MomentSystem, n_max: int, m_max: int) -> bool:
-    cache: dict = {}
-    try:
-        for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                if 2 * n and not pf_labels(range(m, m + 2 * n), sys, cache=cache):
-                    return False
-                for k in range(1, sys.ell + 1):
-                    if not pf_labels([("comp", k), *range(m, m + 2 * n + 1)],
-                                     sys, cache=cache):
-                        return False
-                    if sys.beta_bar is not None and not pf_labels(
-                            [("cbar", k), *range(m, m + 2 * n + 1)], sys, cache=cache):
-                        return False
-    except OutOfRangeError:
-        raise ValueError("max_index too small for the requested tau grid")
-    return True
-
-
 def suite_max_index(n_max: int, m_max: int, weight: int = 0) -> int:
     """Moment range needed for taus up to tau_{2n+3} at shift m_max plus jets."""
     return m_max + 2 * n_max + 3 + weight
@@ -497,18 +496,8 @@ def validate(sys: MomentSystem, n_max: Optional[int] = None,
                       - 2 * sums[i] * csums[j])
 
     if n_max is not None:
-        rep.tau_nonzero = True
-        cache: dict = {}
-        for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                if 2 * n and not pf_labels(range(m, m + 2 * n), sys, cache=cache):
-                    rep.tau_nonzero = False
-                    rep.tau_failures.append((2 * n, m))
-                for k in range(1, sys.ell + 1):
-                    if not pf_labels([("comp", k), *range(m, m + 2 * n + 1)],
-                                     sys, cache=cache):
-                        rep.tau_nonzero = False
-                        rep.tau_failures.append((2 * n + 1, m, k))
+        rep.tau_failures = list(vanishing_taus(sys, n_max, m_max))
+        rep.tau_nonzero = not rep.tau_failures
     return rep
 
 
@@ -522,8 +511,8 @@ def stembridge_residual(sys: MomentSystem, n: int):
     if sys.constraint != "laurent":
         raise ValueError("Toeplitz correspondence needs the laurent tag")
     band = [0] + [sys.mu_entry(0, k) for k in range(1, 2 * n)]
-    pf = pfaffian(SkewMatrix.from_upper(
-        2 * n, {(i, j): band[j - i] for i in range(2 * n) for j in range(i + 1, 2 * n)}))
+    pf = pfaffian([[band[j - i] if j >= i else -band[i - j] for j in range(2 * n)]
+                   for i in range(2 * n)])
     rows = [[sum((band[r] for r in range(abs(i - j) + 1, i + j, 2)), Fraction(0))
              for j in range(1, n + 1)] for i in range(1, n + 1)]
     return pf - det_bareiss(rows)
@@ -618,23 +607,37 @@ def to_json_dict(sys: MomentSystem) -> dict:
 def from_json_dict(data: dict) -> MomentSystem:
     max_index = int(data["max_index"])
     mu = {(int(i), int(j)): parse_scalar(s) for i, j, s in data["mu"]}
-    beta = _seqs_from_triples(data.get("beta", []), max_index)
+    if len(mu) != len(data["mu"]):
+        raise ValueError("repeated mu triple")
+    beta = _seqs_from_triples("beta", data.get("beta", []), max_index)
     bbar = None
     if "beta_bar" in data:
-        bbar = _seqs_from_triples(data["beta_bar"], max_index)
+        bbar = _seqs_from_triples("beta_bar", data["beta_bar"], max_index)
     return MomentSystem(max_index, mu, beta, beta_bar=bbar,
                         constraint=data.get("constraint", "none"),
                         mode=data.get("mode", "exact"))
 
 
-def _seqs_from_triples(triples, max_index) -> tuple:
-    if not triples:
-        return ()
-    ncomp = max(int(k) for k, _, _ in triples)
-    seqs = [[Fraction(0)] * (max_index + 1) for _ in range(ncomp)]
+def _seqs_from_triples(name, triples, max_index) -> tuple:
+    """Rows from (k, j, value) triples, each (k, j) with 0 <= j <= max_index
+    given exactly once for every component k up to the largest one named."""
+    seqs: dict = {}
     for k, j, s in triples:
-        seqs[int(k) - 1][int(j)] = parse_scalar(s)
-    return tuple(tuple(s) for s in seqs)
+        k, j = int(k), int(j)
+        if k < 1 or not 0 <= j <= max_index:
+            raise ValueError(f"{name} triple ({k},{j}) needs k >= 1 and "
+                             f"0 <= j <= {max_index}")
+        if (k, j) in seqs:
+            raise ValueError(f"repeated {name} triple ({k},{j})")
+        seqs[(k, j)] = parse_scalar(s)
+    ncomp = max((k for k, _ in seqs), default=0)
+    missing = [(k, j) for k in range(1, ncomp + 1) for j in range(max_index + 1)
+               if (k, j) not in seqs]
+    if missing:
+        raise ValueError(f"missing {name} triples, first ({missing[0][0]},"
+                         f"{missing[0][1]})")
+    return tuple(tuple(seqs[(k, j)] for j in range(max_index + 1))
+                 for k in range(1, ncomp + 1))
 
 
 def save(sys: MomentSystem, path) -> None:

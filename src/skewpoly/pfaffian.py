@@ -1,15 +1,15 @@
 """Pfaffians over exact scalar rings and jets, plus the indexed-label resolver.
 
-Two algorithms are provided and cross-checked in the tests:
+One engine per kind of input, each the other's test reference:
 
-* :func:`pfaffian_expand` -- recursive expansion along the first row,
-  memoized over label subsets.  Works over any commutative ring (no division),
-  and the memo cache is shared across calls so nested tau-function chains are
-  cheap.
-* :func:`pfaffian_eliminate` -- skew-symmetric Gaussian elimination.  Needs
-  division by pivots, so it is restricted to fields and to jets whose pivot
-  bases are units; it raises :class:`NonUnitPivot` otherwise so callers can
-  fall back to expansion.
+* :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians of a moment
+  system by recursive expansion along the first label, memoized over label
+  subsets.  Works over any commutative ring (no division), so it serves
+  scalar and jet-valued entries alike; the caller passes one memo per ring
+  so nested tau-function chains are cheap.
+* :func:`pfaffian` -- a plain square row list by skew-symmetric Gaussian
+  elimination over an exact field (rationals or Gaussian rationals).
+  :func:`pfaffian_expand` runs the expansion engine on the same row list.
 
 The indexed resolver :func:`pf_indexed` evaluates Pfaffians whose rows are
 named by symbolic labels (integer moment indices, single-moment rows ``d``,
@@ -19,11 +19,9 @@ returning a polynomial in z.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .poly import PolyInZ
-
-
-class NonUnitPivot(ArithmeticError):
-    """Elimination hit a pivot that is not invertible in the coefficient ring."""
 
 
 class LabelError(ValueError):
@@ -31,74 +29,28 @@ class LabelError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Skew matrices
+# Plain skew matrices
 # ---------------------------------------------------------------------------
 
 
-class SkewMatrix:
-    """Even-dimensional skew-symmetric matrix; only i<j entries are stored."""
-
-    __slots__ = ("dim", "upper")
-
-    def __init__(self, dim: int, upper: dict):
-        self.dim = dim
-        self.upper = upper
-
-    @staticmethod
-    def from_rows(rows) -> "SkewMatrix":
-        n = len(rows)
-        upper = {}
-        for i in range(n):
-            if rows[i][i] != 0:
-                raise ValueError(f"nonzero diagonal entry at {i}")
-            for j in range(i + 1, n):
-                if rows[j][i] != -rows[i][j]:
-                    raise ValueError(f"entries ({i},{j}) and ({j},{i}) not antisymmetric")
-                upper[(i, j)] = rows[i][j]
-        return SkewMatrix(n, upper)
-
-    @staticmethod
-    def from_upper(dim: int, upper: dict) -> "SkewMatrix":
-        for (i, j) in upper:
-            if not (0 <= i < j < dim):
-                raise ValueError(f"upper entry index ({i},{j}) out of range")
-        return SkewMatrix(dim, dict(upper))
-
-    def entry(self, i: int, j: int):
-        if i == j:
-            return 0
-        if i < j:
-            return self.upper.get((i, j), 0)
-        return -self.upper.get((j, i), 0)
-
-    def rows(self) -> list:
-        return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
-
-    def pfaffian(self, method: str = "auto"):
-        if self.dim % 2:
-            raise ValueError("Pfaffian requires even dimension")
-        if method == "expand":
-            return pfaffian_expand(self)
-        if method == "eliminate":
-            return pfaffian_eliminate(self.rows())
-        try:
-            return pfaffian_eliminate(self.rows())
-        except NonUnitPivot:
-            return pfaffian_expand(self)
-
-
-def pfaffian(mat, method: str = "auto"):
-    """Pfaffian of a SkewMatrix or a full square row list; empty matrix gives 1."""
-    if not isinstance(mat, SkewMatrix):
-        mat = SkewMatrix.from_rows(mat)
-    return mat.pfaffian(method)
-
-
-def pfaffian_expand(mat: SkewMatrix):
-    if mat.dim % 2:
+def _check_skew(rows) -> None:
+    n = len(rows)
+    if n % 2:
         raise ValueError("Pfaffian requires even dimension")
-    cache: dict = {}
-    return _pf_expand(tuple(range(mat.dim)), mat.entry, cache)
+    for i in range(n):
+        if len(rows[i]) != n:
+            raise ValueError(f"row {i} has {len(rows[i])} entries, expected {n}")
+        if rows[i][i] != 0:
+            raise ValueError(f"nonzero diagonal entry at {i}")
+        for j in range(i + 1, n):
+            if rows[j][i] != -rows[i][j]:
+                raise ValueError(f"entries ({i},{j}) and ({j},{i}) not antisymmetric")
+
+
+def pfaffian_expand(rows):
+    """Pfaffian of a square skew row list by memoized expansion; empty gives 1."""
+    _check_skew(rows)
+    return _pf_expand(tuple(range(len(rows))), lambda i, j: rows[i][j], {})
 
 
 def _pf_expand(labels: tuple, entry, cache: dict):
@@ -121,28 +73,24 @@ def _pf_expand(labels: tuple, entry, cache: dict):
     return acc
 
 
-def pfaffian_eliminate(rows):
-    """Pfaffian by skew-symmetric elimination; needs invertible pivots."""
+def pfaffian(rows):
+    """Pfaffian of a square skew row list over an exact field, by skew
+    elimination; empty gives 1."""
+    _check_skew(rows)
     n = len(rows)
-    if n % 2:
-        raise ValueError("Pfaffian requires even dimension")
-    if n == 0:
-        return 1
     a = [list(r) for r in rows]
     pf = 1
     negate = False
     for k in range(0, n - 1, 2):
-        piv = _choose_pivot(a, k, n)
+        piv = next((j for j in range(k + 1, n) if not _is_zero(a[k][j])), None)
         if piv is None:
-            if all(_is_zero(a[k][j]) for j in range(k + 1, n)):
-                return 0
-            raise NonUnitPivot(f"no invertible pivot in row {k}")
+            return 0
         if piv != k + 1:
             _swap(a, piv, k + 1)
             negate = not negate
         p = a[k][k + 1]
         pf = pf * p
-        inv = _invert(p)
+        inv = Fraction(1) / p
         for i in range(k + 2, n):
             aki = a[k][i]
             ak1i = a[k + 1][i]
@@ -158,39 +106,10 @@ def pfaffian_eliminate(rows):
     return -pf if negate else pf
 
 
-def _choose_pivot(a, k, n):
-    best = None
-    best_quality = 0.0
-    for j in range(k + 1, n):
-        v = a[k][j]
-        if _is_zero(v):
-            continue
-        base = v.base if hasattr(v, "spec") else v
-        if _is_zero(base):
-            continue
-        if isinstance(base, float):
-            q = abs(base)
-            if q > best_quality:
-                best, best_quality = j, q
-        else:
-            return j
-    return best
-
-
 def _swap(a, i, j):
     a[i], a[j] = a[j], a[i]
     for row in a:
         row[i], row[j] = row[j], row[i]
-
-
-def _invert(v):
-    if hasattr(v, "inverse"):
-        return v.inverse()
-    if isinstance(v, float):
-        return 1.0 / v
-    from fractions import Fraction
-
-    return Fraction(1) / v
 
 
 def det_bareiss(rows):
@@ -353,40 +272,12 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
 
 
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
-    """Scalar (z-free) labelled Pfaffian, memoized on canonical label tuples."""
+    """z-free labelled Pfaffian.  ``cache`` is the memo of one ring
+    (scalars, or jets of ``jet_spec``), keyed by canonical label tuples."""
     labs, sign = _canonicalize([parse_label(l) for l in labels])
     if jet_spec is None:
         entry = sys.entry_scalar
-        key = labs
     else:
         entry = lambda a, b: sys.entry_jet(a, b, jet_spec)  # noqa: E731
-        key = (jet_spec, labs)
-    if cache is None:
-        cache = {}
-    got = cache.get(key)
-    if got is None:
-        if jet_spec is None:
-            got = _pf_expand(labs, entry, _SubsetCache(cache))
-        else:
-            got = _pf_expand(labs, entry, _SubsetCache(cache, jet_spec))
-        cache[key] = got
-    return sign * got if sign < 0 else got
-
-
-class _SubsetCache:
-    """Adapter exposing a (jet_spec, labels) keyed dict as a labels-keyed one."""
-
-    __slots__ = ("store", "jet_spec")
-
-    def __init__(self, store: dict, jet_spec=None):
-        self.store = store
-        self.jet_spec = jet_spec
-
-    def _key(self, labels):
-        return labels if self.jet_spec is None else (self.jet_spec, labels)
-
-    def get(self, labels):
-        return self.store.get(self._key(labels))
-
-    def __setitem__(self, labels, value):
-        self.store[self._key(labels)] = value
+    got = _pf_expand(labs, entry, {} if cache is None else cache)
+    return -got if sign < 0 else got

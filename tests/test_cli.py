@@ -120,7 +120,7 @@ def test_identity_selection_single_entry(tmp_path):
     assert {e["identity"] for e in data["entries"]} == {"PFAFF_FIRST"}
 
 
-def test_config_errors_exit_two():
+def test_config_errors_exit_two(tmp_path):
     assert run(["verify", "--kind", "rank2", "--components", "2"]) == 2
     assert run(["verify", "--kind", "bogus"]) == 2
     assert run(["verify", "--kind", "none", "--identities", "NOT_A_THING"]) == 2
@@ -135,6 +135,32 @@ def test_config_errors_exit_two():
         assert run(small + ["--corrupt", corrupt]) == 2
     assert run(small + ["--n-max", "-1"]) == 2
     assert run(small + ["--m-max", "-1"]) == 2
+    # loaded files: one input check, and data that must satisfy its own tag
+    good = tmp_path / "good.json"
+    assert run(["gen", "--kind", "rank1skew", "--seed", "3", "--n-max", "1",
+                "--m-max", "0", "--out", str(good)]) == 0
+    load = ["verify", "--n-max", "1", "--m-max", "0", "--identities", "TRANSFORMS",
+            "--in"]
+    assert run(load + [str(good)]) == 0
+    base = json.loads(good.read_text())
+    edits = [lambda d: d["mu"].append([3, 2, "1"]),
+             lambda d: d["mu"].append([2, 99, "1"]),
+             lambda d: d["mu"].append(list(d["mu"][0])),
+             lambda d: d.update(beta=d["beta"][:-3]),
+             lambda d: d["beta"].append([1, 999, "1"]),
+             lambda d: d["beta"].append(list(d["beta"][0])),
+             lambda d: d.update(mode="banana"),
+             lambda d: d.update(mode="float"),
+             lambda d: d["mu"][1].__setitem__(2, str(Fraction(d["mu"][1][2]) + 1))]
+    for t, edit in enumerate(edits):
+        data = json.loads(json.dumps(base))
+        edit(data)
+        bad = tmp_path / f"bad{t}.json"
+        bad.write_text(json.dumps(data))
+        assert run(load + [str(bad)]) == 2, t
+    (tmp_path / "not.json").write_text("{not json")
+    assert run(load + [str(tmp_path / "not.json")]) == 2
+    assert run(load + [str(tmp_path / "missing.json")]) == 2
 
 
 def test_selected_identity_requires_matching_tag():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,13 @@ def test_existence_flag_vanishing_tau():
     rep = validate(s, n_max=1)
     assert rep.tau_nonzero is False
     assert (2, 0) in rep.tau_failures
+    # tau_1^(0) on the conjugate row is bbar_0^(1), which gen also requires
+    c = gen("rank1skew-complex", 6, components=2, seed=3)
+    bbar = [list(row) for row in c.beta_bar]
+    bbar[0][0] = 0
+    rep = validate(replace(c, beta_bar=tuple(map(tuple, bbar))), n_max=0)
+    assert rep.tau_nonzero is False
+    assert rep.tau_failures == [(1, 0, 1, True)]
 
 
 def test_json_round_trip_bit_exact():
