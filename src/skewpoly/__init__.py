@@ -11,7 +11,7 @@ from .bilinear import (IDENTITIES, hirota, identity_names, identity_residual,
 from .christoffel import (laurent_lv_coeff_check, laurent_toda_residual,
                           psop_transform_residual, sop_transform_residual)
 from .families import psop, skew_inner, sop, sop_at_zero, tau, taus
-from .jets import DEFAULT_JET_SPEC, Jet, JetSpec, OrderMismatchError, TruncationError
+from .jets import Jet, JetSpec, OrderMismatchError, TruncationError
 from .moments import (MomentSystem, OutOfRangeError, SolitonSpec, gen,
                       lift_to_jet, shift_derivative, soliton_system, validate)
 from .pfaffian import LabelError, det_bareiss, pf_indexed, pf_labels, pfaffian
@@ -24,7 +24,7 @@ __all__ = [
     "laurent_lv_coeff_check", "laurent_toda_residual",
     "psop_transform_residual", "sop_transform_residual",
     "psop", "skew_inner", "sop", "sop_at_zero", "tau", "taus",
-    "DEFAULT_JET_SPEC", "Jet", "JetSpec", "OrderMismatchError", "TruncationError",
+    "Jet", "JetSpec", "OrderMismatchError", "TruncationError",
     "MomentSystem", "OutOfRangeError", "SolitonSpec", "gen", "lift_to_jet",
     "shift_derivative", "soliton_system", "validate",
     "LabelError", "det_bareiss", "pf_indexed", "pf_labels", "pfaffian",

@@ -8,13 +8,10 @@ equation, its suite group, and an evaluator returning residuals (scalars or
 polynomials in z) that must all be exactly zero.
 
 Schur-operator conventions: with dtilde = (d/dt_1, d/dt_2 / 2, d/dt_3 / 3,
-...), the operators s_k(-dtilde) obey the same recurrence as the Schur
-polynomials,
-
-    k s_k = sum_{l=1..k} l t_l s_{k-l}   with   t_l -> -(d/dt_l) / l,
-
-so s_k(-dtilde) tau is a finite rational combination of mixed shift
-derivatives of tau, all read off one jet of total weight k.
+...), s_k(-dtilde) is the Schur polynomial s_k(t) at t_l -> -(d/dt_l) / l.
+It is homogeneous of weight k when t_l has weight l, so s_k(-dtilde) tau is
+a finite rational combination of mixed shift derivatives of tau, all read
+off one jet of weight k (:meth:`skewpoly.jets.Jet.schur`).
 """
 
 from __future__ import annotations
@@ -26,8 +23,8 @@ from typing import Callable
 
 from . import christoffel, lax
 from .families import (TauTable, orthogonality_defect, orthogonality_determinant,
-                       psop_inner_defect, taus)
-from .jets import Jet, JetSpec, schur_jet_spec
+                       psop_inner_defect, taus, z_plus_dt1)
+from .jets import Jet, JetSpec, weight
 from .moments import MomentSystem, stembridge_residual
 from .poly import PolyInZ
 from .scalars import exact_div
@@ -57,42 +54,21 @@ def schur(k: int, t) -> object:
 class SchurTau:
     """All values s_j(-dtilde) tau and their t_1 derivatives for j <= kmax.
 
-    Internally works on raw coefficient dicts of one big jet of weight
-    kmax + reserve; the coefficient of s_j(-dtilde) tau at displacement alpha
-    is valid whenever weight(alpha) + j fits the budget, and only weights
-    0 and 1 are ever read.
+    Both lists are read off one tau jet of weight kmax + reserve by
+    :meth:`Jet.schur`, the t_1 derivatives from its ``deriv(0)``; the table
+    keeps them for every j the weight allows, so they serve any kmax.
     """
 
     def __init__(self, table: TauTable, idx: int, m: int, kmax: int,
                  reserve: int = 1, k: int = 1, conj: bool = False):
         self.kmax = kmax
-        weight = max(kmax + reserve, 1)
-        self.spec = schur_jet_spec(weight)
-        key = (idx, m, k, conj, weight)
+        w = max(kmax + reserve, 1)
+        key = (idx, m, k, conj, w)
         got = table.schur_layers.get(key)
         if got is None:
-            base = table.tau_jet(idx, m, self.spec, k, conj)
-            layers = [dict(base.coeffs)]
-            # fill the whole weight budget so the stored layers serve any kmax
-            for j in range(1, weight + 1):
-                acc: dict = {}
-                for l in range(1, j + 1):
-                    _accumulate(acc, self._dt(layers[j - l], l), Fraction(-1, j))
-                layers.append(acc)
-            got = layers
-            table.schur_layers[key] = got
-        self.layers = got
-
-    def _dt(self, coeffs: dict, l: int) -> dict:
-        d = l - 1
-        out: dict = {}
-        for alpha, v in coeffs.items():
-            if alpha[d] == 0:
-                continue
-            b = list(alpha)
-            b[d] -= 1
-            out[tuple(b)] = v * alpha[d]
-        return out
+            jet = table.tau_jet(idx, m, JetSpec(w), k, conj)
+            got = table.schur_layers[key] = (jet.schur(), jet.deriv(0).schur())
+        self.values, self.d1s = got
 
     def value(self, j: int):
         """s_j(-dtilde) tau; zero for negative j."""
@@ -100,19 +76,13 @@ class SchurTau:
             return 0
         if j > self.kmax:
             raise ValueError(f"schur order {j} above table limit {self.kmax}")
-        return self.layers[j].get(self.spec.zero_alpha(), 0)
+        return self.values[j]
 
     def d1(self, j: int):
         """d/dt_1 of s_j(-dtilde) tau."""
         if j < 0:
             return 0
-        alpha = tuple([1] + [0] * (self.spec.ndir - 1))
-        return self.layers[j].get(alpha, 0)
-
-
-def _accumulate(acc: dict, other: dict, factor) -> None:
-    for alpha, v in other.items():
-        acc[alpha] = acc.get(alpha, 0) + factor * v
+        return self.d1s[j]
 
 
 def schur_d_tau(sys: MomentSystem, k: int, idx: int, m: int, comp: int = 1,
@@ -134,15 +104,12 @@ def hirota(orders, sys: MomentSystem, ref_f, ref_g):
 
 def _tau_jet_for(t: TauTable, ref, orders) -> Jet:
     idx, m, k, conj = (*ref, 1, False)[:4] if len(ref) >= 2 else ref
-    spec = JetSpec(tuple(orders))
-    return t.tau_jet(idx, m, spec, k, conj)
+    return t.tau_jet(idx, m, JetSpec(weight(orders)), k, conj)
 
 
 def hirota_jets(orders, f: Jet, g: Jet):
     """D^orders f.g from jets: product of f at +eps with g at -eps."""
-    flipped = Jet(g.spec, {a: (v if sum(a) % 2 == 0 else -v)
-                           for a, v in g.coeffs.items()})
-    return (f * flipped).extract(*orders)
+    return (f * g.reflect()).extract(*orders)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +125,8 @@ def derivative_residual(sys: MomentSystem, idx: int, m: int, comp: int = 1) -> P
     """
     sys.require_exact()
     t = taus(sys)
-    spec = JetSpec((1,))
-    big = t.psop(idx, m, comp, spec=spec)
-    tau_jet = t.tau_jet(idx, m, spec, comp)
-    prod = big.map_coeffs(lambda c: c * tau_jet)
-    lhs = prod.shift(1) + prod.map_coeffs(lambda c: c.extract(1))
-    lhs = lhs.map_coeffs(lambda c: c.base if isinstance(c, Jet) else c)
+    spec = JetSpec(1)
+    lhs = z_plus_dt1(t.tau_jet(idx, m, spec, comp), t.psop(idx, m, comp, spec=spec))
     if idx % 2 == 0:
         rhs = t.sop(idx + 1, m) * t.tau(idx, m)
     else:
@@ -302,7 +265,7 @@ def _dkp(sys, n, m, l):
            partial(_grid_nm, n_min=1))
 def _pfaff_first(sys, n, m):
     t = taus(sys)
-    spec = JetSpec((2, 1))
+    spec = JetSpec(2)
     f = t.tau_jet(2 * n, m, spec)
     g = t.tau_jet(2 * n, m + 1, spec)
     lhs = hirota_jets((0, 1), f, g) + hirota_jets((2, 0), f, g)
@@ -333,7 +296,7 @@ def _toda1d(sys, n, l):
            _grid_n, ("laurent",))
 def _toda_bilinear(sys, n):
     t = taus(sys)
-    spec = JetSpec((2,))
+    spec = JetSpec(2)
     f = t.tau_jet(2 * n, 0, spec)
     return (hirota_jets((2,), f, f)
             - 2 * t.tau(2 * n - 2, 0) * t.tau(2 * n + 2, 0))
@@ -348,7 +311,7 @@ def _lv_grid(sys, n_max, m_max):
            _lv_grid, ("laurent",))
 def _lv(sys, n):
     t = taus(sys)
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     f = t.tau_jet(n, 0, spec)
     g = t.tau_jet(n + 1, 0, spec)
     return (t.tau(n - 1, 0) * t.tau(n + 2, 0)
@@ -401,7 +364,7 @@ def _bkp_pair(sys, n, m, k, l1, l2, conj=False):
     _grid_nmk)
 def _glv1(sys, n, m, k):
     t = taus(sys)
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     f = t.tau_jet(2 * n, m + 1, spec)
     g = t.tau_jet(2 * n + 1, m, spec, k)
     return (t.tau(2 * n + 2, m) * t.tau(2 * n - 1, m + 1, k)
@@ -415,7 +378,7 @@ def _glv1(sys, n, m, k):
     _grid_nmk)
 def _glv2(sys, n, m, k):
     t = taus(sys)
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     f = t.tau_jet(2 * n + 1, m + 1, spec, k)
     g = t.tau_jet(2 * n + 2, m, spec)
     return (t.tau(2 * n + 3, m, k) * t.tau(2 * n, m + 1)
@@ -429,7 +392,7 @@ def _glv2(sys, n, m, k):
     partial(_grid_nm, scale=2))
 def _glv(sys, n, m):
     t = taus(sys)
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     f = t.tau_jet(n, m + 1, spec)
     g = t.tau_jet(n + 1, m, spec)
     return (t.tau(n + 2, m) * t.tau(n - 1, m + 1)
@@ -446,7 +409,7 @@ def _btoda(sys, n, m):
     # exact evaluation fixes the D_t1 argument order: the lower index comes
     # first under our sign convention for the Hirota operator
     t = taus(sys)
-    spec = JetSpec((2,))
+    spec = JetSpec(2)
     f = t.tau_jet(n, m, spec)
     up = t.tau_jet(n + 1, m, spec)
     low = t.tau_jet(n - 1, m, spec)
@@ -458,7 +421,7 @@ def _btoda(sys, n, m):
            partial(_grid_nm, n_min=1, scale=2), ("rank2",))
 def _backlund(sys, n, m):
     t = taus(sys)
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     return (hirota_jets((1,), t.tau_jet(n, m, spec), t.tau_jet(n, m + 1, spec))
             - hirota_jets((1,), t.tau_jet(n + 1, m, spec),
                           t.tau_jet(n - 1, m + 1, spec)))
@@ -489,7 +452,7 @@ def _mkdv_grid(sys, n_max, m_max):
            _mkdv_grid, ("rank1skew",))
 def _mkdv(sys, n, m):
     t = taus(sys)
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     fn, gn = _mkdv_chains(t, n, m, spec)
     fp, gp = _mkdv_chains(t, n + 1, m, spec)
     fl, gl = _mkdv_chains(t, n - 1, m, spec)
@@ -664,8 +627,22 @@ def _c3_suite(sys, n, m):
     return lax.c3_recurrence_residuals(sys, m, n)
 
 
+LAX_SIZE = 6
+
+
+def catalog_max_index(n_max: int, m_max: int) -> int:
+    """Largest moment index the catalog may read on the (n_max, m_max) grid.
+
+    The grid identities reach tau_{2 n_max + 3} at shift m_max + 1 with jets
+    of weight 2 n_max + 2.  The operator blocks have the fixed size LAX_SIZE
+    at shifts 0 and 1; their taus reach index LAX_SIZE + 2, and their jets
+    of weight 2 two more.
+    """
+    return max(m_max + 4 * n_max + 6, LAX_SIZE + 4)
+
+
 def _lax_grid(sys, n_max, m_max):
-    yield {"N": 6, "m": 0}
+    yield {"N": LAX_SIZE, "m": 0}
 
 
 def _lax_mixed_grid(sys, n_max, m_max):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 from dataclasses import replace
 
 from . import bilinear, moments
-from .moments import MomentSystem, suite_max_index, validate
+from .moments import MomentSystem, validate
 from .poly import PolyInZ
 from .scalars import format_scalar
 
@@ -91,11 +92,9 @@ def _components_for(args) -> int:
 def _build_system(args, info: dict) -> MomentSystem:
     if args.mode == "float":
         raise ConfigError("exact verification and generation reject float mode")
-    components = _components_for(args)
-    weight = 2 * args.n_max + 2
-    max_index = suite_max_index(args.n_max, args.m_max + 1, weight)
+    max_index = bilinear.catalog_max_index(args.n_max, args.m_max)
     try:
-        return moments.gen(args.kind, max_index, components=components,
+        return moments.gen(args.kind, max_index, components=_components_for(args),
                            seed=args.seed, require_tau=(args.n_max + 2, args.m_max + 1),
                            info=info)
     except ValueError as exc:
@@ -104,6 +103,7 @@ def _build_system(args, info: dict) -> MomentSystem:
 
 def cmd_gen(args) -> int:
     _check_grid_flags(args)
+    _check_writable(args.out)
     info: dict = {}
     sys_ = _build_system(args, info)
     moments.save(sys_, args.out)
@@ -126,6 +126,14 @@ def _check_grid_flags(args) -> None:
     for flag, value in (("--n-max", args.n_max), ("--m-max", args.m_max)):
         if value < 0:
             raise ConfigError(f"{flag} must be nonnegative, got {value}")
+
+
+def _check_writable(path) -> None:
+    """Reject an output path that cannot be created, before any work runs."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if (os.path.isdir(path) or not os.path.isdir(parent)
+            or not os.access(parent, os.W_OK)):
+        raise ConfigError(f"cannot write {path}: not a writable file path")
 
 
 def _load_checked(path) -> MomentSystem:
@@ -245,9 +253,16 @@ def run_verification(sys_: MomentSystem, n_max: int, m_max: int,
 
 def cmd_verify(args) -> int:
     _check_grid_flags(args)
+    if args.out:
+        _check_writable(args.out)
     info: dict = {}
     if args.infile:
         sys_ = _load_checked(args.infile)
+        need = bilinear.catalog_max_index(args.n_max, args.m_max)
+        if sys_.max_index < need:
+            raise ConfigError(f"{args.infile} has max_index {sys_.max_index}; "
+                              f"--n-max {args.n_max} --m-max {args.m_max} "
+                              f"needs max_index {need}")
     else:
         sys_ = _build_system(args, info)
     if args.corrupt:
@@ -290,10 +305,15 @@ def cmd_simulate(args) -> int:
         lo, hi = (int(x) for x in args.window.replace(",", ":").split(":"))
     except ValueError:
         raise ConfigError(f"bad --window {args.window!r}")
-    if hi - lo + 1 < 3:
-        raise ConfigError("window must span at least 3 sites")
+    if lo < 1 or hi - lo + 1 < 3:
+        raise ConfigError("window must start at site 1 or above and span at "
+                          "least 3 sites")
     if args.dt <= 0 or args.t_end <= 0:
         raise ConfigError("dt and t-end must be positive")
+    if round(args.t_end / (4 * args.dt)) == 0:
+        raise ConfigError("t-end must exceed 2 dt: the coarsest convergence "
+                          "run steps by 4 dt")
+    _check_writable(f"{args.out}_tau.csv")
     spec = dynamics.two_soliton_demo_spec()
     steps = round(args.t_end / args.dt)
     try:

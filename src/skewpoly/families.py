@@ -32,12 +32,12 @@ if TYPE_CHECKING:
 
 class TauTable:
     """Per-system memos of labelled Pfaffians: one per ring (``None`` for
-    scalars, else the jet spec), plus the Schur layers built on them."""
+    scalars, else the jet spec), plus the Schur values read off them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._memos: dict = {}
-        # (idx, m, k, conj, weight) -> bilinear.SchurTau layers
+        # (idx, m, k, conj, weight) -> bilinear.SchurTau value and d1 lists
         self.schur_layers: dict = {}
 
     def memo(self, spec: JetSpec | None = None) -> dict:
@@ -78,8 +78,7 @@ class TauTable:
 
     def dt1_log_tau(self, idx: int, m: int, k: int = 1):
         """d/dt_1 log tau_idx^{(m)} as a scalar."""
-        spec = JetSpec((1,))
-        j = self.tau_jet(idx, m, spec, k)
+        j = self.tau_jet(idx, m, JetSpec(1), k)
         return exact_div(j.extract(1), j.base)
 
     # -- polynomial families -------------------------------------------------
@@ -112,9 +111,9 @@ class TauTable:
                     f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
             raw = pf_indexed(labels, self.sys, cache=self.memo())
             return raw.divide_z(m) / norm
-        norm = self.tau_jet(norm_idx, m, spec, k, conj)
+        inv = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
         raw = pf_indexed(labels, self.sys, cache=self.memo(spec), jet_spec=spec)
-        return raw.divide_z(m).map_coeffs(lambda c: _as_jet(c, spec) / norm)
+        return raw.divide_z(m).map_coeffs(lambda c: c * inv)
 
     def sop_at_zero(self, idx: int, m: int):
         """Constant terms in closed form: P_{2n}^{(m)}(0) = tau_{2n}^{(m+1)} /
@@ -170,6 +169,18 @@ def psop(sys: MomentSystem, idx: int, m: int, k: int = 1) -> PolyInZ:
 
 def sop_at_zero(sys: MomentSystem, idx: int, m: int):
     return taus(sys).sop_at_zero(idx, m)
+
+
+def dt1(poly: PolyInZ) -> PolyInZ:
+    """d/dt_1 of a polynomial in z with jet coefficients."""
+    return poly.map_coeffs(lambda c: c.extract(1))
+
+
+def z_plus_dt1(tau: Jet, poly: PolyInZ) -> PolyInZ:
+    """(z + d/dt_1)(tau P) at the base point, for a jet tau and a polynomial
+    P with jet coefficients of the same ring."""
+    prod = poly * tau
+    return prod.map_coeffs(lambda c: c.base).shift(1) + dt1(prod)
 
 
 def skew_inner(sys: MomentSystem, f: PolyInZ, g: PolyInZ):
@@ -233,9 +244,3 @@ def orthogonality_determinant(sys: MomentSystem, n: int, choice: str = "psop",
     from .pfaffian import det_bareiss
 
     return det_bareiss(rows)
-
-
-def _as_jet(c, spec: JetSpec) -> Jet:
-    if isinstance(c, Jet):
-        return c
-    return Jet.constant(c, spec)

@@ -6,10 +6,11 @@ displacement directions eps_1, eps_2, ... (one per time variable t_1, t_2,
 divided by ``alpha!``, so the jet behaves exactly like the truncated Taylor
 polynomial ``sum_alpha c_alpha * eps**alpha``.
 
-Truncation is part of the value: a :class:`JetSpec` fixes per-direction order
-caps and an optional total weight cap, where direction d carries weight d+1
-(the index of the time variable it represents).  Binary operations insist on
-identical specs; use :meth:`Jet.truncate` to move a value into a smaller ring.
+Truncation is part of the value.  Direction d stands for t_{d+1} and carries
+weight d+1, the weight under which the flows and the Schur and Hirota
+operators are homogeneous; ``JetSpec(w)`` keeps every multi-index of weight
+<= w.  Binary operations insist on identical specs; use :meth:`Jet.truncate`
+to move a value into a smaller ring.
 
 Division is supported only by units (nonzero base coefficient) and is done by
 Newton iteration in the truncated ring, which is exact.
@@ -18,7 +19,9 @@ Newton iteration in the truncated ring, which is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from fractions import Fraction
+from functools import cache, cached_property
+from math import factorial, prod
 
 from .scalars import scalar_inv
 
@@ -31,61 +34,51 @@ class TruncationError(ValueError):
     """Requested coefficient or derivative lies outside the truncation."""
 
 
+def weight(alpha) -> int:
+    """Weight of a multi-index: direction d counts d+1 per order."""
+    return sum((d + 1) * a for d, a in enumerate(alpha))
+
+
+@cache
+def _ring(w: int) -> dict:
+    ndir = max(1, w)
+
+    def build(d, budget):
+        if d == ndir:
+            return [()]
+        return [(a,) + rest for a in range(budget // (d + 1) + 1)
+                for rest in build(d + 1, budget - a * (d + 1))]
+    return {a: weight(a) for a in sorted(build(0, w), key=weight)}
+
+
 @dataclass(frozen=True)
 class JetSpec:
-    """Truncation of the jet ring: per-direction caps plus optional weight cap."""
+    """The ring of every multi-index of weight <= ``weight``, over
+    max(1, weight) directions (no direction beyond that fits)."""
 
-    orders: tuple[int, ...]
-    weight_cap: int | None = None
+    weight: int
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(o) for o in self.orders))
-        if any(o < 0 for o in self.orders):
-            raise ValueError("orders must be nonnegative")
+        if self.weight < 0:
+            raise ValueError("jet weight must be nonnegative")
 
     @property
     def ndir(self) -> int:
-        return len(self.orders)
+        return max(1, self.weight)
 
-    def weight(self, alpha: tuple[int, ...]) -> int:
-        return sum((d + 1) * a for d, a in enumerate(alpha))
+    @cached_property
+    def zero(self) -> tuple[int, ...]:
+        """The multi-index of the base point."""
+        return (0,) * self.ndir
 
-    def admits(self, alpha: tuple[int, ...]) -> bool:
-        if len(alpha) != len(self.orders):
-            return False
-        if any(a < 0 or a > o for a, o in zip(alpha, self.orders)):
-            return False
-        if self.weight_cap is not None and self.weight(alpha) > self.weight_cap:
-            return False
-        return True
-
-    def zero_alpha(self) -> tuple[int, ...]:
-        return (0,) * len(self.orders)
+    @property
+    def weights(self) -> dict:
+        """Every admissible multi-index and its weight, lowest weight first."""
+        return _ring(self.weight)
 
     def alphas(self):
-        """All admissible multi-indices, in no particular order."""
-        out = [()]
-        for o in self.orders:
-            out = [a + (p,) for a in out for p in range(o + 1)]
-        for a in out:
-            if self.weight_cap is None or self.weight(a) <= self.weight_cap:
-                yield a
-
-
-DEFAULT_JET_SPEC = JetSpec((2, 1))
-
-
-def schur_jet_spec(weight: int) -> JetSpec:
-    """Ring big enough to hold every mixed derivative of total weight <= weight.
-
-    Direction d (for t_{d+1}) is capped at weight // (d+1); the weight cap
-    prunes everything else.  Used for Schur-operator evaluations up to s_k
-    with weight = k (+1 more when a t_1 derivative of the result is needed).
-    """
-    if weight < 0:
-        raise ValueError("weight must be nonnegative")
-    ndir = max(1, weight)
-    return JetSpec(tuple(weight // (d + 1) for d in range(ndir)), weight_cap=weight)
+        """All admissible multi-indices, lowest weight first."""
+        return self.weights.keys()
 
 
 class Jet:
@@ -97,16 +90,16 @@ class Jet:
         self.spec = spec
         self.coeffs = {a: v for a, v in coeffs.items() if not _is_zero(v)}
         for a in self.coeffs:
-            if not spec.admits(a):
+            if a not in spec.weights:
                 raise TruncationError(f"coefficient index {a} outside truncation {spec}")
 
     @staticmethod
-    def constant(value, spec: JetSpec = DEFAULT_JET_SPEC) -> "Jet":
-        return Jet(spec, {spec.zero_alpha(): value})
+    def constant(value, spec: JetSpec) -> "Jet":
+        return Jet(spec, {spec.zero: value})
 
     @property
     def base(self):
-        return self.coeffs.get(self.spec.zero_alpha(), 0)
+        return self.coeffs.get(self.spec.zero, 0)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -147,16 +140,17 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet(self.spec, {a: v * other for a, v in self.coeffs.items()})
         self._check(other)
-        spec = self.spec
-        admits = spec.admits
+        cap, weights = self.spec.weight, self.spec.weights
+        right = [(b, weights[b], vb) for b, vb in other.coeffs.items()]
         out: dict = {}
         for a, va in self.coeffs.items():
-            for b, vb in other.coeffs.items():
-                g = tuple(x + y for x, y in zip(a, b))
-                if not admits(g):
+            room = cap - weights[a]
+            for b, wb, vb in right:
+                if wb > room:
                     continue
+                g = tuple(x + y for x, y in zip(a, b))
                 out[g] = out.get(g, 0) + va * vb
-        return Jet(spec, out)
+        return Jet(self.spec, out)
 
     def __rmul__(self, other):
         return Jet(self.spec, {a: other * v for a, v in self.coeffs.items()})
@@ -167,12 +161,8 @@ class Jet:
         if _is_zero(b):
             raise ZeroDivisionError("jet with zero base coefficient is not a unit")
         x = Jet.constant(scalar_inv(b), self.spec)
-        # Newton doubles the correct order each pass
-        max_weight = self.spec.weight_cap
-        if max_weight is None:
-            max_weight = sum((d + 1) * o for d, o in enumerate(self.spec.orders))
-        passes = max(1, max_weight).bit_length() + 1
-        for _ in range(passes):
+        # each Newton pass doubles the weight below which x is exact
+        for _ in range(max(1, self.spec.weight).bit_length()):
             x = x * (2 - self * x)
         return x
 
@@ -194,50 +184,65 @@ class Jet:
 
     def __repr__(self):
         terms = ", ".join(f"{a}: {v}" for a, v in sorted(self.coeffs.items()))
-        return f"Jet({self.spec.orders}, {{{terms}}})"
+        return f"Jet({self.spec.weight}, {{{terms}}})"
 
     # -- calculus ---------------------------------------------------------
 
     def extract(self, *alpha: int):
-        """Mixed derivative value: alpha! times the stored coefficient."""
-        alpha = tuple(alpha) + (0,) * (self.spec.ndir - len(alpha))
-        if not self.spec.admits(alpha):
-            raise TruncationError(f"derivative order {alpha} outside truncation")
-        c = self.coeffs.get(alpha, 0)
-        scale = 1
-        for a in alpha:
-            scale *= factorial(a)
-        return c * scale
+        """Mixed derivative value: alpha! times the stored coefficient.
+        Directions past the ring's own may be given, as zeros."""
+        spec = self.spec
+        if min(alpha, default=0) < 0 or weight(alpha) > spec.weight:
+            raise TruncationError(f"derivative order {alpha} outside {spec}")
+        alpha = (alpha + (0,) * spec.ndir)[:spec.ndir]
+        return self.coeffs.get(alpha, 0) * prod(map(factorial, alpha))
 
     def deriv(self, direction: int) -> "Jet":
-        """d/dt_{direction+1}; the result lives one order lower in that direction."""
-        spec = self.spec
-        if spec.orders[direction] == 0:
+        """d/dt_{direction+1}; the result lives in the ring of weight
+        ``weight - direction - 1``."""
+        low = self.spec.weight - direction - 1
+        if direction < 0 or low < 0:
             raise TruncationError(f"no room to differentiate direction {direction}")
-        new_orders = list(spec.orders)
-        new_orders[direction] -= 1
-        new_cap = spec.weight_cap
-        if new_cap is not None:
-            new_cap -= direction + 1
-        new_spec = JetSpec(tuple(new_orders), new_cap)
+        spec = JetSpec(low)
         out: dict = {}
         for a, v in self.coeffs.items():
-            if a[direction] == 0:
-                continue
-            b = list(a)
-            b[direction] -= 1
-            b = tuple(b)
-            if new_spec.admits(b):
-                out[b] = v * (a[direction])
-        return Jet(new_spec, out)
+            if a[direction]:
+                b = list(a)
+                b[direction] -= 1
+                out[tuple(b[:spec.ndir])] = v * a[direction]
+        return Jet(spec, out)
 
     def truncate(self, spec: JetSpec) -> "Jet":
-        """Project into a smaller ring (drop coefficients outside spec)."""
-        return Jet(spec, {a[: spec.ndir]: v
-                          for a, v in self.coeffs.items()
-                          if all(x == 0 for x in a[spec.ndir:]) and spec.admits(a[: spec.ndir])})
+        """Project into a ring of no larger weight (drop heavier coefficients)."""
+        if spec.weight > self.spec.weight:
+            raise TruncationError(f"cannot widen {self.spec} to {spec}")
+        weights = self.spec.weights
+        return Jet(spec, {a[:spec.ndir]: v for a, v in self.coeffs.items()
+                          if weights[a] <= spec.weight})
+
+    def reflect(self) -> "Jet":
+        """The jet at -eps: the coefficient at alpha picks up (-1)^|alpha|."""
+        return Jet(self.spec, {a: (-v if sum(a) % 2 else v)
+                               for a, v in self.coeffs.items()})
+
+    def schur(self, sign: int = -1) -> list:
+        """[s_0, ..., s_w](sign * dtilde) f at the base point, w the ring weight.
+
+        With dtilde = (d/dt_1, d/dt_2 / 2, ...), the generating series
+        sum_j s_j(sign * dtilde) z^j = exp(sign * sum_l z^l d/dt_l / l) is
+        the Miwa shift t_l -> t_l + sign z^l / l, so s_j(sign * dtilde) f is
+        sum over weight(alpha) = j of c_alpha prod_d (sign / (d+1))^alpha_d.
+        """
+        out = [0] * (self.spec.weight + 1)
+        for a, v in self.coeffs.items():
+            scale = Fraction(1)
+            for d, p in enumerate(a):
+                if p:
+                    scale *= Fraction(sign, d + 1) ** p
+            j = self.spec.weights[a]
+            out[j] = out[j] + scale * v
+        return out
 
 
 def _is_zero(v) -> bool:
     return not v
-

@@ -18,15 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import TauTable, taus
+from .families import TauTable, dt1, taus, z_plus_dt1
 from .jets import Jet, JetSpec
 from .moments import MomentSystem
 from .pfaffian import pf_indexed
 from .poly import PolyInZ
 from .scalars import exact_div, format_scalar
 
-J1 = JetSpec((1,))
-J2 = JetSpec((2,))
+J1 = JetSpec(1)
+J2 = JetSpec(2)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +125,9 @@ class OpPair:
                 if not (0 <= j < n):
                     continue
                 e = entries[i]
-                if e is None:
-                    continue
-                if isinstance(e, Jet):
+                if e is not None:
                     val[i][j] = e.base
                     der[i][j] = e.extract(1)
-                else:
-                    val[i][j] = e
         return OpPair(val, der)
 
     def bands_json(self) -> dict:
@@ -334,16 +330,10 @@ def wave_action_residuals(sys: MomentSystem, m: int, n_size: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _d1_poly(t: TauTable, idx: int, m: int) -> PolyInZ:
-    q = t.psop(idx, m, spec=J1)
-    return q.map_coeffs(lambda c: c.extract(1) if isinstance(c, Jet) else 0)
-
-
 def _s2_ratio(t: TauTable, idx: int, m: int, sign: int):
     """s_2(sign * dtilde) tau_idx^{(m)} / tau_idx^{(m)}."""
-    tj = t.tau_jet(idx, m, JetSpec((2, 1)))
-    return exact_div(sign * Fraction(1, 2) * tj.coeffs.get((0, 1), 0)
-                     + tj.coeffs.get((2, 0), 0), tj.base)
+    tj = t.tau_jet(idx, m, J2)
+    return exact_div(tj.schur(sign)[2], tj.base)
 
 
 def c3_recurrence_residuals(sys: MomentSystem, m: int, n: int) -> dict:
@@ -370,9 +360,10 @@ def c3_recurrence_residuals(sys: MomentSystem, m: int, n: int) -> dict:
                          t.tau(j, m) * t.tau(j + 1, m))
 
     q = lambda j: t.psop(j, m)  # noqa: E731
+    dq = lambda j: dt1(t.psop(j, m, spec=J1))  # noqa: E731
     three_term = (q(2 * n).shift(1) - q(2 * n + 1) - kc(2 * n) * q(2 * n)
                   - jc(2 * n) * q(2 * n - 1))
-    evolution_even = _d1_poly(t, 2 * n, m) + 2 * jc(2 * n) * q(2 * n - 1)
+    evolution_even = dq(2 * n) + 2 * jc(2 * n) * q(2 * n - 1)
     alpha = (jc(2 * n + 1) - _s2_ratio(t, 2 * n + 1, m, +1)
              + _s2_ratio(t, 2 * n, m, +1))
     gamma = alpha + kc(2 * n) * t.dt1_log_tau(2 * n + 1, m)
@@ -381,7 +372,7 @@ def c3_recurrence_residuals(sys: MomentSystem, m: int, n: int) -> dict:
                     - gamma * q(2 * n)
                     + kc(2 * n) * jc(2 * n) * q(2 * n - 1)
                     + jc(2 * n - 1) * jc(2 * n) * q(2 * n - 2))
-    evolution_odd = (_d1_poly(t, 2 * n + 1, m) - jc(2 * n) * _d1_poly(t, 2 * n - 1, m)
+    evolution_odd = (dq(2 * n + 1) - jc(2 * n) * dq(2 * n - 1)
                      + (jc(2 * n + 1) + jc(2 * n) + gamma) * q(2 * n)
                      - jc(2 * n) * (kc(2 * n) - kc(2 * n - 2)) * q(2 * n - 1)
                      - 2 * jc(2 * n - 1) * jc(2 * n) * q(2 * n - 2))
@@ -407,7 +398,7 @@ def mixed_residual(sys: MomentSystem, m: int, n: int) -> PolyInZ:
     kc = t.dt1_log_tau(n + 1, m) - t.dt1_log_tau(n, m)
     jc = Fraction(0) if n == 0 else exact_div(
         t.tau(n + 2, m) * t.tau(n - 1, m), t.tau(n, m) * t.tau(n + 1, m))
-    return (t.psop(n, m).shift(1) + _d1_poly(t, n, m) - t.psop(n + 1, m)
+    return (t.psop(n, m).shift(1) + dt1(t.psop(n, m, spec=J1)) - t.psop(n + 1, m)
             - kc * t.psop(n, m) + jc * t.psop(n - 1, m))
 
 
@@ -424,10 +415,7 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     if sys.constraint != "rank2":
         raise ValueError("this suite requires the rank2 constraint")
     t = taus(sys)
-    tau_jet = t.tau_jet(n, m, J1)
-    q_jet = t.psop(n, m, spec=J1)
-    prod = q_jet.map_coeffs(lambda c: c * tau_jet)
-    lhs = prod.map_coeffs(lambda c: c.extract(1))
+    lhs = dt1(t.psop(n, m, spec=J1) * t.tau_jet(n, m, J1))
     if n % 2 == 0:
         border = pf_indexed(["d0", "d1", *range(m, m + n + 1), "z"], sys,
                             cache=t.memo())
@@ -438,21 +426,23 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     def kc(j, mm=m):
         return t.dt1_log_tau(j + 1, mm) - t.dt1_log_tau(j, mm)
 
+    def dq(j, mm=m):
+        return dt1(t.psop(j, mm, spec=J1))
+
     i_n = Fraction(0) if n == 0 else exact_div(
         t.tau(n + 1, m) * t.tau(n - 1, m), t.tau(n, m) * t.tau(n, m))
-    evolution = (_d1_poly(t, n, m) + i_n * _d1_poly(t, n - 1, m)
+    evolution = (dq(n) + i_n * dq(n - 1)
                  - i_n * (kc(n) + kc(n - 1)) * t.psop(n - 1, m))
 
     c_n = t.dt1_log_tau(n, m) - t.dt1_log_tau(n, m + 1)
     u_n = Fraction(0) if n == 0 else exact_div(
         t.tau(n + 1, m) * t.tau(n - 1, m + 1), t.tau(n, m) * t.tau(n, m + 1))
     up = t.tau_jet(n + 1, m, J1)
-    low = t.tau_jet(n - 1, m + 1, J1) if n >= 1 else Jet.constant(Fraction(0), J1)
+    low = t.tau_jet(n - 1, m + 1, J1)
     v_n = exact_div(up.extract(1) * low.base - up.base * low.extract(1),
                     t.tau(n, m) * t.tau(n, m + 1))
-    shifted = (_d1_poly(t, n, m) + c_n * t.psop(n, m)
-               - (v_n * t.psop(n - 1, m + 1)
-                  - u_n * _d1_poly(t, n - 1, m + 1)).shift(1))
+    shifted = (dq(n) + c_n * t.psop(n, m)
+               - (v_n * t.psop(n - 1, m + 1) - u_n * dq(n - 1, m + 1)).shift(1))
     return {
         "derivative_pf": derivative_pf,
         "evolution": evolution,
@@ -506,21 +496,15 @@ def toda_vars_and_residual(sys: MomentSystem, n: int) -> dict:
 
     d_n = _s2_ratio(t, 2 * n + 2, 0, -1) + _s2_ratio(t, 2 * n, 0, +1)
     p = lambda j: t.sop(j, 0)  # noqa: E731
-    tau_jet = t.tau_jet(2 * n, 0, J1)
-    podd_jet = t.sop(2 * n + 1, 0, J1)
-    prod = podd_jet.map_coeffs(lambda c: c * tau_jet)
-    lhs = (prod.shift(1) + prod.map_coeffs(lambda c: c.extract(1))).map_coeffs(
-        lambda c: c.base if isinstance(c, Jet) else c) / t.tau(2 * n, 0)
+    lhs = (z_plus_dt1(t.tau_jet(2 * n, 0, J1), t.sop(2 * n + 1, 0, J1))
+           / t.tau(2 * n, 0))
     second_derivative = lhs - (p(2 * n + 2) + (a(n) + a(n + 1)) * p(2 * n + 1)
                                - d_n * p(2 * n) + b(n) * p(2 * n - 2))
 
-    def d1_sop(j):
-        q = t.sop(j, 0, J1)
-        return q.map_coeffs(lambda c: c.extract(1) if isinstance(c, Jet) else 0)
-
-    evolution_even = (d1_sop(2 * n) - b(n) * d1_sop(2 * n - 2)
+    dp = lambda j: dt1(t.sop(j, 0, J1))  # noqa: E731
+    evolution_even = (dp(2 * n) - b(n) * dp(2 * n - 2)
                       + b(n) * p(2 * n - 1) - a(n - 1) * b(n) * p(2 * n - 2))
-    evolution_odd = (d1_sop(2 * n + 1) - a(n + 1) * d1_sop(2 * n)
+    evolution_odd = (dp(2 * n + 1) - a(n + 1) * dp(2 * n)
                      - (a(n) * a(n + 1) - d_n + 1) * p(2 * n)
                      - b(n) * p(2 * n - 2))
 

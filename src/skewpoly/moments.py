@@ -28,10 +28,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .families import vanishing_taus
-from .jets import Jet, JetSpec
+from .jets import Jet, JetSpec, weight
 from .pfaffian import LabelError, det_bareiss, pfaffian
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
@@ -195,50 +196,31 @@ def shift_derivative(sys: MomentSystem, entry, flow: int):
     raise ValueError(f"unknown entry kind {kind!r}")
 
 
-def _shift_once(comb: dict, flow: int) -> dict:
-    out: dict = {}
-    for eid, c in comb.items():
-        kind = eid[0]
-        if kind == "mu":
-            _, i, j = eid
-            for shifted in (("mu", i + flow, j), ("mu", i, j + flow)):
-                out[shifted] = out.get(shifted, 0) + c
-        else:
-            kind, k, j = eid
-            shifted = (kind, k, j + flow)
-            out[shifted] = out.get(shifted, 0) + c
-    return out
+def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
+    """Jet of a moment entry under the shift rule, coefficient by coefficient.
 
-
-def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec = None) -> Jet:
-    """Jet whose (p1,p2,...) coefficient is the mixed shift-derivative / alpha!."""
-    if spec is None:
-        from .jets import DEFAULT_JET_SPEC
-        spec = DEFAULT_JET_SPEC
-    combs = {spec.zero_alpha(): {entry: 1}}
+    d/dt_n acts on mu_{i,j} as X^n + Y^n, X and Y raising the first and the
+    second index, so the coefficient at alpha is prod_d (X^{d+1} +
+    Y^{d+1})^{alpha_d} / alpha_d!: the sum over beta <= alpha of
+    mu_{i+w(beta), j+w(alpha-beta)} / (beta! (alpha-beta)!), w the weight.
+    A single-moment row entry beta_j has coefficient beta_{j+w(alpha)} / alpha!.
+    """
+    kind, a, j = entry
     coeffs = {}
-    for alpha in sorted(spec.alphas(), key=sum):
-        comb = combs.get(alpha)
-        if comb is None:
-            # build from a predecessor with one derivative removed
-            d = next(t for t, a in enumerate(alpha) if a > 0)
-            prev = list(alpha)
-            prev[d] -= 1
-            comb = _shift_once(combs[tuple(prev)], d + 1)
-            combs[alpha] = comb
-        val = 0
-        for eid, c in comb.items():
-            kind = eid[0]
-            if kind == "mu":
-                v = sys.mu_entry(eid[1], eid[2])
-            elif kind == "beta":
-                v = sys.beta_entry(eid[1], eid[2])
-            else:
-                v = sys.beta_bar_entry(eid[1], eid[2])
-            val = val + c * v
-        fact = 1
-        for a in alpha:
-            fact *= math.factorial(a)
+    for alpha in spec.alphas():
+        if kind == "mu":
+            val = 0
+            for low in product(*(range(x + 1) for x in alpha)):
+                high = [x - y for x, y in zip(alpha, low)]
+                val = val + (math.prod(map(math.comb, alpha, low))
+                             * sys.mu_entry(a + weight(low), j + weight(high)))
+        elif kind == "beta":
+            val = sys.beta_entry(a, j + weight(alpha))
+        elif kind == "beta_bar":
+            val = sys.beta_bar_entry(a, j + weight(alpha))
+        else:
+            raise ValueError(f"unknown entry kind {kind!r}")
+        fact = math.prod(map(math.factorial, alpha))
         if isinstance(val, float):
             coeffs[alpha] = val / fact
         elif val:
@@ -286,6 +268,8 @@ def gen(kind: str, max_index: int, *, components: int = 1, seed: int = 0,
         kind = "none"
     if kind not in CONSTRAINTS:
         raise ValueError(f"unknown generator kind {kind!r}")
+    if components < 1:
+        raise ValueError(f"components must be at least 1, got {components}")
     if kind in ("laurent", "rank2", "rank1skew") and components != 1:
         raise ValueError(f"constraint {kind!r} is single-component")
     for attempt in range(attempts):
@@ -414,11 +398,6 @@ def _rank1skew_mu(betas, sums, max_index, scale) -> dict:
                 val = val + sums[i + k] * sums[i + k]
             mu[(i, j)] = scale * val
     return mu
-
-
-def suite_max_index(n_max: int, m_max: int, weight: int = 0) -> int:
-    """Moment range needed for taus up to tau_{2n+3} at shift m_max plus jets."""
-    return m_max + 2 * n_max + 3 + weight
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def sys2():
 def test_schur_action_trivial_orders(sys2):
     t = taus(sys2)
     assert bl.schur_d_tau(sys2, 0, 4, 0) == t.tau(4, 0)
-    jet = t.tau_jet(4, 0, JetSpec((1,)))
+    jet = t.tau_jet(4, 0, JetSpec(1))
     assert bl.schur_d_tau(sys2, 1, 4, 0) == -jet.extract(1)  # s_1(-Dt) = -d/dt_1
     assert bl.schur_d_tau(sys2, 2, 3, 0, comp=2) is not None
 
@@ -47,7 +47,7 @@ def test_hirota_basics(sys2):
     assert bl.hirota((1, 0), sys2, (4, 0), (4, 0)) == 0  # odd order on equal args
     d1 = bl.hirota((1, 0), sys2, (4, 0), (4, 1))
     t = taus(sys2)
-    spec = JetSpec((1, 0))
+    spec = JetSpec(1)
     f = t.tau_jet(4, 0, spec)
     g = t.tau_jet(4, 1, spec)
     assert d1 == f.extract(1, 0) * g.base - f.base * g.extract(1, 0)
@@ -97,7 +97,7 @@ def test_float_soliton_satisfies_unconstrained_identity():
                        ((0.5, 1.0, -0.7, 0.3, 0.2, 0.8, 0.1, -0.4),))
     s = soliton_system(spec, (0.2, -0.1), 14, mode="float")
     t = taus(s)
-    spec1 = JetSpec((1,))
+    spec1 = JetSpec(1)
     for n in range(4):
         for m in (0, 1):
             f = t.tau_jet(n, m + 1, spec1)

@@ -99,7 +99,7 @@ def test_every_reported_name_selects_exactly_its_entries():
     for kind in ("laurent", "rank2", "rank1skew", "rank1skew-multi",
                  "rank1skew-complex"):
         comps = 2 if kind in ("rank1skew-multi", "rank1skew-complex") else 1
-        sys_ = moments.gen(kind, moments.suite_max_index(1, 1, 4), components=comps,
+        sys_ = moments.gen(kind, bilinear.catalog_max_index(1, 0), components=comps,
                            seed=3, require_tau=(3, 1))
         full = cli.run_verification(sys_, 1, 0)
         assert all(e["status"] == "pass" for e in full)
@@ -129,6 +129,17 @@ def test_config_errors_exit_two(tmp_path):
     assert run(["simulate", "--window", "nope"]) == 2
     assert run(["simulate", "--dt", "-1"]) == 2
     assert run(["simulate", "--window", "1:2"]) == 2
+    assert run(["simulate", "--window", "0:3"]) == 2
+    assert run(["simulate", "--dt", "0.5", "--t-end", "1"]) == 2
+    assert run(["simulate", "--dt", "0.01", "--t-end", "0.001"]) == 2
+    assert run(["gen", "--kind", "none", "--components", "0",
+                "--out", str(tmp_path / "none.json")]) == 2
+    assert run(["verify", "--kind", "rank1skew-multi", "--components", "0"]) == 2
+    # an unwritable output path is rejected before any work runs
+    missing = tmp_path / "missing"
+    assert run(["gen", "--out", str(missing / "x.json")]) == 2
+    assert run(["verify", "--kind", "none", "--n-max", "3",
+                "--out", str(missing / "r.json")]) == 2
     small = ["verify", "--kind", "rank1skew-multi", "--seed", "3", "--n-max", "1",
              "--m-max", "0", "--identities", "TRANSFORMS"]
     for corrupt in ("mu:3,2", "mu:2,99", "beta:5,3", "beta:0,3"):
@@ -158,9 +169,20 @@ def test_config_errors_exit_two(tmp_path):
         bad = tmp_path / f"bad{t}.json"
         bad.write_text(json.dumps(data))
         assert run(load + [str(bad)]) == 2, t
+    # a file generated for --n-max 1 is too short for --n-max 3
+    short = ["verify", "--n-max", "3", "--m-max", "0", "--in", str(good)]
+    assert run(short) == 2
     (tmp_path / "not.json").write_text("{not json")
     assert run(load + [str(tmp_path / "not.json")]) == 2
     assert run(load + [str(tmp_path / "missing.json")]) == 2
+
+
+def test_smallest_grid_runs_every_suite(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert run(["verify", "--kind", "none", "--n-max", "0", "--m-max", "0",
+                "--out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert "LAX_MIXED" in {e["identity"] for e in data["entries"]}
 
 
 def test_selected_identity_requires_matching_tag():

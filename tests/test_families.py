@@ -119,7 +119,7 @@ def test_vanishing_normalizer_raises():
 
 def test_jet_members_reduce_to_scalar_members(sys3):
     t = taus(sys3)
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     for idx in range(6):
         assert t.sop(idx, 1, spec).map_coeffs(lambda c: c.base) == t.sop(idx, 1)
         assert (t.psop(idx, 1, 2, spec=spec).map_coeffs(lambda c: c.base)

@@ -23,7 +23,7 @@ def test_op_pair_triangular_inverse():
     # the diagonal inverse; random triangular pairs invert exactly
     import random
     from skewpoly.jets import Jet, JetSpec
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     one = Jet.constant(Fraction(1), spec)
     n = 5
     ident = lax.OpPair.from_bands(n, {0: [one] * n})
@@ -140,7 +140,7 @@ def test_psoplax_degree_balance(rank2):
     from skewpoly.jets import Jet, JetSpec
     t = taus(rank2)
     n, m = 3, 0
-    q = t.psop(n, m, spec=JetSpec((1,)))
+    q = t.psop(n, m, spec=JetSpec(1))
     d1 = q.map_coeffs(lambda c: c.extract(1) if isinstance(c, Jet) else 0)
     c_n = t.dt1_log_tau(n, m) - t.dt1_log_tau(n, m + 1)
     lhs = d1 + c_n * t.psop(n, m)

@@ -73,7 +73,7 @@ def test_shift_derivative_matches_soliton_time_derivative():
 def test_lift_to_jet_second_order_by_hand():
     s = gen("none", 12, seed=2)
     i, j = 1, 3
-    jet = lift_to_jet(s, ("mu", i, j), JetSpec((2, 0)))
+    jet = lift_to_jet(s, ("mu", i, j), JetSpec(2))
     mu = s.mu_entry
     assert jet.base == mu(i, j)
     assert jet.coeffs.get((1, 0), 0) == mu(i + 1, j) + mu(i, j + 1)
@@ -83,14 +83,40 @@ def test_lift_to_jet_second_order_by_hand():
 
 def test_lift_to_jet_beta_first_order():
     s = gen("none", 10, seed=3)
-    jet = lift_to_jet(s, ("beta", 1, 2), JetSpec((1, 0)))
+    jet = lift_to_jet(s, ("beta", 1, 2), JetSpec(1))
     assert jet.base == s.beta_entry(1, 2)
     assert jet.extract(1, 0) == s.beta_entry(1, 3)
 
 
+def test_lift_to_jet_matches_iterated_shift_rule():
+    # every mixed derivative of weight <= 4 by applying the shift rule
+    # d/dt_n mu_{i,j} = mu_{i+n,j} + mu_{i,j+n} one derivative at a time
+    def shifted(entry, n):
+        if entry[0] == "mu":
+            return [("mu", entry[1] + n, entry[2]), ("mu", entry[1], entry[2] + n)]
+        return [(entry[0], entry[1], entry[2] + n)]
+
+    s = gen("none", 14, seed=5)
+    spec = JetSpec(4)
+    for entry in (("mu", 1, 3), ("mu", 2, 0), ("beta", 1, 2)):
+        jet = lift_to_jet(s, entry, spec)
+        for alpha in spec.alphas():
+            comb = {entry: 1}
+            for d, a in enumerate(alpha):
+                for _ in range(a):
+                    nxt = {}
+                    for e, c in comb.items():
+                        for f in shifted(e, d + 1):
+                            nxt[f] = nxt.get(f, 0) + c
+                    comb = nxt
+            value = sum(c * (s.mu_entry(e[1], e[2]) if e[0] == "mu"
+                             else s.beta_entry(e[1], e[2])) for e, c in comb.items())
+            assert jet.extract(*alpha) == value, (entry, alpha)
+
+
 def test_lift_to_jet_degenerate_zero_system():
     zero = MomentSystem(6, {}, ((Fraction(0),) * 7,))
-    jet = lift_to_jet(zero, ("mu", 0, 1), JetSpec((2, 1)))
+    jet = lift_to_jet(zero, ("mu", 0, 1), JetSpec(2))
     assert jet.is_zero()
 
 

@@ -165,6 +165,6 @@ def test_subset_cache_is_shared():
 def test_jet_valued_pfaffian_matches_scalar_base():
     from skewpoly.jets import JetSpec
     sys = gen("none", 12, seed=19)
-    spec = JetSpec((1,))
+    spec = JetSpec(1)
     jet_val = pf_labels(range(6), sys, jet_spec=spec)
     assert jet_val.base == pf_labels(range(6), sys)

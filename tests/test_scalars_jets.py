@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from skewpoly.jets import DEFAULT_JET_SPEC, Jet, JetSpec, OrderMismatchError, TruncationError
+from skewpoly.jets import Jet, JetSpec, OrderMismatchError, TruncationError
 from skewpoly.scalars import GaussianRational, exact_div, format_scalar, parse_scalar
 
 
@@ -13,7 +14,7 @@ def rand_scalar(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
 
 
-def rand_jet(rng, spec=DEFAULT_JET_SPEC):
+def rand_jet(rng, spec=JetSpec(2)):
     return Jet(spec, {a: rand_scalar(rng) for a in spec.alphas()})
 
 
@@ -53,7 +54,7 @@ def test_exact_div_never_floats():
 
 
 def test_jet_difference_of_squares():
-    spec = DEFAULT_JET_SPEC
+    spec = JetSpec(2)
     one_plus = Jet(spec, {(0, 0): Fraction(1), (1, 0): Fraction(1)})
     one_minus = Jet(spec, {(0, 0): Fraction(1), (1, 0): Fraction(-1)})
     prod = one_plus * one_minus
@@ -62,7 +63,7 @@ def test_jet_difference_of_squares():
 
 def test_jet_identity_and_truncation_drop():
     rng = random.Random(2)
-    spec = DEFAULT_JET_SPEC
+    spec = JetSpec(2)
     a = rand_jet(rng)
     assert a * Jet.constant(Fraction(1), spec) == a
     eps1 = Jet(spec, {(1, 0): Fraction(1)})
@@ -72,7 +73,8 @@ def test_jet_identity_and_truncation_drop():
 
 def test_jet_ring_axioms_random():
     rng = random.Random(3)
-    spec = JetSpec((2, 1))
+    spec = JetSpec(3)
+    assert len(spec.alphas()) >= 6
     for _ in range(1000):
         a, b, c = (rand_jet(rng, spec) for _ in range(3))
         assert (a * b) * c == a * (b * c)
@@ -91,7 +93,7 @@ def test_jet_extract_product_rule():
 
 def test_jet_extract_hand_expanded_quadratic():
     # (2 + 3 e1)(5 - e1) = 10 + 13 e1 - 3 e1^2
-    spec = JetSpec((2, 1))
+    spec = JetSpec(2)
     f = Jet(spec, {(0, 0): Fraction(2), (1, 0): Fraction(3)})
     g = Jet(spec, {(0, 0): Fraction(5), (1, 0): Fraction(-1)})
     h = f * g
@@ -101,14 +103,14 @@ def test_jet_extract_hand_expanded_quadratic():
 
 
 def test_jet_extract_constant():
-    c = Jet.constant(Fraction(7, 3))
+    c = Jet.constant(Fraction(7, 3), JetSpec(2))
     assert c.extract(0, 0) == Fraction(7, 3)
     assert c.extract(1, 0) == 0
 
 
 def test_order_mismatch_and_truncation_errors():
-    a = Jet.constant(Fraction(1), JetSpec((2, 1)))
-    b = Jet.constant(Fraction(1), JetSpec((1, 1)))
+    a = Jet.constant(Fraction(1), JetSpec(2))
+    b = Jet.constant(Fraction(1), JetSpec(1))
     with pytest.raises(OrderMismatchError):
         _ = a + b
     with pytest.raises(TruncationError):
@@ -122,8 +124,8 @@ def test_jet_division_by_unit():
         if not a.base:
             continue
         inv = a.inverse()
-        assert a * inv == Jet.constant(Fraction(1))
-    nonunit = Jet(DEFAULT_JET_SPEC, {(1, 0): Fraction(1)})
+        assert a * inv == Jet.constant(Fraction(1), a.spec)
+    nonunit = Jet(JetSpec(2), {(1, 0): Fraction(1)})
     with pytest.raises(ZeroDivisionError):
         nonunit.inverse()
 
@@ -132,12 +134,29 @@ def test_jet_deriv_shrinks_spec():
     rng = random.Random(6)
     a = rand_jet(rng)
     d = a.deriv(0)
-    assert d.spec.orders == (1, 1)
+    assert d.spec == JetSpec(1)
     assert d.base == a.extract(1, 0)
 
 
 def test_weighted_spec_enumeration():
-    spec = JetSpec((3, 1, 1), weight_cap=3)
+    spec = JetSpec(3)
     alphas = set(spec.alphas())
     assert (3, 0, 0) in alphas and (1, 1, 0) in alphas and (0, 0, 1) in alphas
     assert (2, 1, 0) not in alphas  # weight 4
+
+
+def test_schur_read_off_matches_exponential_oracle():
+    # f = exp(sum_l t_l x^l) has c_alpha = prod_d x^{(d+1) alpha_d} / alpha_d!,
+    # and sum_j s_j(sign * dtilde) f z^j = (1 - x z)^(-sign) at t = 0
+    x = Fraction(-3, 2)
+    for w in range(9):
+        spec = JetSpec(w)
+        coeffs = {}
+        for alpha in spec.alphas():
+            c = Fraction(1)
+            for d, a in enumerate(alpha):
+                c *= x ** ((d + 1) * a) / factorial(a)
+            coeffs[alpha] = c
+        f = Jet(spec, coeffs)
+        assert f.schur(-1) == [1, -x, 0, 0, 0, 0, 0, 0, 0][:w + 1]
+        assert f.schur(+1) == [x ** j for j in range(w + 1)]
