@@ -98,13 +98,9 @@ def hirota(orders, sys: MomentSystem, ref_f, ref_g):
     ``ref_f``/``ref_g`` are (idx, m) or (idx, m, k) or (idx, m, k, conj).
     """
     t = taus(sys)
-    return hirota_jets(orders, _tau_jet_for(t, ref_f, orders),
-                       _tau_jet_for(t, ref_g, orders))
-
-
-def _tau_jet_for(t: TauTable, ref, orders) -> Jet:
-    idx, m, k, conj = (*ref, 1, False)[:4] if len(ref) >= 2 else ref
-    return t.tau_jet(idx, m, JetSpec(weight(orders)), k, conj)
+    spec = JetSpec(weight(orders))
+    f, g = (t.tau_jet(idx, m, spec, *rest) for idx, m, *rest in (ref_f, ref_g))
+    return hirota_jets(orders, f, g)
 
 
 def hirota_jets(orders, f: Jet, g: Jet):

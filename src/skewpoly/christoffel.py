@@ -3,17 +3,8 @@
 Each transformation relates the family at shift m to the family at shift m+1
 with one factor of z; residuals are returned as polynomials so tests can
 assert exact zero and diagnostics can point at the failing coefficient.
-
-Coefficient conventions (ratios of tau values, boundary taus are 0):
-
-    A_n^m  = P_{2n+1}^{(m)}(0) / P_{2n}^{(m)}(0) = d/dt_1 log tau_{2n}^{(m+1)}
-    B_n^m  = tau_{2n+2}^{(m)} tau_{2n-2}^{(m+1)} / (tau_{2n}^{(m)} tau_{2n}^{(m+1)})
-    C_n^m  = tau_{2n}^{(m)} tau_{2n+2}^{(m+1)} / (tau_{2n+2}^{(m)} tau_{2n}^{(m+1)})
-    D_n^m  = d/dt_1 log tau_{2n+2}^{(m)}  (the zero-ratio form at shift m-1 is
-             only defined for m >= 1 and is checked against this in the tests)
-
-    xi_n^m  = tau_n^{(m)} tau_{n+1}^{(m+1)} / (tau_{n+1}^{(m)} tau_n^{(m+1)})
-    eta_n^m = tau_{n+2}^{(m)} tau_{n-1}^{(m+1)} / (tau_{n+1}^{(m)} tau_n^{(m+1)})
+The coefficients A, B, C, D, xi and eta are the tau ratios of the table in
+:mod:`skewpoly.families`.
 """
 
 from __future__ import annotations
@@ -43,10 +34,8 @@ class PsopCoeffs:
 def sop_coeffs(sys: MomentSystem, n: int, m: int) -> SopCoeffs:
     t = taus(sys)
     a = exact_div(t.sop_at_zero(2 * n + 1, m), t.sop_at_zero(2 * n, m))
-    b = exact_div(t.tau(2 * n + 2, m) * t.tau(2 * n - 2, m + 1),
-                  t.tau(2 * n, m) * t.tau(2 * n, m + 1))
-    c = exact_div(t.tau(2 * n, m) * t.tau(2 * n + 2, m + 1),
-                  t.tau(2 * n + 2, m) * t.tau(2 * n, m + 1))
+    b = t.ratio([(2 * n + 2, m), (2 * n - 2, m + 1)], [(2 * n, m), (2 * n, m + 1)])
+    c = t.ratio([(2 * n, m), (2 * n + 2, m + 1)], [(2 * n + 2, m), (2 * n, m + 1)])
     d = t.dt1_log_tau(2 * n + 2, m)
     return SopCoeffs(a, b, c, d)
 
@@ -74,11 +63,7 @@ def sop_transform_residual(sys: MomentSystem, n: int, m: int,
 
 def psop_coeffs(sys: MomentSystem, n: int, m: int, k: int = 1) -> PsopCoeffs:
     t = taus(sys)
-    xi = exact_div(t.tau(n, m, k) * t.tau(n + 1, m + 1, k),
-                   t.tau(n + 1, m, k) * t.tau(n, m + 1, k))
-    eta = exact_div(t.tau(n + 2, m, k) * t.tau(n - 1, m + 1, k),
-                    t.tau(n + 1, m, k) * t.tau(n, m + 1, k))
-    return PsopCoeffs(xi, eta)
+    return PsopCoeffs(t.xi(n, m, k), t.eta(n, m, k))
 
 
 def psop_transform_residual(sys: MomentSystem, n: int, m: int, k: int = 1,
@@ -99,16 +84,13 @@ def psop_multi_residuals(sys: MomentSystem, n: int, m: int, k: int,
     (negative control)."""
     sys.require_exact()
     t = taus(sys)
-    e = exact_div(t.tau(2 * n, m) * t.tau(2 * n + 1, m + 1, k),
-                  t.tau(2 * n + 1, m, k) * t.tau(2 * n, m + 1))
-    f = exact_div(t.tau(2 * n + 2, m) * t.tau(2 * n - 1, m + 1, k),
-                  t.tau(2 * n + 1, m, k) * t.tau(2 * n, m + 1))
+    odd, odd_up = (2 * n + 1, m, k), (2 * n + 1, m + 1, k)
+    e = t.ratio([(2 * n, m), odd_up], [odd, (2 * n, m + 1)])
+    f = t.ratio([(2 * n + 2, m), (2 * n - 1, m + 1, k)], [odd, (2 * n, m + 1)])
     if swap_ef:
         e, f = f, e
-    g = exact_div(t.tau(2 * n + 1, m, k) * t.tau(2 * n + 2, m + 1),
-                  t.tau(2 * n + 2, m) * t.tau(2 * n + 1, m + 1, k))
-    h = exact_div(t.tau(2 * n + 3, m, k) * t.tau(2 * n, m + 1),
-                  t.tau(2 * n + 2, m) * t.tau(2 * n + 1, m + 1, k))
+    g = t.ratio([odd, (2 * n + 2, m + 1)], [(2 * n + 2, m), odd_up])
+    h = t.ratio([(2 * n + 3, m, k), (2 * n, m + 1)], [(2 * n + 2, m), odd_up])
     res1 = (t.psop(2 * n + 1, m, k) + e * t.sop(2 * n, m)
             - (t.sop(2 * n, m + 1) + f * t.psop(2 * n - 1, m + 1, k)).shift(1))
     res2 = (t.sop(2 * n + 2, m) + g * t.psop(2 * n + 1, m, k)
@@ -124,8 +106,7 @@ def laurent_toda_residual(sys: MomentSystem, n: int):
     t = taus(sys)
     a_n = t.dt1_log_tau(2 * n, 0)
     a_n1 = t.dt1_log_tau(2 * n + 2, 0)
-    b_n = exact_div(t.tau(2 * n - 2, 0) * t.tau(2 * n + 2, 0),
-                    t.tau(2 * n, 0) * t.tau(2 * n, 0))
+    b_n = t.toda_b(n)
     res1 = (t.sop(2 * n + 1, 0) - a_n * t.sop(2 * n, 0)
             - (t.sop(2 * n, 0) - b_n * t.sop(2 * n - 2, 0)).shift(1))
     res2 = (t.sop(2 * n + 2, 0) - t.sop(2 * n, 0)
@@ -134,16 +115,10 @@ def laurent_toda_residual(sys: MomentSystem, n: int):
 
 
 def laurent_lv_coeff_check(sys: MomentSystem, n: int):
-    """xi_n + eta_n - 1 for the laurent partial family; exactly 0."""
+    """xi_n + eta_n - 1 for the laurent partial family; exactly 0.  Its
+    Lotka-Volterra coefficients are xi_n = K_n and eta_n = J_n at m = 0."""
     sys.require_exact()
     if sys.constraint != "laurent":
         raise ValueError("the lattice coefficient check requires the laurent tag")
     t = taus(sys)
-    if n == 0:
-        xi = t.dt1_log_tau(1, 0)
-        eta = 0
-    else:
-        xi = t.dt1_log_tau(n + 1, 0) - t.dt1_log_tau(n, 0)
-        eta = exact_div(t.tau(n + 2, 0) * t.tau(n - 1, 0),
-                        t.tau(n, 0) * t.tau(n + 1, 0))
-    return xi + eta - 1
+    return t.k_coeff(n, 0) + t.j_coeff(n, 0) - 1

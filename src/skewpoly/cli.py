@@ -73,28 +73,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_gen_flags(p) -> None:
-    p.add_argument("--kind", default="none",
-                   help="none | laurent | rank2 | rank1skew | rank1skew-multi "
-                        "| rank1skew-complex")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kind",
+                   help="none (default) | laurent | rank2 | rank1skew "
+                        "| rank1skew-multi | rank1skew-complex")
+    p.add_argument("--seed", type=int, default=0,
+                   help="generator seed; with verify --in only a report label")
     p.add_argument("--n-max", type=int, default=2, dest="n_max")
     p.add_argument("--m-max", type=int, default=1, dest="m_max")
-    p.add_argument("--components", type=int, default=None)
-    p.add_argument("--mode", default="exact", choices=["exact", "float"])
-
-
-def _components_for(args) -> int:
-    if args.components is not None:
-        return args.components
-    return 2 if args.kind in ("rank1skew-multi", "rank1skew-complex") else 1
+    p.add_argument("--components", type=int,
+                   help="default 2 for the multi-component kinds, else 1")
+    p.add_argument("--mode", choices=["exact", "float"], help="default exact")
 
 
 def _build_system(args, info: dict) -> MomentSystem:
     if args.mode == "float":
         raise ConfigError("exact verification and generation reject float mode")
+    kind = args.kind or "none"
+    components = args.components
+    if components is None:
+        components = 2 if kind in ("rank1skew-multi", "rank1skew-complex") else 1
     max_index = bilinear.catalog_max_index(args.n_max, args.m_max)
     try:
-        return moments.gen(args.kind, max_index, components=_components_for(args),
+        return moments.gen(kind, max_index, components=components,
                            seed=args.seed, require_tau=(args.n_max + 2, args.m_max + 1),
                            info=info)
     except ValueError as exc:
@@ -257,6 +257,11 @@ def cmd_verify(args) -> int:
         _check_writable(args.out)
     info: dict = {}
     if args.infile:
+        given = [f"--{flag}" for flag in ("kind", "components", "mode")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(f"--in takes the system from {args.infile}; "
+                              f"drop {', '.join(given)}")
         sys_ = _load_checked(args.infile)
         need = bilinear.catalog_max_index(args.n_max, args.m_max)
         if sys_.max_index < need:

@@ -14,11 +14,41 @@ The z^{-m} division is exact because the spectral entries start at z^m.
 All values are cached per system in a :class:`TauTable` owned by the system;
 downstream residual suites reuse hundreds of tau values, so the cache is not
 optional.
+
+Coefficients.  Every recurrence, transform and operator band is built from
+the ratios below, each defined once as a :class:`TauTable` method that
+returns a scalar or, given a jet ring ``spec``, a jet of that ring (so a
+t_1 derivative is one ``.extract(1)`` away).  A numerator holding a boundary
+tau makes the coefficient 0.  With logd_n^{(m)} = d/dt_1 log tau_n^{(m)}
+(``dt1_log_tau``):
+
+    K_n^m   = logd_{n+1}^{(m)} - logd_n^{(m)}                            k_coeff
+    J_n^m   = tau_{n+2}^{(m)} tau_{n-1}^{(m)} / (tau_n^{(m)} tau_{n+1}^{(m)})  j_coeff
+    I_n^m   = tau_{n+1}^{(m)} tau_{n-1}^{(m)} / (tau_n^{(m)})^2              i_coeff
+    c_n^m   = logd_n^{(m)} - logd_n^{(m+1)}                              c_coeff
+    xi_n^m  = tau_n^{(m)} tau_{n+1}^{(m+1)} / (tau_{n+1}^{(m)} tau_n^{(m+1)})  xi
+    eta_n^m = tau_{n+2}^{(m)} tau_{n-1}^{(m+1)} / (tau_{n+1}^{(m)} tau_n^{(m+1)})  eta
+    B_n     = tau_{2n-2} tau_{2n+2} / tau_{2n}^2    (Toda lattice, m = 0)  toda_b
+    C_n     = logd_{2n+2} - logd_{2n}                (Toda lattice, m = 0)  toda_c
+
+xi and eta take the component k of their odd taus.  The skew-orthogonal
+shift transforms (:mod:`skewpoly.christoffel`) use
+
+    A_n^m = P_{2n+1}^{(m)}(0) / P_{2n}^{(m)}(0) = logd_{2n}^{(m+1)}
+    B_n^m = tau_{2n+2}^{(m)} tau_{2n-2}^{(m+1)} / (tau_{2n}^{(m)} tau_{2n}^{(m+1)})
+    C_n^m = tau_{2n}^{(m)} tau_{2n+2}^{(m+1)} / (tau_{2n+2}^{(m)} tau_{2n}^{(m+1)})
+    D_n^m = logd_{2n+2}^{(m)}  (the zero-ratio form at shift m-1 is only
+            defined for m >= 1 and is checked against this in the tests)
+
+A jet of weight w is read off the tau jets of weight w+1, truncated to w for
+ratios and differentiated once for logd, so the jet-valued coefficients of
+the operator bands share one Pfaffian memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import TYPE_CHECKING
 
 from .jets import Jet, JetSpec
@@ -76,10 +106,59 @@ class TauTable:
         return pf_labels(self._tau_labels(idx, m, k, conj), self.sys,
                          cache=self.memo(spec), jet_spec=spec)
 
-    def dt1_log_tau(self, idx: int, m: int, k: int = 1):
-        """d/dt_1 log tau_idx^{(m)} as a scalar."""
-        j = self.tau_jet(idx, m, JetSpec(1), k)
-        return exact_div(j.extract(1), j.base)
+    def dt1_log_tau(self, idx: int, m: int, k: int = 1,
+                    spec: JetSpec | None = None):
+        """logd = d/dt_1 log tau_idx^{(m)}: a scalar, or a jet of ``spec``."""
+        w = 0 if spec is None else spec.weight
+        j = self.tau_jet(idx, m, JetSpec(w + 1), k)
+        if spec is None:
+            return exact_div(j.extract(1), j.base)
+        return j.deriv(0) / j.truncate(spec)
+
+    def ratio(self, num, den, spec: JetSpec | None = None):
+        """prod tau(num) / prod tau(den) over refs (idx, m) or (idx, m, k): a
+        scalar, or a jet of ``spec``.  0 when ``num`` holds a boundary tau."""
+        if any(ref[0] < 0 for ref in num):
+            return Fraction(0) if spec is None else Jet.constant(Fraction(0), spec)
+        if spec is None:
+            val = {ref: self.tau(*ref) for ref in {*num, *den}}
+        else:
+            up = JetSpec(spec.weight + 1)
+            val = {ref: self.tau_jet(ref[0], ref[1], up, *ref[2:]).truncate(spec)
+                   for ref in {*num, *den}}
+        return exact_div(prod(val[r] for r in num), prod(val[r] for r in den))
+
+    # -- the coefficient table (module docstring) ---------------------------
+
+    def k_coeff(self, n: int, m: int, spec: JetSpec | None = None):
+        return (self.dt1_log_tau(n + 1, m, spec=spec)
+                - self.dt1_log_tau(n, m, spec=spec))
+
+    def j_coeff(self, n: int, m: int, spec: JetSpec | None = None):
+        return self.ratio([(n + 2, m), (n - 1, m)], [(n, m), (n + 1, m)], spec)
+
+    def i_coeff(self, n: int, m: int, spec: JetSpec | None = None):
+        return self.ratio([(n + 1, m), (n - 1, m)], [(n, m), (n, m)], spec)
+
+    def c_coeff(self, n: int, m: int, spec: JetSpec | None = None):
+        return (self.dt1_log_tau(n, m, spec=spec)
+                - self.dt1_log_tau(n, m + 1, spec=spec))
+
+    def xi(self, n: int, m: int, k: int = 1, spec: JetSpec | None = None):
+        return self.ratio([(n, m, k), (n + 1, m + 1, k)],
+                          [(n + 1, m, k), (n, m + 1, k)], spec)
+
+    def eta(self, n: int, m: int, k: int = 1, spec: JetSpec | None = None):
+        return self.ratio([(n + 2, m, k), (n - 1, m + 1, k)],
+                          [(n + 1, m, k), (n, m + 1, k)], spec)
+
+    def toda_b(self, n: int, spec: JetSpec | None = None):
+        return self.ratio([(2 * n - 2, 0), (2 * n + 2, 0)], [(2 * n, 0), (2 * n, 0)],
+                          spec)
+
+    def toda_c(self, n: int, spec: JetSpec | None = None):
+        return (self.dt1_log_tau(2 * n + 2, 0, spec=spec)
+                - self.dt1_log_tau(2 * n, 0, spec=spec))
 
     # -- polynomial families -------------------------------------------------
 

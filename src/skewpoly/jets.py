@@ -88,7 +88,7 @@ class Jet:
 
     def __init__(self, spec: JetSpec, coeffs: dict):
         self.spec = spec
-        self.coeffs = {a: v for a, v in coeffs.items() if not _is_zero(v)}
+        self.coeffs = {a: v for a, v in coeffs.items() if v}
         for a in self.coeffs:
             if a not in spec.weights:
                 raise TruncationError(f"coefficient index {a} outside truncation {spec}")
@@ -100,6 +100,9 @@ class Jet:
     @property
     def base(self):
         return self.coeffs.get(self.spec.zero, 0)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -158,7 +161,7 @@ class Jet:
     def inverse(self) -> "Jet":
         """Multiplicative inverse; requires a unit (nonzero base coefficient)."""
         b = self.base
-        if _is_zero(b):
+        if not b:
             raise ZeroDivisionError("jet with zero base coefficient is not a unit")
         x = Jet.constant(scalar_inv(b), self.spec)
         # each Newton pass doubles the weight below which x is exact
@@ -242,7 +245,3 @@ class Jet:
             j = self.spec.weights[a]
             out[j] = out[j] + scale * v
         return out
-
-
-def _is_zero(v) -> bool:
-    return not v

@@ -2,15 +2,17 @@
 
 Operators act on the wave vector Phi = (Q_0, Q_1, ...)^T of partial-family
 polynomials; truncation at size N keeps rows and columns 0..N-1.  Each
-operator is carried as a (value, t1-derivative) pair of exact scalar
-matrices, so compatibility residuals like dL/dt_1 - (M' L - L M) are plain
-matrix algebra.  Truncation artifacts live in the last rows/columns; the
-asserted interior block is rows and columns 1..N-4 (inclusive), matching the
-bandwidths in play.
+operator is an N x N matrix of first-order jets (``JetSpec(1)``), so its
+value and its t_1 derivative are the ``.base`` and ``.extract(1)`` of every
+entry, and compatibility residuals like dL/dt_1 - (M' L - L M) are plain
+matrix algebra over the jet ring.  Truncation artifacts live in the last
+rows/columns; the asserted interior block is rows and columns 1..N-4
+(inclusive), matching the bandwidths in play.
 
-Inverses of the triangular building blocks are exact: strictly triangular
-parts are nilpotent at finite size, so the Neumann sum is finite, and the
-truncated inverse agrees with the semi-infinite one inside the window.
+Every operator is a bidiagonal matrix divided on the left by another, and
+that division is exact triangular substitution: the truncated quotient
+agrees with the semi-infinite one inside the window.  The band entries are
+the tau-ratio coefficients of :mod:`skewpoly.families`.
 """
 
 from __future__ import annotations
@@ -30,35 +32,31 @@ J2 = JetSpec(2)
 
 
 # ---------------------------------------------------------------------------
-# Scalar matrix helpers (dense lists; entries are exact scalars)
+# Matrices of JetSpec(1) jets (dense lists)
 # ---------------------------------------------------------------------------
 
 
-def _zeros(n):
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _identity(n):
-    m = _zeros(n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
+def _bands(n: int, bands: dict) -> list:
+    """N x N jet matrix from {offset: entries}; row i holds entries[i] at
+    column i + offset, entries off the matrix or None left zero."""
+    zero = Jet.constant(Fraction(0), J1)
+    out = [[zero] * n for _ in range(n)]
+    for off, entries in bands.items():
+        for i in range(max(0, -off), min(n, n - off)):
+            if entries[i] is not None:
+                out[i][i + off] = entries[i]
+    return out
 
 
 def _mul(a, b):
-    n = len(a)
-    out = _zeros(n)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            v = ai[k]
+    out = _bands(len(a), {})
+    for ai, oi in zip(a, out):
+        for v, bk in zip(ai, b):
             if not v:
                 continue
-            bk = b[k]
-            for j in range(n):
-                if bk[j]:
-                    oi[j] = oi[j] + v * bk[j]
+            for j, w in enumerate(bk):
+                if w:
+                    oi[j] = oi[j] + v * w
     return out
 
 
@@ -70,143 +68,35 @@ def _sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _neg(a):
-    return [[-x for x in row] for row in a]
-
-
-def _inv_triangular(a):
-    """Exact inverse of a triangular matrix with invertible diagonal."""
+def _solve(a, b):
+    """X with a X = b for a triangular a, by substitution; a vanishing pivot
+    raises ZeroDivisionError."""
     n = len(a)
-    lower = all(not a[i][j] for i in range(n) for j in range(i + 1, n))
-    upper = all(not a[i][j] for i in range(n) for j in range(i))
-    if not (lower or upper):
+    if all(not a[i][j] for i in range(n) for j in range(i + 1, n)):
+        order, known = range(n), lambda i: range(i)
+    elif all(not a[i][j] for i in range(n) for j in range(i)):
+        order, known = range(n - 1, -1, -1), lambda i: range(i + 1, n)
+    else:
         raise ValueError("matrix is not triangular")
-    d = [exact_div(1, a[i][i]) for i in range(n)]
-    # Neumann sum: (I + S)^-1 D^-1 with S = D^-1 * strict part, nilpotent
-    s = [[d[i] * (a[i][j] if i != j else 0) for j in range(n)] for i in range(n)]
-    term = _identity(n)
-    acc = _identity(n)
-    for _ in range(n - 1):
-        term = _neg(_mul(s, term))
-        acc = _add(acc, term)
-    return _mul(acc, [[d[i] if i == j else Fraction(0) for j in range(n)]
-                      for i in range(n)])
+    x = [None] * n
+    for i in order:
+        row = b[i]
+        for k in known(i):
+            if a[i][k]:
+                row = [r - a[i][k] * y if y else r for r, y in zip(row, x[k])]
+        inv = a[i][i].inverse()
+        x[i] = [r * inv if r else r for r in row]
+    return x
 
 
-@dataclass
-class OpPair:
-    """Operator value and its t_1 derivative, both truncated to size N."""
-
-    val: list
-    der: list
-
-    def __matmul__(self, other: "OpPair") -> "OpPair":
-        return OpPair(_mul(self.val, other.val),
-                      _add(_mul(self.der, other.val), _mul(self.val, other.der)))
-
-    def __add__(self, other: "OpPair") -> "OpPair":
-        return OpPair(_add(self.val, other.val), _add(self.der, other.der))
-
-    def __sub__(self, other: "OpPair") -> "OpPair":
-        return OpPair(_sub(self.val, other.val), _sub(self.der, other.der))
-
-    def inv_triangular(self) -> "OpPair":
-        v = _inv_triangular(self.val)
-        return OpPair(v, _neg(_mul(v, _mul(self.der, v))))
-
-    @staticmethod
-    def from_bands(n: int, bands: dict) -> "OpPair":
-        """bands maps offset -> list of jet entries (row index i gives the
-        entry at column i+offset)."""
-        val, der = _zeros(n), _zeros(n)
-        for off, entries in bands.items():
-            for i in range(n):
-                j = i + off
-                if not (0 <= j < n):
-                    continue
-                e = entries[i]
-                if e is not None:
-                    val[i][j] = e.base
-                    der[i][j] = e.extract(1)
-        return OpPair(val, der)
-
-    def bands_json(self) -> dict:
-        n = len(self.val)
-        out = {}
-        for off in range(-(n - 1), n):
-            entries = [self.val[i][i + off] for i in range(n) if 0 <= i + off < n]
-            if any(entries):
-                out[str(off)] = [format_scalar(Fraction(e) if isinstance(e, int)
-                                               else e) for e in entries]
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Coefficient sequences as first-order jets
-# ---------------------------------------------------------------------------
-
-
-class LaxSequences:
-    """Jet-valued diagonal sequences entering the operator constructions."""
-
-    def __init__(self, sys: MomentSystem, m: int):
-        sys.require_exact()
-        self.sys = sys
-        self.m = m
-        self.t = taus(sys)
-
-    def _tj(self, idx: int, m: int) -> Jet:
-        return self.t.tau_jet(idx, m, J2)
-
-    def _t1(self, idx: int, m: int) -> Jet:
-        return self._tj(idx, m).truncate(J1)
-
-    def logd(self, idx: int, m: int) -> Jet:
-        tj = self._tj(idx, m)
-        return tj.deriv(0) / tj.truncate(J1)
-
-    def xi(self, n: int) -> Jet:
-        m = self.m
-        return (self._t1(n, m) * self._t1(n + 1, m + 1)) / (
-            self._t1(n + 1, m) * self._t1(n, m + 1))
-
-    def eta(self, n: int) -> Jet:
-        m = self.m
-        if n == 0:
-            return Jet.constant(Fraction(0), J1)
-        return (self._t1(n + 2, m) * self._t1(n - 1, m + 1)) / (
-            self._t1(n + 1, m) * self._t1(n, m + 1))
-
-    def k_mixed(self, n: int) -> Jet:
-        return self.logd(n + 1, self.m) - self.logd(n, self.m)
-
-    def j_mixed(self, n: int) -> Jet:
-        m = self.m
-        if n == 0:
-            return Jet.constant(Fraction(0), J1)
-        return (self._t1(n + 2, m) * self._t1(n - 1, m)) / (
-            self._t1(n, m) * self._t1(n + 1, m))
-
-    def i_ratio(self, n: int) -> Jet:
-        m = self.m
-        if n == 0:
-            return Jet.constant(Fraction(0), J1)
-        return (self._t1(n + 1, m) * self._t1(n - 1, m)) / (
-            self._t1(n, m) * self._t1(n, m))
-
-    def a_recip(self, n: int) -> Jet:
-        """1 / (d/dt_1 log(tau_n^{(m)}/tau_n^{(m+1)})); n >= 1."""
-        return (self.logd(n, self.m) - self.logd(n, self.m + 1)).inverse()
-
-    def b_ratio(self, n: int) -> Jet:
-        """tau_{n+1}^{(m)} tau_{n-1}^{(m+1)} / (-D_t1 tau_{n+1}^{(m)} .
-        tau_{n-1}^{(m+1)}); n >= 1 (the sign matches the exact shifted
-        derivative identity)."""
-        m = self.m
-        up = self._tj(n + 1, m)
-        low = self._tj(n - 1, m + 1)
-        d = up.deriv(0) * low.truncate(J1) - up.truncate(J1) * low.deriv(0)
-        return -(self._t1(n + 1, m) * self._t1(n - 1, m + 1)) / d
+def _bands_json(op) -> dict:
+    n = len(op)
+    out = {}
+    for off in range(-(n - 1), n):
+        entries = [op[i][i + off].base for i in range(max(0, -off), min(n, n - off))]
+        if any(entries):
+            out[str(off)] = [format_scalar(e) for e in entries]
+    return out
 
 
 def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
@@ -220,52 +110,48 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
     """
     if n_size < 4:
         raise ValueError("truncation size must be at least 4")
-    seq = LaxSequences(sys, m)
-    one = Jet.constant(Fraction(1), J1)
-    xi = [seq.xi(n) for n in range(n_size + 1)]
-    eta = [seq.eta(n) for n in range(n_size + 1)]
-    kk = [seq.k_mixed(n) for n in range(n_size)]
-    jj = [seq.j_mixed(n) for n in range(n_size)]
-
-    lower = OpPair.from_bands(n_size, {0: [one] * n_size, -1: [None] + eta[1:n_size]})
-    upper = OpPair.from_bands(n_size, {0: xi[:n_size], 1: [one] * n_size})
-    ops = {"L": lower.inv_triangular() @ upper}
-    ops["M"] = OpPair.from_bands(n_size, {
-        1: [one] * n_size, 0: kk, -1: [None] + [-jj[n] for n in range(1, n_size)]})
+    sys.require_exact()
+    t = taus(sys)
+    n_rows = range(n_size)
+    one = [Jet.constant(Fraction(1), J1)] * n_size
+    xi = [t.xi(n, m, spec=J1) for n in n_rows]
+    eta = [t.eta(n, m, spec=J1) for n in n_rows]
+    kk = [t.k_coeff(n, m, J1) for n in n_rows]
+    lower = _bands(n_size, {0: one, -1: [None] + eta[1:]})
+    upper = _bands(n_size, {0: xi, 1: one})
+    ops = {"L": _solve(lower, upper)}
+    ops["M"] = _bands(n_size, {1: one, 0: kk, -1: [None] + [
+        -t.j_coeff(n, m, J1) for n in range(1, n_size)]})
 
     if sys.constraint == "rank2":
-        ii = [seq.i_ratio(n) for n in range(n_size + 1)]
-        aa = [None] + [seq.a_recip(n) for n in range(1, n_size + 2)]
-        bb = [None] + [seq.b_ratio(n) for n in range(1, n_size + 2)]
-        b3 = OpPair.from_bands(n_size, {0: xi[:n_size], 1: [one] * n_size})
-        b4 = OpPair.from_bands(n_size, {0: [one] * n_size,
-                                        -1: [None] + eta[1:n_size]})
-        ops["N"] = b3.inv_triangular() @ b4
-        g1 = OpPair.from_bands(n_size, {
-            0: [bb[n + 1] for n in range(n_size)],
-            -1: [None] + [eta[n] * bb[n] for n in range(1, n_size)]})
+        kk.append(t.k_coeff(n_size, m, J1))
+        ii = [t.i_coeff(n + 1, m, J1) for n in n_rows]
+        # row n holds a_{n+1} and b_{n+1}: a_n = 1 / c_n and b_n =
+        # tau_{n+1}^{(m)} tau_{n-1}^{(m+1)} / (-D_t1 tau_{n+1}^{(m)} .
+        # tau_{n-1}^{(m+1)}) = -1 / d/dt_1 log(tau_{n+1}^{(m)} / tau_{n-1}^{(m+1)}),
+        # the sign matching the exact shifted derivative identity
+        aa = [t.c_coeff(n + 1, m, J1).inverse() for n in n_rows]
+        bb = [-(t.dt1_log_tau(n + 2, m, spec=J1)
+                - t.dt1_log_tau(n, m + 1, spec=J1)).inverse() for n in n_rows]
+        ops["N"] = _solve(upper, lower)
+        g1 = _bands(n_size, {0: bb, -1: [None] + [eta[n] * bb[n - 1]
+                                                  for n in range(1, n_size)]})
         # boundary convention eta_0 * a_0 = 0: eta_0 vanishes identically
-        g3 = OpPair.from_bands(n_size, {
-            0: [Jet.constant(Fraction(0), J1)] + [eta[n] * aa[n]
-                                                  for n in range(1, n_size)],
-            1: [aa[n + 1] for n in range(n_size)]})
-        g5 = OpPair.from_bands(n_size, {0: [eta[n] - xi[n] for n in range(n_size)]})
-        inv_g1 = g1.inv_triangular()
-        ops["L1"] = inv_g1 @ g3
-        ops["L2"] = inv_g1 @ g5
-        b1 = OpPair.from_bands(n_size, {0: [ii[n + 1] for n in range(n_size)],
-                                        1: [one] * n_size})
-        b2 = OpPair.from_bands(n_size, {
-            0: [ii[n + 1] * (kk[n + 1] + kk[n]) if n + 1 < n_size
-                else ii[n + 1] * (seq.k_mixed(n + 1) + kk[n])
-                for n in range(n_size)]})
-        ops["M_evo"] = b1.inv_triangular() @ b2
+        g3 = _bands(n_size, {0: [None] + [eta[n] * aa[n - 1]
+                                          for n in range(1, n_size)],
+                             1: aa})
+        g5 = _bands(n_size, {0: [eta[n] - xi[n] for n in n_rows]})
+        ops["L1"] = _solve(g1, g3)
+        ops["L2"] = _solve(g1, g5)
+        b1 = _bands(n_size, {0: ii, 1: one})
+        b2 = _bands(n_size, {0: [ii[n] * (kk[n + 1] + kk[n]) for n in n_rows]})
+        ops["M_evo"] = _solve(b1, b2)
     return ops
 
 
 def operator_dump(sys: MomentSystem, m: int, n_size: int) -> dict:
     """JSON-ready snapshot of every built operator, bands keyed by offset."""
-    return {name: op.bands_json()
+    return {name: _bands_json(op)
             for name, op in build_psop_lax(sys, m, n_size).items()}
 
 
@@ -283,18 +169,21 @@ def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> di
     here = build_psop_lax(sys, m, n_size)
     up = build_psop_lax(sys, m + 1, n_size)
     lo, hi = 1, n_size - 4
+
+    def dt1_minus(flow, rhs):
+        return [[f.extract(1) - r.base for f, r in zip(frow, rrow)]
+                for frow, rrow in zip(flow, rhs)]
+
     if kind == "mixed":
-        l_op, m_op, m_up = here["L"], here["M"], up["M"]
-        res = _sub(l_op.der, _sub(_mul(m_up.val, l_op.val),
-                                  _mul(l_op.val, m_op.val)))
-    elif kind == "rank2-m":
-        t_op = (here["L1"] @ here["M_evo"] + here["L2"]) @ here["N"]
-        res = _sub(t_op.val, up["M_evo"].val)
-    elif kind == "rank2-n":
-        t_op = (here["L1"] @ here["M_evo"] + here["L2"]) @ here["N"]
+        l_op = here["L"]
+        res = dt1_minus(l_op, _sub(_mul(up["M"], l_op), _mul(l_op, here["M"])))
+    elif kind in ("rank2-m", "rank2-n"):
         n_op, m_op = here["N"], here["M_evo"]
-        res = _sub(n_op.der, _sub(_mul(m_op.val, n_op.val),
-                                  _mul(n_op.val, t_op.val)))
+        t_op = _mul(_add(_mul(here["L1"], m_op), here["L2"]), n_op)
+        if kind == "rank2-m":
+            res = [[e.base for e in row] for row in _sub(t_op, up["M_evo"])]
+        else:
+            res = dt1_minus(n_op, _sub(_mul(m_op, n_op), _mul(n_op, t_op)))
     else:
         raise ValueError(f"unknown compatibility kind {kind!r}")
     interior = [row[lo:hi + 1] for row in res[lo:hi + 1]]
@@ -313,14 +202,13 @@ def wave_action_residuals(sys: MomentSystem, m: int, n_size: int) -> list:
     """Row action of L on (Q_0,...,Q_{N-1}) against z Q_i^{(m+1)}, interior rows."""
     t = taus(sys)
     ops = build_psop_lax(sys, m, n_size)
-    lval = ops["L"].val
     phi = [t.psop(i, m) for i in range(n_size)]
     out = []
     for i in range(1, n_size - 3):
         acc = PolyInZ.zero()
-        for j in range(n_size):
-            if lval[i][j]:
-                acc = acc + lval[i][j] * phi[j]
+        for e, p in zip(ops["L"][i], phi):
+            if e:
+                acc = acc + e.base * p
         out.append(acc - t.psop(i, m + 1).shift(1))
     return out
 
@@ -349,16 +237,8 @@ def c3_recurrence_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     if sys.constraint != "rank1skew":
         raise ValueError("this suite requires the rank1skew constraint")
     t = taus(sys)
-
-    def kc(j):
-        return t.dt1_log_tau(j + 1, m) - t.dt1_log_tau(j, m)
-
-    def jc(j):
-        if j == 0:
-            return Fraction(0)
-        return exact_div(t.tau(j + 2, m) * t.tau(j - 1, m),
-                         t.tau(j, m) * t.tau(j + 1, m))
-
+    kc = lambda j: t.k_coeff(j, m)  # noqa: E731
+    jc = lambda j: t.j_coeff(j, m)  # noqa: E731
     q = lambda j: t.psop(j, m)  # noqa: E731
     dq = lambda j: dt1(t.psop(j, m, spec=J1))  # noqa: E731
     three_term = (q(2 * n).shift(1) - q(2 * n + 1) - kc(2 * n) * q(2 * n)
@@ -395,9 +275,7 @@ def mixed_residual(sys: MomentSystem, m: int, n: int) -> PolyInZ:
     """(z + d/dt_1) Q_n = Q_{n+1} + K_n Q_n - J_n Q_{n-1}; holds for any tag."""
     sys.require_exact()
     t = taus(sys)
-    kc = t.dt1_log_tau(n + 1, m) - t.dt1_log_tau(n, m)
-    jc = Fraction(0) if n == 0 else exact_div(
-        t.tau(n + 2, m) * t.tau(n - 1, m), t.tau(n, m) * t.tau(n + 1, m))
+    kc, jc = t.k_coeff(n, m), t.j_coeff(n, m)
     return (t.psop(n, m).shift(1) + dt1(t.psop(n, m, spec=J1)) - t.psop(n + 1, m)
             - kc * t.psop(n, m) + jc * t.psop(n - 1, m))
 
@@ -423,24 +301,19 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
         border = pf_indexed(["d1", *range(m, m + n + 1), "z"], sys, cache=t.memo())
     derivative_pf = lhs - border.divide_z(m)
 
-    def kc(j, mm=m):
-        return t.dt1_log_tau(j + 1, mm) - t.dt1_log_tau(j, mm)
-
     def dq(j, mm=m):
         return dt1(t.psop(j, mm, spec=J1))
 
-    i_n = Fraction(0) if n == 0 else exact_div(
-        t.tau(n + 1, m) * t.tau(n - 1, m), t.tau(n, m) * t.tau(n, m))
+    i_n = t.i_coeff(n, m)
     evolution = (dq(n) + i_n * dq(n - 1)
-                 - i_n * (kc(n) + kc(n - 1)) * t.psop(n - 1, m))
+                 - i_n * (t.k_coeff(n, m) + t.k_coeff(n - 1, m)) * t.psop(n - 1, m))
 
-    c_n = t.dt1_log_tau(n, m) - t.dt1_log_tau(n, m + 1)
-    u_n = Fraction(0) if n == 0 else exact_div(
-        t.tau(n + 1, m) * t.tau(n - 1, m + 1), t.tau(n, m) * t.tau(n, m + 1))
-    up = t.tau_jet(n + 1, m, J1)
-    low = t.tau_jet(n - 1, m + 1, J1)
-    v_n = exact_div(up.extract(1) * low.base - up.base * low.extract(1),
-                    t.tau(n, m) * t.tau(n, m + 1))
+    # v_n = D_t1 tau_{n+1}^{(m)} . tau_{n-1}^{(m+1)} / (tau_n^{(m)} tau_n^{(m+1)})
+    #     = u_n d/dt_1 log(tau_{n+1}^{(m)} / tau_{n-1}^{(m+1)})
+    c_n = t.c_coeff(n, m)
+    u_n = t.ratio([(n + 1, m), (n - 1, m + 1)], [(n, m), (n, m + 1)])
+    v_n = (u_n * (t.dt1_log_tau(n + 1, m) - t.dt1_log_tau(n - 1, m + 1))
+           if u_n else u_n)
     shifted = (dq(n) + c_n * t.psop(n, m)
                - (v_n * t.psop(n - 1, m + 1) - u_n * dq(n - 1, m + 1)).shift(1))
     return {
@@ -467,14 +340,8 @@ def toda_vars(sys: MomentSystem, n_max: int) -> TodaVars:
     A_n = d/dt_1 log tau_{2n}; B_0 = 0 closes the lattice on the left."""
     sys.require_exact()
     t = taus(sys)
-    b = [Fraction(0)]
-    c = []
-    for n in range(1, n_max + 1):
-        b.append(exact_div(t.tau(2 * n - 2, 0) * t.tau(2 * n + 2, 0),
-                           t.tau(2 * n, 0) ** 2))
-    for n in range(n_max + 1):
-        c.append(t.dt1_log_tau(2 * n + 2, 0) - t.dt1_log_tau(2 * n, 0))
-    return TodaVars(b, c)
+    return TodaVars([t.toda_b(n) for n in range(n_max + 1)],
+                    [t.toda_c(n) for n in range(n_max + 1)])
 
 
 def toda_vars_and_residual(sys: MomentSystem, n: int) -> dict:
@@ -485,45 +352,25 @@ def toda_vars_and_residual(sys: MomentSystem, n: int) -> dict:
         raise ValueError("the lattice variable suite requires the laurent tag")
     t = taus(sys)
 
-    def a(j):
-        return t.dt1_log_tau(2 * j, 0)
-
-    def b(j):
-        if j == 0:
-            return Fraction(0)
-        return exact_div(t.tau(2 * j - 2, 0) * t.tau(2 * j + 2, 0),
-                         t.tau(2 * j, 0) ** 2)
-
+    a = lambda j: t.dt1_log_tau(2 * j, 0)  # noqa: E731
     d_n = _s2_ratio(t, 2 * n + 2, 0, -1) + _s2_ratio(t, 2 * n, 0, +1)
+    b_n = t.toda_b(n)
     p = lambda j: t.sop(j, 0)  # noqa: E731
     lhs = (z_plus_dt1(t.tau_jet(2 * n, 0, J1), t.sop(2 * n + 1, 0, J1))
            / t.tau(2 * n, 0))
     second_derivative = lhs - (p(2 * n + 2) + (a(n) + a(n + 1)) * p(2 * n + 1)
-                               - d_n * p(2 * n) + b(n) * p(2 * n - 2))
+                               - d_n * p(2 * n) + b_n * p(2 * n - 2))
 
     dp = lambda j: dt1(t.sop(j, 0, J1))  # noqa: E731
-    evolution_even = (dp(2 * n) - b(n) * dp(2 * n - 2)
-                      + b(n) * p(2 * n - 1) - a(n - 1) * b(n) * p(2 * n - 2))
+    evolution_even = (dp(2 * n) - b_n * dp(2 * n - 2)
+                      + b_n * p(2 * n - 1) - a(n - 1) * b_n * p(2 * n - 2))
     evolution_odd = (dp(2 * n + 1) - a(n + 1) * dp(2 * n)
                      - (a(n) * a(n + 1) - d_n + 1) * p(2 * n)
-                     - b(n) * p(2 * n - 2))
+                     - b_n * p(2 * n - 2))
 
-    def tau_j2(idx):
-        return t.tau_jet(idx, 0, J2)
-
-    def logd(idx):
-        tj = tau_j2(idx)
-        return tj.deriv(0) / tj.truncate(J1)
-
-    bj = ((tau_j2(2 * n - 2) * tau_j2(2 * n + 2))
-          / (tau_j2(2 * n) * tau_j2(2 * n))).truncate(J1) if n >= 1 \
-        else Jet.constant(Fraction(0), J1)
-    cj = logd(2 * n + 2) - logd(2 * n)
-    cjm = (logd(2 * n) - logd(2 * n - 2)) if n >= 1 else Jet.constant(Fraction(0), J1)
-    bup = ((tau_j2(2 * n) * tau_j2(2 * n + 4))
-           / (tau_j2(2 * n + 2) * tau_j2(2 * n + 2))).truncate(J1)
-    flow_b = bj.extract(1) - bj.base * (cj.base - cjm.base)
-    flow_c = cj.extract(1) - (bup.base - bj.base)
+    bj, cj = t.toda_b(n, J1), t.toda_c(n, J1)
+    flow_b = bj.extract(1) - bj.base * (cj.base - (t.toda_c(n - 1) if n else 0))
+    flow_c = cj.extract(1) - (t.toda_b(n + 1) - bj.base)
     return {
         "vars": TodaVars([bj.base], [cj.base]),
         "second_derivative": second_derivative,

@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Optional
 
 from .families import vanishing_taus
@@ -38,7 +38,9 @@ from .scalars import GaussianRational, format_scalar, parse_scalar
 
 CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
                "rank1skew-complex")
-MODES = ("exact", "gauss", "float")
+# the scalar types each mode admits
+MODES = {"exact": (int, Fraction), "gauss": (int, Fraction, GaussianRational),
+         "float": (int, Fraction, GaussianRational, float)}
 
 
 class OutOfRangeError(IndexError):
@@ -60,7 +62,7 @@ class MomentSystem:
         if self.constraint not in CONSTRAINTS:
             raise ValueError(f"unknown constraint tag {self.constraint!r}")
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
+            raise ValueError(f"unknown mode {self.mode!r}; known: {tuple(MODES)}")
         top = self.max_index
         for (i, j) in self.mu:
             if not 0 <= i < j <= top:
@@ -70,6 +72,11 @@ class MomentSystem:
                 if len(row) != top + 1:
                     raise ValueError(f"{name} row {k} has {len(row)} entries, "
                                      f"expected max_index+1 = {top + 1}")
+        admitted = MODES[self.mode]
+        for v in chain(self.mu.values(), *self.beta, *(self.beta_bar or ())):
+            if not isinstance(v, admitted):
+                raise ValueError(f"{self.mode} mode admits no {type(v).__name__} "
+                                 f"scalar such as {v!r}")
         object.__setattr__(self, "_jet_cache", {})
         # set by families.taus on first use
         object.__setattr__(self, "_tau_table", None)

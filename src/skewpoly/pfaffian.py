@@ -65,7 +65,7 @@ def _pf_expand(labels: tuple, entry, cache: dict):
     sign = 1
     for t, lab in enumerate(rest):
         e = entry(first, lab)
-        if not _is_zero(e):
+        if e:
             sub = rest[:t] + rest[t + 1:]
             acc = acc + sign * (e * _pf_expand(sub, entry, cache))
         sign = -sign
@@ -82,7 +82,7 @@ def pfaffian(rows):
     pf = 1
     negate = False
     for k in range(0, n - 1, 2):
-        piv = next((j for j in range(k + 1, n) if not _is_zero(a[k][j])), None)
+        piv = next((j for j in range(k + 1, n) if a[k][j]), None)
         if piv is None:
             return 0
         if piv != k + 1:
@@ -94,7 +94,7 @@ def pfaffian(rows):
         for i in range(k + 2, n):
             aki = a[k][i]
             ak1i = a[k + 1][i]
-            if _is_zero(aki) and _is_zero(ak1i):
+            if not (aki or ak1i):
                 continue
             row_i = a[i]
             row_k = a[k]
@@ -121,9 +121,9 @@ def det_bareiss(rows):
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if _is_zero(m[k][k]):
+        if not m[k][k]:
             for r in range(k + 1, n):
-                if not _is_zero(m[r][k]):
+                if m[r][k]:
                     m[k], m[r] = m[r], m[k]
                     sign = -sign
                     break
@@ -147,12 +147,6 @@ def _exact_div(num, den):
             raise ArithmeticError("Bareiss division not exact")
         return q
     return num / den
-
-
-def _is_zero(v) -> bool:
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return not v
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +257,7 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
             continue
         sub = rest[:t] + rest[t + 1:]
         val = pf_labels(sub, sys, cache=cache, jet_spec=jet_spec)
-        if _is_zero(val):
+        if not val:
             continue
         if (zpos + t + 1) % 2:
             val = -val

@@ -14,7 +14,7 @@ class PolyInZ:
 
     def __init__(self, coeffs):
         coeffs = list(coeffs)
-        while coeffs and _is_zero(coeffs[-1]):
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         self.coeffs = coeffs
 
@@ -37,6 +37,9 @@ class PolyInZ:
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -73,7 +76,7 @@ class PolyInZ:
 
     def __mul__(self, other):
         if isinstance(other, PolyInZ):
-            if self.is_zero() or other.is_zero():
+            if not (self and other):
                 return PolyInZ([])
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
@@ -98,17 +101,16 @@ class PolyInZ:
 
     def shift(self, k: int) -> "PolyInZ":
         """Multiply by z**k."""
-        if self.is_zero():
+        if not self:
             return self
         return PolyInZ([0] * k + self.coeffs)
 
     def divide_z(self, m: int) -> "PolyInZ":
         """Exact division by z**m; the low coefficients must vanish."""
-        if self.is_zero():
+        if not self:
             return self
-        for c in self.coeffs[:m]:
-            if not _is_zero(c):
-                raise ValueError("polynomial not divisible by z^m")
+        if any(self.coeffs[:m]):
+            raise ValueError("polynomial not divisible by z^m")
         return PolyInZ(self.coeffs[m:])
 
     def __call__(self, x):
@@ -121,7 +123,7 @@ class PolyInZ:
         return PolyInZ([fn(c) for c in self.coeffs])
 
     def __repr__(self):
-        if self.is_zero():
+        if not self:
             return "PolyInZ(0)"
         return "PolyInZ([" + ", ".join(str(c) for c in self.coeffs) + "])"
 
@@ -131,9 +133,3 @@ class PolyInZ:
             "coeffs": [format_scalar(Fraction(c) if isinstance(c, int) else c)
                        for c in self.coeffs],
         }
-
-
-def _is_zero(v) -> bool:
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return not v

@@ -53,6 +53,17 @@ def test_hirota_basics(sys2):
     assert d1 == f.extract(1, 0) * g.base - f.base * g.extract(1, 0)
 
 
+def test_hirota_component_ref_defaults_to_unconjugated_row():
+    # (idx, m, k) names component k's own row, as (idx, m, k, False) does
+    for kind in ("rank1skew-multi", "rank1skew-complex"):
+        s = gen(kind, 12, components=2, seed=3, require_tau=(3, 1))
+        for orders in ((1,), (0, 1), (2,)):
+            assert (bl.hirota(orders, s, (3, 0, 2), (2, 0))
+                    == bl.hirota(orders, s, (3, 0, 2, False), (2, 0)))
+            assert (bl.hirota(orders, s, (2, 1), (1, 0, 2))
+                    == bl.hirota(orders, s, (2, 1), (1, 0, 2, False)))
+
+
 def test_hirota_antisymmetry_and_symmetry(sys2):
     assert (bl.hirota((1, 0), sys2, (4, 0), (2, 1))
             == -bl.hirota((1, 0), sys2, (2, 1), (4, 0)))

@@ -153,6 +153,9 @@ def test_config_errors_exit_two(tmp_path):
     load = ["verify", "--n-max", "1", "--m-max", "0", "--identities", "TRANSFORMS",
             "--in"]
     assert run(load + [str(good)]) == 0
+    # the file fixes the system: generator flags next to --in are rejected
+    for flag in (["--kind", "laurent"], ["--components", "5"], ["--mode", "exact"]):
+        assert run(load[:-1] + flag + ["--in", str(good)]) == 2, flag
     base = json.loads(good.read_text())
     edits = [lambda d: d["mu"].append([3, 2, "1"]),
              lambda d: d["mu"].append([2, 99, "1"]),
@@ -162,7 +165,10 @@ def test_config_errors_exit_two(tmp_path):
              lambda d: d["beta"].append(list(d["beta"][0])),
              lambda d: d.update(mode="banana"),
              lambda d: d.update(mode="float"),
-             lambda d: d["mu"][1].__setitem__(2, str(Fraction(d["mu"][1][2]) + 1))]
+             lambda d: d["mu"][1].__setitem__(2, str(Fraction(d["mu"][1][2]) + 1)),
+             # Gaussian scalars in an exact-mode file, even a real one
+             lambda d: d["mu"][1].__setitem__(2, "1+2i"),
+             lambda d: d["mu"][1].__setitem__(2, d["mu"][1][2] + "+0i")]
     for t, edit in enumerate(edits):
         data = json.loads(json.dumps(base))
         edit(data)

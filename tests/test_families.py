@@ -147,3 +147,65 @@ def test_polynomial_json_export(sys3):
 def test_tau_via_module_function(sys3):
     assert tau(sys3, 2, 0) == sys3.mu_entry(0, 1)
     assert tau(sys3, 3, 0, k=2) is not None
+
+
+def _tau_and_d1(t, ref):
+    j = t.tau_jet(ref[0], ref[1], JetSpec(2))
+    return j.base, j.extract(1)
+
+
+def _quotient_rule(t, num, den):
+    """(prod num / prod den, its d/dt_1) by the product and quotient rules."""
+    def product(refs):
+        v, d = 1, 0
+        for ref in refs:
+            a, da = _tau_and_d1(t, ref)
+            v, d = v * a, d * a + v * da
+        return v, d
+    (n, dn), (d, dd) = product(num), product(den)
+    return Fraction(n) / d, (dn * d - n * dd) / Fraction(d) ** 2
+
+
+def _logd_diff(t, plus, minus):
+    """(logd(plus) - logd(minus), its d/dt_1) from f'/f and (f'' f - f'^2)/f^2."""
+    out = [Fraction(0), Fraction(0)]
+    for sign, (idx, m) in ((1, plus), (-1, minus)):
+        j = t.tau_jet(idx, m, JetSpec(2))
+        f, df, ddf = Fraction(j.base), j.extract(1), j.extract(2)
+        out[0] += sign * df / f
+        out[1] += sign * (ddf * f - df * df) / f ** 2
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind", ["none", "rank2", "laurent"])
+def test_coefficient_jets_match_scalars_and_quotient_rule(kind):
+    s = gen(kind, 16, seed=5, require_tau=(5, 2))
+    t = taus(s)
+    J1 = JetSpec(1)
+    for m in (0, 1):
+        for n in range(6):
+            oracles = {
+                "k_coeff": _logd_diff(t, (n + 1, m), (n, m)),
+                "j_coeff": _quotient_rule(t, [(n + 2, m), (n - 1, m)],
+                                          [(n, m), (n + 1, m)]),
+                "i_coeff": _quotient_rule(t, [(n + 1, m), (n - 1, m)],
+                                          [(n, m), (n, m)]),
+                "c_coeff": _logd_diff(t, (n, m), (n, m + 1)),
+                "xi": _quotient_rule(t, [(n, m), (n + 1, m + 1)],
+                                     [(n + 1, m), (n, m + 1)]),
+                "eta": _quotient_rule(t, [(n + 2, m), (n - 1, m + 1)],
+                                      [(n + 1, m), (n, m + 1)]),
+            }
+            for name, (value, d1) in oracles.items():
+                jet = getattr(t, name)(n, m, spec=J1)
+                assert jet.spec == J1
+                assert jet.base == getattr(t, name)(n, m) == value, (name, n, m)
+                assert jet.extract(1) == d1, (name, n, m)
+    for n in range(4):
+        for name, (value, d1) in {
+                "toda_b": _quotient_rule(t, [(2 * n - 2, 0), (2 * n + 2, 0)],
+                                         [(2 * n, 0), (2 * n, 0)]),
+                "toda_c": _logd_diff(t, (2 * n + 2, 0), (2 * n, 0))}.items():
+            jet = getattr(t, name)(n, spec=J1)
+            assert jet.base == getattr(t, name)(n) == value, (name, n)
+            assert jet.extract(1) == d1, (name, n)

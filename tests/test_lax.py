@@ -1,11 +1,16 @@
 """Operator truncations, compatibility residuals, scalar recurrence suites."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from skewpoly import lax
+from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen
+
+
+J1 = JetSpec(1)
 
 
 @pytest.fixture(scope="module")
@@ -18,29 +23,37 @@ def rank2():
     return gen("rank2", 17, seed=91, require_tau=(6, 1))
 
 
-def test_op_pair_triangular_inverse():
-    # with a vanishing strictly-triangular part the Neumann sum collapses to
-    # the diagonal inverse; random triangular pairs invert exactly
-    import random
-    from skewpoly.jets import Jet, JetSpec
-    spec = JetSpec(1)
-    one = Jet.constant(Fraction(1), spec)
-    n = 5
-    ident = lax.OpPair.from_bands(n, {0: [one] * n})
-    inv = ident.inv_triangular()
-    assert inv.val == ident.val and all(not v for row in inv.der for v in row)
+def _random_jet(rng, lo=-5, hi=5):
+    return Jet(J1, {(0,): Fraction(rng.randint(lo, hi)),
+                    (1,): Fraction(rng.randint(-4, 4))})
+
+
+def _random_triangular(rng, n, lower):
+    a = lax._bands(n, {})
+    for i in range(n):
+        for j in (range(i) if lower else range(i + 1, n)):
+            a[i][j] = _random_jet(rng)
+        a[i][i] = _random_jet(rng, 1, 9)
+    return a
+
+
+def test_triangular_left_division():
+    # a X = b by substitution over first-order jets, for lower and upper a
     rng = random.Random(0)
-    for _ in range(5):
-        bands = {0: [Jet(spec, {(0,): Fraction(rng.randint(1, 9)),
-                                (1,): Fraction(rng.randint(-4, 4))})
-                     for _ in range(n)],
-                 -1: [None] + [Jet(spec, {(0,): Fraction(rng.randint(-5, 5)),
-                                          (1,): Fraction(rng.randint(-4, 4))})
-                               for _ in range(n - 1)]}
-        op = lax.OpPair.from_bands(n, bands)
-        prod = op @ op.inv_triangular()
-        assert prod.val == ident.val
-        assert all(not v for row in prod.der for v in row)
+    n = 5
+    for lower in (True, False):
+        for _ in range(4):
+            a = _random_triangular(rng, n, lower)
+            b = [[_random_jet(rng) for _ in range(n)] for _ in range(n)]
+            assert lax._mul(a, lax._solve(a, b)) == b
+        a = _random_triangular(rng, n, lower)
+        a[2][2] = Jet(J1, {(1,): Fraction(3)})  # zero value, nonzero derivative
+        with pytest.raises(ZeroDivisionError):
+            lax._solve(a, b)
+    full = _random_triangular(rng, n, True)
+    full[0][n - 1] = _random_jet(rng, 1, 9)
+    with pytest.raises(ValueError):
+        lax._solve(full, b)
 
 
 def test_truncation_size_guard(unconstrained):
