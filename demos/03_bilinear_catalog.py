@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Tour 3: the bilinear identity catalog, evaluated exactly through jets.
+"""Tour 3: the bilinear identity catalog, evaluated exactly.
 
 Time enters through the index-shift rule d/dt_n mu_{i,j} = mu_{i+n,j} +
 mu_{i,j+n}, so every derivative of a tau value is again exact rational data.
-Schur operators s_k(-Dt) and Hirota derivatives are evaluated in a truncated
-jet ring, and each lattice hierarchy in the catalog reduces to residuals
-that must vanish identically.  Constrained moment classes reduce the
+Schur operators s_k(-Dt) are read off the Miwa-shifted tau function
+tau(t - [z]), Hirota derivatives off a truncated jet ring, and each lattice
+hierarchy in the catalog reduces to residuals that must vanish identically.  Constrained moment classes reduce the
 hierarchy further; corrupting a constrained system breaks its identities.
 """
 
@@ -15,13 +15,13 @@ from skewpoly.families import sop, taus
 
 sys = gen("none", max_index=18, components=2, seed=11, require_tau=(4, 2))
 
-print("Schur action vs polynomial coefficients (jet path = coefficient path):")
+print("Schur action vs polynomial coefficients (Miwa path = coefficient path):")
 p4 = sop(sys, 4, 0)
 tau4 = taus(sys).tau(4, 0)
 for k in range(5):
-    jet_path = schur_d_tau(sys, k, 4, 0)
+    miwa_path = schur_d_tau(sys, k, 4, 0)
     coeff_path = tau4 * p4.coeff(4 - k)
-    print(f"  k={k}: {jet_path} == {coeff_path}: {jet_path == coeff_path}")
+    print(f"  k={k}: {miwa_path} == {coeff_path}: {miwa_path == coeff_path}")
 assert all(d == 0 for d in schur_coeff_defects(sys, 6, 0))
 
 print("\nHirota derivative against its defining expansion:")

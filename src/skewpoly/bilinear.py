@@ -8,10 +8,11 @@ equation, its suite group, and an evaluator returning residuals (scalars or
 polynomials in z) that must all be exactly zero.
 
 Schur-operator conventions: with dtilde = (d/dt_1, d/dt_2 / 2, d/dt_3 / 3,
-...), s_k(-dtilde) is the Schur polynomial s_k(t) at t_l -> -(d/dt_l) / l.
-It is homogeneous of weight k when t_l has weight l, so s_k(-dtilde) tau is
-a finite rational combination of mixed shift derivatives of tau, all read
-off one jet of weight k (:meth:`skewpoly.jets.Jet.schur`).
+...), s_k(-dtilde) is the Schur polynomial s_k(t) at t_l -> -(d/dt_l) / l,
+and sum_k s_k(-dtilde) z^k is the Miwa shift t -> t - [z].  Shifted moments
+are polynomials in z, so s_k(-dtilde) tau_idx is the z^k coefficient of a
+Pfaffian of degree <= idx in z (:class:`SchurTau`); a weight-k jet gives the
+same value by :meth:`skewpoly.jets.Jet.schur`, the tests' oracle.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from typing import Callable
 
 from . import christoffel, lax
 from .families import (TauTable, orthogonality_defect, orthogonality_determinant,
                        psop_inner_defect, taus, z_plus_dt1)
 from .jets import Jet, JetSpec, weight
-from .moments import MomentSystem, stembridge_residual
+from .moments import MomentSystem, miwa_jet, stembridge_residual
+from .pfaffian import pfaffian, pfaffian_expand
 from .poly import PolyInZ
 from .scalars import exact_div
 
@@ -52,44 +55,80 @@ def schur(k: int, t) -> object:
 
 
 class SchurTau:
-    """All values s_j(-dtilde) tau and their t_1 derivatives for j <= kmax.
+    """s_j(-dtilde) tau_idx^{(m)} and its t_1 derivative for every j.
 
-    Both lists are read off one tau jet of weight kmax + reserve by
-    :meth:`Jet.schur`, the t_1 derivatives from its ``deriv(0)``; the table
-    keeps them for every j the weight allows, so they serve any kmax.
+    They are the z^j coefficients of tau(t - [z]) (the Miwa identity), and
+    tau_idx(t - [z]) is the Pfaffian of the shifted entries
+    (:func:`skewpoly.moments.miwa_jet`), of degree <= idx in z, so it is
+    evaluated with its t_1 derivative at z = 0..idx and interpolated exactly.
+    The table's ``schur_layers`` keeps both polynomials per (idx, m, k, conj).
+
+    These values and the coefficients of the family member, read off its
+    spectral ``z`` column, are two independent constructions of P_n(z) =
+    z^n tau_n(t - [1/z]) / tau_n(t) (M. Adler, E. Horozov, P. van Moerbeke,
+    "The Pfaff lattice and skew-orthogonal polynomials", IMRN 1999; M.
+    Adler, P. van Moerbeke, "Toda versus Pfaff lattice and related
+    polynomials", Duke Math. J. 112, 2002), which ``SCHUR_COEFF`` equates:
+    neither may be derived from the other.
     """
 
-    def __init__(self, table: TauTable, idx: int, m: int, kmax: int,
-                 reserve: int = 1, k: int = 1, conj: bool = False):
-        self.kmax = kmax
-        w = max(kmax + reserve, 1)
-        key = (idx, m, k, conj, w)
-        got = table.schur_layers.get(key)
-        if got is None:
-            jet = table.tau_jet(idx, m, JetSpec(w), k, conj)
-            got = table.schur_layers[key] = (jet.schur(), jet.deriv(0).schur())
-        self.values, self.d1s = got
+    def __init__(self, table: TauTable, idx: int, m: int, k: int = 1,
+                 conj: bool = False):
+        key = (idx, m, k, conj)
+        if key not in table.schur_layers:
+            table.schur_layers[key] = _miwa_layers(table.sys, idx, m, k, conj)
+        self.values, self.d1s = table.schur_layers[key]
 
     def value(self, j: int):
-        """s_j(-dtilde) tau; zero for negative j."""
-        if j < 0:
-            return 0
-        if j > self.kmax:
-            raise ValueError(f"schur order {j} above table limit {self.kmax}")
-        return self.values[j]
+        """s_j(-dtilde) tau; zero for negative j and for j above idx."""
+        return self.values.coeff(j)
 
     def d1(self, j: int):
         """d/dt_1 of s_j(-dtilde) tau."""
-        if j < 0:
-            return 0
-        return self.d1s[j]
+        return self.d1s.coeff(j)
+
+
+_J1_ZERO = Jet.constant(Fraction(0), JetSpec(1))
+
+
+def _miwa_layers(sys: MomentSystem, idx: int, m: int, k: int, conj: bool):
+    """tau_idx^{(m)}(t - [z]) and its t_1 derivative, polynomials in z."""
+    labels = list(TauTable.tau_labels(idx, m, k, conj))
+    n = len(labels)
+    nodes = []
+    for z in range(idx + 1):
+        rows = [[_J1_ZERO] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            rows[i][j] = miwa_jet(sys, labels[i], labels[j], z)
+            rows[j][i] = -rows[i][j]
+        try:
+            pf = pfaffian(rows)
+        except ZeroDivisionError:  # no unit pivot at this node
+            pf = pfaffian_expand(rows)
+        nodes.append(_J1_ZERO + pf)  # an empty or zero row list gives an int
+    poly = _interpolate(nodes)
+    return poly.map_coeffs(lambda c: c.base), poly.map_coeffs(lambda c: c.extract(1))
+
+
+def _interpolate(ys: list) -> PolyInZ:
+    """The polynomial of degree < len(ys) taking the values ys at z = 0, 1,
+    ...: Newton's forward differences d_k, summed by Horner's rule as
+    d_0 + z (d_1 + (z - 1) / 2 (d_2 + (z - 2) / 3 (...)))."""
+    diffs = []
+    while ys:
+        diffs.append(ys[0])
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    poly = PolyInZ.zero()
+    for k in reversed(range(len(diffs))):
+        poly = poly * PolyInZ([Fraction(-k, k + 1), Fraction(1, k + 1)]) + diffs[k]
+    return poly
 
 
 def schur_d_tau(sys: MomentSystem, k: int, idx: int, m: int, comp: int = 1,
                 conj: bool = False):
     """s_k(-dtilde) applied to tau_idx^{(m)}, evaluated exactly."""
     sys.require_exact()
-    return SchurTau(taus(sys), idx, m, k, reserve=0, k=comp, conj=conj).value(k)
+    return SchurTau(taus(sys), idx, m, k=comp, conj=conj).value(k)
 
 
 def hirota(orders, sys: MomentSystem, ref_f, ref_g):
@@ -137,11 +176,15 @@ def schur_coeff_defects(sys: MomentSystem, idx: int, m: int, comp: int = 1,
     """s_j(-dtilde) tau minus tau times the matching polynomial coefficient.
 
     Checks the full Schur expansion of the family member of index idx: the
-    coefficient of z^{idx-j} equals s_j(-dtilde) tau_idx / tau_idx.
+    coefficient of z^{idx-j} equals s_j(-dtilde) tau_idx / tau_idx.  Miwa
+    values (:class:`SchurTau`) and the coefficients of the spectral ``z``
+    column are independent constructions of P_n(z) = z^n tau_n(t - [1/z]) /
+    tau_n(t) (Adler-Horozov-van Moerbeke, IMRN 1999; Adler-van Moerbeke,
+    Duke Math. J. 2002); deriving one from the other makes this vacuous.
     """
     sys.require_exact()
     t = taus(sys)
-    st = SchurTau(t, idx, m, idx, reserve=0, k=comp, conj=conj)
+    st = SchurTau(t, idx, m, k=comp, conj=conj)
     poly = t.psop(idx, m, comp, conj) if idx % 2 else t.sop(idx, m)
     tau_val = t.tau(idx, m, comp, conj)
     return [st.value(j) - tau_val * poly.coeff(idx - j) for j in range(idx + 1)]
@@ -243,9 +286,9 @@ def _dkp_grid(sys, n_max, m_max):
     _dkp_grid)
 def _dkp(sys, n, m, l):
     t = taus(sys)
-    s_m = SchurTau(t, 2 * n, m, 2 * n + 1)
-    s_m1 = SchurTau(t, 2 * n, m + 1, 2 * n + 1)
-    s_low = SchurTau(t, 2 * n - 2, m + 1, max(2 * n - 1, 0))
+    s_m = SchurTau(t, 2 * n, m)
+    s_m1 = SchurTau(t, 2 * n, m + 1)
+    s_low = SchurTau(t, 2 * n - 2, m + 1)
     tau_m = s_m.value(0)
     tau_m1 = s_m1.value(0)
     tau_up = t.tau(2 * n + 2, m)
@@ -282,8 +325,8 @@ def _toda1d_grid(sys, n_max, m_max):
            _toda1d_grid, ("laurent",))
 def _toda1d(sys, n, l):
     t = taus(sys)
-    st = SchurTau(t, 2 * n, 0, 2 * n)
-    low = SchurTau(t, 2 * n - 2, 0, max(2 * n - 1, 0))
+    st = SchurTau(t, 2 * n, 0)
+    low = SchurTau(t, 2 * n - 2, 0)
     return (st.d1(0) * st.value(2 * n - l) - st.value(0) * st.d1(2 * n - l)
             - t.tau(2 * n + 2, 0) * low.value(2 * n - 1 - l))
 
@@ -335,13 +378,13 @@ def _bkp_grid(sys, n_max, m_max):
     _bkp_grid)
 def _bkp_pair(sys, n, m, k, l1, l2, conj=False):
     t = taus(sys)
-    even_m = SchurTau(t, 2 * n, m, 2 * n + 1)
-    even_m1 = SchurTau(t, 2 * n, m + 1, 2 * n + 1)
-    even_up_m = SchurTau(t, 2 * n + 2, m, 2 * n + 2)
-    even_up_m1 = SchurTau(t, 2 * n + 2, m + 1, 2 * n + 2)
-    odd_m = SchurTau(t, 2 * n + 1, m, 2 * n + 2, k=k, conj=conj)
-    odd_m1 = SchurTau(t, 2 * n + 1, m + 1, 2 * n + 2, k=k, conj=conj)
-    odd_low_m1 = SchurTau(t, 2 * n - 1, m + 1, max(2 * n, 1), k=k, conj=conj)
+    even_m = SchurTau(t, 2 * n, m)
+    even_m1 = SchurTau(t, 2 * n, m + 1)
+    even_up_m = SchurTau(t, 2 * n + 2, m)
+    even_up_m1 = SchurTau(t, 2 * n + 2, m + 1)
+    odd_m = SchurTau(t, 2 * n + 1, m, k, conj)
+    odd_m1 = SchurTau(t, 2 * n + 1, m + 1, k, conj)
+    odd_low_m1 = SchurTau(t, 2 * n - 1, m + 1, k, conj)
     tau_odd_up = t.tau(2 * n + 3, m, k, conj)
     r1 = (even_m1.value(0) * odd_m.value(2 * n + 1 - l1)
           + odd_m1.value(0) * even_m.value(2 * n - l1)
@@ -629,10 +672,12 @@ LAX_SIZE = 6
 def catalog_max_index(n_max: int, m_max: int) -> int:
     """Largest moment index the catalog may read on the (n_max, m_max) grid.
 
-    The grid identities reach tau_{2 n_max + 3} at shift m_max + 1 with jets
-    of weight 2 n_max + 2.  The operator blocks have the fixed size LAX_SIZE
-    at shifts 0 and 1; their taus reach index LAX_SIZE + 2, and their jets
-    of weight 2 two more.
+    The bound covers tau_{2 n_max + 3} at shift m_max + 1 with jets of weight
+    2 n_max + 2, more than the grid identities read (their Schur layers come
+    from Miwa shifts, their jets have weight <= 2); it stays because it fixes
+    the size, hence the random draws, of every generated system.  The
+    operator blocks have the fixed size LAX_SIZE at shifts 0 and 1; their
+    taus reach index LAX_SIZE + 2, and their jets of weight 2 two more.
     """
     return max(m_max + 4 * n_max + 6, LAX_SIZE + 4)
 

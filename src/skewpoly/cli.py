@@ -30,8 +30,8 @@ class ConfigError(Exception):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "gen":
             return cmd_gen(args)
         if args.command == "verify":
@@ -52,24 +52,43 @@ def build_parser() -> argparse.ArgumentParser:
                     "their lattice identities")
     sub = parser.add_subparsers(dest="command")
 
-    p_gen = sub.add_parser("gen", help="generate a moment system file")
+    p_gen = _subcommand(sub, "gen", "generate a moment system file")
     _common_gen_flags(p_gen)
     p_gen.add_argument("--out", default="system.json", help="output JSON path")
 
-    p_ver = sub.add_parser("verify", help="run exact identity suites")
+    p_ver = _subcommand(sub, "verify", "run exact identity suites")
     _common_gen_flags(p_ver)
     p_ver.add_argument("--in", dest="infile", help="load a moment system JSON")
     p_ver.add_argument("--identities", help="comma list (default: all applicable)")
     p_ver.add_argument("--corrupt", help="perturb one entry, e.g. mu:2,3 or beta:1,4")
     p_ver.add_argument("--out", help="write the JSON report here")
 
-    p_sim = sub.add_parser("simulate", help="tau trajectory vs fixed-step integration")
+    p_sim = _subcommand(sub, "simulate", "tau trajectory vs fixed-step integration")
     p_sim.add_argument("--dt", type=float, default=1e-3)
     p_sim.add_argument("--t-end", type=float, default=1.0)
     p_sim.add_argument("--window", default="1:4", help="lattice sites n_lo:n_hi")
     p_sim.add_argument("--out", default="trajectory", help="CSV path prefix")
     p_sim.add_argument("--tolerance", type=float, default=1e-8)
     return parser
+
+
+class _StoreOnce(argparse.Action):
+    """argparse's plain store, except that a repeated option is a config
+    error instead of silently overriding the earlier value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            raise ConfigError(f"{option_string} given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+def _subcommand(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand whose options each store once (:class:`_StoreOnce`)."""
+    p = sub.add_parser(name, help=help)
+    p.register("action", None, _StoreOnce)
+    return p
 
 
 def _common_gen_flags(p) -> None:
@@ -209,9 +228,11 @@ def _instance_entries(sys_: MomentSystem, ident, params: dict) -> list:
 def _selection(selected):
     """Catalog names to run, and those named explicitly (which must apply)."""
     catalog = bilinear.IDENTITIES
-    if not selected:
+    if selected is None:
         return set(catalog), set()
     tokens = {s.strip().upper() for s in selected.split(",") if s.strip()}
+    if not tokens:
+        raise ConfigError(f"--identities {selected!r} names no identity")
     groups = {ident.group for ident in catalog.values()}
     unknown = tokens - set(catalog) - groups
     if unknown:

@@ -62,13 +62,16 @@ if TYPE_CHECKING:
 
 class TauTable:
     """Per-system memos of labelled Pfaffians: one per ring (``None`` for
-    scalars, else the jet spec), plus the Schur values read off them."""
+    scalars, else the jet spec), plus the Schur layers and the operator
+    families built from them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._memos: dict = {}
-        # (idx, m, k, conj, weight) -> bilinear.SchurTau value and d1 lists
+        # (idx, m, k, conj) -> bilinear.SchurTau value and d1 lists
         self.schur_layers: dict = {}
+        # (m, n_size) -> lax.build_psop_lax operator dict
+        self.operators: dict = {}
 
     def memo(self, spec: JetSpec | None = None) -> dict:
         """The memo of one ring, keyed by canonical label tuples."""
@@ -80,7 +83,7 @@ class TauTable:
     # -- tau values --------------------------------------------------------
 
     @staticmethod
-    def _tau_labels(idx: int, m: int, k: int, conj: bool):
+    def tau_labels(idx: int, m: int, k: int, conj: bool):
         """Labels of tau_idx^{(m)} for idx > 0: odd idx borders the moment
         block with the single-moment row of component k (conjugate if conj)."""
         if idx % 2 == 0:
@@ -94,7 +97,7 @@ class TauTable:
             return 0
         if idx == 0:
             return 1
-        return pf_labels(self._tau_labels(idx, m, k, conj), self.sys,
+        return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
                          cache=self.memo())
 
     def tau_jet(self, idx: int, m: int, spec: JetSpec, k: int = 1,
@@ -103,7 +106,7 @@ class TauTable:
             return Jet.constant(Fraction(0), spec)
         if idx == 0:
             return Jet.constant(Fraction(1), spec)
-        return pf_labels(self._tau_labels(idx, m, k, conj), self.sys,
+        return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
                          cache=self.memo(spec), jet_spec=spec)
 
     def dt1_log_tau(self, idx: int, m: int, k: int = 1,

@@ -107,11 +107,18 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
     constraint additionally ``N`` (Phi^{(m)} = z N Phi^{(m+1)}), ``L1``,
     ``L2`` (z d/dt_1 Phi^{(m+1)} = L1 d/dt_1 Phi^{(m)} + L2 Phi^{(m)}) and
     ``M_evo`` (d/dt_1 Phi^{(m)} = M_evo Phi^{(m)}).
+
+    The family is built once per (m, n_size) and kept on the system's
+    :class:`TauTable`, so every call returns the same dict: callers only
+    read the matrices, never modify them.
     """
     if n_size < 4:
         raise ValueError("truncation size must be at least 4")
     sys.require_exact()
     t = taus(sys)
+    got = t.operators.get((m, n_size))
+    if got is not None:
+        return got
     n_rows = range(n_size)
     one = [Jet.constant(Fraction(1), J1)] * n_size
     xi = [t.xi(n, m, spec=J1) for n in n_rows]
@@ -146,6 +153,7 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
         b1 = _bands(n_size, {0: ii, 1: one})
         b2 = _bands(n_size, {0: [ii[n] * (kk[n + 1] + kk[n]) for n in n_rows]})
         ops["M_evo"] = _solve(b1, b2)
+    t.operators[(m, n_size)] = ops
     return ops
 
 

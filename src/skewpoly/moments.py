@@ -41,6 +41,7 @@ CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
 # the scalar types each mode admits
 MODES = {"exact": (int, Fraction), "gauss": (int, Fraction, GaussianRational),
          "float": (int, Fraction, GaussianRational, float)}
+_J1 = JetSpec(1)
 
 
 class OutOfRangeError(IndexError):
@@ -233,6 +234,33 @@ def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
         elif val:
             coeffs[alpha] = Fraction(1, fact) * val if fact > 1 else val
     return Jet(spec, coeffs)
+
+
+def miwa_jet(sys: MomentSystem, a, b, z) -> Jet:
+    """``JetSpec(1)`` jet of the Pfaffian entry of labels (a, b) at the Miwa
+    shifted time t - [z], [z] = (z, z^2/2, z^3/3, ...).
+
+    The shift acts on moments as exp(-sum_n z^n (X^n + Y^n) / n) = (1 - zX)
+    (1 - zY), X and Y raising the first and second index: mu_{i,j} becomes
+    mu_{i,j} - z (mu_{i+1,j} + mu_{i,j+1}) + z^2 mu_{i+1,j+1} and beta_j
+    becomes beta_j - z beta_{j+1}.  The t_1 part is X + Y (X for beta) of
+    that value.
+    """
+    val, entry_id = sys._entry_term(a, b)
+    if entry_id is None:
+        return Jet.constant(val, _J1)
+    sign, (kind, p, q) = entry_id
+    if kind == "mu":
+        def mu(x, y):  # X^x Y^y mu_{p,q}
+            return sys.mu_entry(p + x, q + y)
+        first = mu(1, 0) + mu(0, 1)
+        value = mu(0, 0) - z * first + z * z * mu(1, 1)
+        d1 = (first - z * (mu(2, 0) + 2 * mu(1, 1) + mu(0, 2))
+              + z * z * (mu(2, 1) + mu(1, 2)))
+    else:
+        row = sys.beta_entry if kind == "beta" else sys.beta_bar_entry
+        value, d1 = (row(p, j) - z * row(p, j + 1) for j in (q, q + 1))
+    return Jet(_J1, {(0,): sign * value, (1,): sign * d1})
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ One engine per kind of input, each the other's test reference:
   scalar and jet-valued entries alike; the caller passes one memo per ring
   so nested tau-function chains are cheap.
 * :func:`pfaffian` -- a plain square row list by skew-symmetric Gaussian
-  elimination over an exact field (rationals or Gaussian rationals).
-  :func:`pfaffian_expand` runs the expansion engine on the same row list.
+  elimination, pivoting on units: nonzero exact scalars (rationals or
+  Gaussian rationals) or jets with a nonzero base.  A jet row with no unit
+  raises ``ZeroDivisionError``; :func:`pfaffian_expand` runs the expansion
+  engine on the same row list, over any ring.
 
 The indexed resolver :func:`pf_indexed` evaluates Pfaffians whose rows are
 named by symbolic labels (integer moment indices, single-moment rows ``d``,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .jets import Jet
 from .poly import PolyInZ
 
 
@@ -74,16 +77,19 @@ def _pf_expand(labels: tuple, entry, cache: dict):
 
 
 def pfaffian(rows):
-    """Pfaffian of a square skew row list over an exact field, by skew
-    elimination; empty gives 1."""
+    """Pfaffian of a square skew row list by skew elimination on unit pivots
+    (nonzero scalars, or jets with a nonzero base); empty gives 1.  A zero
+    row gives 0; a nonzero row with no unit raises ``ZeroDivisionError``."""
     _check_skew(rows)
     n = len(rows)
     a = [list(r) for r in rows]
     pf = 1
     negate = False
     for k in range(0, n - 1, 2):
-        piv = next((j for j in range(k + 1, n) if a[k][j]), None)
+        piv = next((j for j in range(k + 1, n) if _is_unit(a[k][j])), None)
         if piv is None:
+            if any(a[k][k + 1:]):
+                raise ZeroDivisionError(f"row {k} of the elimination has no unit")
             return 0
         if piv != k + 1:
             _swap(a, piv, k + 1)
@@ -92,18 +98,22 @@ def pfaffian(rows):
         pf = pf * p
         inv = Fraction(1) / p
         for i in range(k + 2, n):
-            aki = a[k][i]
-            ak1i = a[k + 1][i]
+            aki = a[k][i] * inv
+            ak1i = a[k + 1][i] * inv
             if not (aki or ak1i):
                 continue
             row_i = a[i]
             row_k = a[k]
             row_k1 = a[k + 1]
             for j in range(i + 1, n):
-                new = row_i[j] - (aki * row_k1[j] - row_k[j] * ak1i) * inv
+                new = row_i[j] - (aki * row_k1[j] - row_k[j] * ak1i)
                 row_i[j] = new
                 a[j][i] = -new  # keep both triangles live for later swaps
     return -pf if negate else pf
+
+
+def _is_unit(x) -> bool:
+    return bool(x.base if isinstance(x, Jet) else x)
 
 
 def _swap(a, i, j):

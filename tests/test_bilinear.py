@@ -1,5 +1,6 @@
 """Schur operators, Hirota derivatives, and the bilinear identity catalog."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,11 +33,73 @@ def test_schur_action_trivial_orders(sys2):
     assert bl.schur_d_tau(sys2, 0, 4, 0) == t.tau(4, 0)
     jet = t.tau_jet(4, 0, JetSpec(1))
     assert bl.schur_d_tau(sys2, 1, 4, 0) == -jet.extract(1)  # s_1(-Dt) = -d/dt_1
-    assert bl.schur_d_tau(sys2, 2, 3, 0, comp=2) is not None
+    odd = t.tau_jet(3, 0, JetSpec(2), 2)
+    assert bl.schur_d_tau(sys2, 2, 3, 0, comp=2) == odd.schur()[2]
+    assert bl.schur_d_tau(sys2, 4, 3, 0, comp=2) == 0  # above idx
+
+
+def _assert_miwa_matches_jet_oracle(s, idx, m, k=1, conj=False):
+    """SchurTau's lists against Jet.schur of the weight-(idx+1) tau jet."""
+    t = taus(s)
+    st = bl.SchurTau(t, idx, m, k, conj)
+    jet = t.tau_jet(idx, m, JetSpec(idx + 1), k, conj)
+    assert [st.value(j) for j in range(idx + 2)] == jet.schur()
+    assert [st.d1(j) for j in range(idx + 1)] == jet.deriv(0).schur()
+    assert st.value(idx + 1) == st.d1(idx + 1) == st.value(idx + 5) == 0
+    return st
+
+
+@pytest.mark.parametrize("kind", ["none", "laurent", "rank2", "rank1skew",
+                                  "rank1skew-multi", "rank1skew-complex"])
+def test_miwa_schur_layers_match_jet_oracle(kind):
+    s = gen(kind, 14, components=2 if "-" in kind else 1, seed=41)
+    conjs = (False, True) if s.beta_bar is not None else (False,)
+    for idx in range(6):
+        for m in (0, 1):
+            for k in range(1, s.ell + 1):
+                for conj in conjs:
+                    _assert_miwa_matches_jet_oracle(s, idx, m, k, conj)
+    st = bl.SchurTau(taus(s), -1, 0)
+    assert st.value(0) == st.d1(0) == 0
+
+
+def test_miwa_stalled_nodes_fall_back_to_expansion(monkeypatch):
+    rng = random.Random(42)
+    top = 12
+
+    def system(zero_mu, zero_beta):
+        mu = {(i, j): Fraction(rng.randint(1, 9), rng.randint(1, 3))
+              for i in range(top + 1) for j in range(i + 1, top + 1)
+              if (i, j) not in zero_mu}
+        beta = [Fraction(0) if j in zero_beta else Fraction(rng.randint(1, 9))
+                for j in range(top + 1)]
+        return MomentSystem(top, mu, beta=(tuple(beta),))
+
+    calls = []
+    expand = bl.pfaffian_expand
+
+    def counted(rows):
+        calls.append(len(rows))
+        return expand(rows)
+    monkeypatch.setattr(bl, "pfaffian_expand", counted)
+    # mu_{0,1} = mu_{0,2} = mu_{0,3} = 0: row 0 of Pf(0,...,3) has no unit
+    # at z = 0, where tau_4 vanishes and its t_1 derivative mu_{0,4} mu_{1,2}
+    # does not
+    s = system({(0, 1), (0, 2), (0, 3)}, ())
+    st = _assert_miwa_matches_jet_oracle(s, 4, 0)
+    assert st.value(0) == 0 and st.d1(0) != 0 and calls
+    # tau_4^{(0)}(t - [z]) vanishes identically with t_1 derivative
+    # z^3 mu_{2,3} (z mu_{1,5} - mu_{0,5}), and with beta_0..4 = 0
+    # tau_3^{(1)}(t - [z]) too, with t_1 derivative -z^3 beta_5 mu_{2,3}
+    s = system({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)}, range(5))
+    for idx, m in ((4, 0), (3, 1)):
+        calls.clear()
+        st = _assert_miwa_matches_jet_oracle(s, idx, m)
+        assert not st.values and st.d1s and calls
 
 
 def test_schur_coefficient_equivalence(sys2):
-    # jet path vs polynomial-coefficient path, orders up to six
+    # Miwa values vs polynomial coefficients, orders up to six
     for idx in (5, 6):
         for m in (0, 1):
             assert all(d == 0 for d in bl.schur_coeff_defects(sys2, idx, m))

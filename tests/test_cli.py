@@ -124,6 +124,12 @@ def test_config_errors_exit_two(tmp_path):
     assert run(["verify", "--kind", "rank2", "--components", "2"]) == 2
     assert run(["verify", "--kind", "bogus"]) == 2
     assert run(["verify", "--kind", "none", "--identities", "NOT_A_THING"]) == 2
+    # a selection naming nothing, and a flag given twice, are rejected
+    assert run(["verify", "--identities", ","]) == 2
+    assert run(["verify", "--identities", ""]) == 2
+    assert run(["verify", "--kind", "rank1skew", "--corrupt", "mu:2,3",
+                "--corrupt", "mu:0,1"]) == 2
+    assert run(["verify", "--n-max", "1", "--n-max", "0"]) == 2
     assert run(["verify", "--kind", "none", "--mode", "float"]) == 2
     assert run(["verify", "--kind", "none", "--corrupt", "mu:bad"]) == 2
     assert run(["simulate", "--window", "nope"]) == 2
@@ -189,6 +195,17 @@ def test_smallest_grid_runs_every_suite(tmp_path):
                 "--out", str(rep)]) == 0
     data = json.loads(rep.read_text())
     assert "LAX_MIXED" in {e["identity"] for e in data["entries"]}
+
+
+def test_n_max_four_runs_every_entry(tmp_path):
+    rep = tmp_path / "rep.json"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(skewpoly.__file__)))
+    subprocess.run([sys.executable, "-m", "skewpoly", "verify", "--kind", "rank2",
+                    "--seed", "3", "--n-max", "4", "--m-max", "0", "--out", str(rep)],
+                   env=env, check=True)
+    entries = json.loads(rep.read_text())["entries"]
+    assert entries and all(e["status"] == "pass" for e in entries)
 
 
 def test_selected_identity_requires_matching_tag():

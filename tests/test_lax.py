@@ -95,6 +95,13 @@ def test_operator_dump_bands(rank2):
     assert "0" in m_bands and "-1" in m_bands
 
 
+def test_built_operators_kept_on_the_table(rank2):
+    ops = lax.build_psop_lax(rank2, 0, 6)
+    assert lax.build_psop_lax(rank2, 0, 6) is ops
+    assert lax.build_psop_lax(rank2, 1, 6) is not ops
+    assert lax.build_psop_lax(rank2, 0, 7) is not ops
+
+
 def test_c3_suite_zero(rank2):
     s = gen("rank1skew", 22, seed=111, require_tau=(4, 2))
     for m in (0, 1):

@@ -168,3 +168,39 @@ def test_jet_valued_pfaffian_matches_scalar_base():
     spec = JetSpec(1)
     jet_val = pf_labels(range(6), sys, jet_spec=spec)
     assert jet_val.base == pf_labels(range(6), sys)
+
+
+def test_elimination_over_first_order_jets():
+    from skewpoly.jets import Jet, JetSpec
+    spec = JetSpec(1)
+
+    def jet(value, d1):
+        return Jet(spec, {(0,): Fraction(value), (1,): Fraction(d1)})
+
+    rng = random.Random(12)
+    checked = 0
+    for _ in range(30):
+        n = rng.choice([2, 4, 6])
+        # some zero-valued entries force pivot search past non-units
+        m = skew_rows(n, {(i, j): jet(rng.choice([0, rng.randint(-5, 5)]),
+                                      rng.randint(-5, 5))
+                          for i in range(n) for j in range(i + 1, n)})
+        try:
+            pl = pfaffian(m)
+        except ZeroDivisionError:
+            continue
+        assert pl == pfaffian_expand(m)
+        checked += 1
+    assert checked >= 10
+    # the pivot search skips a leading non-unit
+    skip = skew_rows(4, {(0, 1): jet(0, 2), (0, 2): jet(3, 1), (0, 3): jet(1, 1),
+                         (1, 2): jet(2, 0), (1, 3): jet(-1, 4), (2, 3): jet(5, 4)})
+    assert pfaffian(skip) == pfaffian_expand(skip)
+    zero = Jet.constant(Fraction(0), spec)
+    # a zero row gives 0; a nonzero row of non-units cannot be eliminated
+    assert pfaffian(skew_rows(4, {(0, 1): zero, (1, 2): jet(3, 1)})) == 0
+    stalled = skew_rows(4, {(0, 1): jet(0, 2), (0, 2): jet(0, 1), (1, 3): jet(1, 0),
+                            (2, 3): jet(5, 4)})
+    with pytest.raises(ZeroDivisionError):
+        pfaffian(stalled)
+    assert pfaffian_expand(stalled) == jet(0, 2 * 5 - 1 * 1)
