@@ -11,9 +11,15 @@ Conventions (one place, used everywhere):
   / (z^m tau_{2n+1,k}^{(m)})
 
 The z^{-m} division is exact because the spectral entries start at z^m.
-All values are cached per system in a :class:`TauTable` owned by the system;
-downstream residual suites reuse hundreds of tau values, so the cache is not
-optional.
+Each chain of taus is one skew elimination of its labels without swaps
+(:func:`skewpoly.pfaffian.pf_chain`): every link is a running pivot product,
+and by the Pfaffian Sylvester identity (D. E. Knuth, "Overlapping Pfaffians",
+Electron. J. Combin. 3(2), 1996) row r of the spectral column after the
+stages before it is Pf(leading labels, row r's label, z) / tau, so rows 2n,
+2n+1 (odd chain: 2n+2) are z^m P_{2n}, z^m P_{2n+1} (z^m Q_{2n+1,k}).
+Expansion takes over past a vanishing link.  All values are cached per
+system in a :class:`TauTable` owned by the system; downstream residual
+suites reuse hundreds of tau values, so the cache is not optional.
 
 Coefficients.  Every recurrence, transform and operator band is built from
 the ratios below, each defined once as a :class:`TauTable` method that
@@ -52,7 +58,7 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from .jets import Jet, JetSpec
-from .pfaffian import pf_indexed, pf_labels
+from .pfaffian import det_bareiss, pf_chain, pf_indexed, pf_labels
 from .poly import PolyInZ
 from .scalars import exact_div
 
@@ -62,12 +68,15 @@ if TYPE_CHECKING:
 
 class TauTable:
     """Per-system memos of labelled Pfaffians: one per ring (``None`` for
-    scalars, else the jet spec), plus the Schur layers and the operator
-    families built from them."""
+    scalars, else the jet spec), the tau chains, plus the Schur layers and
+    the operator families built from them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._memos: dict = {}
+        # (m, k, conj, parity, spec) -> (last moment label, pf_chain output);
+        # the even chains take k = 1, conj = False
+        self._chains: dict = {}
         # (idx, m, k, conj) -> bilinear.SchurTau value and d1 lists
         self.schur_layers: dict = {}
         # (m, n_size) -> lax.build_psop_lax operator dict
@@ -93,21 +102,46 @@ class TauTable:
     def tau(self, idx: int, m: int, k: int = 1, conj: bool = False):
         """Unified tau_idx^{(m)}; odd idx takes the component k (conjugate row
         if ``conj``).  Negative idx returns the boundary value 0."""
-        if idx < 0:
-            return 0
-        if idx == 0:
-            return 1
-        return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
-                         cache=self.memo())
+        return self._tau(idx, m, k, conj, None)
 
     def tau_jet(self, idx: int, m: int, spec: JetSpec, k: int = 1,
                 conj: bool = False) -> Jet:
-        if idx < 0:
-            return Jet.constant(Fraction(0), spec)
-        if idx == 0:
-            return Jet.constant(Fraction(1), spec)
+        return self._tau(idx, m, k, conj, spec)
+
+    def _tau(self, idx, m, k, conj, spec):
+        """A link of the chain for scalars and ``JetSpec(1)``; by expansion
+        past a stalled link, past ``max_index`` and in heavier rings."""
+        if idx <= 0:
+            val = int(idx == 0)
+            return val if spec is None else Jet.constant(Fraction(val), spec)
+        if spec is None or spec.weight == 1:
+            leading = self._chain(m, k, conj, idx % 2, spec, m + idx - 1)[0]
+            if (idx + 1) // 2 < len(leading):
+                return leading[(idx + 1) // 2]
         return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
                          cache=self.memo(spec), jet_spec=spec)
+
+    def _chain(self, m, k, conj, odd, spec, last, spectral=False):
+        """``pf_chain`` of the tau labels of (m, k, conj, parity) in the ring of
+        ``spec`` through moment label ``last`` at least, rows with ``spectral``;
+        empty past the last label the ring lifts.  Growth at least doubles."""
+        cap = self.sys.max_index - (spec.weight if spec else 0)
+        if last > cap:
+            return [], []
+        key = (m, k, conj, 1, spec) if odd else (m, 1, False, 0, spec)
+        got = self._chains.get(key)
+        if got:
+            have, (leading, rows) = got
+            if have >= last and (rows is not None or not spectral):
+                return leading, rows
+            last = have if have >= last else max(last, 2 * have - m + 1)
+            spectral = spectral or rows is not None
+        last = min(last, cap)
+        head = [("cbar" if conj else "comp", k)] if odd else []
+        out = pf_chain([*head, *range(m, last + 1)], self.sys, jet_spec=spec,
+                       spectral=spectral)
+        self._chains[key] = (last, out)
+        return out
 
     def dt1_log_tau(self, idx: int, m: int, k: int = 1,
                     spec: JetSpec | None = None):
@@ -172,7 +206,7 @@ class TauTable:
             return PolyInZ.zero()
         n2 = idx - idx % 2
         labels = [*range(m, m + n2), m + n2 + idx % 2, "z"]
-        return self._member(labels, n2, m, 1, False, spec)
+        return self._member(labels, idx, n2, m, 1, False, spec)
 
     def psop(self, idx: int, m: int, k: int = 1, conj: bool = False,
              spec: JetSpec | None = None) -> PolyInZ:
@@ -182,15 +216,22 @@ class TauTable:
         if idx % 2 == 0:
             return self.sop(idx, m, spec)
         head = ("cbar", k) if conj else ("comp", k)
-        return self._member([head, *range(m, m + idx + 1), "z"], idx, m, k, conj, spec)
+        return self._member([head, *range(m, m + idx + 1), "z"], idx, idx, m, k,
+                            conj, spec)
 
-    def _member(self, labels, norm_idx, m, k, conj, spec) -> PolyInZ:
-        """Pf(labels) / (z^m tau_norm_idx), scalar or jet valued."""
+    def _member(self, labels, idx, norm_idx, m, k, conj, spec) -> PolyInZ:
+        """Pf(labels) / (z^m tau_norm_idx), scalar or jet valued.  A scalar
+        member is row idx (odd chain: idx + 1) of its tau chain's spectral
+        column, unless the chain stalled before that row."""
         if spec is None:
             norm = self.tau(norm_idx, m, k, conj)
             if not norm:
                 raise ZeroDivisionError(
                     f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
+            odd = norm_idx % 2
+            rows = self._chain(m, k, conj, odd, None, m + idx, spectral=True)[1]
+            if idx + odd < len(rows):
+                return rows[idx + odd].divide_z(m)
             raw = pf_indexed(labels, self.sys, cache=self.memo())
             return raw.divide_z(m) / norm
         inv = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
@@ -198,17 +239,11 @@ class TauTable:
         return raw.divide_z(m).map_coeffs(lambda c: c * inv)
 
     def sop_at_zero(self, idx: int, m: int):
-        """Constant terms in closed form: P_{2n}^{(m)}(0) = tau_{2n}^{(m+1)} /
-        tau_{2n}^{(m)}; P_{2n+1}^{(m)}(0) = Pf(m+1,...,m+2n-1,m+2n+1) /
-        tau_{2n}^{(m)} (zero at n=0, where the label list degenerates)."""
+        """Constant terms: P_{2n}^{(m)}(0) = tau_{2n}^{(m+1)} / tau_{2n}^{(m)}
+        in closed form; P_{2n+1}^{(m)}(0) is read off the member itself."""
         if idx % 2 == 0:
             return exact_div(self.tau(idx, m + 1), self.tau(idx, m))
-        n2 = idx - 1
-        if n2 == 0:
-            return Fraction(0)
-        num = pf_labels([*range(m + 1, m + n2), m + n2 + 1], self.sys,
-                        cache=self.memo())
-        return exact_div(num, self.tau(n2, m))
+        return self.sop(idx, m).coeff(0)
 
 
 def taus(sys: MomentSystem) -> TauTable:
@@ -227,14 +262,17 @@ def vanishing_taus(sys: MomentSystem, n_max: int, m_max: int):
     Pfaffians out of the system's own memo."""
     t = TauTable(sys)
     conjs = (False, True) if sys.beta_bar is not None else (False,)
+    rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
     for m in range(m_max + 1):
+        for odd, (k, conj) in [(0, (1, False)), *((1, row) for row in rows)]:
+            # one sweep through the grid's last link, not a doubling series
+            t._chain(m, k, conj, odd, None, m + 2 * n_max - 1 + odd)
         for n in range(n_max + 1):
             if n and not t.tau(2 * n, m):
                 yield (2 * n, m)
-            for k in range(1, sys.ell + 1):
-                for conj in conjs:
-                    if not t.tau(2 * n + 1, m, k, conj):
-                        yield (2 * n + 1, m, k, conj)
+            for k, conj in rows:
+                if not t.tau(2 * n + 1, m, k, conj):
+                    yield (2 * n + 1, m, k, conj)
 
 
 def tau(sys: MomentSystem, idx: int, m: int, k: int = 1, conj: bool = False):
@@ -323,6 +361,4 @@ def orthogonality_determinant(sys: MomentSystem, n: int, choice: str = "psop",
         row = [sys.mu_entry(c, r) for c in range(2 * n + 1)]
         row.append(sys.mu_entry(2 * n + 1, r) - alpha[r])
         rows.append(row)
-    from .pfaffian import det_bareiss
-
     return det_bareiss(rows)

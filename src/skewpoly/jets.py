@@ -40,7 +40,9 @@ def weight(alpha) -> int:
 
 
 @cache
-def _ring(w: int) -> dict:
+def _ring(w: int) -> tuple[dict, dict]:
+    """The ring of weight w: each multi-index and its weight, lowest weight
+    first; and a + b for every pair (a, b) whose sum stays in the ring."""
     ndir = max(1, w)
 
     def build(d, budget):
@@ -48,7 +50,11 @@ def _ring(w: int) -> dict:
             return [()]
         return [(a,) + rest for a in range(budget // (d + 1) + 1)
                 for rest in build(d + 1, budget - a * (d + 1))]
-    return {a: weight(a) for a in sorted(build(0, w), key=weight)}
+    weights = {a: weight(a) for a in sorted(build(0, w), key=weight)}
+    sums = {(a, b): tuple(x + y for x, y in zip(a, b))
+            for a, wa in weights.items() for b, wb in weights.items()
+            if wa + wb <= w}
+    return weights, sums
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class JetSpec:
     @property
     def weights(self) -> dict:
         """Every admissible multi-index and its weight, lowest weight first."""
-        return _ring(self.weight)
+        return _ring(self.weight)[0]
 
     def alphas(self):
         """All admissible multi-indices, lowest weight first."""
@@ -93,9 +99,16 @@ class Jet:
             if a not in spec.weights:
                 raise TruncationError(f"coefficient index {a} outside truncation {spec}")
 
+    @classmethod
+    def _of(cls, spec: JetSpec, coeffs: dict) -> "Jet":
+        """Constructor for ring operations, whose keys are in the ring already."""
+        jet = object.__new__(cls)
+        jet.spec, jet.coeffs = spec, {a: v for a, v in coeffs.items() if v}
+        return jet
+
     @staticmethod
     def constant(value, spec: JetSpec) -> "Jet":
-        return Jet(spec, {spec.zero: value})
+        return Jet._of(spec, {spec.zero: value})
 
     @property
     def base(self):
@@ -120,12 +133,12 @@ class Jet:
         out = dict(self.coeffs)
         for a, v in other.coeffs.items():
             out[a] = out.get(a, 0) + v
-        return Jet(self.spec, out)
+        return Jet._of(self.spec, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.spec, {a: -v for a, v in self.coeffs.items()})
+        return Jet._of(self.spec, {a: -v for a, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -134,29 +147,27 @@ class Jet:
         out = dict(self.coeffs)
         for a, v in other.coeffs.items():
             out[a] = out.get(a, 0) - v
-        return Jet(self.spec, out)
+        return Jet._of(self.spec, out)
 
     def __rsub__(self, other):
         return Jet.constant(other, self.spec) - self
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.spec, {a: v * other for a, v in self.coeffs.items()})
+            return Jet._of(self.spec, {a: v * other for a, v in self.coeffs.items()})
         self._check(other)
-        cap, weights = self.spec.weight, self.spec.weights
-        right = [(b, weights[b], vb) for b, vb in other.coeffs.items()]
+        sums = _ring(self.spec.weight)[1]
+        right = other.coeffs.items()
         out: dict = {}
         for a, va in self.coeffs.items():
-            room = cap - weights[a]
-            for b, wb, vb in right:
-                if wb > room:
-                    continue
-                g = tuple(x + y for x, y in zip(a, b))
-                out[g] = out.get(g, 0) + va * vb
-        return Jet(self.spec, out)
+            for b, vb in right:
+                g = sums.get((a, b))
+                if g is not None:
+                    out[g] = out.get(g, 0) + va * vb
+        return Jet._of(self.spec, out)
 
     def __rmul__(self, other):
-        return Jet(self.spec, {a: other * v for a, v in self.coeffs.items()})
+        return Jet._of(self.spec, {a: other * v for a, v in self.coeffs.items()})
 
     def inverse(self) -> "Jet":
         """Multiplicative inverse; requires a unit (nonzero base coefficient)."""
@@ -172,7 +183,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.inverse()
-        return Jet(self.spec, {a: v / other for a, v in self.coeffs.items()})
+        return Jet._of(self.spec, {a: v / other for a, v in self.coeffs.items()})
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -225,8 +236,8 @@ class Jet:
 
     def reflect(self) -> "Jet":
         """The jet at -eps: the coefficient at alpha picks up (-1)^|alpha|."""
-        return Jet(self.spec, {a: (-v if sum(a) % 2 else v)
-                               for a, v in self.coeffs.items()})
+        return Jet._of(self.spec, {a: (-v if sum(a) % 2 else v)
+                                   for a, v in self.coeffs.items()})
 
     def schur(self, sign: int = -1) -> list:
         """[s_0, ..., s_w](sign * dtilde) f at the base point, w the ring weight.

@@ -1,17 +1,18 @@
 """Pfaffians over exact scalar rings and jets, plus the indexed-label resolver.
 
-One engine per kind of input, each the other's test reference:
+One skew elimination loop and one expansion, each the other's test reference:
 
-* :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians of a moment
-  system by recursive expansion along the first label, memoized over label
-  subsets.  Works over any commutative ring (no division), so it serves
-  scalar and jet-valued entries alike; the caller passes one memo per ring
-  so nested tau-function chains are cheap.
-* :func:`pfaffian` -- a plain square row list by skew-symmetric Gaussian
-  elimination, pivoting on units: nonzero exact scalars (rationals or
-  Gaussian rationals) or jets with a nonzero base.  A jet row with no unit
-  raises ``ZeroDivisionError``; :func:`pfaffian_expand` runs the expansion
-  engine on the same row list, over any ring.
+* :func:`pf_chain` -- every leading Pfaffian of a label list (a tau chain)
+  from one elimination without swaps, which carries the spectral column
+  along; it stops at the first pivot that is not a unit.
+* :func:`pfaffian` -- a plain square row list by the same loop, swapping a
+  unit (a nonzero exact scalar, or a jet with a nonzero base) into each
+  pivot; a nonzero row with no unit raises ``ZeroDivisionError``.
+* :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
+  expansion along the first label, memoized over label subsets (one memo
+  per ring).  No division, so any commutative ring: the fallback past a
+  stalled chain and in jet rings above weight 1; :func:`pfaffian_expand`
+  runs it on a plain row list.
 
 The indexed resolver :func:`pf_indexed` evaluates Pfaffians whose rows are
 named by symbolic labels (integer moment indices, single-moment rows ``d``,
@@ -21,6 +22,7 @@ returning a polynomial in z.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from .jets import Jet
@@ -81,38 +83,54 @@ def pfaffian(rows):
     (nonzero scalars, or jets with a nonzero base); empty gives 1.  A zero
     row gives 0; a nonzero row with no unit raises ``ZeroDivisionError``."""
     _check_skew(rows)
-    n = len(rows)
     a = [list(r) for r in rows]
     pf = 1
-    negate = False
-    for k in range(0, n - 1, 2):
-        piv = next((j for j in range(k + 1, n) if _is_unit(a[k][j])), None)
-        if piv is None:
+    for k, p in zip(range(0, len(a), 2), _stages(a, swaps=True)):
+        if not _is_unit(p):
             if any(a[k][k + 1:]):
                 raise ZeroDivisionError(f"row {k} of the elimination has no unit")
             return 0
-        if piv != k + 1:
-            _swap(a, piv, k + 1)
-            negate = not negate
-        p = a[k][k + 1]
         pf = pf * p
+    return pf
+
+
+def _stages(a, swaps: bool):
+    """Skew elimination of the row list ``a`` in place, two rows a stage.
+    Yields each stage's pivot a[k][k+1] before eliminating with it (negated
+    when ``swaps`` swapped a unit into place) and stops after a non-unit, so
+    the first s pivots multiply to the Pfaffian of the leading 2s rows.  Row
+    entries past ``len(a)`` are a border: eliminated along, never pivots."""
+    n = len(a)
+    for k in range(0, n - 1, 2):
+        row_k, row_k1 = a[k], a[k + 1]
+        p = row_k[k + 1]
+        swapped = False
+        if swaps and not _is_unit(p):
+            piv = next((j for j in range(k + 2, n) if _is_unit(row_k[j])), None)
+            if piv is not None:
+                _swap(a, piv, k + 1)
+                row_k1, p, swapped = a[k + 1], row_k[k + 1], True
+        yield -p if swapped else p
+        if not _is_unit(p):
+            return
         inv = Fraction(1) / p
+        # only the columns where a pivot row is nonzero change
+        cols = [j for j in range(k + 2, len(row_k)) if row_k[j] or row_k1[j]]
         for i in range(k + 2, n):
-            aki = a[k][i] * inv
-            ak1i = a[k + 1][i] * inv
+            aki = row_k[i] * inv
+            ak1i = row_k1[i] * inv
             if not (aki or ak1i):
                 continue
             row_i = a[i]
-            row_k = a[k]
-            row_k1 = a[k + 1]
-            for j in range(i + 1, n):
-                new = row_i[j] - (aki * row_k1[j] - row_k[j] * ak1i)
-                row_i[j] = new
-                a[j][i] = -new  # keep both triangles live for later swaps
-    return -pf if negate else pf
+            for j in cols[bisect_right(cols, i):]:
+                row_i[j] = row_i[j] - (aki * row_k1[j] - row_k[j] * ak1i)
+            if swaps:  # keep the lower triangle live for later swaps
+                for j in range(i + 1, n):
+                    a[j][i] = -row_i[j]
 
 
 def _is_unit(x) -> bool:
+    """A nonzero scalar, or a jet with a nonzero base."""
     return bool(x.base if isinstance(x, Jet) else x)
 
 
@@ -164,41 +182,22 @@ def _exact_div(num, den):
 # ---------------------------------------------------------------------------
 
 Z = "z"
-D0 = ("shift", 0)
-D1 = ("shift", 1)
-
-
-def comp(k: int = 1):
-    """Single-moment row label for component k."""
-    return ("comp", k)
-
-
-def comp_bar(k: int = 1):
-    """Single-moment row label for the conjugate sequence of component k."""
-    return ("cbar", k)
-
-
+# canonical tuples: single-moment rows ("comp", k) and their conjugates
+# ("cbar", k), the rank2 derivative rows ("shift", 0) and ("shift", 1)
+_NAMED = {Z: Z, "d": ("comp", 1), "d0": ("shift", 0), "d1": ("shift", 1)}
 _RANK = {"comp": 0, "cbar": 1, "shift": 2}
 
 
 def parse_label(lab):
     """Accepts ints, canonical tuples, and the strings z, d, d:k, dbar:k, d0, d1."""
-    if isinstance(lab, int):
+    if isinstance(lab, (int, tuple)):
         return lab
-    if isinstance(lab, tuple):
-        return lab
-    if lab == Z:
-        return Z
-    if lab == "d":
-        return comp(1)
-    if lab == "d0":
-        return D0
-    if lab == "d1":
-        return D1
-    if isinstance(lab, str) and lab.startswith("d:"):
-        return comp(int(lab[2:]))
-    if isinstance(lab, str) and lab.startswith("dbar:"):
-        return comp_bar(int(lab[5:]))
+    if isinstance(lab, str):
+        head, sep, k = lab.partition(":")
+        if lab in _NAMED:
+            return _NAMED[lab]
+        if sep and head in ("d", "dbar"):
+            return ("comp" if head == "d" else "cbar", int(k))
     raise LabelError(f"unrecognized label {lab!r}")
 
 
@@ -213,20 +212,8 @@ def _sort_key(lab):
 def _canonicalize(labs):
     """Sorted label tuple plus the parity sign of the sorting permutation."""
     order = sorted(range(len(labs)), key=lambda t: _sort_key(labs[t]))
-    sign = 1
-    seen = [False] * len(labs)
-    for start in range(len(labs)):
-        if seen[start]:
-            continue
-        length = 0
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = order[t]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return tuple(labs[t] for t in order), sign
+    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return tuple(labs[t] for t in order), -1 if swaps % 2 else 1
 
 
 def _validate_labels(labs, sys) -> None:
@@ -279,9 +266,35 @@ def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
     """z-free labelled Pfaffian.  ``cache`` is the memo of one ring
     (scalars, or jets of ``jet_spec``), keyed by canonical label tuples."""
     labs, sign = _canonicalize([parse_label(l) for l in labels])
-    if jet_spec is None:
-        entry = sys.entry_scalar
-    else:
-        entry = lambda a, b: sys.entry_jet(a, b, jet_spec)  # noqa: E731
-    got = _pf_expand(labs, entry, {} if cache is None else cache)
+    got = _pf_expand(labs, _entries(sys, jet_spec), {} if cache is None else cache)
     return -got if sign < 0 else got
+
+
+def pf_chain(labels, sys, *, jet_spec=None, spectral=False):
+    """``(leading, rows)`` of a z-free label list, by one elimination without
+    swaps.  ``leading[s]`` = Pf(labels[:2s]) is the product of the first s
+    pivots; it stops at the first pivot that is not a unit, whose own link is
+    still exact (a scalar zero gives the exact 0).  With ``spectral``,
+    ``rows[r]`` = Pf(labels[:2s], labels[r], z) / Pf(labels[:2s]), s = r // 2,
+    is row r of the spectral column, for each row all its stages reached."""
+    labs = list(labels)
+    n = len(labs)
+    entry = _entries(sys, jet_spec)
+    top = max((x for x in labs if isinstance(x, int)), default=-1) if spectral else -1
+    # border column p: the z^p part of Pf(label, z), which is z^label
+    a = [[0] * (i + 1) + [entry(x, y) for y in labs[i + 1:]]
+         + [int(x == p) for p in range(top + 1)] for i, x in enumerate(labs)]
+    leading, reached = [1], n
+    for s, p in enumerate(_stages(a, swaps=False)):
+        leading.append(leading[-1] * p)
+        if not _is_unit(p):
+            reached = 2 * s + 2
+    rows = [PolyInZ(row[n:]) for row in a[:reached]] if spectral else None
+    return leading, rows
+
+
+def _entries(sys, jet_spec):
+    """The entry function of one ring: scalars, or jets of ``jet_spec``."""
+    if jet_spec is None:
+        return sys.entry_scalar
+    return lambda a, b: sys.entry_jet(a, b, jet_spec)

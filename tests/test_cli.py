@@ -241,3 +241,15 @@ def test_simulate_contract(tmp_path, capsys):
 def test_console_entry_point_help():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["--help"])
+
+
+def test_n_max_seven_transforms_pass(tmp_path):
+    rep = tmp_path / "rep.json"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(skewpoly.__file__)))
+    subprocess.run([sys.executable, "-m", "skewpoly", "verify", "--kind",
+                    "rank1skew-multi", "--seed", "3", "--n-max", "7", "--m-max", "1",
+                    "--identities", "ORTHOGONALITY,TRANSFORMS", "--out", str(rep)],
+                   env=env, check=True)
+    entries = json.loads(rep.read_text())["entries"]
+    assert len(entries) == 148 and all(e["status"] == "pass" for e in entries)

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from skewpoly.families import (orthogonality_defect, orthogonality_determinant,
-                               psop_inner_defect, skew_inner, sop, sop_at_zero,
-                               psop, tau, taus)
+from skewpoly.families import (TauTable, orthogonality_defect,
+                               orthogonality_determinant, psop_inner_defect,
+                               skew_inner, sop, sop_at_zero, psop, tau, taus)
 from skewpoly.jets import JetSpec
-from skewpoly.moments import gen
+from skewpoly.moments import MomentSystem, gen, validate
+from skewpoly.pfaffian import pf_indexed, pf_labels
 from skewpoly.poly import PolyInZ
 
 
@@ -209,3 +210,69 @@ def test_coefficient_jets_match_scalars_and_quotient_rule(kind):
             jet = getattr(t, name)(n, spec=J1)
             assert jet.base == getattr(t, name)(n) == value, (name, n)
             assert jet.extract(1) == d1, (name, n)
+
+
+KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
+         "rank1skew-complex"]
+
+
+def _expansion_oracle(t, sys, m, top):
+    """Every tau link, first-order tau jet and scalar family member of shift
+    m up to index ``top`` against memoized expansion with its own memos."""
+    memo, jet_memo = {}, {}
+    conjs = (False, True) if sys.beta_bar is not None else (False,)
+    rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
+    for idx in range(1, top + 1):
+        for k, conj in rows:
+            labels = TauTable.tau_labels(idx, m, k, conj)
+            assert t.tau(idx, m, k, conj) == pf_labels(labels, sys, cache=memo)
+            assert t.tau_jet(idx, m, JetSpec(1), k, conj) == pf_labels(
+                labels, sys, cache=jet_memo, jet_spec=JetSpec(1))
+    for idx in range(top + 1):
+        n2 = idx - idx % 2
+        members = [(t.sop, (idx, m), [*range(m, m + n2), m + n2 + idx % 2, "z"],
+                    range(m, m + n2))]
+        if idx % 2:
+            members += [(t.psop, (idx, m, k, conj),
+                         [("cbar" if conj else "comp", k), *range(m, m + idx + 1), "z"],
+                         TauTable.tau_labels(idx, m, k, conj)) for k, conj in rows]
+        for member, args, labels, norm_labels in members:
+            norm = pf_labels(norm_labels, sys, cache=memo)
+            if not norm:
+                with pytest.raises(ZeroDivisionError):
+                    member(*args)
+                continue
+            raw = pf_indexed(labels, sys, cache=memo)
+            assert member(*args) == raw.divide_z(m) / norm, (member, args)
+
+
+def test_tau_chains_match_expansion():
+    # 200 unconditioned systems (some taus vanish and stall their chain):
+    # every (kind, m) pair up to link 11, then up to links 1..7 in turn, the
+    # complex kind with one and with two components
+    for i in range(200):
+        kind, m, top = KINDS[i % 6], (i // 6) % 3, 11 if i < 18 else 1 + i % 7
+        comps = {"rank1skew-multi": 2, "rank1skew-complex": 1 + (i // 6) % 2}
+        sys = gen(kind, m + top + 1, components=comps.get(kind, 1), seed=i)
+        _expansion_oracle(TauTable(sys), sys, m, top)
+
+
+def _stalled_system():
+    """tau_2^(0) = mu_01 = 0 with tau_4^(0) != 0, and tau_1^(0) = beta_0 = 0
+    for component 1 only."""
+    base = gen("none", 12, components=2, seed=21)
+    mu = dict(base.mu)
+    mu[(0, 1)] = Fraction(0)
+    return MomentSystem(12, mu, ((Fraction(0),) + base.beta[0][1:], base.beta[1]))
+
+
+def test_stalled_chains_fall_back_to_expansion():
+    sys = _stalled_system()
+    t = TauTable(sys)
+    assert t.tau(2, 0) == 0 and t.tau(4, 0) != 0
+    assert t.tau(1, 0, 1) == 0 and t.tau(3, 0, 1) != 0
+    for m in range(3):
+        _expansion_oracle(t, sys, m, 9)
+    # the same list, in the same order, as a scan by expansion gives
+    assert validate(sys, 4, 2).tau_failures == [(1, 0, 1, False), (2, 0),
+                                                (5, 1, 2, False)]

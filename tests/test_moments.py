@@ -1,5 +1,6 @@
 """Moment systems: constraints, generators, shift derivation, serialization."""
 
+import importlib
 import json
 import math
 from dataclasses import replace
@@ -240,3 +241,20 @@ def test_gen_info_records_attempts():
     info = {}
     gen("none", 12, seed=0, require_tau=(3, 1), info=info)
     assert "resample_attempts" in info
+
+
+@pytest.mark.parametrize("kind, components", [("none", 1), ("rank1skew-multi", 2)])
+def test_gen_tau_scan_makes_no_expansion_call(monkeypatch, kind, components):
+    # the package attribute skewpoly.pfaffian is the function, not the module
+    pfaffian = importlib.import_module("skewpoly.pfaffian")
+    expand, calls = pfaffian._pf_expand, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return expand(*args)
+    monkeypatch.setattr(pfaffian, "_pf_expand", counted)
+    info = {}
+    gen(kind, 35, components=components, seed=3, require_tau=(9, 2), info=info)
+    if kind == "none":
+        assert info["resample_attempts"] == 1  # its first draw has a vanishing tau
+    assert calls[0] == 0

@@ -6,7 +6,8 @@ from math import factorial
 
 import pytest
 
-from skewpoly.jets import Jet, JetSpec, OrderMismatchError, TruncationError
+from skewpoly.jets import (Jet, JetSpec, OrderMismatchError, TruncationError,
+                           weight)
 from skewpoly.scalars import GaussianRational, exact_div, format_scalar, parse_scalar
 
 
@@ -115,6 +116,29 @@ def test_order_mismatch_and_truncation_errors():
         _ = a + b
     with pytest.raises(TruncationError):
         a.extract(3, 0)
+
+
+def test_public_constructor_rejects_out_of_ring_keys():
+    with pytest.raises(TruncationError):
+        Jet(JetSpec(1), {(2,): Fraction(1)})
+    with pytest.raises(TruncationError):
+        Jet(JetSpec(2), {(1, 1): Fraction(1)})  # weight 3
+    assert Jet(JetSpec(2), {(1, 1): 0}) == 0  # zero coefficients are dropped
+
+
+def test_jet_product_matches_truncated_convolution():
+    rng = random.Random(8)
+    for w in range(5):
+        spec = JetSpec(w)
+        for _ in range(5):
+            a, b = rand_jet(rng, spec), rand_jet(rng, spec)
+            want = {}
+            for x, u in a.coeffs.items():
+                for y, v in b.coeffs.items():
+                    g = tuple(p + q for p, q in zip(x, y))
+                    if weight(g) <= w:
+                        want[g] = want.get(g, 0) + u * v
+            assert a * b == Jet(spec, want)
 
 
 def test_jet_division_by_unit():
