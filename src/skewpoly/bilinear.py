@@ -105,7 +105,7 @@ def _miwa_layers(sys: MomentSystem, idx: int, m: int, k: int, conj: bool):
             pf = pfaffian(rows)
         except ZeroDivisionError:  # no unit pivot at this node
             pf = pfaffian_expand(rows)
-        nodes.append(_J1_ZERO + pf)  # an empty or zero row list gives an int
+        nodes.append(_J1_ZERO + pf)  # an empty or zero row list gives a scalar
     poly = _interpolate(nodes)
     return poly.map_coeffs(lambda c: c.base), poly.map_coeffs(lambda c: c.extract(1))
 

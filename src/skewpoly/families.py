@@ -11,11 +11,13 @@ Conventions (one place, used everywhere):
   / (z^m tau_{2n+1,k}^{(m)})
 
 The z^{-m} division is exact because the spectral entries start at z^m.
-Each chain of taus is one skew elimination of its labels without swaps
-(:func:`skewpoly.pfaffian.pf_chain`): every link is a running pivot product,
-and by the Pfaffian Sylvester identity (D. E. Knuth, "Overlapping Pfaffians",
-Electron. J. Combin. 3(2), 1996) row r of the spectral column after the
-stages before it is Pf(leading labels, row r's label, z) / tau, so rows 2n,
+Each chain of taus is one fraction-free skew elimination of its labels
+without swaps (:func:`skewpoly.pfaffian.pf_chain`; E. H. Bareiss, Math.
+Comp. 22, 1968): by the Pfaffian Sylvester identity (D. E. Knuth,
+"Overlapping Pfaffians", Electron. J. Combin. 3(2), 1996) every pivot is a
+link itself, so integer moments give integer taus with no fraction formed,
+and row r of the spectral column after the stages before it is the numerator
+Pf(leading labels, row r's label, z), divided once by its link tau: rows 2n,
 2n+1 (odd chain: 2n+2) are z^m P_{2n}, z^m P_{2n+1} (z^m Q_{2n+1,k}).
 Expansion takes over past a vanishing link.  All values are cached per
 system in a :class:`TauTable` owned by the system; downstream residual

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .families import vanishing_taus
 from .jets import Jet, JetSpec, weight
-from .pfaffian import LabelError, det_bareiss, pfaffian
+from .pfaffian import LabelError, _z, det_bareiss, pfaffian
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
 CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
@@ -78,6 +78,9 @@ class MomentSystem:
             if not isinstance(v, admitted):
                 raise ValueError(f"{self.mode} mode admits no {type(v).__name__} "
                                  f"scalar such as {v!r}")
+            if (isinstance(v, GaussianRational) and self.mode != "float"
+                    and not all(isinstance(x, (int, Fraction)) for x in (v.re, v.im))):
+                raise ValueError(f"{self.mode} mode admits no inexact part in {v!r}")
         object.__setattr__(self, "_jet_cache", {})
         # set by families.taus on first use
         object.__setattr__(self, "_tau_table", None)
@@ -244,7 +247,8 @@ def miwa_jet(sys: MomentSystem, a, b, z) -> Jet:
     (1 - zY), X and Y raising the first and second index: mu_{i,j} becomes
     mu_{i,j} - z (mu_{i+1,j} + mu_{i,j+1}) + z^2 mu_{i+1,j+1} and beta_j
     becomes beta_j - z beta_{j+1}.  The t_1 part is X + Y (X for beta) of
-    that value.
+    that value.  Integral moments are read as ints (Gaussian ones with int
+    parts), so the jet is integral too: an entry of the elimination loop.
     """
     val, entry_id = sys._entry_term(a, b)
     if entry_id is None:
@@ -252,14 +256,14 @@ def miwa_jet(sys: MomentSystem, a, b, z) -> Jet:
     sign, (kind, p, q) = entry_id
     if kind == "mu":
         def mu(x, y):  # X^x Y^y mu_{p,q}
-            return sys.mu_entry(p + x, q + y)
+            return _z(sys.mu_entry(p + x, q + y))
         first = mu(1, 0) + mu(0, 1)
         value = mu(0, 0) - z * first + z * z * mu(1, 1)
         d1 = (first - z * (mu(2, 0) + 2 * mu(1, 1) + mu(0, 2))
               + z * z * (mu(2, 1) + mu(1, 2)))
     else:
         row = sys.beta_entry if kind == "beta" else sys.beta_bar_entry
-        value, d1 = (row(p, j) - z * row(p, j + 1) for j in (q, q + 1))
+        value, d1 = (_z(row(p, j)) - z * _z(row(p, j + 1)) for j in (q, q + 1))
     return Jet(_J1, {(0,): sign * value, (1,): sign * d1})
 
 

@@ -14,6 +14,18 @@ One skew elimination loop and one expansion, each the other's test reference:
   stalled chain and in jet rings above weight 1; :func:`pfaffian_expand`
   runs it on a plain row list.
 
+The loop is fraction-free, the Pfaffian form of Bareiss's integer-preserving
+elimination (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968): after s
+stages entry (i, j) is Pf(leading 2s rows, i, j) (D. E. Knuth, "Overlapping
+Pfaffians", Electron. J. Combin. 3(2), 1996), so every pivot is a leading
+Pfaffian itself -- a tau link, not a ratio -- and each update divides exactly
+by the previous pivot (:func:`_exact_div`, shared with :func:`det_bareiss`).
+Integral entries enter the loop as ``int`` (Gaussian ones with ``int``
+parts, jets coefficient by coefficient), so integer moments stay in Z
+throughout; results leave it as ``Fraction``, ``GaussianRational`` over
+Fractions, or jets of those.
+
 The indexed resolver :func:`pf_indexed` evaluates Pfaffians whose rows are
 named by symbolic labels (integer moment indices, single-moment rows ``d``,
 derivative rows ``d0``/``d1``, a spectral row ``z``) against a moment system,
@@ -22,11 +34,11 @@ returning a polynomial in z.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 
 from .jets import Jet
 from .poly import PolyInZ
+from .scalars import GaussianRational
 
 
 class LabelError(ValueError):
@@ -83,50 +95,47 @@ def pfaffian(rows):
     (nonzero scalars, or jets with a nonzero base); empty gives 1.  A zero
     row gives 0; a nonzero row with no unit raises ``ZeroDivisionError``."""
     _check_skew(rows)
-    a = [list(r) for r in rows]
-    pf = 1
-    for k, p in zip(range(0, len(a), 2), _stages(a, swaps=True)):
+    a = [[_z(x) for x in r] for r in rows]
+    pf, odd = 1, 0
+    for k, (p, odd) in zip(range(0, len(a), 2), _stages(a, swaps=True)):
         if not _is_unit(p):
             if any(a[k][k + 1:]):
                 raise ZeroDivisionError(f"row {k} of the elimination has no unit")
-            return 0
-        pf = pf * p
-    return pf
+            return Fraction(0)
+        pf = p
+    return _q(-pf if odd else pf)
 
 
 def _stages(a, swaps: bool):
-    """Skew elimination of the row list ``a`` in place, two rows a stage.
-    Yields each stage's pivot a[k][k+1] before eliminating with it (negated
-    when ``swaps`` swapped a unit into place) and stops after a non-unit, so
-    the first s pivots multiply to the Pfaffian of the leading 2s rows.  Row
+    """Fraction-free skew elimination of the row list ``a`` in place, two rows
+    a stage.  After s stages entry (i, j) is Pf(leading 2s rows, i, j), so
+    the update p B_ij - (B_ki B_k+1,j - B_kj B_k+1,i) divides exactly by the
+    previous pivot.  Yields (pivot a[k][k+1], parity of the swaps so far):
+    the pivot is the Pfaffian of the leading 2s+2 rows as permuted so far
+    (``swaps`` swaps a unit into place); it stops after a non-unit.  Row
     entries past ``len(a)`` are a border: eliminated along, never pivots."""
     n = len(a)
+    prev, odd = 1, 0
     for k in range(0, n - 1, 2):
         row_k, row_k1 = a[k], a[k + 1]
         p = row_k[k + 1]
-        swapped = False
         if swaps and not _is_unit(p):
             piv = next((j for j in range(k + 2, n) if _is_unit(row_k[j])), None)
             if piv is not None:
                 _swap(a, piv, k + 1)
-                row_k1, p, swapped = a[k + 1], row_k[k + 1], True
-        yield -p if swapped else p
+                row_k1, p, odd = a[k + 1], row_k[k + 1], odd ^ 1
+        yield p, odd
         if not _is_unit(p):
             return
-        inv = Fraction(1) / p
-        # only the columns where a pivot row is nonzero change
-        cols = [j for j in range(k + 2, len(row_k)) if row_k[j] or row_k1[j]]
-        for i in range(k + 2, n):
-            aki = row_k[i] * inv
-            ak1i = row_k1[i] * inv
-            if not (aki or ak1i):
-                continue
-            row_i = a[i]
-            for j in cols[bisect_right(cols, i):]:
-                row_i[j] = row_i[j] - (aki * row_k1[j] - row_k[j] * ak1i)
+        for i in range(k + 2, n):  # zeros stay zero, the rest is rescaled
+            row_i, bki, bk1i = a[i], row_k[i], row_k1[i]
+            tail = [p * x - (bki * y - w * bk1i) if x or y or w else x for x, y, w in
+                    zip(row_i[i + 1:], row_k1[i + 1:], row_k[i + 1:])]
+            row_i[i + 1:] = [_exact_div(x, prev) if x else x for x in tail] if k else tail
             if swaps:  # keep the lower triangle live for later swaps
                 for j in range(i + 1, n):
                     a[j][i] = -row_i[j]
+        prev = p
 
 
 def _is_unit(x) -> bool:
@@ -138,6 +147,33 @@ def _swap(a, i, j):
     a[i], a[j] = a[j], a[i]
     for row in a:
         row[i], row[j] = row[j], row[i]
+
+
+def _z(x):
+    """A loop entry: an integral Fraction as an int, a Gaussian rational with
+    integral parts over ints, a jet coefficient by coefficient."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, GaussianRational):
+        re, im = x.re, x.im
+        if type(re) is type(im) is Fraction and re.denominator == im.denominator == 1:
+            return GaussianRational(re.numerator, im.numerator)
+        return x
+    if isinstance(x, Jet):
+        return Jet._of(x.spec, {a: _z(v) for a, v in x.coeffs.items()})
+    return x
+
+
+def _q(x):
+    """A loop value back in the public types: ints as Fractions, Gaussian
+    parts as Fractions, jets coefficient by coefficient."""
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, GaussianRational):
+        return GaussianRational(Fraction(x.re), Fraction(x.im))
+    if isinstance(x, Jet):
+        return Jet._of(x.spec, {a: _q(v) for a, v in x.coeffs.items()})
+    return x
 
 
 def det_bareiss(rows):
@@ -167,13 +203,30 @@ def det_bareiss(rows):
 
 
 def _exact_div(num, den):
-    if den == 1:
-        return num
-    if isinstance(num, int) and isinstance(den, int):
+    """num / den for a den that divides num: ints and Gaussian integers by
+    remainder-checked integer division, ``JetSpec(1)`` jets by q0 = n0 / d0,
+    q1 = (n1 - q0 d1) / d0, anything else (rationals, heavier jets) by field
+    division.  An inexact quotient raises ``ArithmeticError``."""
+    if type(num) is int and type(den) is int:
         q, r = divmod(num, den)
         if r:
-            raise ArithmeticError("Bareiss division not exact")
+            raise ArithmeticError(f"{den} does not divide {num}")
         return q
+    if isinstance(num, Jet):
+        if not isinstance(den, Jet):
+            return Jet._of(num.spec, {a: _exact_div(v, den) for a, v in num.coeffs.items()})
+        if num.spec.weight != 1 or den.spec != num.spec:
+            return num / den
+        d0, d1 = den.coeffs.get((0,), 0), den.coeffs.get((1,), 0)
+        q0 = _exact_div(num.coeffs.get((0,), 0), d0)
+        return Jet._of(num.spec, {(0,): q0,
+                                  (1,): _exact_div(num.coeffs.get((1,), 0) - q0 * d1, d0)})
+    if isinstance(num, GaussianRational) or isinstance(den, GaussianRational):
+        n, d = GaussianRational._coerce(num), GaussianRational._coerce(den)
+        if all(type(x) is int for x in (n.re, n.im, d.re, d.im)):
+            norm = d.re * d.re + d.im * d.im
+            return GaussianRational(_exact_div(n.re * d.re + n.im * d.im, norm),
+                                    _exact_div(n.im * d.re - n.re * d.im, norm))
     return num / den
 
 
@@ -272,25 +325,28 @@ def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
 
 def pf_chain(labels, sys, *, jet_spec=None, spectral=False):
     """``(leading, rows)`` of a z-free label list, by one elimination without
-    swaps.  ``leading[s]`` = Pf(labels[:2s]) is the product of the first s
-    pivots; it stops at the first pivot that is not a unit, whose own link is
-    still exact (a scalar zero gives the exact 0).  With ``spectral``,
-    ``rows[r]`` = Pf(labels[:2s], labels[r], z) / Pf(labels[:2s]), s = r // 2,
-    is row r of the spectral column, for each row all its stages reached."""
+    swaps.  ``leading[s]`` = Pf(labels[:2s]) is the pivot of stage s - 1; it
+    stops at the first pivot that is not a unit, whose own link is still
+    exact.  With ``spectral``, ``rows[r]`` = Pf(labels[:2s], labels[r], z) /
+    Pf(labels[:2s]), s = r // 2, is row r of the spectral column (an integral
+    numerator divided by its link once), for each row all its stages
+    reached."""
     labs = list(labels)
     n = len(labs)
     entry = _entries(sys, jet_spec)
     top = max((x for x in labs if isinstance(x, int)), default=-1) if spectral else -1
     # border column p: the z^p part of Pf(label, z), which is z^label
-    a = [[0] * (i + 1) + [entry(x, y) for y in labs[i + 1:]]
+    a = [[0] * (i + 1) + [_z(entry(x, y)) for y in labs[i + 1:]]
          + [int(x == p) for p in range(top + 1)] for i, x in enumerate(labs)]
-    leading, reached = [1], n
-    for s, p in enumerate(_stages(a, swaps=False)):
-        leading.append(leading[-1] * p)
+    leading, reached = [Fraction(1)], n
+    for s, (p, _) in enumerate(_stages(a, swaps=False)):
+        leading.append(_q(p))
         if not _is_unit(p):
             reached = 2 * s + 2
-    rows = [PolyInZ(row[n:]) for row in a[:reached]] if spectral else None
-    return leading, rows
+    if not spectral:
+        return leading, None
+    inv = [1 / link for link in leading[:(reached + 1) // 2]]
+    return leading, [PolyInZ([c * inv[r // 2] for c in a[r][n:]]) for r in range(reached)]
 
 
 def _entries(sys, jet_spec):

@@ -15,7 +15,8 @@ from typing import Union
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Number a + b*i with exact rational parts."""
+    """Number a + b*i with exact rational parts.  Public values hold
+    Fractions; the Pfaffian kernel's Gaussian integers hold ints."""
 
     re: Fraction
     im: Fraction
@@ -29,7 +30,7 @@ class GaussianRational:
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return GaussianRational(Fraction(x), Fraction(0))
+            return GaussianRational(x, 0)  # int stays int: the kernel's Z[i]
         return None
 
     def conjugate(self) -> "GaussianRational":
@@ -75,7 +76,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        norm = o.re * o.re + o.im * o.im
+        norm = Fraction(o.re * o.re + o.im * o.im)
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(

@@ -9,10 +9,11 @@ import pytest
 from skewpoly.families import (TauTable, orthogonality_defect,
                                orthogonality_determinant, psop_inner_defect,
                                skew_inner, sop, sop_at_zero, psop, tau, taus)
-from skewpoly.jets import JetSpec
+from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen, validate
 from skewpoly.pfaffian import pf_indexed, pf_labels
 from skewpoly.poly import PolyInZ
+from skewpoly.scalars import GaussianRational
 
 
 @pytest.fixture(scope="module")
@@ -216,18 +217,30 @@ KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
          "rank1skew-complex"]
 
 
+def _public(x) -> bool:
+    """A Fraction, a GaussianRational over Fractions, or a jet of those; or
+    the int 0 of an expansion whose every term vanished."""
+    if isinstance(x, Jet):
+        return all(map(_public, x.coeffs.values()))
+    if isinstance(x, GaussianRational):
+        return type(x.re) is type(x.im) is Fraction
+    return type(x) is Fraction or (type(x) is int and x == 0)
+
+
 def _expansion_oracle(t, sys, m, top):
     """Every tau link, first-order tau jet and scalar family member of shift
-    m up to index ``top`` against memoized expansion with its own memos."""
+    m up to index ``top`` against memoized expansion with its own memos;
+    each is of a public type, never an int or a float."""
     memo, jet_memo = {}, {}
     conjs = (False, True) if sys.beta_bar is not None else (False,)
     rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
     for idx in range(1, top + 1):
         for k, conj in rows:
             labels = TauTable.tau_labels(idx, m, k, conj)
-            assert t.tau(idx, m, k, conj) == pf_labels(labels, sys, cache=memo)
-            assert t.tau_jet(idx, m, JetSpec(1), k, conj) == pf_labels(
-                labels, sys, cache=jet_memo, jet_spec=JetSpec(1))
+            val, jet = t.tau(idx, m, k, conj), t.tau_jet(idx, m, JetSpec(1), k, conj)
+            assert val == pf_labels(labels, sys, cache=memo) and _public(val)
+            assert jet == pf_labels(labels, sys, cache=jet_memo,
+                                    jet_spec=JetSpec(1)) and _public(jet)
     for idx in range(top + 1):
         n2 = idx - idx % 2
         members = [(t.sop, (idx, m), [*range(m, m + n2), m + n2 + idx % 2, "z"],
@@ -243,17 +256,21 @@ def _expansion_oracle(t, sys, m, top):
                     member(*args)
                 continue
             raw = pf_indexed(labels, sys, cache=memo)
-            assert member(*args) == raw.divide_z(m) / norm, (member, args)
+            got = member(*args)
+            assert got == raw.divide_z(m) / norm, (member, args)
+            assert all(map(_public, got.coeffs)), (member, args)
 
 
 def test_tau_chains_match_expansion():
     # 200 unconditioned systems (some taus vanish and stall their chain):
     # every (kind, m) pair up to link 11, then up to links 1..7 in turn, the
-    # complex kind with one and with two components
-    for i in range(200):
+    # complex kind with one and with two components; then 30 systems of
+    # rational moments (den_bound 3), where the loop divides in the field
+    for i in range(230):
         kind, m, top = KINDS[i % 6], (i // 6) % 3, 11 if i < 18 else 1 + i % 7
         comps = {"rank1skew-multi": 2, "rank1skew-complex": 1 + (i // 6) % 2}
-        sys = gen(kind, m + top + 1, components=comps.get(kind, 1), seed=i)
+        sys = gen(kind, m + top + 1, components=comps.get(kind, 1), seed=i,
+                  den_bound=3 if i >= 200 else 1)
         _expansion_oracle(TauTable(sys), sys, m, top)
 
 

@@ -13,6 +13,7 @@ from skewpoly.moments import (MomentSystem, OutOfRangeError, SolitonSpec,
                               from_json_dict, gen, lift_to_jet, load,
                               miwa_jet, save, shift_derivative, soliton_system,
                               stembridge_residual, to_json_dict, validate)
+from skewpoly.scalars import GaussianRational
 
 ALL_KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
              "rank1skew-complex"]
@@ -235,6 +236,10 @@ def test_float_mode_quarantine():
     s = soliton_system(spec, (0.1,), 6, mode="float")
     with pytest.raises(TypeError):
         s.require_exact()
+    # a float hidden in a Gaussian part is refused outside float mode
+    with pytest.raises(ValueError):
+        MomentSystem(3, {(0, 1): GaussianRational(0.5, 1)}, mode="gauss")
+    MomentSystem(3, {(0, 1): GaussianRational(0.5, 1)}, mode="float")
 
 
 def test_gen_info_records_attempts():

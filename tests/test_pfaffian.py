@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import gen
-from skewpoly.pfaffian import (LabelError, det_bareiss, pf_indexed, pf_labels,
-                               pfaffian, pfaffian_expand)
+from skewpoly.pfaffian import (LabelError, _exact_div, _stages, det_bareiss,
+                               pf_indexed, pf_labels, pfaffian, pfaffian_expand)
 from skewpoly.poly import PolyInZ
 from skewpoly.scalars import GaussianRational
 
@@ -18,9 +19,18 @@ def skew_rows(n, upper):
              for j in range(n)] for i in range(n)]
 
 
-def random_skew(rng, n):
-    return skew_rows(n, {(i, j): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                         for i in range(n) for j in range(i + 1, n)})
+def random_skew(rng, n, draw=None):
+    draw = draw or (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return skew_rows(n, {(i, j): draw() for i in range(n) for j in range(i + 1, n)})
+
+
+def is_public(x) -> bool:
+    """A Fraction, a GaussianRational over Fractions, or a jet of those."""
+    if isinstance(x, Jet):
+        return all(map(is_public, x.coeffs.values()))
+    if isinstance(x, GaussianRational):
+        return type(x.re) is type(x.im) is Fraction
+    return type(x) is Fraction
 
 
 def test_empty_matrix_is_one():
@@ -46,19 +56,28 @@ def test_odd_dimension_rejected():
 
 def test_square_equals_determinant_and_algorithms_agree():
     rng = random.Random(10)
-    for _ in range(60):
+
+    def gauss(bound):
+        return lambda: GaussianRational(rng.randint(-bound, bound), rng.randint(-bound, bound))
+    # rationals, ints, Gaussian rationals and Gaussian integers (int parts)
+    draws = [None, lambda: rng.randint(-9, 9),
+             lambda: GaussianRational(Fraction(rng.randint(-5, 5)),
+                                      Fraction(rng.randint(-5, 5), rng.randint(1, 3))),
+             gauss(5)]
+    for t in range(120):
         n = rng.choice([2, 4, 6, 8])
-        m = random_skew(rng, n)
+        m = random_skew(rng, n, draws[t % 4])
+        if t % 3 == 0 and n > 2:  # a zero leading pivot forces a swap
+            m[0][1] = m[1][0] = 0 * m[0][1]
         pe = pfaffian_expand(m)
         pl = pfaffian(m)
-        assert pe == pl
+        assert pe == pl and is_public(pl)
         assert pe * pe == det_bareiss(m)
-    # elimination over the Gaussian rationals inverts pivots the same way
-    for n in (2, 4, 6):
-        m = skew_rows(n, {(i, j): GaussianRational(Fraction(rng.randint(-5, 5)),
-                                                   Fraction(rng.randint(-5, 5)))
-                          for i in range(n) for j in range(i + 1, n)})
-        assert pfaffian(m) == pfaffian_expand(m)
+    # a swap at the first stage and another at the second
+    m = skew_rows(6, {(0, 2): -2, (0, 4): -2, (1, 2): 1, (1, 4): 3, (1, 5): -2,
+                      (2, 3): -2, (2, 4): 3, (3, 4): 1, (3, 5): 3, (4, 5): -2})
+    assert [odd for _, odd in _stages([list(r) for r in m], True)] == [1, 0, 0]
+    assert pfaffian(m) == pfaffian_expand(m) == -8 and is_public(pfaffian(m))
 
 
 def test_row_expansion_recurrence_matches_direct():
@@ -163,7 +182,6 @@ def test_subset_cache_is_shared():
 
 
 def test_jet_valued_pfaffian_matches_scalar_base():
-    from skewpoly.jets import JetSpec
     sys = gen("none", 12, seed=19)
     spec = JetSpec(1)
     jet_val = pf_labels(range(6), sys, jet_spec=spec)
@@ -171,27 +189,27 @@ def test_jet_valued_pfaffian_matches_scalar_base():
 
 
 def test_elimination_over_first_order_jets():
-    from skewpoly.jets import Jet, JetSpec
     spec = JetSpec(1)
 
-    def jet(value, d1):
-        return Jet(spec, {(0,): Fraction(value), (1,): Fraction(d1)})
+    def jet(value, d1, kind=Fraction):
+        return Jet(spec, {(0,): kind(value), (1,): kind(d1)})
 
     rng = random.Random(12)
     checked = 0
-    for _ in range(30):
+    for t in range(60):
         n = rng.choice([2, 4, 6])
+        kind = (Fraction, int)[t % 2]
         # some zero-valued entries force pivot search past non-units
         m = skew_rows(n, {(i, j): jet(rng.choice([0, rng.randint(-5, 5)]),
-                                      rng.randint(-5, 5))
+                                      rng.randint(-5, 5), kind)
                           for i in range(n) for j in range(i + 1, n)})
         try:
             pl = pfaffian(m)
         except ZeroDivisionError:
             continue
-        assert pl == pfaffian_expand(m)
+        assert pl == pfaffian_expand(m) and is_public(pl)
         checked += 1
-    assert checked >= 10
+    assert checked >= 20
     # the pivot search skips a leading non-unit
     skip = skew_rows(4, {(0, 1): jet(0, 2), (0, 2): jet(3, 1), (0, 3): jet(1, 1),
                          (1, 2): jet(2, 0), (1, 3): jet(-1, 4), (2, 3): jet(5, 4)})
@@ -204,3 +222,30 @@ def test_elimination_over_first_order_jets():
     with pytest.raises(ZeroDivisionError):
         pfaffian(stalled)
     assert pfaffian_expand(stalled) == jet(0, 2 * 5 - 1 * 1)
+
+
+def test_elimination_of_ints_stays_in_ints():
+    # a Fraction anywhere in the loop would show up in the eliminated rows
+    rng = random.Random(13)
+    for n in (4, 6, 8, 10):
+        for swaps in (False, True):
+            a = random_skew(rng, n, lambda: rng.randint(-9, 9))
+            a[0][1] = a[1][0] = 0 if swaps else 1
+            pivots = [p for p, _ in _stages(a, swaps)]
+            assert all(type(x) is int for row in a for x in row), (n, swaps)
+            assert all(type(p) is int for p in pivots)
+
+
+def test_exact_div_refuses_inexact_quotients():
+    spec = JetSpec(1)
+    g = GaussianRational
+    assert _exact_div(-12, 4) == -3
+    assert _exact_div(g(1, 7), g(1, 2)) == g(3, 1)
+    assert _exact_div(Jet(spec, {(0,): 6, (1,): 5}), Jet(spec, {(0,): 2, (1,): 1})) \
+        == Jet(spec, {(0,): 3, (1,): 1})
+    assert _exact_div(Fraction(1, 2), Fraction(3)) == Fraction(1, 6)
+    for num, den in [(7, 2), (g(1, 0), g(2, 0)), (g(2, 1), g(1, 1)),
+                     (Jet(spec, {(0,): 6, (1,): 4}), Jet(spec, {(0,): 2, (1,): 1})),
+                     (Jet(spec, {(0,): 5, (1,): 1}), Jet(spec, {(0,): 2}))]:
+        with pytest.raises(ArithmeticError):
+            _exact_div(num, den)

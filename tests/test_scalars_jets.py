@@ -52,6 +52,10 @@ def test_exact_div_never_floats():
     assert exact_div(1, 1) == 1
     assert isinstance(exact_div(1, 1), Fraction)
     assert exact_div(Fraction(3), 2) == Fraction(3, 2)
+    # Gaussian integers (int parts) divide over Fractions too
+    half = GaussianRational(1, 0) / GaussianRational(2, 0)
+    assert half == Fraction(1, 2) and type(half.re) is type(half.im) is Fraction
+    assert format_scalar(exact_div(GaussianRational(1, 3), 2)) == "1/2+3/2i"
 
 
 def test_jet_difference_of_squares():
