@@ -27,8 +27,8 @@ from . import christoffel, lax
 from .families import (TauTable, orthogonality_defect, orthogonality_determinant,
                        psop_inner_defect, taus, z_plus_dt1)
 from .jets import Jet, JetSpec, weight
-from .moments import MomentSystem, miwa_jet, stembridge_residual
-from .pfaffian import pfaffian, pfaffian_expand
+from .moments import MomentSystem, miwa_entry, stembridge_residual
+from .pfaffian import pfaffian
 from .poly import PolyInZ
 from .scalars import exact_div
 
@@ -59,7 +59,7 @@ class SchurTau:
 
     They are the z^j coefficients of tau(t - [z]) (the Miwa identity), and
     tau_idx(t - [z]) is the Pfaffian of the shifted entries
-    (:func:`skewpoly.moments.miwa_jet`), of degree <= idx in z, so it is
+    (:func:`skewpoly.moments.miwa_entry`), of degree <= idx in z, so it is
     evaluated with its t_1 derivative at z = 0..idx and interpolated exactly.
     The table's ``schur_layers`` keeps both polynomials per (idx, m, k, conj).
 
@@ -88,26 +88,24 @@ class SchurTau:
         return self.d1s.coeff(j)
 
 
-_J1_ZERO = Jet.constant(Fraction(0), JetSpec(1))
-
-
 def _miwa_layers(sys: MomentSystem, idx: int, m: int, k: int, conj: bool):
-    """tau_idx^{(m)}(t - [z]) and its t_1 derivative, polynomials in z."""
-    labels = list(TauTable.tau_labels(idx, m, k, conj))
-    n = len(labels)
-    nodes = []
+    """tau_idx^{(m)}(t - [z]) and its t_1 derivative, polynomials in z; the
+    derivative is the Pfaffian with its top label raised by one."""
+    if idx <= 0:  # the constants tau_0 = 1 and tau_{-1} = 0
+        return _interpolate([Fraction(1)] * (idx + 1)), PolyInZ.zero()
+    labs = list(TauTable.tau_labels(idx, m, k, conj))
+    labs.append(labs[-1] + 1)  # the raised top label, read by the derivative
+    n = len(labs) - 1
+    raised = [*range(n - 1), n]
+    values, d1s = [], []
     for z in range(idx + 1):
-        rows = [[_J1_ZERO] * n for _ in range(n)]
-        for i, j in combinations(range(n), 2):
-            rows[i][j] = miwa_jet(sys, labels[i], labels[j], z)
+        rows = [[0] * (n + 1) for _ in labs]
+        for i, j in combinations(range(n + 1), 2):
+            rows[i][j] = miwa_entry(sys, labs[i], labs[j], z)
             rows[j][i] = -rows[i][j]
-        try:
-            pf = pfaffian(rows)
-        except ZeroDivisionError:  # no unit pivot at this node
-            pf = pfaffian_expand(rows)
-        nodes.append(_J1_ZERO + pf)  # an empty or zero row list gives a scalar
-    poly = _interpolate(nodes)
-    return poly.map_coeffs(lambda c: c.base), poly.map_coeffs(lambda c: c.extract(1))
+        values.append(pfaffian([row[:n] for row in rows[:n]]))
+        d1s.append(pfaffian([[rows[i][j] for j in raised] for i in raised]))
+    return _interpolate(values), _interpolate(d1s)
 
 
 def _interpolate(ys: list) -> PolyInZ:
@@ -397,46 +395,29 @@ def _bkp_pair(sys, n, m, k, l1, l2, conj=False):
     return [r1, r2]
 
 
-@_identity(
+def _glv(sys, n, m, k=1):
+    """GLV at index n; its odd taus take the component k."""
+    t = taus(sys)
+    spec = JetSpec(1)
+    f = t.tau_jet(n, m + 1, spec, k)
+    g = t.tau_jet(n + 1, m, spec, k)
+    return (t.tau(n + 2, m, k) * t.tau(n - 1, m + 1, k)
+            - hirota_jets((1,), f, g)
+            - t.tau(n, m, k) * t.tau(n + 1, m + 1, k))
+
+
+_identity(
     "GLV1",
     "tau2n+2[m] tau2n-1,k[m+1] = D_t1 tau2n[m+1] . tau2n+1,k[m] + tau2n+1,k[m+1] tau2n[m]",
-    _grid_nmk)
-def _glv1(sys, n, m, k):
-    t = taus(sys)
-    spec = JetSpec(1)
-    f = t.tau_jet(2 * n, m + 1, spec)
-    g = t.tau_jet(2 * n + 1, m, spec, k)
-    return (t.tau(2 * n + 2, m) * t.tau(2 * n - 1, m + 1, k)
-            - hirota_jets((1,), f, g)
-            - t.tau(2 * n + 1, m + 1, k) * t.tau(2 * n, m))
-
-
-@_identity(
+    _grid_nmk)(lambda sys, n, m, k: _glv(sys, 2 * n, m, k))
+_identity(
     "GLV2",
     "tau2n+3,k[m] tau2n[m+1] = D_t1 tau2n+1,k[m+1] . tau2n+2[m] + tau2n+2[m+1] tau2n+1,k[m]",
-    _grid_nmk)
-def _glv2(sys, n, m, k):
-    t = taus(sys)
-    spec = JetSpec(1)
-    f = t.tau_jet(2 * n + 1, m + 1, spec, k)
-    g = t.tau_jet(2 * n + 2, m, spec)
-    return (t.tau(2 * n + 3, m, k) * t.tau(2 * n, m + 1)
-            - hirota_jets((1,), f, g)
-            - t.tau(2 * n + 2, m + 1) * t.tau(2 * n + 1, m, k))
-
-
-@_identity(
+    _grid_nmk)(lambda sys, n, m, k: _glv(sys, 2 * n + 1, m, k))
+_identity(
     "GLV",
     "tau_{n+2}[m] tau_{n-1}[m+1] = D_t1 tau_n[m+1] . tau_{n+1}[m] + tau_n[m] tau_{n+1}[m+1]",
-    partial(_grid_nm, scale=2))
-def _glv(sys, n, m):
-    t = taus(sys)
-    spec = JetSpec(1)
-    f = t.tau_jet(n, m + 1, spec)
-    g = t.tau_jet(n + 1, m, spec)
-    return (t.tau(n + 2, m) * t.tau(n - 1, m + 1)
-            - hirota_jets((1,), f, g)
-            - t.tau(n, m) * t.tau(n + 1, m + 1))
+    partial(_grid_nm, scale=2))(_glv)
 
 
 # -- rank-two reductions ------------------------------------------------------

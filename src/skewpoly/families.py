@@ -19,9 +19,15 @@ link itself, so integer moments give integer taus with no fraction formed,
 and row r of the spectral column after the stages before it is the numerator
 Pf(leading labels, row r's label, z), divided once by its link tau: rows 2n,
 2n+1 (odd chain: 2n+2) are z^m P_{2n}, z^m P_{2n+1} (z^m Q_{2n+1,k}).
-Expansion takes over past a vanishing link.  All values are cached per
-system in a :class:`TauTable` owned by the system; downstream residual
-suites reuse hundreds of tau values, so the cache is not optional.
+The flows raise labels, so on the labels L = (..., M-1, M) of a link only
+raising the top ones repeats none (M. Adler, P. van Moerbeke, Duke Math. J.
+112, 2002): tau' = Pf(L, M -> M+1) and, with y = Pf(L, M -> M+2) and x =
+Pf(L, (M-1, M) -> (M, M+1)) (0 when M-1 is the head row, tau_1 = beta_m),
+tau'' = y + x and d/dt_2 tau = y - x.  These are the link's pivot-row
+entries ``tops``, so tau jets of weight <= 2 come off the chain too.
+Expansion takes over past a vanishing link and in heavier rings.  All values
+are cached per system in a :class:`TauTable` owned by the system; downstream
+residual suites reuse hundreds of tau values, so the cache is not optional.
 
 Coefficients.  Every recurrence, transform and operator band is built from
 the ratios below, each defined once as a :class:`TauTable` method that
@@ -48,9 +54,8 @@ shift transforms (:mod:`skewpoly.christoffel`) use
     D_n^m = logd_{2n+2}^{(m)}  (the zero-ratio form at shift m-1 is only
             defined for m >= 1 and is checked against this in the tests)
 
-A jet of weight w is read off the tau jets of weight w+1, truncated to w for
-ratios and differentiated once for logd, so the jet-valued coefficients of
-the operator bands share one Pfaffian memo.
+A ratio of weight w reads tau jets of weight w, and logd differentiates one
+of weight w + 1; the operator bands take w = 1.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class TauTable:
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._memos: dict = {}
-        # (m, k, conj, parity, spec) -> (last moment label, pf_chain output);
+        # (m, k, conj, parity) -> (last moment label, pf_chain output);
         # the even chains take k = 1, conj = False
         self._chains: dict = {}
         # (idx, m, k, conj) -> bilinear.SchurTau value and d1 lists
@@ -85,11 +90,8 @@ class TauTable:
         self.operators: dict = {}
 
     def memo(self, spec: JetSpec | None = None) -> dict:
-        """The memo of one ring, keyed by canonical label tuples."""
-        got = self._memos.get(spec)
-        if got is None:
-            got = self._memos[spec] = {}
-        return got
+        """The memo of one ring, keyed by label tuples."""
+        return self._memos.setdefault(spec, {})
 
     # -- tau values --------------------------------------------------------
 
@@ -111,37 +113,42 @@ class TauTable:
         return self._tau(idx, m, k, conj, spec)
 
     def _tau(self, idx, m, k, conj, spec):
-        """A link of the chain for scalars and ``JetSpec(1)``; by expansion
-        past a stalled link, past ``max_index`` and in heavier rings."""
+        """A link of the chain, or its jet of weight <= 2 off its ``tops``; by
+        expansion past a stalled link, past ``max_index`` and in heavier rings."""
         if idx <= 0:
             val = int(idx == 0)
             return val if spec is None else Jet.constant(Fraction(val), spec)
-        if spec is None or spec.weight == 1:
-            leading = self._chain(m, k, conj, idx % 2, spec, m + idx - 1)[0]
-            if (idx + 1) // 2 < len(leading):
-                return leading[(idx + 1) // 2]
+        if spec is None or spec.weight <= 2:
+            last = m + idx + (1 if spec else -1)
+            leading, tops, _ = self._chain(m, k, conj, idx % 2, last)
+            s = (idx + 1) // 2
+            if s < len(leading):
+                if spec is None:
+                    return leading[s]
+                t1, x, y = tops[s - 1]
+                x = 0 if idx == 1 else x  # tau_1 = beta_m: no label M - 1
+                jet = {(0, 0): leading[s], (1, 0): t1, (2, 0): (y + x) / 2, (0, 1): y - x}
+                return Jet._of(JetSpec(2), jet).truncate(spec)
         return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
                          cache=self.memo(spec), jet_spec=spec)
 
-    def _chain(self, m, k, conj, odd, spec, last, spectral=False):
-        """``pf_chain`` of the tau labels of (m, k, conj, parity) in the ring of
-        ``spec`` through moment label ``last`` at least, rows with ``spectral``;
-        empty past the last label the ring lifts.  Growth at least doubles."""
-        cap = self.sys.max_index - (spec.weight if spec else 0)
-        if last > cap:
-            return [], []
-        key = (m, k, conj, 1, spec) if odd else (m, 1, False, 0, spec)
+    def _chain(self, m, k, conj, odd, last, spectral=False):
+        """``pf_chain`` of the tau labels of (m, k, conj, parity) through moment
+        label ``last`` at least, rows with ``spectral``; empty past
+        ``max_index``.  Growth at least doubles."""
+        if last > self.sys.max_index:
+            return [], [], []
+        key = (m, k, conj, 1) if odd else (m, 1, False, 0)
         got = self._chains.get(key)
         if got:
-            have, (leading, rows) = got
-            if have >= last and (rows is not None or not spectral):
-                return leading, rows
+            have, out = got
+            if have >= last and (out[2] is not None or not spectral):
+                return out
             last = have if have >= last else max(last, 2 * have - m + 1)
-            spectral = spectral or rows is not None
-        last = min(last, cap)
+            spectral = spectral or out[2] is not None
+        last = min(last, self.sys.max_index)
         head = [("cbar" if conj else "comp", k)] if odd else []
-        out = pf_chain([*head, *range(m, last + 1)], self.sys, jet_spec=spec,
-                       spectral=spectral)
+        out = pf_chain([*head, *range(m, last + 1)], self.sys, spectral=spectral)
         self._chains[key] = (last, out)
         return out
 
@@ -159,12 +166,8 @@ class TauTable:
         scalar, or a jet of ``spec``.  0 when ``num`` holds a boundary tau."""
         if any(ref[0] < 0 for ref in num):
             return Fraction(0) if spec is None else Jet.constant(Fraction(0), spec)
-        if spec is None:
-            val = {ref: self.tau(*ref) for ref in {*num, *den}}
-        else:
-            up = JetSpec(spec.weight + 1)
-            val = {ref: self.tau_jet(ref[0], ref[1], up, *ref[2:]).truncate(spec)
-                   for ref in {*num, *den}}
+        val = {ref: self._tau(*ref[:2], *(ref[2:] or (1,)), False, spec)
+               for ref in {*num, *den}}
         return exact_div(prod(val[r] for r in num), prod(val[r] for r in den))
 
     # -- the coefficient table (module docstring) ---------------------------
@@ -231,7 +234,7 @@ class TauTable:
                 raise ZeroDivisionError(
                     f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
             odd = norm_idx % 2
-            rows = self._chain(m, k, conj, odd, None, m + idx, spectral=True)[1]
+            rows = self._chain(m, k, conj, odd, m + idx, spectral=True)[2]
             if idx + odd < len(rows):
                 return rows[idx + odd].divide_z(m)
             raw = pf_indexed(labels, self.sys, cache=self.memo())
@@ -268,7 +271,7 @@ def vanishing_taus(sys: MomentSystem, n_max: int, m_max: int):
     for m in range(m_max + 1):
         for odd, (k, conj) in [(0, (1, False)), *((1, row) for row in rows)]:
             # one sweep through the grid's last link, not a doubling series
-            t._chain(m, k, conj, odd, None, m + 2 * n_max - 1 + odd)
+            t._chain(m, k, conj, odd, m + 2 * n_max - 1 + odd)
         for n in range(n_max + 1):
             if n and not t.tau(2 * n, m):
                 yield (2 * n, m)

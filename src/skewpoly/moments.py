@@ -41,7 +41,6 @@ CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
 # the scalar types each mode admits
 MODES = {"exact": (int, Fraction), "gauss": (int, Fraction, GaussianRational),
          "float": (int, Fraction, GaussianRational, float)}
-_J1 = JetSpec(1)
 
 
 class OutOfRangeError(IndexError):
@@ -239,32 +238,28 @@ def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
     return Jet(spec, coeffs)
 
 
-def miwa_jet(sys: MomentSystem, a, b, z) -> Jet:
-    """``JetSpec(1)`` jet of the Pfaffian entry of labels (a, b) at the Miwa
-    shifted time t - [z], [z] = (z, z^2/2, z^3/3, ...).
+def miwa_entry(sys: MomentSystem, a, b, z):
+    """The Pfaffian entry of labels (a, b) at the Miwa shifted time t - [z],
+    [z] = (z, z^2/2, z^3/3, ...).
 
     The shift acts on moments as exp(-sum_n z^n (X^n + Y^n) / n) = (1 - zX)
     (1 - zY), X and Y raising the first and second index: mu_{i,j} becomes
     mu_{i,j} - z (mu_{i+1,j} + mu_{i,j+1}) + z^2 mu_{i+1,j+1} and beta_j
-    becomes beta_j - z beta_{j+1}.  The t_1 part is X + Y (X for beta) of
-    that value.  Integral moments are read as ints (Gaussian ones with int
-    parts), so the jet is integral too: an entry of the elimination loop.
+    becomes beta_j - z beta_{j+1}.  Integral moments are read as ints
+    (Gaussian ones with int parts), so the entry is integral too.
     """
     val, entry_id = sys._entry_term(a, b)
     if entry_id is None:
-        return Jet.constant(val, _J1)
+        return val
     sign, (kind, p, q) = entry_id
     if kind == "mu":
         def mu(x, y):  # X^x Y^y mu_{p,q}
             return _z(sys.mu_entry(p + x, q + y))
-        first = mu(1, 0) + mu(0, 1)
-        value = mu(0, 0) - z * first + z * z * mu(1, 1)
-        d1 = (first - z * (mu(2, 0) + 2 * mu(1, 1) + mu(0, 2))
-              + z * z * (mu(2, 1) + mu(1, 2)))
+        value = mu(0, 0) - z * (mu(1, 0) + mu(0, 1)) + z * z * mu(1, 1)
     else:
         row = sys.beta_entry if kind == "beta" else sys.beta_bar_entry
-        value, d1 = (_z(row(p, j)) - z * _z(row(p, j + 1)) for j in (q, q + 1))
-    return Jet(_J1, {(0,): sign * value, (1,): sign * d1})
+        value = _z(row(p, q)) - z * _z(row(p, q + 1))
+    return sign * value
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +618,11 @@ def to_json_dict(sys: MomentSystem) -> dict:
 
 
 def from_json_dict(data: dict) -> MomentSystem:
-    max_index = int(data["max_index"])
-    mu = {(int(i), int(j)): parse_scalar(s) for i, j, s in data["mu"]}
+    """A system from its JSON form: indices, components and ``max_index``
+    are JSON integers (not booleans), scalars are strings."""
+    max_index = _json_int(data["max_index"], "max_index")
+    mu = {(_json_int(i, "mu index"), _json_int(j, "mu index")): _json_scalar(s)
+          for i, j, s in data["mu"]}
     if len(mu) != len(data["mu"]):
         raise ValueError("repeated mu triple")
     beta = _seqs_from_triples("beta", data.get("beta", []), max_index)
@@ -641,13 +639,13 @@ def _seqs_from_triples(name, triples, max_index) -> tuple:
     given exactly once for every component k up to the largest one named."""
     seqs: dict = {}
     for k, j, s in triples:
-        k, j = int(k), int(j)
+        k, j = _json_int(k, f"{name} component"), _json_int(j, f"{name} index")
         if k < 1 or not 0 <= j <= max_index:
             raise ValueError(f"{name} triple ({k},{j}) needs k >= 1 and "
                              f"0 <= j <= {max_index}")
         if (k, j) in seqs:
             raise ValueError(f"repeated {name} triple ({k},{j})")
-        seqs[(k, j)] = parse_scalar(s)
+        seqs[(k, j)] = _json_scalar(s)
     ncomp = max((k for k, _ in seqs), default=0)
     missing = [(k, j) for k in range(1, ncomp + 1) for j in range(max_index + 1)
                if (k, j) not in seqs]
@@ -656,6 +654,18 @@ def _seqs_from_triples(name, triples, max_index) -> tuple:
                          f"{missing[0][1]})")
     return tuple(tuple(seqs[(k, j)] for j in range(max_index + 1))
                  for k in range(1, ncomp + 1))
+
+
+def _json_int(x, what: str) -> int:
+    if type(x) is not int:  # bool is a subclass of int
+        raise ValueError(f"{what} {x!r} is not a JSON integer")
+    return x
+
+
+def _json_scalar(s):
+    if not isinstance(s, str):
+        raise ValueError(f"scalar {s!r} is not a string such as \"-3/4\"")
+    return parse_scalar(s)
 
 
 def save(sys: MomentSystem, path) -> None:

@@ -3,16 +3,17 @@
 One skew elimination loop and one expansion, each the other's test reference:
 
 * :func:`pf_chain` -- every leading Pfaffian of a label list (a tau chain)
-  from one elimination without swaps, which carries the spectral column
-  along; it stops at the first pivot that is not a unit.
+  from one scalar elimination without swaps, which carries the spectral
+  column along and keeps the next entries of each pivot row; it stops at
+  the first pivot that is not a unit.
 * :func:`pfaffian` -- a plain square row list by the same loop, swapping a
   unit (a nonzero exact scalar, or a jet with a nonzero base) into each
   pivot; a nonzero row with no unit raises ``ZeroDivisionError``.
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
   expansion along the first label, memoized over label subsets (one memo
   per ring).  No division, so any commutative ring: the fallback past a
-  stalled chain and in jet rings above weight 1; :func:`pfaffian_expand`
-  runs it on a plain row list.
+  stalled chain, for tau jets above weight 2 and for jet-valued family
+  members; :func:`pfaffian_expand` runs it on a plain row list.
 
 The loop is fraction-free, the Pfaffian form of Bareiss's integer-preserving
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
@@ -238,7 +239,6 @@ Z = "z"
 # canonical tuples: single-moment rows ("comp", k) and their conjugates
 # ("cbar", k), the rank2 derivative rows ("shift", 0) and ("shift", 1)
 _NAMED = {Z: Z, "d": ("comp", 1), "d0": ("shift", 0), "d1": ("shift", 1)}
-_RANK = {"comp": 0, "cbar": 1, "shift": 2}
 
 
 def parse_label(lab):
@@ -252,21 +252,6 @@ def parse_label(lab):
         if sep and head in ("d", "dbar"):
             return ("comp" if head == "d" else "cbar", int(k))
     raise LabelError(f"unrecognized label {lab!r}")
-
-
-def _sort_key(lab):
-    if isinstance(lab, int):
-        return (3, lab, 0)
-    if lab == Z:
-        return (4, 0, 0)
-    return (_RANK[lab[0]], lab[1], 0)
-
-
-def _canonicalize(labs):
-    """Sorted label tuple plus the parity sign of the sorting permutation."""
-    order = sorted(range(len(labs)), key=lambda t: _sort_key(labs[t]))
-    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    return tuple(labs[t] for t in order), -1 if swaps % 2 else 1
 
 
 def _validate_labels(labs, sys) -> None:
@@ -316,24 +301,29 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
 
 
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
-    """z-free labelled Pfaffian.  ``cache`` is the memo of one ring
-    (scalars, or jets of ``jet_spec``), keyed by canonical label tuples."""
-    labs, sign = _canonicalize([parse_label(l) for l in labels])
-    got = _pf_expand(labs, _entries(sys, jet_spec), {} if cache is None else cache)
-    return -got if sign < 0 else got
+    """z-free labelled Pfaffian, expanded along the first label in the given
+    order.  ``cache`` is the memo of one ring (scalars, or jets of
+    ``jet_spec``), keyed by label tuples."""
+    labs = tuple(parse_label(l) for l in labels)
+    entry = sys.entry_scalar if jet_spec is None else (
+        lambda a, b: sys.entry_jet(a, b, jet_spec))
+    return _pf_expand(labs, entry, {} if cache is None else cache)
 
 
-def pf_chain(labels, sys, *, jet_spec=None, spectral=False):
-    """``(leading, rows)`` of a z-free label list, by one elimination without
-    swaps.  ``leading[s]`` = Pf(labels[:2s]) is the pivot of stage s - 1; it
-    stops at the first pivot that is not a unit, whose own link is still
-    exact.  With ``spectral``, ``rows[r]`` = Pf(labels[:2s], labels[r], z) /
+def pf_chain(labels, sys, *, spectral=False):
+    """``(leading, tops, rows)`` of a z-free label list, by one scalar
+    elimination without swaps.  ``leading[s]`` = Pf(labels[:2s]) is the pivot
+    of stage s - 1; it stops at the first pivot that is not a unit, whose own
+    link is still exact.  ``tops[s]`` are the entries (k, k+2), (k+1, k+2)
+    and (k, k+3), k = 2s, of the pivot rows of stage s: Pf(labels[:k], l_k,
+    l_k+2), Pf(labels[:k], l_k+1, l_k+2) and Pf(labels[:k], l_k, l_k+3).
+    With ``spectral``, ``rows[r]`` = Pf(labels[:2s], labels[r], z) /
     Pf(labels[:2s]), s = r // 2, is row r of the spectral column (an integral
     numerator divided by its link once), for each row all its stages
     reached."""
     labs = list(labels)
     n = len(labs)
-    entry = _entries(sys, jet_spec)
+    entry = sys.entry_scalar
     top = max((x for x in labs if isinstance(x, int)), default=-1) if spectral else -1
     # border column p: the z^p part of Pf(label, z), which is z^label
     a = [[0] * (i + 1) + [_z(entry(x, y)) for y in labs[i + 1:]]
@@ -343,14 +333,10 @@ def pf_chain(labels, sys, *, jet_spec=None, spectral=False):
         leading.append(_q(p))
         if not _is_unit(p):
             reached = 2 * s + 2
+    tops = [(_q(a[k][k + 2]), _q(a[k + 1][k + 2]), _q(a[k][k + 3]))
+            for k in range(0, min(reached, n - 3), 2)]
     if not spectral:
-        return leading, None
+        return leading, tops, None
     inv = [1 / link for link in leading[:(reached + 1) // 2]]
-    return leading, [PolyInZ([c * inv[r // 2] for c in a[r][n:]]) for r in range(reached)]
-
-
-def _entries(sys, jet_spec):
-    """The entry function of one ring: scalars, or jets of ``jet_spec``."""
-    if jet_spec is None:
-        return sys.entry_scalar
-    return lambda a, b: sys.entry_jet(a, b, jet_spec)
+    return leading, tops, [PolyInZ([c * inv[r // 2] for c in a[r][n:]])
+                           for r in range(reached)]

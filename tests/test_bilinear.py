@@ -1,5 +1,6 @@
 """Schur operators, Hirota derivatives, and the bilinear identity catalog."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,9 @@ from skewpoly import bilinear as bl
 from skewpoly.families import taus
 from skewpoly.jets import JetSpec
 from skewpoly.moments import MomentSystem, SolitonSpec, gen, soliton_system
+
+# the package re-exports the function pfaffian under the module's name
+pfaffian_mod = importlib.import_module("skewpoly.pfaffian")
 
 
 def test_schur_polynomial_values():
@@ -63,7 +67,7 @@ def test_miwa_schur_layers_match_jet_oracle(kind):
     assert st.value(0) == st.d1(0) == 0
 
 
-def test_miwa_stalled_nodes_fall_back_to_expansion(monkeypatch):
+def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
     rng = random.Random(42)
     top = 12
 
@@ -76,26 +80,33 @@ def test_miwa_stalled_nodes_fall_back_to_expansion(monkeypatch):
         return MomentSystem(top, mu, beta=(tuple(beta),))
 
     calls = []
-    expand = bl.pfaffian_expand
+    expand = pfaffian_mod._pf_expand
 
-    def counted(rows):
-        calls.append(len(rows))
-        return expand(rows)
-    monkeypatch.setattr(bl, "pfaffian_expand", counted)
-    # mu_{0,1} = mu_{0,2} = mu_{0,3} = 0: row 0 of Pf(0,...,3) has no unit
-    # at z = 0, where tau_4 vanishes and its t_1 derivative mu_{0,4} mu_{1,2}
+    def counted(labels, entry, cache):
+        calls.append(labels)
+        return expand(labels, entry, cache)
+
+    def layers(s, idx, m):
+        """The Schur layers, built with expansion counted; then the oracle."""
+        calls.clear()
+        monkeypatch.setattr(pfaffian_mod, "_pf_expand", counted)
+        bl.SchurTau(taus(s), idx, m)
+        monkeypatch.setattr(pfaffian_mod, "_pf_expand", expand)
+        assert not calls  # a nonzero scalar row always holds a unit pivot
+        return _assert_miwa_matches_jet_oracle(s, idx, m)
+    # mu_{0,1} = mu_{0,2} = mu_{0,3} = 0: row 0 of Pf(0,...,3) is zero at
+    # z = 0, where tau_4 vanishes and its t_1 derivative mu_{0,4} mu_{1,2}
     # does not
     s = system({(0, 1), (0, 2), (0, 3)}, ())
-    st = _assert_miwa_matches_jet_oracle(s, 4, 0)
-    assert st.value(0) == 0 and st.d1(0) != 0 and calls
+    st = layers(s, 4, 0)
+    assert st.value(0) == 0 and st.d1(0) != 0
     # tau_4^{(0)}(t - [z]) vanishes identically with t_1 derivative
     # z^3 mu_{2,3} (z mu_{1,5} - mu_{0,5}), and with beta_0..4 = 0
     # tau_3^{(1)}(t - [z]) too, with t_1 derivative -z^3 beta_5 mu_{2,3}
     s = system({(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)}, range(5))
     for idx, m in ((4, 0), (3, 1)):
-        calls.clear()
-        st = _assert_miwa_matches_jet_oracle(s, idx, m)
-        assert not st.values and st.d1s and calls
+        st = layers(s, idx, m)
+        assert not st.values and st.d1s
 
 
 def test_schur_coefficient_equivalence(sys2):

@@ -1,5 +1,6 @@
 """Command-line contract: round trips, exit codes, fault injection."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import skewpoly
 from skewpoly import bilinear, cli, moments
+from skewpoly.jets import Jet
 
 
 def run(argv):
@@ -174,7 +176,15 @@ def test_config_errors_exit_two(tmp_path):
              lambda d: d["mu"][1].__setitem__(2, str(Fraction(d["mu"][1][2]) + 1)),
              # Gaussian scalars in an exact-mode file, even a real one
              lambda d: d["mu"][1].__setitem__(2, "1+2i"),
-             lambda d: d["mu"][1].__setitem__(2, d["mu"][1][2] + "+0i")]
+             lambda d: d["mu"][1].__setitem__(2, d["mu"][1][2] + "+0i"),
+             # JSON numbers where strings belong, and inexact or boolean
+             # integers, which int() would truncate
+             lambda d: d["mu"][1].__setitem__(2, 0.25),
+             lambda d: d["mu"][1].__setitem__(2, -5),
+             lambda d: d["beta"][1].__setitem__(2, 3),
+             lambda d: d["mu"][0].__setitem__(1, d["mu"][0][1] + 0.5),
+             lambda d: d.update(max_index=d["max_index"] + 0.7),
+             lambda d: d["beta"][0].__setitem__(0, True)]
     for t, edit in enumerate(edits):
         data = json.loads(json.dumps(base))
         edit(data)
@@ -253,3 +263,40 @@ def test_n_max_seven_transforms_pass(tmp_path):
                    env=env, check=True)
     entries = json.loads(rep.read_text())["entries"]
     assert len(entries) == 148 and all(e["status"] == "pass" for e in entries)
+
+
+KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
+         "rank1skew-complex"]
+
+
+def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
+    """A verify run pivots on no jet, expands no tau jet of weight 2 and
+    never expands a row list: its tau jets come off the scalar chains' pivot
+    rows and its Miwa layers are scalar row lists."""
+    pf = importlib.import_module("skewpoly.pfaffian")
+    stages, pf_labels, expand = pf._stages, pf.pf_labels, pf.pfaffian_expand
+    seen = {"jet pivots": 0, "weight-2 pf_labels": 0, "pfaffian_expand": 0}
+
+    def counted_stages(a, swaps):
+        for p, odd in stages(a, swaps):
+            seen["jet pivots"] += isinstance(p, Jet)
+            yield p, odd
+
+    def counted_pf_labels(labels, sys, *, cache=None, jet_spec=None):
+        seen["weight-2 pf_labels"] += jet_spec is not None and jet_spec.weight >= 2
+        return pf_labels(labels, sys, cache=cache, jet_spec=jet_spec)
+
+    def counted_expand(rows):
+        seen["pfaffian_expand"] += 1
+        return expand(rows)
+
+    monkeypatch.setattr(pf, "_stages", counted_stages)
+    for name, orig, wrapper in (("pf_labels", pf_labels, counted_pf_labels),
+                                ("pfaffian_expand", expand, counted_expand)):
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("skewpoly") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, wrapper)
+    for kind in KINDS:
+        assert run(["verify", "--kind", kind, "--n-max", "1",
+                    "--out", str(tmp_path / f"{kind}.json")]) == 0, kind
+        assert seen == dict.fromkeys(seen, 0), (kind, seen)

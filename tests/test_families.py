@@ -228,19 +228,21 @@ def _public(x) -> bool:
 
 
 def _expansion_oracle(t, sys, m, top):
-    """Every tau link, first-order tau jet and scalar family member of shift
-    m up to index ``top`` against memoized expansion with its own memos;
-    each is of a public type, never an int or a float."""
-    memo, jet_memo = {}, {}
+    """Every tau link, tau jet of weight 1 and 2 and scalar family member of
+    shift m up to index ``top`` against memoized expansion with its own
+    memos; each is of a public type, never an int or a float."""
+    memo, jet_memos = {}, {1: {}, 2: {}}
     conjs = (False, True) if sys.beta_bar is not None else (False,)
     rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
     for idx in range(1, top + 1):
         for k, conj in rows:
             labels = TauTable.tau_labels(idx, m, k, conj)
-            val, jet = t.tau(idx, m, k, conj), t.tau_jet(idx, m, JetSpec(1), k, conj)
+            val = t.tau(idx, m, k, conj)
             assert val == pf_labels(labels, sys, cache=memo) and _public(val)
-            assert jet == pf_labels(labels, sys, cache=jet_memo,
-                                    jet_spec=JetSpec(1)) and _public(jet)
+            for w, jet_memo in jet_memos.items():
+                jet = t.tau_jet(idx, m, JetSpec(w), k, conj)
+                assert jet == pf_labels(labels, sys, cache=jet_memo,
+                                        jet_spec=JetSpec(w)) and _public(jet), w
     for idx in range(top + 1):
         n2 = idx - idx % 2
         members = [(t.sop, (idx, m), [*range(m, m + n2), m + n2 + idx % 2, "z"],
