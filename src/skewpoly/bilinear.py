@@ -24,8 +24,8 @@ from itertools import combinations
 from typing import Callable
 
 from . import christoffel, lax
-from .families import (TauTable, orthogonality_defect, orthogonality_determinant,
-                       psop_inner_defect, taus, z_plus_dt1)
+from .families import (TauTable, orthogonality_defects, orthogonality_determinant,
+                       psop_inner_defects, taus, z_plus_dt1)
 from .jets import Jet, JetSpec, weight
 from .moments import MomentSystem, miwa_entry, stembridge_residual
 from .pfaffian import pfaffian
@@ -561,11 +561,8 @@ def _sop_orthogonality_grid(sys, n_max, m_max):
         yield {"m": m, "max_degree": 2 * n_max + 1}
 
 
-@_identity("SOP_ORTHOGONALITY", "<z^m P_a[m], z^m P_b[m]> matches its closed form",
-           _sop_orthogonality_grid, group="ORTHOGONALITY")
-def _sop_orthogonality(sys, m, max_degree):
-    return [orthogonality_defect(sys, a, b, m)
-            for a in range(max_degree + 1) for b in range(max_degree + 1)]
+_identity("SOP_ORTHOGONALITY", "<z^m P_a[m], z^m P_b[m]> matches its closed form",
+          _sop_orthogonality_grid, group="ORTHOGONALITY")(orthogonality_defects)
 
 
 def _psop_inner_grid(sys, n_max, m_max):
@@ -574,12 +571,8 @@ def _psop_inner_grid(sys, n_max, m_max):
             yield {"m": m, "k": k, "n_max": n_max}
 
 
-@_identity("PSOP_INNER", "<z^m Q_idx[m], z^{m+i}> matches its closed form",
-           _psop_inner_grid, group="ORTHOGONALITY")
-def _psop_inner(sys, m, k, n_max):
-    return [psop_inner_defect(sys, idx, i, m, k)
-            for n in range(n_max + 1) for i in range(2 * n + 2)
-            for idx in (2 * n, 2 * n + 1)]
+_identity("PSOP_INNER", "<z^m Q_idx[m], z^{m+i}> matches its closed form",
+          _psop_inner_grid, group="ORTHOGONALITY")(psop_inner_defects)
 
 
 def _determinant_grid(sys, n_max, m_max):

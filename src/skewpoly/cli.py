@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 from dataclasses import replace
@@ -334,8 +335,12 @@ def cmd_simulate(args) -> int:
     if lo < 1 or hi - lo + 1 < 3:
         raise ConfigError("window must start at site 1 or above and span at "
                           "least 3 sites")
+    if not all(map(math.isfinite, (args.dt, args.t_end, args.tolerance))):
+        raise ConfigError("dt, t-end and tolerance must be finite")
     if args.dt <= 0 or args.t_end <= 0:
         raise ConfigError("dt and t-end must be positive")
+    if args.tolerance < 0:
+        raise ConfigError("tolerance must be nonnegative")
     if round(args.t_end / (4 * args.dt)) == 0:
         raise ConfigError("t-end must exceed 2 dt: the coarsest convergence "
                           "run steps by 4 dt")

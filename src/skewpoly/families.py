@@ -56,18 +56,30 @@ shift transforms (:mod:`skewpoly.christoffel`) use
 
 A ratio of weight w reads tau jets of weight w, and logd differentiates one
 of weight w + 1; the operator bands take w = 1.
+
+The skew inner product <z^i, z^j> = mu_{i,j} extends bilinearly.
+:func:`skew_gram` evaluates a whole table of pairs <f, g> as one product
+F M G^T in the Pfaffian kernel's types: each polynomial is cleared to
+integral coefficients over one denominator, integral moments enter as ints
+(Gaussian ones as Gaussian integers), and each entry is divided once.  The
+ORTHOGONALITY checks take one Gram each and subtract the closed forms
+<z^m P_2n, z^m P_2n+1> = tau_{2n+2} / tau_{2n}, every other pair but its
+transpose 0 (:func:`orthogonality_defects`), and, against the monomials,
+<z^m Q_2n+1,k, z^{m+i}> = -beta^{(k)}_{m+i} tau_{2n+2} / tau_{2n+1,k}
+(:func:`psop_inner_defects`), all at shift m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .jets import Jet, JetSpec
-from .pfaffian import det_bareiss, pf_chain, pf_indexed, pf_labels
+from .pfaffian import _q, _z, det_bareiss, pf_chain, pf_indexed, pf_labels
 from .poly import PolyInZ
-from .scalars import exact_div
+from .scalars import GaussianRational, exact_div
 
 if TYPE_CHECKING:
     from .moments import MomentSystem
@@ -308,43 +320,80 @@ def z_plus_dt1(tau: Jet, poly: PolyInZ) -> PolyInZ:
     return prod.map_coeffs(lambda c: c.base).shift(1) + dt1(prod)
 
 
+def skew_gram(sys: MomentSystem, fs, gs) -> list:
+    """[[<f, g> for g in gs] for f in fs] for polynomials with exact scalar
+    coefficients, <z^i, z^j> = mu_{i,j} extended bilinearly, as one product
+    F M G^T in kernel types: each polynomial is cleared to integral
+    coefficients over the lcm of its denominators, v_f = c_f M is formed
+    once per f, and each entry v_f . c_g / (d_f d_g) is divided once on the
+    way out.  M holds the moments (through ``_z``) at the exponents some f
+    and some g carry, so it reads no index the pairs would not."""
+    cf, cg = [_cleared(f) for f in fs], [_cleared(g) for g in gs]
+    rows, cols = (sorted({i for c, _ in cs for i in c}) for cs in (cf, cg))
+    block = [[_z(sys.mu_entry(i, j)) for i in rows] for j in cols]
+    gram = []
+    for c, d in cf:
+        c = [c.get(i, 0) for i in rows]
+        v = dict(zip(cols, [sum(map(mul, c, col)) for col in block]))
+        gram.append([_q(sum(v[j] * b for j, b in g.items())) / (d * e) for g, e in cg])
+    return gram
+
+
+def _cleared(f: PolyInZ):
+    """({i: c_i}, d) with f = sum c_i z^i / d over its nonzero coefficients,
+    c_i integral and d the lcm of their denominators (both parts of a
+    Gaussian one)."""
+    def parts(x):
+        return (x.re, x.im) if isinstance(x, GaussianRational) else (x,)
+    d = lcm(*(p.denominator for x in f.coeffs for p in parts(x)))
+    cleared = {}
+    for i, x in enumerate(f.coeffs):
+        if x:
+            c = [p.numerator * (d // p.denominator) for p in parts(x)]
+            cleared[i] = GaussianRational(*c) if len(c) == 2 else c[0]
+    return cleared, d
+
+
 def skew_inner(sys: MomentSystem, f: PolyInZ, g: PolyInZ):
-    """Bilinear extension of <z^i, z^j> = mu_{i,j} to polynomials."""
-    total = 0
-    for i, a in enumerate(f.coeffs):
-        if not a:
-            continue
-        for j, b in enumerate(g.coeffs):
-            if not b:
-                continue
-            total = total + a * b * sys.mu_entry(i, j)
-    return total
+    """<f, g>, one entry of :func:`skew_gram`."""
+    return skew_gram(sys, [f], [g])[0][0]
 
 
-def orthogonality_defect(sys: MomentSystem, idx_a: int, idx_b: int, m: int):
-    """<z^m P_a^{(m)}, z^m P_b^{(m)}> minus its closed form; zero when the
-    skew-orthogonality relations hold."""
+def orthogonality_defects(sys: MomentSystem, m: int, max_degree: int) -> list:
+    """<z^m P_a^{(m)}, z^m P_b^{(m)}> minus its closed form for a, b <=
+    max_degree, row by row off one Gram; zero when the skew-orthogonality
+    relations hold."""
     t = taus(sys)
-    val = skew_inner(sys, t.sop(idx_a, m).shift(m), t.sop(idx_b, m).shift(m))
-    expected = 0
-    if idx_a % 2 == 0 and idx_b % 2 == 1 and idx_b == idx_a + 1:
-        expected = exact_div(t.tau(idx_a + 2, m), t.tau(idx_a, m))
-    elif idx_a % 2 == 1 and idx_b % 2 == 0 and idx_a == idx_b + 1:
-        expected = -exact_div(t.tau(idx_b + 2, m), t.tau(idx_b, m))
-    return val - expected
+    ps = [t.sop(a, m).shift(m) for a in range(max_degree + 1)]
+    out = []
+    for a, row in enumerate(skew_gram(sys, ps, ps)):
+        for b, val in enumerate(row):
+            expected = 0
+            if a % 2 == 0 and b % 2 == 1 and b == a + 1:
+                expected = exact_div(t.tau(a + 2, m), t.tau(a, m))
+            elif a % 2 == 1 and b % 2 == 0 and a == b + 1:
+                expected = -exact_div(t.tau(b + 2, m), t.tau(b, m))
+            out.append(val - expected)
+    return out
 
 
-def psop_inner_defect(sys: MomentSystem, idx: int, i: int, m: int, k: int = 1):
-    """<z^m Q_idx^{(m)}, z^{m+i}> minus its closed form, for 0 <= i <= deg+1."""
+def psop_inner_defects(sys: MomentSystem, m: int, k: int, n_max: int) -> list:
+    """<z^m Q_idx^{(m)}, z^{m+i}> minus its closed form for n <= n_max,
+    0 <= i <= 2n+1 and idx = 2n, 2n+1 (in that nesting), off one Gram of
+    the members against the monomials."""
     t = taus(sys)
-    if idx % 2 == 0:
-        val = skew_inner(sys, t.sop(idx, m).shift(m), PolyInZ.monomial(1, m + i))
-        expected = exact_div(t.tau(idx + 2, m), t.tau(idx, m)) if i == idx + 1 else 0
-    else:
-        val = skew_inner(sys, t.psop(idx, m, k).shift(m), PolyInZ.monomial(1, m + i))
-        expected = -exact_div(sys.beta_entry(k, m + i) * t.tau(idx + 1, m),
-                              t.tau(idx, m, k))
-    return val - expected
+    members = [t.sop(idx, m) if idx % 2 == 0 else t.psop(idx, m, k)
+               for idx in range(2 * n_max + 2)]
+    gram = skew_gram(sys, [q.shift(m) for q in members],
+                     [PolyInZ.monomial(1, m + i) for i in range(2 * n_max + 2)])
+    out = []
+    for n in range(n_max + 1):
+        for i in range(2 * n + 2):
+            even = exact_div(t.tau(2 * n + 2, m), t.tau(2 * n, m)) if i == 2 * n + 1 else 0
+            odd = -exact_div(sys.beta_entry(k, m + i) * t.tau(2 * n + 2, m),
+                             t.tau(2 * n + 1, m, k))
+            out += [gram[2 * n][i] - even, gram[2 * n + 1][i] - odd]
+    return out
 
 
 def orthogonality_determinant(sys: MomentSystem, n: int, choice: str = "psop",

@@ -29,11 +29,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
+from operator import mul
 from typing import Optional
 
 from .families import vanishing_taus
 from .jets import Jet, JetSpec, weight
-from .pfaffian import LabelError, _z, det_bareiss, pfaffian
+from .pfaffian import LabelError, _q, _z, det_bareiss, pfaffian
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
 CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
@@ -413,24 +414,21 @@ def _propagate_rank2(beta, max_index, rng, num_bound, den_bound) -> dict:
 
 
 def _rank1skew_mu(betas, sums, max_index, scale) -> dict:
-    """Closed forms for the rank-one skew-shift constraint, scaled by ``scale``."""
+    """Closed forms for the rank-one skew-shift constraint, scaled by ``scale``:
+    with k = (j - i) // 2, mu_{i,j} = 2 sum_{s<k} S_{i+s} S_{j-1-s}, plus
+    S_{i+k}^2 for odd j - i.  Accumulated in kernel types (``_z``)."""
     if sums is None:
         sums = [sum((b[j] for b in betas[1:]), betas[0][j])
                 for j in range(max_index + 1)]
+    s, c = [_z(x) for x in sums], _z(scale)
     mu: dict = {}
     for i in range(max_index):
         for j in range(i + 1, max_index + 1):
-            gap = j - i
-            if gap % 2 == 0:
-                k = gap // 2
-                val = 2 * sum((sums[i + s] * sums[i + 2 * k - 1 - s]
-                               for s in range(k)), Fraction(0))
-            else:
-                k = (gap - 1) // 2
-                val = 2 * sum((sums[i + s] * sums[i + 2 * k - s]
-                               for s in range(k)), Fraction(0))
-                val = val + sums[i + k] * sums[i + k]
-            mu[(i, j)] = scale * val
+            k = (j - i) // 2
+            val = 2 * sum(map(mul, s[i:i + k], reversed(s[j - k:j])))
+            if (j - i) % 2:
+                val = val + s[i + k] * s[i + k]
+            mu[(i, j)] = _q(c * val)
     return mu
 
 

@@ -178,11 +178,13 @@ def _q(x):
 
 
 def det_bareiss(rows):
-    """Fraction-free determinant (Bareiss); exact over any integral domain."""
+    """Fraction-free determinant (Bareiss); exact over any integral domain.
+    Entries run as loop entries (``_z``), so integral ones stay in Z, and
+    the value leaves through ``_q``."""
     n = len(rows)
     if n == 0:
-        return 1
-    m = [list(r) for r in rows]
+        return Fraction(1)
+    m = [[_z(x) for x in r] for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -193,14 +195,14 @@ def det_bareiss(rows):
                     sign = -sign
                     break
             else:
-                return 0
+                return Fraction(0)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 m[i][j] = _exact_div(num, prev)
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _q(sign * m[n - 1][n - 1])
 
 
 def _exact_div(num, den):

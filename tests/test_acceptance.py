@@ -14,8 +14,8 @@ from skewpoly import christoffel as ct
 from skewpoly import cli
 from skewpoly import dynamics as dyn
 from skewpoly import lax
-from skewpoly.families import (orthogonality_defect, orthogonality_determinant,
-                               psop_inner_defect)
+from skewpoly.families import (orthogonality_defects, orthogonality_determinant,
+                               psop_inner_defects)
 from skewpoly.moments import gen, stembridge_residual
 from skewpoly.pfaffian import det_bareiss, pfaffian, pfaffian_expand
 
@@ -53,16 +53,14 @@ def test_criterion_2_orthogonality_suites():
     for seed in range(20):
         s = gen("none", 16, components=3, seed=3000 + seed, require_tau=(4, 4))
         for m in range(4):
-            for ia in range(8):
-                for ib in range(ia, 8):
-                    if orthogonality_defect(s, ia, ib, m) != 0:
-                        bad = ("sop", seed, m, ia, ib)
-            for n in range(4):
-                for k in (1, 2, 3):
-                    for i in range(2 * n + 2):
-                        if psop_inner_defect(s, 2 * n, i, m, k) != 0 or \
-                           psop_inner_defect(s, 2 * n + 1, i, m, k) != 0:
-                            bad = ("psop", seed, m, n, k, i)
+            # every pair ia, ib < 8, row by row
+            defects = orthogonality_defects(s, m, 7)
+            if any(defects):
+                bad = ("sop", seed, m, [divmod(i, 8) for i, d in enumerate(defects) if d])
+            for k in (1, 2, 3):
+                # n < 4, i < 2n + 2, both members 2n and 2n + 1
+                if any(psop_inner_defects(s, m, k, 3)):
+                    bad = ("psop", seed, m, k)
         for n in range(4):
             for choice in ("sop", "psop"):
                 if orthogonality_determinant(s, n, choice) != 0:

@@ -140,6 +140,11 @@ def test_config_errors_exit_two(tmp_path):
     assert run(["simulate", "--window", "0:3"]) == 2
     assert run(["simulate", "--dt", "0.5", "--t-end", "1"]) == 2
     assert run(["simulate", "--dt", "0.01", "--t-end", "0.001"]) == 2
+    # non-finite steps and tolerances, and a negative tolerance
+    for flag, value in (("--dt", "nan"), ("--dt", "inf"), ("--t-end", "nan"),
+                        ("--t-end", "inf"), ("--tolerance", "nan"),
+                        ("--tolerance", "inf"), ("--tolerance", "-1")):
+        assert run(["simulate", flag, value]) == 2, (flag, value)
     assert run(["gen", "--kind", "none", "--components", "0",
                 "--out", str(tmp_path / "none.json")]) == 2
     assert run(["verify", "--kind", "rank1skew-multi", "--components", "0"]) == 2
@@ -300,3 +305,34 @@ def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
         assert run(["verify", "--kind", kind, "--n-max", "1",
                     "--out", str(tmp_path / f"{kind}.json")]) == 0, kind
         assert seen == dict.fromkeys(seen, 0), (kind, seen)
+
+
+def test_orthogonality_runs_one_gram_per_instance(monkeypatch, tmp_path):
+    """SOP_ORTHOGONALITY and PSOP_INNER each evaluate their bilinear forms
+    as at most one Gram product per instance, and the catalog makes no
+    per-pair skew_inner call."""
+    fam = importlib.import_module("skewpoly.families")
+    gram, inner = fam.skew_gram, fam.skew_inner
+    seen = {"skew_gram": 0, "skew_inner": 0}
+
+    def counted_gram(sys_, fs, gs):
+        seen["skew_gram"] += 1
+        return gram(sys_, fs, gs)
+
+    def counted_inner(sys_, f, g):
+        seen["skew_inner"] += 1
+        return inner(sys_, f, g)
+
+    for name, orig, wrapper in (("skew_gram", gram, counted_gram),
+                                ("skew_inner", inner, counted_inner)):
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("skewpoly") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, wrapper)
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--kind", "rank1skew-multi", "--n-max", "3",
+                "--identities", "ORTHOGONALITY", "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())["entries"]
+    instances = sum(e["identity"] in ("SOP_ORTHOGONALITY", "PSOP_INNER")
+                    for e in entries)
+    assert instances and 0 < seen["skew_gram"] <= instances, (instances, seen)
+    assert seen["skew_inner"] == 0

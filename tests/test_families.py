@@ -1,14 +1,18 @@
 """Tau table, polynomial families, skew inner product, defect determinant."""
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 
 import pytest
 
-from skewpoly.families import (TauTable, orthogonality_defect,
-                               orthogonality_determinant, psop_inner_defect,
-                               skew_inner, sop, sop_at_zero, psop, tau, taus)
+from skewpoly import cli
+from skewpoly.bilinear import identity_residual
+from skewpoly.families import (TauTable, orthogonality_defects,
+                               orthogonality_determinant, psop_inner_defects,
+                               skew_gram, skew_inner, sop, sop_at_zero, psop, tau,
+                               taus)
 from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen, validate
 from skewpoly.pfaffian import pf_indexed, pf_labels
@@ -73,20 +77,84 @@ def test_skew_inner_basics(sys3):
     assert skew_inner(sys3, f, f) == 0
 
 
+def naive_inner(sys, f, g):
+    """The per-pair double loop over public coefficients: skew_gram's oracle."""
+    total = 0
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            if a and b:
+                total = total + a * b * sys.mu_entry(i, j)
+    return total
+
+
+def test_skew_gram_matches_the_per_pair_loop():
+    rng = random.Random(23)
+
+    def frac():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    draws = {"int": lambda: rng.randint(-6, 6), "fraction": frac,
+             "gaussian rational": lambda: GaussianRational(frac(), frac()),
+             "gaussian integer": lambda: GaussianRational(rng.randint(-6, 6),
+                                                          rng.randint(-6, 6))}
+    # integer, rational (den_bound=3) and Gaussian moments
+    for s in (gen("none", 12, seed=5), gen("none", 12, seed=5, den_bound=3),
+              gen("rank1skew-complex", 12, components=2, seed=5)):
+        for name, draw in draws.items():
+            fs, gs = ([PolyInZ([draw() for _ in range(rng.randint(0, 13))])
+                       for _ in range(count)] for count in (4, 3))
+            gram = skew_gram(s, fs, gs)
+            assert gram == [[naive_inner(s, f, g) for g in gs] for f in fs], name
+            assert any(v for row in gram for v in row), name
+            assert skew_inner(s, fs[0], gs[-1]) == gram[0][-1]
+
+
+def test_sop_orthogonality_reports_a_corrupted_member(monkeypatch):
+    """The ORTHOGONALITY residuals vanish for any moment table, so --corrupt
+    cannot reach them: a corrupted P_3^{(0)} must, with the residuals the
+    per-pair loop gives."""
+    s = gen("none", 16, seed=7, require_tau=(3, 1))
+    sop_ = TauTable.sop
+
+    def corrupted(self, idx, m, spec=None):
+        p = sop_(self, idx, m, spec)
+        if (idx, m, spec) == (3, 0, None):
+            p = PolyInZ([p.coeffs[0] + 1, *p.coeffs[1:]])
+        return p
+    monkeypatch.setattr(TauTable, "sop", corrupted)
+    t = taus(s)
+    ps = [t.sop(a, 0) for a in range(6)]
+    oracle = []
+    for a in range(6):
+        for b in range(6):
+            closed = 0
+            if a % 2 == 0 and b == a + 1:
+                closed = t.tau(a + 2, 0) / t.tau(a, 0)
+            elif a % 2 == 1 and a == b + 1:
+                closed = -t.tau(b + 2, 0) / t.tau(b, 0)
+            oracle.append(naive_inner(s, ps[a], ps[b]) - closed)
+    got = identity_residual(s, "SOP_ORTHOGONALITY", m=0, max_degree=5)
+    assert got == oracle and any(got)
+    entry, = [e for e in cli.run_verification(s, 2, 1, "SOP_ORTHOGONALITY")
+              if e["params"]["m"] == 0]
+    assert entry["status"] == "fail"
+    assert entry["residual_max_abs_or_zero"] == cli._residual_size(oracle)
+
+
 def test_skew_orthogonality_all_pairs(sys3):
     for m in range(4):
-        for ia in range(8):
-            for ib in range(8):
-                assert orthogonality_defect(sys3, ia, ib, m) == 0, (ia, ib, m)
+        defects = orthogonality_defects(sys3, m, 7)  # pairs (ia, ib), row by row
+        assert len(defects) == 64
+        for pos, d in enumerate(defects):
+            assert d == 0, (*divmod(pos, 8), m)
 
 
 def test_psop_inner_products(sys3):
     for m in range(3):
-        for n in range(3):
-            for k in (1, 2, 3):
-                for i in range(2 * n + 2):
-                    assert psop_inner_defect(sys3, 2 * n, i, m, k) == 0
-                    assert psop_inner_defect(sys3, 2 * n + 1, i, m, k) == 0
+        for k in (1, 2, 3):
+            # n < 3, i < 2n + 2, members 2n and 2n + 1
+            defects = psop_inner_defects(sys3, m, k, 2)
+            assert len(defects) == sum(2 * (2 * n + 2) for n in range(3))
+            assert all(d == 0 for d in defects), (m, k)
 
 
 def test_defect_determinant_vanishes(sys3):

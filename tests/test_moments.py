@@ -159,6 +159,50 @@ def test_rank1skew_zero_beta_closed_forms():
             assert s.mu_entry(i, i + 2 * k) == 0
 
 
+def _closed_form_mu(betas, sums, max_index, scale):
+    """The rank-one skew-shift closed forms in public arithmetic, term by term."""
+    if sums is None:
+        sums = [sum((b[j] for b in betas[1:]), betas[0][j])
+                for j in range(max_index + 1)]
+    mu = {}
+    for i in range(max_index):
+        for j in range(i + 1, max_index + 1):
+            gap = j - i
+            if gap % 2 == 0:
+                k = gap // 2
+                val = 2 * sum((sums[i + s] * sums[i + 2 * k - 1 - s]
+                               for s in range(k)), Fraction(0))
+            else:
+                k = (gap - 1) // 2
+                val = 2 * sum((sums[i + s] * sums[i + 2 * k - s]
+                               for s in range(k)), Fraction(0))
+                val = val + sums[i + k] * sums[i + k]
+            mu[(i, j)] = scale * val
+    return mu
+
+
+@pytest.mark.parametrize("kind", ["rank1skew", "rank1skew-multi", "rank1skew-complex"])
+def test_rank1skew_gen_matches_the_closed_form(kind):
+    # values and types, parts included, entry by entry
+    for seed in range(3):
+        for den_bound in (1, 3):
+            s = gen(kind, 35, components=1 if kind == "rank1skew" else 2, seed=seed,
+                    den_bound=den_bound)
+            sums, scale = None, Fraction(1)
+            if s.beta_bar is not None:  # the conjugate rows sum to scale * sums
+                sums = [sum((b[j] for b in s.beta), GaussianRational.of(0))
+                        for j in range(36)]
+                j = next(j for j, x in enumerate(sums) if x)
+                scale = sum((b[j] for b in s.beta_bar), GaussianRational.of(0)) / sums[j]
+            want = _closed_form_mu([list(b) for b in s.beta], sums, 35, scale)
+            assert s.mu.keys() == want.keys()
+            for key, val in want.items():
+                got = s.mu[key]
+                assert got == val and type(got) is type(val), (kind, seed, key)
+                if isinstance(val, GaussianRational):
+                    assert type(got.re) is type(val.re) and type(got.im) is type(val.im)
+
+
 def test_rank2_corruption_localizes():
     s = gen("rank2", 8, seed=5)
     mu = dict(s.mu)

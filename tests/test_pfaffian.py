@@ -1,5 +1,6 @@
 """Pfaffian algorithms and the indexed-label resolver."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -234,6 +235,41 @@ def test_elimination_of_ints_stays_in_ints():
             pivots = [p for p, _ in _stages(a, swaps)]
             assert all(type(x) is int for row in a for x in row), (n, swaps)
             assert all(type(p) is int for p in pivots)
+
+
+def test_det_bareiss_runs_on_kernel_entries(monkeypatch):
+    # integral entries (ints, integral Fractions, Gaussian integers) reach
+    # _exact_div as ints; the value leaves as a public scalar, Pf^2
+    pf = importlib.import_module("skewpoly.pfaffian")
+    exact_div, seen = pf._exact_div, []
+
+    def spy(num, den):
+        seen.append((num, den))
+        return exact_div(num, den)
+    monkeypatch.setattr(pf, "_exact_div", spy)
+
+    def parts(x):
+        return (x.re, x.im) if isinstance(x, GaussianRational) else (x,)
+    rng = random.Random(17)
+    integral = [lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9)),
+                lambda: GaussianRational(Fraction(rng.randint(-5, 5)),
+                                         Fraction(rng.randint(-5, 5)))]
+    for n in (4, 6, 8):
+        for draw in integral:
+            m = random_skew(rng, n, draw)
+            seen.clear()
+            det = det_bareiss(m)
+            assert seen and all(type(p) is int for pair in seen for x in pair
+                                for p in parts(x)), (n, seen[:2])
+            assert is_public(det) and det == pfaffian_expand(m) ** 2
+    rational = [None, lambda: GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                               Fraction(rng.randint(-5, 5), rng.randint(1, 3)))]
+    for n in (2, 4, 6):
+        for draw in rational:
+            m = random_skew(rng, n, draw)
+            det = det_bareiss(m)
+            assert is_public(det) and det == pfaffian_expand(m) ** 2
+    assert is_public(det_bareiss([])) and det_bareiss([]) == 1
 
 
 def test_exact_div_refuses_inexact_quotients():
