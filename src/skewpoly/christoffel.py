@@ -40,14 +40,6 @@ def sop_coeffs(sys: MomentSystem, n: int, m: int) -> SopCoeffs:
     return SopCoeffs(a, b, c, d)
 
 
-def sop_coeff_d_ratio(sys: MomentSystem, n: int, m: int):
-    """Zero-value form of D_n^m, defined for m >= 1 only."""
-    if m < 1:
-        raise ValueError("ratio form of D needs m >= 1")
-    t = taus(sys)
-    return exact_div(t.sop_at_zero(2 * n + 3, m - 1), t.sop_at_zero(2 * n + 2, m - 1))
-
-
 def sop_transform_residual(sys: MomentSystem, n: int, m: int,
                            coeffs: SopCoeffs | None = None):
     """Residual pair of the two skew-orthogonal shift identities at (n, m)."""

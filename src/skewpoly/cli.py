@@ -102,12 +102,9 @@ def _common_gen_flags(p) -> None:
     p.add_argument("--m-max", type=int, default=1, dest="m_max")
     p.add_argument("--components", type=int,
                    help="default 2 for the multi-component kinds, else 1")
-    p.add_argument("--mode", choices=["exact", "float"], help="default exact")
 
 
 def _build_system(args, info: dict) -> MomentSystem:
-    if args.mode == "float":
-        raise ConfigError("exact verification and generation reject float mode")
     kind = args.kind or "none"
     components = args.components
     if components is None:
@@ -279,7 +276,7 @@ def cmd_verify(args) -> int:
         _check_writable(args.out)
     info: dict = {}
     if args.infile:
-        given = [f"--{flag}" for flag in ("kind", "components", "mode")
+        given = [f"--{flag}" for flag in ("kind", "components")
                  if getattr(args, flag) is not None]
         if given:
             raise ConfigError(f"--in takes the system from {args.infile}; "

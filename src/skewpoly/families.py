@@ -28,6 +28,9 @@ entries ``tops``, so tau jets of weight <= 2 come off the chain too.
 Expansion takes over past a vanishing link and in heavier rings.  All values
 are cached per system in a :class:`TauTable` owned by the system; downstream
 residual suites reuse hundreds of tau values, so the cache is not optional.
+Each chain is built once, spectral column included: the nonzero-tau scan
+(:func:`vanishing_taus`, run by ``gen``) sizes it to its grid on the
+system's table, and a read past what is built grows it, at least doubling.
 
 Coefficients.  Every recurrence, transform and operator band is built from
 the ratios below, each defined once as a :class:`TauTable` method that
@@ -51,8 +54,8 @@ shift transforms (:mod:`skewpoly.christoffel`) use
     A_n^m = P_{2n+1}^{(m)}(0) / P_{2n}^{(m)}(0) = logd_{2n}^{(m+1)}
     B_n^m = tau_{2n+2}^{(m)} tau_{2n-2}^{(m+1)} / (tau_{2n}^{(m)} tau_{2n}^{(m+1)})
     C_n^m = tau_{2n}^{(m)} tau_{2n+2}^{(m+1)} / (tau_{2n+2}^{(m)} tau_{2n}^{(m+1)})
-    D_n^m = logd_{2n+2}^{(m)}  (the zero-ratio form at shift m-1 is only
-            defined for m >= 1 and is checked against this in the tests)
+    D_n^m = logd_{2n+2}^{(m)}  (for m >= 1 also P_{2n+3}^{(m-1)}(0) /
+            P_{2n+2}^{(m-1)}(0), which the tests check against it)
 
 A ratio of weight w reads tau jets of weight w, and logd differentiates one
 of weight w + 1; the operator bands take w = 1.
@@ -86,13 +89,16 @@ if TYPE_CHECKING:
 
 
 class TauTable:
-    """Per-system memos of labelled Pfaffians: one per ring (``None`` for
-    scalars, else the jet spec), the tau chains, plus the Schur layers and
-    the operator families built from them."""
+    """Every per-system cache: the memos of labelled Pfaffians, one per ring
+    (``None`` for scalars, else the jet spec), the moment entry jets, the
+    tau chains, plus the Schur layers and the operator families built from
+    them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._memos: dict = {}
+        # (label, label, spec) -> moment entry jet (MomentSystem.entry_jet)
+        self.entry_jets: dict = {}
         # (m, k, conj, parity) -> (last moment label, pf_chain output);
         # the even chains take k = 1, conj = False
         self._chains: dict = {}
@@ -144,23 +150,22 @@ class TauTable:
         return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
                          cache=self.memo(spec), jet_spec=spec)
 
-    def _chain(self, m, k, conj, odd, last, spectral=False):
+    def _chain(self, m, k, conj, odd, last):
         """``pf_chain`` of the tau labels of (m, k, conj, parity) through moment
-        label ``last`` at least, rows with ``spectral``; empty past
-        ``max_index``.  Growth at least doubles."""
+        label ``last`` at least; empty past ``max_index``.  Growth at least
+        doubles."""
         if last > self.sys.max_index:
             return [], [], []
         key = (m, k, conj, 1) if odd else (m, 1, False, 0)
         got = self._chains.get(key)
         if got:
             have, out = got
-            if have >= last and (out[2] is not None or not spectral):
+            if have >= last:
                 return out
-            last = have if have >= last else max(last, 2 * have - m + 1)
-            spectral = spectral or out[2] is not None
+            last = max(last, 2 * have - m + 1)
         last = min(last, self.sys.max_index)
         head = [("cbar" if conj else "comp", k)] if odd else []
-        out = pf_chain([*head, *range(m, last + 1)], self.sys, spectral=spectral)
+        out = pf_chain([*head, *range(m, last + 1)], self.sys)
         self._chains[key] = (last, out)
         return out
 
@@ -246,7 +251,7 @@ class TauTable:
                 raise ZeroDivisionError(
                     f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
             odd = norm_idx % 2
-            rows = self._chain(m, k, conj, odd, m + idx, spectral=True)[2]
+            rows = self._chain(m, k, conj, odd, m + idx)[2]
             if idx + odd < len(rows):
                 return rows[idx + odd].divide_z(m)
             raw = pf_indexed(labels, self.sys, cache=self.memo())
@@ -275,9 +280,9 @@ def taus(sys: MomentSystem) -> TauTable:
 def vanishing_taus(sys: MomentSystem, n_max: int, m_max: int):
     """Yield the ``tau`` arguments (idx, m) or (idx, m, k, conj) of every
     vanishing tau_idx^{(m)} with idx <= 2 n_max + 1 and m <= m_max, each
-    component's conjugate row included.  A throwaway table keeps the grid's
-    Pfaffians out of the system's own memo."""
-    t = TauTable(sys)
+    component's conjugate row included.  The chains it sizes are the
+    system's own (:func:`taus`), so later reads find them built."""
+    t = taus(sys)
     conjs = (False, True) if sys.beta_bar is not None else (False,)
     rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
     for m in range(m_max + 1):

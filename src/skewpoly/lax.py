@@ -17,7 +17,6 @@ the tau-ratio coefficients of :mod:`skewpoly.families`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import TauTable, dt1, taus, z_plus_dt1
@@ -25,7 +24,7 @@ from .jets import Jet, JetSpec
 from .moments import MomentSystem
 from .pfaffian import pf_indexed
 from .poly import PolyInZ
-from .scalars import exact_div, format_scalar
+from .scalars import exact_div
 
 J1 = JetSpec(1)
 J2 = JetSpec(2)
@@ -89,16 +88,6 @@ def _solve(a, b):
     return x
 
 
-def _bands_json(op) -> dict:
-    n = len(op)
-    out = {}
-    for off in range(-(n - 1), n):
-        entries = [op[i][i + off].base for i in range(max(0, -off), min(n, n - off))]
-        if any(entries):
-            out[str(off)] = [format_scalar(e) for e in entries]
-    return out
-
-
 def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
     """Truncated operator family at shift m.
 
@@ -155,12 +144,6 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
         ops["M_evo"] = _solve(b1, b2)
     t.operators[(m, n_size)] = ops
     return ops
-
-
-def operator_dump(sys: MomentSystem, m: int, n_size: int) -> dict:
-    """JSON-ready snapshot of every built operator, bands keyed by offset."""
-    return {name: _bands_json(op)
-            for name, op in build_psop_lax(sys, m, n_size).items()}
 
 
 def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> dict:
@@ -337,21 +320,6 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TodaVars:
-    b: list
-    c: list
-
-
-def toda_vars(sys: MomentSystem, n_max: int) -> TodaVars:
-    """B_n = tau_{2n-2} tau_{2n+2} / tau_{2n}^2 and C_n = A_{n+1} - A_n with
-    A_n = d/dt_1 log tau_{2n}; B_0 = 0 closes the lattice on the left."""
-    sys.require_exact()
-    t = taus(sys)
-    return TodaVars([t.toda_b(n) for n in range(n_max + 1)],
-                    [t.toda_c(n) for n in range(n_max + 1)])
-
-
 def toda_vars_and_residual(sys: MomentSystem, n: int) -> dict:
     """Second-derivative identity, the two family evolutions, and the lattice
     flow equations at site n, all as exact residuals (laurent tag)."""
@@ -380,7 +348,6 @@ def toda_vars_and_residual(sys: MomentSystem, n: int) -> dict:
     flow_b = bj.extract(1) - bj.base * (cj.base - (t.toda_c(n - 1) if n else 0))
     flow_c = cj.extract(1) - (t.toda_b(n + 1) - bj.base)
     return {
-        "vars": TodaVars([bj.base], [cj.base]),
         "second_derivative": second_derivative,
         "evolution_even": evolution_even,
         "evolution_odd": evolution_odd,

@@ -32,7 +32,7 @@ from itertools import chain, product
 from operator import mul
 from typing import Optional
 
-from .families import vanishing_taus
+from .families import taus, vanishing_taus
 from .jets import Jet, JetSpec, weight
 from .pfaffian import LabelError, _q, _z, det_bareiss, pfaffian
 from .scalars import GaussianRational, format_scalar, parse_scalar
@@ -81,8 +81,7 @@ class MomentSystem:
             if (isinstance(v, GaussianRational) and self.mode != "float"
                     and not all(isinstance(x, (int, Fraction)) for x in (v.re, v.im))):
                 raise ValueError(f"{self.mode} mode admits no inexact part in {v!r}")
-        object.__setattr__(self, "_jet_cache", {})
-        # set by families.taus on first use
+        # set by families.taus on first use; owns every derived cache
         object.__setattr__(self, "_tau_table", None)
 
     @property
@@ -136,8 +135,9 @@ class MomentSystem:
         return -v if sign < 0 else v
 
     def entry_jet(self, a, b, spec: JetSpec):
+        cache = taus(self).entry_jets
         key = (a, b, spec)
-        got = self._jet_cache.get(key)
+        got = cache.get(key)
         if got is not None:
             return got
         val, entry_id = self._entry_term(a, b)
@@ -148,7 +148,7 @@ class MomentSystem:
             jet = lift_to_jet(self, eid, spec)
             if sign < 0:
                 jet = -jet
-        self._jet_cache[key] = jet
+        cache[key] = jet
         return jet
 
     def _entry_term(self, a, b):

@@ -3,9 +3,9 @@
 One skew elimination loop and one expansion, each the other's test reference:
 
 * :func:`pf_chain` -- every leading Pfaffian of a label list (a tau chain)
-  from one scalar elimination without swaps, which carries the spectral
-  column along and keeps the next entries of each pivot row; it stops at
-  the first pivot that is not a unit.
+  from one scalar elimination without swaps, which always carries the
+  spectral column along as a border and keeps the next entries of each
+  pivot row; it stops at the first pivot that is not a unit.
 * :func:`pfaffian` -- a plain square row list by the same loop, swapping a
   unit (a nonzero exact scalar, or a jet with a nonzero base) into each
   pivot; a nonzero row with no unit raises ``ZeroDivisionError``.
@@ -312,21 +312,21 @@ def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
     return _pf_expand(labs, entry, {} if cache is None else cache)
 
 
-def pf_chain(labels, sys, *, spectral=False):
+def pf_chain(labels, sys):
     """``(leading, tops, rows)`` of a z-free label list, by one scalar
-    elimination without swaps.  ``leading[s]`` = Pf(labels[:2s]) is the pivot
-    of stage s - 1; it stops at the first pivot that is not a unit, whose own
-    link is still exact.  ``tops[s]`` are the entries (k, k+2), (k+1, k+2)
-    and (k, k+3), k = 2s, of the pivot rows of stage s: Pf(labels[:k], l_k,
-    l_k+2), Pf(labels[:k], l_k+1, l_k+2) and Pf(labels[:k], l_k, l_k+3).
-    With ``spectral``, ``rows[r]`` = Pf(labels[:2s], labels[r], z) /
-    Pf(labels[:2s]), s = r // 2, is row r of the spectral column (an integral
-    numerator divided by its link once), for each row all its stages
-    reached."""
+    elimination without swaps that borders the labels with the spectral
+    column.  ``leading[s]`` = Pf(labels[:2s]) is the pivot of stage s - 1;
+    it stops at the first pivot that is not a unit, whose own link is still
+    exact.  ``tops[s]`` are the entries (k, k+2), (k+1, k+2) and (k, k+3),
+    k = 2s, of the pivot rows of stage s: Pf(labels[:k], l_k, l_k+2),
+    Pf(labels[:k], l_k+1, l_k+2) and Pf(labels[:k], l_k, l_k+3).
+    ``rows[r]`` = Pf(labels[:2s], labels[r], z) / Pf(labels[:2s]), s = r // 2,
+    is row r of the spectral column (an integral numerator divided by its
+    link once), for each row all its stages reached."""
     labs = list(labels)
     n = len(labs)
     entry = sys.entry_scalar
-    top = max((x for x in labs if isinstance(x, int)), default=-1) if spectral else -1
+    top = max((x for x in labs if isinstance(x, int)), default=-1)
     # border column p: the z^p part of Pf(label, z), which is z^label
     a = [[0] * (i + 1) + [_z(entry(x, y)) for y in labs[i + 1:]]
          + [int(x == p) for p in range(top + 1)] for i, x in enumerate(labs)]
@@ -337,8 +337,6 @@ def pf_chain(labels, sys, *, spectral=False):
             reached = 2 * s + 2
     tops = [(_q(a[k][k + 2]), _q(a[k + 1][k + 2]), _q(a[k][k + 3]))
             for k in range(0, min(reached, n - 3), 2)]
-    if not spectral:
-        return leading, tops, None
     inv = [1 / link for link in leading[:(reached + 1) // 2]]
     return leading, tops, [PolyInZ([c * inv[r // 2] for c in a[r][n:]])
                            for r in range(reached)]

@@ -3,7 +3,7 @@
 Every quantity in the exact verification pipeline is either a ``Fraction``
 (rational mode) or a :class:`GaussianRational` (complex mode).  Plain floats
 are tolerated only by the dynamics module; exact-verification entry points
-call :func:`require_exact` to keep them out.
+call ``MomentSystem.require_exact`` to keep float-mode systems out.
 """
 
 from __future__ import annotations
@@ -118,23 +118,6 @@ class GaussianRational:
 
 
 Scalar = Union[int, Fraction, GaussianRational, float]
-
-
-def conjugate(x):
-    """Complex conjugate; identity on real scalars."""
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    return x
-
-
-def is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction, GaussianRational))
-
-
-def require_exact(*values) -> None:
-    for v in values:
-        if not is_exact(v):
-            raise TypeError(f"exact scalar required, got {type(v).__name__}")
 
 
 def scalar_inv(x):

@@ -1,5 +1,6 @@
 """Command-line contract: round trips, exit codes, fault injection."""
 
+import collections
 import importlib
 import json
 import os
@@ -15,7 +16,11 @@ from skewpoly.jets import Jet
 
 
 def run(argv):
-    return cli.main(argv)
+    """cli.main's exit code, argparse's own exits (an unknown flag) included."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_gen_writes_valid_system(tmp_path):
@@ -305,6 +310,31 @@ def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
         assert run(["verify", "--kind", kind, "--n-max", "1",
                     "--out", str(tmp_path / f"{kind}.json")]) == 0, kind
         assert seen == dict.fromkeys(seen, 0), (kind, seen)
+
+
+def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
+    """gen's nonzero-tau scan builds each tau chain, spectral column
+    included, on the system's own table, and the identities read those
+    chains: no (system, label head) chain is built twice."""
+    fam = importlib.import_module("skewpoly.families")
+    chain = fam.pf_chain
+    # keyed by the system object itself, which holds it, so no id is reused
+    built = collections.Counter()
+
+    def counted_chain(labels, sys_, **kwargs):
+        labels = list(labels)
+        built[sys_, tuple(labels[:2])] += 1
+        return chain(labels, sys_, **kwargs)
+
+    monkeypatch.setattr(fam, "pf_chain", counted_chain)
+    runs = [["--kind", kind, "--n-max", "2", "--m-max", "1"] for kind in KINDS]
+    runs += [["--kind", kind, "--n-max", "7", "--identities", "ORTHOGONALITY,TRANSFORMS"]
+             for kind in ("none", "rank1skew-multi")]
+    for flags in runs:
+        built.clear()
+        assert run(["verify", *flags, "--out", str(tmp_path / "rep.json")]) == 0, flags
+        twice = [(head, n) for (_, head), n in built.items() if n > 1]
+        assert built and not twice, (flags, twice)
 
 
 def test_orthogonality_runs_one_gram_per_instance(monkeypatch, tmp_path):

@@ -342,6 +342,19 @@ def test_tau_chains_match_expansion():
         sys = gen(kind, m + top + 1, components=comps.get(kind, 1), seed=i,
                   den_bound=3 if i >= 200 else 1)
         _expansion_oracle(TauTable(sys), sys, m, top)
+    # the chains gen's nonzero-tau scan leaves on the system's own table,
+    # spectral rows included, read as they are: nothing grows or is rebuilt
+    for i, kind in enumerate(KINDS):
+        n_max, m_max = 2 + i % 2, 1 + i % 2
+        sys = gen(kind, 2 * n_max + m_max + 2, seed=i,
+                  components=2 if kind.startswith("rank1skew-") else 1,
+                  require_tau=(n_max, m_max))
+        t = taus(sys)
+        built = dict(t._chains)
+        for m in range(m_max + 1):
+            _expansion_oracle(t, sys, m, 2 * n_max - 1)
+        assert t._chains.keys() == built.keys(), kind
+        assert all(t._chains[key] is got for key, got in built.items()), kind
 
 
 def _stalled_system():
