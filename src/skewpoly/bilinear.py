@@ -492,15 +492,17 @@ def _evod(sys, n, m):
            "large BKP pair plus tau2n[m] tau2n+2[m] = sum_{a,b} tau2n+1,a[m] tau2n+1,b[m]",
            _grid_nmk, ("rank1skew-multi",))
 def _cmkdv(sys, n, m, k):
-    t = taus(sys)
-    res = _bkp_pair(sys, n, m, k, 2 * n, 2 * n + 1)
-    for shift in (m, m + 1):
-        pair_sum = 0
-        for a in range(1, sys.ell + 1):
-            for b in range(1, sys.ell + 1):
-                pair_sum = pair_sum + t.tau(2 * n + 1, shift, a) * t.tau(2 * n + 1, shift, b)
-        res.append(t.tau(2 * n, shift) * t.tau(2 * n + 2, shift) - pair_sum)
-    return res
+    return _bkp_pair(sys, n, m, k, 2 * n, 2 * n + 1) + _pair_sums(sys, n, m)
+
+
+def _pair_sums(sys, n, m, conj=False):
+    """tau2n tau2n+2 - sum_{a,b} tau2n+1,a tau2n+1,b at shifts m and m+1, the
+    b taus on the conjugate rows if ``conj``."""
+    t, comps = taus(sys), range(1, sys.ell + 1)
+    return [t.tau(2 * n, s) * t.tau(2 * n + 2, s)
+            - sum(t.tau(2 * n + 1, s, a) * t.tau(2 * n + 1, s, b, conj=conj)
+                  for a in comps for b in comps)
+            for s in (m, m + 1)]
 
 
 @_identity("VNLS",
@@ -508,17 +510,9 @@ def _cmkdv(sys, n, m, k):
            " tau2n[m] tau2n+2[m] = sum_{a,b} tau2n+1,a[m] taubar2n+1,b[m]",
            _grid_nmk, ("rank1skew-complex",))
 def _vnls(sys, n, m, k):
-    t = taus(sys)
-    res = _bkp_pair(sys, n, m, k, 2 * n, 2 * n + 1)
-    res.extend(_bkp_pair(sys, n, m, k, 2 * n, 2 * n + 1, conj=True))
-    for shift in (m, m + 1):
-        pair_sum = 0
-        for a in range(1, sys.ell + 1):
-            for b in range(1, sys.ell + 1):
-                pair_sum = pair_sum + (t.tau(2 * n + 1, shift, a)
-                                       * t.tau(2 * n + 1, shift, b, conj=True))
-        res.append(t.tau(2 * n, shift) * t.tau(2 * n + 2, shift) - pair_sum)
-    return res
+    return (_bkp_pair(sys, n, m, k, 2 * n, 2 * n + 1)
+            + _bkp_pair(sys, n, m, k, 2 * n, 2 * n + 1, conj=True)
+            + _pair_sums(sys, n, m, conj=True))
 
 
 # -- TRANSFORMS: shift transformations of both families ----------------------

@@ -10,15 +10,15 @@ Conventions (one place, used everywhere):
 * Q_{2n}^{(m)} = P_{2n}^{(m)};  Q_{2n+1,k}^{(m)} = Pf(d_k, m,...,m+2n+1, z)
   / (z^m tau_{2n+1,k}^{(m)})
 
-The z^{-m} division is exact because the spectral entries start at z^m.
+The z^{-m} division is exact: the spectral entries start at z^m.
 Each chain of taus is one fraction-free skew elimination of its labels
 without swaps (:func:`skewpoly.pfaffian.pf_chain`; E. H. Bareiss, Math.
 Comp. 22, 1968): by the Pfaffian Sylvester identity (D. E. Knuth,
 "Overlapping Pfaffians", Electron. J. Combin. 3(2), 1996) every pivot is a
 link itself, so integer moments give integer taus with no fraction formed,
 and row r of the spectral column after the stages before it is the numerator
-Pf(leading labels, row r's label, z), divided once by its link tau: rows 2n,
-2n+1 (odd chain: 2n+2) are z^m P_{2n}, z^m P_{2n+1} (z^m Q_{2n+1,k}).
+Pf(leading labels, row r's label, z) / z^m, divided once by its link tau:
+rows 2n, 2n+1 (odd chain: 2n+2) are P_{2n}, P_{2n+1} (Q_{2n+1,k}).
 The flows raise labels, so on the labels L = (..., M-1, M) of a link only
 raising the top ones repeats none (M. Adler, P. van Moerbeke, Duke Math. J.
 112, 2002): tau' = Pf(L, M -> M+1) and, with y = Pf(L, M -> M+2) and x =
@@ -115,8 +115,8 @@ class TauTable:
 
     @staticmethod
     def tau_labels(idx: int, m: int, k: int, conj: bool):
-        """Labels of tau_idx^{(m)} for idx > 0: odd idx borders the moment
-        block with the single-moment row of component k (conjugate if conj)."""
+        """Labels of tau_idx^{(m)}, idx >= 0, for every chain and member: odd
+        idx borders the moments with the single-moment row k (conjugate if conj)."""
         if idx % 2 == 0:
             return range(m, m + idx)
         return [("cbar" if conj else "comp", k), *range(m, m + idx)]
@@ -164,7 +164,7 @@ class TauTable:
                 return out
             last = max(last, 2 * have - m + 1)
         last = min(last, self.sys.max_index)
-        head = [("cbar" if conj else "comp", k)] if odd else []
+        head = self.tau_labels(odd, m, k, conj)[:odd]
         out = pf_chain([*head, *range(m, last + 1)], self.sys)
         self._chains[key] = (last, out)
         return out
@@ -224,27 +224,23 @@ class TauTable:
     def sop(self, idx: int, m: int, spec: JetSpec | None = None) -> PolyInZ:
         """Monic degree-idx member of the m-th adjacent skew-orthogonal family;
         with ``spec`` its coefficients are jets (a time-dependent polynomial)."""
-        if idx < 0:
-            return PolyInZ.zero()
-        n2 = idx - idx % 2
-        labels = [*range(m, m + n2), m + n2 + idx % 2, "z"]
-        return self._member(labels, idx, n2, m, 1, False, spec)
+        return self._member(idx, idx - idx % 2, m, 1, False, spec)
 
     def psop(self, idx: int, m: int, k: int = 1, conj: bool = False,
              spec: JetSpec | None = None) -> PolyInZ:
         """Monic degree-idx partial family member; even members coincide with sop."""
-        if idx < 0:
-            return PolyInZ.zero()
         if idx % 2 == 0:
             return self.sop(idx, m, spec)
-        head = ("cbar", k) if conj else ("comp", k)
-        return self._member([head, *range(m, m + idx + 1), "z"], idx, idx, m, k,
-                            conj, spec)
+        return self._member(idx, idx, m, k, conj, spec)
 
-    def _member(self, labels, idx, norm_idx, m, k, conj, spec) -> PolyInZ:
-        """Pf(labels) / (z^m tau_norm_idx), scalar or jet valued.  A scalar
-        member is row idx (odd chain: idx + 1) of its tau chain's spectral
-        column, unless the chain stalled before that row."""
+    def _member(self, idx, norm_idx, m, k, conj, spec) -> PolyInZ:
+        """Pf(tau labels of norm_idx, m + idx, z) / (z^m tau_norm_idx), scalar
+        or jet valued; the zero polynomial for idx < 0.  A scalar member is
+        row idx (odd chain: idx + 1) of its tau chain's spectral column, whose
+        border starts at z^m, unless the chain stalled before that row."""
+        if idx < 0:
+            return PolyInZ.zero()
+        labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
         if spec is None:
             norm = self.tau(norm_idx, m, k, conj)
             if not norm:
@@ -253,7 +249,7 @@ class TauTable:
             odd = norm_idx % 2
             rows = self._chain(m, k, conj, odd, m + idx)[2]
             if idx + odd < len(rows):
-                return rows[idx + odd].divide_z(m)
+                return rows[idx + odd]
             raw = pf_indexed(labels, self.sys, cache=self.memo())
             return raw.divide_z(m) / norm
         inv = self.tau_jet(norm_idx, m, spec, k, conj).inverse()

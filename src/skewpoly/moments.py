@@ -104,35 +104,31 @@ class MomentSystem:
         return -self.mu.get((j, i), 0)
 
     def beta_entry(self, k: int, j: int):
-        if not (1 <= k <= self.ell):
-            raise OutOfRangeError(f"component {k} not present (ell={self.ell})")
-        if not (0 <= j <= self.max_index):
-            raise OutOfRangeError(f"beta index {j} exceeds max_index {self.max_index}")
-        return self.beta[k - 1][j]
+        return self._moment("beta", k, j)
 
     def beta_bar_entry(self, k: int, j: int):
-        if self.beta_bar is None:
-            raise OutOfRangeError("system has no conjugate single moments")
-        if not (1 <= k <= len(self.beta_bar)):
-            raise OutOfRangeError(f"conjugate component {k} not present")
-        if not (0 <= j <= self.max_index):
-            raise OutOfRangeError(f"beta index {j} exceeds max_index {self.max_index}")
-        return self.beta_bar[k - 1][j]
+        return self._moment("beta_bar", k, j)
+
+    def _moment(self, kind: str, p: int, q: int):
+        """The one reader of the moment behind an entry, range-checked:
+        mu_{p,q}, beta^{(p)}_q or its conjugate for kind mu, beta, beta_bar."""
+        if kind == "mu":
+            return self.mu_entry(p, q)
+        if kind not in ("beta", "beta_bar"):
+            raise ValueError(f"unknown entry kind {kind!r}")
+        rows = self.beta if kind == "beta" else self.beta_bar or ()
+        if not (1 <= p <= len(rows) and 0 <= q <= self.max_index):
+            raise OutOfRangeError(f"{kind} ({p},{q}) outside components 1..{len(rows)}"
+                                  f" and indices 0..{self.max_index}")
+        return rows[p - 1][q]
 
     def entry_scalar(self, a, b):
         """Pfaffian entry for a pair of z-free labels (antisymmetric in a,b)."""
-        val, entry_id = self._entry_term(a, b)
-        if entry_id is None:
-            return val
-        sign, eid = entry_id
-        kind = eid[0]
-        if kind == "mu":
-            v = self.mu_entry(eid[1], eid[2])
-        elif kind == "beta":
-            v = self.beta_entry(eid[1], eid[2])
-        else:
-            v = self.beta_bar_entry(eid[1], eid[2])
-        return -v if sign < 0 else v
+        ref = self._entry_ref(a, b)
+        if ref is None:
+            return 0
+        v = self._moment(*ref[1])
+        return -v if ref[0] < 0 else v
 
     def entry_jet(self, a, b, spec: JetSpec):
         cache = taus(self).entry_jets
@@ -140,49 +136,38 @@ class MomentSystem:
         got = cache.get(key)
         if got is not None:
             return got
-        val, entry_id = self._entry_term(a, b)
-        if entry_id is None:
-            jet = Jet.constant(val, spec)
+        ref = self._entry_ref(a, b)
+        if ref is None:
+            jet = Jet.constant(0, spec)
         else:
-            sign, eid = entry_id
-            jet = lift_to_jet(self, eid, spec)
-            if sign < 0:
-                jet = -jet
+            jet = lift_to_jet(self, ref[1], spec)
+            jet = -jet if ref[0] < 0 else jet
         cache[key] = jet
         return jet
 
-    def _entry_term(self, a, b):
-        """Return (constant, None) or (0, (sign, entry_id)) for a label pair."""
+    def _entry_ref(self, a, b):
+        """The label rules: ``None`` for an entry they make 0, else ``(sign,
+        (kind, p, q))``, the entry being sign times ``_moment(kind, p, q)``.
+        Pf(i,j) = mu_{i,j}, Pf(d_k,i) = beta^{(k)}_i (conjugate row for
+        ("cbar", k)), Pf(d0,i) = beta_i, Pf(d1,i) = beta_{i+1}, Pf(d0,d1) = 0;
+        any other pair of distinct row labels raises ``LabelError``."""
         if isinstance(a, int) and isinstance(b, int):
             if a == b:
-                return 0, None
-            if a < b:
-                return 0, (1, ("mu", a, b))
-            return 0, (-1, ("mu", b, a))
-        if isinstance(b, int):
-            return self._d_int(a, b)
+                return None
+            return (1, ("mu", a, b)) if a < b else (-1, ("mu", b, a))
         if isinstance(a, int):
-            val, entry_id = self._d_int(b, a)
-            if entry_id is None:
-                return -val if val else val, None
-            sign, eid = entry_id
-            return 0, (-sign, eid)
-        # both are d-type labels
-        if a == b:
-            return 0, None
-        if {a[0], b[0]} == {"shift"}:
-            return 0, None  # Pf(d0,d1) = 0, forced by the rank2 derivative rule
+            ref = self._entry_ref(b, a)
+            return ref and (-ref[0], ref[1])
+        if isinstance(b, int):
+            kind, k = a
+            if kind in ("comp", "cbar"):
+                return 1, ("beta" if kind == "comp" else "beta_bar", k, b)
+            if kind == "shift":
+                return 1, ("beta", 1, b + k)
+            raise LabelError(f"unrecognized label {a!r}")
+        if a == b or {a[0], b[0]} == {"shift"}:
+            return None  # Pf(d0,d1) = 0, forced by the rank2 derivative rule
         raise LabelError(f"no entry rule for label pair ({a!r}, {b!r})")
-
-    def _d_int(self, d, i):
-        kind, k = d
-        if kind == "comp":
-            return 0, (1, ("beta", k, i))
-        if kind == "cbar":
-            return 0, (1, ("beta_bar", k, i))
-        if kind == "shift":
-            return 0, (1, ("beta", 1, i + k))
-        raise LabelError(f"unrecognized label {d!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +179,10 @@ def shift_derivative(sys: MomentSystem, entry, flow: int):
     """d/dt_flow of a moment entry via the index-shift rule."""
     if flow < 1:
         raise ValueError("flow index must be >= 1")
-    kind = entry[0]
+    kind, p, q = entry
     if kind == "mu":
-        _, i, j = entry
-        return sys.mu_entry(i + flow, j) + sys.mu_entry(i, j + flow)
-    if kind == "beta":
-        _, k, j = entry
-        return sys.beta_entry(k, j + flow)
-    if kind == "beta_bar":
-        _, k, j = entry
-        return sys.beta_bar_entry(k, j + flow)
-    raise ValueError(f"unknown entry kind {kind!r}")
+        return sys.mu_entry(p + flow, q) + sys.mu_entry(p, q + flow)
+    return sys._moment(kind, p, q + flow)
 
 
 def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
@@ -225,12 +203,8 @@ def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
                 high = [x - y for x, y in zip(alpha, low)]
                 val = val + (math.prod(map(math.comb, alpha, low))
                              * sys.mu_entry(a + weight(low), j + weight(high)))
-        elif kind == "beta":
-            val = sys.beta_entry(a, j + weight(alpha))
-        elif kind == "beta_bar":
-            val = sys.beta_bar_entry(a, j + weight(alpha))
         else:
-            raise ValueError(f"unknown entry kind {kind!r}")
+            val = sys._moment(kind, a, j + weight(alpha))
         fact = math.prod(map(math.factorial, alpha))
         if isinstance(val, float):
             coeffs[alpha] = val / fact
@@ -249,17 +223,17 @@ def miwa_entry(sys: MomentSystem, a, b, z):
     becomes beta_j - z beta_{j+1}.  Integral moments are read as ints
     (Gaussian ones with int parts), so the entry is integral too.
     """
-    val, entry_id = sys._entry_term(a, b)
-    if entry_id is None:
-        return val
-    sign, (kind, p, q) = entry_id
+    ref = sys._entry_ref(a, b)
+    if ref is None:
+        return 0
+    sign, (kind, p, q) = ref
+
+    def at(x, y):  # X^x Y^y of the entry's moment
+        return _z(sys._moment(kind, p + x, q + y))
     if kind == "mu":
-        def mu(x, y):  # X^x Y^y mu_{p,q}
-            return _z(sys.mu_entry(p + x, q + y))
-        value = mu(0, 0) - z * (mu(1, 0) + mu(0, 1)) + z * z * mu(1, 1)
+        value = at(0, 0) - z * (at(1, 0) + at(0, 1)) + z * z * at(1, 1)
     else:
-        row = sys.beta_entry if kind == "beta" else sys.beta_bar_entry
-        value = _z(row(p, q)) - z * _z(row(p, q + 1))
+        value = at(0, 0) - z * at(0, 1)
     return sign * value
 
 
@@ -313,6 +287,8 @@ def gen(kind: str, max_index: int, *, components: int = 1, seed: int = 0,
         if require_tau is not None:
             try:
                 if next(vanishing_taus(sys, *require_tau), None) is not None:
+                    # the draw and its table refer to each other: free both now
+                    object.__setattr__(sys, "_tau_table", None)
                     continue
             except OutOfRangeError:
                 raise ValueError("max_index too small for the requested tau grid")

@@ -36,6 +36,7 @@ returning a polynomial in z.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .jets import Jet
 from .poly import PolyInZ
@@ -257,26 +258,23 @@ def parse_label(lab):
 
 
 def _validate_labels(labs, sys) -> None:
-    zs = sum(1 for l in labs if l == Z)
-    if zs > 1:
+    """At most one z, derivative rows only under rank2, and every pair of row
+    labels allowed by the entry rules (``sys.entry_scalar`` raises
+    ``LabelError`` for a forbidden pair before it reads any moment)."""
+    if labs.count(Z) > 1:
         raise LabelError("at most one spectral label z is allowed")
-    comps = {l[1] for l in labs if isinstance(l, tuple) and l[0] == "comp"}
-    cbars = {l[1] for l in labs if isinstance(l, tuple) and l[0] == "cbar"}
-    shifts = [l for l in labs if isinstance(l, tuple) and l[0] == "shift"]
-    if len(comps) > 1 or len(cbars) > 1 or (comps and cbars):
-        raise LabelError("distinct single-moment rows cannot share one Pfaffian")
-    if shifts and (comps or cbars):
-        raise LabelError("derivative rows cannot mix with single-moment rows")
-    if shifts and sys.constraint != "rank2":
+    rows = [l for l in labs if isinstance(l, tuple)]
+    if any(l[0] == "shift" for l in rows) and sys.constraint != "rank2":
         raise LabelError("derivative rows d0/d1 require the rank2 constraint")
+    for a, b in combinations(rows, 2):
+        sys.entry_scalar(a, b)
 
 
 def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> PolyInZ:
     """Resolve a labelled Pfaffian against a moment system.
 
-    Entry rules: Pf(i,j) = mu_{i,j}; Pf(d_k,i) = beta_i^(k); Pf(i,z) = z^i;
-    Pf(d_k,z) = 0; and under the rank2 constraint Pf(d0,i) = beta_i,
-    Pf(d1,i) = beta_{i+1}, Pf(d0,d1) = 0, Pf(d0,z) = Pf(d1,z) = 0.
+    Entry rules: ``MomentSystem._entry_ref`` for a z-free pair, and Pf(i,z) =
+    z^i, Pf(row,z) = 0 for the rows d_k, dbar_k, d0 and d1.
     Odd-length lists evaluate to the zero polynomial.  With ``jet_spec`` the
     entries are lifted to jets and the coefficients of the result are jets.
     """
@@ -305,11 +303,15 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
     """z-free labelled Pfaffian, expanded along the first label in the given
     order.  ``cache`` is the memo of one ring (scalars, or jets of
-    ``jet_spec``), keyed by label tuples."""
+    ``jet_spec``), keyed by label tuples; the value is of that ring, so an
+    empty list gives ``Fraction(1)`` and a vanishing one ``Fraction(0)``."""
     labs = tuple(parse_label(l) for l in labels)
     entry = sys.entry_scalar if jet_spec is None else (
         lambda a, b: sys.entry_jet(a, b, jet_spec))
-    return _pf_expand(labs, entry, {} if cache is None else cache)
+    val = _pf_expand(labs, entry, {} if cache is None else cache)
+    if type(val) is not int:
+        return val
+    return Fraction(val) if jet_spec is None else Jet.constant(Fraction(val), jet_spec)
 
 
 def pf_chain(labels, sys):
@@ -320,16 +322,18 @@ def pf_chain(labels, sys):
     exact.  ``tops[s]`` are the entries (k, k+2), (k+1, k+2) and (k, k+3),
     k = 2s, of the pivot rows of stage s: Pf(labels[:k], l_k, l_k+2),
     Pf(labels[:k], l_k+1, l_k+2) and Pf(labels[:k], l_k, l_k+3).
-    ``rows[r]`` = Pf(labels[:2s], labels[r], z) / Pf(labels[:2s]), s = r // 2,
-    is row r of the spectral column (an integral numerator divided by its
-    link once), for each row all its stages reached."""
+    ``rows[r]`` = Pf(labels[:2s], labels[r], z) / (z^low Pf(labels[:2s])),
+    s = r // 2, is row r of the spectral column (an integral numerator
+    divided by its link once), for each row all its stages reached.  Its
+    border starts at z^low, low the smallest moment label: Pf(label, z) is
+    z^label for a moment label and 0 for any other, so lower columns are 0."""
     labs = list(labels)
     n = len(labs)
     entry = sys.entry_scalar
-    top = max((x for x in labs if isinstance(x, int)), default=-1)
-    # border column p: the z^p part of Pf(label, z), which is z^label
+    moment = [x for x in labs if isinstance(x, int)]
+    border = range(min(moment, default=0), max(moment, default=-1) + 1)
     a = [[0] * (i + 1) + [_z(entry(x, y)) for y in labs[i + 1:]]
-         + [int(x == p) for p in range(top + 1)] for i, x in enumerate(labs)]
+         + [int(x == p) for p in border] for i, x in enumerate(labs)]
     leading, reached = [Fraction(1)], n
     for s, (p, _) in enumerate(_stages(a, swaps=False)):
         leading.append(_q(p))

@@ -6,13 +6,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import skewpoly
 from skewpoly import bilinear, cli, moments
-from skewpoly.jets import Jet
+from skewpoly.families import taus
+from skewpoly.jets import Jet, JetSpec
+from skewpoly.pfaffian import pf_labels
+from skewpoly.scalars import GaussianRational, parse_scalar
 
 
 def run(argv):
@@ -86,6 +90,27 @@ def test_fault_injection_names_failing_identity(tmp_path):
     assert all(Fraction(e["residual_max_abs_or_zero"]) > 0 for e in failing)
 
 
+@pytest.mark.parametrize("kind, total, failing", [
+    ("rank1skew", 169, {"C3_SUITE": 13, "EVOD": 2}),
+    ("rank1skew-complex", 228, {"VNLS": 6})])
+def test_fault_injection_in_a_beta_row(tmp_path, kind, total, failing):
+    rep = tmp_path / "rep.json"
+    assert run(["verify", "--kind", kind, "--seed", "3", "--corrupt", "beta:1,4",
+                "--out", str(rep)]) == 1
+    data = json.loads(rep.read_text())
+    bad = [e for e in data["entries"] if e["status"] == "fail"]
+    assert data["total"] == total
+    assert collections.Counter(e["identity"].split(".")[0] for e in bad) == failing
+    # real residuals report their largest size; Gaussian ones, which have no
+    # order, their first nonzero value
+    sizes = [parse_scalar(e["residual_max_abs_or_zero"]) for e in bad]
+    if kind == "rank1skew":
+        assert all(x > 0 for x in sizes)
+    else:
+        assert all(isinstance(x, GaussianRational) and x.im for x in sizes)
+        assert bad[0]["residual_max_abs_or_zero"] == "-1447+1479i"
+
+
 def test_degenerate_instances_reported_alone(tmp_path):
     # this seed has a vanishing jet pivot in the three operator blocks only
     rep = tmp_path / "rep.json"
@@ -99,6 +124,24 @@ def test_degenerate_instances_reported_alone(tmp_path):
     assert {e["identity"] for e in data["entries"] if e["status"] != "pass"} == {
         "LAX_RANK2_M", "LAX_RANK2_N", "LAX_MIXED"}
     assert set(statuses) == {"pass", "degenerate"}
+
+
+def test_zero_beta_row_reports_degenerate_entries(tmp_path, capsys):
+    # every odd tau vanishes, so the odd taus come from expansion past a
+    # stalled chain; they must be values of their ring, never a bare int
+    s = replace(moments.gen("none", 15, seed=3), beta=((Fraction(0),) * 16,))
+    t = taus(s)
+    assert t.tau(3, 0) == 0 and type(t.tau(3, 0)) is Fraction
+    assert isinstance(t.tau_jet(3, 0, JetSpec(1)), Jet)
+    assert pf_labels([], s) == 1 and type(pf_labels([], s)) is Fraction
+    path, rep = tmp_path / "sys.json", tmp_path / "rep.json"
+    moments.save(s, path)
+    assert run(["verify", "--in", str(path), "--n-max", "2", "--m-max", "1",
+                "--out", str(rep)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    data = json.loads(rep.read_text())
+    statuses = collections.Counter(e["status"] for e in data["entries"])
+    assert data["total"] == 137 and statuses == {"pass": 109, "degenerate": 28}
 
 
 def test_every_reported_name_selects_exactly_its_entries():

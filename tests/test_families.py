@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewpoly import cli
+from skewpoly import cli, moments
 from skewpoly.bilinear import identity_residual
 from skewpoly.families import (TauTable, orthogonality_defects,
                                orthogonality_determinant, psop_inner_defects,
@@ -204,6 +204,26 @@ def test_tau_table_freed_with_its_system():
     del s
     gc.collect()
     assert ref() is None
+
+
+def test_rejected_draws_freed_without_the_collector(monkeypatch):
+    # a rejected draw and its TauTable refer to each other, so gen breaks the
+    # cycle itself: with the cyclic collector off, the draw still dies
+    draws = []
+    once = moments._gen_once
+
+    def kept(*args):
+        s = once(*args)
+        draws.append(weakref.ref(s))
+        return s
+    monkeypatch.setattr(moments, "_gen_once", kept)
+    gc.disable()
+    try:
+        s = gen("none", 35, seed=3, require_tau=(9, 2))
+        assert len(draws) == 2
+        assert draws[0]() is None and draws[1]() is s
+    finally:
+        gc.enable()
 
 
 def test_polynomial_json_export(sys3):

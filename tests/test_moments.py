@@ -46,6 +46,12 @@ def test_shift_derivative_rules():
     assert shift_derivative(s, ("beta", 1, 3), 2) == s.beta_entry(1, 5)
     with pytest.raises(OutOfRangeError):
         shift_derivative(s, ("mu", 9, 10), 1)
+    c = gen("rank1skew-complex", 10, components=2, seed=1)
+    assert shift_derivative(c, ("beta_bar", 2, 3), 2) == c.beta_bar_entry(2, 5)
+    with pytest.raises(OutOfRangeError):
+        shift_derivative(s, ("beta_bar", 1, 3), 1)  # no conjugate rows
+    with pytest.raises(ValueError):
+        shift_derivative(s, ("gamma", 1, 3), 1)
 
 
 def test_shift_derivative_matches_soliton_time_derivative():

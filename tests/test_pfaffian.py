@@ -155,6 +155,9 @@ def test_forbidden_label_combinations():
         pf_indexed(["z", "z"], sys)
     with pytest.raises(LabelError):
         pf_indexed(["d0", "d1", 0, 1], sys)  # derivative rows need rank2
+    for resolve in (pf_indexed, pf_labels):
+        with pytest.raises(LabelError):
+            resolve([("comp", 1), ("cbar", 1), 0, 1], sys)
     sys2 = gen("rank2", 9, seed=16)
     with pytest.raises(LabelError):
         pf_indexed(["d", "d0", 0, 1], sys2)

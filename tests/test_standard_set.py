@@ -1,0 +1,64 @@
+"""Reports on the standard set stay byte-identical.
+
+Each run is one in-process ``verify`` with ``--out``.  Its digest is the
+SHA-256 of the exit code, ``total``, ``resample_attempts`` and the sorted
+(identity, equation, params, status, residual) rows, so a change that moves
+any residual, status, degenerate message, entry count or resampling seed
+fails here.  A change that means to alter a report records the new digest
+and says why in ``CHANGES.md``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from skewpoly import cli
+
+STANDARD_SET = {
+    **{f"{kind}-n2": ["--kind", kind, "--seed", "3", "--n-max", "2", "--m-max", "1"]
+       for kind in ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
+                    "rank1skew-complex")},
+    "rank2-seed6": ["--kind", "rank2", "--seed", "6"],
+    "rank1skew-corrupt-mu": ["--kind", "rank1skew", "--seed", "3",
+                             "--corrupt", "mu:2,3"],
+    **{f"{kind}-n7-orth": ["--kind", kind, "--seed", "3", "--n-max", "7",
+                           "--identities", "ORTHOGONALITY,TRANSFORMS"]
+       for kind in ("none", "rank1skew-multi")},
+    "rank1skew-complex-n3-orth": ["--kind", "rank1skew-complex", "--seed", "3",
+                                  "--n-max", "3", "--identities", "ORTHOGONALITY"],
+    **{f"{kind}-n3": ["--kind", kind, "--seed", "3", "--n-max", "3"]
+       for kind in ("none", "rank2", "rank1skew")},
+}
+
+DIGESTS = {
+    "laurent-n2": "7c07c2efd97598d8f2568fe9de6602ba61e9ec4b6e77b29199fc0356f3483c77",
+    "none-n2": "4a83be3cf53ac5df08e85a9d57028a2a0fdf4b89af3d69aec60e8d352b7ef44a",
+    "none-n3": "31d912a6957398c99e815ea9e6cfa5b7d5f8a288e847b9cfeb39b671b8788f87",
+    "none-n7-orth": "4868625d84310d6c0e867c8729164e8e683b0ee67dd42fac660e93f235f6219f",
+    "rank1skew-complex-n2": "600296c588000817203725a282ce11618cd076ab0f054f440f1caa1d2e4e0858",
+    "rank1skew-complex-n3-orth": "e85732a80084fa718ab907a2901ea26ec659ea362784a9f24d330f80cc0ea406",
+    "rank1skew-corrupt-mu": "b9d18c52b4e7e2c41cf0da1c73d66b7e68d6637ff57b1bdff0fa63cc1285bbb3",
+    "rank1skew-multi-n2": "d7f4121bda627d0ca222b589499f95cdbcb5e420163f43462f39e1847aec7ad8",
+    "rank1skew-multi-n7-orth": "37fda0b3566188e3ddc91e6ab342319744645c6c9a3f2d4cd08bc4f02e97d603",
+    "rank1skew-n2": "9e0596a0d15cc87b89b51ee522a3919c4e39e33293c7d13574255fb7e287e9ea",
+    "rank1skew-n3": "193c105baa63c0fbd540113cfd6db3b2dbf0847d18fad093af25d2fda907976e",
+    "rank2-n2": "273a6b769cd1bfc12abf89ddaef0b83e99625ca08a9d855492078299d18f16f9",
+    "rank2-n3": "0ad8af632d6a9a7dcf258f902865901554ec82088969874fecd0f02380b0fa32",
+    "rank2-seed6": "3edfd515884024176c9c0017120c0aa6e03ccb0bafdffd1c5e59381effbe411b",
+}
+
+
+def report_digest(argv, out) -> str:
+    code = cli.main(["verify", *argv, "--out", str(out)])
+    report = json.loads(out.read_text())
+    rows = sorted(json.dumps([e["identity"], e["equation"], e["params"], e["status"],
+                              e["residual_max_abs_or_zero"]], sort_keys=True)
+                  for e in report["entries"])
+    blob = json.dumps([code, report["total"], report["resample_attempts"], rows])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_SET))
+def test_standard_set_reports_unchanged(name, tmp_path):
+    assert report_digest(STANDARD_SET[name], tmp_path / "report.json") == DIGESTS[name]
