@@ -20,15 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
 from typing import Callable
 
 from . import christoffel, lax
 from .families import (TauTable, orthogonality_defects, orthogonality_determinant,
                        psop_inner_defects, taus, z_plus_dt1)
 from .jets import Jet, JetSpec, weight
-from .moments import MomentSystem, miwa_entry, stembridge_residual
-from .pfaffian import pfaffian
+from .moments import MomentSystem, OutOfRangeError, stembridge_residual
+from .pfaffian import _exact_div, _q, miwa_chain
 from .poly import PolyInZ
 from .scalars import exact_div
 
@@ -59,9 +58,17 @@ class SchurTau:
 
     They are the z^j coefficients of tau(t - [z]) (the Miwa identity), and
     tau_idx(t - [z]) is the Pfaffian of the shifted entries
-    (:func:`skewpoly.moments.miwa_entry`), of degree <= idx in z, so it is
-    evaluated with its t_1 derivative at z = 0..idx and interpolated exactly.
-    The table's ``schur_layers`` keeps both polynomials per (idx, m, k, conj).
+    (:meth:`skewpoly.pfaffian.MomentKernel.shifted`), of degree <= idx in
+    z, so it is evaluated with its t_1 derivative at z = 0..idx and
+    interpolated exactly.
+    One Miwa chain per (m, k, conj, parity) and node z serves every idx of
+    that parity (:func:`skewpoly.pfaffian.miwa_chain`): tau_idx(t - [z]) is
+    its pivot, and the t_1 derivative, the Pfaffian with its top label
+    raised by one, the pivot-row entry next to it; a node that stalls at a
+    vanishing pivot evaluates the idx past it with swaps.  The chain reaches
+    the table's ``miwa_top`` (the largest idx a catalog run reads), so each
+    node is eliminated once per run.  The table's ``schur_layers`` keeps both
+    polynomials per (idx, m, k, conj).
 
     These values and the coefficients of the family member, read off its
     spectral ``z`` column, are two independent constructions of P_n(z) =
@@ -74,9 +81,17 @@ class SchurTau:
 
     def __init__(self, table: TauTable, idx: int, m: int, k: int = 1,
                  conj: bool = False):
+        if idx % 2 == 0:
+            k, conj = 1, False  # an even tau holds no single-moment row
         key = (idx, m, k, conj)
         if key not in table.schur_layers:
-            table.schur_layers[key] = _miwa_layers(table.sys, idx, m, k, conj)
+            if idx > 0:  # the run's largest idx of this parity that fits
+                top = min(table.miwa_top, table.sys.max_index - m - 1)
+                _miwa_layers(table, m, k, conj, idx % 2,
+                             max(idx, top - (top - idx) % 2))
+            else:  # the constants tau_0 = 1 and tau_{-1} = 0
+                table.schur_layers[key] = (PolyInZ([Fraction(1)] * (idx + 1)),
+                                           PolyInZ.zero())
         self.values, self.d1s = table.schur_layers[key]
 
     def value(self, j: int):
@@ -88,38 +103,39 @@ class SchurTau:
         return self.d1s.coeff(j)
 
 
-def _miwa_layers(sys: MomentSystem, idx: int, m: int, k: int, conj: bool):
-    """tau_idx^{(m)}(t - [z]) and its t_1 derivative, polynomials in z; the
-    derivative is the Pfaffian with its top label raised by one."""
-    if idx <= 0:  # the constants tau_0 = 1 and tau_{-1} = 0
-        return _interpolate([Fraction(1)] * (idx + 1)), PolyInZ.zero()
-    labs = list(TauTable.tau_labels(idx, m, k, conj))
-    labs.append(labs[-1] + 1)  # the raised top label, read by the derivative
-    n = len(labs) - 1
-    raised = [*range(n - 1), n]
-    values, d1s = [], []
-    for z in range(idx + 1):
-        rows = [[0] * (n + 1) for _ in labs]
-        for i, j in combinations(range(n + 1), 2):
-            rows[i][j] = miwa_entry(sys, labs[i], labs[j], z)
-            rows[j][i] = -rows[i][j]
-        values.append(pfaffian([row[:n] for row in rows[:n]]))
-        d1s.append(pfaffian([[rows[i][j] for j in raised] for i in raised]))
-    return _interpolate(values), _interpolate(d1s)
+def _miwa_layers(table: TauTable, m: int, k: int, conj: bool, odd: int, top: int):
+    """Store tau_idx^{(m)}(t - [z]) and its t_1 derivative, polynomials in
+    z, for every idx <= top of parity ``odd``: one :func:`miwa_chain` on
+    the tau labels of ``top`` and its raised top label, at the nodes
+    z = 0..top."""
+    sys = table.sys
+    if m + top + 1 > sys.max_index:  # the shift reads one index past the top label
+        raise OutOfRangeError(f"Schur layers of tau_{top}^({m}) read moment index "
+                              f"{m + top + 1} > max_index {sys.max_index}")
+    kern = table.kernel()
+    labels = [*TauTable.tau_labels(odd, m, k, conj)[:odd], *range(m, m + top + 1)]
+    links, raised = miwa_chain(labels, kern, top)
+    for s in range(len(links)):
+        idx, den = 2 * s + 2 - odd, kern.scale ** (s + 1)
+        table.schur_layers[idx, m, k, conj] = (_interpolate(links[s][:idx + 1], den),
+                                               _interpolate(raised[s][:idx + 1], den))
 
 
-def _interpolate(ys: list) -> PolyInZ:
-    """The polynomial of degree < len(ys) taking the values ys at z = 0, 1,
-    ...: Newton's forward differences d_k, summed by Horner's rule as
-    d_0 + z (d_1 + (z - 1) / 2 (d_2 + (z - 2) / 3 (...)))."""
-    diffs = []
-    while ys:
-        diffs.append(ys[0])
+def _interpolate(ys: list, den: int) -> PolyInZ:
+    """The polynomial of degree < len(ys) taking the values ys / den at z =
+    0, 1, ..., from loop values: the Newton forward differences d_k of
+    integral values divide exactly by k!, and p = c_0 + z (c_1 + (z - 1)
+    (c_2 + (z - 2) (...))), c_k = d_k / k!, is summed in the falling
+    factorial basis before its coefficients leave the loop over den."""
+    cs, fact = [], 1
+    for k in range(len(ys)):
+        fact *= k or 1
+        cs.append(_exact_div(ys[0], fact))
         ys = [b - a for a, b in zip(ys, ys[1:])]
-    poly = PolyInZ.zero()
-    for k in reversed(range(len(diffs))):
-        poly = poly * PolyInZ([Fraction(-k, k + 1), Fraction(1, k + 1)]) + diffs[k]
-    return poly
+    poly = []
+    for k in reversed(range(len(cs))):  # poly * (z - k) + c_k
+        poly = [c - k * x for c, x in zip([cs[k], *poly], [*poly, 0])]
+    return PolyInZ([_q(c, den) for c in poly])
 
 
 def schur_d_tau(sys: MomentSystem, k: int, idx: int, m: int, comp: int = 1,
@@ -648,6 +664,13 @@ def catalog_max_index(n_max: int, m_max: int) -> int:
     taus reach index LAX_SIZE + 2, and their jets of weight 2 two more.
     """
     return max(m_max + 4 * n_max + 6, LAX_SIZE + 4)
+
+
+def plan_schur_layers(sys: MomentSystem, n_max: int) -> None:
+    """Size every Miwa chain of a catalog run on the n_max grid once: the
+    largest idx whose Schur layers the catalog reads is BKP_LARGE's
+    tau_{2 n_max + 2}."""
+    taus(sys).miwa_top = 2 * n_max + 2
 
 
 def _lax_grid(sys, n_max, m_max):

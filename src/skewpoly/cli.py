@@ -249,6 +249,7 @@ def run_verification(sys_: MomentSystem, n_max: int, m_max: int,
     """
     sys_.require_exact()
     names, explicit = _selection(selected)
+    bilinear.plan_schur_layers(sys_, n_max)
     plan = []
     for name in sorted(names):
         ident = bilinear.IDENTITIES[name]

@@ -15,10 +15,12 @@ Each chain of taus is one fraction-free skew elimination of its labels
 without swaps (:func:`skewpoly.pfaffian.pf_chain`; E. H. Bareiss, Math.
 Comp. 22, 1968): by the Pfaffian Sylvester identity (D. E. Knuth,
 "Overlapping Pfaffians", Electron. J. Combin. 3(2), 1996) every pivot is a
-link itself, so integer moments give integer taus with no fraction formed,
-and row r of the spectral column after the stages before it is the numerator
-Pf(leading labels, row r's label, z) / z^m, divided once by its link tau:
-rows 2n, 2n+1 (odd chain: 2n+2) are P_{2n}, P_{2n+1} (Q_{2n+1,k}).
+link itself, so integer moments give integer taus with no fraction formed
+(rational ones too: the chains read the table's moment kernel, scaled by
+the lcm of the denominators, and each link leaves divided by its power of
+it), and row r of the spectral column after the stages before it is the
+numerator Pf(leading labels, row r's label, z) / z^m, divided once by its
+link tau: rows 2n, 2n+1 (odd chain: 2n+2) are P_{2n}, P_{2n+1} (Q_{2n+1,k}).
 The flows raise labels, so on the labels L = (..., M-1, M) of a link only
 raising the top ones repeats none (M. Adler, P. van Moerbeke, Duke Math. J.
 112, 2002): tau' = Pf(L, M -> M+1) and, with y = Pf(L, M -> M+2) and x =
@@ -63,8 +65,9 @@ of weight w + 1; the operator bands take w = 1.
 The skew inner product <z^i, z^j> = mu_{i,j} extends bilinearly.
 :func:`skew_gram` evaluates a whole table of pairs <f, g> as one product
 F M G^T in the Pfaffian kernel's types: each polynomial is cleared to
-integral coefficients over one denominator, integral moments enter as ints
-(Gaussian ones as Gaussian integers), and each entry is divided once.  The
+integral coefficients over one denominator, the moments come from the
+table's kernel as ints (Gaussian ones as Gaussian integers), and each entry
+is divided once, by both denominators and the kernel's scale.  The
 ORTHOGONALITY checks take one Gram each and subtract the closed forms
 <z^m P_2n, z^m P_2n+1> = tau_{2n+2} / tau_{2n}, every other pair but its
 transpose 0 (:func:`orthogonality_defects`), and, against the monomials,
@@ -80,32 +83,42 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .jets import Jet, JetSpec
-from .pfaffian import _q, _z, det_bareiss, pf_chain, pf_indexed, pf_labels
+from .pfaffian import MomentKernel, _q, det_bareiss, pf_chain, pf_indexed, pf_labels
 from .poly import PolyInZ
-from .scalars import GaussianRational, exact_div
+from .scalars import GaussInt, GaussianRational, exact_div
 
 if TYPE_CHECKING:
     from .moments import MomentSystem
 
 
 class TauTable:
-    """Every per-system cache: the memos of labelled Pfaffians, one per ring
-    (``None`` for scalars, else the jet spec), the moment entry jets, the
-    tau chains, plus the Schur layers and the operator families built from
-    them."""
+    """Every per-system cache: the moments as loop entries, the memos of
+    labelled Pfaffians, one per ring (``None`` for scalars, else the jet
+    spec), the moment entry jets, the tau chains, plus the Schur layers and
+    the operator families built from them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
+        self._kernel: MomentKernel | None = None
         self._memos: dict = {}
         # (label, label, spec) -> moment entry jet (MomentSystem.entry_jet)
         self.entry_jets: dict = {}
         # (m, k, conj, parity) -> (last moment label, pf_chain output);
         # the even chains take k = 1, conj = False
         self._chains: dict = {}
-        # (idx, m, k, conj) -> bilinear.SchurTau value and d1 lists
+        # (idx, m, k, conj) -> bilinear.SchurTau value and d1 polynomials;
+        # a Miwa chain reaches the idx asked or miwa_top, the largest idx a
+        # catalog run reads (bilinear.plan_schur_layers), if that is larger
         self.schur_layers: dict = {}
+        self.miwa_top = 0
         # (m, n_size) -> lax.build_psop_lax operator dict
         self.operators: dict = {}
+
+    def kernel(self) -> MomentKernel:
+        """The system's moments as loop entries, converted on first use."""
+        if self._kernel is None:
+            self._kernel = MomentKernel(self.sys)
+        return self._kernel
 
     def memo(self, spec: JetSpec | None = None) -> dict:
         """The memo of one ring, keyed by label tuples."""
@@ -165,7 +178,7 @@ class TauTable:
             last = max(last, 2 * have - m + 1)
         last = min(last, self.sys.max_index)
         head = self.tau_labels(odd, m, k, conj)[:odd]
-        out = pf_chain([*head, *range(m, last + 1)], self.sys)
+        out = pf_chain([*head, *range(m, last + 1)], self.kernel())
         self._chains[key] = (last, out)
         return out
 
@@ -326,24 +339,27 @@ def skew_gram(sys: MomentSystem, fs, gs) -> list:
     coefficients, <z^i, z^j> = mu_{i,j} extended bilinearly, as one product
     F M G^T in kernel types: each polynomial is cleared to integral
     coefficients over the lcm of its denominators, v_f = c_f M is formed
-    once per f, and each entry v_f . c_g / (d_f d_g) is divided once on the
-    way out.  M holds the moments (through ``_z``) at the exponents some f
-    and some g carry, so it reads no index the pairs would not."""
+    once per f, and each entry v_f . c_g / (d_f d_g s) is divided once on
+    the way out.  M is the block of the table's moment kernel (scaled by s)
+    at the exponents some f and some g carry, so it reads no index the pairs
+    would not."""
     cf, cg = [_cleared(f) for f in fs], [_cleared(g) for g in gs]
     rows, cols = (sorted({i for c, _ in cs for i in c}) for cs in (cf, cg))
-    block = [[_z(sys.mu_entry(i, j)) for i in rows] for j in cols]
+    kern = taus(sys).kernel()
+    block = [[kern.mu[i][j] for i in rows] for j in cols]
     gram = []
     for c, d in cf:
         c = [c.get(i, 0) for i in rows]
         v = dict(zip(cols, [sum(map(mul, c, col)) for col in block]))
-        gram.append([_q(sum(v[j] * b for j, b in g.items())) / (d * e) for g, e in cg])
+        gram.append([_q(sum(v[j] * b for j, b in g.items()), d * e * kern.scale)
+                     for g, e in cg])
     return gram
 
 
 def _cleared(f: PolyInZ):
     """({i: c_i}, d) with f = sum c_i z^i / d over its nonzero coefficients,
-    c_i integral and d the lcm of their denominators (both parts of a
-    Gaussian one)."""
+    c_i integral (a GaussInt for a Gaussian one) and d the lcm of their
+    denominators (both parts of a Gaussian one)."""
     def parts(x):
         return (x.re, x.im) if isinstance(x, GaussianRational) else (x,)
     d = lcm(*(p.denominator for x in f.coeffs for p in parts(x)))
@@ -351,7 +367,7 @@ def _cleared(f: PolyInZ):
     for i, x in enumerate(f.coeffs):
         if x:
             c = [p.numerator * (d // p.denominator) for p in parts(x)]
-            cleared[i] = GaussianRational(*c) if len(c) == 2 else c[0]
+            cleared[i] = GaussInt(*c) if len(c) == 2 else c[0]
     return cleared, d
 
 

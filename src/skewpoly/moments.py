@@ -213,61 +213,41 @@ def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
     return Jet(spec, coeffs)
 
 
-def miwa_entry(sys: MomentSystem, a, b, z):
-    """The Pfaffian entry of labels (a, b) at the Miwa shifted time t - [z],
-    [z] = (z, z^2/2, z^3/3, ...).
-
-    The shift acts on moments as exp(-sum_n z^n (X^n + Y^n) / n) = (1 - zX)
-    (1 - zY), X and Y raising the first and second index: mu_{i,j} becomes
-    mu_{i,j} - z (mu_{i+1,j} + mu_{i,j+1}) + z^2 mu_{i+1,j+1} and beta_j
-    becomes beta_j - z beta_{j+1}.  Integral moments are read as ints
-    (Gaussian ones with int parts), so the entry is integral too.
-    """
-    ref = sys._entry_ref(a, b)
-    if ref is None:
-        return 0
-    sign, (kind, p, q) = ref
-
-    def at(x, y):  # X^x Y^y of the entry's moment
-        return _z(sys._moment(kind, p + x, q + y))
-    if kind == "mu":
-        value = at(0, 0) - z * (at(1, 0) + at(0, 1)) + z * z * at(1, 1)
-    else:
-        value = at(0, 0) - z * at(0, 1)
-    return sign * value
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 
 
-def _rand_fraction(rng: random.Random, num_bound: int, den_bound: int,
-                   nonzero: bool = False) -> Fraction:
+# every generated numerator lies in [-NUM_BOUND, NUM_BOUND]; gen draws up to
+# ATTEMPTS systems for a nonvanishing tau grid
+NUM_BOUND = 5
+ATTEMPTS = 32
+
+
+def _rand_fraction(rng: random.Random, den_bound: int, nonzero: bool = False) -> Fraction:
     while True:
-        num = rng.randint(-num_bound, num_bound)
+        num = rng.randint(-NUM_BOUND, NUM_BOUND)
         if num or not nonzero:
             break
     den = rng.randint(1, den_bound) if den_bound > 1 else 1
     return Fraction(num, den)
 
 
-def _rand_gaussian(rng: random.Random, num_bound: int, den_bound: int,
+def _rand_gaussian(rng: random.Random, den_bound: int,
                    nonzero: bool = False) -> GaussianRational:
     while True:
-        g = GaussianRational(_rand_fraction(rng, num_bound, den_bound),
-                            _rand_fraction(rng, num_bound, den_bound))
+        g = GaussianRational(_rand_fraction(rng, den_bound),
+                            _rand_fraction(rng, den_bound))
         if g or not nonzero:
             return g
 
 
 def gen(kind: str, max_index: int, *, components: int = 1, seed: int = 0,
-        num_bound: int = 5, den_bound: int = 1,
-        require_tau: Optional[tuple] = None, attempts: int = 32,
+        den_bound: int = 1, require_tau: Optional[tuple] = None,
         info: Optional[dict] = None) -> MomentSystem:
     """Random moment system satisfying the named constraint exactly.
 
-    ``require_tau = (n_max, m_max)`` resamples (up to ``attempts`` derived
+    ``require_tau = (n_max, m_max)`` resamples (up to ``ATTEMPTS`` derived
     seeds) until every tau value on that grid is nonzero, so downstream
     coefficient ratios are well defined.  Vanishing happens on measure zero
     but random small rationals do hit it.  ``info`` (if a dict) records the
@@ -281,9 +261,9 @@ def gen(kind: str, max_index: int, *, components: int = 1, seed: int = 0,
         raise ValueError(f"components must be at least 1, got {components}")
     if kind in ("laurent", "rank2", "rank1skew") and components != 1:
         raise ValueError(f"constraint {kind!r} is single-component")
-    for attempt in range(attempts):
+    for attempt in range(ATTEMPTS):
         rng = random.Random(seed * 1000003 + attempt)
-        sys = _gen_once(kind, max_index, components, rng, num_bound, den_bound)
+        sys = _gen_once(kind, max_index, components, rng, den_bound)
         if require_tau is not None:
             try:
                 if next(vanishing_taus(sys, *require_tau), None) is not None:
@@ -295,58 +275,58 @@ def gen(kind: str, max_index: int, *, components: int = 1, seed: int = 0,
         if info is not None:
             info["resample_attempts"] = attempt
         return sys
-    raise RuntimeError(f"no nondegenerate {kind} system after {attempts} attempts")
+    raise RuntimeError(f"no nondegenerate {kind} system after {ATTEMPTS} attempts")
 
 
-def _gen_once(kind, max_index, components, rng, num_bound, den_bound) -> MomentSystem:
+def _gen_once(kind, max_index, components, rng, den_bound) -> MomentSystem:
     if kind == "none":
-        mu = {(i, j): _rand_fraction(rng, num_bound, den_bound, nonzero=True)
+        mu = {(i, j): _rand_fraction(rng, den_bound, nonzero=True)
               for i in range(max_index) for j in range(i + 1, max_index + 1)}
-        beta = tuple(tuple(_rand_fraction(rng, num_bound, den_bound, nonzero=True)
+        beta = tuple(tuple(_rand_fraction(rng, den_bound, nonzero=True)
                            for _ in range(max_index + 1))
                      for _ in range(components))
         return MomentSystem(max_index, mu, beta)
 
     if kind == "laurent":
-        band = [Fraction(0)] + [_rand_fraction(rng, num_bound, den_bound)
+        band = [Fraction(0)] + [_rand_fraction(rng, den_bound)
                                 for _ in range(max_index)]
         mu = {(i, j): band[j - i]
               for i in range(max_index) for j in range(i + 1, max_index + 1)}
-        b = _rand_fraction(rng, num_bound, den_bound, nonzero=True)
+        b = _rand_fraction(rng, den_bound, nonzero=True)
         beta = (tuple(b for _ in range(max_index + 1)),)
         return MomentSystem(max_index, mu, beta, constraint="laurent")
 
     if kind == "rank2":
-        beta_seq = [_rand_fraction(rng, num_bound, den_bound, nonzero=True)
+        beta_seq = [_rand_fraction(rng, den_bound, nonzero=True)
                     for _ in range(max_index + 1)]
-        mu = _propagate_rank2(beta_seq, max_index, rng, num_bound, den_bound)
+        mu = _propagate_rank2(beta_seq, max_index, rng, den_bound)
         return MomentSystem(max_index, mu, (tuple(beta_seq),), constraint="rank2")
 
     if kind == "rank1skew":
-        beta_seq = [_rand_fraction(rng, num_bound, den_bound, nonzero=True)
+        beta_seq = [_rand_fraction(rng, den_bound, nonzero=True)
                     for _ in range(max_index + 1)]
         mu = _rank1skew_mu([beta_seq], None, max_index, Fraction(1))
         return MomentSystem(max_index, mu, (tuple(beta_seq),),
                             constraint="rank1skew")
 
     if kind == "rank1skew-multi":
-        betas = [[_rand_fraction(rng, num_bound, den_bound)
+        betas = [[_rand_fraction(rng, den_bound)
                   for _ in range(max_index + 1)] for _ in range(components)]
-        betas[0] = [_rand_fraction(rng, num_bound, den_bound, nonzero=True)
+        betas[0] = [_rand_fraction(rng, den_bound, nonzero=True)
                     for _ in range(max_index + 1)]
         mu = _rank1skew_mu(betas, None, max_index, Fraction(1))
         return MomentSystem(max_index, mu, tuple(tuple(b) for b in betas),
                             constraint="rank1skew-multi")
 
     if kind == "rank1skew-complex":
-        betas = [[_rand_gaussian(rng, num_bound, den_bound)
+        betas = [[_rand_gaussian(rng, den_bound)
                   for _ in range(max_index + 1)] for _ in range(components)]
-        betas[0] = [_rand_gaussian(rng, num_bound, den_bound, nonzero=True)
+        betas[0] = [_rand_gaussian(rng, den_bound, nonzero=True)
                     for _ in range(max_index + 1)]
-        scale = _rand_gaussian(rng, num_bound, den_bound, nonzero=True)
+        scale = _rand_gaussian(rng, den_bound, nonzero=True)
         # the skew symmetry of mu forces the conjugate component sum to be
         # proportional to the direct one; individual conjugate rows stay free
-        bbars = [[_rand_gaussian(rng, num_bound, den_bound)
+        bbars = [[_rand_gaussian(rng, den_bound)
                   for _ in range(max_index + 1)] for _ in range(components - 1)]
         sums = [sum((betas[a][j] for a in range(components)),
                     GaussianRational.of(0)) for j in range(max_index + 1)]
@@ -361,7 +341,7 @@ def _gen_once(kind, max_index, components, rng, num_bound, den_bound) -> MomentS
     raise ValueError(kind)
 
 
-def _propagate_rank2(beta, max_index, rng, num_bound, den_bound) -> dict:
+def _propagate_rank2(beta, max_index, rng, den_bound) -> dict:
     """Fill mu anti-diagonal by anti-diagonal from the center outward.
 
     Odd index sums carry one free value at the center pair; even sums are
@@ -373,7 +353,7 @@ def _propagate_rank2(beta, max_index, rng, num_bound, den_bound) -> dict:
             c = (sigma - 1) // 2
             if c + 1 > max_index:
                 continue
-            mu[(c, c + 1)] = _rand_fraction(rng, num_bound, den_bound)
+            mu[(c, c + 1)] = _rand_fraction(rng, den_bound)
             i = c - 1
         else:
             c = sigma // 2

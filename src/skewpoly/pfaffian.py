@@ -6,6 +6,8 @@ One skew elimination loop and one expansion, each the other's test reference:
   from one scalar elimination without swaps, which always carries the
   spectral column along as a border and keeps the next entries of each
   pivot row; it stops at the first pivot that is not a unit.
+* :func:`miwa_chain` -- the same at the Miwa-shifted time t - [z], one
+  elimination per node z, with each link's top label raised beside it.
 * :func:`pfaffian` -- a plain square row list by the same loop, swapping a
   unit (a nonzero exact scalar, or a jet with a nonzero base) into each
   pivot; a nonzero row with no unit raises ``ZeroDivisionError``.
@@ -22,10 +24,12 @@ stages entry (i, j) is Pf(leading 2s rows, i, j) (D. E. Knuth, "Overlapping
 Pfaffians", Electron. J. Combin. 3(2), 1996), so every pivot is a leading
 Pfaffian itself -- a tau link, not a ratio -- and each update divides exactly
 by the previous pivot (:func:`_exact_div`, shared with :func:`det_bareiss`).
-Integral entries enter the loop as ``int`` (Gaussian ones with ``int``
-parts, jets coefficient by coefficient), so integer moments stay in Z
-throughout; results leave it as ``Fraction``, ``GaussianRational`` over
-Fractions, or jets of those.
+Integral entries enter the loop as ``int`` (Gaussian ones as
+:class:`~skewpoly.scalars.GaussInt`, jets coefficient by coefficient), so
+integer moments stay in Z throughout; results leave it as ``Fraction``,
+``GaussianRational`` over Fractions, or jets of those.  The chains read a
+system's moments from its :class:`MomentKernel`, converted once and scaled
+to integers by the lcm of their denominators.
 
 The indexed resolver :func:`pf_indexed` evaluates Pfaffians whose rows are
 named by symbolic labels (integer moment indices, single-moment rows ``d``,
@@ -36,11 +40,12 @@ returning a polynomial in z.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 
 from .jets import Jet
 from .poly import PolyInZ
-from .scalars import GaussianRational
+from .scalars import GaussInt, GaussianRational
 
 
 class LabelError(ValueError):
@@ -97,15 +102,20 @@ def pfaffian(rows):
     (nonzero scalars, or jets with a nonzero base); empty gives 1.  A zero
     row gives 0; a nonzero row with no unit raises ``ZeroDivisionError``."""
     _check_skew(rows)
-    a = [[_z(x) for x in r] for r in rows]
+    return _q(_pf_kernel([[_z(x) for x in r] for r in rows]))
+
+
+def _pf_kernel(a):
+    """:func:`pfaffian` of a row list of loop entries, eliminated in place; a
+    loop value."""
     pf, odd = 1, 0
     for k, (p, odd) in zip(range(0, len(a), 2), _stages(a, swaps=True)):
         if not _is_unit(p):
             if any(a[k][k + 1:]):
                 raise ZeroDivisionError(f"row {k} of the elimination has no unit")
-            return Fraction(0)
+            return 0
         pf = p
-    return _q(-pf if odd else pf)
+    return -pf if odd else pf
 
 
 def _stages(a, swaps: bool):
@@ -153,29 +163,34 @@ def _swap(a, i, j):
 
 def _z(x):
     """A loop entry: an integral Fraction as an int, a Gaussian rational with
-    integral parts over ints, a jet coefficient by coefficient."""
+    integral parts as a :class:`GaussInt`, a jet coefficient by coefficient."""
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, GaussianRational):
-        re, im = x.re, x.im
-        if type(re) is type(im) is Fraction and re.denominator == im.denominator == 1:
-            return GaussianRational(re.numerator, im.numerator)
-        return x
+        re, im = _z(x.re), _z(x.im)
+        return GaussInt(re, im) if type(re) is type(im) is int else x
     if isinstance(x, Jet):
         return Jet._of(x.spec, {a: _z(v) for a, v in x.coeffs.items()})
     return x
 
 
-def _q(x):
-    """A loop value back in the public types: ints as Fractions, Gaussian
-    parts as Fractions, jets coefficient by coefficient."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, GaussianRational):
-        return GaussianRational(Fraction(x.re), Fraction(x.im))
+def _q(x, den=1):
+    """A loop value divided by ``den`` back in the public types: ints as
+    Fractions, Gaussian parts as Fractions, jets coefficient by coefficient.
+    An int ``den`` divides an int or a GaussInt within one Fraction per part."""
+    t = type(x)
+    if type(den) is int:
+        if t is int:
+            return Fraction(x, den)
+        if t is GaussInt:
+            return GaussianRational(Fraction(x.re, den), Fraction(x.im, den))
     if isinstance(x, Jet):
-        return Jet._of(x.spec, {a: _q(v) for a, v in x.coeffs.items()})
-    return x
+        return Jet._of(x.spec, {a: _q(v, den) for a, v in x.coeffs.items()})
+    if t is GaussInt or isinstance(x, GaussianRational):
+        x = GaussianRational(Fraction(x.re), Fraction(x.im))
+    elif t is int:
+        x = Fraction(x)
+    return x if den == 1 else x / den
 
 
 def det_bareiss(rows):
@@ -208,14 +223,24 @@ def det_bareiss(rows):
 
 def _exact_div(num, den):
     """num / den for a den that divides num: ints and Gaussian integers by
-    remainder-checked integer division, ``JetSpec(1)`` jets by q0 = n0 / d0,
-    q1 = (n1 - q0 d1) / d0, anything else (rationals, heavier jets) by field
-    division.  An inexact quotient raises ``ArithmeticError``."""
-    if type(num) is int and type(den) is int:
+    remainder-checked integer division (a GaussInt divisor through its
+    conjugate and norm), ``JetSpec(1)`` jets by q0 = n0 / d0, q1 = (n1 - q0
+    d1) / d0, anything else (rationals, heavier jets) by field division.  An
+    inexact quotient raises ``ArithmeticError``."""
+    tn, td = type(num), type(den)
+    if tn is int and td is int:
         q, r = divmod(num, den)
         if r:
             raise ArithmeticError(f"{den} does not divide {num}")
         return q
+    if td is GaussInt and (tn is int or tn is GaussInt):
+        num, den = num * den.conjugate(), den.norm()
+        tn, td = GaussInt, int
+    if tn is GaussInt and td is int:
+        (a, r), (b, s) = divmod(num.re, den), divmod(num.im, den)
+        if r or s:
+            raise ArithmeticError(f"{den} does not divide {num}")
+        return GaussInt(a, b)
     if isinstance(num, Jet):
         if not isinstance(den, Jet):
             return Jet._of(num.spec, {a: _exact_div(v, den) for a, v in num.coeffs.items()})
@@ -225,12 +250,6 @@ def _exact_div(num, den):
         q0 = _exact_div(num.coeffs.get((0,), 0), d0)
         return Jet._of(num.spec, {(0,): q0,
                                   (1,): _exact_div(num.coeffs.get((1,), 0) - q0 * d1, d0)})
-    if isinstance(num, GaussianRational) or isinstance(den, GaussianRational):
-        n, d = GaussianRational._coerce(num), GaussianRational._coerce(den)
-        if all(type(x) is int for x in (n.re, n.im, d.re, d.im)):
-            norm = d.re * d.re + d.im * d.im
-            return GaussianRational(_exact_div(n.re * d.re + n.im * d.im, norm),
-                                    _exact_div(n.im * d.re - n.re * d.im, norm))
     return num / den
 
 
@@ -314,33 +333,140 @@ def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
     return Fraction(val) if jet_spec is None else Jet.constant(Fraction(val), jet_spec)
 
 
-def pf_chain(labels, sys):
-    """``(leading, tops, rows)`` of a z-free label list, by one scalar
-    elimination without swaps that borders the labels with the spectral
+# ---------------------------------------------------------------------------
+# Chains on a system's moments
+# ---------------------------------------------------------------------------
+
+
+class MomentKernel:
+    """A system's moments as loop entries, converted once (its ``TauTable``
+    owns it).  Each is scaled by ``scale``, the lcm of all their
+    denominators (parts of Gaussian ones included), so rational moments run
+    as ints too and a Pfaffian of 2s labels reads scale^s times its value;
+    a float moment keeps ``scale`` at 1.  ``mu[i][j]`` is the full skew
+    table of mu_{i,j}; ``rows[("comp", k)][j]`` is beta^{(k)}_j and
+    ``rows[("cbar", k)]`` its conjugate row."""
+
+    __slots__ = ("scale", "mu", "rows")
+
+    def __init__(self, sys):
+        rows = {("comp", k): r for k, r in enumerate(sys.beta, 1)}
+        rows.update({("cbar", k): r for k, r in enumerate(sys.beta_bar or (), 1)})
+        parts = [p for v in chain(sys.mu.values(), *rows.values())
+                 for p in ((v.re, v.im) if isinstance(v, GaussianRational) else (v,))]
+        exact = not any(isinstance(p, float) for p in parts)
+        self.scale = scale = lcm(*(p.denominator for p in parts)) if exact else 1
+
+        def entry(v):  # scale * v as a loop entry
+            if isinstance(v, GaussianRational):
+                re, im = entry(v.re), entry(v.im)
+                return GaussInt(re, im) if type(re) is type(im) is int else v
+            return v.numerator * (scale // v.denominator) if exact else v
+        n = sys.max_index + 1
+        self.mu = [[0] * n for _ in range(n)]
+        for (i, j), v in sys.mu.items():
+            self.mu[i][j] = x = entry(v)
+            self.mu[j][i] = -x
+        self.rows = {lab: [entry(v) for v in r] for lab, r in rows.items()}
+
+    def row(self, lab) -> list:
+        """Entries (lab, j) for every moment label j."""
+        return self.mu[lab] if isinstance(lab, int) else self.rows[lab]
+
+    def shifted(self, a, b):
+        """(A, B, C) with entry (a, b) at the Miwa shifted time t - [z], [z]
+        = (z, z^2/2, z^3/3, ...), equal to A - z B + z^2 C, for a moment
+        label or a single-moment row a and a moment label b.  The shift acts
+        on moments as exp(-sum_n z^n (X^n + Y^n) / n) = (1 - zX)(1 - zY), X
+        and Y raising the first and second index: mu_{i,j} becomes mu_{i,j}
+        - z (mu_{i+1,j} + mu_{i,j+1}) + z^2 mu_{i+1,j+1} and beta_j becomes
+        beta_j - z beta_{j+1}."""
+        if isinstance(a, int):
+            row, up = self.mu[a], self.mu[a + 1]
+            return row[b], up[b] + row[b + 1], up[b + 1]
+        row = self.rows[a]
+        return row[b], row[b + 1], 0
+
+
+def pf_chain(labels, kernel: MomentKernel):
+    """``(leading, tops, rows)`` of a z-free label list (an optional
+    single-moment row, then moment labels), by one scalar elimination of the
+    kernel's entries without swaps that borders the labels with the spectral
     column.  ``leading[s]`` = Pf(labels[:2s]) is the pivot of stage s - 1;
     it stops at the first pivot that is not a unit, whose own link is still
     exact.  ``tops[s]`` are the entries (k, k+2), (k+1, k+2) and (k, k+3),
     k = 2s, of the pivot rows of stage s: Pf(labels[:k], l_k, l_k+2),
-    Pf(labels[:k], l_k+1, l_k+2) and Pf(labels[:k], l_k, l_k+3).
+    Pf(labels[:k], l_k+1, l_k+2) and Pf(labels[:k], l_k, l_k+3).  Both leave
+    the loop divided by the power of ``kernel.scale`` they carry.
     ``rows[r]`` = Pf(labels[:2s], labels[r], z) / (z^low Pf(labels[:2s])),
     s = r // 2, is row r of the spectral column (an integral numerator
-    divided by its link once), for each row all its stages reached.  Its
+    divided by its link once, a Gaussian link through its conjugate and
+    norm; the scale cancels), for each row all its stages reached.  Its
     border starts at z^low, low the smallest moment label: Pf(label, z) is
     z^label for a moment label and 0 for any other, so lower columns are 0."""
     labs = list(labels)
     n = len(labs)
-    entry = sys.entry_scalar
     moment = [x for x in labs if isinstance(x, int)]
     border = range(min(moment, default=0), max(moment, default=-1) + 1)
-    a = [[0] * (i + 1) + [_z(entry(x, y)) for y in labs[i + 1:]]
-         + [int(x == p) for p in border] for i, x in enumerate(labs)]
-    leading, reached = [Fraction(1)], n
+    a = []
+    for i, x in enumerate(labs):
+        row = kernel.row(x)
+        a.append([0] * (i + 1) + [row[y] for y in labs[i + 1:]]
+                 + [int(x == p) for p in border])
+    links, reached = [1], n
     for s, (p, _) in enumerate(_stages(a, swaps=False)):
-        leading.append(_q(p))
+        links.append(p)
         if not _is_unit(p):
             reached = 2 * s + 2
-    tops = [(_q(a[k][k + 2]), _q(a[k + 1][k + 2]), _q(a[k][k + 3]))
+    scale = kernel.scale
+    leading = [_q(p, scale ** s) for s, p in enumerate(links)]
+    tops = [tuple(_q(x, scale ** (k // 2 + 1))
+                  for x in (a[k][k + 2], a[k + 1][k + 2], a[k][k + 3]))
             for k in range(0, min(reached, n - 3), 2)]
-    inv = [1 / link for link in leading[:(reached + 1) // 2]]
-    return leading, tops, [PolyInZ([c * inv[r // 2] for c in a[r][n:]])
-                           for r in range(reached)]
+    inv = [(p.conjugate(), p.norm()) if type(p) is GaussInt else (1, p)
+           for p in links[:(reached + 1) // 2]]
+    return leading, tops, [PolyInZ([_q(c * f, d) for c in a[r][n:]])
+                           for r in range(reached) for f, d in (inv[r // 2],)]
+
+
+def miwa_chain(labels, kernel: MomentKernel, top: int):
+    """The leading Pfaffians of labels[:-1] at the Miwa shifted time t - [z]
+    and each with its last label raised to the next label, at the nodes z =
+    0..top: ``(links, raised)``, links[s][z] = Pf(labels[:2s+2]) and
+    raised[s][z] = Pf(labels[:2s+1], labels[2s+2]), loop values carrying
+    kernel.scale^(s+1).  Each node is one elimination without swaps of the
+    shifted entries A - z B + z^2 C, whose triples are read once: link s is
+    the pivot of stage s and its raised Pfaffian the pivot-row entry (2s,
+    2s+2), the top label raised as for the tau jets (M. Adler, P. van
+    Moerbeke, Duke Math. J. 112, 2002).  Past a vanishing pivot, a node's
+    links and raised Pfaffians each take one elimination with swaps."""
+    n = len(labels) - 1
+    trip = [[kernel.shifted(x, y) for y in labels[i + 1:]]
+            for i, x in enumerate(labels[:n])]
+    links, raised = [[] for _ in range(n // 2)], [[] for _ in range(n // 2)]
+    for z in range(top + 1):
+        zz = z * z
+        a = [[0] * (i + 1) + [x - z * y + zz * w for x, y, w in row]
+             for i, row in enumerate(trip)]
+        reached = 0
+        for s, (p, _) in enumerate(_stages(a, swaps=False)):
+            links[s].append(p)
+            raised[s].append(a[2 * s][2 * s + 2])
+            reached = s + 1
+        for s in range(reached, n // 2):
+            k = 2 * s + 2
+            links[s].append(_pf_kernel(_shifted_rows(trip, range(k), z)))
+            raised[s].append(_pf_kernel(_shifted_rows(trip, [*range(k - 1), k], z)))
+    return links, raised
+
+
+def _shifted_rows(trip, pos, z):
+    """The full skew row list, at node z, of the labels at positions ``pos``
+    of a :func:`miwa_chain`."""
+    rows = [[0] * len(pos) for _ in pos]
+    for u, i in enumerate(pos):
+        for v in range(u + 1, len(pos)):
+            x, y, w = trip[i][pos[v] - i - 1]
+            rows[u][v] = e = x - z * y + z * z * w
+            rows[v][u] = -e
+    return rows

@@ -3,7 +3,9 @@
 Every quantity in the exact verification pipeline is either a ``Fraction``
 (rational mode) or a :class:`GaussianRational` (complex mode).  Plain floats
 are tolerated only by the dynamics module; exact-verification entry points
-call ``MomentSystem.require_exact`` to keep float-mode systems out.
+call ``MomentSystem.require_exact`` to keep float-mode systems out.  Inside
+the Pfaffian kernel Gaussian integers are :class:`GaussInt` pairs, never
+public values.
 """
 
 from __future__ import annotations
@@ -13,10 +15,82 @@ from fractions import Fraction
 from typing import Union
 
 
+class GaussInt:
+    """re + im i with int parts: the Pfaffian kernel's Gaussian integer.
+    Two slots and no checks, so a product costs four int products; ints
+    mix in directly, Fractions and GaussianRationals through the public
+    type.  Values leave the kernel as GaussianRationals (``pfaffian._q``)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def __neg__(self):
+        return GaussInt(-self.re, -self.im)
+
+    def __add__(self, o):
+        if type(o) is GaussInt:
+            return GaussInt(self.re + o.re, self.im + o.im)
+        if type(o) is int:
+            return GaussInt(self.re + o, self.im)
+        return self._public() + o if isinstance(o, (Fraction, GaussianRational)) \
+            else NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if type(o) is GaussInt:
+            return GaussInt(self.re - o.re, self.im - o.im)
+        if type(o) is int:
+            return GaussInt(self.re - o, self.im)
+        return self._public() - o if isinstance(o, (Fraction, GaussianRational)) \
+            else NotImplemented
+
+    def __rsub__(self, o):
+        if type(o) is int:
+            return GaussInt(o - self.re, -self.im)
+        return o - self._public() if isinstance(o, (Fraction, GaussianRational)) \
+            else NotImplemented
+
+    def __mul__(self, o):
+        if type(o) is GaussInt:
+            a, b, c, d = self.re, self.im, o.re, o.im
+            return GaussInt(a * c - b * d, a * d + b * c)
+        if type(o) is int:
+            return GaussInt(self.re * o, self.im * o)
+        return self._public() * o if isinstance(o, (Fraction, GaussianRational)) \
+            else NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        return self._public() / o
+
+    def __rtruediv__(self, o):
+        return o / self._public()
+
+    def conjugate(self) -> "GaussInt":
+        return GaussInt(self.re, -self.im)
+
+    def norm(self) -> int:
+        return self.re * self.re + self.im * self.im
+
+    def _public(self) -> "GaussianRational":
+        return GaussianRational(Fraction(self.re), Fraction(self.im))
+
+    def __repr__(self):
+        return f"GaussInt({self.re}, {self.im})"
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """Number a + b*i with exact rational parts.  Public values hold
-    Fractions; the Pfaffian kernel's Gaussian integers hold ints."""
+    Fractions; the Pfaffian kernel's Gaussian integers are GaussInts."""
 
     re: Fraction
     im: Fraction
@@ -30,7 +104,9 @@ class GaussianRational:
         if isinstance(x, GaussianRational):
             return x
         if isinstance(x, (int, Fraction)):
-            return GaussianRational(x, 0)  # int stays int: the kernel's Z[i]
+            return GaussianRational(x, 0)
+        if type(x) is GaussInt:
+            return x._public()
         return None
 
     def conjugate(self) -> "GaussianRational":

@@ -42,56 +42,70 @@ def test_schur_action_trivial_orders(sys2):
     assert bl.schur_d_tau(sys2, 4, 3, 0, comp=2) == 0  # above idx
 
 
-def _assert_miwa_matches_jet_oracle(s, idx, m, k=1, conj=False):
-    """SchurTau's lists against Jet.schur of the weight-(idx+1) tau jet."""
+def _assert_miwa_matches_jet_oracle(s, idx, m, k=1, conj=False, spec=None):
+    """SchurTau's lists against Jet.schur of the weight-(idx+1) tau jet
+    (expanded in ``spec`` and truncated, if given, so one memo serves all idx)."""
     t = taus(s)
     st = bl.SchurTau(t, idx, m, k, conj)
-    jet = t.tau_jet(idx, m, JetSpec(idx + 1), k, conj)
+    jet = t.tau_jet(idx, m, spec or JetSpec(idx + 1), k, conj).truncate(JetSpec(idx + 1))
     assert [st.value(j) for j in range(idx + 2)] == jet.schur()
     assert [st.d1(j) for j in range(idx + 1)] == jet.deriv(0).schur()
     assert st.value(idx + 1) == st.d1(idx + 1) == st.value(idx + 5) == 0
     return st
 
 
-@pytest.mark.parametrize("kind", ["none", "laurent", "rank2", "rank1skew",
-                                  "rank1skew-multi", "rank1skew-complex"])
-def test_miwa_schur_layers_match_jet_oracle(kind):
-    s = gen(kind, 14, components=2 if "-" in kind else 1, seed=41)
+@pytest.mark.parametrize("kind,den_bound", [
+    *(pytest.param(kind, 1, id=kind) for kind in ("none", "laurent", "rank2", "rank1skew",
+                                                  "rank1skew-multi", "rank1skew-complex")),
+    pytest.param("none", 3, id="none-den3")])
+def test_miwa_schur_layers_match_jet_oracle(kind, den_bound):
+    # the chains are sized as a catalog run at n_max = 3 sizes them (even
+    # idx <= 8, odd idx <= 7) and read in the catalog's order, smallest first
+    s = gen(kind, 18, components=2 if "-" in kind else 1, seed=41, den_bound=den_bound)
+    bl.plan_schur_layers(s, 3)
     conjs = (False, True) if s.beta_bar is not None else (False,)
-    for idx in range(6):
-        for m in (0, 1):
+    for idx in range(8):
+        for m in (0, 1, 2):
             for k in range(1, s.ell + 1):
                 for conj in conjs:
-                    _assert_miwa_matches_jet_oracle(s, idx, m, k, conj)
+                    _assert_miwa_matches_jet_oracle(s, idx, m, k, conj, JetSpec(8))
     st = bl.SchurTau(taus(s), -1, 0)
     assert st.value(0) == st.d1(0) == 0
 
 
 def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
     rng = random.Random(42)
-    top = 12
 
-    def system(zero_mu, zero_beta):
+    def system(zero_mu, zero_beta, fixed=(), top=12):
         mu = {(i, j): Fraction(rng.randint(1, 9), rng.randint(1, 3))
               for i in range(top + 1) for j in range(i + 1, top + 1)
               if (i, j) not in zero_mu}
+        mu.update(fixed)
         beta = [Fraction(0) if j in zero_beta else Fraction(rng.randint(1, 9))
                 for j in range(top + 1)]
         return MomentSystem(top, mu, beta=(tuple(beta),))
 
-    calls = []
-    expand = pfaffian_mod._pf_expand
+    calls, swapped = [], []
+    expand, with_swaps = pfaffian_mod._pf_expand, pfaffian_mod._pf_kernel
 
     def counted(labels, entry, cache):
         calls.append(labels)
         return expand(labels, entry, cache)
 
+    def counted_swaps(a):
+        swapped.append(len(a))
+        return with_swaps(a)
+
     def layers(s, idx, m):
-        """The Schur layers, built with expansion counted; then the oracle."""
+        """The Schur layers, built with expansion and the with-swaps
+        fallback counted; then the oracle."""
         calls.clear()
+        swapped.clear()
         monkeypatch.setattr(pfaffian_mod, "_pf_expand", counted)
+        monkeypatch.setattr(pfaffian_mod, "_pf_kernel", counted_swaps)
         bl.SchurTau(taus(s), idx, m)
         monkeypatch.setattr(pfaffian_mod, "_pf_expand", expand)
+        monkeypatch.setattr(pfaffian_mod, "_pf_kernel", with_swaps)
         assert not calls  # a nonzero scalar row always holds a unit pivot
         return _assert_miwa_matches_jet_oracle(s, idx, m)
     # mu_{0,1} = mu_{0,2} = mu_{0,3} = 0: row 0 of Pf(0,...,3) is zero at
@@ -100,6 +114,7 @@ def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
     s = system({(0, 1), (0, 2), (0, 3)}, ())
     st = layers(s, 4, 0)
     assert st.value(0) == 0 and st.d1(0) != 0
+    assert swapped == [4, 4]  # tau_4 and its raised Pfaffian at z = 0
     # tau_4^{(0)}(t - [z]) vanishes identically with t_1 derivative
     # z^3 mu_{2,3} (z mu_{1,5} - mu_{0,5}), and with beta_0..4 = 0
     # tau_3^{(1)}(t - [z]) too, with t_1 derivative -z^3 beta_5 mu_{2,3}
@@ -107,6 +122,15 @@ def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
     for idx, m in ((4, 0), (3, 1)):
         st = layers(s, idx, m)
         assert not st.values and st.d1s
+    # mu_{0,1} mu_{2,3} - mu_{0,2} mu_{1,3} + mu_{0,3} mu_{1,2} = 0 with
+    # mu_{0,1} != 0: at z = 0 the chain of the even idx <= 8 stalls at its
+    # second pivot, so tau_4 vanishes there, and tau_6 and tau_8 (with their
+    # raised Pfaffians) are eliminated with swaps at that node only
+    s = system({(0, 3)}, (), {(0, 1): 1, (2, 3): 1, (0, 2): 1, (1, 3): 1}, top=16)
+    st = layers(s, 8, 0)
+    assert swapped == [6, 6, 8, 8]
+    low, mid = (_assert_miwa_matches_jet_oracle(s, idx, 0) for idx in (2, 4))
+    assert low.value(0) != 0 and mid.value(0) == 0 and st.value(0) != 0
 
 
 def test_schur_coefficient_equivalence(sys2):

@@ -380,6 +380,39 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
         assert built and not twice, (flags, twice)
 
 
+def test_verify_eliminates_each_miwa_node_once(monkeypatch, tmp_path):
+    """Every Miwa chain, one per (m, k, conj, parity), is eliminated at most
+    once per node z in a verify run (a stalled node's with-swaps fallback
+    is not a chain), and none holds more labels than the largest idx whose
+    Schur layers the run reads, plus 2."""
+    pf = importlib.import_module("skewpoly.pfaffian")
+    stages, schur_init = pf._stages, bilinear.SchurTau.__init__
+    nodes, sizes, read = collections.Counter(), [], []
+
+    def counted_stages(a, swaps):
+        caller = sys._getframe(1)
+        if caller.f_code is pf.miwa_chain.__code__:
+            # the head of the labels names the chain's (m, k, conj, parity)
+            labels = caller.f_locals["labels"]
+            nodes[tuple(labels[:2]), caller.f_locals["z"]] += 1
+            sizes.append(len(labels))
+        return stages(a, swaps)
+
+    def counted_init(self, table, idx, *args, **kwargs):
+        read.append(idx)
+        schur_init(self, table, idx, *args, **kwargs)
+
+    monkeypatch.setattr(pf, "_stages", counted_stages)
+    monkeypatch.setattr(bilinear.SchurTau, "__init__", counted_init)
+    for kind in KINDS:
+        nodes.clear(), sizes.clear(), read.clear()
+        assert run(["verify", "--kind", kind, "--n-max", "2", "--m-max", "1",
+                    "--out", str(tmp_path / "rep.json")]) == 0, kind
+        twice = [key for key, n in nodes.items() if n > 1]
+        assert nodes and not twice, (kind, twice)
+        assert max(sizes) <= max(read) + 2, (kind, max(sizes), max(read))
+
+
 def test_orthogonality_runs_one_gram_per_instance(monkeypatch, tmp_path):
     """SOP_ORTHOGONALITY and PSOP_INNER each evaluate their bilinear forms
     as at most one Gram product per instance, and the catalog makes no

@@ -1,6 +1,7 @@
 """Tau table, polynomial families, skew inner product, defect determinant."""
 
 import gc
+import importlib
 import random
 import weakref
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from skewpoly import cli, moments
-from skewpoly.bilinear import identity_residual
+from skewpoly.bilinear import SchurTau, identity_residual
 from skewpoly.families import (TauTable, orthogonality_defects,
                                orthogonality_determinant, psop_inner_defects,
                                skew_gram, skew_inner, sop, sop_at_zero, psop, tau,
@@ -17,7 +18,7 @@ from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen, validate
 from skewpoly.pfaffian import pf_indexed, pf_labels
 from skewpoly.poly import PolyInZ
-from skewpoly.scalars import GaussianRational
+from skewpoly.scalars import GaussInt, GaussianRational, exact_div
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +356,7 @@ def test_tau_chains_match_expansion():
     # 200 unconditioned systems (some taus vanish and stall their chain):
     # every (kind, m) pair up to link 11, then up to links 1..7 in turn, the
     # complex kind with one and with two components; then 30 systems of
-    # rational moments (den_bound 3), where the loop divides in the field
+    # rational moments (den_bound 3), which the loop reads scaled to ints
     for i in range(230):
         kind, m, top = KINDS[i % 6], (i // 6) % 3, 11 if i < 18 else 1 + i % 7
         comps = {"rank1skew-multi": 2, "rank1skew-complex": 1 + (i // 6) % 2}
@@ -375,6 +376,33 @@ def test_tau_chains_match_expansion():
             _expansion_oracle(t, sys, m, 2 * n_max - 1)
         assert t._chains.keys() == built.keys(), kind
         assert all(t._chains[key] is got for key, got in built.items()), kind
+
+
+def test_rational_moments_run_in_ints(monkeypatch):
+    """Moments with denominators enter the loop scaled by the lcm of all
+    their denominators: every pivot of the tau chains, the Miwa chains and
+    the Gram product is an int (a GaussInt for a Gaussian kind), and the
+    values leave divided by their power of the scale, equal to expansion."""
+    pf = importlib.import_module("skewpoly.pfaffian")
+    stages, pivots = pf._stages, []
+
+    def recorded(a, swaps):
+        for p, odd in stages(a, swaps):
+            pivots.append(p)
+            yield p, odd
+    monkeypatch.setattr(pf, "_stages", recorded)
+    for kind, kernel_type in (("none", int), ("rank1skew-complex", GaussInt)):
+        s = gen(kind, 12, components=2 if "-" in kind else 1, seed=7, den_bound=3)
+        t = taus(s)
+        assert t.kernel().scale > 1
+        pivots.clear()
+        for idx in range(1, 8):
+            labels = TauTable.tau_labels(idx, 1, 2 if s.ell > 1 else 1, False)
+            assert t.tau(idx, 1, 2 if s.ell > 1 else 1) == pf_labels(labels, s)
+            SchurTau(t, idx, 1)
+        assert pivots and {type(p) for p in pivots} <= {int, kernel_type}, kind
+        gram = skew_gram(s, [t.sop(4, 0)], [t.sop(5, 0)])
+        assert gram[0][0] == exact_div(t.tau(6, 0), t.tau(4, 0))
 
 
 def _stalled_system():

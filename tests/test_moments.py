@@ -8,11 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from skewpoly.families import taus
 from skewpoly.jets import JetSpec
 from skewpoly.moments import (MomentSystem, OutOfRangeError, SolitonSpec,
                               from_json_dict, gen, lift_to_jet, load,
-                              miwa_entry, save, shift_derivative, soliton_system,
+                              save, shift_derivative, soliton_system,
                               stembridge_residual, to_json_dict, validate)
+from skewpoly.pfaffian import _q
 from skewpoly.scalars import GaussianRational
 
 ALL_KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
@@ -124,18 +126,23 @@ def test_lift_to_jet_matches_iterated_shift_rule():
 
 def test_miwa_entry_is_the_schur_series_of_the_lift():
     # e(t - [z]) = sum_j s_j(-dtilde) e z^j, read off a weight-3 lift, has
-    # degree <= 2 for mu and <= 1 for beta
-    s = gen("rank1skew-complex", 14, components=2, seed=5)
-    labels = [2, 5, ("comp", 2), ("cbar", 1)]
-    for a in labels:
-        for b in labels:
-            if not (isinstance(a, int) or isinstance(b, int)):
-                continue
-            series = s.entry_jet(a, b, JetSpec(3)).schur()
-            assert series[3] == 0
-            for z in range(4):
-                got = miwa_entry(s, a, b, z)
-                assert got == sum(c * z ** j for j, c in enumerate(series))
+    # degree <= 2 for mu and <= 1 for beta; the Schur layers read it as the
+    # moment kernel's triple (A, B, C), A - z B + z^2 C, scaled by its lcm
+    for den_bound in (1, 3):
+        s = gen("rank1skew-complex", 14, components=2, seed=5, den_bound=den_bound)
+        kern = taus(s).kernel()
+        labels = [2, 5, ("comp", 2), ("cbar", 1)]
+        for a in labels:
+            for b in labels:
+                if not (isinstance(a, int) or isinstance(b, int)):
+                    continue
+                series = s.entry_jet(a, b, JetSpec(3)).schur()
+                assert series[3] == 0
+                sign = 1 if isinstance(b, int) else -1  # (row, j) = -(j, row)
+                x, y, w = kern.shifted(*((a, b) if sign > 0 else (b, a)))
+                for z in range(4):
+                    got = _q(sign * (x - z * y + z * z * w), kern.scale)
+                    assert got == sum(c * z ** j for j, c in enumerate(series))
 
 
 def test_lift_to_jet_degenerate_zero_system():

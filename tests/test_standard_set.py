@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from skewpoly import cli
+from skewpoly import bilinear, cli, moments
 
 STANDARD_SET = {
     **{f"{kind}-n2": ["--kind", kind, "--seed", "3", "--n-max", "2", "--m-max", "1"]
@@ -29,14 +29,20 @@ STANDARD_SET = {
                                   "--n-max", "3", "--identities", "ORTHOGONALITY"],
     **{f"{kind}-n3": ["--kind", kind, "--seed", "3", "--n-max", "3"]
        for kind in ("none", "rank2", "rank1skew")},
+    "rank1skew-complex-n3": ["--kind", "rank1skew-complex", "--seed", "3",
+                             "--n-max", "3"],
+    # rational moments through a file: DEN3 is replaced by the saved system
+    "none-den3-in": ["--in", "DEN3", "--seed", "3", "--n-max", "2", "--m-max", "1"],
 }
 
 DIGESTS = {
     "laurent-n2": "7c07c2efd97598d8f2568fe9de6602ba61e9ec4b6e77b29199fc0356f3483c77",
     "none-n2": "4a83be3cf53ac5df08e85a9d57028a2a0fdf4b89af3d69aec60e8d352b7ef44a",
     "none-n3": "31d912a6957398c99e815ea9e6cfa5b7d5f8a288e847b9cfeb39b671b8788f87",
+    "none-den3-in": "6da833ea141aeab27ede3c8cb4dc512669bfdfcee0ab0d00a9e112400b7ca4e0",
     "none-n7-orth": "4868625d84310d6c0e867c8729164e8e683b0ee67dd42fac660e93f235f6219f",
     "rank1skew-complex-n2": "600296c588000817203725a282ce11618cd076ab0f054f440f1caa1d2e4e0858",
+    "rank1skew-complex-n3": "2575046aba0d5bbd8cc98b5e6893262125c5eb33ec8fb71ee9260d3df853719d",
     "rank1skew-complex-n3-orth": "e85732a80084fa718ab907a2901ea26ec659ea362784a9f24d330f80cc0ea406",
     "rank1skew-corrupt-mu": "b9d18c52b4e7e2c41cf0da1c73d66b7e68d6637ff57b1bdff0fa63cc1285bbb3",
     "rank1skew-multi-n2": "d7f4121bda627d0ca222b589499f95cdbcb5e420163f43462f39e1847aec7ad8",
@@ -47,6 +53,14 @@ DIGESTS = {
     "rank2-n3": "0ad8af632d6a9a7dcf258f902865901554ec82088969874fecd0f02380b0fa32",
     "rank2-seed6": "3edfd515884024176c9c0017120c0aa6e03ccb0bafdffd1c5e59381effbe411b",
 }
+
+
+def den3_system(path) -> str:
+    """A none system with denominators up to 3, sized for --n-max 2 --m-max 1."""
+    sys_ = moments.gen("none", bilinear.catalog_max_index(2, 1), seed=3, den_bound=3,
+                       require_tau=(4, 2))
+    moments.save(sys_, path)
+    return str(path)
 
 
 def report_digest(argv, out) -> str:
@@ -61,4 +75,6 @@ def report_digest(argv, out) -> str:
 
 @pytest.mark.parametrize("name", sorted(STANDARD_SET))
 def test_standard_set_reports_unchanged(name, tmp_path):
-    assert report_digest(STANDARD_SET[name], tmp_path / "report.json") == DIGESTS[name]
+    argv = [den3_system(tmp_path / "den3.json") if a == "DEN3" else a
+            for a in STANDARD_SET[name]]
+    assert report_digest(argv, tmp_path / "report.json") == DIGESTS[name]
