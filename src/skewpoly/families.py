@@ -78,14 +78,15 @@ transpose 0 (:func:`orthogonality_defects`), and, against the monomials,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .jets import Jet, JetSpec
-from .pfaffian import MomentKernel, _q, det_bareiss, pf_chain, pf_indexed, pf_labels
+from .pfaffian import (MomentKernel, _den_lcm, _q, _z, det_bareiss, pf_chain, pf_indexed,
+                       pf_labels)
 from .poly import PolyInZ
-from .scalars import GaussInt, GaussianRational, exact_div
+from .scalars import exact_div
 
 if TYPE_CHECKING:
     from .moments import MomentSystem
@@ -358,17 +359,10 @@ def skew_gram(sys: MomentSystem, fs, gs) -> list:
 
 def _cleared(f: PolyInZ):
     """({i: c_i}, d) with f = sum c_i z^i / d over its nonzero coefficients,
-    c_i integral (a GaussInt for a Gaussian one) and d the lcm of their
-    denominators (both parts of a Gaussian one)."""
-    def parts(x):
-        return (x.re, x.im) if isinstance(x, GaussianRational) else (x,)
-    d = lcm(*(p.denominator for x in f.coeffs for p in parts(x)))
-    cleared = {}
-    for i, x in enumerate(f.coeffs):
-        if x:
-            c = [p.numerator * (d // p.denominator) for p in parts(x)]
-            cleared[i] = GaussInt(*c) if len(c) == 2 else c[0]
-    return cleared, d
+    d the lcm of their denominators and c_i = _z(d f_i) a loop entry (an int,
+    or a Gaussian rational with int parts)."""
+    d = _den_lcm(f.coeffs)
+    return {i: _z(x * d) for i, x in enumerate(f.coeffs) if x}, d
 
 
 def skew_inner(sys: MomentSystem, f: PolyInZ, g: PolyInZ):

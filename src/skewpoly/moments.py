@@ -253,8 +253,6 @@ def gen(kind: str, max_index: int, *, components: int = 1, seed: int = 0,
     but random small rationals do hit it.  ``info`` (if a dict) records the
     number of resampling attempts for reproducibility reports.
     """
-    if kind in ("none", "random", "unconstrained"):
-        kind = "none"
     if kind not in CONSTRAINTS:
         raise ValueError(f"unknown generator kind {kind!r}")
     if components < 1:

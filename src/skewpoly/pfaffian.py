@@ -24,12 +24,12 @@ stages entry (i, j) is Pf(leading 2s rows, i, j) (D. E. Knuth, "Overlapping
 Pfaffians", Electron. J. Combin. 3(2), 1996), so every pivot is a leading
 Pfaffian itself -- a tau link, not a ratio -- and each update divides exactly
 by the previous pivot (:func:`_exact_div`, shared with :func:`det_bareiss`).
-Integral entries enter the loop as ``int`` (Gaussian ones as
-:class:`~skewpoly.scalars.GaussInt`, jets coefficient by coefficient), so
-integer moments stay in Z throughout; results leave it as ``Fraction``,
-``GaussianRational`` over Fractions, or jets of those.  The chains read a
-system's moments from its :class:`MomentKernel`, converted once and scaled
-to integers by the lcm of their denominators.
+Entries enter the loop only through :func:`_z`, integral ones as ``int``
+(Gaussian ones with int parts, jets coefficient by coefficient), so integer
+moments stay in Z throughout; they leave it only through :func:`_q`, as
+``Fraction``, ``GaussianRational`` over Fractions, or jets of those.  The
+chains read a system's moments from its :class:`MomentKernel`, converted
+once and scaled to integers by the lcm of their denominators.
 
 The indexed resolver :func:`pf_indexed` evaluates Pfaffians whose rows are
 named by symbolic labels (integer moment indices, single-moment rows ``d``,
@@ -45,7 +45,7 @@ from math import lcm
 
 from .jets import Jet
 from .poly import PolyInZ
-from .scalars import GaussInt, GaussianRational
+from .scalars import GaussianRational
 
 
 class LabelError(ValueError):
@@ -162,31 +162,33 @@ def _swap(a, i, j):
 
 
 def _z(x):
-    """A loop entry: an integral Fraction as an int, a Gaussian rational with
-    integral parts as a :class:`GaussInt`, a jet coefficient by coefficient."""
+    """The one way into the loop: an integral Fraction as an int, a Gaussian
+    rational with integral parts as one with int parts, a jet coefficient
+    by coefficient; anything else as it is."""
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, GaussianRational):
         re, im = _z(x.re), _z(x.im)
-        return GaussInt(re, im) if type(re) is type(im) is int else x
+        return GaussianRational(re, im) if type(re) is type(im) is int else x
     if isinstance(x, Jet):
         return Jet._of(x.spec, {a: _z(v) for a, v in x.coeffs.items()})
     return x
 
 
 def _q(x, den=1):
-    """A loop value divided by ``den`` back in the public types: ints as
-    Fractions, Gaussian parts as Fractions, jets coefficient by coefficient.
-    An int ``den`` divides an int or a GaussInt within one Fraction per part."""
+    """The one way out of the loop: a loop value divided by ``den`` in the
+    public types, ints as Fractions, Gaussian parts as Fractions, jets
+    coefficient by coefficient.  An int ``den`` divides an int or a Gaussian
+    integer within one Fraction per part."""
     t = type(x)
     if type(den) is int:
         if t is int:
             return Fraction(x, den)
-        if t is GaussInt:
+        if t is GaussianRational and type(x.re) is type(x.im) is int:
             return GaussianRational(Fraction(x.re, den), Fraction(x.im, den))
     if isinstance(x, Jet):
         return Jet._of(x.spec, {a: _q(v, den) for a, v in x.coeffs.items()})
-    if t is GaussInt or isinstance(x, GaussianRational):
+    if t is GaussianRational:
         x = GaussianRational(Fraction(x.re), Fraction(x.im))
     elif t is int:
         x = Fraction(x)
@@ -222,25 +224,27 @@ def det_bareiss(rows):
 
 
 def _exact_div(num, den):
-    """num / den for a den that divides num: ints and Gaussian integers by
-    remainder-checked integer division (a GaussInt divisor through its
-    conjugate and norm), ``JetSpec(1)`` jets by q0 = n0 / d0, q1 = (n1 - q0
-    d1) / d0, anything else (rationals, heavier jets) by field division.  An
-    inexact quotient raises ``ArithmeticError``."""
+    """num / den for a den that divides num: ints and Gaussian integers (int
+    parts) by remainder-checked integer division, a Gaussian divisor through
+    its conjugate and norm; ``JetSpec(1)`` jets by q0 = n0 / d0, q1 = (n1 -
+    q0 d1) / d0; anything else (rationals, heavier jets) by field division.
+    An inexact quotient raises ``ArithmeticError``.  Runs once per
+    eliminated entry, so the int/int test comes first."""
     tn, td = type(num), type(den)
     if tn is int and td is int:
         q, r = divmod(num, den)
         if r:
             raise ArithmeticError(f"{den} does not divide {num}")
         return q
-    if td is GaussInt and (tn is int or tn is GaussInt):
+    if (td is GaussianRational and type(den.re) is type(den.im) is int
+            and (tn is int or tn is GaussianRational)):
         num, den = num * den.conjugate(), den.norm()
-        tn, td = GaussInt, int
-    if tn is GaussInt and td is int:
+        tn, td = type(num), int
+    if tn is GaussianRational and td is int and type(num.re) is type(num.im) is int:
         (a, r), (b, s) = divmod(num.re, den), divmod(num.im, den)
         if r or s:
             raise ArithmeticError(f"{den} does not divide {num}")
-        return GaussInt(a, b)
+        return GaussianRational(a, b)
     if isinstance(num, Jet):
         if not isinstance(den, Jet):
             return Jet._of(num.spec, {a: _exact_div(v, den) for a, v in num.coeffs.items()})
@@ -338,6 +342,15 @@ def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
 # ---------------------------------------------------------------------------
 
 
+def _den_lcm(values) -> int:
+    """The lcm of the denominators of exact values (both parts of a Gaussian
+    one); 1 if any part is a float."""
+    parts = [p for v in values
+             for p in ((v.re, v.im) if isinstance(v, GaussianRational) else (v,))]
+    exact = not any(isinstance(p, float) for p in parts)
+    return lcm(*(p.denominator for p in parts)) if exact else 1
+
+
 class MomentKernel:
     """A system's moments as loop entries, converted once (its ``TauTable``
     owns it).  Each is scaled by ``scale``, the lcm of all their
@@ -352,22 +365,13 @@ class MomentKernel:
     def __init__(self, sys):
         rows = {("comp", k): r for k, r in enumerate(sys.beta, 1)}
         rows.update({("cbar", k): r for k, r in enumerate(sys.beta_bar or (), 1)})
-        parts = [p for v in chain(sys.mu.values(), *rows.values())
-                 for p in ((v.re, v.im) if isinstance(v, GaussianRational) else (v,))]
-        exact = not any(isinstance(p, float) for p in parts)
-        self.scale = scale = lcm(*(p.denominator for p in parts)) if exact else 1
-
-        def entry(v):  # scale * v as a loop entry
-            if isinstance(v, GaussianRational):
-                re, im = entry(v.re), entry(v.im)
-                return GaussInt(re, im) if type(re) is type(im) is int else v
-            return v.numerator * (scale // v.denominator) if exact else v
+        self.scale = scale = _den_lcm(chain(sys.mu.values(), *rows.values()))
         n = sys.max_index + 1
         self.mu = [[0] * n for _ in range(n)]
         for (i, j), v in sys.mu.items():
-            self.mu[i][j] = x = entry(v)
+            self.mu[i][j] = x = _z(v * scale)
             self.mu[j][i] = -x
-        self.rows = {lab: [entry(v) for v in r] for lab, r in rows.items()}
+        self.rows = {lab: [_z(v * scale) for v in r] for lab, r in rows.items()}
 
     def row(self, lab) -> list:
         """Entries (lab, j) for every moment label j."""
@@ -423,7 +427,8 @@ def pf_chain(labels, kernel: MomentKernel):
     tops = [tuple(_q(x, scale ** (k // 2 + 1))
                   for x in (a[k][k + 2], a[k + 1][k + 2], a[k][k + 3]))
             for k in range(0, min(reached, n - 3), 2)]
-    inv = [(p.conjugate(), p.norm()) if type(p) is GaussInt else (1, p)
+    inv = [(p.conjugate(), p.norm())
+           if type(p) is GaussianRational and type(p.re) is type(p.im) is int else (1, p)
            for p in links[:(reached + 1) // 2]]
     return leading, tops, [PolyInZ([_q(c * f, d) for c in a[r][n:]])
                            for r in range(reached) for f, d in (inv[r // 2],)]

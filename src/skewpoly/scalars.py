@@ -4,96 +4,29 @@ Every quantity in the exact verification pipeline is either a ``Fraction``
 (rational mode) or a :class:`GaussianRational` (complex mode).  Plain floats
 are tolerated only by the dynamics module; exact-verification entry points
 call ``MomentSystem.require_exact`` to keep float-mode systems out.  Inside
-the Pfaffian kernel Gaussian integers are :class:`GaussInt` pairs, never
-public values.
+the Pfaffian kernel a Gaussian integer is a :class:`GaussianRational` with
+int parts; public values hold Fraction parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 
-class GaussInt:
-    """re + im i with int parts: the Pfaffian kernel's Gaussian integer.
-    Two slots and no checks, so a product costs four int products; ints
-    mix in directly, Fractions and GaussianRationals through the public
-    type.  Values leave the kernel as GaussianRationals (``pfaffian._q``)."""
+class GaussianRational:
+    """Number re + im i with exact parts: Fractions in public values, ints
+    for the Pfaffian kernel's Gaussian integers (``pfaffian._z`` makes them,
+    ``pfaffian._q`` turns them back into Fractions).  Two slots and no
+    checks: a product costs four part products and an int mixes in without
+    a coercion; a Fraction turns int parts into Fractions, and a quotient
+    always has Fraction parts.  No order and no ``abs``."""
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: int, im: int):
+    def __init__(self, re, im):
         self.re = re
         self.im = im
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def __neg__(self):
-        return GaussInt(-self.re, -self.im)
-
-    def __add__(self, o):
-        if type(o) is GaussInt:
-            return GaussInt(self.re + o.re, self.im + o.im)
-        if type(o) is int:
-            return GaussInt(self.re + o, self.im)
-        return self._public() + o if isinstance(o, (Fraction, GaussianRational)) \
-            else NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if type(o) is GaussInt:
-            return GaussInt(self.re - o.re, self.im - o.im)
-        if type(o) is int:
-            return GaussInt(self.re - o, self.im)
-        return self._public() - o if isinstance(o, (Fraction, GaussianRational)) \
-            else NotImplemented
-
-    def __rsub__(self, o):
-        if type(o) is int:
-            return GaussInt(o - self.re, -self.im)
-        return o - self._public() if isinstance(o, (Fraction, GaussianRational)) \
-            else NotImplemented
-
-    def __mul__(self, o):
-        if type(o) is GaussInt:
-            a, b, c, d = self.re, self.im, o.re, o.im
-            return GaussInt(a * c - b * d, a * d + b * c)
-        if type(o) is int:
-            return GaussInt(self.re * o, self.im * o)
-        return self._public() * o if isinstance(o, (Fraction, GaussianRational)) \
-            else NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        return self._public() / o
-
-    def __rtruediv__(self, o):
-        return o / self._public()
-
-    def conjugate(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def _public(self) -> "GaussianRational":
-        return GaussianRational(Fraction(self.re), Fraction(self.im))
-
-    def __repr__(self):
-        return f"GaussInt({self.re}, {self.im})"
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Number a + b*i with exact rational parts.  Public values hold
-    Fractions; the Pfaffian kernel's Gaussian integers are GaussInts."""
-
-    re: Fraction
-    im: Fraction
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":
@@ -103,19 +36,27 @@ class GaussianRational:
     def _coerce(x):
         if isinstance(x, GaussianRational):
             return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x, 0)
-        if type(x) is GaussInt:
-            return x._public()
+        if isinstance(x, (int, Fraction)):  # a zero part of x's own type
+            return GaussianRational(x, 0 * x)
         return None
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
+    def norm(self):
+        return self.re * self.re + self.im * self.im
+
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re or self.im)
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
 
     def __add__(self, other):
+        if type(other) is GaussianRational:
+            return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is int:
+            return GaussianRational(self.re + other, self.im)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -123,28 +64,31 @@ class GaussianRational:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
     def __sub__(self, other):
+        if type(other) is GaussianRational:
+            return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is int:
+            return GaussianRational(self.re - other, self.im)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return GaussianRational(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return GaussianRational(other - self.re, -self.im)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        if type(other) is GaussianRational:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            return GaussianRational(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return GaussianRational(self.re * other, self.im * other)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -152,7 +96,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        norm = Fraction(o.re * o.re + o.im * o.im)
+        norm = Fraction(o.norm())
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return GaussianRational(
@@ -169,13 +113,9 @@ class GaussianRational:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = GaussianRational(Fraction(1), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        out = GaussianRational.of(1)
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, other):

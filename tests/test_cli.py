@@ -173,6 +173,7 @@ def test_identity_selection_single_entry(tmp_path):
 def test_config_errors_exit_two(tmp_path):
     assert run(["verify", "--kind", "rank2", "--components", "2"]) == 2
     assert run(["verify", "--kind", "bogus"]) == 2
+    assert run(["verify", "--kind", "random"]) == 2  # no undocumented alias of none
     assert run(["verify", "--kind", "none", "--identities", "NOT_A_THING"]) == 2
     # a selection naming nothing, and a flag given twice, are rejected
     assert run(["verify", "--identities", ","]) == 2

@@ -18,7 +18,7 @@ from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen, validate
 from skewpoly.pfaffian import pf_indexed, pf_labels
 from skewpoly.poly import PolyInZ
-from skewpoly.scalars import GaussInt, GaussianRational, exact_div
+from skewpoly.scalars import GaussianRational, exact_div
 
 
 @pytest.fixture(scope="module")
@@ -381,8 +381,9 @@ def test_tau_chains_match_expansion():
 def test_rational_moments_run_in_ints(monkeypatch):
     """Moments with denominators enter the loop scaled by the lcm of all
     their denominators: every pivot of the tau chains, the Miwa chains and
-    the Gram product is an int (a GaussInt for a Gaussian kind), and the
-    values leave divided by their power of the scale, equal to expansion."""
+    the Gram product is an int (a GaussianRational with int parts for a
+    Gaussian kind), and the values leave divided by their power of the
+    scale, equal to expansion."""
     pf = importlib.import_module("skewpoly.pfaffian")
     stages, pivots = pf._stages, []
 
@@ -391,7 +392,10 @@ def test_rational_moments_run_in_ints(monkeypatch):
             pivots.append(p)
             yield p, odd
     monkeypatch.setattr(pf, "_stages", recorded)
-    for kind, kernel_type in (("none", int), ("rank1skew-complex", GaussInt)):
+
+    def kernel_type(x):  # a Gaussian value's type with the types of its parts
+        return (type(x), type(x.re), type(x.im)) if isinstance(x, GaussianRational) else type(x)
+    for kind, kernel in (("none", int), ("rank1skew-complex", (GaussianRational, int, int))):
         s = gen(kind, 12, components=2 if "-" in kind else 1, seed=7, den_bound=3)
         t = taus(s)
         assert t.kernel().scale > 1
@@ -400,9 +404,43 @@ def test_rational_moments_run_in_ints(monkeypatch):
             labels = TauTable.tau_labels(idx, 1, 2 if s.ell > 1 else 1, False)
             assert t.tau(idx, 1, 2 if s.ell > 1 else 1) == pf_labels(labels, s)
             SchurTau(t, idx, 1)
-        assert pivots and {type(p) for p in pivots} <= {int, kernel_type}, kind
+        assert pivots and {kernel_type(p) for p in pivots} <= {int, kernel}, kind
         gram = skew_gram(s, [t.sop(4, 0)], [t.sop(5, 0)])
         assert gram[0][0] == exact_div(t.tau(6, 0), t.tau(4, 0))
+
+
+def test_gaussian_values_leave_the_kernel_public():
+    """A kernel Gaussian integer (int parts) has the public type, so only
+    _q keeps it inside: every tau, tau jet, scalar and jet family member,
+    Schur layer, Gram entry and consistency determinant of a complex system,
+    integral or rational, holds Fraction parts; ints are boundary values."""
+    def leaked(x):
+        if isinstance(x, Jet):
+            return any(map(leaked, x.coeffs.values()))
+        if isinstance(x, GaussianRational):
+            return not type(x.re) is type(x.im) is Fraction
+        return not (type(x) is Fraction or type(x) is int and x in (0, 1))
+    spec = JetSpec(2)
+    for den_bound in (1, 3):
+        s = gen("rank1skew-complex", 12, components=2, seed=3, den_bound=den_bound,
+                require_tau=(3, 1))
+        t, vals = taus(s), []
+        for m in range(2):
+            for idx in range(8):
+                for k, conj in ((1, False), (2, True)):
+                    layers = SchurTau(t, idx, m, k, conj)
+                    vals += [t.tau(idx, m, k, conj), t.tau_jet(idx, m, spec, k, conj),
+                             *layers.values.coeffs, *layers.d1s.coeffs]
+                    if idx < 6:
+                        vals += [c for f in (t.psop(idx, m, k, conj),
+                                             t.psop(idx, m, k, conj, spec))
+                                 for c in f.coeffs]
+            vals += [c for idx in range(6) for c in t.sop(idx, m, spec).coeffs]
+        fs = [t.sop(a, 0) for a in range(6)]
+        vals += [x for row in skew_gram(s, fs, fs) for x in row]
+        vals += [orthogonality_determinant(s, n, choice, k)
+                 for n in (1, 2) for choice in ("sop", "psop") for k in (1, 2)]
+        assert len(vals) > 300 and not [v for v in vals if leaked(v)], den_bound
 
 
 def _stalled_system():

@@ -11,7 +11,7 @@ from skewpoly.moments import gen
 from skewpoly.pfaffian import (LabelError, _exact_div, _stages, det_bareiss,
                                pf_indexed, pf_labels, pfaffian, pfaffian_expand)
 from skewpoly.poly import PolyInZ
-from skewpoly.scalars import GaussInt, GaussianRational
+from skewpoly.scalars import GaussianRational
 
 
 def skew_rows(n, upper):
@@ -242,7 +242,7 @@ def test_elimination_of_ints_stays_in_ints():
 
 def test_det_bareiss_runs_on_kernel_entries(monkeypatch):
     # integral entries (ints, integral Fractions, Gaussian integers) reach
-    # _exact_div as ints (Gaussian ones as GaussInt pairs of ints); the value
+    # _exact_div as ints (Gaussian ones as GaussianRationals with int parts); the value
     # leaves as a public scalar, Pf^2
     pf = importlib.import_module("skewpoly.pfaffian")
     exact_div, seen = pf._exact_div, []
@@ -253,7 +253,7 @@ def test_det_bareiss_runs_on_kernel_entries(monkeypatch):
     monkeypatch.setattr(pf, "_exact_div", spy)
 
     def parts(x):
-        return (x.re, x.im) if isinstance(x, (GaussianRational, GaussInt)) else (x,)
+        return (x.re, x.im) if isinstance(x, GaussianRational) else (x,)
     rng = random.Random(17)
     integral = [lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9)),
                 lambda: GaussianRational(Fraction(rng.randint(-5, 5)),
@@ -278,12 +278,12 @@ def test_det_bareiss_runs_on_kernel_entries(monkeypatch):
 
 def test_exact_div_refuses_inexact_quotients():
     spec = JetSpec(1)
-    g = GaussInt  # the loop's Gaussian integers (pfaffian._z)
+    g = GaussianRational  # with int parts: the loop's Gaussian integers (pfaffian._z)
     assert _exact_div(-12, 4) == -3
     for num, den, quotient in [(g(1, 7), g(1, 2), (3, 1)), (g(6, -4), 2, (3, -2)),
                                (5, g(1, 2), (1, -2))]:
         q = _exact_div(num, den)
-        assert (type(q), q.re, q.im) == (GaussInt, *quotient)
+        assert (type(q), type(q.re), type(q.im), q.re, q.im) == (g, int, int, *quotient)
     assert _exact_div(Jet(spec, {(0,): 6, (1,): 5}), Jet(spec, {(0,): 2, (1,): 1})) \
         == Jet(spec, {(0,): 3, (1,): 1})
     assert _exact_div(Fraction(1, 2), Fraction(3)) == Fraction(1, 6)

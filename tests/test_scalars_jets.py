@@ -8,7 +8,9 @@ import pytest
 
 from skewpoly.jets import (Jet, JetSpec, OrderMismatchError, TruncationError,
                            weight)
-from skewpoly.scalars import GaussianRational, exact_div, format_scalar, parse_scalar
+from skewpoly.pfaffian import pfaffian, pfaffian_expand
+from skewpoly.scalars import (GaussianRational, exact_div, format_scalar, parse_scalar,
+                              scalar_inv)
 
 
 def rand_scalar(rng):
@@ -36,6 +38,45 @@ def test_gaussian_arithmetic_and_conjugation():
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     assert a + Fraction(1, 2) == GaussianRational.of(2, Fraction(-1, 3))
     assert a ** 3 == a * a * a
+
+
+def test_gaussian_value_semantics():
+    """Kernel values (int parts) and public ones (Fraction parts) are one
+    type: equal values compare and hash alike, mixed products are exact
+    over Fractions, and division is field division."""
+    three = [GaussianRational(3, 0), GaussianRational(Fraction(3), Fraction(0)), 3, Fraction(3)]
+    for x in three:
+        for y in three:
+            assert x == y and hash(x) == hash(y), (x, y)
+    assert len(set(three)) == 1
+    assert hash(GaussianRational(1, -2)) == hash(GaussianRational.of(1, -2))
+    k, q = GaussianRational(2, -3), GaussianRational.of(Fraction(1, 2), Fraction(5, 3))
+    for prod in (k * q, q * k):
+        assert prod == GaussianRational.of(6, Fraction(11, 6))
+        assert type(prod.re) is type(prod.im) is Fraction
+    assert (type((k * k).re), k * k) == (int, GaussianRational(-5, -12))
+    for num in (k, q, 1, Fraction(1, 2)):
+        with pytest.raises(ZeroDivisionError):
+            num / GaussianRational(0, 0)
+    # the path Jet.inverse takes through scalar_inv
+    for inv in (Fraction(1) / k, scalar_inv(k)):
+        assert inv == GaussianRational.of(Fraction(2, 13), Fraction(3, 13)) and inv * k == 1
+        assert type(inv.re) is type(inv.im) is Fraction
+
+
+def test_jet_pfaffian_over_gaussian_integers():
+    # JetSpec(2) jets take _exact_div's field-division fallback, inverting
+    # their Gaussian-integer bases through scalar_inv
+    rng = random.Random(5)
+    spec = JetSpec(2)
+    for n in (2, 4, 6):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = Jet(spec, {a: GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
+                                        for a in spec.alphas()})
+                rows[j][i] = -rows[i][j]
+        assert pfaffian(rows) == pfaffian_expand(rows), n
 
 
 def test_scalar_format_round_trip():

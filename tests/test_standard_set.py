@@ -31,9 +31,14 @@ STANDARD_SET = {
        for kind in ("none", "rank2", "rank1skew")},
     "rank1skew-complex-n3": ["--kind", "rank1skew-complex", "--seed", "3",
                              "--n-max", "3"],
-    # rational moments through a file: DEN3 is replaced by the saved system
-    "none-den3-in": ["--in", "DEN3", "--seed", "3", "--n-max", "2", "--m-max", "1"],
+    # rational and Gaussian rational moments through a file: a placeholder
+    # from SAVED is replaced by the saved system
+    **{f"{kind}-den3-in": ["--in", kind, "--seed", "3", "--n-max", "2", "--m-max", "1"]
+       for kind in ("none", "rank1skew-complex")},
 }
+
+# the systems of the --in cases, by kind: gen keywords beside den_bound=3
+SAVED = {"none": {}, "rank1skew-complex": {"components": 2}}
 
 DIGESTS = {
     "laurent-n2": "7c07c2efd97598d8f2568fe9de6602ba61e9ec4b6e77b29199fc0356f3483c77",
@@ -41,6 +46,7 @@ DIGESTS = {
     "none-n3": "31d912a6957398c99e815ea9e6cfa5b7d5f8a288e847b9cfeb39b671b8788f87",
     "none-den3-in": "6da833ea141aeab27ede3c8cb4dc512669bfdfcee0ab0d00a9e112400b7ca4e0",
     "none-n7-orth": "4868625d84310d6c0e867c8729164e8e683b0ee67dd42fac660e93f235f6219f",
+    "rank1skew-complex-den3-in": "3647010bbea17829910bb77612e71f00059ae6a40f0478a60e6902836ff20ed5",
     "rank1skew-complex-n2": "600296c588000817203725a282ce11618cd076ab0f054f440f1caa1d2e4e0858",
     "rank1skew-complex-n3": "2575046aba0d5bbd8cc98b5e6893262125c5eb33ec8fb71ee9260d3df853719d",
     "rank1skew-complex-n3-orth": "e85732a80084fa718ab907a2901ea26ec659ea362784a9f24d330f80cc0ea406",
@@ -55,10 +61,11 @@ DIGESTS = {
 }
 
 
-def den3_system(path) -> str:
-    """A none system with denominators up to 3, sized for --n-max 2 --m-max 1."""
-    sys_ = moments.gen("none", bilinear.catalog_max_index(2, 1), seed=3, den_bound=3,
-                       require_tau=(4, 2))
+def den3_system(kind, path) -> str:
+    """A system of ``kind`` with denominators up to 3, sized for --n-max 2
+    --m-max 1, saved to ``path``."""
+    sys_ = moments.gen(kind, bilinear.catalog_max_index(2, 1), seed=3, den_bound=3,
+                       require_tau=(4, 2), **SAVED[kind])
     moments.save(sys_, path)
     return str(path)
 
@@ -75,6 +82,7 @@ def report_digest(argv, out) -> str:
 
 @pytest.mark.parametrize("name", sorted(STANDARD_SET))
 def test_standard_set_reports_unchanged(name, tmp_path):
-    argv = [den3_system(tmp_path / "den3.json") if a == "DEN3" else a
-            for a in STANDARD_SET[name]]
+    argv = STANDARD_SET[name]
+    if argv[0] == "--in":
+        argv = ["--in", den3_system(argv[1], tmp_path / "den3.json"), *argv[2:]]
     assert report_digest(argv, tmp_path / "report.json") == DIGESTS[name]
