@@ -10,7 +10,8 @@ from .bilinear import (IDENTITIES, hirota, identity_names, identity_residual,
                        schur, schur_d_tau)
 from .christoffel import (laurent_lv_coeff_check, laurent_toda_residual,
                           psop_transform_residual, sop_transform_residual)
-from .families import psop, skew_gram, skew_inner, sop, sop_at_zero, tau, taus
+from .families import (psop, skew_gram, skew_inner, sop, sop_at_zero, tau, taus,
+                       vanishing_taus)
 from .jets import Jet, JetSpec, OrderMismatchError, TruncationError
 from .moments import (MomentSystem, OutOfRangeError, SolitonSpec, gen,
                       lift_to_jet, shift_derivative, soliton_system, validate)
@@ -24,6 +25,7 @@ __all__ = [
     "laurent_lv_coeff_check", "laurent_toda_residual",
     "psop_transform_residual", "sop_transform_residual",
     "psop", "skew_gram", "skew_inner", "sop", "sop_at_zero", "tau", "taus",
+    "vanishing_taus",
     "Jet", "JetSpec", "OrderMismatchError", "TruncationError",
     "MomentSystem", "OutOfRangeError", "SolitonSpec", "gen", "lift_to_jet",
     "shift_derivative", "soliton_system", "validate",

@@ -30,9 +30,9 @@ entries ``tops``, so tau jets of weight <= 2 come off the chain too.
 Expansion takes over past a vanishing link and in heavier rings.  All values
 are cached per system in a :class:`TauTable` owned by the system; downstream
 residual suites reuse hundreds of tau values, so the cache is not optional.
-Each chain is built once, spectral column included: the nonzero-tau scan
-(:func:`vanishing_taus`, run by ``gen``) sizes it to its grid on the
-system's table, and a read past what is built grows it, at least doubling.
+Each chain is built once, spectral column included, by one sweep through a
+grid's last link (:meth:`TauTable.build_chains`, run by ``verify`` and by
+``gen``'s :func:`vanishing_taus`); a read past it grows, at least doubling.
 
 Coefficients.  Every recurrence, transform and operator band is built from
 the ratios below, each defined once as a :class:`TauTable` method that
@@ -164,10 +164,21 @@ class TauTable:
         return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
                          cache=self.memo(spec), jet_spec=spec)
 
+    def moment_rows(self):
+        """The (k, conj) of every single-moment row, conjugate rows included."""
+        conjs = (False, True) if self.sys.beta_bar is not None else (False,)
+        return [(k, conj) for k in range(1, self.sys.ell + 1) for conj in conjs]
+
+    def build_chains(self, n_max: int, m: int) -> None:
+        """Sweep shift m's even and row chains through the n_max grid's last link."""
+        self._chain(m, 1, False, 0, m + 2 * n_max - 1)
+        for k, conj in self.moment_rows():
+            self._chain(m, k, conj, 1, m + 2 * n_max)
+
     def _chain(self, m, k, conj, odd, last):
         """``pf_chain`` of the tau labels of (m, k, conj, parity) through moment
-        label ``last`` at least; empty past ``max_index``.  Growth at least
-        doubles."""
+        label ``last`` at least; empty past ``max_index``.  Past what a sweep
+        (:meth:`build_chains`) built, growth at least doubles."""
         if last > self.sys.max_index:
             return [], [], []
         key = (m, k, conj, 1) if odd else (m, 1, False, 0)
@@ -290,19 +301,16 @@ def taus(sys: MomentSystem) -> TauTable:
 def vanishing_taus(sys: MomentSystem, n_max: int, m_max: int):
     """Yield the ``tau`` arguments (idx, m) or (idx, m, k, conj) of every
     vanishing tau_idx^{(m)} with idx <= 2 n_max + 1 and m <= m_max, each
-    component's conjugate row included.  The chains it sizes are the
-    system's own (:func:`taus`), so later reads find them built."""
+    component's conjugate row included: the one existence check (``gen``'s
+    ``require_tau``).  It sweeps each shift's chains on the system's own table
+    just before reading it, so a scan stopped early builds no later shift."""
     t = taus(sys)
-    conjs = (False, True) if sys.beta_bar is not None else (False,)
-    rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
     for m in range(m_max + 1):
-        for odd, (k, conj) in [(0, (1, False)), *((1, row) for row in rows)]:
-            # one sweep through the grid's last link, not a doubling series
-            t._chain(m, k, conj, odd, m + 2 * n_max - 1 + odd)
+        t.build_chains(n_max, m)
         for n in range(n_max + 1):
             if n and not t.tau(2 * n, m):
                 yield (2 * n, m)
-            for k, conj in rows:
+            for k, conj in t.moment_rows():
                 if not t.tau(2 * n + 1, m, k, conj):
                     yield (2 * n + 1, m, k, conj)
 

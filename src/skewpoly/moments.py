@@ -68,6 +68,12 @@ class MomentSystem:
         for (i, j) in self.mu:
             if not 0 <= i < j <= top:
                 raise ValueError(f"mu key ({i},{j}) needs 0 <= i < j <= {top}")
+        want = self.ell if self.constraint == "rank1skew-complex" else None
+        got = None if self.beta_bar is None else len(self.beta_bar)
+        if got != want:
+            need = "none" if want is None else f"{want}, one per component"
+            raise ValueError(f"constraint {self.constraint!r} takes beta_bar rows: {need};"
+                             f" got {'none' if got is None else got}")
         for name, rows in (("beta", self.beta), ("beta_bar", self.beta_bar or ())):
             for k, row in enumerate(rows, 1):
                 if len(row) != top + 1:
@@ -396,32 +402,19 @@ class ValidationReport:
     constraint: str
     checked: int = 0
     failures: list = field(default_factory=list)
-    tau_nonzero: Optional[bool] = None
-    tau_failures: list = field(default_factory=list)
 
     @property
     def all_zero(self) -> bool:
         return not self.failures
 
-    @property
-    def ok(self) -> bool:
-        return self.all_zero and self.tau_nonzero is not False
-
     def summary(self) -> str:
-        lines = [f"constraint={self.constraint} residual checks={self.checked} "
-                 f"failures={len(self.failures)}"]
-        for where, value in self.failures[:8]:
-            lines.append(f"  residual at {where}: {value}")
-        if self.tau_nonzero is not None:
-            lines.append(f"tau values nonzero: {self.tau_nonzero}")
-            for t in self.tau_failures[:8]:
-                lines.append(f"  vanishing tau at {t}")
-        return "\n".join(lines)
+        return "\n".join([f"constraint={self.constraint} residual checks={self.checked}"
+                          f" failures={len(self.failures)}",
+                          *(f"  residual at {w}: {v}" for w, v in self.failures[:8])])
 
 
-def validate(sys: MomentSystem, n_max: Optional[int] = None,
-             m_max: int = 0) -> ValidationReport:
-    """Exact residual report for the system's constraint tag plus tau existence."""
+def validate(sys: MomentSystem) -> ValidationReport:
+    """Exact residual report for the constraint tag (taus: ``vanishing_taus``)."""
     rep = ValidationReport(sys.constraint)
     mi = sys.max_index
 
@@ -443,26 +436,14 @@ def validate(sys: MomentSystem, n_max: Optional[int] = None,
             for j in range(mi):
                 check((i, j), sys.mu_entry(i, j + 1) + sys.mu_entry(i + 1, j)
                       - b(i + 1) * b(j) + b(i) * b(j + 1))
-    elif sys.constraint in ("rank1skew", "rank1skew-multi"):
-        sums = [sum((sys.beta_entry(k, j) for k in range(2, sys.ell + 1)),
-                    sys.beta_entry(1, j)) for j in range(mi + 1)]
-        for i in range(mi):
-            for j in range(mi):
-                check((i, j), sys.mu_entry(i, j + 1) - sys.mu_entry(i + 1, j)
-                      - 2 * sums[i] * sums[j])
-    elif sys.constraint == "rank1skew-complex":
-        sums = [sum((sys.beta_entry(k, j) for k in range(2, sys.ell + 1)),
-                    sys.beta_entry(1, j)) for j in range(mi + 1)]
-        csums = [sum((sys.beta_bar_entry(k, j) for k in range(2, sys.ell + 1)),
-                     sys.beta_bar_entry(1, j)) for j in range(mi + 1)]
+    elif sys.constraint.startswith("rank1skew"):
+        # component sums S_j and their conjugates (S_j itself for the real kinds)
+        sums, csums = ([sum(col[1:], col[0]) for col in zip(*rows)]
+                       for rows in (sys.beta, sys.beta_bar or sys.beta))
         for i in range(mi):
             for j in range(mi):
                 check((i, j), sys.mu_entry(i, j + 1) - sys.mu_entry(i + 1, j)
                       - 2 * sums[i] * csums[j])
-
-    if n_max is not None:
-        rep.tau_failures = list(vanishing_taus(sys, n_max, m_max))
-        rep.tau_nonzero = not rep.tau_failures
     return rep
 
 

@@ -326,15 +326,15 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
     """z-free labelled Pfaffian, expanded along the first label in the given
     order.  ``cache`` is the memo of one ring (scalars, or jets of
-    ``jet_spec``), keyed by label tuples; the value is of that ring, so an
-    empty list gives ``Fraction(1)`` and a vanishing one ``Fraction(0)``."""
+    ``jet_spec``), keyed by label tuples; the value leaves through ``_q`` in
+    that ring, so an empty list gives ``Fraction(1)``, a vanishing one 0."""
     labs = tuple(parse_label(l) for l in labels)
     entry = sys.entry_scalar if jet_spec is None else (
         lambda a, b: sys.entry_jet(a, b, jet_spec))
     val = _pf_expand(labs, entry, {} if cache is None else cache)
-    if type(val) is not int:
-        return val
-    return Fraction(val) if jet_spec is None else Jet.constant(Fraction(val), jet_spec)
+    if jet_spec is not None and not isinstance(val, Jet):
+        val = Jet.constant(val, jet_spec)
+    return _q(val)
 
 
 # ---------------------------------------------------------------------------

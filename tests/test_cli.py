@@ -245,6 +245,22 @@ def test_config_errors_exit_two(tmp_path):
         bad = tmp_path / f"bad{t}.json"
         bad.write_text(json.dumps(data))
         assert run(load + [str(bad)]) == 2, t
+    # conjugate rows that do not match the tag: rank1skew-complex takes one
+    # per component, every other tag none
+    cut = {}
+    for kind in ("rank1skew-complex", "none"):
+        path = tmp_path / f"{kind}.json"
+        assert run(["gen", "--kind", kind, "--seed", "3", "--n-max", "1",
+                    "--m-max", "0", "--out", str(path)]) == 0
+        cut[kind] = json.loads(path.read_text())
+    cplx, none = cut["rank1skew-complex"], cut["none"]
+    one_row = [r for r in cplx["beta_bar"] if r[0] == 1]
+    for t, data in enumerate([{k: v for k, v in cplx.items() if k != "beta_bar"},
+                              {**cplx, "beta_bar": one_row},
+                              {**none, "beta_bar": none["beta"]}]):
+        bad = tmp_path / f"conj{t}.json"
+        bad.write_text(json.dumps(data))
+        assert run(load + [str(bad)]) == 2, t
     # a file generated for --n-max 1 is too short for --n-max 3
     short = ["verify", "--n-max", "3", "--m-max", "0", "--in", str(good)]
     assert run(short) == 2
@@ -356,29 +372,82 @@ def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
         assert seen == dict.fromkeys(seen, 0), (kind, seen)
 
 
-def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
-    """gen's nonzero-tau scan builds each tau chain, spectral column
-    included, on the system's own table, and the identities read those
-    chains: no (system, label head) chain is built twice."""
+def counted_chains(monkeypatch) -> list:
+    """Every ``pf_chain`` build from now on, as (moment kernel, labels); a
+    kernel belongs to one system's table, and the list holds it, so no id
+    is reused."""
     fam = importlib.import_module("skewpoly.families")
-    chain = fam.pf_chain
-    # keyed by the system object itself, which holds it, so no id is reused
-    built = collections.Counter()
+    chain, built = fam.pf_chain, []
 
-    def counted_chain(labels, sys_, **kwargs):
+    def counted_chain(labels, kernel, **kwargs):
         labels = list(labels)
-        built[sys_, tuple(labels[:2])] += 1
-        return chain(labels, sys_, **kwargs)
+        built.append((kernel, labels))
+        return chain(labels, kernel, **kwargs)
 
     monkeypatch.setattr(fam, "pf_chain", counted_chain)
-    runs = [["--kind", kind, "--n-max", "2", "--m-max", "1"] for kind in KINDS]
-    runs += [["--kind", kind, "--n-max", "7", "--identities", "ORTHOGONALITY,TRANSFORMS"]
-             for kind in ("none", "rank1skew-multi")]
-    for flags in runs:
+    return built
+
+
+def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
+    """Every verify path builds each tau chain, spectral column included,
+    once: gen's nonzero-tau scan builds a generated system's chains on its
+    own table, and verify sweeps the same grid before any identity reads, so
+    a loaded or a corrupted system's chains are built once too.  No (system,
+    label head) chain is built twice."""
+    files = {}
+    for kind in ("none", "rank1skew-complex"):
+        files[kind] = str(tmp_path / f"{kind}.json")
+        assert run(["gen", "--kind", kind, "--seed", "3", "--n-max", "2",
+                    "--m-max", "1", "--out", files[kind]]) == 0
+    # tau_2^{(0)} = mu_{0,1} = 0 stalls the m = 0 chains at their first link
+    stalled = moments.gen("none", bilinear.catalog_max_index(2, 1), seed=3)
+    files["degenerate"] = str(tmp_path / "degenerate.json")
+    moments.save(replace(stalled, mu={**stalled.mu, (0, 1): Fraction(0)}),
+                 files["degenerate"])
+    n2 = ["--n-max", "2", "--m-max", "1"]
+    runs = [(0, ["--kind", kind, *n2]) for kind in KINDS]
+    runs += [(0, ["--kind", kind, "--n-max", "7", "--identities",
+                  "ORTHOGONALITY,TRANSFORMS"]) for kind in ("none", "rank1skew-multi")]
+    runs += [(0, ["--in", files["none"], *n2]),
+             (0, ["--in", files["rank1skew-complex"], *n2]),
+             (1, ["--in", files["degenerate"], *n2]),
+             (1, ["--kind", "rank1skew", "--seed", "3", "--corrupt", "mu:2,3", *n2])]
+    built = counted_chains(monkeypatch)
+    for code, flags in runs:
         built.clear()
-        assert run(["verify", *flags, "--out", str(tmp_path / "rep.json")]) == 0, flags
-        twice = [(head, n) for (_, head), n in built.items() if n > 1]
+        assert run(["verify", *flags, "--out", str(tmp_path / "rep.json")]) == code, flags
+        heads = collections.Counter((kern, tuple(labels[:2])) for kern, labels in built)
+        twice = [(head, n) for (_, head), n in heads.items() if n > 1]
         assert built and not twice, (flags, twice)
+
+
+def test_gen_draw_rejected_at_shift_zero_builds_only_its_chains(monkeypatch, tmp_path):
+    """gen's scan builds each shift's chains just before it reads them, so a
+    draw rejected at shift 0 builds its two shift-0 chains, not the six of
+    the whole (3, 2) grid."""
+    built = counted_chains(monkeypatch)
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--kind", "none", "--seed", "3", "--n-max", "1",
+                "--m-max", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["resample_attempts"] == 1
+    rejected = built[0][0]
+    heads = [labels[:2] for kern, labels in built if kern is rejected]
+    assert heads == [[0, 1], [("comp", 1), 0]]
+
+
+def test_gen_scans_tau_existence_once(monkeypatch, tmp_path):
+    """``skewpoly gen`` checks tau existence once, in gen's own scan on the
+    (n_max + 2, m_max + 1) grid; ``validate`` checks the constraint only."""
+    scan, grids = moments.vanishing_taus, []
+
+    def counted_scan(sys_, n_max, m_max):
+        grids.append((n_max, m_max))
+        return scan(sys_, n_max, m_max)
+
+    monkeypatch.setattr(moments, "vanishing_taus", counted_scan)
+    assert run(["gen", "--kind", "none", "--seed", "3", "--n-max", "2", "--m-max", "1",
+                "--out", str(tmp_path / "sys.json")]) == 0
+    assert grids == [(4, 2)]
 
 
 def test_verify_eliminates_each_miwa_node_once(monkeypatch, tmp_path):

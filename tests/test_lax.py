@@ -117,9 +117,9 @@ def test_c3_beta_zero_degenerate():
     s = MomentSystem(8, {(i, j): Fraction(0) for i in range(8)
                          for j in range(i + 1, 9)},
                      ((Fraction(0),) * 9,), constraint="rank1skew")
-    from skewpoly.moments import validate
-    rep = validate(s, n_max=1)
-    assert rep.tau_nonzero is False  # tau_1 = beta_0 = 0: existence fails
+    from skewpoly.families import vanishing_taus
+    # tau_1 = beta_0 = 0: existence fails
+    assert list(vanishing_taus(s, 1, 0))
 
 
 def test_c3_requires_tag(unconstrained):

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from skewpoly.families import taus
 from skewpoly.jets import Jet, JetSpec
-from skewpoly.moments import gen
+from skewpoly.moments import MomentSystem, gen
 from skewpoly.pfaffian import (LabelError, _exact_div, _stages, det_bareiss,
                                pf_indexed, pf_labels, pfaffian, pfaffian_expand)
 from skewpoly.poly import PolyInZ
@@ -32,6 +33,19 @@ def is_public(x) -> bool:
     if isinstance(x, GaussianRational):
         return type(x.re) is type(x.im) is Fraction
     return type(x) is Fraction
+
+
+def test_expansion_values_leave_public():
+    """A gauss-mode system built from Gaussian rationals with int parts:
+    labelled expansion leaves through ``_q`` as the chains do, so scalars
+    and jets alike hold Fraction parts, and the tau equals the chain's."""
+    s = MomentSystem(4, {(i, j): GaussianRational(i + j, 1)
+                         for i in range(4) for j in range(i + 1, 5)},
+                     ((GaussianRational(1, 1),) * 5,), mode="gauss")
+    vals = [pf_labels([0, 1, 2, 3], s), *pf_indexed([0, 1, 2, 3], s).coeffs,
+            pf_labels([0, 1], s, jet_spec=JetSpec(1))]
+    assert all(map(is_public, vals)), vals
+    assert vals[0] == taus(s).tau(4, 0)
 
 
 def test_empty_matrix_is_one():

@@ -10,6 +10,8 @@ and says why in ``CHANGES.md``.
 
 import hashlib
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -31,19 +33,38 @@ STANDARD_SET = {
        for kind in ("none", "rank2", "rank1skew")},
     "rank1skew-complex-n3": ["--kind", "rank1skew-complex", "--seed", "3",
                              "--n-max", "3"],
-    # rational and Gaussian rational moments through a file: a placeholder
-    # from SAVED is replaced by the saved system
-    **{f"{kind}-den3-in": ["--in", kind, "--seed", "3", "--n-max", "2", "--m-max", "1"]
-       for kind in ("none", "rank1skew-complex")},
+    # systems through a file: a placeholder from SAVED is replaced by the
+    # saved system
+    **{f"{name}-in": ["--in", name, "--seed", "3", "--n-max", "2", "--m-max", "1"]
+       for name in ("none-den3", "rank1skew-complex-den3", "none-degenerate")},
 }
 
-# the systems of the --in cases, by kind: gen keywords beside den_bound=3
-SAVED = {"none": {}, "rank1skew-complex": {"components": 2}}
+
+def den3(kind, **kw):
+    """A system of ``kind`` with denominators up to 3, sized for --n-max 2
+    --m-max 1, whose tau grid gen keeps nonzero."""
+    return moments.gen(kind, bilinear.catalog_max_index(2, 1), seed=3, den_bound=3,
+                       require_tau=(4, 2), **kw)
+
+
+def degenerate():
+    """A system sized for --n-max 2 --m-max 1 with mu_{0,1} = tau_2^{(0)} = 0:
+    its m = 0 chains stall at their first link, so members and Miwa nodes
+    past it fall back, and the entries dividing by it are degenerate."""
+    sys_ = moments.gen("none", bilinear.catalog_max_index(2, 1), seed=3)
+    return replace(sys_, mu={**sys_.mu, (0, 1): Fraction(0)})
+
+
+# the systems of the --in cases, by placeholder
+SAVED = {"none-den3": lambda: den3("none"),
+         "rank1skew-complex-den3": lambda: den3("rank1skew-complex", components=2),
+         "none-degenerate": degenerate}
 
 DIGESTS = {
     "laurent-n2": "7c07c2efd97598d8f2568fe9de6602ba61e9ec4b6e77b29199fc0356f3483c77",
     "none-n2": "4a83be3cf53ac5df08e85a9d57028a2a0fdf4b89af3d69aec60e8d352b7ef44a",
     "none-n3": "31d912a6957398c99e815ea9e6cfa5b7d5f8a288e847b9cfeb39b671b8788f87",
+    "none-degenerate-in": "9b3d0217c30ed89093574aa101559bbacba97cde45b9273ffd61e84c7685aa58",
     "none-den3-in": "6da833ea141aeab27ede3c8cb4dc512669bfdfcee0ab0d00a9e112400b7ca4e0",
     "none-n7-orth": "4868625d84310d6c0e867c8729164e8e683b0ee67dd42fac660e93f235f6219f",
     "rank1skew-complex-den3-in": "3647010bbea17829910bb77612e71f00059ae6a40f0478a60e6902836ff20ed5",
@@ -61,12 +82,9 @@ DIGESTS = {
 }
 
 
-def den3_system(kind, path) -> str:
-    """A system of ``kind`` with denominators up to 3, sized for --n-max 2
-    --m-max 1, saved to ``path``."""
-    sys_ = moments.gen(kind, bilinear.catalog_max_index(2, 1), seed=3, den_bound=3,
-                       require_tau=(4, 2), **SAVED[kind])
-    moments.save(sys_, path)
+def saved_system(name, path) -> str:
+    """The system of placeholder ``name``, saved to ``path``."""
+    moments.save(SAVED[name](), path)
     return str(path)
 
 
@@ -84,5 +102,5 @@ def report_digest(argv, out) -> str:
 def test_standard_set_reports_unchanged(name, tmp_path):
     argv = STANDARD_SET[name]
     if argv[0] == "--in":
-        argv = ["--in", den3_system(argv[1], tmp_path / "den3.json"), *argv[2:]]
+        argv = ["--in", saved_system(argv[1], tmp_path / "system.json"), *argv[2:]]
     assert report_digest(argv, tmp_path / "report.json") == DIGESTS[name]
