@@ -4,7 +4,7 @@ Each transformation relates the family at shift m to the family at shift m+1
 with one factor of z; residuals are returned as polynomials so tests can
 assert exact zero and diagnostics can point at the failing coefficient.
 The coefficients A, B, C, D, xi and eta are the tau ratios of the table in
-:mod:`skewpoly.families`.
+:mod:`skewpoly.families`; residuals are summed in Z (:meth:`TauTable.member_sum`).
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ def sop_transform_residual(sys: MomentSystem, n: int, m: int,
     sys.require_exact()
     t = taus(sys)
     co = coeffs or sop_coeffs(sys, n, m)
-    res1 = (t.sop(2 * n + 1, m) - co.a * t.sop(2 * n, m)
-            - (t.sop(2 * n, m + 1) - co.b * t.sop(2 * n - 2, m + 1)).shift(1))
-    res2 = (t.sop(2 * n + 2, m) - co.c * t.sop(2 * n, m)
-            - (t.sop(2 * n + 1, m + 1) - co.d * t.sop(2 * n, m + 1)).shift(1))
+    res1 = t.member_sum([(1, 0, 2 * n + 1, m), (-co.a, 0, 2 * n, m),
+                         (-1, 1, 2 * n, m + 1), (co.b, 1, 2 * n - 2, m + 1)])
+    res2 = t.member_sum([(1, 0, 2 * n + 2, m), (-co.c, 0, 2 * n, m),
+                         (-1, 1, 2 * n + 1, m + 1), (co.d, 1, 2 * n, m + 1)])
     return res1, res2
 
 
@@ -64,8 +64,8 @@ def psop_transform_residual(sys: MomentSystem, n: int, m: int, k: int = 1,
     sys.require_exact()
     t = taus(sys)
     co = coeffs or psop_coeffs(sys, n, m, k)
-    return (t.psop(n + 1, m, k) + co.xi * t.psop(n, m, k)
-            - (t.psop(n, m + 1, k) + co.eta * t.psop(n - 1, m + 1, k)).shift(1))
+    return t.member_sum([(1, 0, n + 1, m, k), (co.xi, 0, n, m, k),
+                         (-1, 1, n, m + 1, k), (-co.eta, 1, n - 1, m + 1, k)])
 
 
 def psop_multi_residuals(sys: MomentSystem, n: int, m: int, k: int,
@@ -83,10 +83,10 @@ def psop_multi_residuals(sys: MomentSystem, n: int, m: int, k: int,
         e, f = f, e
     g = t.ratio([odd, (2 * n + 2, m + 1)], [(2 * n + 2, m), odd_up])
     h = t.ratio([(2 * n + 3, m, k), (2 * n, m + 1)], [(2 * n + 2, m), odd_up])
-    res1 = (t.psop(2 * n + 1, m, k) + e * t.sop(2 * n, m)
-            - (t.sop(2 * n, m + 1) + f * t.psop(2 * n - 1, m + 1, k)).shift(1))
-    res2 = (t.sop(2 * n + 2, m) + g * t.psop(2 * n + 1, m, k)
-            - (t.psop(2 * n + 1, m + 1, k) + h * t.sop(2 * n, m + 1)).shift(1))
+    res1 = t.member_sum([(1, 0, 2 * n + 1, m, k), (e, 0, 2 * n, m),
+                         (-1, 1, 2 * n, m + 1), (-f, 1, 2 * n - 1, m + 1, k)])
+    res2 = t.member_sum([(1, 0, 2 * n + 2, m), (g, 0, 2 * n + 1, m, k),
+                         (-1, 1, 2 * n + 1, m + 1, k), (-h, 1, 2 * n, m + 1)])
     return res1, res2
 
 
@@ -99,10 +99,10 @@ def laurent_toda_residual(sys: MomentSystem, n: int):
     a_n = t.dt1_log_tau(2 * n, 0)
     a_n1 = t.dt1_log_tau(2 * n + 2, 0)
     b_n = t.toda_b(n)
-    res1 = (t.sop(2 * n + 1, 0) - a_n * t.sop(2 * n, 0)
-            - (t.sop(2 * n, 0) - b_n * t.sop(2 * n - 2, 0)).shift(1))
-    res2 = (t.sop(2 * n + 2, 0) - t.sop(2 * n, 0)
-            - (t.sop(2 * n + 1, 0) - a_n1 * t.sop(2 * n, 0)).shift(1))
+    res1 = t.member_sum([(1, 0, 2 * n + 1, 0), (-a_n, 0, 2 * n, 0),
+                         (-1, 1, 2 * n, 0), (b_n, 1, 2 * n - 2, 0)])
+    res2 = t.member_sum([(1, 0, 2 * n + 2, 0), (-1, 0, 2 * n, 0),
+                         (-1, 1, 2 * n + 1, 0), (a_n1, 1, 2 * n, 0)])
     return res1, res2
 
 

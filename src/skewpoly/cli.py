@@ -159,6 +159,8 @@ def _load_checked(path) -> MomentSystem:
     try:
         sys_ = moments.load(path)
         sys_.require_exact()
+        if not sys_.ell:
+            raise ValueError("no beta rows, and every identity reads component 1")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot load {path}: {type(exc).__name__}: {exc}")

@@ -19,8 +19,9 @@ link itself, so integer moments give integer taus with no fraction formed
 (rational ones too: the chains read the table's moment kernel, scaled by
 the lcm of the denominators, and each link leaves divided by its power of
 it), and row r of the spectral column after the stages before it is the
-numerator Pf(leading labels, row r's label, z) / z^m, divided once by its
-link tau: rows 2n, 2n+1 (odd chain: 2n+2) are P_{2n}, P_{2n+1} (Q_{2n+1,k}).
+numerator Pf(leading labels, row r's label, z) / z^m over its link tau,
+kept integral (:meth:`TauTable._member`) until ``sop``/``psop`` divide it:
+rows 2n, 2n+1 (odd chain: 2n+2) are P_{2n}, P_{2n+1} (Q_{2n+1,k}).
 The flows raise labels, so on the labels L = (..., M-1, M) of a link only
 raising the top ones repeats none (M. Adler, P. van Moerbeke, Duke Math. J.
 112, 2002): tau' = Pf(L, M -> M+1) and, with y = Pf(L, M -> M+2) and x =
@@ -64,10 +65,10 @@ of weight w + 1; the operator bands take w = 1.
 
 The skew inner product <z^i, z^j> = mu_{i,j} extends bilinearly.
 :func:`skew_gram` evaluates a whole table of pairs <f, g> as one product
-F M G^T in the Pfaffian kernel's types: each polynomial is cleared to
-integral coefficients over one denominator, the moments come from the
-table's kernel as ints (Gaussian ones as Gaussian integers), and each entry
-is divided once, by both denominators and the kernel's scale.  The
+F M G^T in the Pfaffian kernel's types: each polynomial is integral over
+one denominator (a member as its chain leaves it), the moments come from
+the table's kernel as ints (Gaussian ones as Gaussian integers), and each
+entry is divided once, by both denominators and the kernel's scale.  The
 ORTHOGONALITY checks take one Gram each and subtract the closed forms
 <z^m P_2n, z^m P_2n+1> = tau_{2n+2} / tau_{2n}, every other pair but its
 transpose 0 (:func:`orthogonality_defects`), and, against the monomials,
@@ -78,7 +79,7 @@ transpose 0 (:func:`orthogonality_defects`), and, against the monomials,
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -107,6 +108,8 @@ class TauTable:
         # (m, k, conj, parity) -> (last moment label, pf_chain output);
         # the even chains take k = 1, conj = False
         self._chains: dict = {}
+        # (idx, m, k, conj) -> public scalar member, converted on first read
+        self._polys: dict = {}
         # (idx, m, k, conj) -> bilinear.SchurTau value and d1 polynomials;
         # a Miwa chain reaches the idx asked or miwa_top, the largest idx a
         # catalog run reads (bilinear.plan_schur_layers), if that is larger
@@ -249,44 +252,67 @@ class TauTable:
     def sop(self, idx: int, m: int, spec: JetSpec | None = None) -> PolyInZ:
         """Monic degree-idx member of the m-th adjacent skew-orthogonal family;
         with ``spec`` its coefficients are jets (a time-dependent polynomial)."""
-        return self._member(idx, idx - idx % 2, m, 1, False, spec)
+        return self._poly(idx, m, None, False, spec)
 
     def psop(self, idx: int, m: int, k: int = 1, conj: bool = False,
              spec: JetSpec | None = None) -> PolyInZ:
         """Monic degree-idx partial family member; even members coincide with sop."""
         if idx % 2 == 0:
             return self.sop(idx, m, spec)
-        return self._member(idx, idx, m, k, conj, spec)
+        return self._poly(idx, m, k, conj, spec)
 
-    def _member(self, idx, norm_idx, m, k, conj, spec) -> PolyInZ:
-        """Pf(tau labels of norm_idx, m + idx, z) / (z^m tau_norm_idx), scalar
-        or jet valued; the zero polynomial for idx < 0.  A scalar member is
-        row idx (odd chain: idx + 1) of its tau chain's spectral column, whose
-        border starts at z^m, unless the chain stalled before that row."""
+    def _poly(self, idx, m, k, conj, spec) -> PolyInZ:
+        """A member in public types: scalar ones divided once and kept, jets expanded."""
+        if spec is None:
+            if (idx, m, k, conj) not in self._polys:
+                num, den = self._member(idx, m, k, conj)
+                self._polys[idx, m, k, conj] = PolyInZ([_q(c, den) for c in num])
+            return self._polys[idx, m, k, conj]
         if idx < 0:
             return PolyInZ.zero()
-        labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
-        if spec is None:
-            norm = self.tau(norm_idx, m, k, conj)
-            if not norm:
-                raise ZeroDivisionError(
-                    f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
-            odd = norm_idx % 2
-            rows = self._chain(m, k, conj, odd, m + idx)[2]
-            if idx + odd < len(rows):
-                return rows[idx + odd]
-            raw = pf_indexed(labels, self.sys, cache=self.memo())
-            return raw.divide_z(m) / norm
+        norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
         inv = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
+        labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
         raw = pf_indexed(labels, self.sys, cache=self.memo(spec), jet_spec=spec)
         return raw.divide_z(m).map_coeffs(lambda c: c * inv)
+
+    def _member(self, idx, m, k=None, conj=False):
+        """P_idx^{(m)} (``k`` None) or Q_idx^{(m)} of component k as (R, D) = sum
+        R[i] z^i / D, ([], 1) for idx < 0: row idx (odd chain: idx + 1) of its
+        chain's spectral column, or past a stall its expansion, cleared."""
+        if idx < 0:
+            return [], 1
+        norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
+        norm = self.tau(norm_idx, m, k, conj)
+        if not norm:
+            raise ZeroDivisionError(f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
+        rows = self._chain(m, k, conj, norm_idx % 2, m + idx)[2]
+        if idx + norm_idx % 2 < len(rows):
+            return rows[idx + norm_idx % 2]
+        labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
+        raw = pf_indexed(labels, self.sys, cache=self.memo())
+        return _cleared(raw.divide_z(m) / norm)
+
+    def member_sum(self, terms) -> PolyInZ:
+        """sum c z^shift member over ``terms`` (c, shift, idx, m[, k]), members read
+        in order, in Z over the lcm of the denominators; divided only if nonzero."""
+        parts = [(_z(c * d), shift, num, d * den) for c, shift, *ref in terms
+                 for num, den in [self._member(*ref)] if c and num for d in [_den_lcm([c])]]
+        big = lcm(*(d for *_, d in parts))
+        acc = [0] * max((shift + len(num) for _, shift, num, _ in parts), default=0)
+        for c, shift, num, d in parts:
+            c *= big // d
+            for i, x in enumerate(num, shift):
+                acc[i] += c * x
+        return PolyInZ([_q(x, big) for x in acc]) if any(acc) else PolyInZ.zero()
 
     def sop_at_zero(self, idx: int, m: int):
         """Constant terms: P_{2n}^{(m)}(0) = tau_{2n}^{(m+1)} / tau_{2n}^{(m)}
         in closed form; P_{2n+1}^{(m)}(0) is read off the member itself."""
         if idx % 2 == 0:
             return exact_div(self.tau(idx, m + 1), self.tau(idx, m))
-        return self.sop(idx, m).coeff(0)
+        num, den = self._member(idx, m)
+        return _q(num[0], den)
 
 
 def taus(sys: MomentSystem) -> TauTable:
@@ -345,32 +371,32 @@ def z_plus_dt1(tau: Jet, poly: PolyInZ) -> PolyInZ:
 
 def skew_gram(sys: MomentSystem, fs, gs) -> list:
     """[[<f, g> for g in gs] for f in fs] for polynomials with exact scalar
-    coefficients, <z^i, z^j> = mu_{i,j} extended bilinearly, as one product
-    F M G^T in kernel types: each polynomial is cleared to integral
-    coefficients over the lcm of its denominators, v_f = c_f M is formed
-    once per f, and each entry v_f . c_g / (d_f d_g s) is divided once on
-    the way out.  M is the block of the table's moment kernel (scaled by s)
-    at the exponents some f and some g carry, so it reads no index the pairs
-    would not."""
-    cf, cg = [_cleared(f) for f in fs], [_cleared(g) for g in gs]
-    rows, cols = (sorted({i for c, _ in cs for i in c}) for cs in (cf, cg))
+    coefficients or cleared ones (:func:`_cleared`), <z^i, z^j> = mu_{i,j}
+    extended bilinearly, as one product F M G^T in kernel types: each
+    polynomial is cleared to integral coefficients c_f over one int d_f,
+    v_f = c_f M is formed once per f, and each entry v_f . c_g / (d_f d_g s)
+    is divided once on the way out.  M is the block of the table's moment
+    kernel (scaled by s) at the exponents some f and some g carry, so it
+    reads no index the pairs would not."""
+    cf, cg = ([h if type(h) is tuple else _cleared(h) for h in hs] for hs in (fs, gs))
+    rows, cols = (sorted({i for c, _ in h for i, x in enumerate(c) if x}) for h in (cf, cg))
     kern = taus(sys).kernel()
     block = [[kern.mu[i][j] for i in rows] for j in cols]
     gram = []
     for c, d in cf:
-        c = [c.get(i, 0) for i in rows]
+        c = [c[i] if i < len(c) else 0 for i in rows]
         v = dict(zip(cols, [sum(map(mul, c, col)) for col in block]))
-        gram.append([_q(sum(v[j] * b for j, b in g.items()), d * e * kern.scale)
+        gram.append([_q(sum(v[j] * b for j, b in enumerate(g) if b), d * e * kern.scale)
                      for g, e in cg])
     return gram
 
 
 def _cleared(f: PolyInZ):
-    """({i: c_i}, d) with f = sum c_i z^i / d over its nonzero coefficients,
-    d the lcm of their denominators and c_i = _z(d f_i) a loop entry (an int,
-    or a Gaussian rational with int parts)."""
+    """(R, d) with f = sum_i R[i] z^i / d, d the lcm of the denominators of
+    its coefficients and R[i] = _z(d f_i) a loop entry (an int, or a
+    Gaussian rational with int parts): the form of a cleared member."""
     d = _den_lcm(f.coeffs)
-    return {i: _z(x * d) for i, x in enumerate(f.coeffs) if x}, d
+    return [_z(x * d) for x in f.coeffs], d
 
 
 def skew_inner(sys: MomentSystem, f: PolyInZ, g: PolyInZ):
@@ -383,7 +409,8 @@ def orthogonality_defects(sys: MomentSystem, m: int, max_degree: int) -> list:
     max_degree, row by row off one Gram; zero when the skew-orthogonality
     relations hold."""
     t = taus(sys)
-    ps = [t.sop(a, m).shift(m) for a in range(max_degree + 1)]
+    ps = [t._member(a, m) for a in range(max_degree + 1)]
+    ps = [([0] * m + num, den) for num, den in ps]
     out = []
     for a, row in enumerate(skew_gram(sys, ps, ps)):
         for b, val in enumerate(row):
@@ -401,10 +428,9 @@ def psop_inner_defects(sys: MomentSystem, m: int, k: int, n_max: int) -> list:
     0 <= i <= 2n+1 and idx = 2n, 2n+1 (in that nesting), off one Gram of
     the members against the monomials."""
     t = taus(sys)
-    members = [t.sop(idx, m) if idx % 2 == 0 else t.psop(idx, m, k)
-               for idx in range(2 * n_max + 2)]
-    gram = skew_gram(sys, [q.shift(m) for q in members],
-                     [PolyInZ.monomial(1, m + i) for i in range(2 * n_max + 2)])
+    members = [t._member(idx, m, k) for idx in range(2 * n_max + 2)]
+    gram = skew_gram(sys, [([0] * m + num, den) for num, den in members],
+                     [([0] * (m + i) + [1], 1) for i in range(2 * n_max + 2)])
     out = []
     for n in range(n_max + 1):
         for i in range(2 * n + 2):
@@ -419,7 +445,8 @@ def orthogonality_determinant(sys: MomentSystem, n: int, choice: str = "psop",
                               k: int = 1):
     """The (2n+2) x (2n+2) consistency determinant for the odd-member defect
     parameters; it must vanish for both the skew-orthogonal and the partial
-    family choices."""
+    family choices.  Its rows are kernel entries (scaled by s) and a last
+    column cleared by its lcm d, so it runs in Z and divides once, by d s^(2n+1)."""
     t = taus(sys)
     if choice == "sop":
         gap = exact_div(t.tau(2 * n + 2, 0), t.tau(2 * n, 0))
@@ -429,9 +456,7 @@ def orthogonality_determinant(sys: MomentSystem, n: int, choice: str = "psop",
         alpha = [-sys.beta_entry(k, i) * ratio for i in range(2 * n + 2)]
     else:
         raise ValueError(choice)
-    rows = []
-    for r in range(2 * n + 2):
-        row = [sys.mu_entry(c, r) for c in range(2 * n + 1)]
-        row.append(sys.mu_entry(2 * n + 1, r) - alpha[r])
-        rows.append(row)
-    return det_bareiss(rows)
+    last = [sys.mu_entry(2 * n + 1, r) - alpha[r] for r in range(2 * n + 2)]
+    d, mu = _den_lcm(last), t.kernel().mu
+    rows = [[mu[c][r] for c in range(2 * n + 1)] + [_z(x * d)] for r, x in enumerate(last)]
+    return det_bareiss(rows) / (d * t.kernel().scale ** (2 * n + 1))

@@ -603,7 +603,7 @@ def _json_scalar(s):
 
 def save(sys: MomentSystem, path) -> None:
     with open(path, "w") as fh:
-        json.dump(to_json_dict(sys), fh, indent=1)
+        fh.write(json.dumps(to_json_dict(sys), indent=1))
 
 
 def load(path) -> MomentSystem:

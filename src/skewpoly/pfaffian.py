@@ -40,7 +40,7 @@ returning a polynomial in z.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import lcm
 
 from .jets import Jet
@@ -402,12 +402,13 @@ def pf_chain(labels, kernel: MomentKernel):
     k = 2s, of the pivot rows of stage s: Pf(labels[:k], l_k, l_k+2),
     Pf(labels[:k], l_k+1, l_k+2) and Pf(labels[:k], l_k, l_k+3).  Both leave
     the loop divided by the power of ``kernel.scale`` they carry.
-    ``rows[r]`` = Pf(labels[:2s], labels[r], z) / (z^low Pf(labels[:2s])),
-    s = r // 2, is row r of the spectral column (an integral numerator
-    divided by its link once, a Gaussian link through its conjugate and
-    norm; the scale cancels), for each row all its stages reached.  Its
-    border starts at z^low, low the smallest moment label: Pf(label, z) is
-    z^label for a moment label and 0 for any other, so lower columns are 0."""
+    ``rows[r]`` = (R, D) is row r of the spectral column as the elimination
+    leaves it, for each row all its stages reached: sum_i R[i] z^i / D =
+    Pf(labels[:2s], labels[r], z) / (z^low Pf(labels[:2s])), s = r // 2, D
+    the link or a Gaussian link's norm (R then carries its conjugate; the
+    scale cancels).  R is integral, from z^low, low the smallest moment label
+    (Pf(label, z) is z^label for a moment label, 0 for any other), to the
+    largest moment label of rows 0..r: the columns outside are 0."""
     labs = list(labels)
     n = len(labs)
     moment = [x for x in labs if isinstance(x, int)]
@@ -430,8 +431,10 @@ def pf_chain(labels, kernel: MomentKernel):
     inv = [(p.conjugate(), p.norm())
            if type(p) is GaussianRational and type(p.re) is type(p.im) is int else (1, p)
            for p in links[:(reached + 1) // 2]]
-    return leading, tops, [PolyInZ([_q(c * f, d) for c in a[r][n:]])
-                           for r in range(reached) for f, d in (inv[r // 2],)]
+    ends = list(accumulate([x - border.start + 1 if x in border else 0 for x in labs], max))
+    return leading, tops, [(row if type(f) is int else [c * f for c in row], d)
+                           for r in range(reached) for f, d in (inv[r // 2],)
+                           for row in (a[r][n:n + ends[r]],)]
 
 
 def miwa_chain(labels, kernel: MomentKernel, top: int):

@@ -1,11 +1,14 @@
 """Shift-transformation residuals, coefficient cross-identities, controls."""
 
+from fractions import Fraction
+
 import pytest
 
 from skewpoly import christoffel as ct
+from skewpoly.cli import _residual_size
 from skewpoly.families import taus
 from skewpoly.moments import gen
-from skewpoly.scalars import exact_div
+from skewpoly.scalars import GaussianRational, exact_div
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,60 @@ def test_psop_multi_component_and_control(sys3):
                 assert r1.is_zero() and r2.is_zero(), (n, m, k)
     b1, b2 = ct.psop_multi_residuals(sys3, 2, 0, 1, swap_ef=True)
     assert not (b1.is_zero() and b2.is_zero())
+
+
+@pytest.mark.parametrize("kind, den_bound", [("rank1skew-multi", 1), ("rank1skew-multi", 3),
+                                             ("rank1skew-complex", 1)])
+def test_negative_control_residuals_match_the_public_formula(kind, den_bound):
+    """The nonzero residuals of three negative controls -- SOP_CT and PSOP_CT
+    with perturbed coefficients, PSOP_CT_MULTI with E and F swapped -- equal,
+    coefficient for coefficient and in their report text, the transforms
+    written out over the public sop/psop and taus, on integer, rational and
+    Gaussian moments."""
+    s = gen(kind, 16, components=2, seed=3, den_bound=den_bound, require_tau=(4, 2))
+    t = taus(s)
+    p, q, tau = t.sop, t.psop, t.tau
+    bump = (GaussianRational.of(Fraction(1, 3), Fraction(-2, 5)) if s.beta_bar
+            else Fraction(1, 3))
+
+    def check(got, want, where):
+        assert [r.coeffs for r in got] == [r.coeffs for r in want], where
+        assert [_residual_size([r]) for r in got] == [_residual_size([r]) for r in want]
+        return any(got)
+    failing = []
+    for n in range(3):
+        for m in range(2):
+            co = ct.sop_coeffs(s, n, m)
+            a, b, c, d = co.a + bump, co.b, co.c - bump, co.d
+            want = (p(2 * n + 1, m) - a * p(2 * n, m)
+                    - (p(2 * n, m + 1) - b * p(2 * n - 2, m + 1)).shift(1),
+                    p(2 * n + 2, m) - c * p(2 * n, m)
+                    - (p(2 * n + 1, m + 1) - d * p(2 * n, m + 1)).shift(1))
+            got = ct.sop_transform_residual(s, n, m, coeffs=ct.SopCoeffs(a, b, c, d))
+            failing.append(check(got, want, ("SOP_CT", n, m)))
+            for k in (1, 2):
+                for idx in (2 * n, 2 * n + 1):
+                    co = ct.psop_coeffs(s, idx, m, k)
+                    xi, eta = co.xi + bump, co.eta - 2 * bump
+                    want = (q(idx + 1, m, k) + xi * q(idx, m, k)
+                            - (q(idx, m + 1, k) + eta * q(idx - 1, m + 1, k)).shift(1),)
+                    got = (ct.psop_transform_residual(s, idx, m, k, ct.PsopCoeffs(xi, eta)),)
+                    failing.append(check(got, want, ("PSOP_CT", idx, m, k)))
+                odd, odd_up = tau(2 * n + 1, m, k), tau(2 * n + 1, m + 1, k)
+                e = exact_div(tau(2 * n, m) * odd_up, odd * tau(2 * n, m + 1))
+                f = exact_div(tau(2 * n + 2, m) * tau(2 * n - 1, m + 1, k),
+                              odd * tau(2 * n, m + 1))
+                g = exact_div(odd * tau(2 * n + 2, m + 1), tau(2 * n + 2, m) * odd_up)
+                h = exact_div(tau(2 * n + 3, m, k) * tau(2 * n, m + 1),
+                              tau(2 * n + 2, m) * odd_up)
+                e, f = f, e  # the swap of the control
+                want = (q(2 * n + 1, m, k) + e * p(2 * n, m)
+                        - (p(2 * n, m + 1) + f * q(2 * n - 1, m + 1, k)).shift(1),
+                        p(2 * n + 2, m) + g * q(2 * n + 1, m, k)
+                        - (q(2 * n + 1, m + 1, k) + h * p(2 * n, m + 1)).shift(1))
+                got = ct.psop_multi_residuals(s, n, m, k, swap_ef=True)
+                failing.append(check(got, want, ("PSOP_CT_MULTI", n, m, k)))
+    assert sum(failing) > len(failing) // 2, kind
 
 
 def test_laurent_toda_and_lv_coefficient():

@@ -13,7 +13,7 @@ import pytest
 
 import skewpoly
 from skewpoly import bilinear, cli, moments
-from skewpoly.families import taus
+from skewpoly.families import TauTable, taus
 from skewpoly.jets import Jet, JetSpec
 from skewpoly.pfaffian import pf_labels
 from skewpoly.scalars import GaussianRational, parse_scalar
@@ -269,6 +269,22 @@ def test_config_errors_exit_two(tmp_path):
     assert run(load + [str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("kind", ["none", "laurent", "rank2", "rank1skew",
+                                  "rank1skew-multi", "rank1skew-complex"])
+def test_verify_rejects_a_file_without_beta(kind, tmp_path, capsys):
+    """Every identity reads the single-moment row of component 1, so a
+    gen-written file with its beta key removed exits 2 with a message."""
+    path = tmp_path / "system.json"
+    assert run(["gen", "--kind", kind, "--seed", "3", "--n-max", "1", "--m-max", "0",
+                "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    del data["beta"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", "--in", str(path), "--n-max", "1", "--m-max", "0"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot load {path}")
+
+
 def test_smallest_grid_runs_every_suite(tmp_path):
     rep = tmp_path / "rep.json"
     assert run(["verify", "--kind", "none", "--n-max", "0", "--m-max", "0",
@@ -481,6 +497,23 @@ def test_verify_eliminates_each_miwa_node_once(monkeypatch, tmp_path):
         twice = [key for key, n in nodes.items() if n > 1]
         assert nodes and not twice, (kind, twice)
         assert max(sizes) <= max(read) + 2, (kind, max(sizes), max(read))
+
+
+def test_transforms_and_orthogonality_read_cleared_members(monkeypatch, tmp_path):
+    """The TRANSFORMS and ORTHOGONALITY identities read the chains' cleared
+    members (integral coefficients over one denominator), never the public
+    ``TauTable.sop`` or ``psop``, so they build no Fraction polynomial."""
+    calls = collections.Counter()
+    for name in ("sop", "psop"):
+        def counted(self, *args, _name=name, _orig=getattr(TauTable, name), **kwargs):
+            calls[_name] += 1
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(TauTable, name, counted)
+    for kind in ("none", "rank1skew-multi", "rank1skew-complex"):
+        assert run(["verify", "--kind", kind, "--seed", "3", "--n-max", "3", "--m-max", "1",
+                    "--identities", "ORTHOGONALITY,TRANSFORMS",
+                    "--out", str(tmp_path / "rep.json")]) == 0, kind
+        assert not calls, (kind, calls)
 
 
 def test_orthogonality_runs_one_gram_per_instance(monkeypatch, tmp_path):

@@ -114,14 +114,15 @@ def test_sop_orthogonality_reports_a_corrupted_member(monkeypatch):
     cannot reach them: a corrupted P_3^{(0)} must, with the residuals the
     per-pair loop gives."""
     s = gen("none", 16, seed=7, require_tau=(3, 1))
-    sop_ = TauTable.sop
+    member = TauTable._member
 
-    def corrupted(self, idx, m, spec=None):
-        p = sop_(self, idx, m, spec)
-        if (idx, m, spec) == (3, 0, None):
-            p = PolyInZ([p.coeffs[0] + 1, *p.coeffs[1:]])
-        return p
-    monkeypatch.setattr(TauTable, "sop", corrupted)
+    def corrupted(self, idx, m, k=None, conj=False):
+        num, den = member(self, idx, m, k, conj)
+        if (idx, m, k) == (3, 0, None):  # the cleared form of P_3^{(0)} + 1
+            num = [num[0] + den, *num[1:]]
+        return num, den
+    # the identities and the public sop both read members through _member
+    monkeypatch.setattr(TauTable, "_member", corrupted)
     t = taus(s)
     ps = [t.sop(a, 0) for a in range(6)]
     oracle = []
@@ -186,6 +187,28 @@ def test_vanishing_normalizer_raises():
                          for j in range(i + 1, 7)}, ((Fraction(1),) * 7,))
     with pytest.raises(ZeroDivisionError):
         sop(s, 2, 0)
+
+
+def test_members_convert_once_on_first_read(monkeypatch):
+    """A chain keeps its spectral rows as the elimination leaves them, so a
+    chain no public reader touches converts no row; a row read through sop
+    is converted on its first read only, and the same object comes back."""
+    fam = importlib.import_module("skewpoly.families")
+    conversions, q = [], fam._q
+    monkeypatch.setattr(fam, "_q", lambda x, den=1: conversions.append(x) or q(x, den))
+    for kind in ("none", "rank1skew-complex"):
+        t = taus(gen(kind, 12, components=2 if "-" in kind else 1, seed=3))
+        loop = int if kind == "none" else GaussianRational
+        t.build_chains(3, 0)
+        t.build_chains(3, 1)
+        rows = [row for _, (_, _, got) in t._chains.values() for row in got]
+        assert rows and all(type(den) is int and all(type(c) in (int, loop) for c in num)
+                            for num, den in rows), kind
+        assert not conversions, kind
+        p = t.sop(4, 0)
+        assert len(conversions) == len(t._member(4, 0)[0]) and p.degree == 4, kind
+        conversions.clear()
+        assert t.sop(4, 0) is p and t.psop(4, 0) is p and not conversions, kind
 
 
 def test_jet_members_reduce_to_scalar_members(sys3):

@@ -27,6 +27,9 @@ STANDARD_SET = {
     **{f"{kind}-n7-orth": ["--kind", kind, "--seed", "3", "--n-max", "7",
                            "--identities", "ORTHOGONALITY,TRANSFORMS"]
        for kind in ("none", "rank1skew-multi")},
+    "rank1skew-complex-n7-orth": ["--kind", "rank1skew-complex", "--seed", "3",
+                                  "--n-max", "7", "--identities",
+                                  "ORTHOGONALITY,TRANSFORMS"],
     "rank1skew-complex-n3-orth": ["--kind", "rank1skew-complex", "--seed", "3",
                                   "--n-max", "3", "--identities", "ORTHOGONALITY"],
     **{f"{kind}-n3": ["--kind", kind, "--seed", "3", "--n-max", "3"]
@@ -37,14 +40,16 @@ STANDARD_SET = {
     # saved system
     **{f"{name}-in": ["--in", name, "--seed", "3", "--n-max", "2", "--m-max", "1"]
        for name in ("none-den3", "rank1skew-complex-den3", "none-degenerate")},
+    "none-den3-n5-orth-in": ["--in", "none-den3-n5", "--seed", "3", "--n-max", "5",
+                             "--m-max", "1", "--identities", "ORTHOGONALITY,TRANSFORMS"],
 }
 
 
-def den3(kind, **kw):
-    """A system of ``kind`` with denominators up to 3, sized for --n-max 2
-    --m-max 1, whose tau grid gen keeps nonzero."""
-    return moments.gen(kind, bilinear.catalog_max_index(2, 1), seed=3, den_bound=3,
-                       require_tau=(4, 2), **kw)
+def den3(kind, n_max=2, **kw):
+    """A system of ``kind`` with denominators up to 3, sized for --n-max
+    ``n_max`` --m-max 1, whose tau grid gen keeps nonzero."""
+    return moments.gen(kind, bilinear.catalog_max_index(n_max, 1), seed=3, den_bound=3,
+                       require_tau=(n_max + 2, 2), **kw)
 
 
 def degenerate():
@@ -58,7 +63,8 @@ def degenerate():
 # the systems of the --in cases, by placeholder
 SAVED = {"none-den3": lambda: den3("none"),
          "rank1skew-complex-den3": lambda: den3("rank1skew-complex", components=2),
-         "none-degenerate": degenerate}
+         "none-degenerate": degenerate,
+         "none-den3-n5": lambda: den3("none", n_max=5)}
 
 DIGESTS = {
     "laurent-n2": "7c07c2efd97598d8f2568fe9de6602ba61e9ec4b6e77b29199fc0356f3483c77",
@@ -66,10 +72,12 @@ DIGESTS = {
     "none-n3": "31d912a6957398c99e815ea9e6cfa5b7d5f8a288e847b9cfeb39b671b8788f87",
     "none-degenerate-in": "9b3d0217c30ed89093574aa101559bbacba97cde45b9273ffd61e84c7685aa58",
     "none-den3-in": "6da833ea141aeab27ede3c8cb4dc512669bfdfcee0ab0d00a9e112400b7ca4e0",
+    "none-den3-n5-orth-in": "23a5fcdc140589edf20f58be1672be7f58be274a276fb32bf3b7c9b684f1355a",
     "none-n7-orth": "4868625d84310d6c0e867c8729164e8e683b0ee67dd42fac660e93f235f6219f",
     "rank1skew-complex-den3-in": "3647010bbea17829910bb77612e71f00059ae6a40f0478a60e6902836ff20ed5",
     "rank1skew-complex-n2": "600296c588000817203725a282ce11618cd076ab0f054f440f1caa1d2e4e0858",
     "rank1skew-complex-n3": "2575046aba0d5bbd8cc98b5e6893262125c5eb33ec8fb71ee9260d3df853719d",
+    "rank1skew-complex-n7-orth": "37fda0b3566188e3ddc91e6ab342319744645c6c9a3f2d4cd08bc4f02e97d603",
     "rank1skew-complex-n3-orth": "e85732a80084fa718ab907a2901ea26ec659ea362784a9f24d330f80cc0ea406",
     "rank1skew-corrupt-mu": "b9d18c52b4e7e2c41cf0da1c73d66b7e68d6637ff57b1bdff0fa63cc1285bbb3",
     "rank1skew-multi-n2": "d7f4121bda627d0ca222b589499f95cdbcb5e420163f43462f39e1847aec7ad8",
