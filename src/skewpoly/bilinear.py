@@ -17,10 +17,8 @@ same value by :meth:`skewpoly.jets.Jet.schur`, the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable
 
 from . import christoffel, lax
 from .families import (TauTable, orthogonality_defects, orthogonality_determinant,
@@ -29,6 +27,7 @@ from .jets import Jet, JetSpec, weight
 from .moments import MomentSystem, OutOfRangeError, stembridge_residual
 from .pfaffian import _exact_div, _q, miwa_chain
 from .poly import PolyInZ
+from .record import Record
 from .scalars import exact_div
 
 
@@ -209,8 +208,7 @@ def schur_coeff_defects(sys: MomentSystem, idx: int, m: int, comp: int = 1,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     """One catalog entry.
 
     ``grid(sys, n_max, m_max)`` yields the parameter dicts of its instances
@@ -220,13 +218,9 @@ class Identity:
     entry belongs to, if any.
     """
 
-    name: str
-    equation: str
-    tags: tuple
-    grid: Callable
-    evaluate: Callable
-    group: str | None = None
-    parts: tuple = ()
+    __slots__ = _fields = ("name", "equation", "tags", "grid", "evaluate", "group",
+                           "parts")
+    _defaults = (None, ())
 
     def applicable(self, sys: MomentSystem) -> bool:
         return not self.tags or sys.constraint in self.tags

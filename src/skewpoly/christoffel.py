@@ -9,26 +9,19 @@ The coefficients A, B, C, D, xi and eta are the tau ratios of the table in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .families import taus
 from .moments import MomentSystem
 from .poly import PolyInZ
+from .record import Record
 from .scalars import exact_div
 
 
-@dataclass(frozen=True)
-class SopCoeffs:
-    a: object
-    b: object
-    c: object
-    d: object
+class SopCoeffs(Record):
+    __slots__ = _fields = ("a", "b", "c", "d")
 
 
-@dataclass(frozen=True)
-class PsopCoeffs:
-    xi: object
-    eta: object
+class PsopCoeffs(Record):
+    __slots__ = _fields = ("xi", "eta")
 
 
 def sop_coeffs(sys: MomentSystem, n: int, m: int) -> SopCoeffs:

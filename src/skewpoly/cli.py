@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys as _sys
-from dataclasses import replace
 
 from . import bilinear, moments
 from .families import taus
@@ -185,14 +184,14 @@ def _apply_corrupt(sys_: MomentSystem, spec: str) -> MomentSystem:
             raise ConfigError(f"--corrupt mu:{a},{b} needs 0 <= i < j <= {top}")
         mu = dict(sys_.mu)
         mu[(a, b)] = mu.get((a, b), 0) + 1
-        return replace(sys_, mu=mu)
+        return sys_.replace(mu=mu)
     if kind == "beta":
         if not (1 <= a <= sys_.ell and 0 <= b <= top):
             raise ConfigError(f"--corrupt beta:{a},{b} needs 1 <= k <= {sys_.ell} "
                               f"and 0 <= j <= {top}")
         beta = [list(seq) for seq in sys_.beta]
         beta[a - 1][b] = beta[a - 1][b] + 1
-        return replace(sys_, beta=tuple(tuple(s) for s in beta))
+        return sys_.replace(beta=tuple(tuple(s) for s in beta))
     raise ConfigError(f"bad --corrupt kind {kind!r}")
 
 

@@ -27,9 +27,11 @@ raising the top ones repeats none (M. Adler, P. van Moerbeke, Duke Math. J.
 112, 2002): tau' = Pf(L, M -> M+1) and, with y = Pf(L, M -> M+2) and x =
 Pf(L, (M-1, M) -> (M, M+1)) (0 when M-1 is the head row, tau_1 = beta_m),
 tau'' = y + x and d/dt_2 tau = y - x.  These are the link's pivot-row
-entries ``tops``, so tau jets of weight <= 2 come off the chain too.
-Expansion takes over past a vanishing link and in heavier rings.  All values
-are cached per system in a :class:`TauTable` owned by the system; downstream
+entries ``tops``, so tau jets of weight <= 2 come off the chain too; the
+``JetSpec(1)`` members come off the spectral column of its first-order copy
+(:func:`skewpoly.pfaffian.jet_chain`), never off a raised label.  Expansion
+takes over past a vanishing link and in heavier rings.  All values are
+cached per system in a :class:`TauTable` owned by the system; downstream
 residual suites reuse hundreds of tau values, so the cache is not optional.
 Each chain is built once, spectral column included, by one sweep through a
 grid's last link (:meth:`TauTable.build_chains`, run by ``verify`` and by
@@ -37,7 +39,7 @@ grid's last link (:meth:`TauTable.build_chains`, run by ``verify`` and by
 
 Coefficients.  Every recurrence, transform and operator band is built from
 the ratios below, each defined once as a :class:`TauTable` method that
-returns a scalar or, given a jet ring ``spec``, a jet of that ring (so a
+returns a scalar or, given ``spec=JetSpec(1)``, its first-order jet (so a
 t_1 derivative is one ``.extract(1)`` away).  A numerator holding a boundary
 tau makes the coefficient 0.  With logd_n^{(m)} = d/dt_1 log tau_n^{(m)}
 (``dt1_log_tau``):
@@ -60,8 +62,10 @@ shift transforms (:mod:`skewpoly.christoffel`) use
     D_n^m = logd_{2n+2}^{(m)}  (for m >= 1 also P_{2n+3}^{(m-1)}(0) /
             P_{2n+2}^{(m-1)}(0), which the tests check against it)
 
-A ratio of weight w reads tau jets of weight w, and logd differentiates one
-of weight w + 1; the operator bands take w = 1.
+Each tau's (tau, tau', logd, tau'') is read off its chain's ``tops`` once
+(:meth:`TauTable._logd`): logd's jet is (logd, tau''/tau - logd^2) and a
+ratio R's (R, R (sum_num logd - sum_den logd)), with no jet inverse and,
+short of a stalled link, no weight-2 jet.
 
 The skew inner product <z^i, z^j> = mu_{i,j} extends bilinearly.
 :func:`skew_gram` evaluates a whole table of pairs <f, g> as one product
@@ -83,11 +87,11 @@ from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .jets import Jet, JetSpec
-from .pfaffian import (MomentKernel, _den_lcm, _q, _z, det_bareiss, pf_chain, pf_indexed,
-                       pf_labels)
+from .jets import J1, J2, NOT_A_UNIT, Jet, JetSpec
+from .pfaffian import (MomentKernel, _den_lcm, _q, _z, det_bareiss, jet_chain, pf_chain,
+                       pf_indexed, pf_labels)
 from .poly import PolyInZ
-from .scalars import exact_div
+from .scalars import GaussianRational, exact_div
 
 if TYPE_CHECKING:
     from .moments import MomentSystem
@@ -105,17 +109,19 @@ class TauTable:
         self._memos: dict = {}
         # (label, label, spec) -> moment entry jet (MomentSystem.entry_jet)
         self.entry_jets: dict = {}
-        # (m, k, conj, parity) -> (last moment label, pf_chain output);
-        # the even chains take k = 1, conj = False
-        self._chains: dict = {}
-        # (idx, m, k, conj) -> public scalar member, converted on first read
+        # (m, k, conj, parity) -> (last moment label, pf_chain output), the
+        # even chains with k = 1, conj = False; the jet_chain ones alike
+        self._chains, self._jet_chains = {}, {}
+        self._logds: dict = {}  # (idx, m, k, conj) -> _logd
+        # (idx, m, k, conj, spec) -> public member, converted on first read
         self._polys: dict = {}
         # (idx, m, k, conj) -> bilinear.SchurTau value and d1 polynomials;
         # a Miwa chain reaches the idx asked or miwa_top, the largest idx a
         # catalog run reads (bilinear.plan_schur_layers), if that is larger
         self.schur_layers: dict = {}
         self.miwa_top = 0
-        # (m, n_size) -> lax.build_psop_lax operator dict
+        # (m, n_size) -> lax.build_psop_lax operator dict; (m, n_size, "T") ->
+        # the rank2 product (L1 M_evo + L2) N (lax.lax_compat_residual)
         self.operators: dict = {}
 
     def kernel(self) -> MomentKernel:
@@ -153,19 +159,27 @@ class TauTable:
         if idx <= 0:
             val = int(idx == 0)
             return val if spec is None else Jet.constant(Fraction(val), spec)
-        if spec is None or spec.weight <= 2:
-            last = m + idx + (1 if spec else -1)
-            leading, tops, _ = self._chain(m, k, conj, idx % 2, last)
-            s = (idx + 1) // 2
-            if s < len(leading):
-                if spec is None:
-                    return leading[s]
-                t1, x, y = tops[s - 1]
-                x = 0 if idx == 1 else x  # tau_1 = beta_m: no label M - 1
-                jet = {(0, 0): leading[s], (1, 0): t1, (2, 0): (y + x) / 2, (0, 1): y - x}
-                return Jet._of(JetSpec(2), jet).truncate(spec)
+        if spec is None:
+            leading = self._chain(m, k, conj, idx % 2, m + idx - 1)[0]
+            if (idx + 1) // 2 < len(leading):
+                return leading[(idx + 1) // 2]
+        elif spec.weight <= 2 and (got := self._tops(idx, m, k, conj)):
+            tau, d1, d11, d2 = got
+            jet = {(0, 0): tau, (1, 0): d1, (2, 0): d11 / 2, (0, 1): d2}
+            return Jet._of(J2, jet).truncate(spec)
         return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
                          cache=self.memo(spec), jet_spec=spec)
+
+    def _tops(self, idx, m, k, conj):
+        """(tau, d/dt_1 tau, d^2/dt_1^2 tau, d/dt_2 tau) of link idx >= 1 off its
+        chain's ``tops``; None past a stalled link or ``max_index``."""
+        leading, tops, _ = self._chain(m, k, conj, idx % 2, m + idx + 1)
+        s = (idx + 1) // 2
+        if s >= len(leading):
+            return None
+        t1, x, y = tops[s - 1]
+        x = 0 if idx == 1 else x  # tau_1 = beta_m: no label M - 1
+        return leading[s], t1, y + x, y - x
 
     def moment_rows(self):
         """The (k, conj) of every single-moment row, conjugate rows included."""
@@ -178,42 +192,82 @@ class TauTable:
         for k, conj in self.moment_rows():
             self._chain(m, k, conj, 1, m + 2 * n_max)
 
-    def _chain(self, m, k, conj, odd, last):
-        """``pf_chain`` of the tau labels of (m, k, conj, parity) through moment
-        label ``last`` at least; empty past ``max_index``.  Past what a sweep
+    def _chain(self, m, k, conj, odd, last, jets=False):
+        """``pf_chain`` (``jet_chain`` if ``jets``: it reads one label more and
+        is first built through the members a catalog run reads, ``miwa_top`` -
+        1) of the tau labels of (m, k, conj, parity) through moment label
+        ``last`` at least; empty past ``max_index``.  Past what a sweep
         (:meth:`build_chains`) built, growth at least doubles."""
-        if last > self.sys.max_index:
+        top = self.sys.max_index - jets
+        if last > top:
             return [], [], []
+        chains = self._jet_chains if jets else self._chains
         key = (m, k, conj, 1) if odd else (m, 1, False, 0)
-        got = self._chains.get(key)
+        got = chains.get(key)
         if got:
             have, out = got
             if have >= last:
                 return out
             last = max(last, 2 * have - m + 1)
-        last = min(last, self.sys.max_index)
+        elif jets:
+            last = max(last, m + self.miwa_top - 1)
+        last = min(last, top)
         head = self.tau_labels(odd, m, k, conj)[:odd]
-        out = pf_chain([*head, *range(m, last + 1)], self.kernel())
-        self._chains[key] = (last, out)
+        out = (jet_chain if jets else pf_chain)([*head, *range(m, last + 1)], self.kernel())
+        chains[key] = (last, out)
         return out
+
+    def _logd(self, idx, m, k=1, conj=False):
+        """(tau, tau', logd, tau'') of tau_idx^{(m)}, ' = d/dt_1, logd = tau'/tau
+        (None if tau = 0), kept: off :meth:`_tops`; past a stall off the
+        weight-1 jet, tau'' None.  A zero tau or tau' is the int 0, as a jet
+        coefficient reads."""
+        got = self._logds.get((idx, m, k, conj))
+        if got is None:
+            if idx <= 0:
+                tau, d1, d11 = int(idx == 0), 0, 0
+            elif tops := self._tops(idx, m, k, conj):
+                tau, d1, d11 = tops[0] or 0, tops[1] or 0, tops[2]
+            else:  # the expansion reads as far as the weight-1 route read
+                j = self.tau_jet(idx, m, J1, k, conj)
+                tau, d1, d11 = j.base, j.extract(1), None
+            got = (tau, d1, exact_div(d1, tau) if tau else None, d11)
+            self._logds[idx, m, k, conj] = got
+        return got
 
     def dt1_log_tau(self, idx: int, m: int, k: int = 1,
                     spec: JetSpec | None = None):
-        """logd = d/dt_1 log tau_idx^{(m)}: a scalar, or a jet of ``spec``."""
-        w = 0 if spec is None else spec.weight
-        j = self.tau_jet(idx, m, JetSpec(w + 1), k)
+        """logd = d/dt_1 log tau_idx^{(m)}: a scalar, or with ``spec`` (only
+        ``JetSpec(1)``) the jet (logd, tau''/tau - logd^2) off :meth:`_logd`."""
+        tau, d1, logd, d11 = self._logd(idx, m, k)
         if spec is None:
-            return exact_div(j.extract(1), j.base)
-        return j.deriv(0) / j.truncate(spec)
+            return logd if tau else exact_div(d1, tau)
+        if not tau:
+            raise ZeroDivisionError(NOT_A_UNIT)
+        if d11 is None:  # past a stall
+            d11 = self.tau_jet(idx, m, J2, k).extract(2)
+        return Jet._of(J1, {(0,): logd, (1,): exact_div(d11, tau) - logd * logd})
 
     def ratio(self, num, den, spec: JetSpec | None = None):
-        """prod tau(num) / prod tau(den) over refs (idx, m) or (idx, m, k): a
-        scalar, or a jet of ``spec``.  0 when ``num`` holds a boundary tau."""
+        """R = prod tau(num) / prod tau(den) over refs (idx, m) or (idx, m, k): a
+        scalar, or with ``spec`` (only ``JetSpec(1)``) the jet (R, R') off
+        :meth:`_logd`, R' = (prod num)' / prod den - R sum_den logd (no logd of
+        a vanishing numerator tau).  0 when ``num`` holds a boundary tau."""
         if any(ref[0] < 0 for ref in num):
             return Fraction(0) if spec is None else Jet.constant(Fraction(0), spec)
-        val = {ref: self._tau(*ref[:2], *(ref[2:] or (1,)), False, spec)
-               for ref in {*num, *den}}
-        return exact_div(prod(val[r] for r in num), prod(val[r] for r in den))
+        if spec is None:
+            val = {ref: self._tau(*ref[:2], *(ref[2:] or (1,)), False, None)
+                   for ref in {*num, *den}}
+            return exact_div(prod(val[r] for r in num), prod(val[r] for r in den))
+        val = {ref: self._logd(*ref[:2], *(ref[2:] or (1,))) for ref in {*num, *den}}
+        d = prod(val[r][0] for r in den)
+        if not d:
+            raise ZeroDivisionError(NOT_A_UNIT)
+        taus = [val[r][0] for r in num]
+        big = exact_div(prod(taus), d)
+        d1 = sum(val[r][1] * prod(taus[:i] + taus[i + 1:]) for i, r in enumerate(num))
+        return Jet._of(J1, {(0,): big, (1,): exact_div(d1, d) - big * sum(
+            val[r][2] for r in den)})
 
     # -- the coefficient table (module docstring) ---------------------------
 
@@ -262,36 +316,42 @@ class TauTable:
         return self._poly(idx, m, k, conj, spec)
 
     def _poly(self, idx, m, k, conj, spec) -> PolyInZ:
-        """A member in public types: scalar ones divided once and kept, jets expanded."""
-        if spec is None:
-            if (idx, m, k, conj) not in self._polys:
-                num, den = self._member(idx, m, k, conj)
-                self._polys[idx, m, k, conj] = PolyInZ([_q(c, den) for c in num])
-            return self._polys[idx, m, k, conj]
-        if idx < 0:
-            return PolyInZ.zero()
-        norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
-        inv = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
-        labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
-        raw = pf_indexed(labels, self.sys, cache=self.memo(spec), jet_spec=spec)
-        return raw.divide_z(m).map_coeffs(lambda c: c * inv)
+        """A member in public types, divided once and kept."""
+        key = (idx, m, k, conj, spec)
+        if key not in self._polys and spec is None:
+            num, den = self._member(idx, m, k, conj)
+            self._polys[key] = PolyInZ([_q(c, den) for c in num])
+        elif key not in self._polys:  # D a jet link, or 1 (rows 0, 1 and expansions)
+            num, den = self._member(idx, m, k, conj, spec)
+            # R / D = R Dbar / d0^2 for D = d0 + d1 eps, Dbar = d0 - d1 eps
+            bar, d = ((Jet.constant(1, spec), 1) if den == 1 else
+                      (Jet._of(J1, {(0,): den.base, (1,): -den.extract(1)}), den.base * den.base))
+            if type(d) is GaussianRational:  # over the int norm of a Gaussian d0^2
+                bar, d = bar * d.conjugate(), d.norm()
+            self._polys[key] = PolyInZ([_q(c * bar, d) for c in num])
+        return self._polys[key]
 
-    def _member(self, idx, m, k=None, conj=False):
+    def _member(self, idx, m, k=None, conj=False, spec=None):
         """P_idx^{(m)} (``k`` None) or Q_idx^{(m)} of component k as (R, D) = sum
         R[i] z^i / D, ([], 1) for idx < 0: row idx (odd chain: idx + 1) of its
-        chain's spectral column, or past a stall its expansion, cleared."""
+        chain's spectral column, of its ``jet_chain``'s for ``JetSpec(1)``
+        coefficients; past a stall (and in heavier rings) its expansion,
+        cleared for scalars, over D = 1 for jets."""
         if idx < 0:
             return [], 1
         norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
-        norm = self.tau(norm_idx, m, k, conj)
+        norm = self.tau(norm_idx, m, k, conj) if spec is None else 1
         if not norm:
             raise ZeroDivisionError(f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
-        rows = self._chain(m, k, conj, norm_idx % 2, m + idx)[2]
-        if idx + norm_idx % 2 < len(rows):
-            return rows[idx + norm_idx % 2]
+        if spec is None or spec.weight == 1:
+            rows = self._chain(m, k, conj, norm_idx % 2, m + idx, spec is not None)[2]
+            if idx + norm_idx % 2 < len(rows):
+                return rows[idx + norm_idx % 2]
+        if spec is not None:  # a vanishing jet normalizer raises before the expansion
+            norm = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
         labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
-        raw = pf_indexed(labels, self.sys, cache=self.memo())
-        return _cleared(raw.divide_z(m) / norm)
+        raw = pf_indexed(labels, self.sys, cache=self.memo(spec), jet_spec=spec).divide_z(m)
+        return _cleared(raw / norm) if spec is None else ([c * norm for c in raw.coeffs], 1)
 
     def member_sum(self, terms) -> PolyInZ:
         """sum c z^shift member over ``terms`` (c, shift, idx, m[, k]), members read

@@ -18,12 +18,16 @@ Newton iteration in the truncated ring, which is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import factorial, prod
 
+from .record import Record
 from .scalars import scalar_inv
+
+
+NOT_A_UNIT = "jet with zero base coefficient is not a unit"
+_BASE, _D1 = (0,), (1,)  # the multi-indices of JetSpec(1)
 
 
 class OrderMismatchError(ValueError):
@@ -57,25 +61,28 @@ def _ring(w: int) -> tuple[dict, dict]:
     return weights, sums
 
 
-@dataclass(frozen=True)
-class JetSpec:
+class JetSpec(Record):
     """The ring of every multi-index of weight <= ``weight``, over
-    max(1, weight) directions (no direction beyond that fits)."""
+    max(1, weight) directions (no direction beyond that fits); ``zero`` is
+    the multi-index of the base point."""
 
-    weight: int
+    __slots__ = ("weight", "zero")
+    _fields = ("weight",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.weight < 0:
             raise ValueError("jet weight must be nonnegative")
+        object.__setattr__(self, "zero", (0,) * self.ndir)
+
+    def __eq__(self, other):  # every binary jet operation compares specs
+        return self is other or type(other) is JetSpec and other.weight == self.weight
+
+    def __hash__(self):
+        return hash(self.weight)
 
     @property
     def ndir(self) -> int:
         return max(1, self.weight)
-
-    @cached_property
-    def zero(self) -> tuple[int, ...]:
-        """The multi-index of the base point."""
-        return (0,) * self.ndir
 
     @property
     def weights(self) -> dict:
@@ -85,6 +92,9 @@ class JetSpec:
     def alphas(self):
         """All admissible multi-indices, lowest weight first."""
         return self.weights.keys()
+
+
+J1, J2 = JetSpec(1), JetSpec(2)  # the rings of the catalog's t_1 and t_2 data
 
 
 class Jet:
@@ -156,6 +166,10 @@ class Jet:
         if not isinstance(other, Jet):
             return Jet._of(self.spec, {a: v * other for a, v in self.coeffs.items()})
         self._check(other)
+        x, y = self.coeffs, other.coeffs
+        if len(x) == len(y) == 2 and self.spec.weight == 1:  # both full first-order jets
+            x0, y0 = x[_BASE], y[_BASE]
+            return Jet._of(self.spec, {_BASE: x0 * y0, _D1: x0 * y[_D1] + x[_D1] * y0})
         sums = _ring(self.spec.weight)[1]
         right = other.coeffs.items()
         out: dict = {}
@@ -173,7 +187,7 @@ class Jet:
         """Multiplicative inverse; requires a unit (nonzero base coefficient)."""
         b = self.base
         if not b:
-            raise ZeroDivisionError("jet with zero base coefficient is not a unit")
+            raise ZeroDivisionError(NOT_A_UNIT)
         x = Jet.constant(scalar_inv(b), self.spec)
         # each Newton pass doubles the weight below which x is exact
         for _ in range(max(1, self.spec.weight).bit_length()):

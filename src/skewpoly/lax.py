@@ -9,10 +9,12 @@ matrix algebra over the jet ring.  Truncation artifacts live in the last
 rows/columns; the asserted interior block is rows and columns 1..N-4
 (inclusive), matching the bandwidths in play.
 
-Every operator is a bidiagonal matrix divided on the left by another, and
-that division is exact triangular substitution: the truncated quotient
-agrees with the semi-infinite one inside the window.  The band entries are
-the tau-ratio coefficients of :mod:`skewpoly.families`.
+Every operator is a band matrix divided on the left by a bidiagonal one
+(L by 1 + eta S^T, N by xi + S, L1 and L2 by (b_n, eta_n b_{n-1}), M_evo by
+(I_{n+1}, 1), S the shift), by the exact two-term recurrence of
+:func:`_solve`, which divides by no unit diagonal: the truncated quotient
+agrees with the semi-infinite one inside the window.  The bands are the
+first-order coefficient jets of :mod:`skewpoly.families`.
 """
 
 from __future__ import annotations
@@ -20,14 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .families import TauTable, dt1, taus, z_plus_dt1
-from .jets import Jet, JetSpec
+from .jets import J1, J2, Jet
 from .moments import MomentSystem
 from .pfaffian import pf_indexed
 from .poly import PolyInZ
 from .scalars import exact_div
-
-J1 = JetSpec(1)
-J2 = JetSpec(2)
 
 
 # ---------------------------------------------------------------------------
@@ -67,24 +66,21 @@ def _sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _solve(a, b):
-    """X with a X = b for a triangular a, by substitution; a vanishing pivot
-    raises ZeroDivisionError."""
-    n = len(a)
-    if all(not a[i][j] for i in range(n) for j in range(i + 1, n)):
-        order, known = range(n), lambda i: range(i)
-    elif all(not a[i][j] for i in range(n) for j in range(i)):
-        order, known = range(n - 1, -1, -1), lambda i: range(i + 1, n)
-    else:
-        raise ValueError("matrix is not triangular")
-    x = [None] * n
-    for i in order:
+def _solve(diag, off, b, lower: bool):
+    """X with A X = b, A bidiagonal: ``diag`` and ``off``, off[i] at column
+    i - 1 of row i if ``lower``, else at i + 1 (``None``: a band of ones), by
+    x_i = (b_i - off_i x_{i -+ 1}) / diag_i from the end the band leaves out.
+    A vanishing diagonal entry raises ZeroDivisionError."""
+    x, prev = [None] * len(b), None
+    for i in range(len(b)) if lower else reversed(range(len(b))):
         row = b[i]
-        for k in known(i):
-            if a[i][k]:
-                row = [r - a[i][k] * y if y else r for r, y in zip(row, x[k])]
-        inv = a[i][i].inverse()
-        x[i] = [r * inv if r else r for r in row]
+        if prev is not None and (off is None or off[i]):
+            c = 1 if off is None else off[i]
+            row = [r - c * y if y else r for r, y in zip(row, prev)]
+        if diag is not None:
+            inv = diag[i].inverse()
+            row = [r * inv if r else r for r in row]
+        x[i] = prev = row
     return x
 
 
@@ -113,9 +109,8 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
     xi = [t.xi(n, m, spec=J1) for n in n_rows]
     eta = [t.eta(n, m, spec=J1) for n in n_rows]
     kk = [t.k_coeff(n, m, J1) for n in n_rows]
-    lower = _bands(n_size, {0: one, -1: [None] + eta[1:]})
-    upper = _bands(n_size, {0: xi, 1: one})
-    ops = {"L": _solve(lower, upper)}
+    sub = [None] + eta[1:]
+    ops = {"L": _solve(None, sub, _bands(n_size, {0: xi, 1: one}), lower=True)}
     ops["M"] = _bands(n_size, {1: one, 0: kk, -1: [None] + [
         -t.j_coeff(n, m, J1) for n in range(1, n_size)]})
 
@@ -129,19 +124,17 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
         aa = [t.c_coeff(n + 1, m, J1).inverse() for n in n_rows]
         bb = [-(t.dt1_log_tau(n + 2, m, spec=J1)
                 - t.dt1_log_tau(n, m + 1, spec=J1)).inverse() for n in n_rows]
-        ops["N"] = _solve(upper, lower)
-        g1 = _bands(n_size, {0: bb, -1: [None] + [eta[n] * bb[n - 1]
-                                                  for n in range(1, n_size)]})
+        ops["N"] = _solve(xi, None, _bands(n_size, {0: one, -1: sub}), lower=False)
+        g1 = [None] + [eta[n] * bb[n - 1] for n in range(1, n_size)]
         # boundary convention eta_0 * a_0 = 0: eta_0 vanishes identically
         g3 = _bands(n_size, {0: [None] + [eta[n] * aa[n - 1]
                                           for n in range(1, n_size)],
                              1: aa})
         g5 = _bands(n_size, {0: [eta[n] - xi[n] for n in n_rows]})
-        ops["L1"] = _solve(g1, g3)
-        ops["L2"] = _solve(g1, g5)
-        b1 = _bands(n_size, {0: ii, 1: one})
+        ops["L1"] = _solve(bb, g1, g3, lower=True)
+        ops["L2"] = _solve(bb, g1, g5, lower=True)
         b2 = _bands(n_size, {0: [ii[n] * (kk[n + 1] + kk[n]) for n in n_rows]})
-        ops["M_evo"] = _solve(b1, b2)
+        ops["M_evo"] = _solve(ii, None, b2, lower=False)
     t.operators[(m, n_size)] = ops
     return ops
 
@@ -170,7 +163,10 @@ def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> di
         res = dt1_minus(l_op, _sub(_mul(up["M"], l_op), _mul(l_op, here["M"])))
     elif kind in ("rank2-m", "rank2-n"):
         n_op, m_op = here["N"], here["M_evo"]
-        t_op = _mul(_add(_mul(here["L1"], m_op), here["L2"]), n_op)
+        kept = taus(sys).operators  # (L1 M_evo + L2) N, once per (m, N) for both kinds
+        if (m, n_size, "T") not in kept:
+            kept[m, n_size, "T"] = _mul(_add(_mul(here["L1"], m_op), here["L2"]), n_op)
+        t_op = kept[m, n_size, "T"]
         if kind == "rank2-m":
             res = [[e.base for e in row] for row in _sub(t_op, up["M_evo"])]
         else:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from operator import mul
@@ -35,6 +34,7 @@ from typing import Optional
 from .families import taus, vanishing_taus
 from .jets import Jet, JetSpec, weight
 from .pfaffian import LabelError, _q, _z, det_bareiss, pfaffian
+from .record import Record
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
 CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
@@ -48,18 +48,16 @@ class OutOfRangeError(IndexError):
     """Moment index outside the stored range."""
 
 
-@dataclass(frozen=True, eq=False)
-class MomentSystem:
-    """Immutable moment data; shareable across threads and cached freely."""
+class MomentSystem(Record):
+    """Immutable moment data; shareable across threads and cached freely.
+    Equal only to itself, as the owner of its caches."""
 
-    max_index: int
-    mu: dict
-    beta: tuple = ()
-    beta_bar: Optional[tuple] = None
-    constraint: str = "none"
-    mode: str = "exact"
+    _fields = ("max_index", "mu", "beta", "beta_bar", "constraint", "mode")
+    _defaults = ((), None, "none", "exact")
+    __slots__ = (*_fields, "_tau_table", "__weakref__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def _check(self):
         if self.constraint not in CONSTRAINTS:
             raise ValueError(f"unknown constraint tag {self.constraint!r}")
         if self.mode not in MODES:
@@ -397,11 +395,16 @@ def _rank1skew_mu(betas, sums, max_index, scale) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    constraint: str
-    checked: int = 0
-    failures: list = field(default_factory=list)
+class ValidationReport(Record):
+    """A mutable, so unhashable, record; failures defaults to a fresh list."""
+
+    __slots__ = _fields = ("constraint", "checked", "failures")
+    _defaults = (0, None)
+    __setattr__, __hash__ = object.__setattr__, None
+
+    def _check(self):
+        if self.failures is None:
+            self.failures = []
 
     @property
     def all_zero(self) -> bool:
@@ -469,15 +472,15 @@ def stembridge_residual(sys: MomentSystem, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolitonSpec:
-    """Moment data built from exponential nodes; time enters through theta_a."""
+class SolitonSpec(Record):
+    """Moment data built from exponential nodes; time enters through theta_a.
+    pair_amps holds (a, b, c_ab), node indices a < b; d_amps, per component,
+    one amplitude per node."""
 
-    nodes: tuple
-    pair_amps: tuple = ()   # entries (a, b, c_ab) with node indices a < b
-    d_amps: tuple = ()      # per component: one amplitude per node
+    __slots__ = _fields = ("nodes", "pair_amps", "d_amps")
+    _defaults = ((), ())
 
-    def __post_init__(self):
+    def _check(self):
         if len(set(self.nodes)) != len(self.nodes):
             raise ValueError("soliton nodes must be distinct")
         if any(x == 0 for x in self.nodes):

@@ -6,6 +6,7 @@ One skew elimination loop and one expansion, each the other's test reference:
   from one scalar elimination without swaps, which always carries the
   spectral column along as a border and keeps the next entries of each
   pivot row; it stops at the first pivot that is not a unit.
+  :func:`jet_chain` runs it on first-order jets of the entries.
 * :func:`miwa_chain` -- the same at the Miwa-shifted time t - [z], one
   elimination per node z, with each link's top label raised beside it.
 * :func:`pfaffian` -- a plain square row list by the same loop, swapping a
@@ -14,8 +15,8 @@ One skew elimination loop and one expansion, each the other's test reference:
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
   expansion along the first label, memoized over label subsets (one memo
   per ring).  No division, so any commutative ring: the fallback past a
-  stalled chain, for tau jets above weight 2 and for jet-valued family
-  members; :func:`pfaffian_expand` runs it on a plain row list.
+  stalled chain and for tau jets above weight 2, and the tests' oracle;
+  :func:`pfaffian_expand` runs it on a plain row list.
 
 The loop is fraction-free, the Pfaffian form of Bareiss's integer-preserving
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
@@ -43,7 +44,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations
 from math import lcm
 
-from .jets import Jet
+from .jets import J1, Jet
 from .poly import PolyInZ
 from .scalars import GaussianRational
 
@@ -392,7 +393,7 @@ class MomentKernel:
         return row[b], row[b + 1], 0
 
 
-def pf_chain(labels, kernel: MomentKernel):
+def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
     """``(leading, tops, rows)`` of a z-free label list (an optional
     single-moment row, then moment labels), by one scalar elimination of the
     kernel's entries without swaps that borders the labels with the spectral
@@ -408,16 +409,16 @@ def pf_chain(labels, kernel: MomentKernel):
     the link or a Gaussian link's norm (R then carries its conjugate; the
     scale cancels).  R is integral, from z^low, low the smallest moment label
     (Pf(label, z) is z^label for a moment label, 0 for any other), to the
-    largest moment label of rows 0..r: the columns outside are 0."""
+    largest moment label of rows 0..r: the columns outside are 0.  ``jets``
+    runs it on first-order jets (:func:`jet_chain`)."""
     labs = list(labels)
     n = len(labs)
     moment = [x for x in labs if isinstance(x, int)]
     border = range(min(moment, default=0), max(moment, default=-1) + 1)
-    a = []
-    for i, x in enumerate(labs):
-        row = kernel.row(x)
-        a.append([0] * (i + 1) + [row[y] for y in labs[i + 1:]]
-                 + [int(x == p) for p in border])
+    entry = ((lambda x, y: Jet._of(J1, dict(zip(((0,), (1,)), kernel.shifted(x, y)))))
+             if jets else (lambda x, y: kernel.row(x)[y]))
+    a = [[0] * (i + 1) + [entry(x, y) for y in labs[i + 1:]]
+         + [int(x == p) for p in border] for i, x in enumerate(labs)]
     links, reached = [1], n
     for s, (p, _) in enumerate(_stages(a, swaps=False)):
         links.append(p)
@@ -435,6 +436,14 @@ def pf_chain(labels, kernel: MomentKernel):
     return leading, tops, [(row if type(f) is int else [c * f for c in row], d)
                            for r in range(reached) for f, d in (inv[r // 2],)
                            for row in (a[r][n:n + ends[r]],)]
+
+
+def jet_chain(labels, kernel: MomentKernel):
+    """:func:`pf_chain` of ``JetSpec(1)`` entries, each with its t_1
+    derivative (:meth:`MomentKernel.shifted`: one label past the last is
+    read), the spectral column constant: every value becomes its jet, D a jet
+    link, so the column holds the jet-valued family members."""
+    return pf_chain(labels, kernel, jets=True)
 
 
 def miwa_chain(labels, kernel: MomentKernel, top: int):

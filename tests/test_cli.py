@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -129,7 +128,7 @@ def test_degenerate_instances_reported_alone(tmp_path):
 def test_zero_beta_row_reports_degenerate_entries(tmp_path, capsys):
     # every odd tau vanishes, so the odd taus come from expansion past a
     # stalled chain; they must be values of their ring, never a bare int
-    s = replace(moments.gen("none", 15, seed=3), beta=((Fraction(0),) * 16,))
+    s = moments.gen("none", 15, seed=3).replace(beta=((Fraction(0),) * 16,))
     t = taus(s)
     assert t.tau(3, 0) == 0 and type(t.tau(3, 0)) is Fraction
     assert isinstance(t.tau_jet(3, 0, JetSpec(1)), Jet)
@@ -320,6 +319,50 @@ def test_cli_import_leaves_numpy_out():
                    env=env, check=True)
 
 
+def test_import_leaves_dataclasses_and_inspect_out():
+    """A fresh interpreter imports the package and its CLI without the
+    ``dataclasses`` machinery (``inspect``, ``ast``, ``dis``, ``tokenize``),
+    which every verify run would otherwise compile and load."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(skewpoly.__file__)))
+    subprocess.run([sys.executable, "-c",
+                    "import sys, skewpoly, skewpoly.cli; "
+                    "assert not {'dataclasses', 'inspect'} & set(sys.modules), "
+                    "sorted({'dataclasses', 'inspect'} & set(sys.modules))"],
+                   env=env, check=True)
+
+
+def test_records_keep_value_semantics():
+    """The value classes construct positionally or by keyword with their
+    defaults, compare and hash by value, refuse assignment, and ``replace``
+    re-runs the constructor's checks; a moment system equals only itself."""
+    from skewpoly.bilinear import IDENTITIES
+    from skewpoly.christoffel import PsopCoeffs, SopCoeffs
+    from skewpoly.moments import MomentSystem, SolitonSpec, ValidationReport
+    assert JetSpec(2) == JetSpec(weight=2) and hash(JetSpec(2)) == hash(JetSpec(2))
+    assert JetSpec(1) != JetSpec(2) and JetSpec(0).zero == (0,)
+    assert SopCoeffs(1, 2, 3, 4) == SopCoeffs(1, 2, 3, d=4) != SopCoeffs(1, 2, 3, 5)
+    assert len({PsopCoeffs(1, 2), PsopCoeffs(1, 2), PsopCoeffs(2, 1)}) == 2
+    spec = SolitonSpec((1.5, 0.5), ((0, 1, 1.0),))
+    assert spec.d_amps == () and spec == SolitonSpec((1.5, 0.5), pair_amps=((0, 1, 1.0),))
+    assert ValidationReport("none") == ValidationReport("none", 0, [])
+    assert IDENTITIES["LV"].group is None and IDENTITIES["LV"].parts == ()
+    s = moments.gen("none", 4, seed=1)
+    assert s == s and s != s.replace() and s.replace().mu == s.mu
+    for obj, field in ((JetSpec(1), "weight"), (spec, "nodes"), (s, "mu")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+    for bad in (lambda: JetSpec(-1), lambda: s.replace(constraint="bogus"),
+                lambda: SolitonSpec((1.0, 1.0)),
+                lambda: MomentSystem(4, {(2, 1): Fraction(1)})):
+        with pytest.raises(ValueError):
+            bad()
+    for bad in (lambda: JetSpec(), lambda: SopCoeffs(1, 2, 3, 4, 5),
+                lambda: PsopCoeffs(1, 2, xi=3)):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_simulate_contract(tmp_path, capsys):
     prefix = tmp_path / "traj"
     code = run(["simulate", "--dt", "0.004", "--t-end", "0.2",
@@ -356,17 +399,27 @@ KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
 
 
 def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
-    """A verify run pivots on no jet, expands no tau jet of weight 2 and
-    never expands a row list: its tau jets come off the scalar chains' pivot
-    rows and its Miwa layers are scalar row lists."""
+    """A verify run pivots on no jet outside the first-order member chains
+    (``jet_chain``), expands no tau jet of weight 2 and never expands a row
+    list: its tau jets come off the scalar chains' pivot rows and its Miwa
+    layers are scalar row lists."""
     pf = importlib.import_module("skewpoly.pfaffian")
     stages, pf_labels, expand = pf._stages, pf.pf_labels, pf.pfaffian_expand
+    jet_chain = pf.jet_chain
     seen = {"jet pivots": 0, "weight-2 pf_labels": 0, "pfaffian_expand": 0}
+    in_jet_chain = []
 
     def counted_stages(a, swaps):
         for p, odd in stages(a, swaps):
-            seen["jet pivots"] += isinstance(p, Jet)
+            seen["jet pivots"] += isinstance(p, Jet) and not in_jet_chain
             yield p, odd
+
+    def flagged_jet_chain(labels, kernel):
+        in_jet_chain.append(True)
+        try:
+            return jet_chain(labels, kernel)
+        finally:
+            in_jet_chain.pop()
 
     def counted_pf_labels(labels, sys, *, cache=None, jet_spec=None):
         seen["weight-2 pf_labels"] += jet_spec is not None and jet_spec.weight >= 2
@@ -378,7 +431,8 @@ def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pf, "_stages", counted_stages)
     for name, orig, wrapper in (("pf_labels", pf_labels, counted_pf_labels),
-                                ("pfaffian_expand", expand, counted_expand)):
+                                ("pfaffian_expand", expand, counted_expand),
+                                ("jet_chain", jet_chain, flagged_jet_chain)):
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("skewpoly") and getattr(mod, name, None) is orig:
                 monkeypatch.setattr(mod, name, wrapper)
@@ -386,6 +440,40 @@ def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
         assert run(["verify", "--kind", kind, "--n-max", "1",
                     "--out", str(tmp_path / f"{kind}.json")]) == 0, kind
         assert seen == dict.fromkeys(seen, 0), (kind, seen)
+
+
+def test_verify_expands_no_jet_valued_pfaffian(monkeypatch, tmp_path):
+    """Jet-valued members come off one first-order chain per (system, label
+    head), built once per run, and every weight-1 coefficient off the tau
+    chains: a verify run calls ``pf_labels`` in no jet ring.  The scalar C2
+    borders of rank2 are the expansions left."""
+    pf = importlib.import_module("skewpoly.pfaffian")
+    pf_labels, jet_chain = pf.pf_labels, pf.jet_chain
+    jet_calls, scalar_calls, built = [], [], []
+
+    def counted_pf_labels(labels, sys, *, cache=None, jet_spec=None):
+        (scalar_calls if jet_spec is None else jet_calls).append(list(labels))
+        return pf_labels(labels, sys, cache=cache, jet_spec=jet_spec)
+
+    def counted_jet_chain(labels, kernel):
+        labels = list(labels)
+        built.append((kernel, tuple(labels[:2])))
+        return jet_chain(labels, kernel)
+
+    for name, orig, wrapper in (("pf_labels", pf_labels, counted_pf_labels),
+                                ("jet_chain", jet_chain, counted_jet_chain)):
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("skewpoly") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, wrapper)
+    for kind in KINDS:
+        scalar_calls.clear()
+        built.clear()
+        assert run(["verify", "--kind", kind, "--n-max", "3", "--m-max", "1",
+                    "--seed", "3", "--out", str(tmp_path / "rep.json")]) == 0, kind
+        assert not jet_calls, (kind, jet_calls[:3])
+        assert all(labels[0] in (("shift", 0), ("shift", 1)) for labels in scalar_calls)
+        assert bool(scalar_calls) == (kind == "rank2"), kind
+        assert built and max(collections.Counter(built).values()) == 1, kind
 
 
 def counted_chains(monkeypatch) -> list:
@@ -418,7 +506,7 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
     # tau_2^{(0)} = mu_{0,1} = 0 stalls the m = 0 chains at their first link
     stalled = moments.gen("none", bilinear.catalog_max_index(2, 1), seed=3)
     files["degenerate"] = str(tmp_path / "degenerate.json")
-    moments.save(replace(stalled, mu={**stalled.mu, (0, 1): Fraction(0)}),
+    moments.save(stalled.replace(mu={**stalled.mu, (0, 1): Fraction(0)}),
                  files["degenerate"])
     n2 = ["--n-max", "2", "--m-max", "1"]
     runs = [(0, ["--kind", kind, *n2]) for kind in KINDS]

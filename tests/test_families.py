@@ -277,7 +277,7 @@ def _quotient_rule(t, num, den):
             v, d = v * a, d * a + v * da
         return v, d
     (n, dn), (d, dd) = product(num), product(den)
-    return Fraction(n) / d, (dn * d - n * dd) / Fraction(d) ** 2
+    return exact_div(n, d), exact_div(dn * d - n * dd, d * d)
 
 
 def _logd_diff(t, plus, minus):
@@ -285,16 +285,28 @@ def _logd_diff(t, plus, minus):
     out = [Fraction(0), Fraction(0)]
     for sign, (idx, m) in ((1, plus), (-1, minus)):
         j = t.tau_jet(idx, m, JetSpec(2))
-        f, df, ddf = Fraction(j.base), j.extract(1), j.extract(2)
-        out[0] += sign * df / f
-        out[1] += sign * (ddf * f - df * df) / f ** 2
+        f, df, ddf = j.base, j.extract(1), j.extract(2)
+        out[0] += sign * exact_div(df, f)
+        out[1] += sign * exact_div(ddf * f - df * df, f * f)
     return tuple(out)
 
 
-@pytest.mark.parametrize("kind", ["none", "rank2", "laurent"])
+@pytest.mark.parametrize("kind", ["none", "rank2", "laurent", "rank1skew",
+                                  "rank1skew-complex"])
 def test_coefficient_jets_match_scalars_and_quotient_rule(kind):
+    """Every weight-1 coefficient jet, off the per-tau log-derivative memo,
+    against the product and quotient rules on the expansion-free weight-2
+    tau jets, its value against the scalar coefficient; Gaussian taus for
+    the complex kind, whose conjugate-row memo is checked against f'/f too."""
     s = gen(kind, 16, seed=5, require_tau=(5, 2))
     t = taus(s)
+    for m in (0, 1):
+        for idx in range(1, 8):
+            for conj in (False, True) if s.beta_bar else (False,):
+                j = t.tau_jet(idx, m, JetSpec(2), 1, conj)
+                assert t._logd(idx, m, 1, conj) == (j.base, j.extract(1),
+                                                    exact_div(j.extract(1), j.base),
+                                                    j.extract(2))
     J1 = JetSpec(1)
     for m in (0, 1):
         for n in range(6):
@@ -327,6 +339,7 @@ def test_coefficient_jets_match_scalars_and_quotient_rule(kind):
 
 KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
          "rank1skew-complex"]
+J1 = JetSpec(1)
 
 
 def _public(x) -> bool:
@@ -340,9 +353,11 @@ def _public(x) -> bool:
 
 
 def _expansion_oracle(t, sys, m, top):
-    """Every tau link, tau jet of weight 1 and 2 and scalar family member of
-    shift m up to index ``top`` against memoized expansion with its own
-    memos; each is of a public type, never an int or a float."""
+    """Every tau link, tau jet of weight 1 and 2 and scalar and first-order
+    jet family member of shift m up to index ``top`` against memoized
+    expansion with its own memos; each is of a public type, never an int or
+    a float.  The jet members up to index 7 come off the first-order
+    chains, or past a stalled link off the expansion the oracle also runs."""
     memo, jet_memos = {}, {1: {}, 2: {}}
     conjs = (False, True) if sys.beta_bar is not None else (False,)
     rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
@@ -366,13 +381,22 @@ def _expansion_oracle(t, sys, m, top):
         for member, args, labels, norm_labels in members:
             norm = pf_labels(norm_labels, sys, cache=memo)
             if not norm:
-                with pytest.raises(ZeroDivisionError):
-                    member(*args)
+                for spec in (None, J1):
+                    with pytest.raises(ZeroDivisionError):
+                        member(*args, spec=spec)
                 continue
             raw = pf_indexed(labels, sys, cache=memo)
             got = member(*args)
             assert got == raw.divide_z(m) / norm, (member, args)
             assert all(map(_public, got.coeffs)), (member, args)
+            if idx > 7:  # the jet expansion costs too much past 9 labels
+                continue
+            inv = pf_labels(norm_labels, sys, cache=jet_memos[1], jet_spec=J1).inverse()
+            raw = pf_indexed(labels, sys, cache=jet_memos[1], jet_spec=J1)
+            got = member(*args, spec=J1)
+            assert got == raw.divide_z(m).map_coeffs(lambda c: c * inv), (member, args)
+            assert all(isinstance(c, Jet) and _public(c) for c in got.coeffs), (member, args)
+            assert member(*args, spec=J1) is got
 
 
 def test_tau_chains_match_expansion():
@@ -482,6 +506,13 @@ def test_stalled_chains_fall_back_to_expansion():
     assert t.tau(1, 0, 1) == 0 and t.tau(3, 0, 1) != 0
     for m in range(3):
         _expansion_oracle(t, sys, m, 9)
+    # coefficient jets of taus past the stalls, one with the vanishing
+    # tau_2^(0) in its numerator
+    for name, n, oracle in (("k_coeff", 4, _logd_diff(t, (5, 0), (4, 0))),
+                            ("j_coeff", 3, _quotient_rule(t, [(5, 0), (2, 0)],
+                                                          [(3, 0), (4, 0)]))):
+        jet = getattr(t, name)(n, 0, spec=J1)
+        assert (jet.base, jet.extract(1)) == oracle and oracle[1], name
     # the same list, in the same order, as a scan by expansion gives
     assert list(vanishing_taus(sys, 4, 2)) == [(1, 0, 1, False), (2, 0),
                                                (5, 1, 2, False)]

@@ -1,5 +1,6 @@
 """Operator truncations, compatibility residuals, scalar recurrence suites."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -28,32 +29,23 @@ def _random_jet(rng, lo=-5, hi=5):
                     (1,): Fraction(rng.randint(-4, 4))})
 
 
-def _random_triangular(rng, n, lower):
-    a = lax._bands(n, {})
-    for i in range(n):
-        for j in (range(i) if lower else range(i + 1, n)):
-            a[i][j] = _random_jet(rng)
-        a[i][i] = _random_jet(rng, 1, 9)
-    return a
-
-
 def test_triangular_left_division():
-    # a X = b by substitution over first-order jets, for lower and upper a
+    # A X = b by the bidiagonal recurrence over first-order jets, for lower
+    # and upper A, with a unit diagonal or a unit off-diagonal band (None)
     rng = random.Random(0)
     n = 5
+    one = [Jet.constant(Fraction(1), J1)] * n
     for lower in (True, False):
-        for _ in range(4):
-            a = _random_triangular(rng, n, lower)
-            b = [[_random_jet(rng) for _ in range(n)] for _ in range(n)]
-            assert lax._mul(a, lax._solve(a, b)) == b
-        a = _random_triangular(rng, n, lower)
-        a[2][2] = Jet(J1, {(1,): Fraction(3)})  # zero value, nonzero derivative
+        for unit_diag in (True, False):
+            for _ in range(4):
+                diag = None if unit_diag else [_random_jet(rng, 1, 9) for _ in range(n)]
+                off = [_random_jet(rng) for _ in range(n)] if unit_diag else None
+                a = lax._bands(n, {0: diag or one, -1 if lower else 1: off or one})
+                b = [[_random_jet(rng) for _ in range(n)] for _ in range(n)]
+                assert lax._mul(a, lax._solve(diag, off, b, lower)) == b
+        diag[2] = Jet(J1, {(1,): Fraction(3)})  # zero value, nonzero derivative
         with pytest.raises(ZeroDivisionError):
-            lax._solve(a, b)
-    full = _random_triangular(rng, n, True)
-    full[0][n - 1] = _random_jet(rng, 1, 9)
-    with pytest.raises(ValueError):
-        lax._solve(full, b)
+            lax._solve(diag, off, b, lower)
 
 
 def test_truncation_size_guard(unconstrained):
@@ -95,6 +87,30 @@ def test_operator_dump_bands(rank2):
     assert [m_op[i][i + 1].base for i in range(5)] == [1] * 5
     assert any(m_op[i][i].base for i in range(6))
     assert any(m_op[i + 1][i].base for i in range(5))
+
+
+def test_mixed_blocks_read_weight_one_data_only(monkeypatch):
+    """The LAX_MIXED blocks of a none system take every coefficient jet off
+    the tau chains' first-order data: no tau jet in a weight-2 ring, and the
+    bidiagonal solves invert no unit diagonal entry."""
+    fam = importlib.import_module("skewpoly.families")
+    tau_jet, inverse, seen = fam.TauTable.tau_jet, Jet.inverse, []
+
+    def counted_tau_jet(self, idx, m, spec, k=1, conj=False):
+        if spec.weight >= 2:
+            seen.append(("tau_jet", idx, m, spec))
+        return tau_jet(self, idx, m, spec, k, conj)
+
+    def counted_inverse(self):
+        if self == 1:
+            seen.append(("unit inverse", self))
+        return inverse(self)
+
+    monkeypatch.setattr(fam.TauTable, "tau_jet", counted_tau_jet)
+    monkeypatch.setattr(Jet, "inverse", counted_inverse)
+    s = gen("none", 15, seed=7, require_tau=(5, 1))
+    rep = lax.lax_compat_residual(s, "mixed", 0, 6)
+    assert rep["interior_zero"] and not seen, seen[:3]
 
 
 def test_built_operators_kept_on_the_table(rank2):

@@ -3,7 +3,6 @@
 import importlib
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -238,7 +237,7 @@ def test_existence_flag_vanishing_tau():
     c = gen("rank1skew-complex", 6, components=2, seed=3)
     bbar = [list(row) for row in c.beta_bar]
     bbar[0][0] = 0
-    failures = list(vanishing_taus(replace(c, beta_bar=tuple(map(tuple, bbar))), 0, 0))
+    failures = list(vanishing_taus(c.replace(beta_bar=tuple(map(tuple, bbar))), 0, 0))
     assert failures
     assert failures == [(1, 0, 1, True)]
 

@@ -10,7 +10,6 @@ and says why in ``CHANGES.md``.
 
 import hashlib
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ STANDARD_SET = {
     **{f"{kind}-n2": ["--kind", kind, "--seed", "3", "--n-max", "2", "--m-max", "1"]
        for kind in ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
                     "rank1skew-complex")},
+    "rank2-n7": "ddecf58981dcd7b169b63769b53678b77e7e2eb18cac7ffa1618d29a1bc55f1b",
     "rank2-seed6": ["--kind", "rank2", "--seed", "6"],
     "rank1skew-corrupt-mu": ["--kind", "rank1skew", "--seed", "3",
                              "--corrupt", "mu:2,3"],
@@ -36,6 +36,9 @@ STANDARD_SET = {
        for kind in ("none", "rank2", "rank1skew")},
     "rank1skew-complex-n3": ["--kind", "rank1skew-complex", "--seed", "3",
                              "--n-max", "3"],
+    # the full catalog at scale, where jet-valued members dominate
+    **{f"{kind}-n7": ["--kind", kind, "--seed", "3", "--n-max", "7", "--m-max", "1"]
+       for kind in ("none", "rank2", "rank1skew")},
     # systems through a file: a placeholder from SAVED is replaced by the
     # saved system
     **{f"{name}-in": ["--in", name, "--seed", "3", "--n-max", "2", "--m-max", "1"]
@@ -57,7 +60,7 @@ def degenerate():
     its m = 0 chains stall at their first link, so members and Miwa nodes
     past it fall back, and the entries dividing by it are degenerate."""
     sys_ = moments.gen("none", bilinear.catalog_max_index(2, 1), seed=3)
-    return replace(sys_, mu={**sys_.mu, (0, 1): Fraction(0)})
+    return sys_.replace(mu={**sys_.mu, (0, 1): Fraction(0)})
 
 
 # the systems of the --in cases, by placeholder
@@ -73,6 +76,7 @@ DIGESTS = {
     "none-degenerate-in": "9b3d0217c30ed89093574aa101559bbacba97cde45b9273ffd61e84c7685aa58",
     "none-den3-in": "6da833ea141aeab27ede3c8cb4dc512669bfdfcee0ab0d00a9e112400b7ca4e0",
     "none-den3-n5-orth-in": "23a5fcdc140589edf20f58be1672be7f58be274a276fb32bf3b7c9b684f1355a",
+    "none-n7": "1094365d7422c18b76e5a7ba55345b63a0bf4062c2987dc8b51118e6a796d569",
     "none-n7-orth": "4868625d84310d6c0e867c8729164e8e683b0ee67dd42fac660e93f235f6219f",
     "rank1skew-complex-den3-in": "3647010bbea17829910bb77612e71f00059ae6a40f0478a60e6902836ff20ed5",
     "rank1skew-complex-n2": "600296c588000817203725a282ce11618cd076ab0f054f440f1caa1d2e4e0858",
@@ -83,9 +87,11 @@ DIGESTS = {
     "rank1skew-multi-n2": "d7f4121bda627d0ca222b589499f95cdbcb5e420163f43462f39e1847aec7ad8",
     "rank1skew-multi-n7-orth": "37fda0b3566188e3ddc91e6ab342319744645c6c9a3f2d4cd08bc4f02e97d603",
     "rank1skew-n2": "9e0596a0d15cc87b89b51ee522a3919c4e39e33293c7d13574255fb7e287e9ea",
+    "rank1skew-n7": "ab806330bbf1b08f7c22071a9185c8bad87c130468d3edd766f6cbfd93ccbb11",
     "rank1skew-n3": "193c105baa63c0fbd540113cfd6db3b2dbf0847d18fad093af25d2fda907976e",
     "rank2-n2": "273a6b769cd1bfc12abf89ddaef0b83e99625ca08a9d855492078299d18f16f9",
     "rank2-n3": "0ad8af632d6a9a7dcf258f902865901554ec82088969874fecd0f02380b0fa32",
+    "rank2-n7": "ddecf58981dcd7b169b63769b53678b77e7e2eb18cac7ffa1618d29a1bc55f1b",
     "rank2-seed6": "3edfd515884024176c9c0017120c0aa6e03ccb0bafdffd1c5e59381effbe411b",
 }
 
