@@ -29,8 +29,9 @@ Pf(L, (M-1, M) -> (M, M+1)) (0 when M-1 is the head row, tau_1 = beta_m),
 tau'' = y + x and d/dt_2 tau = y - x.  These are the link's pivot-row
 entries ``tops``, so tau jets of weight <= 2 come off the chain too; the
 ``JetSpec(1)`` members come off the spectral column of its first-order copy
-(:func:`skewpoly.pfaffian.jet_chain`), never off a raised label.  Expansion
-takes over past a vanishing link and in heavier rings.  All values are
+(:func:`skewpoly.pfaffian.jet_chain`), never off a raised label.  Past a
+vanishing link scalars are eliminated with swaps (``pf_eliminate``), jets
+and heavier rings expanded (a vanishing jet base is no unit).  All values are
 cached per system in a :class:`TauTable` owned by the system; downstream
 residual suites reuse hundreds of tau values, so the cache is not optional.
 Each chain is built once, spectral column included, by one sweep through a
@@ -89,7 +90,7 @@ from typing import TYPE_CHECKING
 
 from .jets import J1, J2, NOT_A_UNIT, Jet, JetSpec
 from .pfaffian import (MomentKernel, _den_lcm, _q, _z, det_bareiss, jet_chain, pf_chain,
-                       pf_indexed, pf_labels)
+                       pf_eliminate, pf_indexed, pf_labels)
 from .poly import PolyInZ
 from .scalars import GaussianRational, exact_div
 
@@ -98,9 +99,9 @@ if TYPE_CHECKING:
 
 
 class TauTable:
-    """Every per-system cache: the moments as loop entries, the memos of
-    labelled Pfaffians, one per ring (``None`` for scalars, else the jet
-    spec), the moment entry jets, the tau chains, plus the Schur layers and
+    """Every per-system cache: the moments as loop entries, the expansion
+    memos of jet-valued labelled Pfaffians, one per jet spec (no scalar
+    memo), the moment entry jets, the tau chains, plus the Schur layers and
     the operator families built from them."""
 
     def __init__(self, sys: MomentSystem):
@@ -130,10 +131,6 @@ class TauTable:
             self._kernel = MomentKernel(self.sys)
         return self._kernel
 
-    def memo(self, spec: JetSpec | None = None) -> dict:
-        """The memo of one ring, keyed by label tuples."""
-        return self._memos.setdefault(spec, {})
-
     # -- tau values --------------------------------------------------------
 
     @staticmethod
@@ -154,8 +151,8 @@ class TauTable:
         return self._tau(idx, m, k, conj, spec)
 
     def _tau(self, idx, m, k, conj, spec):
-        """A link of the chain, or its jet of weight <= 2 off its ``tops``; by
-        expansion past a stalled link, past ``max_index`` and in heavier rings."""
+        """A link of the chain, or its jet of weight <= 2 off its ``tops``; past a
+        stalled link or ``max_index`` eliminated (scalars) or expanded (jets)."""
         if idx <= 0:
             val = int(idx == 0)
             return val if spec is None else Jet.constant(Fraction(val), spec)
@@ -163,12 +160,13 @@ class TauTable:
             leading = self._chain(m, k, conj, idx % 2, m + idx - 1)[0]
             if (idx + 1) // 2 < len(leading):
                 return leading[(idx + 1) // 2]
-        elif spec.weight <= 2 and (got := self._tops(idx, m, k, conj)):
+            return pf_eliminate(self.tau_labels(idx, m, k, conj), self.sys)
+        if spec.weight <= 2 and (got := self._tops(idx, m, k, conj)):
             tau, d1, d11, d2 = got
             jet = {(0, 0): tau, (1, 0): d1, (2, 0): d11 / 2, (0, 1): d2}
             return Jet._of(J2, jet).truncate(spec)
         return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
-                         cache=self.memo(spec), jet_spec=spec)
+                         cache=self._memos.setdefault(spec, {}), jet_spec=spec)
 
     def _tops(self, idx, m, k, conj):
         """(tau, d/dt_1 tau, d^2/dt_1^2 tau, d/dt_2 tau) of link idx >= 1 off its
@@ -187,10 +185,12 @@ class TauTable:
         return [(k, conj) for k in range(1, self.sys.ell + 1) for conj in conjs]
 
     def build_chains(self, n_max: int, m: int) -> None:
-        """Sweep shift m's even and row chains through the n_max grid's last link."""
-        self._chain(m, 1, False, 0, m + 2 * n_max - 1)
-        for k, conj in self.moment_rows():
-            self._chain(m, k, conj, 1, m + 2 * n_max)
+        """Sweep shift m's even and row chains through the n_max grid's last
+        link, and within ``max_index`` the n = 4 grid's, whose tau jets (idx <=
+        7) the N = 6 operator blocks (``bilinear.LAX_SIZE``) read at any n_max."""
+        for k, conj, odd in [(1, False, 0), *((k, c, 1) for k, c in self.moment_rows())]:
+            last = m + 2 * n_max - 1 + odd
+            self._chain(m, k, conj, odd, max(last, min(m + 7 + odd, self.sys.max_index)))
 
     def _chain(self, m, k, conj, odd, last, jets=False):
         """``pf_chain`` (``jet_chain`` if ``jets``: it reads one label more and
@@ -335,8 +335,8 @@ class TauTable:
         """P_idx^{(m)} (``k`` None) or Q_idx^{(m)} of component k as (R, D) = sum
         R[i] z^i / D, ([], 1) for idx < 0: row idx (odd chain: idx + 1) of its
         chain's spectral column, of its ``jet_chain``'s for ``JetSpec(1)``
-        coefficients; past a stall (and in heavier rings) its expansion,
-        cleared for scalars, over D = 1 for jets."""
+        coefficients; past a stall eliminated and cleared (scalars) or, in any
+        other ring, expanded over D = 1."""
         if idx < 0:
             return [], 1
         norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
@@ -347,11 +347,14 @@ class TauTable:
             rows = self._chain(m, k, conj, norm_idx % 2, m + idx, spec is not None)[2]
             if idx + norm_idx % 2 < len(rows):
                 return rows[idx + norm_idx % 2]
-        if spec is not None:  # a vanishing jet normalizer raises before the expansion
-            norm = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
         labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
-        raw = pf_indexed(labels, self.sys, cache=self.memo(spec), jet_spec=spec).divide_z(m)
-        return _cleared(raw / norm) if spec is None else ([c * norm for c in raw.coeffs], 1)
+        if spec is None:
+            return _cleared(pf_eliminate(labels, self.sys).divide_z(m) / norm)
+        # a vanishing jet normalizer raises before the expansion
+        norm = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
+        raw = pf_indexed(labels, self.sys, cache=self._memos.setdefault(spec, {}),
+                         jet_spec=spec)
+        return [c * norm for c in raw.divide_z(m).coeffs], 1
 
     def member_sum(self, terms) -> PolyInZ:
         """sum c z^shift member over ``terms`` (c, shift, idx, m[, k]), members read

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .families import TauTable, dt1, taus, z_plus_dt1
 from .jets import J1, J2, Jet
 from .moments import MomentSystem
-from .pfaffian import pf_indexed
+from .pfaffian import pf_eliminate
 from .poly import PolyInZ
 from .scalars import exact_div
 
@@ -273,19 +273,17 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     The bordered-Pfaffian derivative formula reads
     d/dt_1 (tau_n Q_n) = z^{-m} Pf(d0, d1, m, ..., m+n, z) for even n and
     z^{-m} Pf(d1, m, ..., m+n, z) for odd n (exact evaluation; no extra
-    normalization factor), and the shifted evolution carries a minus sign on
-    the derivative term of the lower family member.
+    normalization factor; one eliminated Pfaffian per z coefficient), and
+    the shifted evolution carries a minus sign on the derivative term of the
+    lower family member.
     """
     sys.require_exact()
     if sys.constraint != "rank2":
         raise ValueError("this suite requires the rank2 constraint")
     t = taus(sys)
     lhs = dt1(t.psop(n, m, spec=J1) * t.tau_jet(n, m, J1))
-    if n % 2 == 0:
-        border = pf_indexed(["d0", "d1", *range(m, m + n + 1), "z"], sys,
-                            cache=t.memo())
-    else:
-        border = pf_indexed(["d1", *range(m, m + n + 1), "z"], sys, cache=t.memo())
+    head = ["d0", "d1"] if n % 2 == 0 else ["d1"]
+    border = pf_eliminate([*head, *range(m, m + n + 1), "z"], sys)
     derivative_pf = lhs - border.divide_z(m)
 
     def dq(j, mm=m):

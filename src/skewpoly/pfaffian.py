@@ -12,11 +12,13 @@ One skew elimination loop and one expansion, each the other's test reference:
 * :func:`pfaffian` -- a plain square row list by the same loop, swapping a
   unit (a nonzero exact scalar, or a jet with a nonzero base) into each
   pivot; a nonzero row with no unit raises ``ZeroDivisionError``.
+  :func:`pf_eliminate` runs it on a system's labels: every scalar
+  Pfaffian past a stalled chain, and the rank2 C2 borders.
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
   expansion along the first label, memoized over label subsets (one memo
-  per ring).  No division, so any commutative ring: the fallback past a
-  stalled chain and for tau jets above weight 2, and the tests' oracle;
-  :func:`pfaffian_expand` runs it on a plain row list.
+  per ring).  No division, so any ring: the fallback for jets (a vanishing
+  base is no unit) past a stalled chain and for tau jets above weight 2,
+  and the tests' oracle; :func:`pfaffian_expand` runs it on a row list.
 
 The loop is fraction-free, the Pfaffian form of Bareiss's integer-preserving
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
@@ -308,20 +310,28 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
         return PolyInZ.zero()
     if Z not in labs:
         return PolyInZ([pf_labels(labs, sys, cache=cache, jet_spec=jet_spec)])
+    return _z_expand(labs, lambda sub: pf_labels(sub, sys, cache=cache, jet_spec=jet_spec))
+
+
+def _z_expand(labs, pf) -> PolyInZ:
+    """Expansion along the z label (Pf(i, z) = z^i, 0 for a row), each z-free
+    Pfaffian by ``pf``; repeated labels sum, and cancel."""
     zpos = labs.index(Z)
     rest = labs[:zpos] + labs[zpos + 1:]
-    coeffs: dict = {}
+    coeffs = [0] * (max((x for x in rest if isinstance(x, int)), default=-1) + 1)
     for t, lab in enumerate(rest):
-        if not isinstance(lab, int):
-            continue
-        sub = rest[:t] + rest[t + 1:]
-        val = pf_labels(sub, sys, cache=cache, jet_spec=jet_spec)
-        if not val:
-            continue
-        if (zpos + t + 1) % 2:
-            val = -val
-        coeffs[lab] = coeffs.get(lab, 0) + val
-    return PolyInZ.from_dict(coeffs)
+        if isinstance(lab, int) and (val := pf(rest[:t] + rest[t + 1:])):
+            coeffs[lab] += -val if (zpos + t + 1) % 2 else val
+    return PolyInZ(coeffs)
+
+
+def pf_eliminate(labels, sys):
+    """A scalar labelled Pfaffian by :func:`pfaffian` on the rows of the
+    range-checked ``sys.entry_scalar``, through :func:`_z_expand` for z."""
+    labs = [parse_label(l) for l in labels]
+    if Z in labs:
+        return _z_expand(labs, lambda sub: pf_eliminate(sub, sys))
+    return pfaffian([[sys.entry_scalar(a, b) for b in labs] for a in labs])
 
 
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):

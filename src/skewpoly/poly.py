@@ -22,17 +22,6 @@ class PolyInZ:
     def zero() -> "PolyInZ":
         return PolyInZ([])
 
-    @staticmethod
-    def monomial(coeff, power: int) -> "PolyInZ":
-        return PolyInZ([0] * power + [coeff])
-
-    @staticmethod
-    def from_dict(d: dict) -> "PolyInZ":
-        if not d:
-            return PolyInZ([])
-        deg = max(d)
-        return PolyInZ([d.get(i, 0) for i in range(deg + 1)])
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""

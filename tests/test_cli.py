@@ -444,35 +444,31 @@ def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
 
 def test_verify_expands_no_jet_valued_pfaffian(monkeypatch, tmp_path):
     """Jet-valued members come off one first-order chain per (system, label
-    head), built once per run, and every weight-1 coefficient off the tau
-    chains: a verify run calls ``pf_labels`` in no jet ring.  The scalar C2
-    borders of rank2 are the expansions left."""
+    head), built once per run, every weight-1 coefficient off the tau
+    chains, and the scalar C2 borders of rank2 are eliminated: a verify run
+    never reaches the expansion ``_pf_expand``, in any ring."""
     pf = importlib.import_module("skewpoly.pfaffian")
-    pf_labels, jet_chain = pf.pf_labels, pf.jet_chain
-    jet_calls, scalar_calls, built = [], [], []
+    expand, jet_chain = pf._pf_expand, pf.jet_chain
+    expanded, built = [], []
 
-    def counted_pf_labels(labels, sys, *, cache=None, jet_spec=None):
-        (scalar_calls if jet_spec is None else jet_calls).append(list(labels))
-        return pf_labels(labels, sys, cache=cache, jet_spec=jet_spec)
+    def counted_expand(labels, entry, cache):
+        expanded.append(labels)
+        return expand(labels, entry, cache)
 
     def counted_jet_chain(labels, kernel):
         labels = list(labels)
         built.append((kernel, tuple(labels[:2])))
         return jet_chain(labels, kernel)
 
-    for name, orig, wrapper in (("pf_labels", pf_labels, counted_pf_labels),
-                                ("jet_chain", jet_chain, counted_jet_chain)):
-        for modname, mod in list(sys.modules.items()):
-            if modname.startswith("skewpoly") and getattr(mod, name, None) is orig:
-                monkeypatch.setattr(mod, name, wrapper)
+    monkeypatch.setattr(pf, "_pf_expand", counted_expand)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("skewpoly") and getattr(mod, "jet_chain", None) is jet_chain:
+            monkeypatch.setattr(mod, "jet_chain", counted_jet_chain)
     for kind in KINDS:
-        scalar_calls.clear()
         built.clear()
         assert run(["verify", "--kind", kind, "--n-max", "3", "--m-max", "1",
                     "--seed", "3", "--out", str(tmp_path / "rep.json")]) == 0, kind
-        assert not jet_calls, (kind, jet_calls[:3])
-        assert all(labels[0] in (("shift", 0), ("shift", 1)) for labels in scalar_calls)
-        assert bool(scalar_calls) == (kind == "rank2"), kind
+        assert not expanded, (kind, len(expanded), expanded[:3])
         assert built and max(collections.Counter(built).values()) == 1, kind
 
 
@@ -496,8 +492,9 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
     """Every verify path builds each tau chain, spectral column included,
     once: gen's nonzero-tau scan builds a generated system's chains on its
     own table, and verify sweeps the same grid before any identity reads, so
-    a loaded or a corrupted system's chains are built once too.  No (system,
-    label head) chain is built twice."""
+    a loaded or a corrupted system's chains are built once too, and every
+    sweep covers the operator blocks' reads.  No (system, label head) chain
+    is built twice."""
     files = {}
     for kind in ("none", "rank1skew-complex"):
         files[kind] = str(tmp_path / f"{kind}.json")
@@ -510,6 +507,9 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
                  files["degenerate"])
     n2 = ["--n-max", "2", "--m-max", "1"]
     runs = [(0, ["--kind", kind, *n2]) for kind in KINDS]
+    # at --n-max 1 the fixed-size operator blocks read past the (3, 2) grid
+    runs += [(0, ["--kind", kind, "--seed", "3", "--n-max", "1", "--m-max", "1"])
+             for kind in ("none", "laurent", "rank2", "rank1skew")]
     runs += [(0, ["--kind", kind, "--n-max", "7", "--identities",
                   "ORTHOGONALITY,TRANSFORMS"]) for kind in ("none", "rank1skew-multi")]
     runs += [(0, ["--in", files["none"], *n2]),

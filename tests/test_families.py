@@ -15,7 +15,7 @@ from skewpoly.families import (TauTable, orthogonality_defects,
                                skew_gram, skew_inner, sop, sop_at_zero, psop, tau,
                                taus, vanishing_taus)
 from skewpoly.jets import Jet, JetSpec
-from skewpoly.moments import MomentSystem, gen
+from skewpoly.moments import MomentSystem, OutOfRangeError, gen
 from skewpoly.pfaffian import pf_indexed, pf_labels
 from skewpoly.poly import PolyInZ
 from skewpoly.scalars import GaussianRational, exact_div
@@ -488,6 +488,17 @@ def test_gaussian_values_leave_the_kernel_public():
         vals += [orthogonality_determinant(s, n, choice, k)
                  for n in (1, 2) for choice in ("sop", "psop") for k in (1, 2)]
         assert len(vals) > 300 and not [v for v in vals if leaked(v)], den_bound
+
+
+def test_scalar_reads_past_max_index_raise():
+    """A scalar tau or member whose labels pass max_index has no chain; its
+    elimination reads the entries through the range-checked entry rules."""
+    t = TauTable(gen("none", 6, seed=1))
+    assert t.tau(6, 0) and t.sop(6, 0)
+    with pytest.raises(OutOfRangeError):
+        t.tau(8, 0)
+    with pytest.raises(OutOfRangeError):
+        t.sop(7, 0)
 
 
 def _stalled_system():

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from skewpoly import lax
+from skewpoly.bilinear import IDENTITIES
 from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen
+from skewpoly.pfaffian import pf_eliminate, pf_indexed
 
 
 J1 = JetSpec(1)
@@ -158,6 +160,19 @@ def test_c2_suite_zero(rank2):
             res = lax.c2_evolution_residuals(rank2, m, n)
             for name, poly in res.items():
                 assert poly.is_zero(), (name, m, n)
+
+
+def test_c2_borders_match_expansion(rank2):
+    """The C2 borders Pf(d0, d1, m..m+n, z) (even n) and Pf(d1, m..m+n, z)
+    (odd n), which the suite eliminates one Pfaffian per z coefficient,
+    equal their expansion at every (n, m) of the suite's n_max 3 grid."""
+    grid = [(p["n"], p["m"]) for p in IDENTITIES["C2_SUITE"].grid(rank2, 3, 1)]
+    assert {m for _, m in grid} == {0, 1} and max(n for n, _ in grid) == 6
+    for n, m in grid:
+        head = ["d0", "d1"] if n % 2 == 0 else ["d1"]
+        labels = [*head, *range(m, m + n + 1), "z"]
+        border = pf_eliminate(labels, rank2)
+        assert border and border == pf_indexed(labels, rank2), (n, m)
 
 
 def test_c2_requires_tag(unconstrained):

@@ -20,7 +20,6 @@ STANDARD_SET = {
     **{f"{kind}-n2": ["--kind", kind, "--seed", "3", "--n-max", "2", "--m-max", "1"]
        for kind in ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
                     "rank1skew-complex")},
-    "rank2-n7": "ddecf58981dcd7b169b63769b53678b77e7e2eb18cac7ffa1618d29a1bc55f1b",
     "rank2-seed6": ["--kind", "rank2", "--seed", "6"],
     "rank1skew-corrupt-mu": ["--kind", "rank1skew", "--seed", "3",
                              "--corrupt", "mu:2,3"],
