@@ -16,9 +16,9 @@ One skew elimination loop and one expansion, each the other's test reference:
   Pfaffian past a stalled chain, and the rank2 C2 borders.
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
   expansion along the first label, memoized over label subsets (one memo
-  per ring).  No division, so any ring: the fallback for jets (a vanishing
-  base is no unit) past a stalled chain and for tau jets above weight 2,
-  and the tests' oracle; :func:`pfaffian_expand` runs it on a row list.
+  per ring).  No division, so any commutative ring: the jets' fallback past
+  a stalled chain (a vanishing base is no unit) and above weight 2, and the
+  tests' oracle; :func:`pfaffian_expand` runs it on a row list.
 
 The loop is fraction-free, the Pfaffian form of Bareiss's integer-preserving
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
