@@ -1,11 +1,14 @@
 """Reports on the standard set stay byte-identical.
 
 Each run is one in-process ``verify`` with ``--out``.  Its digest is the
-SHA-256 of the exit code, ``total``, ``resample_attempts`` and the sorted
-(identity, equation, params, status, residual) rows, so a change that moves
-any residual, status, degenerate message, entry count or resampling seed
-fails here.  A change that means to alter a report records the new digest
-and says why in ``CHANGES.md``.
+SHA-256 of the case's argv (with an ``--in`` placeholder, not the saved
+path), the report's ``constraint``, the exit code, ``total``,
+``resample_attempts`` and the sorted (identity, equation, params, status,
+residual) rows, so a change that moves any residual, status, degenerate
+message, entry count or resampling seed fails here, and two cases whose
+entries all pass on the same grid still record different digests.  A
+change that means to alter a report records the new digest and says why in
+``CHANGES.md``.
 """
 
 import hashlib
@@ -69,29 +72,29 @@ SAVED = {"none-den3": lambda: den3("none"),
          "none-den3-n5": lambda: den3("none", n_max=5)}
 
 DIGESTS = {
-    "laurent-n2": "7c07c2efd97598d8f2568fe9de6602ba61e9ec4b6e77b29199fc0356f3483c77",
-    "none-n2": "4a83be3cf53ac5df08e85a9d57028a2a0fdf4b89af3d69aec60e8d352b7ef44a",
-    "none-n3": "31d912a6957398c99e815ea9e6cfa5b7d5f8a288e847b9cfeb39b671b8788f87",
-    "none-degenerate-in": "9b3d0217c30ed89093574aa101559bbacba97cde45b9273ffd61e84c7685aa58",
-    "none-den3-in": "6da833ea141aeab27ede3c8cb4dc512669bfdfcee0ab0d00a9e112400b7ca4e0",
-    "none-den3-n5-orth-in": "23a5fcdc140589edf20f58be1672be7f58be274a276fb32bf3b7c9b684f1355a",
-    "none-n7": "1094365d7422c18b76e5a7ba55345b63a0bf4062c2987dc8b51118e6a796d569",
-    "none-n7-orth": "4868625d84310d6c0e867c8729164e8e683b0ee67dd42fac660e93f235f6219f",
-    "rank1skew-complex-den3-in": "3647010bbea17829910bb77612e71f00059ae6a40f0478a60e6902836ff20ed5",
-    "rank1skew-complex-n2": "600296c588000817203725a282ce11618cd076ab0f054f440f1caa1d2e4e0858",
-    "rank1skew-complex-n3": "2575046aba0d5bbd8cc98b5e6893262125c5eb33ec8fb71ee9260d3df853719d",
-    "rank1skew-complex-n7-orth": "37fda0b3566188e3ddc91e6ab342319744645c6c9a3f2d4cd08bc4f02e97d603",
-    "rank1skew-complex-n3-orth": "e85732a80084fa718ab907a2901ea26ec659ea362784a9f24d330f80cc0ea406",
-    "rank1skew-corrupt-mu": "b9d18c52b4e7e2c41cf0da1c73d66b7e68d6637ff57b1bdff0fa63cc1285bbb3",
-    "rank1skew-multi-n2": "d7f4121bda627d0ca222b589499f95cdbcb5e420163f43462f39e1847aec7ad8",
-    "rank1skew-multi-n7-orth": "37fda0b3566188e3ddc91e6ab342319744645c6c9a3f2d4cd08bc4f02e97d603",
-    "rank1skew-n2": "9e0596a0d15cc87b89b51ee522a3919c4e39e33293c7d13574255fb7e287e9ea",
-    "rank1skew-n7": "ab806330bbf1b08f7c22071a9185c8bad87c130468d3edd766f6cbfd93ccbb11",
-    "rank1skew-n3": "193c105baa63c0fbd540113cfd6db3b2dbf0847d18fad093af25d2fda907976e",
-    "rank2-n2": "273a6b769cd1bfc12abf89ddaef0b83e99625ca08a9d855492078299d18f16f9",
-    "rank2-n3": "0ad8af632d6a9a7dcf258f902865901554ec82088969874fecd0f02380b0fa32",
-    "rank2-n7": "ddecf58981dcd7b169b63769b53678b77e7e2eb18cac7ffa1618d29a1bc55f1b",
-    "rank2-seed6": "3edfd515884024176c9c0017120c0aa6e03ccb0bafdffd1c5e59381effbe411b",
+    "laurent-n2": "7f04a11164a1bf2eef67b5a8d593f4ea728b1d1595b17bcdd67fd974d0d7004d",
+    "none-degenerate-in": "10ec66b154fb81bddd8d4a49dc0679782efac9a82805ec332d5df56eeedbe11c",
+    "none-den3-in": "acd9129f9b12ce5910e70c46f678aef47fbca7ce4edc7fe43835052517bab9fe",
+    "none-den3-n5-orth-in": "edc54d44a004969111c8663e85c594e7dab86e651e7b5216089df75cc22783a9",
+    "none-n2": "b0e22a6b40f5ad001368bb0d42f30c6836b964b410e621aa021dddd811414ba7",
+    "none-n3": "220185c0c3255e04c24b16ba0de18806b424d27d680fb699acbb6b65fee2eb11",
+    "none-n7": "c3daa1095dbbbebd61932d5cf8ea6d8a5fbf95baf26f25bc479dd815dddef6e3",
+    "none-n7-orth": "b047009591298a2e732c0a3e3a307947111baa8a4e937a812593c06c3dd4c662",
+    "rank1skew-complex-den3-in": "7cd198581e4007901c9d33816bbceeea4abaa53cdda0f929019b05d5159398a3",
+    "rank1skew-complex-n2": "f33de010cf9f7601fd4647dc57edfb8d3582869e27ac9ae7fd227e9ff60d795a",
+    "rank1skew-complex-n3": "56e940c34c6dfdcaa1b906cda24e18932c7d29d0e695f52047fd597f3cfb5c82",
+    "rank1skew-complex-n3-orth": "b0c1c601567f52e477e40291b028edb49e32bce89c8c4f8426b1f24824670aa3",
+    "rank1skew-complex-n7-orth": "9192324c564ea9353dfbb0f7c8f8f64644858347bbc130395f77559b8a762071",
+    "rank1skew-corrupt-mu": "65210438a6682c28fee95550e88153583a9ddfcf4e1cd9d0a00bcff502ca9383",
+    "rank1skew-multi-n2": "de8efb2d971737a727517a388c4593ff0d25dcc1aa050bfd310d529cf210c53d",
+    "rank1skew-multi-n7-orth": "9bf69af712538f9bbc57e2d32113d9cc6338bcae703987adcc7863713f923586",
+    "rank1skew-n2": "0e1914d1854c7266b431c835f19ce553097fef1714ad549660ceeff94ea0a83c",
+    "rank1skew-n3": "c1b07efc7a112e84796ec471695454b5aefc7ac44c6a2709cbb769e91c5242c5",
+    "rank1skew-n7": "3ae0ef10a64bbb3b81e4f4f9a33ce3fee79a16371c25d6fc62e0a181c7141478",
+    "rank2-n2": "e59c9b355f0807838c9b8f581d4f3d5573386da64c5be1a59716fa4f28c4468e",
+    "rank2-n3": "d168f0f901199eeacfdbc0584960d6b18eef9ee8d2e467142fcb4609a19fa09f",
+    "rank2-n7": "e6f3509ec262034a0e5505a93ea0502444bf505979f94a80c84db870b9c1ebd6",
+    "rank2-seed6": "35776c012a09bc6d822e4d466f5cba46867241c0d9d1bffd93dbe77a0899a11b",
 }
 
 
@@ -101,19 +104,22 @@ def saved_system(name, path) -> str:
     return str(path)
 
 
-def report_digest(argv, out) -> str:
-    code = cli.main(["verify", *argv, "--out", str(out)])
+def report_digest(argv, out, run_argv=None) -> str:
+    """The digest of ``verify`` on ``run_argv`` (default ``argv``), hashing
+    ``argv``."""
+    code = cli.main(["verify", *(run_argv or argv), "--out", str(out)])
     report = json.loads(out.read_text())
     rows = sorted(json.dumps([e["identity"], e["equation"], e["params"], e["status"],
                               e["residual_max_abs_or_zero"]], sort_keys=True)
                   for e in report["entries"])
-    blob = json.dumps([code, report["total"], report["resample_attempts"], rows])
+    blob = json.dumps([argv, report["constraint"], code, report["total"],
+                       report["resample_attempts"], rows])
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(STANDARD_SET))
 def test_standard_set_reports_unchanged(name, tmp_path):
-    argv = STANDARD_SET[name]
+    argv = run_argv = STANDARD_SET[name]
     if argv[0] == "--in":
-        argv = ["--in", saved_system(argv[1], tmp_path / "system.json"), *argv[2:]]
-    assert report_digest(argv, tmp_path / "report.json") == DIGESTS[name]
+        run_argv = ["--in", saved_system(argv[1], tmp_path / "system.json"), *argv[2:]]
+    assert report_digest(argv, tmp_path / "report.json", run_argv) == DIGESTS[name]
