@@ -25,7 +25,7 @@ from .families import (TauTable, orthogonality_defects, orthogonality_determinan
                        psop_inner_defects, taus, z_plus_dt1)
 from .jets import Jet, JetSpec, weight
 from .moments import MomentSystem, OutOfRangeError, stembridge_residual
-from .pfaffian import _exact_div, _q, miwa_chain
+from .pfaffian import _interpolate, miwa_chain
 from .poly import PolyInZ
 from .record import Record
 from .scalars import exact_div
@@ -120,23 +120,6 @@ def _miwa_layers(table: TauTable, m: int, k: int, conj: bool, odd: int, top: int
                                                _interpolate(raised[s][:idx + 1], den))
 
 
-def _interpolate(ys: list, den: int) -> PolyInZ:
-    """The polynomial of degree < len(ys) taking the values ys / den at z =
-    0, 1, ..., from loop values: the Newton forward differences d_k of
-    integral values divide exactly by k!, and p = c_0 + z (c_1 + (z - 1)
-    (c_2 + (z - 2) (...))), c_k = d_k / k!, is summed in the falling
-    factorial basis before its coefficients leave the loop over den."""
-    cs, fact = [], 1
-    for k in range(len(ys)):
-        fact *= k or 1
-        cs.append(_exact_div(ys[0], fact))
-        ys = [b - a for a, b in zip(ys, ys[1:])]
-    poly = []
-    for k in reversed(range(len(cs))):  # poly * (z - k) + c_k
-        poly = [c - k * x for c, x in zip([cs[k], *poly], [*poly, 0])]
-    return PolyInZ([_q(c, den) for c in poly])
-
-
 def schur_d_tau(sys: MomentSystem, k: int, idx: int, m: int, comp: int = 1,
                 conj: bool = False):
     """s_k(-dtilde) applied to tau_idx^{(m)}, evaluated exactly."""
@@ -145,7 +128,7 @@ def schur_d_tau(sys: MomentSystem, k: int, idx: int, m: int, comp: int = 1,
 
 
 def hirota(orders, sys: MomentSystem, ref_f, ref_g):
-    """Hirota derivative D_{t_1}^{p1} D_{t_2}^{p2} ... f . g of two tau values.
+    """Hirota derivative D_{t_1}^{p1} D_{t_2}^{p2} f . g of two tau values, weight <= 2.
 
     ``ref_f``/``ref_g`` are (idx, m) or (idx, m, k) or (idx, m, k, conj).
     """

@@ -264,9 +264,9 @@ def run_verification(sys_: MomentSystem, n_max: int, m_max: int,
             raise ConfigError(f"identity {name} has no instance at n_max={n_max}, "
                               f"m_max={m_max} on this system")
         plan += [(ident, params) for params in grid]
-    # the Miwa chains, and the tau chains of the grid gen scans in _build_system
+    # the Miwa chains, and the tau chains gen scans and an operator block reads
     bilinear.plan_schur_layers(sys_, n_max)
-    for m in range(m_max + 2):
+    for m in range(max([m_max + 2] + [p["m"] + 3 for _, p in plan if "N" in p])):
         taus(sys_).build_chains(n_max + 2, m)
     entries = [e for ident, params in plan
                for e in _instance_entries(sys_, ident, params)]

@@ -30,8 +30,9 @@ tau'' = y + x and d/dt_2 tau = y - x.  These are the link's pivot-row
 entries ``tops``, so tau jets of weight <= 2 come off the chain too; the
 ``JetSpec(1)`` members come off the spectral column of its first-order copy
 (:func:`skewpoly.pfaffian.jet_chain`), never off a raised label.  Past a
-vanishing link scalars are eliminated with swaps (``pf_eliminate``), jets
-and heavier rings expanded (a vanishing jet base is no unit).  All values are
+vanishing link or a chain's reach every value is eliminated with swaps
+(``pf_eliminate``; a vanishing jet base is no unit); tau jets stop at
+weight 2, jet members at 1.  All values are
 cached per system in a :class:`TauTable` owned by the system; downstream
 residual suites reuse hundreds of tau values, so the cache is not optional.
 Each chain is built once, spectral column included, by one sweep through a
@@ -64,9 +65,9 @@ shift transforms (:mod:`skewpoly.christoffel`) use
             P_{2n+2}^{(m-1)}(0), which the tests check against it)
 
 Each tau's (tau, tau', logd, tau'') is read off its chain's ``tops`` once
-(:meth:`TauTable._logd`): logd's jet is (logd, tau''/tau - logd^2) and a
-ratio R's (R, R (sum_num logd - sum_den logd)), with no jet inverse and,
-short of a stalled link, no weight-2 jet.
+(:meth:`TauTable._logd`; past a stall, tau'' only when asked): logd's jet
+is (logd, tau''/tau - logd^2) and a ratio R's (R, R (sum_num logd -
+sum_den logd)), with no jet inverse and no weight-2 jet.
 
 The skew inner product <z^i, z^j> = mu_{i,j} extends bilinearly.
 :func:`skew_gram` evaluates a whole table of pairs <f, g> as one product
@@ -88,9 +89,9 @@ from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .jets import J1, J2, NOT_A_UNIT, Jet, JetSpec
+from .jets import J1, J2, NOT_A_UNIT, Jet, JetSpec, TruncationError
 from .pfaffian import (MomentKernel, _den_lcm, _q, _z, det_bareiss, jet_chain, pf_chain,
-                       pf_eliminate, pf_indexed, pf_labels)
+                       pf_eliminate)
 from .poly import PolyInZ
 from .scalars import GaussianRational, exact_div
 
@@ -99,15 +100,13 @@ if TYPE_CHECKING:
 
 
 class TauTable:
-    """Every per-system cache: the moments as loop entries, the expansion
-    memos of jet-valued labelled Pfaffians, one per jet spec (no scalar
-    memo), the moment entry jets, the tau chains, plus the Schur layers and
-    the operator families built from them."""
+    """Every per-system cache: the moments as loop entries, the moment entry
+    jets, the tau chains, plus the Schur layers and the operator families
+    built from them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._kernel: MomentKernel | None = None
-        self._memos: dict = {}
         # (label, label, spec) -> moment entry jet (MomentSystem.entry_jet)
         self.entry_jets: dict = {}
         # (m, k, conj, parity) -> (last moment label, pf_chain output), the
@@ -151,8 +150,10 @@ class TauTable:
         return self._tau(idx, m, k, conj, spec)
 
     def _tau(self, idx, m, k, conj, spec):
-        """A link of the chain, or its jet of weight <= 2 off its ``tops``; past a
-        stalled link or ``max_index`` eliminated (scalars) or expanded (jets)."""
+        """A link of the chain (past a stall or ``max_index`` eliminated) or its
+        jet of weight <= 2 off :meth:`_tops`; a heavier one raises."""
+        if spec is not None and spec.weight > 2:
+            raise TruncationError(f"tau jets stop at weight 2, not {spec}")
         if idx <= 0:
             val = int(idx == 0)
             return val if spec is None else Jet.constant(Fraction(val), spec)
@@ -161,23 +162,28 @@ class TauTable:
             if (idx + 1) // 2 < len(leading):
                 return leading[(idx + 1) // 2]
             return pf_eliminate(self.tau_labels(idx, m, k, conj), self.sys)
-        if spec.weight <= 2 and (got := self._tops(idx, m, k, conj)):
-            tau, d1, d11, d2 = got
-            jet = {(0, 0): tau, (1, 0): d1, (2, 0): d11 / 2, (0, 1): d2}
-            return Jet._of(J2, jet).truncate(spec)
-        return pf_labels(self.tau_labels(idx, m, k, conj), self.sys,
-                         cache=self._memos.setdefault(spec, {}), jet_spec=spec)
+        tau, d1, d11, d2 = self._tops(idx, m, k, conj, spec.weight)
+        jet = {(0, 0): tau, (1, 0): d1, (2, 0): d11 and d11 / 2, (0, 1): d2}
+        return Jet._of(J2, jet).truncate(spec)  # drops the None of a lighter jet
 
-    def _tops(self, idx, m, k, conj):
+    def _tops(self, idx, m, k, conj, weight=2):
         """(tau, d/dt_1 tau, d^2/dt_1^2 tau, d/dt_2 tau) of link idx >= 1 off its
-        chain's ``tops``; None past a stalled link or ``max_index``."""
+        chain's ``tops``, or past a stalled link or the chain's reach off the
+        same Pfaffians of its labels L eliminated: Pf(L), Pf(L, M -> M+1) and,
+        for ``weight`` 2 only (y reads label M + 2; else None), x and y."""
         leading, tops, _ = self._chain(m, k, conj, idx % 2, m + idx + 1)
         s = (idx + 1) // 2
-        if s >= len(leading):
-            return None
-        t1, x, y = tops[s - 1]
+        if s < len(leading):
+            (t1, x, y), tau = tops[s - 1], leading[s]
+        else:
+            *low, top = self.tau_labels(idx, m, k, conj)
+            tau, t1 = (pf_eliminate([*low, lab], self.sys) for lab in (top, top + 1))
+            if weight < 2:
+                return tau, t1, None, None
+            raised = [*low[:-1], top, top + 1], [*low, top + 2]
+            x, y = (pf_eliminate(labels, self.sys) for labels in raised)
         x = 0 if idx == 1 else x  # tau_1 = beta_m: no label M - 1
-        return leading[s], t1, y + x, y - x
+        return tau, t1, y + x, y - x
 
     def moment_rows(self):
         """The (k, conj) of every single-moment row, conjugate rows included."""
@@ -219,18 +225,16 @@ class TauTable:
 
     def _logd(self, idx, m, k=1, conj=False):
         """(tau, tau', logd, tau'') of tau_idx^{(m)}, ' = d/dt_1, logd = tau'/tau
-        (None if tau = 0), kept: off :meth:`_tops`; past a stall off the
-        weight-1 jet, tau'' None.  A zero tau or tau' is the int 0, as a jet
+        (None if tau = 0), kept: off :meth:`_tops` of weight 1, so past a
+        stall tau'' is None.  A zero tau or tau' is the int 0, as a jet
         coefficient reads."""
         got = self._logds.get((idx, m, k, conj))
         if got is None:
             if idx <= 0:
                 tau, d1, d11 = int(idx == 0), 0, 0
-            elif tops := self._tops(idx, m, k, conj):
-                tau, d1, d11 = tops[0] or 0, tops[1] or 0, tops[2]
-            else:  # the expansion reads as far as the weight-1 route read
-                j = self.tau_jet(idx, m, J1, k, conj)
-                tau, d1, d11 = j.base, j.extract(1), None
+            else:
+                tau, d1, d11, _ = self._tops(idx, m, k, conj, 1)
+                tau, d1 = tau or 0, d1 or 0
             got = (tau, d1, exact_div(d1, tau) if tau else None, d11)
             self._logds[idx, m, k, conj] = got
         return got
@@ -245,7 +249,7 @@ class TauTable:
         if not tau:
             raise ZeroDivisionError(NOT_A_UNIT)
         if d11 is None:  # past a stall
-            d11 = self.tau_jet(idx, m, J2, k).extract(2)
+            d11 = self._tops(idx, m, k, False)[2]
         return Jet._of(J1, {(0,): logd, (1,): exact_div(d11, tau) - logd * logd})
 
     def ratio(self, num, den, spec: JetSpec | None = None):
@@ -321,7 +325,7 @@ class TauTable:
         if key not in self._polys and spec is None:
             num, den = self._member(idx, m, k, conj)
             self._polys[key] = PolyInZ([_q(c, den) for c in num])
-        elif key not in self._polys:  # D a jet link, or 1 (rows 0, 1 and expansions)
+        elif key not in self._polys:  # D a jet link, or 1 (rows 0, 1 and eliminations)
             num, den = self._member(idx, m, k, conj, spec)
             # R / D = R Dbar / d0^2 for D = d0 + d1 eps, Dbar = d0 - d1 eps
             bar, d = ((Jet.constant(1, spec), 1) if den == 1 else
@@ -335,26 +339,24 @@ class TauTable:
         """P_idx^{(m)} (``k`` None) or Q_idx^{(m)} of component k as (R, D) = sum
         R[i] z^i / D, ([], 1) for idx < 0: row idx (odd chain: idx + 1) of its
         chain's spectral column, of its ``jet_chain``'s for ``JetSpec(1)``
-        coefficients; past a stall eliminated and cleared (scalars) or, in any
-        other ring, expanded over D = 1."""
+        coefficients (no other ring); past a stall eliminated, then cleared
+        (scalars) or, once the jet normalizer is inverted, over D = 1."""
+        if spec is not None and spec != J1:
+            raise TruncationError(f"jet members are JetSpec(1) only, not {spec}")
         if idx < 0:
             return [], 1
         norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
         norm = self.tau(norm_idx, m, k, conj) if spec is None else 1
         if not norm:
             raise ZeroDivisionError(f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
-        if spec is None or spec.weight == 1:
-            rows = self._chain(m, k, conj, norm_idx % 2, m + idx, spec is not None)[2]
-            if idx + norm_idx % 2 < len(rows):
-                return rows[idx + norm_idx % 2]
+        rows = self._chain(m, k, conj, norm_idx % 2, m + idx, spec is not None)[2]
+        if idx + norm_idx % 2 < len(rows):
+            return rows[idx + norm_idx % 2]
         labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
         if spec is None:
             return _cleared(pf_eliminate(labels, self.sys).divide_z(m) / norm)
-        # a vanishing jet normalizer raises before the expansion
         norm = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
-        raw = pf_indexed(labels, self.sys, cache=self._memos.setdefault(spec, {}),
-                         jet_spec=spec)
-        return [c * norm for c in raw.divide_z(m).coeffs], 1
+        return [c * norm for c in pf_eliminate(labels, self.sys, jets=True).divide_z(m).coeffs], 1
 
     def member_sum(self, terms) -> PolyInZ:
         """sum c z^shift member over ``terms`` (c, shift, idx, m[, k]), members read

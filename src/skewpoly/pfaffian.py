@@ -12,13 +12,13 @@ One skew elimination loop and one expansion, each the other's test reference:
 * :func:`pfaffian` -- a plain square row list by the same loop, swapping a
   unit (a nonzero exact scalar, or a jet with a nonzero base) into each
   pivot; a nonzero row with no unit raises ``ZeroDivisionError``.
-  :func:`pf_eliminate` runs it on a system's labels: every scalar
-  Pfaffian past a stalled chain, and the rank2 C2 borders.
+  :func:`pf_eliminate` runs it on a system's labels: every Pfaffian past a
+  stalled chain or a chain's reach (first-order jets at scalar nodes,
+  interpolated by :func:`_interpolate`), and the rank2 C2 borders.
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
-  expansion along the first label, memoized over label subsets (one memo
-  per ring).  No division, so any commutative ring: the jets' fallback past
-  a stalled chain (a vanishing base is no unit) and above weight 2, and the
-  tests' oracle; :func:`pfaffian_expand` runs it on a row list.
+  expansion along the first label, memoized over label subsets.  No
+  division, so any commutative ring: the tests' oracle, never the engine's;
+  :func:`pfaffian_expand` runs it on a row list.
 
 The loop is fraction-free, the Pfaffian form of Bareiss's integer-preserving
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
@@ -260,6 +260,23 @@ def _exact_div(num, den):
     return num / den
 
 
+def _interpolate(ys: list, den: int) -> PolyInZ:
+    """The polynomial of degree < len(ys) taking the values ys / den at z =
+    0, 1, ..., from loop values: the Newton forward differences d_k of
+    integral values divide exactly by k!, and p = c_0 + z (c_1 + (z - 1)
+    (c_2 + (z - 2) (...))), c_k = d_k / k!, is summed in the falling
+    factorial basis before its coefficients leave the loop over den."""
+    cs, fact = [], 1
+    for k in range(len(ys)):
+        fact *= k or 1
+        cs.append(_exact_div(ys[0], fact))
+        ys = [b - a for a, b in zip(ys, ys[1:])]
+    poly = []
+    for k in reversed(range(len(cs))):  # poly * (z - k) + c_k
+        poly = [c - k * x for c, x in zip([cs[k], *poly], [*poly, 0])]
+    return PolyInZ([_q(c, den) for c in poly])
+
+
 # ---------------------------------------------------------------------------
 # Indexed Pfaffians
 # ---------------------------------------------------------------------------
@@ -325,13 +342,21 @@ def _z_expand(labs, pf) -> PolyInZ:
     return PolyInZ(coeffs)
 
 
-def pf_eliminate(labels, sys):
-    """A scalar labelled Pfaffian by :func:`pfaffian` on the rows of the
-    range-checked ``sys.entry_scalar``, through :func:`_z_expand` for z."""
+def pf_eliminate(labels, sys, jets: bool = False):
+    """A labelled Pfaffian by :func:`pfaffian` on the rows of the
+    range-checked ``sys.entry_scalar``, through :func:`_z_expand` for z.
+    With ``jets`` its ``JetSpec(1)`` jet: Pf(A + xB) of the entry jets A +
+    B eps (``sys.entry_jet``) has degree <= n for 2n labels, so it is
+    eliminated at x = 0..n and interpolated; no pivot needs a unit jet."""
     labs = [parse_label(l) for l in labels]
     if Z in labs:
-        return _z_expand(labs, lambda sub: pf_eliminate(sub, sys))
-    return pfaffian([[sys.entry_scalar(a, b) for b in labs] for a in labs])
+        return _z_expand(labs, lambda sub: pf_eliminate(sub, sys, jets))
+    if not jets:
+        return pfaffian([[sys.entry_scalar(a, b) for b in labs] for a in labs])
+    ab = [[sys.entry_jet(a, b, J1) for b in labs] for a in labs]
+    p = _interpolate([pfaffian([[e.base + x * e.extract(1) for e in r] for r in ab])
+                      for x in range(len(labs) // 2 + 1)], 1)
+    return Jet._of(J1, {(0,): p.coeff(0), (1,): p.coeff(1)})
 
 
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):

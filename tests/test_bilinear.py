@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from skewpoly import bilinear as bl
 from skewpoly.families import taus
 from skewpoly.jets import JetSpec
 from skewpoly.moments import MomentSystem, SolitonSpec, gen, soliton_system
+from skewpoly.pfaffian import pf_labels
 
 # the package re-exports the function pfaffian under the module's name
 pfaffian_mod = importlib.import_module("skewpoly.pfaffian")
@@ -42,12 +44,19 @@ def test_schur_action_trivial_orders(sys2):
     assert bl.schur_d_tau(sys2, 4, 3, 0, comp=2) == 0  # above idx
 
 
+# system -> {jet spec: pf_labels memo}; weak keys, since ids are reused
+_JET_MEMOS = weakref.WeakKeyDictionary()
+
+
 def _assert_miwa_matches_jet_oracle(s, idx, m, k=1, conj=False, spec=None):
-    """SchurTau's lists against Jet.schur of the weight-(idx+1) tau jet
-    (expanded in ``spec`` and truncated, if given, so one memo serves all idx)."""
+    """SchurTau's lists against Jet.schur of the weight-(idx+1) tau jet by
+    expansion (in ``spec`` and truncated, if given, so one memo serves all idx)."""
     t = taus(s)
     st = bl.SchurTau(t, idx, m, k, conj)
-    jet = t.tau_jet(idx, m, spec or JetSpec(idx + 1), k, conj).truncate(JetSpec(idx + 1))
+    spec = spec or JetSpec(idx + 1)
+    memo = _JET_MEMOS.setdefault(s, {}).setdefault(spec, {})
+    jet = pf_labels(t.tau_labels(idx, m, k, conj), s, cache=memo,
+                    jet_spec=spec).truncate(JetSpec(idx + 1))
     assert [st.value(j) for j in range(idx + 2)] == jet.schur()
     assert [st.d1(j) for j in range(idx + 1)] == jet.deriv(0).schur()
     assert st.value(idx + 1) == st.d1(idx + 1) == st.value(idx + 5) == 0

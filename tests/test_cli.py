@@ -126,7 +126,7 @@ def test_degenerate_instances_reported_alone(tmp_path):
 
 
 def test_zero_beta_row_reports_degenerate_entries(tmp_path, capsys):
-    # every odd tau vanishes, so the odd taus come from expansion past a
+    # every odd tau vanishes, so the odd taus come from elimination past a
     # stalled chain; they must be values of their ring, never a bare int
     s = moments.gen("none", 15, seed=3).replace(beta=((Fraction(0),) * 16,))
     t = taus(s)
@@ -510,6 +510,9 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
     # at --n-max 1 the fixed-size operator blocks read past the (3, 2) grid
     runs += [(0, ["--kind", kind, "--seed", "3", "--n-max", "1", "--m-max", "1"])
              for kind in ("none", "laurent", "rank2", "rank1skew")]
+    # at --m-max 0 the operator blocks' shift-1 partner reads shift 2
+    runs += [(0, ["--kind", kind, "--seed", "3", "--n-max", n, "--m-max", "0"])
+             for kind in ("none", "laurent", "rank2", "rank1skew") for n in ("1", "2")]
     runs += [(0, ["--kind", kind, "--n-max", "7", "--identities",
                   "ORTHOGONALITY,TRANSFORMS"]) for kind in ("none", "rank1skew-multi")]
     runs += [(0, ["--in", files["none"], *n2]),

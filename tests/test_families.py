@@ -14,7 +14,7 @@ from skewpoly.families import (TauTable, orthogonality_defects,
                                orthogonality_determinant, psop_inner_defects,
                                skew_gram, skew_inner, sop, sop_at_zero, psop, tau,
                                taus, vanishing_taus)
-from skewpoly.jets import Jet, JetSpec
+from skewpoly.jets import Jet, JetSpec, TruncationError
 from skewpoly.moments import MomentSystem, OutOfRangeError, gen
 from skewpoly.pfaffian import pf_indexed, pf_labels
 from skewpoly.poly import PolyInZ
@@ -357,7 +357,7 @@ def _expansion_oracle(t, sys, m, top):
     jet family member of shift m up to index ``top`` against memoized
     expansion with its own memos; each is of a public type, never an int or
     a float.  The jet members up to index 7 come off the first-order
-    chains, or past a stalled link off the expansion the oracle also runs."""
+    chains, or past a stalled link off the jet elimination at scalar nodes."""
     memo, jet_memos = {}, {1: {}, 2: {}}
     conjs = (False, True) if sys.beta_bar is not None else (False,)
     rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
@@ -480,9 +480,9 @@ def test_gaussian_values_leave_the_kernel_public():
                              *layers.values.coeffs, *layers.d1s.coeffs]
                     if idx < 6:
                         vals += [c for f in (t.psop(idx, m, k, conj),
-                                             t.psop(idx, m, k, conj, spec))
+                                             t.psop(idx, m, k, conj, J1))
                                  for c in f.coeffs]
-            vals += [c for idx in range(6) for c in t.sop(idx, m, spec).coeffs]
+            vals += [c for idx in range(6) for c in t.sop(idx, m, J1).coeffs]
         fs = [t.sop(a, 0) for a in range(6)]
         vals += [x for row in skew_gram(s, fs, fs) for x in row]
         vals += [orthogonality_determinant(s, n, choice, k)
@@ -499,6 +499,35 @@ def test_scalar_reads_past_max_index_raise():
         t.tau(8, 0)
     with pytest.raises(OutOfRangeError):
         t.sop(7, 0)
+
+
+def test_reads_past_a_chains_reach_stay_in_range():
+    """tau_8^{(2)} of a max_index 10 system has no chain (its ``tops`` read
+    label 11): its weight-1 data read labels up to 10, and only its weight-2
+    data, which read label 11, raise."""
+    t = TauTable(gen("none", 10, seed=3))
+    assert t.dt1_log_tau(8, 2) == Fraction(-971, 538)
+    jet = t.tau_jet(8, 2, J1)
+    assert (jet.base, jet.extract(1)) == (1076, -1942)
+    with pytest.raises(OutOfRangeError):
+        t.tau_jet(8, 2, JetSpec(2))
+    with pytest.raises(OutOfRangeError):
+        t.dt1_log_tau(8, 2, spec=J1)
+    for idx in range(9):
+        assert t.tau_jet(idx, 2, JetSpec(0)) == Jet.constant(t.tau(idx, 2), JetSpec(0))
+
+
+def test_tau_table_serves_only_the_catalog_rings():
+    """Tau jets stop at weight 2 and jet members at weight 1, the rings the
+    catalog reads; the expansion oracle still computes any weight."""
+    s = gen("none", 12, seed=3)
+    t = TauTable(s)
+    with pytest.raises(TruncationError):
+        t.tau_jet(4, 0, JetSpec(3))
+    with pytest.raises(TruncationError):
+        t.sop(3, 0, JetSpec(2))
+    jet = pf_labels(TauTable.tau_labels(4, 0, 1, False), s, jet_spec=JetSpec(3))
+    assert jet.spec == JetSpec(3) and jet.truncate(JetSpec(2)) == t.tau_jet(4, 0, JetSpec(2))
 
 
 def _stalled_system():

@@ -12,6 +12,7 @@ change that means to alter a report records the new digest and says why in
 """
 
 import hashlib
+import importlib
 import json
 from fractions import Fraction
 
@@ -118,8 +119,20 @@ def report_digest(argv, out, run_argv=None) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(STANDARD_SET))
-def test_standard_set_reports_unchanged(name, tmp_path):
+def test_standard_set_reports_unchanged(name, tmp_path, monkeypatch):
+    """The digest holds, and no value is expanded: the expansion
+    ``_pf_expand`` is the tests' oracle only."""
+    # the package attribute skewpoly.pfaffian is the function, not the module
+    pf = importlib.import_module("skewpoly.pfaffian")
+    expand, expanded = pf._pf_expand, []
+
+    def counted_expand(labels, entry, cache):
+        expanded.append(labels)
+        return expand(labels, entry, cache)
+
     argv = run_argv = STANDARD_SET[name]
     if argv[0] == "--in":
         run_argv = ["--in", saved_system(argv[1], tmp_path / "system.json"), *argv[2:]]
+    monkeypatch.setattr(pf, "_pf_expand", counted_expand)
     assert report_digest(argv, tmp_path / "report.json", run_argv) == DIGESTS[name]
+    assert not expanded, (len(expanded), expanded[:3])
