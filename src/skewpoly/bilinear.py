@@ -21,8 +21,8 @@ from fractions import Fraction
 from functools import partial
 
 from . import christoffel, lax
-from .families import (TauTable, orthogonality_defects, orthogonality_determinant,
-                       psop_inner_defects, taus, z_plus_dt1)
+from .families import (ReadPlan, TauTable, orthogonality_defects,
+                       orthogonality_determinant, psop_inner_defects, taus, z_plus_dt1)
 from .jets import Jet, JetSpec, weight
 from .moments import MomentSystem, OutOfRangeError, stembridge_residual
 from .pfaffian import _interpolate, miwa_chain
@@ -65,8 +65,9 @@ class SchurTau:
     its pivot, and the t_1 derivative, the Pfaffian with its top label
     raised by one, the pivot-row entry next to it; a node that stalls at a
     vanishing pivot evaluates the idx past it with swaps.  The chain reaches
-    the table's ``miwa_top`` (the largest idx a catalog run reads), so each
-    node is eliminated once per run.  The table's ``schur_layers`` keeps both
+    the table's ``miwa_top`` (the largest idx a catalog run reads,
+    :attr:`skewpoly.families.ReadPlan.miwa_top`), so each node is eliminated
+    once per run.  The table's ``schur_layers`` keeps both
     polynomials per (idx, m, k, conj).
 
     These values and the coefficients of the family member, read off its
@@ -254,8 +255,8 @@ def _grid_nmk(sys, n_max, m_max):
                 yield {"n": n, "m": m, "k": k}
 
 
-def _grid_n(sys, n_max, m_max):
-    for n in range(1, n_max + 1):
+def _grid_n(sys, n_max, m_max, scale=1):
+    for n in range(1, scale * n_max + 1):
         yield {"n": n}
 
 
@@ -332,13 +333,8 @@ def _toda_bilinear(sys, n):
             - 2 * t.tau(2 * n - 2, 0) * t.tau(2 * n + 2, 0))
 
 
-def _lv_grid(sys, n_max, m_max):
-    for n in range(1, 2 * n_max + 1):
-        yield {"n": n}
-
-
 @_identity("LV", "tau_{n-1} tau_{n+2} = (D_t1 + 1) tau_n . tau_{n+1}",
-           _lv_grid, ("laurent",))
+           partial(_grid_n, scale=2), ("laurent",))
 def _lv(sys, n):
     t = taus(sys)
     spec = JetSpec(1)
@@ -444,14 +440,10 @@ def _backlund(sys, n, m):
 
 
 def _mkdv_chains(t: TauTable, j: int, m: int, spec):
-    """f_j and g_j jets of the folded chain built on base shift m."""
-    if j % 2 == 0:
-        f = t.tau_jet(j, m, spec)
-        g = t.tau_jet(j - 1, m + 1, spec)
-    else:
-        f = t.tau_jet(j - 1, m + 1, spec)
-        g = t.tau_jet(j, m, spec)
-    return f, g
+    """f_j and g_j jets of the folded chain built on base shift m: tau_j^{(m)}
+    and tau_{j-1}^{(m+1)}, in that order for even j."""
+    here, up = t.tau_jet(j, m, spec), t.tau_jet(j - 1, m + 1, spec)
+    return (here, up) if j % 2 == 0 else (up, here)
 
 
 def _mkdv_grid(sys, n_max, m_max):
@@ -627,31 +619,8 @@ def _c3_suite(sys, n, m):
     return lax.c3_recurrence_residuals(sys, m, n)
 
 
-LAX_SIZE = 6
-
-
-def catalog_max_index(n_max: int, m_max: int) -> int:
-    """Largest moment index the catalog may read on the (n_max, m_max) grid.
-
-    The bound covers tau_{2 n_max + 3} at shift m_max + 1 with jets of weight
-    2 n_max + 2, more than the grid identities read (their Schur layers come
-    from Miwa shifts, their jets have weight <= 2); it stays because it fixes
-    the size, hence the random draws, of every generated system.  The
-    operator blocks have the fixed size LAX_SIZE at shifts 0 and 1; their
-    taus reach index LAX_SIZE + 2, and their jets of weight 2 two more.
-    """
-    return max(m_max + 4 * n_max + 6, LAX_SIZE + 4)
-
-
-def plan_schur_layers(sys: MomentSystem, n_max: int) -> None:
-    """Size every Miwa chain of a catalog run on the n_max grid once: the
-    largest idx whose Schur layers the catalog reads is BKP_LARGE's
-    tau_{2 n_max + 2}."""
-    taus(sys).miwa_top = 2 * n_max + 2
-
-
 def _lax_grid(sys, n_max, m_max):
-    yield {"N": LAX_SIZE, "m": 0}
+    yield {"N": ReadPlan.LAX_SIZE, "m": 0}
 
 
 def _lax_mixed_grid(sys, n_max, m_max):

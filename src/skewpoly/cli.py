@@ -17,7 +17,7 @@ import os
 import sys as _sys
 
 from . import bilinear, moments
-from .families import taus
+from .families import ReadPlan, taus
 from .moments import MomentSystem, validate
 from .poly import PolyInZ
 from .scalars import format_scalar
@@ -109,11 +109,10 @@ def _build_system(args, info: dict) -> MomentSystem:
     components = args.components
     if components is None:
         components = 2 if kind in ("rank1skew-multi", "rank1skew-complex") else 1
-    max_index = bilinear.catalog_max_index(args.n_max, args.m_max)
+    reads = ReadPlan.of(args.n_max, args.m_max)
     try:
-        return moments.gen(kind, max_index, components=components,
-                           seed=args.seed, require_tau=(args.n_max + 2, args.m_max + 1),
-                           info=info)
+        return moments.gen(kind, reads.max_index, components=components,
+                           seed=args.seed, require_tau=reads.tau_grid, info=info)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -251,7 +250,7 @@ def run_verification(sys_: MomentSystem, n_max: int, m_max: int,
     """
     sys_.require_exact()
     names, explicit = _selection(selected)
-    plan = []
+    instances = []
     for name in sorted(names):
         ident = bilinear.IDENTITIES[name]
         if not ident.applicable(sys_):
@@ -263,12 +262,13 @@ def run_verification(sys_: MomentSystem, n_max: int, m_max: int,
         if not grid and name in explicit:
             raise ConfigError(f"identity {name} has no instance at n_max={n_max}, "
                               f"m_max={m_max} on this system")
-        plan += [(ident, params) for params in grid]
-    # the Miwa chains, and the tau chains gen scans and an operator block reads
-    bilinear.plan_schur_layers(sys_, n_max)
-    for m in range(max([m_max + 2] + [p["m"] + 3 for _, p in plan if "N" in p])):
-        taus(sys_).build_chains(n_max + 2, m)
-    entries = [e for ident, params in plan
+        instances += [(ident, params) for params in grid]
+    # the Miwa chains, and the tau chains gen scans, of the full catalog's reads
+    reads = ReadPlan.of(n_max, m_max)
+    taus(sys_).miwa_top = reads.miwa_top
+    for m in range(reads.tau_grid[1] + 1):
+        taus(sys_).build_chains(reads.tau_grid[0], m)
+    entries = [e for ident, params in instances
                for e in _instance_entries(sys_, ident, params)]
     if seed is not None:
         for e in entries:
@@ -288,7 +288,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"--in takes the system from {args.infile}; "
                               f"drop {', '.join(given)}")
         sys_ = _load_checked(args.infile)
-        need = bilinear.catalog_max_index(args.n_max, args.m_max)
+        need = ReadPlan.of(args.n_max, args.m_max).max_index
         if sys_.max_index < need:
             raise ConfigError(f"{args.infile} has max_index {sys_.max_index}; "
                               f"--n-max {args.n_max} --m-max {args.m_max} "

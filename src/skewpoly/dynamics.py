@@ -17,11 +17,12 @@ forcing evaluated at the stage times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .moments import SolitonSpec
+from .record import Record
 
 
 class TauCollisionError(ArithmeticError):
@@ -51,8 +52,6 @@ class PairTauEvaluator:
             pairs.append((a, b, float(c)))
         self.levels = []
         nodes = [float(x) for x in spec.nodes]
-        from itertools import combinations
-
         for k in range(1, k_max + 1):
             terms = []
             for subset in combinations(pairs, k):
@@ -106,16 +105,12 @@ def lattice_state(spec_or_eval, t1: float, n_hi: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Trajectory:
-    """Uniform-grid lattice trajectory; B on sites n_lo..n_hi, C on
-    n_lo-1..n_hi."""
+class Trajectory(Record):
+    """Uniform-grid lattice trajectory from time ``t0`` in steps ``dt`` over
+    ``window`` = (n_lo, n_hi): arrays ``b`` of B on sites n_lo..n_hi, shape
+    (steps+1, n_hi - n_lo + 1), and ``c`` of C on n_lo-1..n_hi, one column more."""
 
-    t0: float
-    dt: float
-    window: tuple
-    b: np.ndarray       # shape (steps+1, n_hi - n_lo + 1)
-    c: np.ndarray       # shape (steps+1, n_hi - n_lo + 2)
+    __slots__ = _fields = ("t0", "dt", "window", "b", "c")
 
     @property
     def times(self) -> np.ndarray:

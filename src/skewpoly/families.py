@@ -93,16 +93,38 @@ from .jets import J1, J2, NOT_A_UNIT, Jet, JetSpec, TruncationError
 from .pfaffian import (MomentKernel, _den_lcm, _q, _z, det_bareiss, jet_chain, pf_chain,
                        pf_eliminate)
 from .poly import PolyInZ
+from .record import Record
 from .scalars import GaussianRational, exact_div
 
 if TYPE_CHECKING:
     from .moments import MomentSystem
 
 
+class ReadPlan(Record):
+    """How far a catalog run on the (n_max, m_max) grid reads: ``tau_grid`` =
+    (n, m) is gen's nonzero-tau grid and the chains verify sweeps
+    (:meth:`TauTable.build_chains`), ``miwa_top`` the largest idx whose Schur
+    layers it reads (BKP_LARGE's tau_{2 n_max + 2}), and ``max_index`` covers
+    tau_{2 n_max + 3} at shift m_max + 1 with jets of weight 2 n_max + 2, more
+    than the grid identities read (Schur layers come from Miwa shifts, jets
+    have weight <= 2); it stays because it fixes the size, hence the random
+    draws, of every generated system.  The operator blocks have the fixed
+    size ``LAX_SIZE`` at shifts 0 and 1; their taus reach index LAX_SIZE + 2,
+    and their jets of weight 2 two more."""
+
+    __slots__ = _fields = ("max_index", "tau_grid", "miwa_top")
+    LAX_SIZE = 6
+
+    @classmethod
+    def of(cls, n_max: int, m_max: int) -> ReadPlan:
+        return cls(max(m_max + 4 * n_max + 6, cls.LAX_SIZE + 4), (n_max + 2, m_max + 1),
+                   2 * n_max + 2)
+
+
 class TauTable:
     """Every per-system cache: the moments as loop entries, the moment entry
-    jets, the tau chains, plus the Schur layers and the operator families
-    built from them."""
+    jets, the tau chains (swept to a :class:`ReadPlan`'s grid), plus the
+    Schur layers and the operator families built from them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
@@ -117,7 +139,7 @@ class TauTable:
         self._polys: dict = {}
         # (idx, m, k, conj) -> bilinear.SchurTau value and d1 polynomials;
         # a Miwa chain reaches the idx asked or miwa_top, the largest idx a
-        # catalog run reads (bilinear.plan_schur_layers), if that is larger
+        # catalog run reads (ReadPlan.miwa_top, set by verify), if larger
         self.schur_layers: dict = {}
         self.miwa_top = 0
         # (m, n_size) -> lax.build_psop_lax operator dict; (m, n_size, "T") ->
@@ -192,11 +214,11 @@ class TauTable:
 
     def build_chains(self, n_max: int, m: int) -> None:
         """Sweep shift m's even and row chains through the n_max grid's last
-        link, and within ``max_index`` the n = 4 grid's, whose tau jets (idx <=
-        7) the N = 6 operator blocks (``bilinear.LAX_SIZE``) read at any n_max."""
+        link, and within ``max_index`` through the tau jets (idx <= LAX_SIZE +
+        1) the operator blocks (``ReadPlan.LAX_SIZE``) read at any n_max."""
         for k, conj, odd in [(1, False, 0), *((k, c, 1) for k, c in self.moment_rows())]:
-            last = m + 2 * n_max - 1 + odd
-            self._chain(m, k, conj, odd, max(last, min(m + 7 + odd, self.sys.max_index)))
+            floor = min(m + ReadPlan.LAX_SIZE + 1 + odd, self.sys.max_index)
+            self._chain(m, k, conj, odd, max(m + 2 * n_max - 1 + odd, floor))
 
     def _chain(self, m, k, conj, odd, last, jets=False):
         """``pf_chain`` (``jet_chain`` if ``jets``: it reads one label more and

@@ -7,7 +7,9 @@ value and its t_1 derivative are the ``.base`` and ``.extract(1)`` of every
 entry, and compatibility residuals like dL/dt_1 - (M' L - L M) are plain
 matrix algebra over the jet ring.  Truncation artifacts live in the last
 rows/columns; the asserted interior block is rows and columns 1..N-4
-(inclusive), matching the bandwidths in play.
+(inclusive), matching the bandwidths in play.  A compatibility residual
+takes the family at shift m and only the one shift-(m + 1) matrix it
+compares (M or M_evo), so it reads no tau past shift m + 1.
 
 Every operator is a band matrix divided on the left by a bidiagonal one
 (L by 1 + eta S^T, N by xi + S, L1 and L2 by (b_n, eta_n b_{n-1}), M_evo by
@@ -108,15 +110,11 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
     one = [Jet.constant(Fraction(1), J1)] * n_size
     xi = [t.xi(n, m, spec=J1) for n in n_rows]
     eta = [t.eta(n, m, spec=J1) for n in n_rows]
-    kk = [t.k_coeff(n, m, J1) for n in n_rows]
     sub = [None] + eta[1:]
-    ops = {"L": _solve(None, sub, _bands(n_size, {0: xi, 1: one}), lower=True)}
-    ops["M"] = _bands(n_size, {1: one, 0: kk, -1: [None] + [
-        -t.j_coeff(n, m, J1) for n in range(1, n_size)]})
+    ops = {"L": _solve(None, sub, _bands(n_size, {0: xi, 1: one}), lower=True),
+           "M": _mixed_op(t, m, n_size)}
 
     if sys.constraint == "rank2":
-        kk.append(t.k_coeff(n_size, m, J1))
-        ii = [t.i_coeff(n + 1, m, J1) for n in n_rows]
         # row n holds a_{n+1} and b_{n+1}: a_n = 1 / c_n and b_n =
         # tau_{n+1}^{(m)} tau_{n-1}^{(m+1)} / (-D_t1 tau_{n+1}^{(m)} .
         # tau_{n-1}^{(m+1)}) = -1 / d/dt_1 log(tau_{n+1}^{(m)} / tau_{n-1}^{(m+1)}),
@@ -133,10 +131,24 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
         g5 = _bands(n_size, {0: [eta[n] - xi[n] for n in n_rows]})
         ops["L1"] = _solve(bb, g1, g3, lower=True)
         ops["L2"] = _solve(bb, g1, g5, lower=True)
-        b2 = _bands(n_size, {0: [ii[n] * (kk[n + 1] + kk[n]) for n in n_rows]})
-        ops["M_evo"] = _solve(ii, None, b2, lower=False)
+        ops["M_evo"] = _evolution_op(t, m, n_size)
     t.operators[(m, n_size)] = ops
     return ops
+
+
+def _mixed_op(t: TauTable, m: int, n_size: int) -> list:
+    """M at shift m: a band of ones above K_n^m, -J_n^m below."""
+    return _bands(n_size, {1: [Jet.constant(Fraction(1), J1)] * n_size,
+                           0: [t.k_coeff(n, m, J1) for n in range(n_size)],
+                           -1: [None] + [-t.j_coeff(n, m, J1) for n in range(1, n_size)]})
+
+
+def _evolution_op(t: TauTable, m: int, n_size: int) -> list:
+    """M_evo at shift m (rank2): the diagonal I_{n+1} (K_{n+1} + K_n) over (I_{n+1}, 1)."""
+    kk = [t.k_coeff(n, m, J1) for n in range(n_size + 1)]
+    ii = [t.i_coeff(n + 1, m, J1) for n in range(n_size)]
+    b2 = _bands(n_size, {0: [ii[n] * (kk[n + 1] + kk[n]) for n in range(n_size)]})
+    return _solve(ii, None, b2, lower=False)
 
 
 def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> dict:
@@ -151,7 +163,6 @@ def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> di
     if n_size < 6:
         raise ValueError("need size >= 6 for a nonempty interior block")
     here = build_psop_lax(sys, m, n_size)
-    up = build_psop_lax(sys, m + 1, n_size)
     lo, hi = 1, n_size - 4
 
     def dt1_minus(flow, rhs):
@@ -160,7 +171,8 @@ def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> di
 
     if kind == "mixed":
         l_op = here["L"]
-        res = dt1_minus(l_op, _sub(_mul(up["M"], l_op), _mul(l_op, here["M"])))
+        up = _mixed_op(taus(sys), m + 1, n_size)
+        res = dt1_minus(l_op, _sub(_mul(up, l_op), _mul(l_op, here["M"])))
     elif kind in ("rank2-m", "rank2-n"):
         n_op, m_op = here["N"], here["M_evo"]
         kept = taus(sys).operators  # (L1 M_evo + L2) N, once per (m, N) for both kinds
@@ -168,7 +180,8 @@ def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> di
             kept[m, n_size, "T"] = _mul(_add(_mul(here["L1"], m_op), here["L2"]), n_op)
         t_op = kept[m, n_size, "T"]
         if kind == "rank2-m":
-            res = [[e.base for e in row] for row in _sub(t_op, up["M_evo"])]
+            up = _evolution_op(taus(sys), m + 1, n_size)
+            res = [[e.base for e in row] for row in _sub(t_op, up)]
         else:
             res = dt1_minus(n_op, _sub(_mul(m_op, n_op), _mul(n_op, t_op)))
     else:

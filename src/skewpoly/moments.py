@@ -543,13 +543,11 @@ def to_json_dict(sys: MomentSystem) -> dict:
         "constraint": sys.constraint,
         "mode": sys.mode,
         "mu": [[i, j, format_scalar(v)] for (i, j), v in sorted(sys.mu.items())],
-        "beta": [[k + 1, j, format_scalar(v)]
-                 for k, seq in enumerate(sys.beta) for j, v in enumerate(seq)],
     }
-    if sys.beta_bar is not None:
-        out["beta_bar"] = [[k + 1, j, format_scalar(v)]
-                           for k, seq in enumerate(sys.beta_bar)
-                           for j, v in enumerate(seq)]
+    for name, rows in (("beta", sys.beta), ("beta_bar", sys.beta_bar)):
+        if rows is not None:
+            out[name] = [[k + 1, j, format_scalar(v)]
+                         for k, seq in enumerate(rows) for j, v in enumerate(seq)]
     return out
 
 
@@ -601,7 +599,10 @@ def _json_int(x, what: str) -> int:
 def _json_scalar(s):
     if not isinstance(s, str):
         raise ValueError(f"scalar {s!r} is not a string such as \"-3/4\"")
-    return parse_scalar(s)
+    try:
+        return parse_scalar(s)
+    except ZeroDivisionError:  # Fraction's own error for a zero denominator
+        raise ValueError(f"scalar {s!r} has a zero denominator") from None
 
 
 def save(sys: MomentSystem, path) -> None:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from skewpoly import bilinear as bl
-from skewpoly.families import taus
+from skewpoly.families import ReadPlan, taus
 from skewpoly.jets import JetSpec
 from skewpoly.moments import MomentSystem, SolitonSpec, gen, soliton_system
 from skewpoly.pfaffian import pf_labels
@@ -71,7 +71,7 @@ def test_miwa_schur_layers_match_jet_oracle(kind, den_bound):
     # the chains are sized as a catalog run at n_max = 3 sizes them (even
     # idx <= 8, odd idx <= 7) and read in the catalog's order, smallest first
     s = gen(kind, 18, components=2 if "-" in kind else 1, seed=41, den_bound=den_bound)
-    bl.plan_schur_layers(s, 3)
+    taus(s).miwa_top = ReadPlan.of(3, 0).miwa_top
     conjs = (False, True) if s.beta_bar is not None else (False,)
     for idx in range(8):
         for m in (0, 1, 2):

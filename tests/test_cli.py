@@ -12,7 +12,7 @@ import pytest
 
 import skewpoly
 from skewpoly import bilinear, cli, moments
-from skewpoly.families import TauTable, taus
+from skewpoly.families import ReadPlan, TauTable, taus
 from skewpoly.jets import Jet, JetSpec
 from skewpoly.pfaffian import pf_labels
 from skewpoly.scalars import GaussianRational, parse_scalar
@@ -148,7 +148,7 @@ def test_every_reported_name_selects_exactly_its_entries():
     for kind in ("laurent", "rank2", "rank1skew", "rank1skew-multi",
                  "rank1skew-complex"):
         comps = 2 if kind in ("rank1skew-multi", "rank1skew-complex") else 1
-        sys_ = moments.gen(kind, bilinear.catalog_max_index(1, 0), components=comps,
+        sys_ = moments.gen(kind, ReadPlan.of(1, 0).max_index, components=comps,
                            seed=3, require_tau=(3, 1))
         full = cli.run_verification(sys_, 1, 0)
         assert all(e["status"] == "pass" for e in full)
@@ -237,7 +237,10 @@ def test_config_errors_exit_two(tmp_path):
              lambda d: d["beta"][1].__setitem__(2, 3),
              lambda d: d["mu"][0].__setitem__(1, d["mu"][0][1] + 0.5),
              lambda d: d.update(max_index=d["max_index"] + 0.7),
-             lambda d: d["beta"][0].__setitem__(0, True)]
+             lambda d: d["beta"][0].__setitem__(0, True),
+             # a zero denominator, which Fraction itself rejects
+             lambda d: d["mu"][1].__setitem__(2, "1/0"),
+             lambda d: d["beta"][1].__setitem__(2, "1/0")]
     for t, edit in enumerate(edits):
         data = json.loads(json.dumps(base))
         edit(data)
@@ -488,20 +491,68 @@ def counted_chains(monkeypatch) -> list:
     return built
 
 
+def chain_reads(monkeypatch) -> tuple:
+    """Every ``jet_chain`` build from now on, as (moment kernel, labels),
+    the largest last label each read outside a ``build_chains`` sweep asks
+    of a chain, by (kernel, jets, first two labels), and every system
+    ``run_verification`` is given."""
+    fam = importlib.import_module("skewpoly.families")
+    jet_chain, chain, sweep = fam.jet_chain, TauTable._chain, TauTable.build_chains
+    jet_built, reads, verified, sweeping = [], {}, [], []
+
+    def counted_jet_chain(labels, kernel):
+        labels = list(labels)
+        jet_built.append((kernel, labels))
+        return jet_chain(labels, kernel)
+
+    def read_chain(self, m, k, conj, odd, last, jets=False):
+        out = chain(self, m, k, conj, odd, last, jets)
+        if not sweeping:
+            head = (*TauTable.tau_labels(odd, m, k, conj)[:odd], m, m + 1)[:2]
+            key = (self.kernel(), jets, head)
+            reads[key] = max(reads.get(key, last), last)
+        return out
+
+    def swept(self, n_max, m):
+        sweeping.append(m)
+        try:
+            return sweep(self, n_max, m)
+        finally:
+            sweeping.pop()
+
+    def captured(sys_, *args, **kwargs):
+        verified.append(sys_)
+        return run_verification(sys_, *args, **kwargs)
+
+    run_verification = cli.run_verification
+    monkeypatch.setattr(fam, "jet_chain", counted_jet_chain)
+    monkeypatch.setattr(TauTable, "_chain", read_chain)
+    monkeypatch.setattr(TauTable, "build_chains", swept)
+    monkeypatch.setattr(cli, "run_verification", captured)
+    return jet_built, reads, verified
+
+
 def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
     """Every verify path builds each tau chain, spectral column included,
     once: gen's nonzero-tau scan builds a generated system's chains on its
     own table, and verify sweeps the same grid before any identity reads, so
     a loaded or a corrupted system's chains are built once too, and every
     sweep covers the operator blocks' reads.  No (system, label head) chain
-    is built twice."""
+    is built twice.
+
+    The read plan (``ReadPlan``) sizes each chain to what the run reads: on
+    the accepted system of every kind at --n-max 1-3 and --m-max 0-1, no
+    scalar chain ends more than 2 labels past the last label a read asked of
+    it, no jet chain more than 3 (one is first built through ``miwa_top`` -
+    1 at every shift), and at --m-max 0 no shift-2 chain is built: an
+    operator block compares one shift-1 matrix and reads no shift-2 tau."""
     files = {}
     for kind in ("none", "rank1skew-complex"):
         files[kind] = str(tmp_path / f"{kind}.json")
         assert run(["gen", "--kind", kind, "--seed", "3", "--n-max", "2",
                     "--m-max", "1", "--out", files[kind]]) == 0
     # tau_2^{(0)} = mu_{0,1} = 0 stalls the m = 0 chains at their first link
-    stalled = moments.gen("none", bilinear.catalog_max_index(2, 1), seed=3)
+    stalled = moments.gen("none", ReadPlan.of(2, 1).max_index, seed=3)
     files["degenerate"] = str(tmp_path / "degenerate.json")
     moments.save(stalled.replace(mu={**stalled.mu, (0, 1): Fraction(0)}),
                  files["degenerate"])
@@ -510,7 +561,7 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
     # at --n-max 1 the fixed-size operator blocks read past the (3, 2) grid
     runs += [(0, ["--kind", kind, "--seed", "3", "--n-max", "1", "--m-max", "1"])
              for kind in ("none", "laurent", "rank2", "rank1skew")]
-    # at --m-max 0 the operator blocks' shift-1 partner reads shift 2
+    # at --m-max 0 the operator blocks read shifts 0 and 1, the plan's grid
     runs += [(0, ["--kind", kind, "--seed", "3", "--n-max", n, "--m-max", "0"])
              for kind in ("none", "laurent", "rank2", "rank1skew") for n in ("1", "2")]
     runs += [(0, ["--kind", kind, "--n-max", "7", "--identities",
@@ -526,6 +577,24 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
         heads = collections.Counter((kern, tuple(labels[:2])) for kern, labels in built)
         twice = [(head, n) for (_, head), n in heads.items() if n > 1]
         assert built and not twice, (flags, twice)
+    jet_built, reads, verified = chain_reads(monkeypatch)
+    for kind in KINDS:
+        for n_max in ("1", "2", "3"):
+            for m_max in ("0", "1"):
+                flags = ["--kind", kind, "--seed", "3", "--n-max", n_max, "--m-max", m_max]
+                for log in (built, jet_built, reads, verified):
+                    log.clear()
+                assert run(["verify", *flags, "--out", str(tmp_path / "rep.json")]) == 0
+                kern = taus(verified[0]).kernel()
+                for jets, log, slack in ((False, built, 2), (True, jet_built, 3)):
+                    ends = [(tuple(labels[:2]), labels[-1]) for k, labels in log
+                            if k is kern]
+                    heads = collections.Counter(head for head, _ in ends)
+                    assert ends and max(heads.values()) == 1, (flags, jets, heads)
+                    past = {head: last - reads[kern, jets, head] for head, last in ends}
+                    assert max(past.values()) <= slack, (flags, jets, past)
+                    shifts = {head[isinstance(head[0], tuple)] for head, _ in ends}
+                    assert m_max == "1" or 2 not in shifts, (flags, jets, shifts)
 
 
 def test_gen_draw_rejected_at_shift_zero_builds_only_its_chains(monkeypatch, tmp_path):

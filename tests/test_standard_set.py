@@ -18,7 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from skewpoly import bilinear, cli, moments
+from skewpoly import cli, moments
+from skewpoly.families import ReadPlan
 
 STANDARD_SET = {
     **{f"{kind}-n2": ["--kind", kind, "--seed", "3", "--n-max", "2", "--m-max", "1"]
@@ -54,15 +55,16 @@ STANDARD_SET = {
 def den3(kind, n_max=2, **kw):
     """A system of ``kind`` with denominators up to 3, sized for --n-max
     ``n_max`` --m-max 1, whose tau grid gen keeps nonzero."""
-    return moments.gen(kind, bilinear.catalog_max_index(n_max, 1), seed=3, den_bound=3,
-                       require_tau=(n_max + 2, 2), **kw)
+    reads = ReadPlan.of(n_max, 1)
+    return moments.gen(kind, reads.max_index, seed=3, den_bound=3,
+                       require_tau=reads.tau_grid, **kw)
 
 
 def degenerate():
     """A system sized for --n-max 2 --m-max 1 with mu_{0,1} = tau_2^{(0)} = 0:
     its m = 0 chains stall at their first link, so members and Miwa nodes
     past it fall back, and the entries dividing by it are degenerate."""
-    sys_ = moments.gen("none", bilinear.catalog_max_index(2, 1), seed=3)
+    sys_ = moments.gen("none", ReadPlan.of(2, 1).max_index, seed=3)
     return sys_.replace(mu={**sys_.mu, (0, 1): Fraction(0)})
 
 
