@@ -57,31 +57,19 @@ class PairTauEvaluator:
             for subset in combinations(pairs, k):
                 idx = sorted(i for (a, b, _) in subset for i in (a, b))
                 xs = [nodes[i] for i in idx]
-                det = 1.0
-                for u in range(len(xs)):
-                    for v in range(u + 1, len(xs)):
-                        det *= xs[v] - xs[u]
-                amp = 1.0
-                rate = 0.0
-                for (a, b, c) in subset:
-                    amp *= c
-                    rate += nodes[a] + nodes[b]
-                terms.append((amp * det, rate))
+                det = math.prod(xs[v] - xs[u] for u in range(len(xs))
+                                for v in range(u + 1, len(xs)))
+                amp = math.prod(c for _, _, c in subset)
+                terms.append((amp * det, sum(nodes[a] + nodes[b] for a, b, _ in subset)))
             self.levels.append(terms)
 
     def chain(self, t1: float):
         """tau_0..tau_{2 k_max} and their t_1 derivatives at time (t1,)."""
-        vals = [1.0]
-        ders = [0.0]
+        vals, ders = [1.0], [0.0]
         for terms in self.levels:
-            v = 0.0
-            d = 0.0
-            for coeff, rate in terms:
-                w = coeff * math.exp(rate * t1)
-                v += w
-                d += w * rate
-            vals.append(v)
-            ders.append(d)
+            ws = [(coeff * math.exp(rate * t1), rate) for coeff, rate in terms]
+            vals.append(sum(w for w, _ in ws))
+            ders.append(sum(w * rate for w, rate in ws))
         return vals, ders
 
 
@@ -139,6 +127,7 @@ def tau_trajectory(spec: SolitonSpec, window: tuple, t0: float, dt: float,
     return Trajectory(t0, dt, (n_lo, n_hi), np.array(b_rows), np.array(c_rows))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
 def rk4_toda(spec: SolitonSpec, window: tuple, t0: float, dt: float,
              steps: int, *, initial=None, forcing=None) -> Trajectory:
     """Classical one-step fourth-order integration of the lattice flow.
@@ -220,13 +209,16 @@ def compare(a: Trajectory, b: Trajectory) -> dict:
 
 def convergence_order(spec: SolitonSpec, window: tuple, t0: float, t_end: float,
                       dts) -> tuple:
-    """Observed order from the error scaling under step halving."""
+    """Observed order from the error scaling under step halving; an exactly
+    zero error leaves it undefined and raises ``ArithmeticError``."""
     errs = []
     for dt in dts:
         steps = round((t_end - t0) / dt)
         ref = tau_trajectory(spec, window, t0, dt, steps)
         run = rk4_toda(spec, window, t0, dt, steps)
         errs.append(compare(ref, run)["max_dev_b"])
+    if not all(errs):
+        raise ArithmeticError(f"convergence order undefined: errors {errs} hold an exact 0")
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     return sum(orders) / len(orders), errs
 

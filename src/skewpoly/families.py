@@ -30,8 +30,10 @@ tau'' = y + x and d/dt_2 tau = y - x.  These are the link's pivot-row
 entries ``tops``, so tau jets of weight <= 2 come off the chain too; the
 ``JetSpec(1)`` members come off the spectral column of its first-order copy
 (:func:`skewpoly.pfaffian.jet_chain`), never off a raised label.  Past a
-vanishing link or a chain's reach every value is eliminated with swaps
-(``pf_eliminate``; a vanishing jet base is no unit); tau jets stop at
+vanishing link or a chain's reach every value is one elimination with swaps
+of the same labels on the table's moment kernel (``pf_eliminate``; a member
+carries z as a border column, a jet member is interpolated from scalar
+eliminations, since a vanishing jet base is no unit); tau jets stop at
 weight 2, jet members at 1.  All values are
 cached per system in a :class:`TauTable` owned by the system; downstream
 residual suites reuse hundreds of tau values, so the cache is not optional.
@@ -129,8 +131,6 @@ class TauTable:
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._kernel: MomentKernel | None = None
-        # (label, label, spec) -> moment entry jet (MomentSystem.entry_jet)
-        self.entry_jets: dict = {}
         # (m, k, conj, parity) -> (last moment label, pf_chain output), the
         # even chains with k = 1, conj = False; the jet_chain ones alike
         self._chains, self._jet_chains = {}, {}
@@ -183,7 +183,7 @@ class TauTable:
             leading = self._chain(m, k, conj, idx % 2, m + idx - 1)[0]
             if (idx + 1) // 2 < len(leading):
                 return leading[(idx + 1) // 2]
-            return pf_eliminate(self.tau_labels(idx, m, k, conj), self.sys)
+            return pf_eliminate(self.tau_labels(idx, m, k, conj), self.kernel())
         tau, d1, d11, d2 = self._tops(idx, m, k, conj, spec.weight)
         jet = {(0, 0): tau, (1, 0): d1, (2, 0): d11 and d11 / 2, (0, 1): d2}
         return Jet._of(J2, jet).truncate(spec)  # drops the None of a lighter jet
@@ -199,11 +199,11 @@ class TauTable:
             (t1, x, y), tau = tops[s - 1], leading[s]
         else:
             *low, top = self.tau_labels(idx, m, k, conj)
-            tau, t1 = (pf_eliminate([*low, lab], self.sys) for lab in (top, top + 1))
+            tau, t1 = (pf_eliminate([*low, lab], self.kernel()) for lab in (top, top + 1))
             if weight < 2:
                 return tau, t1, None, None
             raised = [*low[:-1], top, top + 1], [*low, top + 2]
-            x, y = (pf_eliminate(labels, self.sys) for labels in raised)
+            x, y = (pf_eliminate(labels, self.kernel()) for labels in raised)
         x = 0 if idx == 1 else x  # tau_1 = beta_m: no label M - 1
         return tau, t1, y + x, y - x
 
@@ -214,10 +214,12 @@ class TauTable:
 
     def build_chains(self, n_max: int, m: int) -> None:
         """Sweep shift m's even and row chains through the n_max grid's last
-        link, and within ``max_index`` through the tau jets (idx <= LAX_SIZE +
-        1) the operator blocks (``ReadPlan.LAX_SIZE``) read at any n_max."""
+        link and, where an operator block (``ReadPlan.LAX_SIZE``) runs at any
+        n_max (shifts 0 and 1 of one component without conjugate rows), within
+        ``max_index`` through the tau jets (idx <= LAX_SIZE + 1) it reads."""
+        blocks = m <= 1 and self.sys.ell == 1 and self.sys.beta_bar is None
         for k, conj, odd in [(1, False, 0), *((k, c, 1) for k, c in self.moment_rows())]:
-            floor = min(m + ReadPlan.LAX_SIZE + 1 + odd, self.sys.max_index)
+            floor = min(m + ReadPlan.LAX_SIZE + 1 + odd, self.sys.max_index) if blocks else 0
             self._chain(m, k, conj, odd, max(m + 2 * n_max - 1 + odd, floor))
 
     def _chain(self, m, k, conj, odd, last, jets=False):
@@ -375,10 +377,11 @@ class TauTable:
         if idx + norm_idx % 2 < len(rows):
             return rows[idx + norm_idx % 2]
         labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
+        value = pf_eliminate(labels, self.kernel(), jets=spec is not None).divide_z(m)
         if spec is None:
-            return _cleared(pf_eliminate(labels, self.sys).divide_z(m) / norm)
+            return _cleared(value / norm)
         norm = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
-        return [c * norm for c in pf_eliminate(labels, self.sys, jets=True).divide_z(m).coeffs], 1
+        return [c * norm for c in value.coeffs], 1
 
     def member_sum(self, terms) -> PolyInZ:
         """sum c z^shift member over ``terms`` (c, shift, idx, m[, k]), members read

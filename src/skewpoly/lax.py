@@ -286,7 +286,8 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     The bordered-Pfaffian derivative formula reads
     d/dt_1 (tau_n Q_n) = z^{-m} Pf(d0, d1, m, ..., m+n, z) for even n and
     z^{-m} Pf(d1, m, ..., m+n, z) for odd n (exact evaluation; no extra
-    normalization factor; one eliminated Pfaffian per z coefficient), and
+    normalization factor; one elimination on the table's moment kernel, its
+    derivative rows included, with z as a border column), and
     the shifted evolution carries a minus sign on the derivative term of the
     lower family member.
     """
@@ -296,7 +297,7 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     t = taus(sys)
     lhs = dt1(t.psop(n, m, spec=J1) * t.tau_jet(n, m, J1))
     head = ["d0", "d1"] if n % 2 == 0 else ["d1"]
-    border = pf_eliminate([*head, *range(m, m + n + 1), "z"], sys)
+    border = pf_eliminate([*head, *range(m, m + n + 1), "z"], t.kernel())
     derivative_pf = lhs - border.divide_z(m)
 
     def dq(j, mm=m):

@@ -31,9 +31,9 @@ from itertools import chain, product
 from operator import mul
 from typing import Optional
 
-from .families import taus, vanishing_taus
+from .families import vanishing_taus
 from .jets import Jet, JetSpec, weight
-from .pfaffian import LabelError, _q, _z, det_bareiss, pfaffian
+from .pfaffian import LabelError, OutOfRangeError, _q, _z, det_bareiss, pfaffian
 from .record import Record
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
@@ -42,10 +42,6 @@ CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
 # the scalar types each mode admits
 MODES = {"exact": (int, Fraction), "gauss": (int, Fraction, GaussianRational),
          "float": (int, Fraction, GaussianRational, float)}
-
-
-class OutOfRangeError(IndexError):
-    """Moment index outside the stored range."""
 
 
 class MomentSystem(Record):
@@ -129,25 +125,12 @@ class MomentSystem(Record):
     def entry_scalar(self, a, b):
         """Pfaffian entry for a pair of z-free labels (antisymmetric in a,b)."""
         ref = self._entry_ref(a, b)
-        if ref is None:
-            return 0
-        v = self._moment(*ref[1])
-        return -v if ref[0] < 0 else v
+        return 0 if ref is None else ref[0] * self._moment(*ref[1])
 
     def entry_jet(self, a, b, spec: JetSpec):
-        cache = taus(self).entry_jets
-        key = (a, b, spec)
-        got = cache.get(key)
-        if got is not None:
-            return got
+        """The entry's jet under the shift rule (:func:`lift_to_jet`)."""
         ref = self._entry_ref(a, b)
-        if ref is None:
-            jet = Jet.constant(0, spec)
-        else:
-            jet = lift_to_jet(self, ref[1], spec)
-            jet = -jet if ref[0] < 0 else jet
-        cache[key] = jet
-        return jet
+        return Jet.constant(0, spec) if ref is None else ref[0] * lift_to_jet(self, ref[1], spec)
 
     def _entry_ref(self, a, b):
         """The label rules: ``None`` for an entry they make 0, else ``(sign,
@@ -501,17 +484,12 @@ class SolitonSpec(Record):
         return out
 
     def mu_value(self, i: int, j: int, weights) -> float:
-        total = 0
-        for (a, b, c) in self.pair_amps:
-            xa, xb = self.nodes[a], self.nodes[b]
-            total += c * (xa ** i * xb ** j - xb ** i * xa ** j) * weights[a] * weights[b]
-        return total
+        x = self.nodes
+        return sum(c * (x[a] ** i * x[b] ** j - x[b] ** i * x[a] ** j) * weights[a] * weights[b]
+                   for a, b, c in self.pair_amps)
 
     def beta_value(self, k: int, j: int, weights):
-        total = 0
-        for a, d in enumerate(self.d_amps[k - 1]):
-            total += d * self.nodes[a] ** j * weights[a]
-        return total
+        return sum(d * self.nodes[a] ** j * weights[a] for a, d in enumerate(self.d_amps[k - 1]))
 
 
 def soliton_system(spec: SolitonSpec, t, max_index: int, mode: str = "exact",

@@ -10,15 +10,18 @@ One skew elimination loop and one expansion, each the other's test reference:
 * :func:`miwa_chain` -- the same at the Miwa-shifted time t - [z], one
   elimination per node z, with each link's top label raised beside it.
 * :func:`pfaffian` -- a plain square row list by the same loop, swapping a
-  unit (a nonzero exact scalar, or a jet with a nonzero base) into each
-  pivot; a nonzero row with no unit raises ``ZeroDivisionError``.
-  :func:`pf_eliminate` runs it on a system's labels: every Pfaffian past a
-  stalled chain or a chain's reach (first-order jets at scalar nodes,
-  interpolated by :func:`_interpolate`), and the rank2 C2 borders.
+  unit (a nonzero exact scalar, or a jet with a nonzero base) of the rows
+  left into each pivot; nonzero rows with no unit raise ``ZeroDivisionError``.
+  :func:`pf_eliminate` runs it on labels read off the kernel, a z label as a
+  border column per moment label: every Pfaffian past a stalled chain or a
+  chain's reach (first-order jets at scalar nodes, interpolated by
+  :func:`_interpolate`), and the rank2 C2 borders, one elimination each.
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
-  expansion along the first label, memoized over label subsets.  No
-  division, so any commutative ring: the tests' oracle, never the engine's;
-  :func:`pfaffian_expand` runs it on a row list.
+  expansion along the first label (and z), memoized over label subsets, on
+  the system's own entry rules.  No division, so any commutative ring: the
+  tests' oracle, never the engine's; :func:`pfaffian_expand` runs it on a
+  row list.  Their labels are integer moment indices, single-moment rows
+  ``d``, derivative rows ``d0``/``d1`` and a spectral row ``z``.
 
 The loop is fraction-free, the Pfaffian form of Bareiss's integer-preserving
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
@@ -31,13 +34,8 @@ Entries enter the loop only through :func:`_z`, integral ones as ``int``
 (Gaussian ones with int parts, jets coefficient by coefficient), so integer
 moments stay in Z throughout; they leave it only through :func:`_q`, as
 ``Fraction``, ``GaussianRational`` over Fractions, or jets of those.  The
-chains read a system's moments from its :class:`MomentKernel`, converted
-once and scaled to integers by the lcm of their denominators.
-
-The indexed resolver :func:`pf_indexed` evaluates Pfaffians whose rows are
-named by symbolic labels (integer moment indices, single-moment rows ``d``,
-derivative rows ``d0``/``d1``, a spectral row ``z``) against a moment system,
-returning a polynomial in z.
+engine reads a system's moments only from its :class:`MomentKernel`,
+converted once and scaled to integers by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -53,6 +51,10 @@ from .scalars import GaussianRational
 
 class LabelError(ValueError):
     """Forbidden label combination handed to the indexed resolver."""
+
+
+class OutOfRangeError(IndexError):
+    """Moment index outside the stored range."""
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +104,26 @@ def _pf_expand(labels: tuple, entry, cache: dict):
 
 def pfaffian(rows):
     """Pfaffian of a square skew row list by skew elimination on unit pivots
-    (nonzero scalars, or jets with a nonzero base); empty gives 1.  A zero
-    row gives 0; a nonzero row with no unit raises ``ZeroDivisionError``."""
+    (nonzero scalars, or jets with a nonzero base); empty gives 1.  Zero rows
+    left give 0; nonzero rows left with no unit raise ``ZeroDivisionError``."""
     _check_skew(rows)
     return _q(_pf_kernel([[_z(x) for x in r] for r in rows]))
 
 
 def _pf_kernel(a):
     """:func:`pfaffian` of a row list of loop entries, eliminated in place; a
-    loop value."""
-    pf, odd = 1, 0
-    for k, (p, odd) in zip(range(0, len(a), 2), _stages(a, swaps=True)):
-        if not _is_unit(p):
-            if any(a[k][k + 1:]):
-                raise ZeroDivisionError(f"row {k} of the elimination has no unit")
-            return 0
-        pf = p
-    return -pf if odd else pf
+    loop value.  An odd list whose rows carry a border (entries past len(a),
+    one per coefficient of a last label z) gives that border of Pf(rows, z)."""
+    n = len(a)
+    stages = list(_stages(a, swaps=True))  # to the end: the last update fills the border
+    pf, odd = stages[-1] if stages else (1, 0)
+    if not _is_unit(pf):  # no unit left in the rows not yet eliminated
+        k = 2 * len(stages) - 2
+        if any(x for row in a[k:] for x in row[k + 1:n]):
+            raise ZeroDivisionError(f"row {k} of the elimination has no unit")
+        return [0] * (len(a[0]) - n) if n % 2 else 0
+    sign = -1 if odd else 1
+    return [sign * x for x in a[-1][n:]] if n % 2 else sign * pf
 
 
 def _stages(a, swaps: bool):
@@ -127,18 +132,21 @@ def _stages(a, swaps: bool):
     the update p B_ij - (B_ki B_k+1,j - B_kj B_k+1,i) divides exactly by the
     previous pivot.  Yields (pivot a[k][k+1], parity of the swaps so far):
     the pivot is the Pfaffian of the leading 2s+2 rows as permuted so far
-    (``swaps`` swaps a unit into place); it stops after a non-unit.  Row
-    entries past ``len(a)`` are a border: eliminated along, never pivots."""
+    (``swaps`` swaps in a unit of the rows left, row k's first); it stops
+    after a non-unit.  Row entries past ``len(a)`` are a border: eliminated
+    along, never pivots."""
     n = len(a)
     prev, odd = 1, 0
     for k in range(0, n - 1, 2):
         row_k, row_k1 = a[k], a[k + 1]
         p = row_k[k + 1]
-        if swaps and not _is_unit(p):
-            piv = next((j for j in range(k + 2, n) if _is_unit(row_k[j])), None)
-            if piv is not None:
-                _swap(a, piv, k + 1)
-                row_k1, p, odd = a[k + 1], row_k[k + 1], odd ^ 1
+        if swaps and not _is_unit(p):  # a unit into place, row k's first
+            piv = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                        if _is_unit(a[i][j])), ())
+            for i, j in zip(piv, (k, k + 1)):
+                _swap(a, i, j)
+                odd ^= i != j
+            row_k, row_k1, p = a[k], a[k + 1], a[k][k + 1]
         yield p, odd
         if not _is_unit(p):
             return
@@ -210,18 +218,13 @@ def det_bareiss(rows):
     prev = 1
     for k in range(n - 1):
         if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
                 return Fraction(0)
+            m[k], m[r], sign = m[r], m[k], -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = _exact_div(num, prev)
-            m[i][k] = 0
+                m[i][j] = _exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
         prev = m[k][k]
     return _q(sign * m[n - 1][n - 1])
 
@@ -301,9 +304,7 @@ def parse_label(lab):
 
 
 def _validate_labels(labs, sys) -> None:
-    """At most one z, derivative rows only under rank2, and every pair of row
-    labels allowed by the entry rules (``sys.entry_scalar`` raises
-    ``LabelError`` for a forbidden pair before it reads any moment)."""
+    """At most one z, d0/d1 only under rank2, and row label pairs the entry rules allow."""
     if labs.count(Z) > 1:
         raise LabelError("at most one spectral label z is allowed")
     rows = [l for l in labs if isinstance(l, tuple)]
@@ -317,22 +318,18 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
     """Resolve a labelled Pfaffian against a moment system.
 
     Entry rules: ``MomentSystem._entry_ref`` for a z-free pair, and Pf(i,z) =
-    z^i, Pf(row,z) = 0 for the rows d_k, dbar_k, d0 and d1.
-    Odd-length lists evaluate to the zero polynomial.  With ``jet_spec`` the
-    entries are lifted to jets and the coefficients of the result are jets.
+    z^i, Pf(row,z) = 0 for the rows d_k, dbar_k, d0 and d1, expanded along z
+    (repeated labels sum, and cancel).  Odd-length lists evaluate to the zero
+    polynomial.  With ``jet_spec`` the entries are lifted to jets and the
+    coefficients of the result are jets.
     """
     labs = [parse_label(l) for l in labels]
     _validate_labels(labs, sys)
+    pf = lambda sub: pf_labels(sub, sys, cache=cache, jet_spec=jet_spec)  # noqa: E731
     if len(labs) % 2:
         return PolyInZ.zero()
     if Z not in labs:
-        return PolyInZ([pf_labels(labs, sys, cache=cache, jet_spec=jet_spec)])
-    return _z_expand(labs, lambda sub: pf_labels(sub, sys, cache=cache, jet_spec=jet_spec))
-
-
-def _z_expand(labs, pf) -> PolyInZ:
-    """Expansion along the z label (Pf(i, z) = z^i, 0 for a row), each z-free
-    Pfaffian by ``pf``; repeated labels sum, and cancel."""
+        return PolyInZ([pf(labs)])
     zpos = labs.index(Z)
     rest = labs[:zpos] + labs[zpos + 1:]
     coeffs = [0] * (max((x for x in rest if isinstance(x, int)), default=-1) + 1)
@@ -342,32 +339,53 @@ def _z_expand(labs, pf) -> PolyInZ:
     return PolyInZ(coeffs)
 
 
-def pf_eliminate(labels, sys, jets: bool = False):
-    """A labelled Pfaffian by :func:`pfaffian` on the rows of the
-    range-checked ``sys.entry_scalar``, through :func:`_z_expand` for z.
-    With ``jets`` its ``JetSpec(1)`` jet: Pf(A + xB) of the entry jets A +
-    B eps (``sys.entry_jet``) has degree <= n for 2n labels, so it is
-    eliminated at x = 0..n and interpolated; no pivot needs a unit jet."""
+def pf_eliminate(labels, kernel: MomentKernel, jets: bool = False):
+    """A labelled Pfaffian by one elimination with swaps (:func:`_pf_kernel`)
+    of kernel entries, 0 for two row labels; a read past the kernel's
+    moments raises ``OutOfRangeError``.  A z label (Pf(i, z) = z^i, 0 for a
+    row) is a border column per moment label, so Pf(L, z), a polynomial in
+    z, is the last row's border.  With ``jets`` each value's ``JetSpec(1)``
+    jet: Pf(A + xB) of the entry jets A + B eps (:meth:`MomentKernel.shifted`)
+    has degree <= s in x for 2s labels besides z, so it is eliminated at x =
+    0..s and interpolated; no pivot needs a unit jet."""
     labs = [parse_label(l) for l in labels]
-    if Z in labs:
-        return _z_expand(labs, lambda sub: pf_eliminate(sub, sys, jets))
-    if not jets:
-        return pfaffian([[sys.entry_scalar(a, b) for b in labs] for a in labs])
-    ab = [[sys.entry_jet(a, b, J1) for b in labs] for a in labs]
-    p = _interpolate([pfaffian([[e.base + x * e.extract(1) for e in r] for r in ab])
-                      for x in range(len(labs) // 2 + 1)], 1)
-    return Jet._of(J1, {(0,): p.coeff(0), (1,): p.coeff(1)})
+    if len(labs) % 2:
+        raise ValueError("Pfaffian requires even dimension")
+    sign = (-1) ** (len(labs) - 1 - labs.index(Z)) if Z in labs else 1  # z moved last
+    labs = [lab for lab in labs if lab != Z]
+    moment = [x for x in labs if isinstance(x, int)]
+    low, s, bordered = min(moment, default=0), len(labs) // 2, len(labs) % 2
+    border = range(low, max(moment, default=-1) + 1) if bordered else ()
+    get = kernel.shifted if jets else (lambda a, b: (kernel.row(a)[b], 0))
+    try:  # (A, B) of each entry
+        ab = [[get(a, b)[:2] if isinstance(b, int) else
+               tuple(-v for v in get(b, a)[:2]) if isinstance(a, int) else (0, 0)
+               for b in labs] for a in labs]
+    except IndexError:
+        raise OutOfRangeError(f"labels {labs} read past the stored moments") from None
+    ys = [_pf_kernel([[e + x * d for e, d in row] + [int(lab == p) for p in border]
+                      for lab, row in zip(labs, ab)]) for x in range(s + 1 if jets else 1)]
+    ps = [_interpolate([sign * y for y in col], kernel.scale ** s)
+          for col in (zip(*ys) if bordered else [ys])]
+    vals = [Jet._of(J1, {(0,): p.coeff(0), (1,): p.coeff(1)}) if jets else _q(p.coeff(0))
+            for p in ps]
+    return PolyInZ([0] * low + vals) if bordered else vals[0]
 
 
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
     """z-free labelled Pfaffian, expanded along the first label in the given
     order.  ``cache`` is the memo of one ring (scalars, or jets of
-    ``jet_spec``), keyed by label tuples; the value leaves through ``_q`` in
-    that ring, so an empty list gives ``Fraction(1)``, a vanishing one 0."""
+    ``jet_spec``, and the entry jets, by (label, label, spec)), keyed by
+    label tuples; the value leaves through ``_q`` in that ring, so an empty
+    list gives ``Fraction(1)``, a vanishing one 0."""
     labs = tuple(parse_label(l) for l in labels)
-    entry = sys.entry_scalar if jet_spec is None else (
-        lambda a, b: sys.entry_jet(a, b, jet_spec))
-    val = _pf_expand(labs, entry, {} if cache is None else cache)
+    memo = {} if cache is None else cache
+
+    def jet_entry(a, b):
+        if (a, b, jet_spec) not in memo:
+            memo[a, b, jet_spec] = sys.entry_jet(a, b, jet_spec)
+        return memo[a, b, jet_spec]
+    val = _pf_expand(labs, sys.entry_scalar if jet_spec is None else jet_entry, memo)
     if jet_spec is not None and not isinstance(val, Jet):
         val = Jet.constant(val, jet_spec)
     return _q(val)
@@ -393,8 +411,8 @@ class MomentKernel:
     denominators (parts of Gaussian ones included), so rational moments run
     as ints too and a Pfaffian of 2s labels reads scale^s times its value;
     a float moment keeps ``scale`` at 1.  ``mu[i][j]`` is the full skew
-    table of mu_{i,j}; ``rows[("comp", k)][j]`` is beta^{(k)}_j and
-    ``rows[("cbar", k)]`` its conjugate row."""
+    table of mu_{i,j}; ``rows[("comp", k)][j]`` is beta^{(k)}_j, ``rows[("cbar",
+    k)]`` its conjugate row, and rank2's ``rows[("shift", s)][j]`` beta_{j+s}."""
 
     __slots__ = ("scale", "mu", "rows")
 
@@ -408,6 +426,8 @@ class MomentKernel:
             self.mu[i][j] = x = _z(v * scale)
             self.mu[j][i] = -x
         self.rows = {lab: [_z(v * scale) for v in r] for lab, r in rows.items()}
+        if sys.constraint == "rank2":  # the derivative rows d0, d1
+            self.rows.update({("shift", s): self.rows["comp", 1][s:] for s in (0, 1)})
 
     def row(self, lab) -> list:
         """Entries (lab, j) for every moment label j."""
@@ -515,10 +535,6 @@ def miwa_chain(labels, kernel: MomentKernel, top: int):
 def _shifted_rows(trip, pos, z):
     """The full skew row list, at node z, of the labels at positions ``pos``
     of a :func:`miwa_chain`."""
-    rows = [[0] * len(pos) for _ in pos]
-    for u, i in enumerate(pos):
-        for v in range(u + 1, len(pos)):
-            x, y, w = trip[i][pos[v] - i - 1]
-            rows[u][v] = e = x - z * y + z * z * w
-            rows[v][u] = -e
-    return rows
+    up = {(i, j): x - z * y + z * z * w for i in pos for j in pos if i < j
+          for x, y, w in (trip[i][j - i - 1],)}
+    return [[up[i, j] if i < j else -up[j, i] if j < i else 0 for j in pos] for i in pos]

@@ -380,6 +380,42 @@ def test_simulate_contract(tmp_path, capsys):
     assert len(tau_lines) == len(rk4_lines) == 1 + 4 * 51
 
 
+def test_report_file_parses_back_to_the_report(monkeypatch, tmp_path):
+    """verify writes its report header on the first line and one entry a
+    line, and the file parses back to the report itself."""
+    write, reports = cli._write_report, []
+    monkeypatch.setattr(cli, "_write_report",
+                        lambda report, path: reports.append(report) or write(report, path))
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--kind", "rank2", "--seed", "3", "--n-max", "1",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == reports[0]
+    assert len(out.read_text().splitlines()) == reports[0]["total"] + 2
+    write({"total": 0, "entries": []}, out)
+    assert json.loads(out.read_text()) == {"total": 0, "entries": []}
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t-end", "5", "--dt", "0.25"], "ArithmeticError: non-finite state"),
+    (["--t-end", "20", "--dt", "0.01"], "OverflowError"),
+    (["--dt", "1e-300", "--t-end", "1e-299"], "convergence order undefined"),
+], ids=["non-finite", "overflow", "zero-error"])
+def test_simulate_failures_exit_one(flags, message, tmp_path, capsys):
+    """A run that breaks down numerically, or whose errors leave no observed
+    order, exits 1 with one line on stderr, not a traceback."""
+    assert run(["simulate", *flags, "--out", str(tmp_path / "traj")]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1, err
+
+
+def test_simulate_without_numpy_exits_two(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.delitem(sys.modules, "skewpoly.dynamics", raising=False)
+    monkeypatch.delattr(skewpoly, "dynamics", raising=False)
+    assert run(["simulate"]) == 2
+    assert "simulate needs numpy" in capsys.readouterr().err
+
+
 def test_console_entry_point_help():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["--help"])
@@ -541,11 +577,14 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
     is built twice.
 
     The read plan (``ReadPlan``) sizes each chain to what the run reads: on
-    the accepted system of every kind at --n-max 1-3 and --m-max 0-1, no
-    scalar chain ends more than 2 labels past the last label a read asked of
-    it, no jet chain more than 3 (one is first built through ``miwa_top`` -
-    1 at every shift), and at --m-max 0 no shift-2 chain is built: an
-    operator block compares one shift-1 matrix and reads no shift-2 tau."""
+    the accepted system of every kind at --n-max 1-3 and --m-max 0-1, every
+    scalar chain ends at the last label a read asked of it (the operator
+    blocks' floor is swept only where a block runs), no jet chain more than
+    3 labels past it (one is first built through ``miwa_top`` - 1 at every
+    shift), and at --m-max 0 no shift-2 chain is built: an operator block
+    compares one shift-1 matrix and reads no shift-2 tau.  No run reads an
+    entry through the system's entry rules (``entry_scalar``, ``entry_jet``,
+    ``lift_to_jet``: the oracle's path), only through the moment kernel."""
     files = {}
     for kind in ("none", "rank1skew-complex"):
         files[kind] = str(tmp_path / f"{kind}.json")
@@ -578,6 +617,11 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
         twice = [(head, n) for (_, head), n in heads.items() if n > 1]
         assert built and not twice, (flags, twice)
     jet_built, reads, verified = chain_reads(monkeypatch)
+    entry_reads = []
+    for owner, attr in ((moments.MomentSystem, "entry_scalar"),
+                        (moments.MomentSystem, "entry_jet"), (moments, "lift_to_jet")):
+        monkeypatch.setattr(owner, attr, lambda *args, fn=getattr(owner, attr), name=attr:
+                            entry_reads.append(name) or fn(*args))
     for kind in KINDS:
         for n_max in ("1", "2", "3"):
             for m_max in ("0", "1"):
@@ -585,8 +629,9 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
                 for log in (built, jet_built, reads, verified):
                     log.clear()
                 assert run(["verify", *flags, "--out", str(tmp_path / "rep.json")]) == 0
+                assert not entry_reads, (flags, entry_reads[:3])
                 kern = taus(verified[0]).kernel()
-                for jets, log, slack in ((False, built, 2), (True, jet_built, 3)):
+                for jets, log, slack in ((False, built, 0), (True, jet_built, 3)):
                     ends = [(tuple(labels[:2]), labels[-1]) for k, labels in log
                             if k is kern]
                     heads = collections.Counter(head for head, _ in ends)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from skewpoly import lax
+from skewpoly import cli, lax
 from skewpoly.bilinear import IDENTITIES
+from skewpoly.families import taus
 from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen
 from skewpoly.pfaffian import pf_eliminate, pf_indexed
@@ -164,15 +165,27 @@ def test_c2_suite_zero(rank2):
 
 def test_c2_borders_match_expansion(rank2):
     """The C2 borders Pf(d0, d1, m..m+n, z) (even n) and Pf(d1, m..m+n, z)
-    (odd n), which the suite eliminates one Pfaffian per z coefficient,
-    equal their expansion at every (n, m) of the suite's n_max 3 grid."""
+    (odd n), which the suite eliminates once each on the table's moment
+    kernel with z as a border column, equal their expansion at every (n, m)
+    of the suite's n_max 3 grid."""
     grid = [(p["n"], p["m"]) for p in IDENTITIES["C2_SUITE"].grid(rank2, 3, 1)]
     assert {m for _, m in grid} == {0, 1} and max(n for n, _ in grid) == 6
     for n, m in grid:
         head = ["d0", "d1"] if n % 2 == 0 else ["d1"]
         labels = [*head, *range(m, m + n + 1), "z"]
-        border = pf_eliminate(labels, rank2)
+        border = pf_eliminate(labels, taus(rank2).kernel())
         assert border and border == pf_indexed(labels, rank2), (n, m)
+
+
+def test_c2_borders_cost_one_elimination_each(monkeypatch, tmp_path):
+    """The 12 C2 borders of rank2 at n_max 3 (m = 0, 1) run 12 eliminations,
+    one each with z as a border column (one per z coefficient ran 54)."""
+    pf = importlib.import_module("skewpoly.pfaffian")
+    kernel, sizes = pf._pf_kernel, []
+    monkeypatch.setattr(pf, "_pf_kernel", lambda a: sizes.append(len(a)) or kernel(a))
+    assert cli.main(["verify", "--kind", "rank2", "--seed", "3", "--n-max", "3",
+                     "--identities", "C2_SUITE", "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(sizes) == [3, 3, 5, 5, 5, 5, 7, 7, 7, 7, 9, 9]
 
 
 def test_c2_requires_tag(unconstrained):
@@ -189,7 +202,6 @@ def test_mixed_identity_any_tag(unconstrained, rank2):
 
 def test_psoplax_degree_balance(rank2):
     # both sides of the shifted evolution have degree n before cancellation
-    from skewpoly.families import taus
     from skewpoly.jets import Jet, JetSpec
     t = taus(rank2)
     n, m = 3, 0
@@ -206,7 +218,6 @@ def test_toda_vars_and_flow():
         res = lax.toda_vars_and_residual(s, n)
         for name, val in res.items():
             assert val.is_zero(), (name, n)
-    from skewpoly.families import taus
     t = taus(s)
     assert t.toda_b(0) == 0
     assert t.toda_b(1) == t.tau(0, 0) * t.tau(4, 0) / (t.tau(2, 0) ** 2)

@@ -8,8 +8,8 @@ import pytest
 
 from skewpoly.families import taus
 from skewpoly.jets import Jet, JetSpec
-from skewpoly.moments import MomentSystem, gen
-from skewpoly.pfaffian import (LabelError, _exact_div, _stages, det_bareiss,
+from skewpoly.moments import MomentSystem, OutOfRangeError, gen
+from skewpoly.pfaffian import (LabelError, _exact_div, _stages, det_bareiss, pf_eliminate,
                                pf_indexed, pf_labels, pfaffian, pfaffian_expand)
 from skewpoly.poly import PolyInZ
 from skewpoly.scalars import GaussianRational
@@ -306,3 +306,27 @@ def test_exact_div_refuses_inexact_quotients():
                      (Jet(spec, {(0,): 5, (1,): 1}), Jet(spec, {(0,): 2}))]:
         with pytest.raises(ArithmeticError):
             _exact_div(num, den)
+
+
+def test_pf_eliminate_borders_past_a_zero_row():
+    """A z border survives a label row that vanishes on the other labels:
+    Pf(0, 1, 2, z) = mu_{1,2} with mu_{0,j} = 0 pairs label 0 only with z, so
+    the elimination swaps in a unit of another row.  Scalars and JetSpec(1)
+    jets match the expansion, rows and rational moments included, and a
+    read past max_index raises (the jets read one label further)."""
+    s = gen("none", 6, seed=1, den_bound=3)
+    s = s.replace(mu={**s.mu, **{(0, j): Fraction(0) for j in (1, 2, 3)}})
+    kern = taus(s).kernel()
+    for labels in ([0, 1, 2, "z"], [1, "z", 0, 2], [0, 1, 2, 3, 4, "z"],
+                   [("comp", 1), 0, 1, 2, 3, "z"], [0, 1, 2, 3], [0, 0, 1, "z"]):
+        want = pf_indexed(labels, s)
+        got = pf_eliminate(labels, kern)
+        assert got == (want if "z" in labels else want.coeff(0)), labels
+        jets = pf_indexed(labels, s, jet_spec=JetSpec(1))
+        got = pf_eliminate(labels, kern, jets=True)
+        assert got == (jets if "z" in labels else jets.coeff(0)), labels
+    assert pf_eliminate([0, 1, 2, "z"], kern) == PolyInZ([s.mu_entry(1, 2)])
+    assert pf_eliminate([5, 6], kern) == s.mu_entry(5, 6)
+    for labels, jets in (([5, 7], False), ([5, 6], True), ([6, "z", 5, 4], True)):
+        with pytest.raises(OutOfRangeError):
+            pf_eliminate(labels, kern, jets=jets)

@@ -122,19 +122,27 @@ def report_digest(argv, out, run_argv=None) -> str:
 
 @pytest.mark.parametrize("name", sorted(STANDARD_SET))
 def test_standard_set_reports_unchanged(name, tmp_path, monkeypatch):
-    """The digest holds, and no value is expanded: the expansion
-    ``_pf_expand`` is the tests' oracle only."""
+    """The digest holds, and no value is expanded and no entry read through
+    the system's entry rules: the expansion ``_pf_expand`` and the entry
+    readers ``MomentSystem.entry_scalar``/``entry_jet`` and ``lift_to_jet``
+    are the tests' oracle only; every engine path reads the moment kernel."""
     # the package attribute skewpoly.pfaffian is the function, not the module
     pf = importlib.import_module("skewpoly.pfaffian")
-    expand, expanded = pf._pf_expand, []
+    called = []
 
-    def counted_expand(labels, entry, cache):
-        expanded.append(labels)
-        return expand(labels, entry, cache)
+    def counted(owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args):
+            called.append(attr)
+            return fn(*args)
+        monkeypatch.setattr(owner, attr, wrapper)
 
     argv = run_argv = STANDARD_SET[name]
     if argv[0] == "--in":
         run_argv = ["--in", saved_system(argv[1], tmp_path / "system.json"), *argv[2:]]
-    monkeypatch.setattr(pf, "_pf_expand", counted_expand)
+    for owner, attr in ((pf, "_pf_expand"), (moments.MomentSystem, "entry_scalar"),
+                        (moments.MomentSystem, "entry_jet"), (moments, "lift_to_jet")):
+        counted(owner, attr)
     assert report_digest(argv, tmp_path / "report.json", run_argv) == DIGESTS[name]
-    assert not expanded, (len(expanded), expanded[:3])
+    assert not called, (len(called), called[:3])
