@@ -9,9 +9,8 @@ purpose to see the residual light up.
 """
 
 from skewpoly import gen
-from skewpoly.christoffel import (SopCoeffs, laurent_lv_coeff_check,
-                                  laurent_toda_residual, psop_coeffs,
-                                  psop_transform_residual, sop_coeffs,
+from skewpoly.christoffel import (laurent_lv_coeff_check, laurent_toda_residual,
+                                  psop_coeffs, psop_transform_residual, sop_coeffs,
                                   sop_transform_residual)
 from skewpoly.families import taus
 
@@ -35,10 +34,11 @@ for n in range(5):
     print(f"  n={n}: residual {psop_transform_residual(sys, n, 0)}, "
           f"coefficients xi={psop_coeffs(sys, n, 0).xi} eta={psop_coeffs(sys, n, 0).eta}")
 
-print("\nNegative control: adding 1 to the B coefficient at (n, m) = (2, 0):")
+print("\nNegative control: adding 1 to the B coefficient at (n, m) = (2, 0),")
+print("the first transform written out over the public family members:")
 co = sop_coeffs(sys, 2, 0)
-r1, _ = sop_transform_residual(sys, 2, 0,
-                               coeffs=SopCoeffs(co.a, co.b + 1, co.c, co.d))
+p = t.sop
+r1 = p(5, 0) - co.a * p(4, 0) - (p(4, 1) - (co.b + 1) * p(2, 1)).shift(1)
 print("  residual:", r1)
 
 print("\nToeplitz (Laurent) reduction: the transform closes into one family")

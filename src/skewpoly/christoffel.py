@@ -3,8 +3,10 @@
 Each transformation relates the family at shift m to the family at shift m+1
 with one factor of z; residuals are returned as polynomials so tests can
 assert exact zero and diagnostics can point at the failing coefficient.
-The coefficients A, B, C, D, xi and eta are the tau ratios of the table in
-:mod:`skewpoly.families`; residuals are summed in Z (:meth:`TauTable.member_sum`).
+The coefficients A, B, C, D, xi, eta and the multi-component E, F, G, H are
+the tau ratios of the table in :mod:`skewpoly.families`, each set computed
+by one function, which a negative control may replace; residuals are summed
+in Z (:meth:`TauTable.member_sum`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ class PsopCoeffs(Record):
     __slots__ = _fields = ("xi", "eta")
 
 
+class PsopMultiCoeffs(Record):
+    __slots__ = _fields = ("e", "f", "g", "h")
+
+
 def sop_coeffs(sys: MomentSystem, n: int, m: int) -> SopCoeffs:
     t = taus(sys)
     a = exact_div(t.sop_at_zero(2 * n + 1, m), t.sop_at_zero(2 * n, m))
@@ -33,12 +39,11 @@ def sop_coeffs(sys: MomentSystem, n: int, m: int) -> SopCoeffs:
     return SopCoeffs(a, b, c, d)
 
 
-def sop_transform_residual(sys: MomentSystem, n: int, m: int,
-                           coeffs: SopCoeffs | None = None):
+def sop_transform_residual(sys: MomentSystem, n: int, m: int):
     """Residual pair of the two skew-orthogonal shift identities at (n, m)."""
     sys.require_exact()
     t = taus(sys)
-    co = coeffs or sop_coeffs(sys, n, m)
+    co = sop_coeffs(sys, n, m)
     res1 = t.member_sum([(1, 0, 2 * n + 1, m), (-co.a, 0, 2 * n, m),
                          (-1, 1, 2 * n, m + 1), (co.b, 1, 2 * n - 2, m + 1)])
     res2 = t.member_sum([(1, 0, 2 * n + 2, m), (-co.c, 0, 2 * n, m),
@@ -51,35 +56,34 @@ def psop_coeffs(sys: MomentSystem, n: int, m: int, k: int = 1) -> PsopCoeffs:
     return PsopCoeffs(t.xi(n, m, k), t.eta(n, m, k))
 
 
-def psop_transform_residual(sys: MomentSystem, n: int, m: int, k: int = 1,
-                            coeffs: PsopCoeffs | None = None) -> PolyInZ:
+def psop_transform_residual(sys: MomentSystem, n: int, m: int, k: int = 1) -> PolyInZ:
     """One-component partial-family residual at unified index n."""
     sys.require_exact()
     t = taus(sys)
-    co = coeffs or psop_coeffs(sys, n, m, k)
+    co = psop_coeffs(sys, n, m, k)
     return t.member_sum([(1, 0, n + 1, m, k), (co.xi, 0, n, m, k),
                          (-1, 1, n, m + 1, k), (-co.eta, 1, n - 1, m + 1, k)])
 
 
-def psop_multi_residuals(sys: MomentSystem, n: int, m: int, k: int,
-                         swap_ef: bool = False):
-    """Residual pair of the two multi-component transform identities.
-
-    ``swap_ef`` deliberately exchanges the roles of the E and F coefficients
-    (negative control)."""
-    sys.require_exact()
+def psop_multi_coeffs(sys: MomentSystem, n: int, m: int, k: int) -> PsopMultiCoeffs:
     t = taus(sys)
     odd, odd_up = (2 * n + 1, m, k), (2 * n + 1, m + 1, k)
-    e = t.ratio([(2 * n, m), odd_up], [odd, (2 * n, m + 1)])
-    f = t.ratio([(2 * n + 2, m), (2 * n - 1, m + 1, k)], [odd, (2 * n, m + 1)])
-    if swap_ef:
-        e, f = f, e
-    g = t.ratio([odd, (2 * n + 2, m + 1)], [(2 * n + 2, m), odd_up])
-    h = t.ratio([(2 * n + 3, m, k), (2 * n, m + 1)], [(2 * n + 2, m), odd_up])
-    res1 = t.member_sum([(1, 0, 2 * n + 1, m, k), (e, 0, 2 * n, m),
-                         (-1, 1, 2 * n, m + 1), (-f, 1, 2 * n - 1, m + 1, k)])
-    res2 = t.member_sum([(1, 0, 2 * n + 2, m), (g, 0, 2 * n + 1, m, k),
-                         (-1, 1, 2 * n + 1, m + 1, k), (-h, 1, 2 * n, m + 1)])
+    return PsopMultiCoeffs(
+        t.ratio([(2 * n, m), odd_up], [odd, (2 * n, m + 1)]),
+        t.ratio([(2 * n + 2, m), (2 * n - 1, m + 1, k)], [odd, (2 * n, m + 1)]),
+        t.ratio([odd, (2 * n + 2, m + 1)], [(2 * n + 2, m), odd_up]),
+        t.ratio([(2 * n + 3, m, k), (2 * n, m + 1)], [(2 * n + 2, m), odd_up]))
+
+
+def psop_multi_residuals(sys: MomentSystem, n: int, m: int, k: int):
+    """Residual pair of the two multi-component transform identities."""
+    sys.require_exact()
+    t = taus(sys)
+    co = psop_multi_coeffs(sys, n, m, k)
+    res1 = t.member_sum([(1, 0, 2 * n + 1, m, k), (co.e, 0, 2 * n, m),
+                         (-1, 1, 2 * n, m + 1), (-co.f, 1, 2 * n - 1, m + 1, k)])
+    res2 = t.member_sum([(1, 0, 2 * n + 2, m), (co.g, 0, 2 * n + 1, m, k),
+                         (-1, 1, 2 * n + 1, m + 1, k), (-co.h, 1, 2 * n, m + 1)])
     return res1, res2
 
 

@@ -263,11 +263,7 @@ def run_verification(sys_: MomentSystem, n_max: int, m_max: int,
             raise ConfigError(f"identity {name} has no instance at n_max={n_max}, "
                               f"m_max={m_max} on this system")
         instances += [(ident, params) for params in grid]
-    # the Miwa chains, and the tau chains gen scans, of the full catalog's reads
-    reads = ReadPlan.of(n_max, m_max)
-    taus(sys_).miwa_top = reads.miwa_top
-    for m in range(reads.tau_grid[1] + 1):
-        taus(sys_).build_chains(reads.tau_grid[0], m)
+    taus(sys_).sweep(ReadPlan.of(n_max, m_max))
     entries = [e for ident, params in instances
                for e in _instance_entries(sys_, ident, params)]
     if seed is not None:

@@ -129,15 +129,14 @@ def tau_trajectory(spec: SolitonSpec, window: tuple, t0: float, dt: float,
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
 def rk4_toda(spec: SolitonSpec, window: tuple, t0: float, dt: float,
-             steps: int, *, initial=None, forcing=None) -> Trajectory:
+             steps: int) -> Trajectory:
     """Classical one-step fourth-order integration of the lattice flow.
 
-    State: B_n (n_lo..n_hi) and C_n (n_lo-1..n_hi).  The window-edge
-    neighbors B_{n_lo-1}(t) and B_{n_hi+1}(t) are not evolved; they are
-    supplied from the tau formulas at each stage time (B_0 is identically
-    zero when the window starts at site 1).  ``initial`` (a (b_list, c_list)
-    pair) and ``forcing`` (a callable t -> (b_lo, b_hi)) override the
-    tau-derived defaults.
+    State: B_n (n_lo..n_hi) and C_n (n_lo-1..n_hi), started from the tau
+    formulas (:func:`lattice_state`) at t0.  The window-edge neighbors
+    B_{n_lo-1}(t) and B_{n_hi+1}(t) are not evolved; they are supplied from
+    the tau formulas at each stage time (B_0 is identically zero when the
+    window starts at site 1).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -145,31 +144,19 @@ def rk4_toda(spec: SolitonSpec, window: tuple, t0: float, dt: float,
     nb = n_hi - n_lo + 1
     if nb < 3:
         raise ValueError("window must span at least 3 sites")
-    ev = None
-    if initial is None or forcing is None:
-        ev = PairTauEvaluator(spec, n_hi + 2)
-
-    if forcing is None:
-        def forcing(t):
-            b, _ = lattice_state(ev, t, n_hi)
-            lo = 0.0 if n_lo == 1 else b[n_lo - 2]
-            return lo, b[n_hi]
+    ev = PairTauEvaluator(spec, n_hi + 2)
 
     def rhs(t, y):
         b = y[:nb]
         c = y[nb:]
-        b_lo, b_hi = forcing(t)
-        b_ext = np.concatenate(([b_lo], b, [b_hi]))
+        b_edge, _ = lattice_state(ev, t, n_hi)
+        b_ext = np.concatenate(([0.0 if n_lo == 1 else b_edge[n_lo - 2]], b, [b_edge[n_hi]]))
         db = b * (c[1:] - c[:-1])
         dc = b_ext[1:] - b_ext[:-1]
         return np.concatenate((db, dc))
 
-    if initial is None:
-        b0, c0 = lattice_state(ev, t0, n_hi)
-        initial = (b0[n_lo - 1:n_hi], c0[n_lo - 1:n_hi + 1])
-    y = np.array(list(initial[0]) + list(initial[1]), dtype=float)
-    if y.shape != (2 * nb + 1,):
-        raise ValueError("initial state does not match the window")
+    b0, c0 = lattice_state(ev, t0, n_hi)
+    y = np.array(b0[n_lo - 1:n_hi] + c0[n_lo - 1:n_hi + 1], dtype=float)
     b_rows, c_rows = [y[:nb].copy()], [y[nb:].copy()]
     for k in range(steps):
         t = t0 + k * dt

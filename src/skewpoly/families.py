@@ -38,7 +38,8 @@ weight 2, jet members at 1.  All values are
 cached per system in a :class:`TauTable` owned by the system; downstream
 residual suites reuse hundreds of tau values, so the cache is not optional.
 Each chain is built once, spectral column included, by one sweep through a
-grid's last link (:meth:`TauTable.build_chains`, run by ``verify`` and by
+grid's last link (:meth:`TauTable.build_chains`, run over a read plan's
+grid by :meth:`TauTable.sweep` for ``verify`` and shift by shift by
 ``gen``'s :func:`vanishing_taus`); a read past it grows, at least doubling.
 
 Coefficients.  Every recurrence, transform and operator band is built from
@@ -91,7 +92,7 @@ from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .jets import J1, J2, NOT_A_UNIT, Jet, JetSpec, TruncationError
+from .jets import J1, NOT_A_UNIT, Jet, JetSpec, TruncationError
 from .pfaffian import (MomentKernel, _den_lcm, _q, _z, det_bareiss, jet_chain, pf_chain,
                        pf_eliminate)
 from .poly import PolyInZ
@@ -105,7 +106,7 @@ if TYPE_CHECKING:
 class ReadPlan(Record):
     """How far a catalog run on the (n_max, m_max) grid reads: ``tau_grid`` =
     (n, m) is gen's nonzero-tau grid and the chains verify sweeps
-    (:meth:`TauTable.build_chains`), ``miwa_top`` the largest idx whose Schur
+    (:meth:`TauTable.sweep`), ``miwa_top`` the largest idx whose Schur
     layers it reads (BKP_LARGE's tau_{2 n_max + 2}), and ``max_index`` covers
     tau_{2 n_max + 3} at shift m_max + 1 with jets of weight 2 n_max + 2, more
     than the grid identities read (Schur layers come from Miwa shifts, jets
@@ -139,7 +140,7 @@ class TauTable:
         self._polys: dict = {}
         # (idx, m, k, conj) -> bilinear.SchurTau value and d1 polynomials;
         # a Miwa chain reaches the idx asked or miwa_top, the largest idx a
-        # catalog run reads (ReadPlan.miwa_top, set by verify), if larger
+        # catalog run reads (ReadPlan.miwa_top, set by sweep), if larger
         self.schur_layers: dict = {}
         self.miwa_top = 0
         # (m, n_size) -> lax.build_psop_lax operator dict; (m, n_size, "T") ->
@@ -163,30 +164,26 @@ class TauTable:
         return [("cbar" if conj else "comp", k), *range(m, m + idx)]
 
     def tau(self, idx: int, m: int, k: int = 1, conj: bool = False):
-        """Unified tau_idx^{(m)}; odd idx takes the component k (conjugate row
-        if ``conj``).  Negative idx returns the boundary value 0."""
-        return self._tau(idx, m, k, conj, None)
+        """Unified tau_idx^{(m)}, a link of its chain (past a stall or
+        ``max_index`` eliminated); odd idx takes the component k (conjugate
+        row if ``conj``).  Negative idx returns the boundary value 0."""
+        if idx <= 0:
+            return int(idx == 0)
+        leading = self._chain(m, k, conj, idx % 2, m + idx - 1)[0]
+        if (idx + 1) // 2 < len(leading):
+            return leading[(idx + 1) // 2]
+        return pf_eliminate(self.tau_labels(idx, m, k, conj), self.kernel())
 
     def tau_jet(self, idx: int, m: int, spec: JetSpec, k: int = 1,
                 conj: bool = False) -> Jet:
-        return self._tau(idx, m, k, conj, spec)
-
-    def _tau(self, idx, m, k, conj, spec):
-        """A link of the chain (past a stall or ``max_index`` eliminated) or its
-        jet of weight <= 2 off :meth:`_tops`; a heavier one raises."""
-        if spec is not None and spec.weight > 2:
+        """The jet of :meth:`tau` of weight <= 2 off :meth:`_tops`; a heavier
+        one raises."""
+        if spec.weight > 2:
             raise TruncationError(f"tau jets stop at weight 2, not {spec}")
         if idx <= 0:
-            val = int(idx == 0)
-            return val if spec is None else Jet.constant(Fraction(val), spec)
-        if spec is None:
-            leading = self._chain(m, k, conj, idx % 2, m + idx - 1)[0]
-            if (idx + 1) // 2 < len(leading):
-                return leading[(idx + 1) // 2]
-            return pf_eliminate(self.tau_labels(idx, m, k, conj), self.kernel())
+            return Jet.constant(Fraction(int(idx == 0)), spec)
         tau, d1, d11, d2 = self._tops(idx, m, k, conj, spec.weight)
-        jet = {(0, 0): tau, (1, 0): d1, (2, 0): d11 and d11 / 2, (0, 1): d2}
-        return Jet._of(J2, jet).truncate(spec)  # drops the None of a lighter jet
+        return Jet.of_derivatives(spec, {(0,): tau, (1,): d1, (2,): d11, (0, 1): d2})
 
     def _tops(self, idx, m, k, conj, weight=2):
         """(tau, d/dt_1 tau, d^2/dt_1^2 tau, d/dt_2 tau) of link idx >= 1 off its
@@ -221,6 +218,15 @@ class TauTable:
         for k, conj, odd in [(1, False, 0), *((k, c, 1) for k, c in self.moment_rows())]:
             floor = min(m + ReadPlan.LAX_SIZE + 1 + odd, self.sys.max_index) if blocks else 0
             self._chain(m, k, conj, odd, max(m + 2 * n_max - 1 + odd, floor))
+
+    def sweep(self, plan: ReadPlan) -> None:
+        """Ready the table for a catalog run on ``plan``'s grid: the Miwa
+        chains reach ``plan.miwa_top``, and each shift's chains are swept
+        through ``plan.tau_grid`` (:meth:`build_chains`), the grid gen scans."""
+        self.miwa_top = plan.miwa_top
+        n_max, m_max = plan.tau_grid
+        for m in range(m_max + 1):
+            self.build_chains(n_max, m)
 
     def _chain(self, m, k, conj, odd, last, jets=False):
         """``pf_chain`` (``jet_chain`` if ``jets``: it reads one label more and
@@ -274,7 +280,7 @@ class TauTable:
             raise ZeroDivisionError(NOT_A_UNIT)
         if d11 is None:  # past a stall
             d11 = self._tops(idx, m, k, False)[2]
-        return Jet._of(J1, {(0,): logd, (1,): exact_div(d11, tau) - logd * logd})
+        return Jet.first_order(logd, exact_div(d11, tau) - logd * logd)
 
     def ratio(self, num, den, spec: JetSpec | None = None):
         """R = prod tau(num) / prod tau(den) over refs (idx, m) or (idx, m, k): a
@@ -284,18 +290,16 @@ class TauTable:
         if any(ref[0] < 0 for ref in num):
             return Fraction(0) if spec is None else Jet.constant(Fraction(0), spec)
         if spec is None:
-            val = {ref: self._tau(*ref[:2], *(ref[2:] or (1,)), False, None)
-                   for ref in {*num, *den}}
+            val = {ref: self.tau(*ref) for ref in {*num, *den}}
             return exact_div(prod(val[r] for r in num), prod(val[r] for r in den))
-        val = {ref: self._logd(*ref[:2], *(ref[2:] or (1,))) for ref in {*num, *den}}
+        val = {ref: self._logd(*ref) for ref in {*num, *den}}
         d = prod(val[r][0] for r in den)
         if not d:
             raise ZeroDivisionError(NOT_A_UNIT)
         taus = [val[r][0] for r in num]
         big = exact_div(prod(taus), d)
         d1 = sum(val[r][1] * prod(taus[:i] + taus[i + 1:]) for i, r in enumerate(num))
-        return Jet._of(J1, {(0,): big, (1,): exact_div(d1, d) - big * sum(
-            val[r][2] for r in den)})
+        return Jet.first_order(big, exact_div(d1, d) - big * sum(val[r][2] for r in den))
 
     # -- the coefficient table (module docstring) ---------------------------
 
@@ -353,7 +357,7 @@ class TauTable:
             num, den = self._member(idx, m, k, conj, spec)
             # R / D = R Dbar / d0^2 for D = d0 + d1 eps, Dbar = d0 - d1 eps
             bar, d = ((Jet.constant(1, spec), 1) if den == 1 else
-                      (Jet._of(J1, {(0,): den.base, (1,): -den.extract(1)}), den.base * den.base))
+                      (Jet.first_order(den.base, -den.slope), den.base * den.base))
             if type(d) is GaussianRational:  # over the int norm of a Gaussian d0^2
                 bar, d = bar * d.conjugate(), d.norm()
             self._polys[key] = PolyInZ([_q(c * bar, d) for c in num])

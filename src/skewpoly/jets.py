@@ -89,10 +89,6 @@ class JetSpec(Record):
         """Every admissible multi-index and its weight, lowest weight first."""
         return _ring(self.weight)[0]
 
-    def alphas(self):
-        """All admissible multi-indices, lowest weight first."""
-        return self.weights.keys()
-
 
 J1, J2 = JetSpec(1), JetSpec(2)  # the rings of the catalog's t_1 and t_2 data
 
@@ -120,15 +116,39 @@ class Jet:
     def constant(value, spec: JetSpec) -> "Jet":
         return Jet._of(spec, {spec.zero: value})
 
+    @staticmethod
+    def first_order(value, slope) -> "Jet":
+        """The ``JetSpec(1)`` jet of a value and its t_1 derivative."""
+        return Jet._of(J1, {_BASE: value, _D1: slope})
+
+    @staticmethod
+    def of_derivatives(spec: JetSpec, derivs: dict) -> "Jet":
+        """The jet whose mixed derivative of each order (as :meth:`extract`
+        takes it) is derivs[order], divided by order! once (exactly, unless
+        it is a float); orders outside the ring are dropped."""
+        coeffs = {}
+        for order, v in derivs.items():
+            if weight(order) <= spec.weight:
+                f = prod(map(factorial, order))
+                coeffs[(*order, *spec.zero)[:spec.ndir]] = (
+                    v if f == 1 else v / f if isinstance(v, float) else Fraction(1, f) * v)
+        return Jet._of(spec, coeffs)
+
+    def map(self, fn) -> "Jet":
+        """The jet of fn applied to each coefficient."""
+        return Jet._of(self.spec, {a: fn(v) for a, v in self.coeffs.items()})
+
     @property
     def base(self):
         return self.coeffs.get(self.spec.zero, 0)
 
+    @property
+    def slope(self):
+        """The t_1 derivative at the base point of a ``JetSpec(1)`` jet."""
+        return self.coeffs.get(_D1, 0)
+
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     # -- ring operations -------------------------------------------------
 

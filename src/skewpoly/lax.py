@@ -188,8 +188,6 @@ def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> di
         raise ValueError(f"unknown compatibility kind {kind!r}")
     interior = [row[lo:hi + 1] for row in res[lo:hi + 1]]
     return {
-        "kind": kind,
-        "interior_rows": (lo, hi),
         "interior_zero": all(not v for row in interior for v in row),
         "interior": interior,
         "boundary_nonzero": any(v for i, row in enumerate(res)

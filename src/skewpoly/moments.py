@@ -106,9 +106,6 @@ class MomentSystem(Record):
     def beta_entry(self, k: int, j: int):
         return self._moment("beta", k, j)
 
-    def beta_bar_entry(self, k: int, j: int):
-        return self._moment("beta_bar", k, j)
-
     def _moment(self, kind: str, p: int, q: int):
         """The one reader of the moment behind an entry, range-checked:
         mu_{p,q}, beta^{(p)}_q or its conjugate for kind mu, beta, beta_bar."""
@@ -173,17 +170,18 @@ def shift_derivative(sys: MomentSystem, entry, flow: int):
 
 
 def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
-    """Jet of a moment entry under the shift rule, coefficient by coefficient.
+    """Jet of a moment entry under the shift rule, derivative by derivative.
 
     d/dt_n acts on mu_{i,j} as X^n + Y^n, X and Y raising the first and the
-    second index, so the coefficient at alpha is prod_d (X^{d+1} +
-    Y^{d+1})^{alpha_d} / alpha_d!: the sum over beta <= alpha of
-    mu_{i+w(beta), j+w(alpha-beta)} / (beta! (alpha-beta)!), w the weight.
-    A single-moment row entry beta_j has coefficient beta_{j+w(alpha)} / alpha!.
+    second index, so the derivative of order alpha is prod_d (X^{d+1} +
+    Y^{d+1})^{alpha_d}: the sum over beta <= alpha of binom(alpha, beta)
+    mu_{i+w(beta), j+w(alpha-beta)}, w the weight.  A single-moment row
+    entry beta_j has derivative beta_{j+w(alpha)}.  :meth:`Jet.of_derivatives`
+    divides each by alpha!.
     """
     kind, a, j = entry
-    coeffs = {}
-    for alpha in spec.alphas():
+    derivs = {}
+    for alpha in spec.weights:
         if kind == "mu":
             val = 0
             for low in product(*(range(x + 1) for x in alpha)):
@@ -192,12 +190,8 @@ def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
                              * sys.mu_entry(a + weight(low), j + weight(high)))
         else:
             val = sys._moment(kind, a, j + weight(alpha))
-        fact = math.prod(map(math.factorial, alpha))
-        if isinstance(val, float):
-            coeffs[alpha] = val / fact
-        elif val:
-            coeffs[alpha] = Fraction(1, fact) * val if fact > 1 else val
-    return Jet(spec, coeffs)
+        derivs[alpha] = val
+    return Jet.of_derivatives(spec, derivs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ One skew elimination loop and one expansion, each the other's test reference:
   elimination per node z, with each link's top label raised beside it.
 * :func:`pfaffian` -- a plain square row list by the same loop, swapping a
   unit (a nonzero exact scalar, or a jet with a nonzero base) of the rows
-  left into each pivot; nonzero rows with no unit raise ``ZeroDivisionError``.
+  left into each pivot; nonzero rows with no unit raise ``ZeroDivisionError``
+  when a later stage would divide by their pivot.
   :func:`pf_eliminate` runs it on labels read off the kernel, a z label as a
   border column per moment label: every Pfaffian past a stalled chain or a
   chain's reach (first-order jets at scalar nodes, interpolated by
@@ -105,7 +106,8 @@ def _pf_expand(labels: tuple, entry, cache: dict):
 def pfaffian(rows):
     """Pfaffian of a square skew row list by skew elimination on unit pivots
     (nonzero scalars, or jets with a nonzero base); empty gives 1.  Zero rows
-    left give 0; nonzero rows left with no unit raise ``ZeroDivisionError``."""
+    left give 0; nonzero rows left with no unit raise ``ZeroDivisionError``
+    unless no later stage divides by their pivot (a last pivot is the value)."""
     _check_skew(rows)
     return _q(_pf_kernel([[_z(x) for x in r] for r in rows]))
 
@@ -116,12 +118,12 @@ def _pf_kernel(a):
     one per coefficient of a last label z) gives that border of Pf(rows, z)."""
     n = len(a)
     stages = list(_stages(a, swaps=True))  # to the end: the last update fills the border
-    pf, odd = stages[-1] if stages else (1, 0)
-    if not _is_unit(pf):  # no unit left in the rows not yet eliminated
+    if len(stages) < n // 2:  # no unit left for a pivot a later stage divides by
         k = 2 * len(stages) - 2
         if any(x for row in a[k:] for x in row[k + 1:n]):
             raise ZeroDivisionError(f"row {k} of the elimination has no unit")
         return [0] * (len(a[0]) - n) if n % 2 else 0
+    pf, odd = stages[-1] if stages else (1, 0)
     sign = -1 if odd else 1
     return [sign * x for x in a[-1][n:]] if n % 2 else sign * pf
 
@@ -133,8 +135,8 @@ def _stages(a, swaps: bool):
     previous pivot.  Yields (pivot a[k][k+1], parity of the swaps so far):
     the pivot is the Pfaffian of the leading 2s+2 rows as permuted so far
     (``swaps`` swaps in a unit of the rows left, row k's first); it stops
-    after a non-unit.  Row entries past ``len(a)`` are a border: eliminated
-    along, never pivots."""
+    after a non-unit that a later stage would divide by.  Row entries past
+    ``len(a)`` are a border: eliminated along, never pivots."""
     n = len(a)
     prev, odd = 1, 0
     for k in range(0, n - 1, 2):
@@ -148,7 +150,7 @@ def _stages(a, swaps: bool):
                 odd ^= i != j
             row_k, row_k1, p = a[k], a[k + 1], a[k][k + 1]
         yield p, odd
-        if not _is_unit(p):
+        if k + 3 < n and not _is_unit(p):
             return
         for i in range(k + 2, n):  # zeros stay zero, the rest is rescaled
             row_i, bki, bk1i = a[i], row_k[i], row_k1[i]
@@ -182,7 +184,7 @@ def _z(x):
         re, im = _z(x.re), _z(x.im)
         return GaussianRational(re, im) if type(re) is type(im) is int else x
     if isinstance(x, Jet):
-        return Jet._of(x.spec, {a: _z(v) for a, v in x.coeffs.items()})
+        return x.map(_z)
     return x
 
 
@@ -198,7 +200,7 @@ def _q(x, den=1):
         if t is GaussianRational and type(x.re) is type(x.im) is int:
             return GaussianRational(Fraction(x.re, den), Fraction(x.im, den))
     if isinstance(x, Jet):
-        return Jet._of(x.spec, {a: _q(v, den) for a, v in x.coeffs.items()})
+        return x.map(lambda v: _q(v, den))
     if t is GaussianRational:
         x = GaussianRational(Fraction(x.re), Fraction(x.im))
     elif t is int:
@@ -253,13 +255,11 @@ def _exact_div(num, den):
         return GaussianRational(a, b)
     if isinstance(num, Jet):
         if not isinstance(den, Jet):
-            return Jet._of(num.spec, {a: _exact_div(v, den) for a, v in num.coeffs.items()})
-        if num.spec.weight != 1 or den.spec != num.spec:
+            return num.map(lambda v: _exact_div(v, den))
+        if num.spec != J1 or den.spec != J1:
             return num / den
-        d0, d1 = den.coeffs.get((0,), 0), den.coeffs.get((1,), 0)
-        q0 = _exact_div(num.coeffs.get((0,), 0), d0)
-        return Jet._of(num.spec, {(0,): q0,
-                                  (1,): _exact_div(num.coeffs.get((1,), 0) - q0 * d1, d0)})
+        q0 = _exact_div(num.base, den.base)
+        return Jet.first_order(q0, _exact_div(num.slope - q0 * den.slope, den.base))
     return num / den
 
 
@@ -367,8 +367,7 @@ def pf_eliminate(labels, kernel: MomentKernel, jets: bool = False):
                       for lab, row in zip(labs, ab)]) for x in range(s + 1 if jets else 1)]
     ps = [_interpolate([sign * y for y in col], kernel.scale ** s)
           for col in (zip(*ys) if bordered else [ys])]
-    vals = [Jet._of(J1, {(0,): p.coeff(0), (1,): p.coeff(1)}) if jets else _q(p.coeff(0))
-            for p in ps]
+    vals = [Jet.first_order(p.coeff(0), p.coeff(1)) if jets else _q(p.coeff(0)) for p in ps]
     return PolyInZ([0] * low + vals) if bordered else vals[0]
 
 
@@ -470,7 +469,7 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
     n = len(labs)
     moment = [x for x in labs if isinstance(x, int)]
     border = range(min(moment, default=0), max(moment, default=-1) + 1)
-    entry = ((lambda x, y: Jet._of(J1, dict(zip(((0,), (1,)), kernel.shifted(x, y)))))
+    entry = ((lambda x, y: Jet.first_order(*kernel.shifted(x, y)[:2]))
              if jets else (lambda x, y: kernel.row(x)[y]))
     a = [[0] * (i + 1) + [entry(x, y) for y in labs[i + 1:]]
          + [int(x == p) for p in border] for i, x in enumerate(labs)]
@@ -510,8 +509,12 @@ def miwa_chain(labels, kernel: MomentKernel, top: int):
     shifted entries A - z B + z^2 C, whose triples are read once: link s is
     the pivot of stage s and its raised Pfaffian the pivot-row entry (2s,
     2s+2), the top label raised as for the tau jets (M. Adler, P. van
-    Moerbeke, Duke Math. J. 112, 2002).  Past a vanishing pivot, a node's
-    links and raised Pfaffians each take one elimination with swaps."""
+    Moerbeke, Duke Math. J. 112, 2002).  A node whose pivot of stage s
+    vanishes leaves B_ij = Pf(labels[:2s], i, j) in its rows 2s..; for
+    each later stage t, link t = Pf(B at 2s..2t+1) and its raised Pfaffian
+    Pf(B at 2s..2t, 2t+2), each one elimination with swaps divided exactly
+    by Pf(labels[:2s])^(t - s) (the overlapping-Pfaffian identity of
+    :func:`_stages`)."""
     n = len(labels) - 1
     trip = [[kernel.shifted(x, y) for y in labels[i + 1:]]
             for i, x in enumerate(labels[:n])]
@@ -525,16 +528,14 @@ def miwa_chain(labels, kernel: MomentKernel, top: int):
             links[s].append(p)
             raised[s].append(a[2 * s][2 * s + 2])
             reached = s + 1
-        for s in range(reached, n // 2):
-            k = 2 * s + 2
-            links[s].append(_pf_kernel(_shifted_rows(trip, range(k), z)))
-            raised[s].append(_pf_kernel(_shifted_rows(trip, [*range(k - 1), k], z)))
+        s = reached - 1  # the stage that stalled, if a later one is left
+        for t in range(reached, n // 2):
+            prev = links[s - 1][z] if s else 1
+            for out, pos in ((links, range(2 * s, 2 * t + 2)),
+                             (raised, [*range(2 * s, 2 * t + 1), 2 * t + 2])):
+                val = _pf_kernel([[a[i][j] if i < j else -a[j][i] if j < i else 0
+                                   for j in pos] for i in pos])
+                for _ in range(t - s):
+                    val = _exact_div(val, prev)
+                out[t].append(val)
     return links, raised
-
-
-def _shifted_rows(trip, pos, z):
-    """The full skew row list, at node z, of the labels at positions ``pos``
-    of a :func:`miwa_chain`."""
-    up = {(i, j): x - z * y + z * z * w for i in pos for j in pos if i < j
-          for x, y, w in (trip[i][j - i - 1],)}
-    return [[up[i, j] if i < j else -up[j, i] if j < i else 0 for j in pos] for i in pos]

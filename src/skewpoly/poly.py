@@ -30,18 +30,10 @@ class PolyInZ:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coeff(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    def leading(self):
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
 
     def __add__(self, other):
         if not isinstance(other, PolyInZ):

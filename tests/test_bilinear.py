@@ -134,10 +134,11 @@ def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
     # mu_{0,1} mu_{2,3} - mu_{0,2} mu_{1,3} + mu_{0,3} mu_{1,2} = 0 with
     # mu_{0,1} != 0: at z = 0 the chain of the even idx <= 8 stalls at its
     # second pivot, so tau_4 vanishes there, and tau_6 and tau_8 (with their
-    # raised Pfaffians) are eliminated with swaps at that node only
+    # raised Pfaffians) are eliminated with swaps at that node only, on the
+    # rows the stall left: labels 2.. over Pf(0, 1), 4 and 6 of them
     s = system({(0, 3)}, (), {(0, 1): 1, (2, 3): 1, (0, 2): 1, (1, 3): 1}, top=16)
     st = layers(s, 8, 0)
-    assert swapped == [6, 6, 8, 8]
+    assert swapped == [4, 4, 6, 6]
     low, mid = (_assert_miwa_matches_jet_oracle(s, idx, 0) for idx in (2, 4))
     assert low.value(0) != 0 and mid.value(0) == 0 and st.value(0) != 0
 
@@ -229,7 +230,7 @@ def test_float_soliton_satisfies_unconstrained_identity():
 def test_derivative_identity(sys2):
     for n in range(4):
         for m in range(3):
-            assert bl.derivative_residual(sys2, 2 * n, m).is_zero()
+            assert not bl.derivative_residual(sys2, 2 * n, m)
     with pytest.raises(ValueError):
         bl.derivative_residual(sys2, 3, 0)
 

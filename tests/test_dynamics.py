@@ -58,12 +58,14 @@ def test_time_reversal_symmetry():
         assert max(abs(a + b) for a, b in zip(c_plus, c_minus)) < 1e-12
 
 
-def test_rk4_fixed_point_zero_b():
-    # with B identically zero (and zero edge forcing) the flow freezes C
+def test_rk4_fixed_point_zero_b(monkeypatch):
+    # with B identically zero (and zero edge forcing) the flow freezes C;
+    # the lattice state the integrator starts from and forces its edges
+    # with is replaced by that one
     spec = dyn.two_soliton_demo_spec()
-    tr = dyn.rk4_toda(spec, (1, 4), 0.0, 1e-2, 10,
-                      initial=([0.0] * 4, [0.5, -1.0, 2.0, 0.25, 3.0]),
-                      forcing=lambda t: (0.0, 0.0))
+    monkeypatch.setattr(dyn, "lattice_state",
+                        lambda ev, t, n_hi: ([0.0] * 5, [0.5, -1.0, 2.0, 0.25, 3.0]))
+    tr = dyn.rk4_toda(spec, (1, 4), 0.0, 1e-2, 10)
     assert tr.b.shape == (11, 4) and tr.c.shape == (11, 5)
     assert np.all(tr.b == 0.0)
     assert np.all(tr.c == tr.c[0])
