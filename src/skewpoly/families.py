@@ -30,13 +30,12 @@ tau'' = y + x and d/dt_2 tau = y - x.  These are the link's pivot-row
 entries ``tops``, so tau jets of weight <= 2 come off the chain too; the
 ``JetSpec(1)`` members come off the spectral column of its first-order copy
 (:func:`skewpoly.pfaffian.jet_chain`), never off a raised label.  Past a
-vanishing link or a chain's reach every value is one elimination with swaps
-of the same labels on the table's moment kernel (``pf_eliminate``; a member
-carries z as a border column, a jet member is interpolated from scalar
-eliminations, since a vanishing jet base is no unit); tau jets stop at
-weight 2, jet members at 1.  All values are
-cached per system in a :class:`TauTable` owned by the system; downstream
-residual suites reuse hundreds of tau values, so the cache is not optional.
+vanishing link (a zero base, for jets) a chain goes on by block eliminations
+of the rows it left, so every link, top and member comes off its chain (a
+read past ``max_index`` raises ``OutOfRangeError``); tau jets stop at weight
+2, jet members at 1.  All values are cached per system in a :class:`TauTable`
+owned by the system; downstream residual suites reuse hundreds of tau
+values, so the cache is not optional.
 Each chain is built once, spectral column included, by one sweep through a
 grid's last link (:meth:`TauTable.build_chains`, run over a read plan's
 grid by :meth:`TauTable.sweep` for ``verify`` and shift by shift by
@@ -68,7 +67,7 @@ shift transforms (:mod:`skewpoly.christoffel`) use
             P_{2n+2}^{(m-1)}(0), which the tests check against it)
 
 Each tau's (tau, tau', logd, tau'') is read off its chain's ``tops`` once
-(:meth:`TauTable._logd`; past a stall, tau'' only when asked): logd's jet
+(:meth:`TauTable._logd`; tau'' off label M + 2, where it fits): logd's jet
 is (logd, tau''/tau - logd^2) and a ratio R's (R, R (sum_num logd -
 sum_den logd)), with no jet inverse and no weight-2 jet.
 
@@ -93,8 +92,8 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .jets import J1, NOT_A_UNIT, Jet, JetSpec, TruncationError
-from .pfaffian import (MomentKernel, _den_lcm, _q, _z, det_bareiss, jet_chain, pf_chain,
-                       pf_eliminate)
+from .pfaffian import (MomentKernel, OutOfRangeError, _den_lcm, _q, _z, det_bareiss, jet_chain,
+                       pf_chain)
 from .poly import PolyInZ
 from .record import Record
 from .scalars import GaussianRational, exact_div
@@ -164,15 +163,12 @@ class TauTable:
         return [("cbar" if conj else "comp", k), *range(m, m + idx)]
 
     def tau(self, idx: int, m: int, k: int = 1, conj: bool = False):
-        """Unified tau_idx^{(m)}, a link of its chain (past a stall or
-        ``max_index`` eliminated); odd idx takes the component k (conjugate
-        row if ``conj``).  Negative idx returns the boundary value 0."""
+        """Unified tau_idx^{(m)}, a link of its chain; odd idx takes the
+        component k (conjugate row if ``conj``).  Negative idx returns the
+        boundary value 0."""
         if idx <= 0:
             return int(idx == 0)
-        leading = self._chain(m, k, conj, idx % 2, m + idx - 1)[0]
-        if (idx + 1) // 2 < len(leading):
-            return leading[(idx + 1) // 2]
-        return pf_eliminate(self.tau_labels(idx, m, k, conj), self.kernel())
+        return self._chain(m, k, conj, idx % 2, m + idx - 1)[0]((idx + 1) // 2)
 
     def tau_jet(self, idx: int, m: int, spec: JetSpec, k: int = 1,
                 conj: bool = False) -> Jet:
@@ -187,22 +183,16 @@ class TauTable:
 
     def _tops(self, idx, m, k, conj, weight=2):
         """(tau, d/dt_1 tau, d^2/dt_1^2 tau, d/dt_2 tau) of link idx >= 1 off its
-        chain's ``tops``, or past a stalled link or the chain's reach off the
-        same Pfaffians of its labels L eliminated: Pf(L), Pf(L, M -> M+1) and,
-        for ``weight`` 2 only (y reads label M + 2; else None), x and y."""
-        leading, tops, _ = self._chain(m, k, conj, idx % 2, m + idx + 1)
+        chain's ``tops`` through label M + 2 (through M + 1 = ``max_index`` for
+        ``weight`` < 2, reading no x, y: None): Pf(L), Pf(L, M -> M+1), x + y, y - x."""
+        leading, tops, _ = self._chain(m, k, conj, idx % 2,
+                                       m + idx + (weight > 1 or m + idx < self.sys.max_index))
         s = (idx + 1) // 2
-        if s < len(leading):
-            (t1, x, y), tau = tops[s - 1], leading[s]
-        else:
-            *low, top = self.tau_labels(idx, m, k, conj)
-            tau, t1 = (pf_eliminate([*low, lab], self.kernel()) for lab in (top, top + 1))
-            if weight < 2:
-                return tau, t1, None, None
-            raised = [*low[:-1], top, top + 1], [*low, top + 2]
-            x, y = (pf_eliminate(labels, self.kernel()) for labels in raised)
+        t1, x, *y = tops(s - 1)
+        if not y:
+            return leading(s), t1, None, None
         x = 0 if idx == 1 else x  # tau_1 = beta_m: no label M - 1
-        return tau, t1, y + x, y - x
+        return leading(s), t1, y[0] + x, y[0] - x
 
     def moment_rows(self):
         """The (k, conj) of every single-moment row, conjugate rows included."""
@@ -232,11 +222,11 @@ class TauTable:
         """``pf_chain`` (``jet_chain`` if ``jets``: it reads one label more and
         is first built through the members a catalog run reads, ``miwa_top`` -
         1) of the tau labels of (m, k, conj, parity) through moment label
-        ``last`` at least; empty past ``max_index``.  Past what a sweep
-        (:meth:`build_chains`) built, growth at least doubles."""
+        ``last`` at least; past ``max_index`` ``OutOfRangeError``.  Past what
+        a sweep (:meth:`build_chains`) built, growth at least doubles."""
         top = self.sys.max_index - jets
         if last > top:
-            return [], [], []
+            raise OutOfRangeError(f"a chain through label {last} reads past {top}")
         chains = self._jet_chains if jets else self._chains
         key = (m, k, conj, 1) if odd else (m, 1, False, 0)
         got = chains.get(key)
@@ -255,9 +245,9 @@ class TauTable:
 
     def _logd(self, idx, m, k=1, conj=False):
         """(tau, tau', logd, tau'') of tau_idx^{(m)}, ' = d/dt_1, logd = tau'/tau
-        (None if tau = 0), kept: off :meth:`_tops` of weight 1, so past a
-        stall tau'' is None.  A zero tau or tau' is the int 0, as a jet
-        coefficient reads."""
+        (None if tau = 0), kept: off :meth:`_tops` of weight 1, so tau'' is
+        None where the chain ends at label M + 1.  A zero tau or tau' is the
+        int 0, as a jet coefficient reads."""
         got = self._logds.get((idx, m, k, conj))
         if got is None:
             if idx <= 0:
@@ -278,7 +268,7 @@ class TauTable:
             return logd if tau else exact_div(d1, tau)
         if not tau:
             raise ZeroDivisionError(NOT_A_UNIT)
-        if d11 is None:  # past a stall
+        if d11 is None:  # the chain ends at label M + 1
             d11 = self._tops(idx, m, k, False)[2]
         return Jet.first_order(logd, exact_div(d11, tau) - logd * logd)
 
@@ -353,7 +343,7 @@ class TauTable:
         if key not in self._polys and spec is None:
             num, den = self._member(idx, m, k, conj)
             self._polys[key] = PolyInZ([_q(c, den) for c in num])
-        elif key not in self._polys:  # D a jet link, or 1 (rows 0, 1 and eliminations)
+        elif key not in self._polys:  # D a jet link, or 1 (rows 0 and 1)
             num, den = self._member(idx, m, k, conj, spec)
             # R / D = R Dbar / d0^2 for D = d0 + d1 eps, Dbar = d0 - d1 eps
             bar, d = ((Jet.constant(1, spec), 1) if den == 1 else
@@ -367,25 +357,18 @@ class TauTable:
         """P_idx^{(m)} (``k`` None) or Q_idx^{(m)} of component k as (R, D) = sum
         R[i] z^i / D, ([], 1) for idx < 0: row idx (odd chain: idx + 1) of its
         chain's spectral column, of its ``jet_chain``'s for ``JetSpec(1)``
-        coefficients (no other ring); past a stall eliminated, then cleared
-        (scalars) or, once the jet normalizer is inverted, over D = 1."""
+        coefficients (no other ring); a D that is no unit raises."""
         if spec is not None and spec != J1:
             raise TruncationError(f"jet members are JetSpec(1) only, not {spec}")
         if idx < 0:
             return [], 1
         norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
-        norm = self.tau(norm_idx, m, k, conj) if spec is None else 1
-        if not norm:
-            raise ZeroDivisionError(f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
-        rows = self._chain(m, k, conj, norm_idx % 2, m + idx, spec is not None)[2]
-        if idx + norm_idx % 2 < len(rows):
-            return rows[idx + norm_idx % 2]
-        labels = [*self.tau_labels(norm_idx, m, k, conj), m + idx, "z"]
-        value = pf_eliminate(labels, self.kernel(), jets=spec is not None).divide_z(m)
-        if spec is None:
-            return _cleared(value / norm)
-        norm = self.tau_jet(norm_idx, m, spec, k, conj).inverse()
-        return [c * norm for c in value.coeffs], 1
+        num, den = self._chain(m, k, conj, norm_idx % 2, m + idx,
+                               spec is not None)[2](idx + norm_idx % 2)
+        if not (den.base if isinstance(den, Jet) else den):
+            raise ZeroDivisionError(NOT_A_UNIT if spec else
+                                    f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
+        return num, den
 
     def member_sum(self, terms) -> PolyInZ:
         """sum c z^shift member over ``terms`` (c, shift, idx, m[, k]), members read

@@ -5,18 +5,14 @@ One skew elimination loop and one expansion, each the other's test reference:
 * :func:`pf_chain` -- every leading Pfaffian of a label list (a tau chain)
   from one scalar elimination without swaps, which always carries the
   spectral column along as a border and keeps the next entries of each
-  pivot row; it stops at the first pivot that is not a unit.
-  :func:`jet_chain` runs it on first-order jets of the entries.
+  pivot row; past a pivot that is no unit, a block of the rows it left
+  (:func:`_pf_left`).  :func:`jet_chain` runs it on first-order jets.
 * :func:`miwa_chain` -- the same at the Miwa-shifted time t - [z], one
   elimination per node z, with each link's top label raised beside it.
-* :func:`pfaffian` -- a plain square row list by the same loop, swapping a
-  unit (a nonzero exact scalar, or a jet with a nonzero base) of the rows
-  left into each pivot; nonzero rows with no unit raise ``ZeroDivisionError``
-  when a later stage would divide by their pivot.
-  :func:`pf_eliminate` runs it on labels read off the kernel, a z label as a
-  border column per moment label: every Pfaffian past a stalled chain or a
-  chain's reach (first-order jets at scalar nodes, interpolated by
-  :func:`_interpolate`), and the rank2 C2 borders, one elimination each.
+* :func:`pfaffian` -- a plain square row list by each ring's one policy
+  (:func:`_pf_rows`), as every block is: scalars with swaps, first-order
+  jets interpolated over scalar eliminations.  :func:`pf_eliminate` runs
+  it on kernel labels, z a border column: the rank2 C2 borders.
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
   expansion along the first label (and z), memoized over label subsets, on
   the system's own entry rules.  No division, so any commutative ring: the
@@ -42,10 +38,11 @@ converted once and scaled to integers by the lcm of their denominators.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, chain, combinations
-from math import lcm
+from math import lcm, prod
 
-from .jets import J1, Jet
+from .jets import J1, NOT_A_UNIT, Jet
 from .poly import PolyInZ
 from .scalars import GaussianRational
 
@@ -104,28 +101,55 @@ def _pf_expand(labels: tuple, entry, cache: dict):
 
 
 def pfaffian(rows):
-    """Pfaffian of a square skew row list by skew elimination on unit pivots
-    (nonzero scalars, or jets with a nonzero base); empty gives 1.  Zero rows
-    left give 0; nonzero rows left with no unit raise ``ZeroDivisionError``
-    unless no later stage divides by their pivot (a last pivot is the value)."""
+    """Pfaffian of a square skew row list by its ring's one elimination
+    (:func:`_pf_rows`); empty gives 1."""
     _check_skew(rows)
-    return _q(_pf_kernel([[_z(x) for x in r] for r in rows]))
+    return _q(_pf_rows([[_z(x) for x in r] for r in rows]))
+
+
+def _pf_rows(a):
+    """The Pfaffian of loop entries (odd with a border as in :func:`_pf_kernel`),
+    no swap seeing a jet: scalars by :func:`_pf_kernel`; ``JetSpec(1)`` jets A
+    + B eps as Pf(A + xB), of degree <= h = (len(a) + 1) // 2 in x, at x =
+    0..h interpolated; heavier jets without swaps, each leading Pfaffian a unit."""
+    specs = {x.spec for row in a for x in row if isinstance(x, Jet)}
+    if not specs:
+        return _pf_kernel(a)
+    if specs != {J1}:
+        pivots = [p for p, _ in _stages(a, swaps=False)]
+        if len(pivots) < len(a) // 2:
+            raise ZeroDivisionError(NOT_A_UNIT)
+        return pivots[-1]
+    ys = [_pf_kernel([[e.base + x * e.slope if isinstance(e, Jet) else e for e in row]
+                      for row in a]) for x in range((len(a) + 3) // 2)]
+    vals = [Jet.first_order(*(_z(p.coeff(i)) for i in (0, 1)))
+            for p in (_interpolate(list(col), 1) for col in (zip(*ys) if len(a) % 2 else [ys]))]
+    return vals if len(a) % 2 else vals[0]
 
 
 def _pf_kernel(a):
-    """:func:`pfaffian` of a row list of loop entries, eliminated in place; a
-    loop value.  An odd list whose rows carry a border (entries past len(a),
+    """:func:`_pf_rows` of scalar loop entries, eliminated with swaps in place;
+    a loop value.  An odd list whose rows carry a border (entries past len(a),
     one per coefficient of a last label z) gives that border of Pf(rows, z)."""
     n = len(a)
     stages = list(_stages(a, swaps=True))  # to the end: the last update fills the border
-    if len(stages) < n // 2:  # no unit left for a pivot a later stage divides by
-        k = 2 * len(stages) - 2
-        if any(x for row in a[k:] for x in row[k + 1:n]):
-            raise ZeroDivisionError(f"row {k} of the elimination has no unit")
+    if len(stages) < n // 2:
         return [0] * (len(a[0]) - n) if n % 2 else 0
     pf, odd = stages[-1] if stages else (1, 0)
     sign = -1 if odd else 1
     return [sign * x for x in a[-1][n:]] if n % 2 else sign * pf
+
+
+def _pf_left(a, pos, prev):
+    """Pf(leading 2s rows, rows ``pos`` >= 2s) off the rows ``a`` that s stages
+    left, entry (i, j) = Pf(leading 2s, i, j): the block's Pfaffian (its
+    border too if ``pos`` is odd) divided exactly by ``prev`` = Pf(leading
+    2s) once per stage past its first (the overlapping-Pfaffian identity)."""
+    n, odd = len(a), len(pos) % 2
+    val = _pf_rows([[a[i][j] if i < j else -a[j][i] if j < i else 0 for j in pos]
+                    + (a[i][n:] if odd else []) for i in pos])
+    den = prod([prev] * ((len(pos) - 1) // 2))
+    return [_exact_div(v, den) for v in val] if odd else _exact_div(val, den)
 
 
 def _stages(a, swaps: bool):
@@ -339,15 +363,12 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
     return PolyInZ(coeffs)
 
 
-def pf_eliminate(labels, kernel: MomentKernel, jets: bool = False):
+def pf_eliminate(labels, kernel: MomentKernel):
     """A labelled Pfaffian by one elimination with swaps (:func:`_pf_kernel`)
     of kernel entries, 0 for two row labels; a read past the kernel's
     moments raises ``OutOfRangeError``.  A z label (Pf(i, z) = z^i, 0 for a
     row) is a border column per moment label, so Pf(L, z), a polynomial in
-    z, is the last row's border.  With ``jets`` each value's ``JetSpec(1)``
-    jet: Pf(A + xB) of the entry jets A + B eps (:meth:`MomentKernel.shifted`)
-    has degree <= s in x for 2s labels besides z, so it is eliminated at x =
-    0..s and interpolated; no pivot needs a unit jet."""
+    z, is the last row's border: the rank2 C2 borders."""
     labs = [parse_label(l) for l in labels]
     if len(labs) % 2:
         raise ValueError("Pfaffian requires even dimension")
@@ -356,18 +377,14 @@ def pf_eliminate(labels, kernel: MomentKernel, jets: bool = False):
     moment = [x for x in labs if isinstance(x, int)]
     low, s, bordered = min(moment, default=0), len(labs) // 2, len(labs) % 2
     border = range(low, max(moment, default=-1) + 1) if bordered else ()
-    get = kernel.shifted if jets else (lambda a, b: (kernel.row(a)[b], 0))
-    try:  # (A, B) of each entry
-        ab = [[get(a, b)[:2] if isinstance(b, int) else
-               tuple(-v for v in get(b, a)[:2]) if isinstance(a, int) else (0, 0)
-               for b in labs] for a in labs]
+    try:
+        a = [[kernel.row(x)[y] if isinstance(y, int) else
+              -kernel.row(y)[x] if isinstance(x, int) else 0 for y in labs]
+             + [int(x == p) for p in border] for x in labs]
     except IndexError:
         raise OutOfRangeError(f"labels {labs} read past the stored moments") from None
-    ys = [_pf_kernel([[e + x * d for e, d in row] + [int(lab == p) for p in border]
-                      for lab, row in zip(labs, ab)]) for x in range(s + 1 if jets else 1)]
-    ps = [_interpolate([sign * y for y in col], kernel.scale ** s)
-          for col in (zip(*ys) if bordered else [ys])]
-    vals = [Jet.first_order(p.coeff(0), p.coeff(1)) if jets else _q(p.coeff(0)) for p in ps]
+    val = _pf_kernel(a)
+    vals = [_q(sign * y, kernel.scale ** s) for y in (val if bordered else [val])]
     return PolyInZ([0] * low + vals) if bordered else vals[0]
 
 
@@ -451,20 +468,23 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
     """``(leading, tops, rows)`` of a z-free label list (an optional
     single-moment row, then moment labels), by one scalar elimination of the
     kernel's entries without swaps that borders the labels with the spectral
-    column.  ``leading[s]`` = Pf(labels[:2s]) is the pivot of stage s - 1;
-    it stops at the first pivot that is not a unit, whose own link is still
-    exact.  ``tops[s]`` are the entries (k, k+2), (k+1, k+2) and (k, k+3),
-    k = 2s, of the pivot rows of stage s: Pf(labels[:k], l_k, l_k+2),
-    Pf(labels[:k], l_k+1, l_k+2) and Pf(labels[:k], l_k, l_k+3).  Both leave
-    the loop divided by the power of ``kernel.scale`` they carry.
-    ``rows[r]`` = (R, D) is row r of the spectral column as the elimination
-    leaves it, for each row all its stages reached: sum_i R[i] z^i / D =
+    column: three readers, each value read off the rows it left on first
+    read and kept, past a stall (:func:`_stages`) off a block of them
+    (:func:`_pf_left`).  ``leading(s)`` = Pf(labels[:2s]) is the pivot of
+    stage s - 1.
+    ``tops(s)`` are the entries (k, k+2), (k+1, k+2) and, if label k+3 is
+    in the list, (k, k+3), k = 2s, of the pivot rows of stage s:
+    Pf(labels[:k], l_k, l_k+2), Pf(labels[:k], l_k+1, l_k+2) and
+    Pf(labels[:k], l_k, l_k+3).  Both leave the loop divided by the power
+    of ``kernel.scale`` they carry.  ``rows(r)`` = (R, D) is row r of the
+    spectral column after the stages before it: sum_i R[i] z^i / D =
     Pf(labels[:2s], labels[r], z) / (z^low Pf(labels[:2s])), s = r // 2, D
     the link or a Gaussian link's norm (R then carries its conjugate; the
-    scale cancels).  R is integral, from z^low, low the smallest moment label
-    (Pf(label, z) is z^label for a moment label, 0 for any other), to the
-    largest moment label of rows 0..r: the columns outside are 0.  ``jets``
-    runs it on first-order jets (:func:`jet_chain`)."""
+    scale cancels), R empty if the link is no unit.  R is integral, from
+    z^low, low the smallest moment label (Pf(label, z) is z^label for a
+    moment label, 0 for any other), to the largest moment label of rows
+    0..r: the columns outside are 0.  ``jets`` runs it on first-order jets
+    (:func:`jet_chain`)."""
     labs = list(labels)
     n = len(labs)
     moment = [x for x in labs if isinstance(x, int)]
@@ -473,23 +493,27 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
              if jets else (lambda x, y: kernel.row(x)[y]))
     a = [[0] * (i + 1) + [entry(x, y) for y in labs[i + 1:]]
          + [int(x == p) for p in border] for i, x in enumerate(labs)]
-    links, reached = [1], n
-    for s, (p, _) in enumerate(_stages(a, swaps=False)):
-        links.append(p)
-        if not _is_unit(p):
-            reached = 2 * s + 2
-    scale = kernel.scale
-    leading = [_q(p, scale ** s) for s, p in enumerate(links)]
-    tops = [tuple(_q(x, scale ** (k // 2 + 1))
-                  for x in (a[k][k + 2], a[k + 1][k + 2], a[k][k + 3]))
-            for k in range(0, min(reached, n - 3), 2)]
-    inv = [(p.conjugate(), p.norm())
-           if type(p) is GaussianRational and type(p.re) is type(p.im) is int else (1, p)
-           for p in links[:(reached + 1) // 2]]
+    done = sum(1 for _ in _stages(a, swaps=False))
+    stall = done - (done < n // 2)  # the stage that stopped, if one did
+
+    def value(t, pos):  # Pf(labels[:2t], the labels at pos), pos past row 2t
+        if t <= stall:
+            return a[pos[0]][pos[1]] if len(pos) > 1 else a[pos[0]][n:]
+        return _pf_left(a, [*range(2 * stall, 2 * t), *pos], links(stall))
+    links = cache(lambda s: value(s - 1, [2 * s - 2, 2 * s - 1]) if s else 1)
     ends = list(accumulate([x - border.start + 1 if x in border else 0 for x in labs], max))
-    return leading, tops, [(row if type(f) is int else [c * f for c in row], d)
-                           for r in range(reached) for f, d in (inv[r // 2],)
-                           for row in (a[r][n:n + ends[r]],)]
+
+    def top(s):
+        return tuple(_q(value(s, [2 * s + i, 2 * s + j]), kernel.scale ** (s + 1))
+                     for i, j in ((0, 2), (1, 2), (0, 3)) if 2 * s + j < n)
+
+    def row(r):
+        p = links(r // 2)
+        f, d = ((p.conjugate(), p.norm()) if type(p) is GaussianRational
+                and type(p.re) is type(p.im) is int else (1, p))
+        num = value(r // 2, [r])[:ends[r]] if _is_unit(p) else []
+        return (num if type(f) is int else [c * f for c in num]), d
+    return cache(lambda s: _q(links(s), kernel.scale ** s)), cache(top), cache(row)
 
 
 def jet_chain(labels, kernel: MomentKernel):
@@ -509,12 +533,8 @@ def miwa_chain(labels, kernel: MomentKernel, top: int):
     shifted entries A - z B + z^2 C, whose triples are read once: link s is
     the pivot of stage s and its raised Pfaffian the pivot-row entry (2s,
     2s+2), the top label raised as for the tau jets (M. Adler, P. van
-    Moerbeke, Duke Math. J. 112, 2002).  A node whose pivot of stage s
-    vanishes leaves B_ij = Pf(labels[:2s], i, j) in its rows 2s..; for
-    each later stage t, link t = Pf(B at 2s..2t+1) and its raised Pfaffian
-    Pf(B at 2s..2t, 2t+2), each one elimination with swaps divided exactly
-    by Pf(labels[:2s])^(t - s) (the overlapping-Pfaffian identity of
-    :func:`_stages`)."""
+    Moerbeke, Duke Math. J. 112, 2002).  Past a vanishing pivot, as in
+    :func:`pf_chain`, each is a block of the rows it left (:func:`_pf_left`)."""
     n = len(labels) - 1
     trip = [[kernel.shifted(x, y) for y in labels[i + 1:]]
             for i, x in enumerate(labels[:n])]
@@ -531,11 +551,6 @@ def miwa_chain(labels, kernel: MomentKernel, top: int):
         s = reached - 1  # the stage that stalled, if a later one is left
         for t in range(reached, n // 2):
             prev = links[s - 1][z] if s else 1
-            for out, pos in ((links, range(2 * s, 2 * t + 2)),
-                             (raised, [*range(2 * s, 2 * t + 1), 2 * t + 2])):
-                val = _pf_kernel([[a[i][j] if i < j else -a[j][i] if j < i else 0
-                                   for j in pos] for i in pos])
-                for _ in range(t - s):
-                    val = _exact_div(val, prev)
-                out[t].append(val)
+            links[t].append(_pf_left(a, range(2 * s, 2 * t + 2), prev))
+            raised[t].append(_pf_left(a, [*range(2 * s, 2 * t + 1), 2 * t + 2], prev))
     return links, raised

@@ -14,7 +14,7 @@ from skewpoly.families import (TauTable, orthogonality_defects,
                                orthogonality_determinant, psop_inner_defects,
                                skew_gram, skew_inner, sop, sop_at_zero, psop, tau,
                                taus, vanishing_taus)
-from skewpoly.jets import Jet, JetSpec, TruncationError
+from skewpoly.jets import NOT_A_UNIT, Jet, JetSpec, TruncationError
 from skewpoly.moments import MomentSystem, OutOfRangeError, gen
 from skewpoly.pfaffian import pf_indexed, pf_labels
 from skewpoly.poly import PolyInZ
@@ -201,7 +201,8 @@ def test_members_convert_once_on_first_read(monkeypatch):
         loop = int if kind == "none" else GaussianRational
         t.build_chains(3, 0)
         t.build_chains(3, 1)
-        rows = [row for _, (_, _, got) in t._chains.values() for row in got]
+        rows = [got(r) for (m, *_, odd), (last, (_, _, got)) in t._chains.items()
+                for r in range(odd + last - m + 1)]
         assert rows and all(type(den) is int and all(type(c) in (int, loop) for c in num)
                             for num, den in rows), kind
         assert not conversions, kind
@@ -357,7 +358,7 @@ def _expansion_oracle(t, sys, m, top):
     jet family member of shift m up to index ``top`` against memoized
     expansion with its own memos; each is of a public type, never an int or
     a float.  The jet members up to index 7 come off the first-order
-    chains, or past a stalled link off the jet elimination at scalar nodes."""
+    chains, past a stalled link too."""
     memo, jet_memos = {}, {1: {}, 2: {}}
     conjs = (False, True) if sys.beta_bar is not None else (False,)
     rows = [(k, conj) for k in range(1, sys.ell + 1) for conj in conjs]
@@ -537,6 +538,35 @@ def _stalled_system():
     mu = dict(base.mu)
     mu[(0, 1)] = Fraction(0)
     return MomentSystem(12, mu, ((Fraction(0),) + base.beta[0][1:], base.beta[1]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_values_past_a_stall_match_expansion(kind):
+    """Zeroed moments stall the chains of every kind: mu_01 = 0 and mu_23 =
+    0 stall the even chains of shifts 0 and 2 at their first link, beta_0
+    = 0 (and its conjugate) the odd chain of component 1 at shift 0.  Every
+    tau link, tau jet of weight 1 and 2 and scalar and ``JetSpec(1)``
+    member past them comes off the chains' block eliminations and matches
+    expansion; a member over a vanishing link raises, a jet member with
+    ``NOT_A_UNIT``.  A weight-1 tau jet whose chain tops would read one
+    label past ``max_index`` still reads off the chain."""
+    s = gen(kind, 10, components=2 if "-" in kind else 1, seed=5)
+    zeroed = {key: s.mu[key] - s.mu[key] for key in ((0, 1), (2, 3))}
+
+    def zero_first(rows):
+        return ((rows[0][0] - rows[0][0], *rows[0][1:]), *rows[1:])
+    s = s.replace(mu={**s.mu, **zeroed}, beta=zero_first(s.beta),
+                  beta_bar=s.beta_bar and zero_first(s.beta_bar))
+    t = TauTable(s)
+    assert not t.tau(2, 0) and not t.tau(2, 2) and not t.tau(1, 0) and t.tau(4, 0)
+    for m in range(3):
+        _expansion_oracle(t, s, m, s.max_index - m - 1)
+    with pytest.raises(ZeroDivisionError, match="vanishing normalizer"):
+        t.psop(1, 0)
+    with pytest.raises(ZeroDivisionError, match=NOT_A_UNIT):
+        t.psop(1, 0, spec=J1)
+    jet = t.tau_jet(10, 0, J1)  # labels 0..9, its tops through label 10
+    assert jet == pf_labels(range(10), s, jet_spec=J1)
 
 
 def test_stalled_chains_fall_back_to_expansion():

@@ -57,3 +57,42 @@ def test_cli_runs_no_sweep():
     catalog."""
     text = (SRC / "cli.py").read_text()
     assert "build_chains" not in text and "miwa_top" not in text
+
+
+def _callers(tree, name: str) -> set:
+    """The functions (innermost def, or ``<module>``) that call ``name``,
+    by name or as an attribute."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
+                found.add(owner)
+            visit(child, owner)
+    visit(tree, "<module>")
+    return found
+
+
+def test_families_eliminates_nothing_itself():
+    """The tau table reads every link, top and member off its chains, so
+    ``families`` neither imports nor calls ``pf_eliminate``."""
+    families = ast.parse((SRC / "families.py").read_text())
+    imported = {a.name for node in ast.walk(families) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "pf_eliminate" not in imported and not _callers(families, "pf_eliminate")
+
+
+def test_swapped_elimination_sees_scalars_only():
+    """The elimination with swaps (``_pf_kernel``) is called by
+    ``pfaffian``'s one Pfaffian per ring (``_pf_rows``, which hands it
+    scalars only) and by the scalar ``pf_eliminate``, from no other module."""
+    callers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _callers(ast.parse(path.read_text()), "_pf_kernel")}
+    assert callers == {("pfaffian.py", "_pf_rows"), ("pfaffian.py", "pf_eliminate")}, callers
+    # the guard sees the calls it forbids
+    bad = ast.parse("def f(a):\n    return pf._pf_kernel(a)\nx = _pf_kernel(b)")
+    assert _callers(bad, "_pf_kernel") == {"f", "<module>"}

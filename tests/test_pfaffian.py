@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from skewpoly.families import ReadPlan, TauTable, taus
-from skewpoly.jets import Jet, JetSpec
+from skewpoly.jets import J1, Jet, JetSpec
 from skewpoly.moments import MomentSystem, OutOfRangeError, gen
-from skewpoly.pfaffian import (LabelError, _exact_div, _stages, det_bareiss, miwa_chain,
-                               pf_chain, pf_eliminate, pf_indexed, pf_labels, pfaffian,
-                               pfaffian_expand)
+from skewpoly.pfaffian import (Z, LabelError, _exact_div, _stages, det_bareiss, miwa_chain,
+                               parse_label, pf_chain, pf_eliminate, pf_indexed, pf_labels,
+                               pfaffian, pfaffian_expand)
 from skewpoly.poly import PolyInZ
 from skewpoly.scalars import GaussianRational, exact_div
 
@@ -214,29 +214,22 @@ def test_elimination_over_first_order_jets():
         return Jet(spec, {(0,): kind(value), (1,): kind(d1)})
 
     rng = random.Random(12)
-    checked = 0
     for t in range(60):
         n = rng.choice([2, 4, 6])
         kind = (Fraction, int)[t % 2]
-        # some zero-valued entries force pivot search past non-units
+        # some zero-valued entries leave rows of non-units
         m = skew_rows(n, {(i, j): jet(rng.choice([0, rng.randint(-5, 5)]),
                                       rng.randint(-5, 5), kind)
                           for i in range(n) for j in range(i + 1, n)})
-        try:
-            pl = pfaffian(m)
-        except ZeroDivisionError:
-            continue
-        assert pl == pfaffian_expand(m) and is_public(pl)
-        checked += 1
-    assert checked >= 20
+        pl = pfaffian(m)
+        assert pl == pfaffian_expand(m) and is_public(pl), t
     # the pivot search skips a leading non-unit
     skip = skew_rows(4, {(0, 1): jet(0, 2), (0, 2): jet(3, 1), (0, 3): jet(1, 1),
                          (1, 2): jet(2, 0), (1, 3): jet(-1, 4), (2, 3): jet(5, 4)})
     assert pfaffian(skip) == pfaffian_expand(skip)
     zero = Jet.constant(Fraction(0), spec)
-    # a zero row gives 0; a non-unit last pivot is the value, since no
-    # stage divides by it; nonzero rows of non-units that a later stage
-    # would divide by cannot be eliminated
+    # a zero row gives 0; rows of non-units, last or not, are interpolated
+    # over scalar eliminations like any other
     assert pfaffian(skew_rows(4, {(0, 1): zero, (1, 2): jet(3, 1)})) == 0
     stalled = skew_rows(4, {(0, 1): jet(0, 2), (0, 2): jet(0, 1), (1, 3): jet(1, 0),
                             (2, 3): jet(5, 4)})
@@ -244,8 +237,7 @@ def test_elimination_over_first_order_jets():
     assert pfaffian_expand(stalled) == jet(0, 2 * 5 - 1 * 1)
     divided = skew_rows(6, {(0, 1): jet(1, 0), (2, 3): jet(0, 1), (2, 4): jet(0, 2),
                             (3, 5): jet(0, 1), (4, 5): jet(0, 3)})
-    with pytest.raises(ZeroDivisionError):
-        pfaffian(divided)
+    assert pfaffian(divided) == pfaffian_expand(divided) == Jet.constant(0, spec)
 
 
 def test_elimination_of_ints_stays_in_ints():
@@ -317,25 +309,45 @@ def test_exact_div_refuses_inexact_quotients():
 def test_pf_eliminate_borders_past_a_zero_row():
     """A z border survives a label row that vanishes on the other labels:
     Pf(0, 1, 2, z) = mu_{1,2} with mu_{0,j} = 0 pairs label 0 only with z, so
-    the elimination swaps in a unit of another row.  Scalars and JetSpec(1)
-    jets match the expansion, rows and rational moments included, and a
-    read past max_index raises (the jets read one label further)."""
+    the elimination swaps in a unit of another row.  Scalars match the
+    expansion, rows and rational moments included, and so does ``pfaffian``
+    over the same labels' ``JetSpec(1)`` rows A + B eps
+    (``MomentKernel.shifted``), coefficient by coefficient of z; a read past
+    max_index raises (the jets read one label further)."""
     s = gen("none", 6, seed=1, den_bound=3)
     s = s.replace(mu={**s.mu, **{(0, j): Fraction(0) for j in (1, 2, 3)}})
-    kern = taus(s).kernel()
+    t = taus(s)
+    kern = t.kernel()
+
+    def jet_rows(labs, power):  # the coefficient of z^power of Pf(labs)
+        def entry(x, y):
+            if Z in (x, y):
+                lab, sign = (x, 1) if y == Z else (y, -1)
+                return sign * int(lab == power)
+            if not isinstance(y, int):
+                return -entry(y, x) if isinstance(x, int) else 0
+            a, b, _ = kern.shifted(x, y)
+            return Jet.first_order(Fraction(a, kern.scale), Fraction(b, kern.scale))
+        return [[entry(x, y) for y in labs] for x in labs]
     for labels in ([0, 1, 2, "z"], [1, "z", 0, 2], [0, 1, 2, 3, 4, "z"],
                    [("comp", 1), 0, 1, 2, 3, "z"], [0, 1, 2, 3], [0, 0, 1, "z"]):
         want = pf_indexed(labels, s)
         got = pf_eliminate(labels, kern)
         assert got == (want if "z" in labels else want.coeff(0)), labels
-        jets = pf_indexed(labels, s, jet_spec=JetSpec(1))
-        got = pf_eliminate(labels, kern, jets=True)
-        assert got == (jets if "z" in labels else jets.coeff(0)), labels
+        labs = [parse_label(lab) for lab in labels]
+        powers = range(max(x for x in labs if isinstance(x, int)) + 1) if Z in labs else [0]
+        jets = PolyInZ([pfaffian(jet_rows(labs, p)) for p in powers])
+        want = pf_indexed(labels, s, jet_spec=JetSpec(1))
+        assert jets == (want if "z" in labels else PolyInZ([want.coeff(0)])), labels
     assert pf_eliminate([0, 1, 2, "z"], kern) == PolyInZ([s.mu_entry(1, 2)])
     assert pf_eliminate([5, 6], kern) == s.mu_entry(5, 6)
-    for labels, jets in (([5, 7], False), ([5, 6], True), ([6, "z", 5, 4], True)):
+    with pytest.raises(OutOfRangeError):
+        pf_eliminate([5, 7], kern)
+    with pytest.raises(IndexError):
+        jet_rows([5, 6], None)
+    for read in (lambda: t.sop(6, 0, J1), lambda: t.tau_jet(6, 0, JetSpec(2))):
         with pytest.raises(OutOfRangeError):
-            pf_eliminate(labels, kern, jets=jets)
+            read()
 
 
 KINDS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi", "rank1skew-complex")
@@ -344,15 +356,16 @@ KINDS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi", "rank1skew-
 def _squared_against_det(s, size: int, shifts=(0, 1), z0: int = 2) -> list:
     """Pf^2 = det at scale, the determinant read through ``entry_scalar``
     (the oracle's path, not the kernel) by ``det_bareiss``, for one even and
-    one odd chain of ``size`` labels per shift: every link of ``pf_chain``
-    (past a stall, the ``pf_eliminate`` value the tau table serves); at
-    shift 0 also every spectral member row at the integer z0 (Pf(leading 2s
+    one odd chain of ``size`` labels per shift: every link of ``pf_chain``,
+    past a stall too; at shift 0 also every spectral member row at the
+    integer z0 (Pf(leading 2s
     labels, row label, z) is z0^m times link s times the row's polynomial at
     z0), and the ``miwa_chain`` links and raised Pfaffians at the nodes 0,
     top/2 and top (loop values carrying scale^(s+1); the links at node 0,
     the unshifted chain, equal the links checked, signs included).  Pf^2 =
-    det leaves the sign open.  Returns the stalls, as (shift, parity, link):
-    the member rows past one are skipped."""
+    det leaves the sign open.  Returns the stalls, as (shift, parity, link),
+    a vanishing link that a later stage would divide by: the member rows
+    over a vanishing link have no value and are skipped."""
     kern, e = taus(s).kernel(), s.entry_scalar
 
     def minors(labels, entry=e):
@@ -380,18 +393,19 @@ def _squared_against_det(s, size: int, shifts=(0, 1), z0: int = 2) -> list:
             labels = [*TauTable.tau_labels(odd, m, 1, False)[:odd],
                       *range(m, m + size - odd)]
             leading, _, rows = pf_chain(labels, kern)
-            stalls += [(m, odd, len(leading) - 1)] if len(leading) <= size // 2 else []
+            checked = [leading(s_) for s_ in range(size // 2 + 1)]
+            stalls += [(m, odd, s_) for s_ in range(1, size // 2) if not checked[s_]][:1]
             det = minors([*labels, "z"], spectral)
-            checked = [leading[s_] if s_ < len(leading) else
-                       pf_eliminate(labels[:2 * s_], kern) for s_ in range(size // 2 + 1)]
             for s_, link in enumerate(checked):
                 assert link * link == det(range(2 * s_)), (m, odd, s_)
             if m:
                 continue
-            for r, (num, den) in enumerate(rows):
+            for r, (num, den) in enumerate(map(rows, range(size))):
                 s_ = r // 2
+                if not den:
+                    continue
                 at = exact_div(sum(c * z0 ** i for i, c in enumerate(num)), den)
-                val = Fraction(z0) ** m * leading[s_] * at
+                val = Fraction(z0) ** m * checked[s_] * at
                 assert val * val == det([*range(2 * s_), r, size]), (odd, r)
             top = size - odd  # the catalog's Miwa chain of this parity: one label more
             labels.append(m + top)
@@ -414,7 +428,8 @@ def test_pf_squared_is_det_at_the_scale_wall(kind):
     the members and the Miwa nodes at --n-max 12 (26-label chains), where
     expansion cannot reach.  Two of these draws stall: tau_4^(1) = 0 for
     none, tau_2^(0) = mu_01 = 0 for rank1skew-multi (its even Miwa chain
-    stalls at node 0 too); their links past the stall are eliminated."""
+    stalls at node 0 too); their links past the stall come off blocks of the
+    rows the stall left."""
     s = gen(kind, ReadPlan.of(12, 1).max_index, components=2 if "-" in kind else 1,
             seed=3)
     stalls = {"none": [(1, 0, 2)], "rank1skew-multi": [(0, 0, 1)]}
