@@ -358,9 +358,8 @@ def _squared_against_det(s, size: int, shifts=(0, 1), z0: int = 2) -> list:
     (the oracle's path, not the kernel) by ``det_bareiss``, for one even and
     one odd chain of ``size`` labels per shift: every link of ``pf_chain``,
     past a stall too; at shift 0 also every spectral member row at the
-    integer z0 (Pf(leading 2s
-    labels, row label, z) is z0^m times link s times the row's polynomial at
-    z0), and the ``miwa_chain`` links and raised Pfaffians at the nodes 0,
+    integer z0 (Pf(leading 2s labels, row label, z) is z0^m times link s
+    times the row's polynomial at z0), and the ``miwa_chain`` links and raised Pfaffians at the nodes 0,
     top/2 and top (loop values carrying scale^(s+1); the links at node 0,
     the unshifted chain, equal the links checked, signs included).  Pf^2 =
     det leaves the sign open.  Returns the stalls, as (shift, parity, link),
