@@ -24,8 +24,7 @@ from . import christoffel, lax
 from .families import (ReadPlan, TauTable, orthogonality_defects,
                        orthogonality_determinant, psop_inner_defects, taus, z_plus_dt1)
 from .jets import Jet, JetSpec, weight
-from .moments import MomentSystem, OutOfRangeError, stembridge_residual
-from .pfaffian import _interpolate, miwa_chain
+from .moments import MomentSystem, stembridge_residual
 from .poly import PolyInZ
 from .record import Record
 from .scalars import exact_div
@@ -58,17 +57,10 @@ class SchurTau:
     They are the z^j coefficients of tau(t - [z]) (the Miwa identity), and
     tau_idx(t - [z]) is the Pfaffian of the shifted entries
     (:meth:`skewpoly.pfaffian.MomentKernel.shifted`), of degree <= idx in
-    z, so it is evaluated with its t_1 derivative at z = 0..idx and
-    interpolated exactly.
-    One Miwa chain per (m, k, conj, parity) and node z serves every idx of
-    that parity (:func:`skewpoly.pfaffian.miwa_chain`): tau_idx(t - [z]) is
-    its pivot, and the t_1 derivative, the Pfaffian with its top label
-    raised by one, the pivot-row entry next to it; a node that stalls at a
-    vanishing pivot evaluates the idx past it with swaps.  The chain reaches
-    the table's ``miwa_top`` (the largest idx a catalog run reads,
-    :attr:`skewpoly.families.ReadPlan.miwa_top`), so each node is eliminated
-    once per run.  The table's ``schur_layers`` keeps both
-    polynomials per (idx, m, k, conj).
+    z; the table builds and keeps both polynomials, evaluated with the t_1
+    derivative at the nodes z = 0..idx (or further) of one Miwa chain per
+    (m, k, conj, parity) and interpolated exactly
+    (:meth:`skewpoly.families.TauTable.schur_layers`).
 
     These values and the coefficients of the family member, read off its
     spectral ``z`` column, are two independent constructions of P_n(z) =
@@ -81,18 +73,7 @@ class SchurTau:
 
     def __init__(self, table: TauTable, idx: int, m: int, k: int = 1,
                  conj: bool = False):
-        if idx % 2 == 0:
-            k, conj = 1, False  # an even tau holds no single-moment row
-        key = (idx, m, k, conj)
-        if key not in table.schur_layers:
-            if idx > 0:  # the run's largest idx of this parity that fits
-                top = min(table.miwa_top, table.sys.max_index - m - 1)
-                _miwa_layers(table, m, k, conj, idx % 2,
-                             max(idx, top - (top - idx) % 2))
-            else:  # the constants tau_0 = 1 and tau_{-1} = 0
-                table.schur_layers[key] = (PolyInZ([Fraction(1)] * (idx + 1)),
-                                           PolyInZ.zero())
-        self.values, self.d1s = table.schur_layers[key]
+        self.values, self.d1s = table.schur_layers(idx, m, k, conj)
 
     def value(self, j: int):
         """s_j(-dtilde) tau; zero for negative j and for j above idx."""
@@ -101,24 +82,6 @@ class SchurTau:
     def d1(self, j: int):
         """d/dt_1 of s_j(-dtilde) tau."""
         return self.d1s.coeff(j)
-
-
-def _miwa_layers(table: TauTable, m: int, k: int, conj: bool, odd: int, top: int):
-    """Store tau_idx^{(m)}(t - [z]) and its t_1 derivative, polynomials in
-    z, for every idx <= top of parity ``odd``: one :func:`miwa_chain` on
-    the tau labels of ``top`` and its raised top label, at the nodes
-    z = 0..top."""
-    sys = table.sys
-    if m + top + 1 > sys.max_index:  # the shift reads one index past the top label
-        raise OutOfRangeError(f"Schur layers of tau_{top}^({m}) read moment index "
-                              f"{m + top + 1} > max_index {sys.max_index}")
-    kern = table.kernel()
-    labels = [*TauTable.tau_labels(odd, m, k, conj)[:odd], *range(m, m + top + 1)]
-    links, raised = miwa_chain(labels, kern, top)
-    for s in range(len(links)):
-        idx, den = 2 * s + 2 - odd, kern.scale ** (s + 1)
-        table.schur_layers[idx, m, k, conj] = (_interpolate(links[s][:idx + 1], den),
-                                               _interpolate(raised[s][:idx + 1], den))
 
 
 def schur_d_tau(sys: MomentSystem, k: int, idx: int, m: int, comp: int = 1,
@@ -624,7 +587,7 @@ def _lax_grid(sys, n_max, m_max):
 
 
 def _lax_mixed_grid(sys, n_max, m_max):
-    if sys.ell == 1 and sys.beta_bar is None:
+    if ReadPlan.block_shifts(sys):
         yield from _lax_grid(sys, n_max, m_max)
 
 

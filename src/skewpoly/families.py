@@ -92,8 +92,8 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .jets import J1, NOT_A_UNIT, Jet, JetSpec, TruncationError
-from .pfaffian import (MomentKernel, OutOfRangeError, _den_lcm, _q, _z, det_bareiss, jet_chain,
-                       pf_chain)
+from .pfaffian import (MomentKernel, OutOfRangeError, _den_lcm, _interpolate, _q, _z,
+                       det_bareiss, jet_chain, miwa_chain, pf_chain)
 from .poly import PolyInZ
 from .record import Record
 from .scalars import GaussianRational, exact_div
@@ -111,8 +111,8 @@ class ReadPlan(Record):
     than the grid identities read (Schur layers come from Miwa shifts, jets
     have weight <= 2); it stays because it fixes the size, hence the random
     draws, of every generated system.  The operator blocks have the fixed
-    size ``LAX_SIZE`` at shifts 0 and 1; their taus reach index LAX_SIZE + 2,
-    and their jets of weight 2 two more."""
+    size ``LAX_SIZE`` at the shifts :meth:`block_shifts` names; their taus
+    reach index LAX_SIZE + 2, and their jets of weight 2 two more."""
 
     __slots__ = _fields = ("max_index", "tau_grid", "miwa_top")
     LAX_SIZE = 6
@@ -122,11 +122,17 @@ class ReadPlan(Record):
         return cls(max(m_max + 4 * n_max + 6, cls.LAX_SIZE + 4), (n_max + 2, m_max + 1),
                    2 * n_max + 2)
 
+    @staticmethod
+    def block_shifts(sys: MomentSystem) -> range:
+        """The shifts an operator block reads on ``sys`` at any n_max: 0 and 1
+        on one component without conjugate rows, none on any other system."""
+        return range(2) if sys.ell == 1 and sys.beta_bar is None else range(0)
+
 
 class TauTable:
-    """Every per-system cache: the moments as loop entries, the moment entry
-    jets, the tau chains (swept to a :class:`ReadPlan`'s grid), plus the
-    Schur layers and the operator families built from them."""
+    """Every per-system cache: the moments as loop entries, the tau chains
+    and the Schur layers (both sized by a :class:`ReadPlan` through
+    :meth:`sweep`), plus the operator families built from them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
@@ -137,11 +143,10 @@ class TauTable:
         self._logds: dict = {}  # (idx, m, k, conj) -> _logd
         # (idx, m, k, conj, spec) -> public member, converted on first read
         self._polys: dict = {}
-        # (idx, m, k, conj) -> bilinear.SchurTau value and d1 polynomials;
-        # a Miwa chain reaches the idx asked or miwa_top, the largest idx a
-        # catalog run reads (ReadPlan.miwa_top, set by sweep), if larger
-        self.schur_layers: dict = {}
-        self.miwa_top = 0
+        # (idx, m, k, conj) -> schur_layers, off Miwa chains through the idx
+        # asked or, if larger, _miwa_top (ReadPlan.miwa_top, set by sweep)
+        self._layers: dict = {}
+        self._miwa_top = 0
         # (m, n_size) -> lax.build_psop_lax operator dict; (m, n_size, "T") ->
         # the rank2 product (L1 M_evo + L2) N (lax.lax_compat_residual)
         self.operators: dict = {}
@@ -201,10 +206,10 @@ class TauTable:
 
     def build_chains(self, n_max: int, m: int) -> None:
         """Sweep shift m's even and row chains through the n_max grid's last
-        link and, where an operator block (``ReadPlan.LAX_SIZE``) runs at any
-        n_max (shifts 0 and 1 of one component without conjugate rows), within
-        ``max_index`` through the tau jets (idx <= LAX_SIZE + 1) it reads."""
-        blocks = m <= 1 and self.sys.ell == 1 and self.sys.beta_bar is None
+        link and, at a shift an operator block reads
+        (:meth:`ReadPlan.block_shifts`), within ``max_index`` through the
+        tau jets (idx <= ``ReadPlan.LAX_SIZE`` + 1) it reads."""
+        blocks = m in ReadPlan.block_shifts(self.sys)
         for k, conj, odd in [(1, False, 0), *((k, c, 1) for k, c in self.moment_rows())]:
             floor = min(m + ReadPlan.LAX_SIZE + 1 + odd, self.sys.max_index) if blocks else 0
             self._chain(m, k, conj, odd, max(m + 2 * n_max - 1 + odd, floor))
@@ -213,14 +218,14 @@ class TauTable:
         """Ready the table for a catalog run on ``plan``'s grid: the Miwa
         chains reach ``plan.miwa_top``, and each shift's chains are swept
         through ``plan.tau_grid`` (:meth:`build_chains`), the grid gen scans."""
-        self.miwa_top = plan.miwa_top
+        self._miwa_top = plan.miwa_top
         n_max, m_max = plan.tau_grid
         for m in range(m_max + 1):
             self.build_chains(n_max, m)
 
     def _chain(self, m, k, conj, odd, last, jets=False):
         """``pf_chain`` (``jet_chain`` if ``jets``: it reads one label more and
-        is first built through the members a catalog run reads, ``miwa_top`` -
+        is first built through the members a catalog run reads, ``_miwa_top`` -
         1) of the tau labels of (m, k, conj, parity) through moment label
         ``last`` at least; past ``max_index`` ``OutOfRangeError``.  Past what
         a sweep (:meth:`build_chains`) built, growth at least doubles."""
@@ -236,12 +241,42 @@ class TauTable:
                 return out
             last = max(last, 2 * have - m + 1)
         elif jets:
-            last = max(last, m + self.miwa_top - 1)
+            last = max(last, m + self._miwa_top - 1)
         last = min(last, top)
         head = self.tau_labels(odd, m, k, conj)[:odd]
         out = (jet_chain if jets else pf_chain)([*head, *range(m, last + 1)], self.kernel())
         chains[key] = (last, out)
         return out
+
+    def schur_layers(self, idx: int, m: int, k: int = 1, conj: bool = False):
+        """tau_idx^{(m)}(t - [z]) and its t_1 derivative, polynomials in z
+        whose z^j coefficients are s_j(-dtilde) tau and its d/dt_1
+        (:class:`skewpoly.bilinear.SchurTau`), kept.  One :func:`miwa_chain`
+        per (m, k, conj, parity), on the tau labels of its top idx and the
+        top label raised, gives every idx of that parity at the nodes z =
+        0..top, each interpolated: the top is the run's largest idx of the
+        parity within ``max_index`` (``ReadPlan.miwa_top``, set by
+        :meth:`sweep`), or idx if larger, so each node is eliminated once."""
+        if idx % 2 == 0:
+            k, conj = 1, False  # an even tau holds no single-moment row
+        if idx <= 0:  # the constants tau_0 = 1 and tau_{-1} = 0
+            return PolyInZ([Fraction(1)] * (idx + 1)), PolyInZ.zero()
+        key = (idx, m, k, conj)
+        if key not in self._layers:
+            cap, odd = self.sys.max_index - m - 1, idx % 2  # the shift reads the top + 1
+            if idx > cap:
+                raise OutOfRangeError(f"Schur layers of tau_{idx}^({m}) read moment index "
+                                      f"{m + idx + 1} > max_index {self.sys.max_index}")
+            top = min(self._miwa_top, cap)
+            top = max(idx, top - (top - idx) % 2)
+            kern = self.kernel()
+            links, raised = miwa_chain([*self.tau_labels(odd, m, k, conj)[:odd],
+                                        *range(m, m + top + 1)], kern, top)
+            for s in range(len(links)):
+                i, den = 2 * s + 2 - odd, kern.scale ** (s + 1)
+                self._layers[i, m, k, conj] = (_interpolate(links[s][:i + 1], den),
+                                               _interpolate(raised[s][:i + 1], den))
+        return self._layers[key]
 
     def _logd(self, idx, m, k=1, conj=False):
         """(tau, tau', logd, tau'') of tau_idx^{(m)}, ' = d/dt_1, logd = tau'/tau

@@ -27,7 +27,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 from operator import mul
 from typing import Optional
 
@@ -510,11 +510,13 @@ def soliton_system(spec: SolitonSpec, t, max_index: int, mode: str = "exact",
 
 
 def to_json_dict(sys: MomentSystem) -> dict:
+    """The form :func:`from_json_dict` reads: every mu pair, zeros included."""
     out = {
         "max_index": sys.max_index,
         "constraint": sys.constraint,
         "mode": sys.mode,
-        "mu": [[i, j, format_scalar(v)] for (i, j), v in sorted(sys.mu.items())],
+        "mu": [[i, j, format_scalar(sys.mu_entry(i, j))]
+               for i, j in combinations(range(sys.max_index + 1), 2)],
     }
     for name, rows in (("beta", sys.beta), ("beta_bar", sys.beta_bar)):
         if rows is not None:
@@ -525,7 +527,12 @@ def to_json_dict(sys: MomentSystem) -> dict:
 
 def from_json_dict(data: dict) -> MomentSystem:
     """A system from its JSON form: indices, components and ``max_index``
-    are JSON integers (not booleans), scalars are strings."""
+    are JSON integers (not booleans), scalars are strings, each mu pair 0 <=
+    i < j <= max_index is given once, and no other key is present."""
+    unknown = sorted(set(data) - {"max_index", "constraint", "mode", "mu", "beta",
+                                  "beta_bar"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     max_index = _json_int(data["max_index"], "max_index")
     mu = {(_json_int(i, "mu index"), _json_int(j, "mu index")): _json_scalar(s)
           for i, j, s in data["mu"]}
@@ -535,6 +542,9 @@ def from_json_dict(data: dict) -> MomentSystem:
     bbar = None
     if "beta_bar" in data:
         bbar = _seqs_from_triples("beta_bar", data["beta_bar"], max_index)
+    missing = sorted({*combinations(range(max_index + 1), 2)} - set(mu))
+    if missing:
+        raise ValueError(f"missing mu triples, first {missing[0]}")
     return MomentSystem(max_index, mu, beta, beta_bar=bbar,
                         constraint=data.get("constraint", "none"),
                         mode=data.get("mode", "exact"))
@@ -583,5 +593,13 @@ def save(sys: MomentSystem, path) -> None:
 
 
 def load(path) -> MomentSystem:
+    """:func:`from_json_dict` of a JSON file in which no object repeats a key."""
     with open(path) as fh:
-        return from_json_dict(json.load(fh))
+        return from_json_dict(json.load(fh, object_pairs_hook=_unique_keys))
+
+
+def _unique_keys(pairs) -> dict:
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)

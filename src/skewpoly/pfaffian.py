@@ -6,7 +6,7 @@ One skew elimination loop and one expansion, each the other's test reference:
   from one scalar elimination without swaps, which always carries the
   spectral column along as a border and keeps the next entries of each
   pivot row; past a pivot that is no unit, a block of the rows it left
-  (:func:`_pf_left`).  :func:`jet_chain` runs it on first-order jets.
+  (:func:`_eliminated`).  :func:`jet_chain` runs it on first-order jets.
 * :func:`miwa_chain` -- the same at the Miwa-shifted time t - [z], one
   elimination per node z, with each link's top label raised beside it.
 * :func:`pfaffian` -- a plain square row list by each ring's one policy
@@ -150,6 +150,25 @@ def _pf_left(a, pos, prev):
                     + (a[i][n:] if odd else []) for i in pos])
     den = prod([prev] * ((len(pos) - 1) // 2))
     return [_exact_div(v, den) for v in val] if odd else _exact_div(val, den)
+
+
+def _eliminated(a):
+    """The stages without swaps (:func:`_stages`) run on the row list ``a``,
+    then its two readers of the rows left: ``value(t, pos)`` = Pf(leading 2t
+    rows, the rows at ``pos``), ``pos`` past row 2t (one row: its border),
+    and ``link(s)`` = Pf(leading 2s rows); past the stage that stalled, each
+    a block of the rows it left (:func:`_pf_left`).  No reader refers to
+    itself, so the rows go with the readers."""
+    n = len(a)
+    done = sum(1 for _ in _stages(a, swaps=False))
+    stall = done - (done < n // 2)  # the stage that stopped, if one did
+    prev = a[2 * stall - 2][2 * stall - 1] if stall else 1  # its link
+
+    def value(t, pos):
+        if t <= stall:
+            return a[pos[0]][pos[1]] if len(pos) > 1 else a[pos[0]][n:]
+        return _pf_left(a, [*range(2 * stall, 2 * t), *pos], prev)
+    return value, lambda s: value(s - 1, (2 * s - 2, 2 * s - 1)) if s else 1
 
 
 def _stages(a, swaps: bool):
@@ -363,29 +382,25 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
     return PolyInZ(coeffs)
 
 
-def pf_eliminate(labels, kernel: MomentKernel):
-    """A labelled Pfaffian by one elimination with swaps (:func:`_pf_kernel`)
-    of kernel entries, 0 for two row labels; a read past the kernel's
-    moments raises ``OutOfRangeError``.  A z label (Pf(i, z) = z^i, 0 for a
-    row) is a border column per moment label, so Pf(L, z), a polynomial in
-    z, is the last row's border: the rank2 C2 borders."""
-    labs = [parse_label(l) for l in labels]
-    if len(labs) % 2:
-        raise ValueError("Pfaffian requires even dimension")
-    sign = (-1) ** (len(labs) - 1 - labs.index(Z)) if Z in labs else 1  # z moved last
-    labs = [lab for lab in labs if lab != Z]
+def pf_eliminate(labels, kernel: MomentKernel) -> PolyInZ:
+    """Pf(L, z), a polynomial in z, for labels L then a last z, by one
+    elimination with swaps (:func:`_pf_kernel`) of kernel entries, 0 for two
+    row labels, z a border column per moment label (Pf(i, z) = z^i, 0 for a
+    row), so the value is the last row's border: the rank2 C2 borders.  A
+    read past the kernel's moments raises ``OutOfRangeError``."""
+    *labs, z = [parse_label(l) for l in labels]
+    if z != Z or Z in labs or len(labs) % 2 == 0:
+        raise ValueError("pf_eliminate takes an odd label list, then z")
     moment = [x for x in labs if isinstance(x, int)]
-    low, s, bordered = min(moment, default=0), len(labs) // 2, len(labs) % 2
-    border = range(low, max(moment, default=-1) + 1) if bordered else ()
+    border = range(min(moment, default=0), max(moment, default=-1) + 1)
     try:
         a = [[kernel.row(x)[y] if isinstance(y, int) else
               -kernel.row(y)[x] if isinstance(x, int) else 0 for y in labs]
              + [int(x == p) for p in border] for x in labs]
     except IndexError:
         raise OutOfRangeError(f"labels {labs} read past the stored moments") from None
-    val = _pf_kernel(a)
-    vals = [_q(sign * y, kernel.scale ** s) for y in (val if bordered else [val])]
-    return PolyInZ([0] * low + vals) if bordered else vals[0]
+    den = kernel.scale ** (len(labs) // 2)
+    return PolyInZ([0] * border.start + [_q(y, den) for y in _pf_kernel(a)])
 
 
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
@@ -469,9 +484,8 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
     single-moment row, then moment labels), by one scalar elimination of the
     kernel's entries without swaps that borders the labels with the spectral
     column: three readers, each value read off the rows it left on first
-    read and kept, past a stall (:func:`_stages`) off a block of them
-    (:func:`_pf_left`).  ``leading(s)`` = Pf(labels[:2s]) is the pivot of
-    stage s - 1.
+    read and kept (:func:`_eliminated`).  ``leading(s)`` = Pf(labels[:2s])
+    is the pivot of stage s - 1.
     ``tops(s)`` are the entries (k, k+2), (k+1, k+2) and, if label k+3 is
     in the list, (k, k+3), k = 2s, of the pivot rows of stage s:
     Pf(labels[:k], l_k, l_k+2), Pf(labels[:k], l_k+1, l_k+2) and
@@ -486,26 +500,18 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
     0..r: the columns outside are 0.  ``jets`` runs it on first-order jets
     (:func:`jet_chain`)."""
     labs = list(labels)
-    n = len(labs)
     moment = [x for x in labs if isinstance(x, int)]
     border = range(min(moment, default=0), max(moment, default=-1) + 1)
     entry = ((lambda x, y: Jet.first_order(*kernel.shifted(x, y)[:2]))
              if jets else (lambda x, y: kernel.row(x)[y]))
-    a = [[0] * (i + 1) + [entry(x, y) for y in labs[i + 1:]]
-         + [int(x == p) for p in border] for i, x in enumerate(labs)]
-    done = sum(1 for _ in _stages(a, swaps=False))
-    stall = done - (done < n // 2)  # the stage that stopped, if one did
-
-    def value(t, pos):  # Pf(labels[:2t], the labels at pos), pos past row 2t
-        if t <= stall:
-            return a[pos[0]][pos[1]] if len(pos) > 1 else a[pos[0]][n:]
-        return _pf_left(a, [*range(2 * stall, 2 * t), *pos], links(stall))
-    links = cache(lambda s: value(s - 1, [2 * s - 2, 2 * s - 1]) if s else 1)
+    value, link = _eliminated([[0] * (i + 1) + [entry(x, y) for y in labs[i + 1:]]
+                               + [int(x == p) for p in border] for i, x in enumerate(labs)])
+    links = cache(link)
     ends = list(accumulate([x - border.start + 1 if x in border else 0 for x in labs], max))
 
     def top(s):
         return tuple(_q(value(s, [2 * s + i, 2 * s + j]), kernel.scale ** (s + 1))
-                     for i, j in ((0, 2), (1, 2), (0, 3)) if 2 * s + j < n)
+                     for i, j in ((0, 2), (1, 2), (0, 3)) if 2 * s + j < len(labs))
 
     def row(r):
         p = links(r // 2)
@@ -533,24 +539,17 @@ def miwa_chain(labels, kernel: MomentKernel, top: int):
     shifted entries A - z B + z^2 C, whose triples are read once: link s is
     the pivot of stage s and its raised Pfaffian the pivot-row entry (2s,
     2s+2), the top label raised as for the tau jets (M. Adler, P. van
-    Moerbeke, Duke Math. J. 112, 2002).  Past a vanishing pivot, as in
-    :func:`pf_chain`, each is a block of the rows it left (:func:`_pf_left`)."""
+    Moerbeke, Duke Math. J. 112, 2002), both read as :func:`pf_chain` reads
+    its values (:func:`_eliminated`)."""
     n = len(labels) - 1
     trip = [[kernel.shifted(x, y) for y in labels[i + 1:]]
             for i, x in enumerate(labels[:n])]
     links, raised = [[] for _ in range(n // 2)], [[] for _ in range(n // 2)]
     for z in range(top + 1):
         zz = z * z
-        a = [[0] * (i + 1) + [x - z * y + zz * w for x, y, w in row]
-             for i, row in enumerate(trip)]
-        reached = 0
-        for s, (p, _) in enumerate(_stages(a, swaps=False)):
-            links[s].append(p)
-            raised[s].append(a[2 * s][2 * s + 2])
-            reached = s + 1
-        s = reached - 1  # the stage that stalled, if a later one is left
-        for t in range(reached, n // 2):
-            prev = links[s - 1][z] if s else 1
-            links[t].append(_pf_left(a, range(2 * s, 2 * t + 2), prev))
-            raised[t].append(_pf_left(a, [*range(2 * s, 2 * t + 1), 2 * t + 2], prev))
+        value, link = _eliminated([[0] * (i + 1) + [x - z * y + zz * w for x, y, w in row]
+                                   for i, row in enumerate(trip)])
+        for s in range(n // 2):
+            links[s].append(link(s + 1))
+            raised[s].append(value(s, (2 * s, 2 * s + 2)))
     return links, raised

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .scalars import exact_div, format_scalar
+from .scalars import exact_div
 
 
 class PolyInZ:
@@ -107,10 +105,3 @@ class PolyInZ:
         if not self:
             return "PolyInZ(0)"
         return "PolyInZ([" + ", ".join(str(c) for c in self.coeffs) + "])"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "coeffs": [format_scalar(Fraction(c) if isinstance(c, int) else c)
-                       for c in self.coeffs],
-        }

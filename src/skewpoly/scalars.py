@@ -110,14 +110,6 @@ class GaussianRational:
             return NotImplemented
         return o / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = GaussianRational.of(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:

@@ -69,9 +69,10 @@ def _assert_miwa_matches_jet_oracle(s, idx, m, k=1, conj=False, spec=None):
     pytest.param("none", 3, id="none-den3")])
 def test_miwa_schur_layers_match_jet_oracle(kind, den_bound):
     # the chains are sized as a catalog run at n_max = 3 sizes them (even
-    # idx <= 8, odd idx <= 7) and read in the catalog's order, smallest first
+    # idx <= 8, odd idx <= 7: the table's sweep of that plan) and read in the
+    # catalog's order, smallest first
     s = gen(kind, 18, components=2 if "-" in kind else 1, seed=41, den_bound=den_bound)
-    taus(s).miwa_top = ReadPlan.of(3, 0).miwa_top
+    taus(s).sweep(ReadPlan.of(3, 0))
     conjs = (False, True) if s.beta_bar is not None else (False,)
     for idx in range(8):
         for m in (0, 1, 2):

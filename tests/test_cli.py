@@ -169,7 +169,7 @@ def test_identity_selection_single_entry(tmp_path):
     assert {e["identity"] for e in data["entries"]} == {"PFAFF_FIRST"}
 
 
-def test_config_errors_exit_two(tmp_path):
+def test_config_errors_exit_two(tmp_path, capsys):
     assert run(["verify", "--kind", "rank2", "--components", "2"]) == 2
     assert run(["verify", "--kind", "bogus"]) == 2
     assert run(["verify", "--kind", "random"]) == 2  # no undocumented alias of none
@@ -247,6 +247,21 @@ def test_config_errors_exit_two(tmp_path):
         bad = tmp_path / f"bad{t}.json"
         bad.write_text(json.dumps(data))
         assert run(load + [str(bad)]) == 2, t
+    # input that would be dropped, overwritten or read as zero: an unknown
+    # key, a repeated key (the last value would win) and a missing mu pair
+    text = json.dumps(base)
+    assert base["mu"][0][:2] == [0, 1]
+    for t, (bad_text, message) in enumerate([
+            (json.dumps({**base, "bogus": 1}), "unknown key 'bogus'"),
+            (text.replace('"mode": ', '"mode": "exact", "mode": ', 1), "repeated key 'mode'"),
+            (text.replace('"constraint": ', '"constraint": "none", "constraint": ', 1),
+             "repeated key 'constraint'"),
+            (json.dumps({**base, "mu": base["mu"][1:]}), "missing mu triples, first (0, 1)")]):
+        bad = tmp_path / f"dropped{t}.json"
+        bad.write_text(bad_text)
+        capsys.readouterr()
+        assert run(load + [str(bad)]) == 2, t
+        assert message in capsys.readouterr().err, t
     # conjugate rows that do not match the tag: rank1skew-complex takes one
     # per component, every other tag none
     cut = {}
@@ -673,27 +688,40 @@ def test_gen_scans_tau_existence_once(monkeypatch, tmp_path):
 
 def test_verify_eliminates_each_miwa_node_once(monkeypatch, tmp_path):
     """Every Miwa chain, one per (m, k, conj, parity), is eliminated at most
-    once per node z in a verify run (a stalled node's with-swaps fallback
-    is not a chain), and none holds more labels than the largest idx whose
-    Schur layers the run reads, plus 2."""
+    once per node z in a verify run (a stalled node's blocks are not a
+    chain), and none holds more labels than the largest idx whose Schur
+    layers the run reads, plus 2.  A chain's nodes are its eliminations
+    (``pfaffian._eliminated``) in order, one per node z = 0..top."""
     pf = importlib.import_module("skewpoly.pfaffian")
-    stages, schur_init = pf._stages, bilinear.SchurTau.__init__
-    nodes, sizes, read = collections.Counter(), [], []
+    fam = importlib.import_module("skewpoly.families")
+    eliminated, miwa_chain = pf._eliminated, fam.miwa_chain
+    schur_init = bilinear.SchurTau.__init__
+    nodes, sizes, read, building = collections.Counter(), [], [], []
 
-    def counted_stages(a, swaps):
-        caller = sys._getframe(1)
-        if caller.f_code is pf.miwa_chain.__code__:
-            # the head of the labels names the chain's (m, k, conj, parity)
-            labels = caller.f_locals["labels"]
-            nodes[tuple(labels[:2]), caller.f_locals["z"]] += 1
-            sizes.append(len(labels))
-        return stages(a, swaps)
+    def counted_eliminated(a):
+        if building:  # the next node z of the chain being built
+            head, z = building[-1]
+            nodes[head, z] += 1
+            building[-1][1] += 1
+        return eliminated(a)
+
+    def counted_miwa_chain(labels, kernel, top):
+        # the head of the labels names the chain's (m, k, conj, parity)
+        building.append([tuple(labels[:2]), 0])
+        try:
+            out = miwa_chain(labels, kernel, top)
+        finally:
+            _, done = building.pop()
+        assert done == top + 1, (labels[:2], done, top)
+        sizes.append(len(labels))
+        return out
 
     def counted_init(self, table, idx, *args, **kwargs):
         read.append(idx)
         schur_init(self, table, idx, *args, **kwargs)
 
-    monkeypatch.setattr(pf, "_stages", counted_stages)
+    monkeypatch.setattr(pf, "_eliminated", counted_eliminated)
+    monkeypatch.setattr(fam, "miwa_chain", counted_miwa_chain)
     monkeypatch.setattr(bilinear.SchurTau, "__init__", counted_init)
     for kind in KINDS:
         nodes.clear(), sizes.clear(), read.clear()

@@ -251,14 +251,6 @@ def test_rejected_draws_freed_without_the_collector(monkeypatch):
         gc.enable()
 
 
-def test_polynomial_json_export(sys3):
-    p = sop(sys3, 3, 0)
-    d = p.to_json_dict()
-    assert d["degree"] == 3
-    assert len(d["coeffs"]) == 4
-    assert d["coeffs"][-1] == "1"
-
-
 def test_tau_via_module_function(sys3):
     assert tau(sys3, 2, 0) == sys3.mu_entry(0, 1)
     assert tau(sys3, 3, 0, k=2) is not None

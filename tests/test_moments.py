@@ -254,6 +254,20 @@ def test_json_round_trip_bit_exact():
         assert back.beta_bar == s.beta_bar
 
 
+def test_save_load_round_trips_a_sparse_mu_system(tmp_path):
+    """A system that stores only some mu pairs saves every pair, the zeros
+    included, so its file loads back (a file missing a pair is rejected)."""
+    s = gen("none", 6, seed=7)
+    sparse = s.replace(mu={(i, j): v for (i, j), v in s.mu.items() if j - i != 2})
+    path = tmp_path / "sys.json"
+    save(sparse, path)
+    back = load(path)
+    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    assert len(sparse.mu) < len(pairs) == len(back.mu)
+    assert [back.mu_entry(i, j) for i, j in pairs] == [sparse.mu_entry(i, j) for i, j in pairs]
+    assert back.beta == sparse.beta and to_json_dict(back) == to_json_dict(sparse)
+
+
 def test_save_load(tmp_path):
     s = gen("rank2", 8, seed=7)
     path = tmp_path / "sys.json"

@@ -1,5 +1,7 @@
-"""One owner per decision: the jet coefficient format lives in ``jets``, and
-the tau table owns the sweep a catalog run needs."""
+"""One owner per decision: the jet coefficient format lives in ``jets``, the
+tau table owns the sweep a catalog run needs and the Schur layers it sizes,
+the read plan states which shifts an operator block reads, and one reader
+goes past a stalled elimination."""
 
 import ast
 from pathlib import Path
@@ -59,22 +61,30 @@ def test_cli_runs_no_sweep():
     assert "build_chains" not in text and "miwa_top" not in text
 
 
-def _callers(tree, name: str) -> set:
-    """The functions (innermost def, or ``<module>``) that call ``name``,
-    by name or as an attribute."""
+def _owners(tree, match) -> set:
+    """The qualified names of the functions (innermost def, its enclosing
+    classes and defs joined by dots, or ``<module>``) holding a node that
+    ``match`` accepts."""
     found = set()
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
                 continue
-            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-            if getattr(func, "id", getattr(func, "attr", None)) == name:
+            if match(child):
                 found.add(owner)
             visit(child, owner)
     visit(tree, "<module>")
     return found
+
+
+def _callers(tree, name: str) -> set:
+    """The functions that call ``name``, by name or as an attribute."""
+    def call(node):
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        return getattr(func, "id", getattr(func, "attr", None)) == name
+    return _owners(tree, call)
 
 
 def test_families_eliminates_nothing_itself():
@@ -96,3 +106,48 @@ def test_swapped_elimination_sees_scalars_only():
     # the guard sees the calls it forbids
     bad = ast.parse("def f(a):\n    return pf._pf_kernel(a)\nx = _pf_kernel(b)")
     assert _callers(bad, "_pf_kernel") == {"f", "<module>"}
+
+
+def test_bilinear_imports_nothing_from_the_engine():
+    """The Schur layers come from the tau table
+    (``TauTable.schur_layers``), which sizes and keeps them, so ``bilinear``
+    imports nothing from ``pfaffian``."""
+    tree = ast.parse((SRC / "bilinear.py").read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names]
+    assert "families" in imported
+    assert not [m for m in imported if m and m.split(".")[-1] == "pfaffian"], imported
+    text = (SRC / "bilinear.py").read_text()
+    assert "miwa_top" not in text and "schur_layers[" not in text
+
+
+def test_one_reader_goes_past_a_stall():
+    """A stalled chain's later values are blocks of the rows it left
+    (``_pf_left``), read by one reader (``_eliminated``) that ``pf_chain``
+    and ``miwa_chain`` both run."""
+    callers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _callers(ast.parse(path.read_text()), "_pf_left")}
+    assert callers == {("pfaffian.py", "_eliminated.value")}, callers
+    pfaffian = ast.parse((SRC / "pfaffian.py").read_text())
+    assert {"pf_chain", "miwa_chain"} <= _callers(pfaffian, "_eliminated")
+    # the guard names nested and class-held functions in full
+    bad = ast.parse("class A:\n    def f(self):\n        def g():\n            h()\n")
+    assert _callers(bad, "h") == {"A.f.g"}
+
+
+def test_the_operator_block_rule_is_stated_once():
+    """Which systems and shifts run an operator block is written once, in
+    ``ReadPlan.block_shifts``; the tau table's sweep and the LAX_MIXED grid
+    both read it."""
+    def rule(node):  # ell == 1: a single-component system
+        return (isinstance(node, ast.Compare) and getattr(node.left, "attr", None) == "ell"
+                and [type(op) for op in node.ops] == [ast.Eq]
+                and [getattr(c, "value", None) for c in node.comparators] == [1])
+    owners = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+              for owner in _owners(ast.parse(path.read_text()), rule)}
+    assert owners == {("families.py", "ReadPlan.block_shifts")}, owners
+    readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _callers(ast.parse(path.read_text()), "block_shifts")}
+    assert readers == {("families.py", "TauTable.build_chains"),
+                       ("bilinear.py", "_lax_mixed_grid")}, readers

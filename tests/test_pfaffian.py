@@ -274,17 +274,17 @@ def test_det_bareiss_runs_on_kernel_entries(monkeypatch):
         for draw in integral:
             m = random_skew(rng, n, draw)
             seen.clear()
-            det = det_bareiss(m)
+            det, pf = det_bareiss(m), pfaffian_expand(m)
             assert seen and all(type(p) is int for pair in seen for x in pair
                                 for p in parts(x)), (n, seen[:2])
-            assert is_public(det) and det == pfaffian_expand(m) ** 2
+            assert is_public(det) and det == pf * pf
     rational = [None, lambda: GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
                                                Fraction(rng.randint(-5, 5), rng.randint(1, 3)))]
     for n in (2, 4, 6):
         for draw in rational:
             m = random_skew(rng, n, draw)
-            det = det_bareiss(m)
-            assert is_public(det) and det == pfaffian_expand(m) ** 2
+            det, pf = det_bareiss(m), pfaffian_expand(m)
+            assert is_public(det) and det == pf * pf
     assert is_public(det_bareiss([])) and det_bareiss([]) == 1
 
 
@@ -309,11 +309,12 @@ def test_exact_div_refuses_inexact_quotients():
 def test_pf_eliminate_borders_past_a_zero_row():
     """A z border survives a label row that vanishes on the other labels:
     Pf(0, 1, 2, z) = mu_{1,2} with mu_{0,j} = 0 pairs label 0 only with z, so
-    the elimination swaps in a unit of another row.  Scalars match the
-    expansion, rows and rational moments included, and so does ``pfaffian``
-    over the same labels' ``JetSpec(1)`` rows A + B eps
-    (``MomentKernel.shifted``), coefficient by coefficient of z; a read past
-    max_index raises (the jets read one label further)."""
+    the elimination swaps in a unit of another row.  Scalars Pf(L, z), z
+    last, match the expansion, rows and rational moments included; a z
+    elsewhere or none raises.  ``pfaffian`` over the same labels'
+    ``JetSpec(1)`` rows A + B eps (``MomentKernel.shifted``) matches it too,
+    coefficient by coefficient of z, z anywhere; a read past max_index
+    raises (the jets read one label further)."""
     s = gen("none", 6, seed=1, den_bound=3)
     s = s.replace(mu={**s.mu, **{(0, j): Fraction(0) for j in (1, 2, 3)}})
     t = taus(s)
@@ -331,18 +332,20 @@ def test_pf_eliminate_borders_past_a_zero_row():
         return [[entry(x, y) for y in labs] for x in labs]
     for labels in ([0, 1, 2, "z"], [1, "z", 0, 2], [0, 1, 2, 3, 4, "z"],
                    [("comp", 1), 0, 1, 2, 3, "z"], [0, 1, 2, 3], [0, 0, 1, "z"]):
-        want = pf_indexed(labels, s)
-        got = pf_eliminate(labels, kern)
-        assert got == (want if "z" in labels else want.coeff(0)), labels
+        if labels[-1] == "z":
+            assert pf_eliminate(labels, kern) == pf_indexed(labels, s), labels
+        else:
+            with pytest.raises(ValueError):
+                pf_eliminate(labels, kern)
         labs = [parse_label(lab) for lab in labels]
         powers = range(max(x for x in labs if isinstance(x, int)) + 1) if Z in labs else [0]
         jets = PolyInZ([pfaffian(jet_rows(labs, p)) for p in powers])
         want = pf_indexed(labels, s, jet_spec=JetSpec(1))
         assert jets == (want if "z" in labels else PolyInZ([want.coeff(0)])), labels
     assert pf_eliminate([0, 1, 2, "z"], kern) == PolyInZ([s.mu_entry(1, 2)])
-    assert pf_eliminate([5, 6], kern) == s.mu_entry(5, 6)
+    assert pf_eliminate([4, 5, 6, "z"], kern) == pf_indexed([4, 5, 6, "z"], s)
     with pytest.raises(OutOfRangeError):
-        pf_eliminate([5, 7], kern)
+        pf_eliminate([4, 5, 7, "z"], kern)
     with pytest.raises(IndexError):
         jet_rows([5, 6], None)
     for read in (lambda: t.sop(6, 0, J1), lambda: t.tau_jet(6, 0, JetSpec(2))):
@@ -357,14 +360,17 @@ def _squared_against_det(s, size: int, shifts=(0, 1), z0: int = 2) -> list:
     """Pf^2 = det at scale, the determinant read through ``entry_scalar``
     (the oracle's path, not the kernel) by ``det_bareiss``, for one even and
     one odd chain of ``size`` labels per shift: every link of ``pf_chain``,
-    past a stall too; at shift 0 also every spectral member row at the
-    integer z0 (Pf(leading 2s labels, row label, z) is z0^m times link s
-    times the row's polynomial at z0), and the ``miwa_chain`` links and raised Pfaffians at the nodes 0,
-    top/2 and top (loop values carrying scale^(s+1); the links at node 0,
-    the unshifted chain, equal the links checked, signs included).  Pf^2 =
-    det leaves the sign open.  Returns the stalls, as (shift, parity, link),
-    a vanishing link that a later stage would divide by: the member rows
-    over a vanishing link have no value and are skipped."""
+    past a stall too, and every entry of its ``tops`` at the stages 0, the
+    middle one and the last (the raised Pfaffians the tau jets read, past a
+    stall where one comes before); at shift 0 also every spectral member row
+    at the integer z0 (Pf(leading 2s labels, row label, z) is z0^m times link
+    s times the row's polynomial at z0), and the ``miwa_chain`` links and
+    raised Pfaffians at the nodes 0, top/2 and top (loop values carrying
+    scale^(s+1); the links at node 0, the unshifted chain, equal the links
+    checked, signs included).  Pf^2 = det leaves the sign open.  Returns the
+    stalls, as (shift, parity, link), a vanishing link that a later stage
+    would divide by: the member rows over a vanishing link have no value and
+    are skipped."""
     kern, e = taus(s).kernel(), s.entry_scalar
 
     def minors(labels, entry=e):
@@ -391,12 +397,19 @@ def _squared_against_det(s, size: int, shifts=(0, 1), z0: int = 2) -> list:
         for odd in (0, 1):
             labels = [*TauTable.tau_labels(odd, m, 1, False)[:odd],
                       *range(m, m + size - odd)]
-            leading, _, rows = pf_chain(labels, kern)
+            leading, tops, rows = pf_chain(labels, kern)
             checked = [leading(s_) for s_ in range(size // 2 + 1)]
             stalls += [(m, odd, s_) for s_ in range(1, size // 2) if not checked[s_]][:1]
             det = minors([*labels, "z"], spectral)
             for s_, link in enumerate(checked):
                 assert link * link == det(range(2 * s_)), (m, odd, s_)
+            last = (size - 3) // 2  # the last stage with a top
+            for s_ in (0, last // 2, last):
+                pairs = [(i, j) for i, j in ((0, 2), (1, 2), (0, 3)) if 2 * s_ + j < size]
+                assert len(tops(s_)) == len(pairs) >= 2, (m, odd, s_)
+                for top, (i, j) in zip(tops(s_), pairs):
+                    assert top * top == det([*range(2 * s_), 2 * s_ + i, 2 * s_ + j]), \
+                        (m, odd, s_, i, j)
             if m:
                 continue
             for r, (num, den) in enumerate(map(rows, range(size))):
@@ -413,11 +426,12 @@ def _squared_against_det(s, size: int, shifts=(0, 1), z0: int = 2) -> list:
                 det = minors(labels, shifted(z))
                 for s_ in range(len(links)):
                     sq = kern.scale ** (2 * s_ + 2)
+                    link, up = links[s_][z], raised[s_][z]
                     if z:  # node 0 is the unshifted chain: its links are checked above
-                        assert links[s_][z] ** 2 == det(range(2 * s_ + 2)) * sq, (odd, z, s_)
+                        assert link * link == det(range(2 * s_ + 2)) * sq, (odd, z, s_)
                     else:
-                        assert links[s_][z] == checked[s_ + 1] * kern.scale ** (s_ + 1)
-                    assert raised[s_][z] ** 2 == det([*range(2 * s_ + 1), 2 * s_ + 2]) * sq
+                        assert link == checked[s_ + 1] * kern.scale ** (s_ + 1)
+                    assert up * up == det([*range(2 * s_ + 1), 2 * s_ + 2]) * sq
     return stalls
 
 
@@ -437,12 +451,22 @@ def test_pf_squared_is_det_at_the_scale_wall(kind):
 
 def test_pf_squared_check_catches_a_wrong_scale_power(monkeypatch):
     """A wrong power of the kernel's scale in the links leaving the loop
-    (``_q(p, scale ** s)``) fails the check on rational moments."""
+    (``_q(p, scale ** s)``), or in the tops alone (scale^s where they carry
+    scale^(s+1)), fails the check on rational moments."""
     pf = importlib.import_module("skewpoly.pfaffian")
     s = gen("none", 14, seed=3, den_bound=3)
-    assert taus(s).kernel().scale != 1
+    scale = taus(s).kernel().scale
+    assert scale != 1
     assert _squared_against_det(s, 8, shifts=(0,)) == []
-    q, scale = pf._q, taus(s).kernel().scale
+
+    def wrong_tops(labels, kernel, chain=pf_chain):
+        leading, tops, rows = chain(labels, kernel)
+        return leading, lambda s_: tuple(x * scale for x in tops(s_)), rows
+    with monkeypatch.context() as patch:
+        patch.setitem(globals(), "pf_chain", wrong_tops)
+        with pytest.raises(AssertionError, match=r"\(0, 0, 0, 0, 2\)"):
+            _squared_against_det(s, 8, shifts=(0,))
+    q = pf._q
     monkeypatch.setattr(pf, "_q", lambda x, den=1: q(x, den * scale if den != 1 else den))
     with pytest.raises(AssertionError):
         _squared_against_det(s, 8, shifts=(0,))
