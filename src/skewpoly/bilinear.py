@@ -582,13 +582,13 @@ def _c3_suite(sys, n, m):
     return lax.c3_recurrence_residuals(sys, m, n)
 
 
-def _lax_grid(sys, n_max, m_max):
-    yield {"N": ReadPlan.LAX_SIZE, "m": 0}
-
-
-def _lax_mixed_grid(sys, n_max, m_max):
-    if ReadPlan.block_shifts(sys):
-        yield from _lax_grid(sys, n_max, m_max)
+def _block_grid(kind):
+    """The grid of the operator block ``kind``: one point at shift 0 on the
+    systems :meth:`ReadPlan.blocks` names it for, none on any other."""
+    def grid(sys, n_max, m_max):
+        if kind in ReadPlan.blocks(sys):
+            yield {"N": ReadPlan.LAX_SIZE, "m": 0}
+    return grid
 
 
 def _lax_interior(sys, kind, N, m):
@@ -597,12 +597,12 @@ def _lax_interior(sys, kind, N, m):
 
 
 _COMPAT = "operator compatibility on the interior block"
-_identity("LAX_RANK2_M", _COMPAT, _lax_grid, ("rank2",), group="CONSTRAINT")(
+_identity("LAX_RANK2_M", _COMPAT, _block_grid("rank2-m"), ("rank2",), group="CONSTRAINT")(
     partial(_lax_interior, kind="rank2-m"))
-_identity("LAX_RANK2_N", _COMPAT, _lax_grid, ("rank2",), group="CONSTRAINT")(
+_identity("LAX_RANK2_N", _COMPAT, _block_grid("rank2-n"), ("rank2",), group="CONSTRAINT")(
     partial(_lax_interior, kind="rank2-n"))
 _identity("LAX_MIXED", "dL/dt1 = M[m+1] L - L M[m] on the interior block",
-          _lax_mixed_grid, group="CONSTRAINT")(partial(_lax_interior, kind="mixed"))
+          _block_grid("mixed"), group="CONSTRAINT")(partial(_lax_interior, kind="mixed"))
 
 
 @_identity("TODA_VARS", "lattice variables and flow", _grid_n, ("laurent",),

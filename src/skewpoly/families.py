@@ -110,9 +110,9 @@ class ReadPlan(Record):
     tau_{2 n_max + 3} at shift m_max + 1 with jets of weight 2 n_max + 2, more
     than the grid identities read (Schur layers come from Miwa shifts, jets
     have weight <= 2); it stays because it fixes the size, hence the random
-    draws, of every generated system.  The operator blocks have the fixed
-    size ``LAX_SIZE`` at the shifts :meth:`block_shifts` names; their taus
-    reach index LAX_SIZE + 2, and their jets of weight 2 two more."""
+    draws, of every generated system.  The operator blocks (:meth:`blocks`)
+    have the fixed size ``LAX_SIZE``; their taus reach index LAX_SIZE + 2,
+    and their jets of weight 2 two more."""
 
     __slots__ = _fields = ("max_index", "tau_grid", "miwa_top")
     LAX_SIZE = 6
@@ -123,22 +123,24 @@ class ReadPlan(Record):
                    2 * n_max + 2)
 
     @staticmethod
-    def block_shifts(sys: MomentSystem) -> range:
-        """The shifts an operator block reads on ``sys`` at any n_max: 0 and 1
-        on one component without conjugate rows, none on any other system."""
-        return range(2) if sys.ell == 1 and sys.beta_bar is None else range(0)
+    def blocks(sys: MomentSystem) -> tuple:
+        """The operator blocks (``lax.lax_compat_residual`` kinds, each at
+        shift 0, reading shifts 0 and 1) a catalog run checks on ``sys``:
+        ``mixed`` on one component without conjugate rows, the rank2 ones on rank2."""
+        mixed = ("mixed",) if sys.ell == 1 and sys.beta_bar is None else ()
+        return mixed + (("rank2-m", "rank2-n") if sys.constraint == "rank2" else ())
 
 
 class TauTable:
-    """Every per-system cache: the moments as loop entries, the tau chains
-    and the Schur layers (both sized by a :class:`ReadPlan` through
+    """Every per-system cache: the moments as loop entries, the tau and C2
+    chains and the Schur layers (sized by a :class:`ReadPlan` through
     :meth:`sweep`), plus the operator families built from them."""
 
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._kernel: MomentKernel | None = None
-        # (m, k, conj, parity) -> (last moment label, pf_chain output), the
-        # even chains with k = 1, conj = False; the jet_chain ones alike
+        # (m, head labels) -> (last moment label, pf_chain output), the tau
+        # and C2 chains; the jet_chain ones alike
         self._chains, self._jet_chains = {}, {}
         self._logds: dict = {}  # (idx, m, k, conj) -> _logd
         # (idx, m, k, conj, spec) -> public member, converted on first read
@@ -163,9 +165,7 @@ class TauTable:
     def tau_labels(idx: int, m: int, k: int, conj: bool):
         """Labels of tau_idx^{(m)}, idx >= 0, for every chain and member: odd
         idx borders the moments with the single-moment row k (conjugate if conj)."""
-        if idx % 2 == 0:
-            return range(m, m + idx)
-        return [("cbar" if conj else "comp", k), *range(m, m + idx)]
+        return [*_tau_head(k, conj, idx % 2), *range(m, m + idx)]
 
     def tau(self, idx: int, m: int, k: int = 1, conj: bool = False):
         """Unified tau_idx^{(m)}, a link of its chain; odd idx takes the
@@ -173,7 +173,7 @@ class TauTable:
         boundary value 0."""
         if idx <= 0:
             return int(idx == 0)
-        return self._chain(m, k, conj, idx % 2, m + idx - 1)[0]((idx + 1) // 2)
+        return self._chain(m, _tau_head(k, conj, idx % 2), m + idx - 1)[0]((idx + 1) // 2)
 
     def tau_jet(self, idx: int, m: int, spec: JetSpec, k: int = 1,
                 conj: bool = False) -> Jet:
@@ -190,8 +190,8 @@ class TauTable:
         """(tau, d/dt_1 tau, d^2/dt_1^2 tau, d/dt_2 tau) of link idx >= 1 off its
         chain's ``tops`` through label M + 2 (through M + 1 = ``max_index`` for
         ``weight`` < 2, reading no x, y: None): Pf(L), Pf(L, M -> M+1), x + y, y - x."""
-        leading, tops, _ = self._chain(m, k, conj, idx % 2,
-                                       m + idx + (weight > 1 or m + idx < self.sys.max_index))
+        leading, tops, *_ = self._chain(m, _tau_head(k, conj, idx % 2),
+                                        m + idx + (weight > 1 or m + idx < self.sys.max_index))
         s = (idx + 1) // 2
         t1, x, *y = tops(s - 1)
         if not y:
@@ -206,13 +206,14 @@ class TauTable:
 
     def build_chains(self, n_max: int, m: int) -> None:
         """Sweep shift m's even and row chains through the n_max grid's last
-        link and, at a shift an operator block reads
-        (:meth:`ReadPlan.block_shifts`), within ``max_index`` through the
-        tau jets (idx <= ``ReadPlan.LAX_SIZE`` + 1) it reads."""
-        blocks = m in ReadPlan.block_shifts(self.sys)
-        for k, conj, odd in [(1, False, 0), *((k, c, 1) for k, c in self.moment_rows())]:
-            floor = min(m + ReadPlan.LAX_SIZE + 1 + odd, self.sys.max_index) if blocks else 0
-            self._chain(m, k, conj, odd, max(m + 2 * n_max - 1 + odd, floor))
+        link and, at a shift an operator block reads (0 and 1 on a system
+        :meth:`ReadPlan.blocks` names one for), within ``max_index`` through
+        the component-1 tau jets (idx <= ``ReadPlan.LAX_SIZE`` + 1) it reads."""
+        blocks = m < 2 and ReadPlan.blocks(self.sys)
+        for odd, k, conj in [(0, 1, False), *((1, k, c) for k, c in self.moment_rows())]:
+            floor = (min(m + ReadPlan.LAX_SIZE + 1 + odd, self.sys.max_index)
+                     if blocks and k == 1 else 0)
+            self._chain(m, _tau_head(k, conj, odd), max(m + 2 * n_max - 1 + odd, floor))
 
     def sweep(self, plan: ReadPlan) -> None:
         """Ready the table for a catalog run on ``plan``'s grid: the Miwa
@@ -223,18 +224,17 @@ class TauTable:
         for m in range(m_max + 1):
             self.build_chains(n_max, m)
 
-    def _chain(self, m, k, conj, odd, last, jets=False):
+    def _chain(self, m, head, last, jets=False):
         """``pf_chain`` (``jet_chain`` if ``jets``: it reads one label more and
         is first built through the members a catalog run reads, ``_miwa_top`` -
-        1) of the tau labels of (m, k, conj, parity) through moment label
-        ``last`` at least; past ``max_index`` ``OutOfRangeError``.  Past what
-        a sweep (:meth:`build_chains`) built, growth at least doubles."""
-        top = self.sys.max_index - jets
+        1) of ``head``, then the moment labels from m not in it, through
+        ``last`` at least; past ``max_index`` (d1 reads one label more, like a
+        jet) ``OutOfRangeError``.  Past its first build, growth at least doubles."""
+        top = self.sys.max_index - jets - (_D1 in head)
         if last > top:
             raise OutOfRangeError(f"a chain through label {last} reads past {top}")
         chains = self._jet_chains if jets else self._chains
-        key = (m, k, conj, 1) if odd else (m, 1, False, 0)
-        got = chains.get(key)
+        got = chains.get((m, head))
         if got:
             have, out = got
             if have >= last:
@@ -243,10 +243,21 @@ class TauTable:
         elif jets:
             last = max(last, m + self._miwa_top - 1)
         last = min(last, top)
-        head = self.tau_labels(odd, m, k, conj)[:odd]
-        out = (jet_chain if jets else pf_chain)([*head, *range(m, last + 1)], self.kernel())
-        chains[key] = (last, out)
+        labels = [*head, *(x for x in range(m, last + 1) if x not in head)]
+        out = (jet_chain if jets else pf_chain)(labels, self.kernel())
+        chains[m, head] = (last, out)
         return out
+
+    def c2_border(self, n: int, m: int) -> PolyInZ:
+        """The rank2 C2 border z^{-m} Pf(d0, d1, m, ..., m+n, z) (even n) or
+        z^{-m} Pf(d1, m, ..., m+n, z) (odd n): the border row of label m + n
+        of the chain on (d0, m, d1, m+1, ...), one swap away, so minus, or on
+        (d1, m, m+1, ...), first built through C2_SUITE's largest n,
+        ``_miwa_top`` - 2 = 2 n_max.  Links Pf(d0, m) = beta_m, Pf(d0, m, d1,
+        m+1) = beta_m beta_{m+2} - beta_{m+1}^2 are generically units."""
+        head = (_D0, m, _D1) if n % 2 == 0 else (_D1,)
+        border = self._chain(m, head, m + max(n, self._miwa_top - 2))[3]
+        return -border(n + 2) if n % 2 == 0 else border(n + 1)  # the row of label m + n
 
     def schur_layers(self, idx: int, m: int, k: int = 1, conj: bool = False):
         """tau_idx^{(m)}(t - [z]) and its t_1 derivative, polynomials in z
@@ -270,8 +281,7 @@ class TauTable:
             top = min(self._miwa_top, cap)
             top = max(idx, top - (top - idx) % 2)
             kern = self.kernel()
-            links, raised = miwa_chain([*self.tau_labels(odd, m, k, conj)[:odd],
-                                        *range(m, m + top + 1)], kern, top)
+            links, raised = miwa_chain([*self.tau_labels(top, m, k, conj), m + top], kern, top)
             for s in range(len(links)):
                 i, den = 2 * s + 2 - odd, kern.scale ** (s + 1)
                 self._layers[i, m, k, conj] = (_interpolate(links[s][:i + 1], den),
@@ -398,7 +408,7 @@ class TauTable:
         if idx < 0:
             return [], 1
         norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
-        num, den = self._chain(m, k, conj, norm_idx % 2, m + idx,
+        num, den = self._chain(m, _tau_head(k, conj, norm_idx % 2), m + idx,
                                spec is not None)[2](idx + norm_idx % 2)
         if not (den.base if isinstance(den, Jet) else den):
             raise ZeroDivisionError(NOT_A_UNIT if spec else
@@ -425,6 +435,14 @@ class TauTable:
             return exact_div(self.tau(idx, m + 1), self.tau(idx, m))
         num, den = self._member(idx, m)
         return _q(num[0], den)
+
+
+_D0, _D1 = ("shift", 0), ("shift", 1)  # rank2's derivative rows (MomentKernel)
+
+
+def _tau_head(k: int, conj: bool, odd: int) -> tuple:
+    """An odd tau chain's row label before its moments (k, conjugate if conj)."""
+    return (("cbar" if conj else "comp", k),) if odd else ()
 
 
 def taus(sys: MomentSystem) -> TauTable:

@@ -26,7 +26,6 @@ from fractions import Fraction
 from .families import TauTable, dt1, taus, z_plus_dt1
 from .jets import J1, J2, Jet
 from .moments import MomentSystem
-from .pfaffian import pf_eliminate
 from .poly import PolyInZ
 from .scalars import exact_div
 
@@ -284,8 +283,8 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     The bordered-Pfaffian derivative formula reads
     d/dt_1 (tau_n Q_n) = z^{-m} Pf(d0, d1, m, ..., m+n, z) for even n and
     z^{-m} Pf(d1, m, ..., m+n, z) for odd n (exact evaluation; no extra
-    normalization factor; one elimination on the table's moment kernel, its
-    derivative rows included, with z as a border column), and
+    normalization factor; a spectral row of one of the table's two C2 border
+    chains at shift m, :meth:`TauTable.c2_border`), and
     the shifted evolution carries a minus sign on the derivative term of the
     lower family member.
     """
@@ -294,9 +293,7 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
         raise ValueError("this suite requires the rank2 constraint")
     t = taus(sys)
     lhs = dt1(t.psop(n, m, spec=J1) * t.tau_jet(n, m, J1))
-    head = ["d0", "d1"] if n % 2 == 0 else ["d1"]
-    border = pf_eliminate([*head, *range(m, m + n + 1), "z"], t.kernel())
-    derivative_pf = lhs - border.divide_z(m)
+    derivative_pf = lhs - t.c2_border(n, m)
 
     def dq(j, mm=m):
         return dt1(t.psop(j, mm, spec=J1))

@@ -2,8 +2,8 @@
 
 One skew elimination loop and one expansion, each the other's test reference:
 
-* :func:`pf_chain` -- every leading Pfaffian of a label list (a tau chain)
-  from one scalar elimination without swaps, which always carries the
+* :func:`pf_chain` -- every leading Pfaffian of a label list (a tau or C2
+  chain) from one scalar elimination without swaps, which always carries the
   spectral column along as a border and keeps the next entries of each
   pivot row; past a pivot that is no unit, a block of the rows it left
   (:func:`_eliminated`).  :func:`jet_chain` runs it on first-order jets.
@@ -11,8 +11,7 @@ One skew elimination loop and one expansion, each the other's test reference:
   elimination per node z, with each link's top label raised beside it.
 * :func:`pfaffian` -- a plain square row list by each ring's one policy
   (:func:`_pf_rows`), as every block is: scalars with swaps, first-order
-  jets interpolated over scalar eliminations.  :func:`pf_eliminate` runs
-  it on kernel labels, z a border column: the rank2 C2 borders.
+  jets interpolated over scalar eliminations; no heavier jet.
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
   expansion along the first label (and z), memoized over label subsets, on
   the system's own entry rules.  No division, so any commutative ring: the
@@ -42,7 +41,7 @@ from functools import cache
 from itertools import accumulate, chain, combinations
 from math import lcm, prod
 
-from .jets import J1, NOT_A_UNIT, Jet
+from .jets import J1, Jet
 from .poly import PolyInZ
 from .scalars import GaussianRational
 
@@ -111,15 +110,12 @@ def _pf_rows(a):
     """The Pfaffian of loop entries (odd with a border as in :func:`_pf_kernel`),
     no swap seeing a jet: scalars by :func:`_pf_kernel`; ``JetSpec(1)`` jets A
     + B eps as Pf(A + xB), of degree <= h = (len(a) + 1) // 2 in x, at x =
-    0..h interpolated; heavier jets without swaps, each leading Pfaffian a unit."""
+    0..h interpolated; a heavier jet raises ``ValueError``."""
     specs = {x.spec for row in a for x in row if isinstance(x, Jet)}
     if not specs:
         return _pf_kernel(a)
     if specs != {J1}:
-        pivots = [p for p, _ in _stages(a, swaps=False)]
-        if len(pivots) < len(a) // 2:
-            raise ZeroDivisionError(NOT_A_UNIT)
-        return pivots[-1]
+        raise ValueError(f"the elimination takes JetSpec(1) jets only, not {specs}")
     ys = [_pf_kernel([[e.base + x * e.slope if isinstance(e, Jet) else e for e in row]
                       for row in a]) for x in range((len(a) + 3) // 2)]
     vals = [Jet.first_order(*(_z(p.coeff(i)) for i in (0, 1)))
@@ -278,9 +274,9 @@ def _exact_div(num, den):
     """num / den for a den that divides num: ints and Gaussian integers (int
     parts) by remainder-checked integer division, a Gaussian divisor through
     its conjugate and norm; ``JetSpec(1)`` jets by q0 = n0 / d0, q1 = (n1 -
-    q0 d1) / d0; anything else (rationals, heavier jets) by field division.
-    An inexact quotient raises ``ArithmeticError``.  Runs once per
-    eliminated entry, so the int/int test comes first."""
+    q0 d1) / d0; anything else (rationals) by field division.  An inexact
+    quotient raises ``ArithmeticError``.  Runs once per eliminated entry, so
+    the int/int test comes first."""
     tn, td = type(num), type(den)
     if tn is int and td is int:
         q, r = divmod(num, den)
@@ -299,8 +295,6 @@ def _exact_div(num, den):
     if isinstance(num, Jet):
         if not isinstance(den, Jet):
             return num.map(lambda v: _exact_div(v, den))
-        if num.spec != J1 or den.spec != J1:
-            return num / den
         q0 = _exact_div(num.base, den.base)
         return Jet.first_order(q0, _exact_div(num.slope - q0 * den.slope, den.base))
     return num / den
@@ -382,27 +376,6 @@ def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> Poly
     return PolyInZ(coeffs)
 
 
-def pf_eliminate(labels, kernel: MomentKernel) -> PolyInZ:
-    """Pf(L, z), a polynomial in z, for labels L then a last z, by one
-    elimination with swaps (:func:`_pf_kernel`) of kernel entries, 0 for two
-    row labels, z a border column per moment label (Pf(i, z) = z^i, 0 for a
-    row), so the value is the last row's border: the rank2 C2 borders.  A
-    read past the kernel's moments raises ``OutOfRangeError``."""
-    *labs, z = [parse_label(l) for l in labels]
-    if z != Z or Z in labs or len(labs) % 2 == 0:
-        raise ValueError("pf_eliminate takes an odd label list, then z")
-    moment = [x for x in labs if isinstance(x, int)]
-    border = range(min(moment, default=0), max(moment, default=-1) + 1)
-    try:
-        a = [[kernel.row(x)[y] if isinstance(y, int) else
-              -kernel.row(y)[x] if isinstance(x, int) else 0 for y in labs]
-             + [int(x == p) for p in border] for x in labs]
-    except IndexError:
-        raise OutOfRangeError(f"labels {labs} read past the stored moments") from None
-    den = kernel.scale ** (len(labs) // 2)
-    return PolyInZ([0] * border.start + [_q(y, den) for y in _pf_kernel(a)])
-
-
 def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
     """z-free labelled Pfaffian, expanded along the first label in the given
     order.  ``cache`` is the memo of one ring (scalars, or jets of
@@ -480,30 +453,34 @@ class MomentKernel:
 
 
 def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
-    """``(leading, tops, rows)`` of a z-free label list (an optional
-    single-moment row, then moment labels), by one scalar elimination of the
-    kernel's entries without swaps that borders the labels with the spectral
-    column: three readers, each value read off the rows it left on first
-    read and kept (:func:`_eliminated`).  ``leading(s)`` = Pf(labels[:2s])
-    is the pivot of stage s - 1.
+    """``(leading, tops, rows, spectral)`` of a z-free list of moment and row
+    labels in any order (entry (moment, row) = -row[moment], (row, row) =
+    0), by one scalar elimination of the kernel's entries without swaps that
+    borders the labels with the spectral column: four readers, each value
+    read off the rows it left on first read and kept (:func:`_eliminated`).
+    ``leading(s)`` = Pf(labels[:2s]) is the pivot of stage s - 1.
     ``tops(s)`` are the entries (k, k+2), (k+1, k+2) and, if label k+3 is
     in the list, (k, k+3), k = 2s, of the pivot rows of stage s:
     Pf(labels[:k], l_k, l_k+2), Pf(labels[:k], l_k+1, l_k+2) and
     Pf(labels[:k], l_k, l_k+3).  Both leave the loop divided by the power
-    of ``kernel.scale`` they carry.  ``rows(r)`` = (R, D) is row r of the
-    spectral column after the stages before it: sum_i R[i] z^i / D =
-    Pf(labels[:2s], labels[r], z) / (z^low Pf(labels[:2s])), s = r // 2, D
-    the link or a Gaussian link's norm (R then carries its conjugate; the
-    scale cancels), R empty if the link is no unit.  R is integral, from
-    z^low, low the smallest moment label (Pf(label, z) is z^label for a
-    moment label, 0 for any other), to the largest moment label of rows
+    of ``kernel.scale`` they carry.  ``spectral(r)`` is row r of the spectral
+    column after the stages before it, Pf(labels[:2s], labels[r], z) /
+    z^low, s = r // 2, low the smallest moment label (Pf(label, z) is
+    z^label for a moment label, 0 for any other): a polynomial, past a link
+    that is no unit too.  ``rows(r)`` = (R, D) has sum_i R[i] z^i / D =
+    spectral(r) / Pf(labels[:2s]), D the link or a Gaussian link's norm (R then
+    carries its conjugate; the scale cancels), R empty if the link is no
+    unit.  R is integral, from z^low to the largest moment label of rows
     0..r: the columns outside are 0.  ``jets`` runs it on first-order jets
     (:func:`jet_chain`)."""
     labs = list(labels)
     moment = [x for x in labs if isinstance(x, int)]
     border = range(min(moment, default=0), max(moment, default=-1) + 1)
-    entry = ((lambda x, y: Jet.first_order(*kernel.shifted(x, y)[:2]))
-             if jets else (lambda x, y: kernel.row(x)[y]))
+
+    def entry(x, y):
+        if not isinstance(y, int):
+            return -entry(y, x) if isinstance(x, int) else 0
+        return Jet.first_order(*kernel.shifted(x, y)[:2]) if jets else kernel.row(x)[y]
     value, link = _eliminated([[0] * (i + 1) + [entry(x, y) for y in labs[i + 1:]]
                                + [int(x == p) for p in border] for i, x in enumerate(labs)])
     links = cache(link)
@@ -519,7 +496,11 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
                 and type(p.re) is type(p.im) is int else (1, p))
         num = value(r // 2, [r])[:ends[r]] if _is_unit(p) else []
         return (num if type(f) is int else [c * f for c in num]), d
-    return cache(lambda s: _q(links(s), kernel.scale ** s)), cache(top), cache(row)
+
+    def spectral(r):
+        return PolyInZ([_q(c, kernel.scale ** (r // 2)) for c in value(r // 2, [r])])
+    return (cache(lambda s: _q(links(s), kernel.scale ** s)), cache(top), cache(row),
+            cache(spectral))
 
 
 def jet_chain(labels, kernel: MomentKernel):

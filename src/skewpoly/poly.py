@@ -84,14 +84,6 @@ class PolyInZ:
             return self
         return PolyInZ([0] * k + self.coeffs)
 
-    def divide_z(self, m: int) -> "PolyInZ":
-        """Exact division by z**m; the low coefficients must vanish."""
-        if not self:
-            return self
-        if any(self.coeffs[:m]):
-            raise ValueError("polynomial not divisible by z^m")
-        return PolyInZ(self.coeffs[m:])
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coeffs):

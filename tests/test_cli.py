@@ -556,11 +556,10 @@ def chain_reads(monkeypatch) -> tuple:
         jet_built.append((kernel, labels))
         return jet_chain(labels, kernel)
 
-    def read_chain(self, m, k, conj, odd, last, jets=False):
-        out = chain(self, m, k, conj, odd, last, jets)
+    def read_chain(self, m, head, last, jets=False):
+        out = chain(self, m, head, last, jets)
         if not sweeping:
-            head = (*TauTable.tau_labels(odd, m, k, conj)[:odd], m, m + 1)[:2]
-            key = (self.kernel(), jets, head)
+            key = (self.kernel(), jets, (*head, m, m + 1)[:2])
             reads[key] = max(reads.get(key, last), last)
         return out
 
@@ -655,6 +654,30 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
                     assert max(past.values()) <= slack, (flags, jets, past)
                     shifts = {head[isinstance(head[0], tuple)] for head, _ in ends}
                     assert m_max == "1" or 2 not in shifts, (flags, jets, shifts)
+
+
+def test_two_component_rank2_sweep_covers_its_operator_blocks(monkeypatch, tmp_path):
+    """The rank2 operator blocks (LAX_RANK2_M, LAX_RANK2_N) run on a rank2
+    system of any number of components, LAX_MIXED only on one component, and
+    the sweep floors shifts 0 and 1 wherever a block runs
+    (``ReadPlan.blocks``): on a two-component rank2 file every chain, each
+    head once, is built once, where a sweep flooring only the LAX_MIXED
+    systems built the four shift-0 and shift-1 tau chains twice."""
+    src, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert run(["gen", "--kind", "rank2", "--seed", "3", "--n-max", "2", "--m-max", "1",
+                "--out", str(src)]) == 0
+    one = moments.load(str(src))
+    moments.save(one.replace(beta=(*one.beta, one.beta[0])), str(two))
+    built = counted_chains(monkeypatch)
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--in", str(two), "--n-max", "1", "--m-max", "0",
+                "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    names = {entry["identity"] for entry in rep["entries"]}
+    assert {"LAX_RANK2_M", "LAX_RANK2_N"} <= names and "LAX_MIXED" not in names
+    heads = collections.Counter(tuple(labels[:2]) for _, labels in built)
+    assert {(0, 1), (("comp", 1), 0), (1, 2), (("comp", 1), 1)} <= heads.keys()
+    assert max(heads.values()) == 1, heads
 
 
 def test_gen_draw_rejected_at_shift_zero_builds_only_its_chains(monkeypatch, tmp_path):

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from skewpoly import cli, lax
+from skewpoly import cli, lax, moments
 from skewpoly.bilinear import IDENTITIES
 from skewpoly.families import taus
 from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen
-from skewpoly.pfaffian import pf_eliminate, pf_indexed
+from skewpoly.pfaffian import pf_indexed
 
 
 J1 = JetSpec(1)
@@ -165,27 +165,60 @@ def test_c2_suite_zero(rank2):
 
 def test_c2_borders_match_expansion(rank2):
     """The C2 borders Pf(d0, d1, m..m+n, z) (even n) and Pf(d1, m..m+n, z)
-    (odd n), which the suite eliminates once each on the table's moment
-    kernel with z as a border column, equal their expansion at every (n, m)
-    of the suite's n_max 3 grid."""
+    (odd n), which the table reads over z^m off its two C2 chains per shift
+    (``TauTable.c2_border``), equal their expansion at every (n, m) of the
+    suite's n_max 3 grid."""
     grid = [(p["n"], p["m"]) for p in IDENTITIES["C2_SUITE"].grid(rank2, 3, 1)]
     assert {m for _, m in grid} == {0, 1} and max(n for n, _ in grid) == 6
     for n, m in grid:
         head = ["d0", "d1"] if n % 2 == 0 else ["d1"]
         labels = [*head, *range(m, m + n + 1), "z"]
-        border = pf_eliminate(labels, taus(rank2).kernel())
-        assert border and border == pf_indexed(labels, rank2), (n, m)
+        border = taus(rank2).c2_border(n, m)
+        assert border and border.shift(m) == pf_indexed(labels, rank2), (n, m)
 
 
-def test_c2_borders_cost_one_elimination_each(monkeypatch, tmp_path):
-    """The 12 C2 borders of rank2 at n_max 3 (m = 0, 1) run 12 eliminations,
-    one each with z as a border column (one per z coefficient ran 54)."""
+def test_c2_borders_cost_two_chains_per_shift(monkeypatch, tmp_path):
+    """The 12 C2 borders of rank2 at n_max 3 (m = 0, 1) come off two chains
+    per shift, each built once, on (d0, m, d1, m+1, ...) and (d1, m, m+1,
+    ...); no border runs an elimination of its own (``_pf_kernel``, the
+    elimination with swaps, is never called: no link vanishes)."""
     pf = importlib.import_module("skewpoly.pfaffian")
-    kernel, sizes = pf._pf_kernel, []
-    monkeypatch.setattr(pf, "_pf_kernel", lambda a: sizes.append(len(a)) or kernel(a))
+    fam = importlib.import_module("skewpoly.families")
+    kernel, chain, swapped, built = pf._pf_kernel, fam.pf_chain, [], []
+    monkeypatch.setattr(pf, "_pf_kernel", lambda a: swapped.append(len(a)) or kernel(a))
+    monkeypatch.setattr(fam, "pf_chain", lambda labels, kern: built.append(labels[:3])
+                        or chain(labels, kern))
     assert cli.main(["verify", "--kind", "rank2", "--seed", "3", "--n-max", "3",
                      "--identities", "C2_SUITE", "--out", str(tmp_path / "r.json")]) == 0
-    assert sorted(sizes) == [3, 3, 5, 5, 5, 5, 7, 7, 7, 7, 9, 9]
+    d0, d1 = ("shift", 0), ("shift", 1)
+    c2 = [head for head in built if d1 in head]
+    assert sorted(c2, key=repr) == sorted([[d0, 0, d1], [d0, 1, d1], [d1, 0, 1], [d1, 1, 2]],
+                                          key=repr)
+    assert not swapped
+
+
+def test_c2_borders_past_a_stalled_chain():
+    """beta_0 beta_2 = beta_1^2 (2, 6, 18) makes Pf(d0, 0, d1, 1) = 0, so the
+    even C2 chain at shift 0 stalls at its second link, and its borders for
+    n >= 2 come off blocks of the rows the stall left (``_pf_left``), a stall
+    no generated system reaches.  Every C2 border at m = 0, 1 and n <= 6
+    equals its expansion.  This kills the mutant that divides each block by
+    the previous link once per stage, ``(len(pos) + 1) // 2`` times, where
+    ``_pf_left`` divides ``(len(pos) - 1) // 2`` times (the
+    overlapping-Pfaffian identity): its inexact division raises
+    ``ArithmeticError``."""
+    rng = random.Random(4)
+    top = 9
+    beta = [Fraction(b) for b in (2, 6, 18)]
+    beta += [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9)) for _ in range(top - 2)]
+    s = MomentSystem(top, moments._propagate_rank2(beta, top, rng, 1), (tuple(beta),),
+                     constraint="rank2")
+    assert not pf_indexed(["d0", 0, "d1", 1], s).coeff(0)
+    for m in (0, 1):
+        for n in range(1, 7):
+            head = ["d0", "d1"] if n % 2 == 0 else ["d1"]
+            want = pf_indexed([*head, *range(m, m + n + 1), "z"], s)
+            assert taus(s).c2_border(n, m).shift(m) == want, (n, m)
 
 
 def test_c2_requires_tag(unconstrained):

@@ -1,7 +1,7 @@
 """One owner per decision: the jet coefficient format lives in ``jets``, the
-tau table owns the sweep a catalog run needs and the Schur layers it sizes,
-the read plan states which shifts an operator block reads, and one reader
-goes past a stalled elimination."""
+tau table owns the sweep a catalog run needs, the Schur layers it sizes and
+every chain the catalog reads, the read plan states which operator blocks
+run, and one reader goes past a stalled elimination."""
 
 import ast
 from pathlib import Path
@@ -87,22 +87,39 @@ def _callers(tree, name: str) -> set:
     return _owners(tree, call)
 
 
-def test_families_eliminates_nothing_itself():
-    """The tau table reads every link, top and member off its chains, so
-    ``families`` neither imports nor calls ``pf_eliminate``."""
-    families = ast.parse((SRC / "families.py").read_text())
-    imported = {a.name for node in ast.walk(families) if isinstance(node, ast.ImportFrom)
-                for a in node.names}
-    assert "pf_eliminate" not in imported and not _callers(families, "pf_eliminate")
+def _imports_engine(tree) -> bool:
+    """Whether a module imports ``pfaffian`` or any name from it."""
+    def engine(name):
+        return bool(name) and name.split(".")[-1] == "pfaffian"
+    return any(engine(node.module) or any(engine(a.name) for a in node.names)
+               if isinstance(node, ast.ImportFrom) else
+               isinstance(node, ast.Import) and any(engine(a.name) for a in node.names)
+               for node in ast.walk(tree))
+
+
+def test_only_the_tau_table_and_the_moments_import_the_engine():
+    """Every catalog Pfaffian comes off a chain the tau table owns (the rank2
+    C2 borders too, ``TauTable.c2_border``), so of the program's modules
+    only ``families`` and ``moments`` import from ``pfaffian``; ``lax``,
+    ``bilinear``, ``christoffel`` and ``cli`` import nothing from it (the
+    package's ``__init__`` re-exports its public names)."""
+    importers = {path.name for path in sorted(SRC.glob("*.py"))
+                 if _imports_engine(ast.parse(path.read_text()))}
+    assert importers - {"__init__.py"} == {"families.py", "moments.py"}, importers
+    # the guard sees the imports it forbids
+    for bad in ("from .pfaffian import pf_chain", "from . import pfaffian",
+                "import skewpoly.pfaffian as pf"):
+        assert _imports_engine(ast.parse(bad)), bad
+    assert not _imports_engine(ast.parse("from .families import taus"))
 
 
 def test_swapped_elimination_sees_scalars_only():
-    """The elimination with swaps (``_pf_kernel``) is called by
+    """The elimination with swaps (``_pf_kernel``) is called only by
     ``pfaffian``'s one Pfaffian per ring (``_pf_rows``, which hands it
-    scalars only) and by the scalar ``pf_eliminate``, from no other module."""
+    scalars only), from no other function or module."""
     callers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
                for owner in _callers(ast.parse(path.read_text()), "_pf_kernel")}
-    assert callers == {("pfaffian.py", "_pf_rows"), ("pfaffian.py", "pf_eliminate")}, callers
+    assert callers == {("pfaffian.py", "_pf_rows")}, callers
     # the guard sees the calls it forbids
     bad = ast.parse("def f(a):\n    return pf._pf_kernel(a)\nx = _pf_kernel(b)")
     assert _callers(bad, "_pf_kernel") == {"f", "<module>"}
@@ -137,17 +154,17 @@ def test_one_reader_goes_past_a_stall():
 
 
 def test_the_operator_block_rule_is_stated_once():
-    """Which systems and shifts run an operator block is written once, in
-    ``ReadPlan.block_shifts``; the tau table's sweep and the LAX_MIXED grid
-    both read it."""
+    """Which operator blocks run on which systems is written once, in
+    ``ReadPlan.blocks``; the tau table's sweep (its floor at shifts 0 and
+    1) and the one grid of the block identities read it."""
     def rule(node):  # ell == 1: a single-component system
         return (isinstance(node, ast.Compare) and getattr(node.left, "attr", None) == "ell"
                 and [type(op) for op in node.ops] == [ast.Eq]
                 and [getattr(c, "value", None) for c in node.comparators] == [1])
     owners = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
               for owner in _owners(ast.parse(path.read_text()), rule)}
-    assert owners == {("families.py", "ReadPlan.block_shifts")}, owners
+    assert owners == {("families.py", "ReadPlan.blocks")}, owners
     readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
-               for owner in _callers(ast.parse(path.read_text()), "block_shifts")}
+               for owner in _callers(ast.parse(path.read_text()), "blocks")}
     assert readers == {("families.py", "TauTable.build_chains"),
-                       ("bilinear.py", "_lax_mixed_grid")}, readers
+                       ("bilinear.py", "_block_grid.grid")}, readers

@@ -10,7 +10,7 @@ from skewpoly.families import ReadPlan, TauTable, taus
 from skewpoly.jets import J1, Jet, JetSpec
 from skewpoly.moments import MomentSystem, OutOfRangeError, gen
 from skewpoly.pfaffian import (Z, LabelError, _exact_div, _stages, det_bareiss, miwa_chain,
-                               parse_label, pf_chain, pf_eliminate, pf_indexed, pf_labels,
+                               parse_label, pf_chain, pf_indexed, pf_labels,
                                pfaffian, pfaffian_expand)
 from skewpoly.poly import PolyInZ
 from skewpoly.scalars import GaussianRational, exact_div
@@ -306,19 +306,23 @@ def test_exact_div_refuses_inexact_quotients():
             _exact_div(num, den)
 
 
-def test_pf_eliminate_borders_past_a_zero_row():
+def test_chain_borders_past_a_zero_row():
     """A z border survives a label row that vanishes on the other labels:
     Pf(0, 1, 2, z) = mu_{1,2} with mu_{0,j} = 0 pairs label 0 only with z, so
-    the elimination swaps in a unit of another row.  Scalars Pf(L, z), z
-    last, match the expansion, rows and rational moments included; a z
-    elsewhere or none raises.  ``pfaffian`` over the same labels'
-    ``JetSpec(1)`` rows A + B eps (``MomentKernel.shifted``) matches it too,
-    coefficient by coefficient of z, z anywhere; a read past max_index
-    raises (the jets read one label further)."""
+    the chain on (0, 1, 2) stalls at its first link and reads the border off
+    a block of the rows it left, which swaps in a unit of another row.
+    Scalar borders Pf(L, z) (``pf_chain``'s ``spectral``, over z^low) match the
+    expansion, rows and rational moments included, and so do the table's C2
+    borders on the same moments tagged rank2 (``TauTable.c2_border``).
+    ``pfaffian`` over the same labels' ``JetSpec(1)`` rows A + B eps
+    (``MomentKernel.shifted``) matches it too, coefficient by coefficient of
+    z, z anywhere; a read past max_index raises (the jets and the
+    derivative row d1 read one label further)."""
     s = gen("none", 6, seed=1, den_bound=3)
-    s = s.replace(mu={**s.mu, **{(0, j): Fraction(0) for j in (1, 2, 3)}})
+    s = s.replace(mu={**s.mu, **{(0, j): Fraction(0) for j in (1, 2, 3)}}, constraint="rank2")
     t = taus(s)
     kern = t.kernel()
+    assert kern.scale != 1
 
     def jet_rows(labs, power):  # the coefficient of z^power of Pf(labs)
         def entry(x, y):
@@ -330,22 +334,29 @@ def test_pf_eliminate_borders_past_a_zero_row():
             a, b, _ = kern.shifted(x, y)
             return Jet.first_order(Fraction(a, kern.scale), Fraction(b, kern.scale))
         return [[entry(x, y) for y in labs] for x in labs]
+
+    def border(labs):  # Pf(labs, z) off the chain on labs
+        low = min(x for x in labs if isinstance(x, int))
+        return pf_chain(labs, kern)[3](len(labs) - 1).shift(low)
     for labels in ([0, 1, 2, "z"], [1, "z", 0, 2], [0, 1, 2, 3, 4, "z"],
                    [("comp", 1), 0, 1, 2, 3, "z"], [0, 1, 2, 3], [0, 0, 1, "z"]):
-        if labels[-1] == "z":
-            assert pf_eliminate(labels, kern) == pf_indexed(labels, s), labels
-        else:
-            with pytest.raises(ValueError):
-                pf_eliminate(labels, kern)
         labs = [parse_label(lab) for lab in labels]
+        if labs[-1] == Z:
+            assert border(labs[:-1]) == pf_indexed(labels, s), labels
         powers = range(max(x for x in labs if isinstance(x, int)) + 1) if Z in labs else [0]
         jets = PolyInZ([pfaffian(jet_rows(labs, p)) for p in powers])
         want = pf_indexed(labels, s, jet_spec=JetSpec(1))
         assert jets == (want if "z" in labels else PolyInZ([want.coeff(0)])), labels
-    assert pf_eliminate([0, 1, 2, "z"], kern) == PolyInZ([s.mu_entry(1, 2)])
-    assert pf_eliminate([4, 5, 6, "z"], kern) == pf_indexed([4, 5, 6, "z"], s)
-    with pytest.raises(OutOfRangeError):
-        pf_eliminate([4, 5, 7, "z"], kern)
+    assert border([0, 1, 2]) == PolyInZ([s.mu_entry(1, 2)])
+    assert border([4, 5, 6]) == pf_indexed([4, 5, 6, "z"], s)
+    for m in (0, 1):
+        for n in range(1, 6 - m):
+            head = ["d0", "d1"] if n % 2 == 0 else ["d1"]
+            want = pf_indexed([*head, *range(m, m + n + 1), "z"], s)
+            assert t.c2_border(n, m).shift(m) == want, (n, m)
+    for n, m in ((1, 5), (2, 4)):  # label 6 = max_index, read by d1 as beta_7
+        with pytest.raises(OutOfRangeError):
+            t.c2_border(n, m)
     with pytest.raises(IndexError):
         jet_rows([5, 6], None)
     for read in (lambda: t.sop(6, 0, J1), lambda: t.tau_jet(6, 0, JetSpec(2))):
@@ -397,7 +408,7 @@ def _squared_against_det(s, size: int, shifts=(0, 1), z0: int = 2) -> list:
         for odd in (0, 1):
             labels = [*TauTable.tau_labels(odd, m, 1, False)[:odd],
                       *range(m, m + size - odd)]
-            leading, tops, rows = pf_chain(labels, kern)
+            leading, tops, rows, _ = pf_chain(labels, kern)
             checked = [leading(s_) for s_ in range(size // 2 + 1)]
             stalls += [(m, odd, s_) for s_ in range(1, size // 2) if not checked[s_]][:1]
             det = minors([*labels, "z"], spectral)
@@ -460,8 +471,8 @@ def test_pf_squared_check_catches_a_wrong_scale_power(monkeypatch):
     assert _squared_against_det(s, 8, shifts=(0,)) == []
 
     def wrong_tops(labels, kernel, chain=pf_chain):
-        leading, tops, rows = chain(labels, kernel)
-        return leading, lambda s_: tuple(x * scale for x in tops(s_)), rows
+        leading, tops, *rest = chain(labels, kernel)
+        return leading, lambda s_: tuple(x * scale for x in tops(s_)), *rest
     with monkeypatch.context() as patch:
         patch.setitem(globals(), "pf_chain", wrong_tops)
         with pytest.raises(AssertionError, match=r"\(0, 0, 0, 0, 2\)"):

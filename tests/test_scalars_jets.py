@@ -64,18 +64,26 @@ def test_gaussian_value_semantics():
 
 
 def test_jet_pfaffian_over_gaussian_integers():
-    # JetSpec(2) jets take _exact_div's field-division fallback, inverting
-    # their Gaussian-integer bases through scalar_inv
+    """``pfaffian`` runs the rings the catalog uses: ``JetSpec(1)`` jets with
+    Gaussian-integer coefficients, interpolated over scalar eliminations,
+    match the expansion; a heavier jet is refused (``pfaffian_expand`` and
+    ``pf_labels`` take it)."""
     rng = random.Random(5)
-    spec = JetSpec(2)
-    for n in (2, 4, 6):
+
+    def rows_of(spec, n):
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                rows[i][j] = Jet(spec, {a: GaussianRational(rng.randint(-4, 4), rng.randint(-4, 4))
+                rows[i][j] = Jet(spec, {a: GaussianRational(rng.randint(-4, 4),
+                                                            rng.randint(-4, 4))
                                         for a in spec.weights})
                 rows[j][i] = -rows[i][j]
+        return rows
+    for n in (2, 4, 6):
+        rows = rows_of(JetSpec(1), n)
         assert pfaffian(rows) == pfaffian_expand(rows), n
+    with pytest.raises(ValueError):
+        pfaffian(rows_of(JetSpec(2), 4))
 
 
 def test_scalar_format_round_trip():
