@@ -29,7 +29,7 @@ Pf(L, (M-1, M) -> (M, M+1)) (0 when M-1 is the head row, tau_1 = beta_m),
 tau'' = y + x and d/dt_2 tau = y - x.  These are the link's pivot-row
 entries ``tops``, so tau jets of weight <= 2 come off the chain too; the
 ``JetSpec(1)`` members come off the spectral column of its first-order copy
-(:func:`skewpoly.pfaffian.jet_chain`), never off a raised label.  Past a
+(``pf_chain(..., jets=True)``), never off a raised label.  Past a
 vanishing link (a zero base, for jets) a chain goes on by block eliminations
 of the rows it left, so every link, top and member comes off its chain (a
 read past ``max_index`` raises ``OutOfRangeError``); tau jets stop at weight
@@ -93,7 +93,7 @@ from typing import TYPE_CHECKING
 
 from .jets import J1, NOT_A_UNIT, Jet, JetSpec, TruncationError
 from .pfaffian import (MomentKernel, OutOfRangeError, _den_lcm, _interpolate, _q, _z,
-                       det_bareiss, jet_chain, miwa_chain, pf_chain)
+                       det_bareiss, miwa_chain, pf_chain)
 from .poly import PolyInZ
 from .record import Record
 from .scalars import GaussianRational, exact_div
@@ -140,7 +140,7 @@ class TauTable:
         self.sys = sys
         self._kernel: MomentKernel | None = None
         # (m, head labels) -> (last moment label, pf_chain output), the tau
-        # and C2 chains; the jet_chain ones alike
+        # and C2 chains; the first-order jet ones alike
         self._chains, self._jet_chains = {}, {}
         self._logds: dict = {}  # (idx, m, k, conj) -> _logd
         # (idx, m, k, conj, spec) -> public member, converted on first read
@@ -225,11 +225,12 @@ class TauTable:
             self.build_chains(n_max, m)
 
     def _chain(self, m, head, last, jets=False):
-        """``pf_chain`` (``jet_chain`` if ``jets``: it reads one label more and
-        is first built through the members a catalog run reads, ``_miwa_top`` -
-        1) of ``head``, then the moment labels from m not in it, through
-        ``last`` at least; past ``max_index`` (d1 reads one label more, like a
-        jet) ``OutOfRangeError``.  Past its first build, growth at least doubles."""
+        """``pf_chain`` (on first-order jets if ``jets``: it reads one label
+        more and is first built through the members a catalog run reads,
+        ``_miwa_top`` - 1) of ``head``, then the moment labels from m not in
+        it, through ``last`` at least; past ``max_index`` (d1 reads one label
+        more, like a jet) ``OutOfRangeError``.  Past its first build, growth at
+        least doubles."""
         top = self.sys.max_index - jets - (_D1 in head)
         if last > top:
             raise OutOfRangeError(f"a chain through label {last} reads past {top}")
@@ -244,7 +245,7 @@ class TauTable:
             last = max(last, m + self._miwa_top - 1)
         last = min(last, top)
         labels = [*head, *(x for x in range(m, last + 1) if x not in head)]
-        out = (jet_chain if jets else pf_chain)(labels, self.kernel())
+        out = pf_chain(labels, self.kernel(), jets=jets)
         chains[m, head] = (last, out)
         return out
 
@@ -401,7 +402,7 @@ class TauTable:
     def _member(self, idx, m, k=None, conj=False, spec=None):
         """P_idx^{(m)} (``k`` None) or Q_idx^{(m)} of component k as (R, D) = sum
         R[i] z^i / D, ([], 1) for idx < 0: row idx (odd chain: idx + 1) of its
-        chain's spectral column, of its ``jet_chain``'s for ``JetSpec(1)``
+        chain's spectral column, of its first-order copy's for ``JetSpec(1)``
         coefficients (no other ring); a D that is no unit raises."""
         if spec is not None and spec != J1:
             raise TruncationError(f"jet members are JetSpec(1) only, not {spec}")

@@ -542,9 +542,9 @@ def from_json_dict(data: dict) -> MomentSystem:
     bbar = None
     if "beta_bar" in data:
         bbar = _seqs_from_triples("beta_bar", data["beta_bar"], max_index)
-    missing = sorted({*combinations(range(max_index + 1), 2)} - set(mu))
-    if missing:
-        raise ValueError(f"missing mu triples, first {missing[0]}")
+    missing = next((p for p in combinations(range(max_index + 1), 2) if p not in mu), None)
+    if missing:  # the walk stops there: at most len(mu) + 1 steps
+        raise ValueError(f"missing mu triples, first {missing}")
     return MomentSystem(max_index, mu, beta, beta_bar=bbar,
                         constraint=data.get("constraint", "none"),
                         mode=data.get("mode", "exact"))
@@ -563,11 +563,10 @@ def _seqs_from_triples(name, triples, max_index) -> tuple:
             raise ValueError(f"repeated {name} triple ({k},{j})")
         seqs[(k, j)] = _json_scalar(s)
     ncomp = max((k for k, _ in seqs), default=0)
-    missing = [(k, j) for k in range(1, ncomp + 1) for j in range(max_index + 1)
-               if (k, j) not in seqs]
-    if missing:
-        raise ValueError(f"missing {name} triples, first ({missing[0][0]},"
-                         f"{missing[0][1]})")
+    missing = next(((k, j) for k in range(1, ncomp + 1) for j in range(max_index + 1)
+                    if (k, j) not in seqs), None)
+    if missing:  # the walk stops there: at most len(seqs) + 1 steps
+        raise ValueError(f"missing {name} triples, first ({missing[0]},{missing[1]})")
     return tuple(tuple(seqs[(k, j)] for j in range(max_index + 1))
                  for k in range(1, ncomp + 1))
 

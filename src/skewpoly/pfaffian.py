@@ -6,12 +6,12 @@ One skew elimination loop and one expansion, each the other's test reference:
   chain) from one scalar elimination without swaps, which always carries the
   spectral column along as a border and keeps the next entries of each
   pivot row; past a pivot that is no unit, a block of the rows it left
-  (:func:`_eliminated`).  :func:`jet_chain` runs it on first-order jets.
+  (:func:`_eliminated`); on first-order jets too, as dual numbers.
 * :func:`miwa_chain` -- the same at the Miwa-shifted time t - [z], one
   elimination per node z, with each link's top label raised beside it.
-* :func:`pfaffian` -- a plain square row list by each ring's one policy
-  (:func:`_pf_rows`), as every block is: scalars with swaps, first-order
-  jets interpolated over scalar eliminations; no heavier jet.
+* :func:`pfaffian` -- a plain square row list by the elimination with swaps
+  (:func:`_pf_rows`), as every block is: scalars, and first-order jets as
+  dual numbers, a unit pivot being a nonzero base; no heavier jet.
 * :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
   expansion along the first label (and z), memoized over label subsets, on
   the system's own entry rules.  No division, so any commutative ring: the
@@ -100,37 +100,27 @@ def _pf_expand(labels: tuple, entry, cache: dict):
 
 
 def pfaffian(rows):
-    """Pfaffian of a square skew row list by its ring's one elimination
-    (:func:`_pf_rows`); empty gives 1."""
+    """Pfaffian of a square skew row list by the elimination with swaps
+    (:func:`_pf_rows`), on scalars or ``JetSpec(1)`` jets; empty gives 1."""
     _check_skew(rows)
     return _q(_pf_rows([[_z(x) for x in r] for r in rows]))
 
 
 def _pf_rows(a):
-    """The Pfaffian of loop entries (odd with a border as in :func:`_pf_kernel`),
-    no swap seeing a jet: scalars by :func:`_pf_kernel`; ``JetSpec(1)`` jets A
-    + B eps as Pf(A + xB), of degree <= h = (len(a) + 1) // 2 in x, at x =
-    0..h interpolated; a heavier jet raises ``ValueError``."""
+    """The Pfaffian of loop entries, eliminated with swaps in place; a loop
+    value.  An odd list whose rows carry a border (entries past len(a), one
+    per coefficient of a last label z) gives that border of Pf(rows, z).
+    ``JetSpec(1)`` jets run as dual numbers: the swaps find a unit (a nonzero
+    base) while one is left, so a stall leaves only O(eps) entries, and its
+    remainder of 4 or more rows (5 with the border) is 0 mod eps^2, as the
+    value is; a heavier jet raises ``ValueError``."""
     specs = {x.spec for row in a for x in row if isinstance(x, Jet)}
-    if not specs:
-        return _pf_kernel(a)
-    if specs != {J1}:
+    if specs - {J1}:
         raise ValueError(f"the elimination takes JetSpec(1) jets only, not {specs}")
-    ys = [_pf_kernel([[e.base + x * e.slope if isinstance(e, Jet) else e for e in row]
-                      for row in a]) for x in range((len(a) + 3) // 2)]
-    vals = [Jet.first_order(*(_z(p.coeff(i)) for i in (0, 1)))
-            for p in (_interpolate(list(col), 1) for col in (zip(*ys) if len(a) % 2 else [ys]))]
-    return vals if len(a) % 2 else vals[0]
-
-
-def _pf_kernel(a):
-    """:func:`_pf_rows` of scalar loop entries, eliminated with swaps in place;
-    a loop value.  An odd list whose rows carry a border (entries past len(a),
-    one per coefficient of a last label z) gives that border of Pf(rows, z)."""
-    n = len(a)
+    n, zero = len(a), Jet.constant(0, J1) if specs else 0
     stages = list(_stages(a, swaps=True))  # to the end: the last update fills the border
     if len(stages) < n // 2:
-        return [0] * (len(a[0]) - n) if n % 2 else 0
+        return [zero] * (len(a[0]) - n) if n % 2 else zero
     pf, odd = stages[-1] if stages else (1, 0)
     sign = -1 if odd else 1
     return [sign * x for x in a[-1][n:]] if n % 2 else sign * pf
@@ -471,8 +461,11 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
     spectral(r) / Pf(labels[:2s]), D the link or a Gaussian link's norm (R then
     carries its conjugate; the scale cancels), R empty if the link is no
     unit.  R is integral, from z^low to the largest moment label of rows
-    0..r: the columns outside are 0.  ``jets`` runs it on first-order jets
-    (:func:`jet_chain`)."""
+    0..r: the columns outside are 0.  ``jets`` runs it on ``JetSpec(1)``
+    entries, each with its t_1 derivative (:meth:`MomentKernel.shifted`: one
+    label past the last is read), the spectral column constant: every value
+    becomes its jet, D a jet link, so the column holds the jet-valued family
+    members."""
     labs = list(labels)
     moment = [x for x in labs if isinstance(x, int)]
     border = range(min(moment, default=0), max(moment, default=-1) + 1)
@@ -501,14 +494,6 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
         return PolyInZ([_q(c, kernel.scale ** (r // 2)) for c in value(r // 2, [r])])
     return (cache(lambda s: _q(links(s), kernel.scale ** s)), cache(top), cache(row),
             cache(spectral))
-
-
-def jet_chain(labels, kernel: MomentKernel):
-    """:func:`pf_chain` of ``JetSpec(1)`` entries, each with its t_1
-    derivative (:meth:`MomentKernel.shifted`: one label past the last is
-    read), the spectral column constant: every value becomes its jet, D a jet
-    link, so the column holds the jet-valued family members."""
-    return pf_chain(labels, kernel, jets=True)
 
 
 def miwa_chain(labels, kernel: MomentKernel, top: int):

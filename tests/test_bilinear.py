@@ -96,7 +96,7 @@ def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
         return MomentSystem(top, mu, beta=(tuple(beta),))
 
     calls, swapped = [], []
-    expand, with_swaps = pfaffian_mod._pf_expand, pfaffian_mod._pf_kernel
+    expand, with_swaps = pfaffian_mod._pf_expand, pfaffian_mod._pf_rows
 
     def counted(labels, entry, cache):
         calls.append(labels)
@@ -112,10 +112,10 @@ def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
         calls.clear()
         swapped.clear()
         monkeypatch.setattr(pfaffian_mod, "_pf_expand", counted)
-        monkeypatch.setattr(pfaffian_mod, "_pf_kernel", counted_swaps)
+        monkeypatch.setattr(pfaffian_mod, "_pf_rows", counted_swaps)
         bl.SchurTau(taus(s), idx, m)
         monkeypatch.setattr(pfaffian_mod, "_pf_expand", expand)
-        monkeypatch.setattr(pfaffian_mod, "_pf_kernel", with_swaps)
+        monkeypatch.setattr(pfaffian_mod, "_pf_rows", with_swaps)
         assert not calls  # a nonzero scalar row always holds a unit pivot
         return _assert_miwa_matches_jet_oracle(s, idx, m)
     # mu_{0,1} = mu_{0,2} = mu_{0,3} = 0: row 0 of Pf(0,...,3) is zero at

@@ -453,27 +453,29 @@ KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
 
 
 def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
-    """A verify run pivots on no jet outside the first-order member chains
-    (``jet_chain``), expands no tau jet of weight 2 and never expands a row
-    list: its tau jets come off the scalar chains' pivot rows and its Miwa
-    layers are scalar row lists."""
+    """A verify run of a generated seed pivots on no jet outside the
+    first-order member chains (``pf_chain(..., jets=True)``), expands no tau
+    jet of weight 2 and never expands a row list: its tau jets come off the
+    scalar chains' pivot rows and its Miwa layers are scalar row lists.
+    Jets pivot only inside first-order chains and, past a stall no generated
+    seed reaches, their blocks (``_pf_rows``)."""
     pf = importlib.import_module("skewpoly.pfaffian")
     stages, pf_labels, expand = pf._stages, pf.pf_labels, pf.pfaffian_expand
-    jet_chain = pf.jet_chain
+    pf_chain = pf.pf_chain
     seen = {"jet pivots": 0, "weight-2 pf_labels": 0, "pfaffian_expand": 0}
-    in_jet_chain = []
+    in_jets = []
 
     def counted_stages(a, swaps):
         for p, odd in stages(a, swaps):
-            seen["jet pivots"] += isinstance(p, Jet) and not in_jet_chain
+            seen["jet pivots"] += isinstance(p, Jet) and not any(in_jets)
             yield p, odd
 
-    def flagged_jet_chain(labels, kernel):
-        in_jet_chain.append(True)
+    def flagged_chain(labels, kernel, **kwargs):
+        in_jets.append(kwargs.get("jets", False))
         try:
-            return jet_chain(labels, kernel)
+            return pf_chain(labels, kernel, **kwargs)
         finally:
-            in_jet_chain.pop()
+            in_jets.pop()
 
     def counted_pf_labels(labels, sys, *, cache=None, jet_spec=None):
         seen["weight-2 pf_labels"] += jet_spec is not None and jet_spec.weight >= 2
@@ -486,7 +488,7 @@ def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
     monkeypatch.setattr(pf, "_stages", counted_stages)
     for name, orig, wrapper in (("pf_labels", pf_labels, counted_pf_labels),
                                 ("pfaffian_expand", expand, counted_expand),
-                                ("jet_chain", jet_chain, flagged_jet_chain)):
+                                ("pf_chain", pf_chain, flagged_chain)):
         for modname, mod in list(sys.modules.items()):
             if modname.startswith("skewpoly") and getattr(mod, name, None) is orig:
                 monkeypatch.setattr(mod, name, wrapper)
@@ -502,22 +504,23 @@ def test_verify_expands_no_jet_valued_pfaffian(monkeypatch, tmp_path):
     chains, and the scalar C2 borders of rank2 are eliminated: a verify run
     never reaches the expansion ``_pf_expand``, in any ring."""
     pf = importlib.import_module("skewpoly.pfaffian")
-    expand, jet_chain = pf._pf_expand, pf.jet_chain
+    expand, pf_chain = pf._pf_expand, pf.pf_chain
     expanded, built = [], []
 
     def counted_expand(labels, entry, cache):
         expanded.append(labels)
         return expand(labels, entry, cache)
 
-    def counted_jet_chain(labels, kernel):
+    def counted_chain(labels, kernel, **kwargs):
         labels = list(labels)
-        built.append((kernel, tuple(labels[:2])))
-        return jet_chain(labels, kernel)
+        if kwargs.get("jets"):
+            built.append((kernel, tuple(labels[:2])))
+        return pf_chain(labels, kernel, **kwargs)
 
     monkeypatch.setattr(pf, "_pf_expand", counted_expand)
     for modname, mod in list(sys.modules.items()):
-        if modname.startswith("skewpoly") and getattr(mod, "jet_chain", None) is jet_chain:
-            monkeypatch.setattr(mod, "jet_chain", counted_jet_chain)
+        if modname.startswith("skewpoly") and getattr(mod, "pf_chain", None) is pf_chain:
+            monkeypatch.setattr(mod, "pf_chain", counted_chain)
     for kind in KINDS:
         built.clear()
         assert run(["verify", "--kind", kind, "--n-max", "3", "--m-max", "1",
@@ -527,15 +530,16 @@ def test_verify_expands_no_jet_valued_pfaffian(monkeypatch, tmp_path):
 
 
 def counted_chains(monkeypatch) -> list:
-    """Every ``pf_chain`` build from now on, as (moment kernel, labels); a
-    kernel belongs to one system's table, and the list holds it, so no id
-    is reused."""
+    """Every scalar ``pf_chain`` build from now on, as (moment kernel,
+    labels); a kernel belongs to one system's table, and the list holds it,
+    so no id is reused."""
     fam = importlib.import_module("skewpoly.families")
     chain, built = fam.pf_chain, []
 
     def counted_chain(labels, kernel, **kwargs):
         labels = list(labels)
-        built.append((kernel, labels))
+        if not kwargs.get("jets"):
+            built.append((kernel, labels))
         return chain(labels, kernel, **kwargs)
 
     monkeypatch.setattr(fam, "pf_chain", counted_chain)
@@ -543,18 +547,19 @@ def counted_chains(monkeypatch) -> list:
 
 
 def chain_reads(monkeypatch) -> tuple:
-    """Every ``jet_chain`` build from now on, as (moment kernel, labels),
-    the largest last label each read outside a ``build_chains`` sweep asks
-    of a chain, by (kernel, jets, first two labels), and every system
-    ``run_verification`` is given."""
+    """Every first-order ``pf_chain`` build (``jets=True``) from now on, as
+    (moment kernel, labels), the largest last label each read outside a
+    ``build_chains`` sweep asks of a chain, by (kernel, jets, first two
+    labels), and every system ``run_verification`` is given."""
     fam = importlib.import_module("skewpoly.families")
-    jet_chain, chain, sweep = fam.jet_chain, TauTable._chain, TauTable.build_chains
+    pf_chain, chain, sweep = fam.pf_chain, TauTable._chain, TauTable.build_chains
     jet_built, reads, verified, sweeping = [], {}, [], []
 
-    def counted_jet_chain(labels, kernel):
+    def counted_jets(labels, kernel, **kwargs):
         labels = list(labels)
-        jet_built.append((kernel, labels))
-        return jet_chain(labels, kernel)
+        if kwargs.get("jets"):
+            jet_built.append((kernel, labels))
+        return pf_chain(labels, kernel, **kwargs)
 
     def read_chain(self, m, head, last, jets=False):
         out = chain(self, m, head, last, jets)
@@ -575,7 +580,7 @@ def chain_reads(monkeypatch) -> tuple:
         return run_verification(sys_, *args, **kwargs)
 
     run_verification = cli.run_verification
-    monkeypatch.setattr(fam, "jet_chain", counted_jet_chain)
+    monkeypatch.setattr(fam, "pf_chain", counted_jets)
     monkeypatch.setattr(TauTable, "_chain", read_chain)
     monkeypatch.setattr(TauTable, "build_chains", swept)
     monkeypatch.setattr(cli, "run_verification", captured)

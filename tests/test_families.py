@@ -532,6 +532,18 @@ def _stalled_system():
     return MomentSystem(12, mu, ((Fraction(0),) + base.beta[0][1:], base.beta[1]))
 
 
+def _zeroed(kind):
+    """A seed-5 system of ``kind`` (max_index 10) with mu_01 = mu_23 = 0 and
+    beta_0 = 0 (and its conjugate) in component 1."""
+    s = gen(kind, 10, components=2 if "-" in kind else 1, seed=5)
+    zeroed = {key: s.mu[key] - s.mu[key] for key in ((0, 1), (2, 3))}
+
+    def zero_first(rows):
+        return ((rows[0][0] - rows[0][0], *rows[0][1:]), *rows[1:])
+    return s.replace(mu={**s.mu, **zeroed}, beta=zero_first(s.beta),
+                     beta_bar=s.beta_bar and zero_first(s.beta_bar))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_values_past_a_stall_match_expansion(kind):
     """Zeroed moments stall the chains of every kind: mu_01 = 0 and mu_23 =
@@ -542,13 +554,7 @@ def test_values_past_a_stall_match_expansion(kind):
     expansion; a member over a vanishing link raises, a jet member with
     ``NOT_A_UNIT``.  A weight-1 tau jet whose chain tops would read one
     label past ``max_index`` still reads off the chain."""
-    s = gen(kind, 10, components=2 if "-" in kind else 1, seed=5)
-    zeroed = {key: s.mu[key] - s.mu[key] for key in ((0, 1), (2, 3))}
-
-    def zero_first(rows):
-        return ((rows[0][0] - rows[0][0], *rows[0][1:]), *rows[1:])
-    s = s.replace(mu={**s.mu, **zeroed}, beta=zero_first(s.beta),
-                  beta_bar=s.beta_bar and zero_first(s.beta_bar))
+    s = _zeroed(kind)
     t = TauTable(s)
     assert not t.tau(2, 0) and not t.tau(2, 2) and not t.tau(1, 0) and t.tau(4, 0)
     for m in range(3):
@@ -559,6 +565,37 @@ def test_values_past_a_stall_match_expansion(kind):
         t.psop(1, 0, spec=J1)
     jet = t.tau_jet(10, 0, J1)  # labels 0..9, its tops through label 10
     assert jet == pf_labels(range(10), s, jet_spec=J1)
+
+
+def test_jet_blocks_past_a_stall_eliminate_once(monkeypatch):
+    """mu_01 = 0 stalls the first-order chain of shift 0 at its first link,
+    so P_6^{(0)} over J1 and its link tau_6 come off blocks of the rows the
+    stall left (``_pf_left``).  Each block runs one elimination with swaps,
+    its jets as dual numbers, where interpolating Pf(A + xB) ran h + 1
+    scalar ones; the link and the member equal their expansion."""
+    pf = importlib.import_module("skewpoly.pfaffian")
+    stages, left = pf._stages, pf._pf_left
+    swapped, blocks = [], []
+
+    def counted_stages(a, swaps):
+        swapped.extend([len(a)] * swaps)
+        return stages(a, swaps)
+
+    def counted_left(a, pos, prev):
+        blocks.append(len(pos))
+        return left(a, pos, prev)
+    s = _zeroed("none")
+    t = TauTable(s)
+    monkeypatch.setattr(pf, "_stages", counted_stages)
+    monkeypatch.setattr(pf, "_pf_left", counted_left)
+    got = t.sop(6, 0, J1)
+    assert blocks and swapped == blocks, (blocks, swapped)
+    leading = t._chain(0, (), 6, True)[0]
+    assert not leading(1).base and leading(1)  # mu_01 = 0, its t_1 derivative not
+    link = pf_labels(range(6), s, jet_spec=J1)
+    assert leading(3) == link
+    raw = pf_indexed([*range(6), 6, "z"], s, jet_spec=J1)
+    assert got == raw.map_coeffs(lambda c: c * link.inverse())
 
 
 def test_stalled_chains_fall_back_to_expansion():

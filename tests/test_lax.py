@@ -180,14 +180,18 @@ def test_c2_borders_match_expansion(rank2):
 def test_c2_borders_cost_two_chains_per_shift(monkeypatch, tmp_path):
     """The 12 C2 borders of rank2 at n_max 3 (m = 0, 1) come off two chains
     per shift, each built once, on (d0, m, d1, m+1, ...) and (d1, m, m+1,
-    ...); no border runs an elimination of its own (``_pf_kernel``, the
+    ...); no border runs an elimination of its own (``_pf_rows``, the
     elimination with swaps, is never called: no link vanishes)."""
     pf = importlib.import_module("skewpoly.pfaffian")
     fam = importlib.import_module("skewpoly.families")
-    kernel, chain, swapped, built = pf._pf_kernel, fam.pf_chain, [], []
-    monkeypatch.setattr(pf, "_pf_kernel", lambda a: swapped.append(len(a)) or kernel(a))
-    monkeypatch.setattr(fam, "pf_chain", lambda labels, kern: built.append(labels[:3])
-                        or chain(labels, kern))
+    rows, chain, swapped, built = pf._pf_rows, fam.pf_chain, [], []
+    monkeypatch.setattr(pf, "_pf_rows", lambda a: swapped.append(len(a)) or rows(a))
+
+    def counted_chain(labels, kern, **kwargs):
+        if not kwargs.get("jets"):
+            built.append(labels[:3])
+        return chain(labels, kern, **kwargs)
+    monkeypatch.setattr(fam, "pf_chain", counted_chain)
     assert cli.main(["verify", "--kind", "rank2", "--seed", "3", "--n-max", "3",
                      "--identities", "C2_SUITE", "--out", str(tmp_path / "r.json")]) == 0
     d0, d1 = ("shift", 0), ("shift", 1)

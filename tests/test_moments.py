@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -266,6 +267,32 @@ def test_save_load_round_trips_a_sparse_mu_system(tmp_path):
     assert len(sparse.mu) < len(pairs) == len(back.mu)
     assert [back.mu_entry(i, j) for i, j in pairs] == [sparse.mu_entry(i, j) for i, j in pairs]
     assert back.beta == sparse.beta and to_json_dict(back) == to_json_dict(sparse)
+
+
+def test_load_memory_follows_the_file_not_max_index(tmp_path):
+    """A file's missing triple is found by walking the expected keys in
+    order to the first one absent, at most one step past the file's own
+    entries, so neither a huge ``max_index`` in a tiny file nor a long beta
+    row beside one mu triple builds the list of every missing beta pair or
+    the set of every expected mu pair: each is rejected with its message
+    under a traced peak of a few MB (tens of MB when the expected keys
+    were all built)."""
+    files = [({"max_index": 200_000, "mu": [], "beta": [[1, 0, "1"]]},
+              "missing beta triples, first (1,1)"),
+             ({"max_index": 600, "mu": [[0, 1, "1"]],
+               "beta": [[1, j, "1"] for j in range(601)]},
+              "missing mu triples, first (0, 2)")]
+    for i, (data, message) in enumerate(files):
+        path = tmp_path / f"sys{i}.json"
+        path.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message and peak < 4 << 20, (message, peak)
 
 
 def test_save_load(tmp_path):

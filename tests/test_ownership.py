@@ -113,16 +113,31 @@ def test_only_the_tau_table_and_the_moments_import_the_engine():
     assert not _imports_engine(ast.parse("from .families import taus"))
 
 
-def test_swapped_elimination_sees_scalars_only():
-    """The elimination with swaps (``_pf_kernel``) is called only by
-    ``pfaffian``'s one Pfaffian per ring (``_pf_rows``, which hands it
-    scalars only), from no other function or module."""
-    callers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
-               for owner in _callers(ast.parse(path.read_text()), "_pf_kernel")}
-    assert callers == {("pfaffian.py", "_pf_rows")}, callers
-    # the guard sees the calls it forbids
-    bad = ast.parse("def f(a):\n    return pf._pf_kernel(a)\nx = _pf_kernel(b)")
-    assert _callers(bad, "_pf_kernel") == {"f", "<module>"}
+def _defines(tree, name: str) -> bool:
+    """Whether a function or class named ``name`` is defined anywhere in it."""
+    return any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name == name for node in ast.walk(tree))
+
+
+def test_one_swapped_elimination_for_every_ring():
+    """The elimination with swaps (``_pf_rows``) takes scalars and
+    ``JetSpec(1)`` jets alike, the jets as dual numbers: only ``pfaffian``
+    and the blocks past a stall (``_pf_left``) call it; no Pfaffian is
+    interpolated over scalar eliminations, so only the Schur layers
+    (``TauTable.schur_layers``) call ``_interpolate``; and the first-order
+    chains are ``pf_chain(..., jets=True)``, with no ``jet_chain`` wrapper."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+    def callers(name):
+        return {(file, owner) for file, tree in trees.items() for owner in _callers(tree, name)}
+    assert callers("_pf_rows") == {("pfaffian.py", "pfaffian"),
+                                   ("pfaffian.py", "_pf_left")}, callers("_pf_rows")
+    assert callers("_interpolate") == {("families.py", "TauTable.schur_layers")}, \
+        callers("_interpolate")
+    assert not [file for file, tree in trees.items() if _defines(tree, "jet_chain")]
+    # the guard sees the definitions it forbids
+    assert _defines(ast.parse("class A:\n    def jet_chain(self):\n        pass"), "jet_chain")
+    assert not _defines(ast.parse("jet_chain = None"), "jet_chain")
 
 
 def test_bilinear_imports_nothing_from_the_engine():
