@@ -597,9 +597,9 @@ def _lax_interior(sys, kind, N, m):
 
 
 _COMPAT = "operator compatibility on the interior block"
-_identity("LAX_RANK2_M", _COMPAT, _block_grid("rank2-m"), ("rank2",), group="CONSTRAINT")(
+_identity("LAX_RANK2_M", _COMPAT, _block_grid("rank2-m"), group="CONSTRAINT")(
     partial(_lax_interior, kind="rank2-m"))
-_identity("LAX_RANK2_N", _COMPAT, _block_grid("rank2-n"), ("rank2",), group="CONSTRAINT")(
+_identity("LAX_RANK2_N", _COMPAT, _block_grid("rank2-n"), group="CONSTRAINT")(
     partial(_lax_interior, kind="rank2-n"))
 _identity("LAX_MIXED", "dL/dt1 = M[m+1] L - L M[m] on the interior block",
           _block_grid("mixed"), group="CONSTRAINT")(partial(_lax_interior, kind="mixed"))

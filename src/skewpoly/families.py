@@ -66,10 +66,10 @@ shift transforms (:mod:`skewpoly.christoffel`) use
     D_n^m = logd_{2n+2}^{(m)}  (for m >= 1 also P_{2n+3}^{(m-1)}(0) /
             P_{2n+2}^{(m-1)}(0), which the tests check against it)
 
-Each tau's (tau, tau', logd, tau'') is read off its chain's ``tops`` once
-(:meth:`TauTable._logd`; tau'' off label M + 2, where it fits): logd's jet
-is (logd, tau''/tau - logd^2) and a ratio R's (R, R (sum_num logd -
-sum_den logd)), with no jet inverse and no weight-2 jet.
+Each tau's record (tau, tau', logd, tau'', d/dt_2 tau) is read off its
+chain's ``tops`` once (:meth:`TauTable._logd`), and every tau jet and
+coefficient jet reads it: logd's jet is (logd, tau''/tau - logd^2) and a
+ratio R's (R, R (sum_num logd - sum_den logd)), with no jet inverse.
 
 The skew inner product <z^i, z^j> = mu_{i,j} extends bilinearly.
 :func:`skew_gram` evaluates a whole table of pairs <f, g> as one product
@@ -139,10 +139,10 @@ class TauTable:
     def __init__(self, sys: MomentSystem):
         self.sys = sys
         self._kernel: MomentKernel | None = None
-        # (m, head labels) -> (last moment label, pf_chain output), the tau
-        # and C2 chains; the first-order jet ones alike
-        self._chains, self._jet_chains = {}, {}
-        self._logds: dict = {}  # (idx, m, k, conj) -> _logd
+        # (m, head labels, jets) -> (last moment label, pf_chain output): the
+        # tau and C2 chains and their first-order copies
+        self._chains: dict = {}
+        self._logds: dict = {}  # (idx, m, k, conj) -> the _logd record
         # (idx, m, k, conj, spec) -> public member, converted on first read
         self._polys: dict = {}
         # (idx, m, k, conj) -> schur_layers, off Miwa chains through the idx
@@ -177,27 +177,14 @@ class TauTable:
 
     def tau_jet(self, idx: int, m: int, spec: JetSpec, k: int = 1,
                 conj: bool = False) -> Jet:
-        """The jet of :meth:`tau` of weight <= 2 off :meth:`_tops`; a heavier
-        one raises."""
+        """The jet of :meth:`tau` of weight <= 2 off :meth:`_logd`; a heavier
+        one, or one of weight 2 the record cannot give, raises."""
         if spec.weight > 2:
             raise TruncationError(f"tau jets stop at weight 2, not {spec}")
-        if idx <= 0:
-            return Jet.constant(Fraction(int(idx == 0)), spec)
-        tau, d1, d11, d2 = self._tops(idx, m, k, conj, spec.weight)
+        tau, d1, _, d11, d2 = self._logd(idx, m, k, conj)
+        if d11 is None and spec.weight == 2:
+            raise OutOfRangeError(f"tau_{idx}^({m})'' reads label {m + idx + 1} > max_index")
         return Jet.of_derivatives(spec, {(0,): tau, (1,): d1, (2,): d11, (0, 1): d2})
-
-    def _tops(self, idx, m, k, conj, weight=2):
-        """(tau, d/dt_1 tau, d^2/dt_1^2 tau, d/dt_2 tau) of link idx >= 1 off its
-        chain's ``tops`` through label M + 2 (through M + 1 = ``max_index`` for
-        ``weight`` < 2, reading no x, y: None): Pf(L), Pf(L, M -> M+1), x + y, y - x."""
-        leading, tops, *_ = self._chain(m, _tau_head(k, conj, idx % 2),
-                                        m + idx + (weight > 1 or m + idx < self.sys.max_index))
-        s = (idx + 1) // 2
-        t1, x, *y = tops(s - 1)
-        if not y:
-            return leading(s), t1, None, None
-        x = 0 if idx == 1 else x  # tau_1 = beta_m: no label M - 1
-        return leading(s), t1, y[0] + x, y[0] - x
 
     def moment_rows(self):
         """The (k, conj) of every single-moment row, conjugate rows included."""
@@ -234,8 +221,7 @@ class TauTable:
         top = self.sys.max_index - jets - (_D1 in head)
         if last > top:
             raise OutOfRangeError(f"a chain through label {last} reads past {top}")
-        chains = self._jet_chains if jets else self._chains
-        got = chains.get((m, head))
+        got = self._chains.get((m, head, jets))
         if got:
             have, out = got
             if have >= last:
@@ -246,7 +232,7 @@ class TauTable:
         last = min(last, top)
         labels = [*head, *(x for x in range(m, last + 1) if x not in head)]
         out = pf_chain(labels, self.kernel(), jets=jets)
-        chains[m, head] = (last, out)
+        self._chains[m, head, jets] = (last, out)
         return out
 
     def c2_border(self, n: int, m: int) -> PolyInZ:
@@ -290,18 +276,23 @@ class TauTable:
         return self._layers[key]
 
     def _logd(self, idx, m, k=1, conj=False):
-        """(tau, tau', logd, tau'') of tau_idx^{(m)}, ' = d/dt_1, logd = tau'/tau
-        (None if tau = 0), kept: off :meth:`_tops` of weight 1, so tau'' is
-        None where the chain ends at label M + 1.  A zero tau or tau' is the
-        int 0, as a jet coefficient reads."""
+        """(tau, tau', logd, tau'', d/dt_2 tau) of tau_idx^{(m)}, ' = d/dt_1,
+        logd = tau'/tau (None if tau = 0), kept: Pf(L), Pf(L, M -> M+1), y + x,
+        y - x off its chain's ``tops``, the last two None where label M + 2 is
+        past ``max_index``.  A zero tau or tau' is the int 0, as a jet reads."""
         got = self._logds.get((idx, m, k, conj))
         if got is None:
             if idx <= 0:
-                tau, d1, d11 = int(idx == 0), 0, 0
+                tau, d1, d11, d2 = int(idx == 0), 0, 0, 0
             else:
-                tau, d1, d11, _ = self._tops(idx, m, k, conj, 1)
-                tau, d1 = tau or 0, d1 or 0
-            got = (tau, d1, exact_div(d1, tau) if tau else None, d11)
+                leading, tops, *_ = self._chain(m, _tau_head(k, conj, idx % 2),
+                                                m + idx + (m + idx < self.sys.max_index))
+                s = (idx + 1) // 2
+                d1, x, *y = tops(s - 1)
+                x = 0 if idx == 1 else x  # tau_1 = beta_m: no label M - 1
+                tau, d1 = leading(s) or 0, d1 or 0
+                d11, d2 = (y[0] + x, y[0] - x) if y else (None, None)
+            got = (tau, d1, exact_div(d1, tau) if tau else None, d11, d2)
             self._logds[idx, m, k, conj] = got
         return got
 
@@ -309,13 +300,13 @@ class TauTable:
                     spec: JetSpec | None = None):
         """logd = d/dt_1 log tau_idx^{(m)}: a scalar, or with ``spec`` (only
         ``JetSpec(1)``) the jet (logd, tau''/tau - logd^2) off :meth:`_logd`."""
-        tau, d1, logd, d11 = self._logd(idx, m, k)
+        tau, d1, logd, d11, _ = self._logd(idx, m, k)
         if spec is None:
             return logd if tau else exact_div(d1, tau)
         if not tau:
             raise ZeroDivisionError(NOT_A_UNIT)
-        if d11 is None:  # the chain ends at label M + 1
-            d11 = self._tops(idx, m, k, False)[2]
+        if d11 is None:
+            raise OutOfRangeError(f"tau_{idx}^({m})'' reads label {m + idx + 1} > max_index")
         return Jet.first_order(logd, exact_div(d11, tau) - logd * logd)
 
     def ratio(self, num, den, spec: JetSpec | None = None):
@@ -326,8 +317,7 @@ class TauTable:
         if any(ref[0] < 0 for ref in num):
             return Fraction(0) if spec is None else Jet.constant(Fraction(0), spec)
         if spec is None:
-            val = {ref: self.tau(*ref) for ref in {*num, *den}}
-            return exact_div(prod(val[r] for r in num), prod(val[r] for r in den))
+            return exact_div(prod(self.tau(*r) for r in num), prod(self.tau(*r) for r in den))
         val = {ref: self._logd(*ref) for ref in {*num, *den}}
         d = prod(val[r][0] for r in den)
         if not d:

@@ -161,6 +161,8 @@ def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> di
     """
     if n_size < 6:
         raise ValueError("need size >= 6 for a nonempty interior block")
+    if kind in ("rank2-m", "rank2-n") and sys.constraint != "rank2":
+        raise ValueError(f"the {kind} block requires the rank2 constraint")
     here = build_psop_lax(sys, m, n_size)
     lo, hi = 1, n_size - 4
 

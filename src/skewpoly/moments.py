@@ -31,9 +31,9 @@ from itertools import chain, combinations, product
 from operator import mul
 from typing import Optional
 
-from .families import vanishing_taus
+from .families import taus, vanishing_taus
 from .jets import Jet, JetSpec, weight
-from .pfaffian import LabelError, OutOfRangeError, _q, _z, det_bareiss, pfaffian
+from .pfaffian import LabelError, OutOfRangeError, _q, _z, det_bareiss
 from .record import Record
 from .scalars import GaussianRational, format_scalar, parse_scalar
 
@@ -330,14 +330,10 @@ def _propagate_rank2(beta, max_index, rng, den_bound) -> dict:
     for sigma in range(1, 2 * max_index):
         if sigma % 2:
             c = (sigma - 1) // 2
-            if c + 1 > max_index:
-                continue
             mu[(c, c + 1)] = _rand_fraction(rng, den_bound)
             i = c - 1
         else:
             c = sigma // 2
-            if c + 1 > max_index:
-                continue
             mu[(c - 1, c + 1)] = beta[c] * beta[c] - beta[c - 1] * beta[c + 1]
             i = c - 2
         while i >= 0 and sigma - i <= max_index:
@@ -432,16 +428,15 @@ def stembridge_residual(sys: MomentSystem, n: int):
 
     For Laurent moments m_k = mu_{i,i+k} the 2n x 2n Pfaffian with entries
     m_{j-i} equals det(x_{i,j})_{i,j=1..n} with
-    x_{i,j} = m_{|i-j|+1} + m_{|i-j|+3} + ... + m_{i+j-1}.
+    x_{i,j} = m_{|i-j|+1} + m_{|i-j|+3} + ... + m_{i+j-1}.  The Pfaffian is
+    the system's tau_{2n}^{(0)} and m_k = mu_{0,k}, so the moments' own
+    Toeplitz structure is checked too.
     """
     if sys.constraint != "laurent":
         raise ValueError("Toeplitz correspondence needs the laurent tag")
-    band = [0] + [sys.mu_entry(0, k) for k in range(1, 2 * n)]
-    pf = pfaffian([[band[j - i] if j >= i else -band[i - j] for j in range(2 * n)]
-                   for i in range(2 * n)])
-    rows = [[sum((band[r] for r in range(abs(i - j) + 1, i + j, 2)), Fraction(0))
+    rows = [[sum((sys.mu_entry(0, r) for r in range(abs(i - j) + 1, i + j, 2)), Fraction(0))
              for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return pf - det_bareiss(rows)
+    return taus(sys).tau(2 * n, 0) - det_bareiss(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +521,24 @@ def to_json_dict(sys: MomentSystem) -> dict:
 
 
 def from_json_dict(data: dict) -> MomentSystem:
-    """A system from its JSON form: indices, components and ``max_index``
-    are JSON integers (not booleans), scalars are strings, each mu pair 0 <=
-    i < j <= max_index is given once, and no other key is present."""
-    unknown = sorted(set(data) - {"max_index", "constraint", "mode", "mu", "beta",
-                                  "beta_bar"})
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}")
+    """A system from its JSON object: ``max_index`` and ``mu`` present, no unknown
+    key, indices, components and ``max_index`` JSON integers (not booleans),
+    scalars strings, and each mu pair 0 <= i < j <= max_index given once."""
+    if not isinstance(data, dict):
+        raise ValueError(f"the file holds a JSON {type(data).__name__}, not an object")
+    for what, keys in (("unknown", set(data) - {"max_index", "constraint", "mode", "mu",
+                                                "beta", "beta_bar"}),
+                       ("missing", {"max_index", "mu"} - set(data))):
+        if keys:
+            raise ValueError(f"{what} key {min(keys)!r}")
     max_index = _json_int(data["max_index"], "max_index")
     mu = {(_json_int(i, "mu index"), _json_int(j, "mu index")): _json_scalar(s)
-          for i, j, s in data["mu"]}
+          for i, j, s in _triples("mu", data["mu"])}
     if len(mu) != len(data["mu"]):
         raise ValueError("repeated mu triple")
     beta = _seqs_from_triples("beta", data.get("beta", []), max_index)
-    bbar = None
-    if "beta_bar" in data:
-        bbar = _seqs_from_triples("beta_bar", data["beta_bar"], max_index)
+    bbar = (_seqs_from_triples("beta_bar", data["beta_bar"], max_index)
+            if "beta_bar" in data else None)
     missing = next((p for p in combinations(range(max_index + 1), 2) if p not in mu), None)
     if missing:  # the walk stops there: at most len(mu) + 1 steps
         raise ValueError(f"missing mu triples, first {missing}")
@@ -554,7 +551,7 @@ def _seqs_from_triples(name, triples, max_index) -> tuple:
     """Rows from (k, j, value) triples, each (k, j) with 0 <= j <= max_index
     given exactly once for every component k up to the largest one named."""
     seqs: dict = {}
-    for k, j, s in triples:
+    for k, j, s in _triples(name, triples):
         k, j = _json_int(k, f"{name} component"), _json_int(j, f"{name} index")
         if k < 1 or not 0 <= j <= max_index:
             raise ValueError(f"{name} triple ({k},{j}) needs k >= 1 and "
@@ -569,6 +566,16 @@ def _seqs_from_triples(name, triples, max_index) -> tuple:
         raise ValueError(f"missing {name} triples, first ({missing[0]},{missing[1]})")
     return tuple(tuple(seqs[(k, j)] for j in range(max_index + 1))
                  for k in range(1, ncomp + 1))
+
+
+def _triples(name, triples) -> list:
+    """``triples``, checked to be a JSON list of three-element lists."""
+    if type(triples) is not list:
+        raise ValueError(f"{name} {triples!r} is not a list of triples")
+    bad = next((t for t in triples if type(t) is not list or len(t) != 3), None)
+    if bad is not None:
+        raise ValueError(f"{name} entry {bad!r} is not a triple")
+    return triples
 
 
 def _json_int(x, what: str) -> int:

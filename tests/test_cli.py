@@ -286,6 +286,44 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert run(load + [str(tmp_path / "missing.json")]) == 2
 
 
+def test_verify_names_what_a_file_lacks(tmp_path, capsys):
+    """A file without ``max_index``, with a short mu or beta triple, with a
+    number for the mu list, or holding a list, exits 2 with a message that
+    names the field, not a raw Python error."""
+    good = tmp_path / "good.json"
+    assert run(["gen", "--kind", "none", "--seed", "3", "--n-max", "1", "--m-max", "0",
+                "--out", str(good)]) == 0
+    base = json.loads(good.read_text())
+    assert base["mu"][0][:2] == [0, 1] and base["beta"][0][:2] == [1, 0]
+    for t, (data, message) in enumerate([
+            ({k: v for k, v in base.items() if k != "max_index"},
+             "missing key 'max_index'"),
+            ({**base, "mu": [base["mu"][0][:2], *base["mu"][1:]]},
+             "mu entry [0, 1] is not a triple"),
+            ({**base, "beta": [base["beta"][0][:2], *base["beta"][1:]]},
+             "beta entry [1, 0] is not a triple"),
+            ({**base, "mu": 5}, "mu 5 is not a list of triples"),
+            ([base], "the file holds a JSON list, not an object")]):
+        bad = tmp_path / f"lacks{t}.json"
+        bad.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run(["verify", "--in", str(bad), "--n-max", "1", "--m-max", "0"]) == 2, t
+        assert capsys.readouterr().err == (f"config error: cannot load {bad}: "
+                                           f"ValueError: {message}\n"), t
+
+
+def test_stembridge_reads_the_systems_own_toeplitz_pfaffian(tmp_path):
+    """STEMBRIDGE takes its Pfaffian as the system's tau_{2n}^(0), so a
+    laurent system whose mu_{1,3} is corrupted (no longer Toeplitz) fails it
+    at n = 2, the first tau that reads that entry; n = 1 still passes."""
+    rep = tmp_path / "rep.json"
+    assert run(["verify", "--kind", "laurent", "--seed", "3", "--n-max", "2",
+                "--m-max", "1", "--corrupt", "mu:1,3", "--identities", "STEMBRIDGE",
+                "--out", str(rep)]) == 1
+    entries = json.loads(rep.read_text())["entries"]
+    assert {e["params"]["n"]: e["status"] for e in entries} == {1: "pass", 2: "fail"}
+
+
 @pytest.mark.parametrize("kind", ["none", "laurent", "rank2", "rank1skew",
                                   "rank1skew-multi", "rank1skew-complex"])
 def test_verify_rejects_a_file_without_beta(kind, tmp_path, capsys):

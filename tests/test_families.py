@@ -201,8 +201,8 @@ def test_members_convert_once_on_first_read(monkeypatch):
         loop = int if kind == "none" else GaussianRational
         t.build_chains(3, 0)
         t.build_chains(3, 1)
-        rows = [got(r) for (m, head), (last, (_, _, got, _)) in t._chains.items()
-                for r in range(len(head) + last - m + 1)]
+        rows = [got(r) for (m, head, jets), (last, (_, _, got, _)) in t._chains.items()
+                if not jets for r in range(len(head) + last - m + 1)]
         assert rows and all(type(den) is int and all(type(c) in (int, loop) for c in num)
                             for num, den in rows), kind
         assert not conversions, kind
@@ -299,7 +299,7 @@ def test_coefficient_jets_match_scalars_and_quotient_rule(kind):
                 j = t.tau_jet(idx, m, JetSpec(2), 1, conj)
                 assert t._logd(idx, m, 1, conj) == (j.base, j.extract(1),
                                                     exact_div(j.extract(1), j.base),
-                                                    j.extract(2))
+                                                    j.extract(2), j.extract(0, 1))
     J1 = JetSpec(1)
     for m in (0, 1):
         for n in range(6):
@@ -411,10 +411,10 @@ def test_tau_chains_match_expansion():
                   components=2 if kind.startswith("rank1skew-") else 1,
                   require_tau=(n_max, m_max))
         t = taus(sys)
-        built = dict(t._chains)
+        built = {key: got for key, got in t._chains.items() if not key[2]}  # scalar
         for m in range(m_max + 1):
             _expansion_oracle(t, sys, m, 2 * n_max - 1)
-        assert t._chains.keys() == built.keys(), kind
+        assert {key for key in t._chains if not key[2]} == built.keys(), kind
         assert all(t._chains[key] is got for key, got in built.items()), kind
 
 
@@ -530,6 +530,40 @@ def _stalled_system():
     mu = dict(base.mu)
     mu[(0, 1)] = Fraction(0)
     return MomentSystem(12, mu, ((Fraction(0),) + base.beta[0][1:], base.beta[1]))
+
+
+def test_coefficient_jets_across_a_vanishing_tau_raise():
+    """A first-order coefficient jet divides by its taus' jets, so one whose
+    denominator holds a vanishing tau raises ``NOT_A_UNIT``: k_coeff across
+    tau_2^(0) = 0, read off the tau records past the stall."""
+    t = TauTable(_stalled_system())
+    assert t.tau(2, 0) == 0 and t.tau(3, 0) != 0
+    for n in (1, 2):
+        with pytest.raises(ZeroDivisionError, match=NOT_A_UNIT):
+            t.k_coeff(n, 0, J1)
+
+
+def test_tau_records_at_max_index_hold_weight_one():
+    """At m + idx = max_index the chain ends at label M + 1, so a tau's
+    record holds tau and tau' but no tau'' or d/dt_2 tau: the first-order
+    tau jet and the scalar logd still read, while the weight-2 tau jet and
+    the first-order logd jet raise ``OutOfRangeError``."""
+    s = gen("none", 8, seed=3, require_tau=(3, 1))
+    t = taus(s)
+    for idx, m in ((8, 0), (7, 1), (6, 2)):
+        assert m + idx == s.max_index
+        tau, d1, logd, d11, d2 = t._logd(idx, m)
+        assert tau and d11 is None and d2 is None, (idx, m)
+        jet = t.tau_jet(idx, m, J1)
+        assert jet == pf_labels(TauTable.tau_labels(idx, m, 1, False), s, jet_spec=J1)
+        assert (jet.base, jet.extract(1)) == (tau, d1), (idx, m)
+        assert t.dt1_log_tau(idx, m) == logd == exact_div(d1, tau), (idx, m)
+        with pytest.raises(OutOfRangeError):
+            t.tau_jet(idx, m, JetSpec(2))
+        with pytest.raises(OutOfRangeError):
+            t.dt1_log_tau(idx, m, spec=J1)
+    # one label short of max_index the record is whole
+    assert None not in t._logd(6, 1)
 
 
 def _zeroed(kind):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from skewpoly import cli, lax, moments
-from skewpoly.bilinear import IDENTITIES
+from skewpoly.bilinear import IDENTITIES, identity_residual
 from skewpoly.families import taus
 from skewpoly.jets import Jet, JetSpec
 from skewpoly.moments import MomentSystem, gen
@@ -228,6 +228,16 @@ def test_c2_borders_past_a_stalled_chain():
 def test_c2_requires_tag(unconstrained):
     with pytest.raises(ValueError):
         lax.c2_evolution_residuals(unconstrained, 0, 1)
+
+
+def test_rank2_blocks_require_tag(unconstrained):
+    """The rank2 operator blocks carry no constraint tag (``ReadPlan.blocks``
+    states where they run), so their residual itself rejects another system."""
+    for kind, name in (("rank2-m", "LAX_RANK2_M"), ("rank2-n", "LAX_RANK2_N")):
+        with pytest.raises(ValueError, match="rank2"):
+            lax.lax_compat_residual(unconstrained, kind, 0, 6)
+        with pytest.raises(ValueError, match="rank2"):
+            identity_residual(unconstrained, name, N=6, m=0)
 
 
 def test_mixed_identity_any_tag(unconstrained, rank2):

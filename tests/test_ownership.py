@@ -7,6 +7,7 @@ import ast
 from pathlib import Path
 
 import skewpoly
+from skewpoly.bilinear import IDENTITIES
 
 SRC = Path(skewpoly.__file__).resolve().parent
 
@@ -183,3 +184,26 @@ def test_the_operator_block_rule_is_stated_once():
                for owner in _callers(ast.parse(path.read_text()), "blocks")}
     assert readers == {("families.py", "TauTable.build_chains"),
                        ("bilinear.py", "_block_grid.grid")}, readers
+    # no block identity restates the rule with constraint tags
+    blocks = {name: ident.tags for name, ident in IDENTITIES.items()
+              if getattr(ident.grid, "__qualname__", "").startswith("_block_grid.")}
+    assert blocks == dict.fromkeys(("LAX_MIXED", "LAX_RANK2_M", "LAX_RANK2_N"), ()), blocks
+
+
+def test_one_reading_per_tau():
+    """Each tau's derivatives are read once, off its chain's ``tops``, into
+    the kept record ``TauTable._logd`` that every tau jet and coefficient
+    jet reads; all chains, first-order ones too, sit in one dict; and
+    STEMBRIDGE takes its Pfaffian off the tau chain, so ``moments`` does not
+    import the plain-matrix ``pfaffian``."""
+    families = ast.parse((SRC / "families.py").read_text())
+    names = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(families)}
+    assert not [name for name in ("_tops", "_jet_chains")
+                if _defines(families, name) or name in names]
+    readers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _owners(ast.parse(path.read_text()),
+                                    lambda node: getattr(node, "id", None) == "tops")}
+    assert readers == {("families.py", "TauTable._logd")}, readers
+    imported = {a.name for node in ast.walk(ast.parse((SRC / "moments.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "pfaffian" not in imported and "det_bareiss" in imported, imported
