@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from . import christoffel, lax
+from . import christoffel
 from .families import (ReadPlan, TauTable, orthogonality_defects,
                        orthogonality_determinant, psop_inner_defects, taus, z_plus_dt1)
 from .jets import Jet, JetSpec, weight
@@ -467,7 +467,8 @@ def _vnls(sys, n, m, k):
 #
 # Evaluators from here on look christoffel and lax functions up on their
 # module at call time, so a profiler that replaces a module attribute sees
-# every call made through the catalog.
+# every call made through the catalog.  The lax-backed ones import lax
+# themselves: a run that selects none of them never compiles it.
 
 
 @_identity("SOP_CT",
@@ -561,6 +562,7 @@ def _mixed_grid(sys, n_max, m_max):
 @_identity("MIXED", "(z + d1) Q_n = Q_{n+1} + K_n Q_n - J_n Q_{n-1}", _mixed_grid,
            group="SCHUR")
 def _mixed(sys, n, m):
+    from . import lax
     return lax.mixed_residual(sys, m, n)
 
 
@@ -571,6 +573,7 @@ def _mixed(sys, n, m):
            ("rank2",), group="CONSTRAINT",
            parts=("derivative_pf", "evolution", "shifted_evolution", "mixed"))
 def _c2_suite(sys, n, m):
+    from . import lax
     return lax.c2_evolution_residuals(sys, m, n)
 
 
@@ -579,6 +582,7 @@ def _c2_suite(sys, n, m):
            parts=("three_term", "evolution_even", "spectral_odd", "evolution_odd",
                   "k_parity"))
 def _c3_suite(sys, n, m):
+    from . import lax
     return lax.c3_recurrence_residuals(sys, m, n)
 
 
@@ -592,6 +596,7 @@ def _block_grid(kind):
 
 
 def _lax_interior(sys, kind, N, m):
+    from . import lax
     rep = lax.lax_compat_residual(sys, kind, m, N)
     return [v for row in rep["interior"] for v in row]
 
@@ -609,6 +614,7 @@ _identity("LAX_MIXED", "dL/dt1 = M[m+1] L - L M[m] on the interior block",
            group="CONSTRAINT", parts=("second_derivative", "evolution_even",
                                       "evolution_odd", "flow_b", "flow_c"))
 def _toda_vars(sys, n):
+    from . import lax
     return lax.toda_vars_and_residual(sys, n)
 
 

@@ -6,11 +6,18 @@ status ``fail``, or a vanishing denominator on this seed, status
 ``degenerate``; the report names the identity and parameters), and 2 means
 the configuration was rejected before any computation ran.  ``verify`` only
 drives :data:`skewpoly.bilinear.IDENTITIES`; every check lives there.
+
+:func:`run` is the process entry (``python -m skewpoly`` and the installed
+``skewpoly`` command): it freezes the import-time heap (``gc.freeze``), so
+neither the collections during the run nor the one at exit walk the objects
+every import left, then returns :func:`main`.  :func:`main` itself never
+freezes: a caller that runs it in process keeps its own heap as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -27,6 +34,12 @@ PASS, FAIL, CONFIG_ERROR = 0, 1, 2
 
 class ConfigError(Exception):
     pass
+
+
+def run(argv=None) -> int:
+    """:func:`main` in a process of its own, its import-time heap frozen."""
+    gc.freeze()
+    return main(argv)
 
 
 def main(argv=None) -> int:
@@ -377,4 +390,4 @@ def cmd_simulate(args) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

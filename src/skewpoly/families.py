@@ -92,8 +92,8 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .jets import J1, NOT_A_UNIT, Jet, JetSpec, TruncationError
-from .pfaffian import (MomentKernel, OutOfRangeError, _den_lcm, _interpolate, _q, _z,
-                       det_bareiss, miwa_chain, pf_chain)
+from .pfaffian import (MomentKernel, OutOfRangeError, _bareiss, _den_lcm, _interpolate,
+                       _q, _z, det_bareiss, miwa_chain, pf_chain)
 from .poly import PolyInZ
 from .record import Record
 from .scalars import GaussianRational, exact_div
@@ -149,6 +149,8 @@ class TauTable:
         # asked or, if larger, _miwa_top (ReadPlan.miwa_top, set by sweep)
         self._layers: dict = {}
         self._miwa_top = 0
+        # k -> [(sop, psop) defect determinant of n] for n <= its top
+        self._dets: dict = {}
         # (m, n_size) -> lax.build_psop_lax operator dict; (m, n_size, "T") ->
         # the rank2 product (L1 M_evo + L2) N (lax.lax_compat_residual)
         self.operators: dict = {}
@@ -274,6 +276,16 @@ class TauTable:
                 self._layers[i, m, k, conj] = (_interpolate(links[s][:i + 1], den),
                                                _interpolate(raised[s][:i + 1], den))
         return self._layers[key]
+
+    def determinants(self, n: int, k: int = 1) -> tuple:
+        """The (sop, psop) values of :func:`orthogonality_determinant` at n, a
+        ZeroDivisionError in place of one whose closed form does not exist;
+        kept.  One elimination gives every n through the run's largest
+        (``ReadPlan.miwa_top`` // 2 - 1, set by :meth:`sweep`), or n if larger."""
+        got = self._dets.get(k)
+        if got is None or n >= len(got):
+            got = self._dets[k] = _determinants(self, max(n, self._miwa_top // 2 - 1), k)
+        return got[n]
 
     def _logd(self, idx, m, k=1, conj=False):
         """(tau, tau', logd, tau'', d/dt_2 tau) of tau_idx^{(m)}, ' = d/dt_1,
@@ -449,15 +461,26 @@ def vanishing_taus(sys: MomentSystem, n_max: int, m_max: int):
     """Yield the ``tau`` arguments (idx, m) or (idx, m, k, conj) of every
     vanishing tau_idx^{(m)} with idx <= 2 n_max + 1 and m <= m_max, each
     component's conjugate row included: the one existence check (``gen``'s
-    ``require_tau``).  It sweeps each shift's chains on the system's own table
-    just before reading it, so a scan stopped early builds no later shift."""
+    ``require_tau``).  The single-entry taus come first, shift by shift:
+    tau_1^{(m)}, a row entry beta^{(k)}_m (its conjugate's for a conjugate
+    row), and tau_2^{(m)} = mu_{m,m+1}, read off the system before any
+    kernel or chain is built.  Then, shift by shift, the chain taus idx >= 3
+    by idx: each shift's chains are swept on the system's own table just
+    before they are read, so a scan stopped early builds no later shift."""
     t = taus(sys)
+    rows = t.moment_rows()
+    for m in range(m_max + 1):
+        for k, conj in rows:
+            if not sys._moment("beta_bar" if conj else "beta", k, m):
+                yield (1, m, k, conj)
+        if n_max and not sys.mu_entry(m, m + 1):
+            yield (2, m)
     for m in range(m_max + 1):
         t.build_chains(n_max, m)
-        for n in range(n_max + 1):
-            if n and not t.tau(2 * n, m):
+        for n in range(1, n_max + 1):
+            if n > 1 and not t.tau(2 * n, m):
                 yield (2 * n, m)
-            for k, conj in t.moment_rows():
+            for k, conj in rows:
                 if not t.tau(2 * n + 1, m, k, conj):
                     yield (2 * n + 1, m, k, conj)
 
@@ -567,17 +590,66 @@ def orthogonality_determinant(sys: MomentSystem, n: int, choice: str = "psop",
     """The (2n+2) x (2n+2) consistency determinant for the odd-member defect
     parameters; it must vanish for both the skew-orthogonal and the partial
     family choices.  Its rows are kernel entries (scaled by s) and a last
-    column cleared by its lcm d, so it runs in Z and divides once, by d s^(2n+1)."""
-    t = taus(sys)
-    if choice == "sop":
-        gap = exact_div(t.tau(2 * n + 2, 0), t.tau(2 * n, 0))
-        alpha = [(-gap if i == 2 * n else Fraction(0)) for i in range(2 * n + 2)]
-    elif choice == "psop":
-        ratio = exact_div(t.tau(2 * n + 2, 0), t.tau(2 * n + 1, 0, k))
-        alpha = [-sys.beta_entry(k, i) * ratio for i in range(2 * n + 2)]
-    else:
+    column cleared by its lcm d, so it runs in Z and divides once, by d
+    s^(2n+1); every n and both choices come off one elimination per k
+    (:meth:`TauTable.determinants`)."""
+    if choice not in ("sop", "psop"):
         raise ValueError(choice)
-    last = [sys.mu_entry(2 * n + 1, r) - alpha[r] for r in range(2 * n + 2)]
-    d, mu = _den_lcm(last), t.kernel().mu
-    rows = [[mu[c][r] for c in range(2 * n + 1)] + [_z(x * d)] for r, x in enumerate(last)]
-    return det_bareiss(rows) / (d * t.kernel().scale ** (2 * n + 1))
+    value = taus(sys).determinants(n, k)[choice == "psop"]
+    if isinstance(value, ZeroDivisionError):
+        raise value.with_traceback(None)  # kept: drop the tracebacks of earlier raises
+    return value
+
+
+def _last_columns(t: TauTable, n: int, k: int) -> list:
+    """The two last columns of the (n, k) determinant, sop then psop, each as
+    (cleared entries, d), or the ZeroDivisionError of its closed form."""
+    sys, out = t.sys, []
+    for choice in ("sop", "psop"):
+        try:
+            if choice == "sop":
+                gap = exact_div(t.tau(2 * n + 2, 0), t.tau(2 * n, 0))
+                alpha = [(-gap if i == 2 * n else Fraction(0)) for i in range(2 * n + 2)]
+            else:
+                ratio = exact_div(t.tau(2 * n + 2, 0), t.tau(2 * n + 1, 0, k))
+                alpha = [-sys.beta_entry(k, i) * ratio for i in range(2 * n + 2)]
+        except ZeroDivisionError as exc:
+            out.append(exc)
+            continue
+        last = [sys.mu_entry(2 * n + 1, r) - alpha[r] for r in range(2 * n + 2)]
+        d = _den_lcm(last)
+        out.append(([_z(x * d) for x in last], d))
+    return out
+
+
+def _determinants(t: TauTable, n_top: int, k: int) -> list:
+    """The (sop, psop) pair of every n <= n_top.  The matrix of n is rows
+    0..2n+1 of the kernel's mu block transposed, on columns 0..2n, then its
+    last column; a skew block of odd order is singular, so the rows go in
+    pairs (1, 0, 3, 2, ...), each n's rows lead the next's, and one
+    elimination without swaps (:func:`_bareiss`) over columns 0..2 n_top
+    leaves both determinants of n, sign (-1)^(n+1), in row 2n + 1, each row
+    bordered by the last columns of the n that read it.  An n past a zero
+    pivot takes an elimination of its own, with swaps (:func:`det_bareiss`)."""
+    mu, scale = t.kernel().mu, t.kernel().scale
+    cols = [_last_columns(t, n, k) for n in range(n_top + 1)]
+
+    def border(r, n):
+        return [c[0][r] if type(c) is tuple else 0 for c in cols[n]]
+    width = 2 * n_top + 1
+    rows = [[mu[c][r] for c in range(width)]
+            + [x for n in range(n_top, r // 2 - 1, -1) for x in border(r, n)]
+            for r in (p ^ 1 for p in range(2 * n_top + 2))]
+    done, _ = _bareiss(rows, swaps=False)
+    out = []
+    for n in range(n_top + 1):
+        if done > 2 * n:
+            sign, at = (-1) ** (n + 1), width + 2 * (n_top - n)
+            dets = [sign * x for x in rows[2 * n + 1][at:at + 2]]
+        else:
+            dets = det_bareiss([[mu[c][r] for c in range(2 * n + 1)] + border(r, n)
+                                for r in range(2 * n + 2)])
+        den = scale ** (2 * n + 1)
+        out.append(tuple(c if type(c) is ZeroDivisionError else _q(val, c[1] * den)
+                         for c, val in zip(cols[n], dets)))
+    return out

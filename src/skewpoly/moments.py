@@ -54,6 +54,11 @@ class MomentSystem(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def _check(self):
+        for name in ("constraint", "mode"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, not the "
+                                 f"{type(value).__name__} {value!r}")
         if self.constraint not in CONSTRAINTS:
             raise ValueError(f"unknown constraint tag {self.constraint!r}")
         if self.mode not in MODES:

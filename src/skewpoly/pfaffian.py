@@ -240,24 +240,48 @@ def _q(x, den=1):
 def det_bareiss(rows):
     """Fraction-free determinant (Bareiss); exact over any integral domain.
     Entries run as loop entries (``_z``), so integral ones stay in Z, and
-    the value leaves through ``_q``."""
+    the value leaves through ``_q``.  Row entries past len(rows) are a
+    border (:func:`_bareiss`): the value is then one determinant per column
+    from the last square one on, that column in the last place."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     m = [[_z(x) for x in r] for r in rows]
-    sign = 1
-    prev = 1
+    done, sign = _bareiss(m, swaps=True)
+    last = m[n - 1][n - 1:] if done == n - 1 else [0] * (len(m[0]) - n + 1)
+    values = [_q(sign * x) for x in last]
+    return values if len(values) > 1 else values[0]
+
+
+def _bareiss(m, swaps: bool):
+    """Bareiss's fraction-free elimination of the row list ``m`` in place,
+    one column a stage: after stage k, entry (i, j), i and j past k, is the
+    determinant of rows 0..k, i on columns 0..k, j (rows as swapped so far),
+    so row i is final after stage i - 1.  Row entries past len(m) are a
+    border, eliminated along, never pivots; a row may be shorter than those
+    above it, the border entries it lacks read by no one.  ``swaps`` swaps
+    a row with a nonzero entry into a zero pivot's place and stops at a
+    column that has none (every determinant is 0); without swaps it stops
+    before the stage that would divide by a zero pivot.  Returns the stages
+    run and the sign of the swaps."""
+    n, prev, sign = len(m), 1, 1
     for k in range(n - 1):
-        if not m[k][k]:
+        if swaps and not m[k][k]:
             r = next((r for r in range(k + 1, n) if m[r][k]), None)
             if r is None:
-                return Fraction(0)
+                return k, sign
             m[k], m[r], sign = m[r], m[k], -sign
+        if not prev:
+            return k, sign
+        row_k = m[k]
+        p = row_k[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = _exact_div(m[i][j] * m[k][k] - m[i][k] * m[k][j], prev)
-        prev = m[k][k]
-    return _q(sign * m[n - 1][n - 1])
+            row_i = m[i]
+            a = row_i[k]
+            tail = [x * p - a * y for x, y in zip(row_i[k + 1:], row_k[k + 1:])]
+            row_i[k + 1:] = [_exact_div(x, prev) for x in tail] if k else tail
+        prev = p
+    return n - 1, sign
 
 
 def _exact_div(num, den):
@@ -399,6 +423,14 @@ def _den_lcm(values) -> int:
     return lcm(*(p.denominator for p in parts)) if exact else 1
 
 
+def _scaled(v, scale):
+    """``_z(v * scale)``, as an int product where v is a Fraction whose
+    denominator divides ``scale``."""
+    if type(v) is Fraction and not scale % v.denominator:
+        return v.numerator * (scale // v.denominator)
+    return _z(v * scale)
+
+
 class MomentKernel:
     """A system's moments as loop entries, converted once (its ``TauTable``
     owns it).  Each is scaled by ``scale``, the lcm of all their
@@ -417,9 +449,9 @@ class MomentKernel:
         n = sys.max_index + 1
         self.mu = [[0] * n for _ in range(n)]
         for (i, j), v in sys.mu.items():
-            self.mu[i][j] = x = _z(v * scale)
+            self.mu[i][j] = x = _scaled(v, scale)
             self.mu[j][i] = -x
-        self.rows = {lab: [_z(v * scale) for v in r] for lab, r in rows.items()}
+        self.rows = {lab: [_scaled(v, scale) for v in r] for lab, r in rows.items()}
         if sys.constraint == "rank2":  # the derivative rows d0, d1
             self.rows.update({("shift", s): self.rows["comp", 1][s:] for s in (0, 1)})
 

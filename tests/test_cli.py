@@ -1,12 +1,14 @@
 """Command-line contract: round trips, exit codes, fault injection."""
 
 import collections
+import gc
 import importlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +342,22 @@ def test_verify_rejects_a_file_without_beta(kind, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"config error: cannot load {path}")
 
 
+def test_non_string_tags_are_rejected_by_name(tmp_path, capsys):
+    """A ``mode`` or ``constraint`` that is no string is a config error that
+    names the field, not an unhashable-type error from the mode lookup."""
+    good = tmp_path / "good.json"
+    assert run(["gen", "--kind", "none", "--seed", "3", "--n-max", "1", "--m-max", "0",
+                "--out", str(good)]) == 0
+    for field, value in (("mode", []), ("mode", {}), ("constraint", ["none"]),
+                         ("mode", 1)):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**json.loads(good.read_text()), field: value}))
+        capsys.readouterr()
+        assert run(["verify", "--in", str(bad), "--n-max", "1", "--m-max", "0"]) == 2
+        err = capsys.readouterr().err
+        assert f"ValueError: {field} must be a string" in err, (field, err)
+
+
 def test_smallest_grid_runs_every_suite(tmp_path):
     rep = tmp_path / "rep.json"
     assert run(["verify", "--kind", "none", "--n-max", "0", "--m-max", "0",
@@ -386,6 +404,50 @@ def test_import_leaves_dataclasses_and_inspect_out():
                     "assert not {'dataclasses', 'inspect'} & set(sys.modules), "
                     "sorted({'dataclasses', 'inspect'} & set(sys.modules))"],
                    env=env, check=True)
+
+
+def _lax_imported(flags, tmp_path) -> bool:
+    """Whether ``python -m skewpoly verify`` with ``flags`` imports
+    ``skewpoly.lax``, read off the interpreter's own import log."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(skewpoly.__file__)))
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "skewpoly", "verify",
+                           "--kind", "none", "--seed", "3", "--n-max", "1", "--m-max", "0",
+                           *flags, "--out", str(tmp_path / "rep.json")],
+                          env=env, capture_output=True, text=True, check=True)
+    imported = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "skewpoly.bilinear" in imported, done.stderr[-500:]
+    return "skewpoly.lax" in imported
+
+
+def test_lax_is_compiled_only_for_the_suites_that_use_it(tmp_path):
+    """The catalog's lax-backed evaluators import ``skewpoly.lax`` when they
+    run: a verify of the ORTHOGONALITY and TRANSFORMS suites never loads it,
+    the default selection (MIXED, LAX_MIXED, ...) does."""
+    assert not _lax_imported(["--identities", "ORTHOGONALITY,TRANSFORMS"], tmp_path)
+    assert _lax_imported([], tmp_path)
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    """``cli.run`` (``python -m skewpoly``, the installed script) freezes the
+    import-time heap before it runs ``main``; ``main`` in process leaves the
+    caller's heap unfrozen."""
+    argv = ["verify", "--kind", "none", "--seed", "3", "--n-max", "0", "--m-max", "0",
+            "--identities", "TRANSFORMS", "--out", str(tmp_path / "rep.json")]
+    frozen = gc.get_freeze_count()
+    assert run(argv) == 0 and gc.get_freeze_count() == frozen
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(skewpoly.__file__)))
+    done = subprocess.run([sys.executable, "-c",
+                           "import gc, sys; from skewpoly import cli; "
+                           "assert not gc.get_freeze_count(); "
+                           f"code = cli.run({argv!r}); print(code, gc.get_freeze_count())"],
+                          env=env, capture_output=True, text=True, check=True)
+    code, count = done.stdout.split()[-2:]
+    assert code == "0" and int(count) > 0, done.stdout
+    main_py = (Path(cli.__file__).parent / "__main__.py").read_text()
+    assert "run()" in main_py and "main()" not in main_py
 
 
 def test_records_keep_value_semantics():
@@ -735,6 +797,32 @@ def test_gen_draw_rejected_at_shift_zero_builds_only_its_chains(monkeypatch, tmp
     rejected = built[0][0]
     heads = [labels[:2] for kern, labels in built if kern is rejected]
     assert heads == [[0, 1], [("comp", 1), 0]]
+
+
+def test_draw_rejected_at_a_single_entry_tau_builds_nothing(monkeypatch, tmp_path):
+    """gen's scan reads tau_1^{(m)} = beta^{(k)}_m and tau_2^{(m)} =
+    mu_{m,m+1} off the system, every shift, before it builds the moment
+    kernel or a chain: the first draws of rank2 seed 1 (tau_2 = 0) and of
+    rank1skew-multi seed 2 (a zero beta entry of component 2) are rejected
+    there, so each run converts one kernel, the accepted draw's, and builds
+    every chain on it."""
+    fam = importlib.import_module("skewpoly.families")
+    kernel, kernels = fam.MomentKernel, []
+
+    def counted_kernel(sys_):
+        kernels.append(kernel(sys_))
+        return kernels[-1]
+    monkeypatch.setattr(fam, "MomentKernel", counted_kernel)
+    built = counted_chains(monkeypatch)
+    out = tmp_path / "rep.json"
+    for kind, seed in (("rank2", "1"), ("rank1skew-multi", "2")):
+        kernels.clear()
+        built.clear()
+        assert run(["verify", "--kind", kind, "--seed", seed, "--n-max", "1",
+                    "--m-max", "1", "--identities", "TRANSFORMS", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["resample_attempts"] == 1, kind
+        assert len(kernels) == 1 and built, (kind, len(kernels))
+        assert all(kern is kernels[0] for kern, _ in built), kind
 
 
 def test_gen_scans_tau_existence_once(monkeypatch, tmp_path):

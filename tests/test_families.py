@@ -10,13 +10,13 @@ import pytest
 
 from skewpoly import cli, moments
 from skewpoly.bilinear import SchurTau, identity_residual
-from skewpoly.families import (TauTable, orthogonality_defects,
+from skewpoly.families import (ReadPlan, TauTable, orthogonality_defects,
                                orthogonality_determinant, psop_inner_defects,
                                skew_gram, skew_inner, sop, sop_at_zero, psop, tau,
                                taus, vanishing_taus)
 from skewpoly.jets import NOT_A_UNIT, Jet, JetSpec, TruncationError
 from skewpoly.moments import MomentSystem, OutOfRangeError, gen
-from skewpoly.pfaffian import pf_indexed, pf_labels
+from skewpoly.pfaffian import det_bareiss, pf_indexed, pf_labels
 from skewpoly.poly import PolyInZ
 from skewpoly.scalars import GaussianRational, exact_div
 
@@ -163,6 +163,75 @@ def test_defect_determinant_vanishes(sys3):
     for n in range(3):
         for choice in ("sop", "psop"):
             assert orthogonality_determinant(sys3, n, choice) == 0
+
+
+def _determinant_oracle(s, n, choice, k=1):
+    """The (n, choice) consistency determinant as its own (2n+2)-square
+    matrix of public moments, by ``det_bareiss`` with swaps."""
+    t = taus(s)
+    if choice == "sop":
+        alpha = {2 * n: -exact_div(t.tau(2 * n + 2, 0), t.tau(2 * n, 0))}
+    else:
+        ratio = exact_div(t.tau(2 * n + 2, 0), t.tau(2 * n + 1, 0, k))
+        alpha = {i: -s.beta_entry(k, i) * ratio for i in range(2 * n + 2)}
+    return det_bareiss([[s.mu_entry(c, r) for c in range(2 * n + 1)]
+                        + [s.mu_entry(2 * n + 1, r) - alpha.get(r, 0)]
+                        for r in range(2 * n + 2)])
+
+
+def test_defect_determinants_come_off_one_elimination(monkeypatch):
+    """DEFECT_DETERMINANT's instances share their first 2n+1 columns, and in
+    row pairs (1, 0, 3, 2, ...) each n's rows lead the next's: on a swept
+    table one elimination per k gives every n <= n_max and both choices.
+    Past a zero pivot (tau_2^{(0)} = 0, or tau_4^{(0)} = 0) each n left
+    takes an elimination of its own, so a grid never takes more than n_max
+    + 1.  Every value equals its own square determinant, and a vanishing
+    closed form raises as that one does; with tau_idx read as idx tau_idx,
+    so that the closed forms no longer hold, the generic system's values
+    past n = 0 are nonzero."""
+    pf, fam = (importlib.import_module(f"skewpoly.{name}") for name in ("pfaffian", "families"))
+    bareiss, tau, runs = pf._bareiss, TauTable.tau, []
+
+    def counted(m, swaps):
+        runs.append(len(m))
+        return bareiss(m, swaps)
+    monkeypatch.setattr(pf, "_bareiss", counted)
+    monkeypatch.setattr(fam, "_bareiss", counted)
+    n_max = 3
+    plan = ReadPlan.of(n_max, 1)
+    base = gen("none", plan.max_index, components=2, seed=3, require_tau=plan.tau_grid)
+    mu = base.mu
+    tau4_zero = (mu[0, 2] * mu[1, 3] - mu[0, 3] * mu[1, 2]) / mu[0, 1]
+    cases = [(base, 1), (base.replace(mu={**mu, (0, 1): 0 * mu[0, 1]}), n_max + 1),
+             (base.replace(mu={**mu, (2, 3): tau4_zero}), n_max)]
+    for case, (s, eliminations) in enumerate(cases):
+        for scaled in (False, True):
+            s = s.replace()
+            taus(s).sweep(plan)
+            assert case or all(taus(s).tau(2 * j, 0) for j in range(1, n_max + 2))
+            if scaled:
+                monkeypatch.setattr(TauTable, "tau", lambda self, idx, *rest:
+                                    max(idx, 1) * tau(self, idx, *rest))
+            for k in (1, 2):
+                wants = {}
+                for n in range(n_max + 1):
+                    for choice in ("sop", "psop"):
+                        try:
+                            wants[n, choice] = _determinant_oracle(s, n, choice, k)
+                        except ZeroDivisionError as exc:
+                            wants[n, choice] = exc
+                runs.clear()
+                for (n, choice), want in wants.items():
+                    if isinstance(want, ZeroDivisionError):
+                        with pytest.raises(ZeroDivisionError) as raised:
+                            orthogonality_determinant(s, n, choice, k)
+                        assert str(raised.value) == str(want), (case, n, choice)
+                    else:
+                        got = orthogonality_determinant(s, n, choice, k)
+                        assert got == want and (case or n == 0 or bool(got) == scaled), \
+                            (case, n, choice, k, got)
+                assert runs[0] == 2 * n_max + 2 and len(runs) == eliminations, (case, runs)
+            monkeypatch.setattr(TauTable, "tau", tau)
 
 
 def test_psop_q1_example(sys3):

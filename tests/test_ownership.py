@@ -207,3 +207,21 @@ def test_one_reading_per_tau():
     imported = {a.name for node in ast.walk(ast.parse((SRC / "moments.py").read_text()))
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "pfaffian" not in imported and "det_bareiss" in imported, imported
+
+
+def test_bilinear_imports_lax_only_in_its_evaluators():
+    """No module-level import of ``bilinear`` names ``lax``; the lax-backed
+    evaluators import it themselves, so a run that selects none of them
+    never compiles it.  No other program module imports it at all."""
+    tree = ast.parse((SRC / "bilinear.py").read_text())
+    top = [a.name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+           for a in node.names]
+    assert top and not [name for name in top if "lax" in name], top
+    inner = _owners(tree, lambda node: isinstance(node, ast.ImportFrom)
+                    and [a.name for a in node.names] == ["lax"])
+    assert inner == {"_mixed", "_c2_suite", "_c3_suite", "_lax_interior", "_toda_vars"}, inner
+    for path in sorted(SRC.glob("*.py")):
+        if path.name not in ("bilinear.py", "lax.py"):
+            names = {a.name for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+            assert "lax" not in names, path.name

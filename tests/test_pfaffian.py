@@ -9,9 +9,9 @@ import pytest
 from skewpoly.families import ReadPlan, TauTable, taus
 from skewpoly.jets import J1, Jet, JetSpec
 from skewpoly.moments import MomentSystem, OutOfRangeError, gen
-from skewpoly.pfaffian import (Z, LabelError, _exact_div, _stages, det_bareiss, miwa_chain,
-                               parse_label, pf_chain, pf_indexed, pf_labels,
-                               pfaffian, pfaffian_expand)
+from skewpoly.pfaffian import (Z, LabelError, MomentKernel, _bareiss, _exact_div, _stages,
+                               _z, det_bareiss, miwa_chain, parse_label, pf_chain,
+                               pf_indexed, pf_labels, pfaffian, pfaffian_expand)
 from skewpoly.poly import PolyInZ
 from skewpoly.scalars import GaussianRational, exact_div
 
@@ -286,6 +286,60 @@ def test_det_bareiss_runs_on_kernel_entries(monkeypatch):
             det, pf = det_bareiss(m), pfaffian_expand(m)
             assert is_public(det) and det == pf * pf
     assert is_public(det_bareiss([])) and det_bareiss([]) == 1
+
+
+def test_det_bareiss_borders():
+    """Row entries past len(rows) are a border: one determinant per column
+    from the last square one on, each that column in the last place, also
+    past a zero pivot (swaps) and for a singular leading block (all 0).
+    Without swaps ``_bareiss`` leaves row i final after stage i - 1, its
+    entry j the determinant of rows 0..i on columns 0..i-1 and j, and a row
+    shorter than those above it keeps its length."""
+    rng = random.Random(5)
+    for n, b in ((1, 1), (3, 2), (5, 3)):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n + b)]
+                for _ in range(n)]
+        for zeroed in (False, True):
+            if zeroed:  # a zero leading pivot, or a leading column of zeros
+                rows[0][0] = 0
+                if n == 5:
+                    for r in rows:
+                        r[0] = 0
+            want = [det_bareiss([r[:n - 1] + [r[j]] for r in rows]) for j in range(n - 1, n + b)]
+            got = det_bareiss(rows)
+            assert got == want and all(map(is_public, got)), (n, b, zeroed)
+    n = 6
+    full = [[rng.randint(-9, 9) for _ in range(n - 1 + 4)] for _ in range(n)]
+    rows = [r[:n - 1 + 4 - i // 2] for i, r in enumerate(full)]
+    done, sign = _bareiss(rows, swaps=False)
+    assert (done, sign) == (n - 1, 1)
+    for i in range(1, n):
+        assert len(rows[i]) == n - 1 + 4 - i // 2
+        for j in range(i, len(rows[i])):
+            assert rows[i][j] == det_bareiss([r[:i] + [r[j]] for r in full[:i + 1]]), (i, j)
+
+
+def test_kernel_conversion_matches_scaled_entries():
+    """The kernel takes a Fraction whose denominator divides the scale as an
+    int, numerator times the cofactor, and any other moment as ``_z(v *
+    scale)``: a float moment keeps the scale at 1, so a Fraction of
+    denominator 2 stays one; entries and their types are as ``_z(v *
+    scale)`` gives them."""
+    base = gen("none", 5, seed=2, den_bound=3)
+    mixed = base.replace(mu={**base.mu, (0, 3): 0.5, (1, 2): Fraction(3, 2)},
+                         beta=((0.25, *base.beta[0][1:]),), mode="float")
+    for s in (base, mixed):
+        kern = MomentKernel(s)
+        scale = kern.scale
+        assert (scale == 1) == (s is mixed)
+        for (i, j), v in s.mu.items():
+            want = _z(v * scale)
+            assert (kern.mu[i][j], type(kern.mu[i][j])) == (want, type(want)), (i, j)
+            assert kern.mu[j][i] == -want
+        assert [(x, type(x)) for x in kern.rows["comp", 1]] == [
+            (_z(v * scale), type(_z(v * scale))) for v in s.beta[0]]
+    assert type(MomentKernel(mixed).mu[1][2]) is Fraction
+    assert type(MomentKernel(base).mu[1][2]) is int
 
 
 def test_exact_div_refuses_inexact_quotients():
