@@ -10,7 +10,7 @@ hierarchy further; corrupting a constrained system breaks its identities.
 """
 
 from skewpoly import IDENTITIES, MomentSystem, gen, identity_residual, schur_d_tau
-from skewpoly.bilinear import hirota, schur_coeff_defects
+from skewpoly.hierarchy import hirota, schur_coeff_defects
 from skewpoly.families import sop, taus
 
 sys = gen("none", max_index=18, components=2, seed=11, require_tau=(4, 2))

@@ -4,33 +4,39 @@ The package computes tau functions and (partial-)skew-orthogonal polynomial
 families from skew-symmetric moment data, their shift (Christoffel-type)
 transformations, and verifies the associated lattice identities exactly over
 the rationals; a small float lane integrates the induced Toda dynamics.
+
+The public names load lazily (a module ``__getattr__``): importing the
+package, or running ``python -m skewpoly``, loads no module until one of its
+names is read, and then only the module that holds it.
 """
 
-from .bilinear import (IDENTITIES, hirota, identity_names, identity_residual,
-                       schur, schur_d_tau)
-from .christoffel import (laurent_lv_coeff_check, laurent_toda_residual,
-                          psop_transform_residual, sop_transform_residual)
-from .families import (psop, skew_gram, skew_inner, sop, sop_at_zero, tau, taus,
-                       vanishing_taus)
-from .jets import Jet, JetSpec, OrderMismatchError, TruncationError
-from .moments import (MomentSystem, OutOfRangeError, SolitonSpec, gen,
-                      lift_to_jet, shift_derivative, soliton_system, validate)
-from .pfaffian import LabelError, det_bareiss, pf_indexed, pf_labels, pfaffian
-from .poly import PolyInZ
-from .scalars import GaussianRational, format_scalar, parse_scalar
+import sys
 
-__all__ = [
-    "IDENTITIES", "hirota", "identity_names", "identity_residual", "schur",
-    "schur_d_tau",
-    "laurent_lv_coeff_check", "laurent_toda_residual",
-    "psop_transform_residual", "sop_transform_residual",
-    "psop", "skew_gram", "skew_inner", "sop", "sop_at_zero", "tau", "taus",
-    "vanishing_taus",
-    "Jet", "JetSpec", "OrderMismatchError", "TruncationError",
-    "MomentSystem", "OutOfRangeError", "SolitonSpec", "gen", "lift_to_jet",
-    "shift_derivative", "soliton_system", "validate",
-    "LabelError", "det_bareiss", "pf_indexed", "pf_labels", "pfaffian",
-    "PolyInZ", "GaussianRational", "format_scalar", "parse_scalar",
-]
+_EXPORTS = {
+    "bilinear": ("IDENTITIES", "identity_names", "identity_residual"),
+    "hierarchy": ("hirota", "schur", "schur_d_tau"),
+    "christoffel": ("laurent_lv_coeff_check", "laurent_toda_residual",
+                    "psop_transform_residual", "sop_transform_residual"),
+    "families": ("psop", "skew_gram", "skew_inner", "sop", "sop_at_zero", "tau", "taus",
+                 "vanishing_taus"),
+    "jets": ("Jet", "JetSpec", "OrderMismatchError", "TruncationError"),
+    "moments": ("MomentSystem", "gen", "validate"),
+    "solitons": ("SolitonSpec", "soliton_system"),
+    "pfaffian": ("OutOfRangeError", "det_bareiss"),
+    "oracle": ("LabelError", "lift_to_jet", "pf_indexed", "pf_labels", "shift_derivative"),
+    "poly": ("PolyInZ",),
+    "scalars": ("GaussianRational", "format_scalar", "parse_scalar"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{module}")
+    value = globals()[name] = getattr(sys.modules[f"{__name__}.{module}"], name)
+    return value

@@ -41,7 +41,6 @@ def sop_coeffs(sys: MomentSystem, n: int, m: int) -> SopCoeffs:
 
 def sop_transform_residual(sys: MomentSystem, n: int, m: int):
     """Residual pair of the two skew-orthogonal shift identities at (n, m)."""
-    sys.require_exact()
     t = taus(sys)
     co = sop_coeffs(sys, n, m)
     res1 = t.member_sum([(1, 0, 2 * n + 1, m), (-co.a, 0, 2 * n, m),
@@ -58,7 +57,6 @@ def psop_coeffs(sys: MomentSystem, n: int, m: int, k: int = 1) -> PsopCoeffs:
 
 def psop_transform_residual(sys: MomentSystem, n: int, m: int, k: int = 1) -> PolyInZ:
     """One-component partial-family residual at unified index n."""
-    sys.require_exact()
     t = taus(sys)
     co = psop_coeffs(sys, n, m, k)
     return t.member_sum([(1, 0, n + 1, m, k), (co.xi, 0, n, m, k),
@@ -77,7 +75,6 @@ def psop_multi_coeffs(sys: MomentSystem, n: int, m: int, k: int) -> PsopMultiCoe
 
 def psop_multi_residuals(sys: MomentSystem, n: int, m: int, k: int):
     """Residual pair of the two multi-component transform identities."""
-    sys.require_exact()
     t = taus(sys)
     co = psop_multi_coeffs(sys, n, m, k)
     res1 = t.member_sum([(1, 0, 2 * n + 1, m, k), (co.e, 0, 2 * n, m),
@@ -89,7 +86,6 @@ def psop_multi_residuals(sys: MomentSystem, n: int, m: int, k: int):
 
 def laurent_toda_residual(sys: MomentSystem, n: int):
     """Under the laurent tag the two transforms close into one family."""
-    sys.require_exact()
     if sys.constraint != "laurent":
         raise ValueError("toda reduction requires the laurent constraint tag")
     t = taus(sys)
@@ -106,7 +102,6 @@ def laurent_toda_residual(sys: MomentSystem, n: int):
 def laurent_lv_coeff_check(sys: MomentSystem, n: int):
     """xi_n + eta_n - 1 for the laurent partial family; exactly 0.  Its
     Lotka-Volterra coefficients are xi_n = K_n and eta_n = J_n at m = 0."""
-    sys.require_exact()
     if sys.constraint != "laurent":
         raise ValueError("the lattice coefficient check requires the laurent tag")
     t = taus(sys)

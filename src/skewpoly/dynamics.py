@@ -21,8 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .moments import SolitonSpec
 from .record import Record
+from .solitons import SolitonSpec
 
 
 class TauCollisionError(ArithmeticError):
@@ -236,3 +236,27 @@ def two_soliton_demo_spec() -> SolitonSpec:
     rates = [8.0, 4.5, 2.8, 2.0, 1.5, 1.25]
     amps = [0.05, 0.3, 0.7, 1.2, 2.0, 3.0]
     return reciprocal_pair_spec(rates, amps)
+
+
+def simulate(window: tuple, dt: float, t_end: float, tolerance: float, out: str) -> bool:
+    """The ``simulate`` command's run: the demo spec's tau-derived trajectory
+    and its RK4 integration on ``window`` through ``t_end`` in steps of
+    ``dt``, and the convergence order over the steps 4 dt, 2 dt and dt.
+    Once every run is done it writes ``out``_tau.csv and ``out``_rk4.csv and
+    prints the maximum deviation and the order; True when the deviation is
+    within ``tolerance``.  A run that breaks down raises its ArithmeticError
+    before any file is written."""
+    spec = two_soliton_demo_spec()
+    steps = round(t_end / dt)
+    ref = tau_trajectory(spec, window, 0.0, dt, steps)
+    run = rk4_toda(spec, window, 0.0, dt, steps)
+    rep = compare(ref, run)
+    order, errs = convergence_order(spec, window, 0.0, t_end, (4 * dt, 2 * dt, dt))
+    ref.to_csv(f"{out}_tau.csv")
+    run.to_csv(f"{out}_rk4.csv")
+    ok = rep["max_dev_b"] <= tolerance
+    print(f"wrote {out}_tau.csv and {out}_rk4.csv")
+    print(f"max_dev = {rep['max_dev_b']:.3e} "
+          f"({'<=' if ok else '>'} {tolerance:g}: {'PASS' if ok else 'FAIL'})")
+    print(f"convergence order = {order:.2f} from errors " + " ".join(f"{e:.3e}" for e in errs))
+    return ok

@@ -87,18 +87,19 @@ transpose 0 (:func:`orthogonality_defects`), and, against the monomials,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import lcm, prod
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .jets import J1, NOT_A_UNIT, Jet, JetSpec, TruncationError
 from .pfaffian import (MomentKernel, OutOfRangeError, _bareiss, _den_lcm, _interpolate,
-                       _q, _z, det_bareiss, miwa_chain, pf_chain)
+                       _is_unit, _q, _z, det_bareiss, miwa_chain, pf_chain)
 from .poly import PolyInZ
 from .record import Record
 from .scalars import GaussianRational, exact_div
 
 if TYPE_CHECKING:
+    from .jets import Jet, JetSpec
     from .moments import MomentSystem
 
 
@@ -181,12 +182,13 @@ class TauTable:
                 conj: bool = False) -> Jet:
         """The jet of :meth:`tau` of weight <= 2 off :meth:`_logd`; a heavier
         one, or one of weight 2 the record cannot give, raises."""
+        jets = _jets()
         if spec.weight > 2:
-            raise TruncationError(f"tau jets stop at weight 2, not {spec}")
+            raise jets.TruncationError(f"tau jets stop at weight 2, not {spec}")
         tau, d1, _, d11, d2 = self._logd(idx, m, k, conj)
         if d11 is None and spec.weight == 2:
             raise OutOfRangeError(f"tau_{idx}^({m})'' reads label {m + idx + 1} > max_index")
-        return Jet.of_derivatives(spec, {(0,): tau, (1,): d1, (2,): d11, (0, 1): d2})
+        return jets.Jet.of_derivatives(spec, {(0,): tau, (1,): d1, (2,): d11, (0, 1): d2})
 
     def moment_rows(self):
         """The (k, conj) of every single-moment row, conjugate rows included."""
@@ -315,29 +317,33 @@ class TauTable:
         tau, d1, logd, d11, _ = self._logd(idx, m, k)
         if spec is None:
             return logd if tau else exact_div(d1, tau)
+        jets = _jets()
         if not tau:
-            raise ZeroDivisionError(NOT_A_UNIT)
+            raise ZeroDivisionError(jets.NOT_A_UNIT)
         if d11 is None:
             raise OutOfRangeError(f"tau_{idx}^({m})'' reads label {m + idx + 1} > max_index")
-        return Jet.first_order(logd, exact_div(d11, tau) - logd * logd)
+        return jets.Jet.first_order(logd, exact_div(d11, tau) - logd * logd)
 
     def ratio(self, num, den, spec: JetSpec | None = None):
         """R = prod tau(num) / prod tau(den) over refs (idx, m) or (idx, m, k): a
         scalar, or with ``spec`` (only ``JetSpec(1)``) the jet (R, R') off
         :meth:`_logd`, R' = (prod num)' / prod den - R sum_den logd (no logd of
         a vanishing numerator tau).  0 when ``num`` holds a boundary tau."""
-        if any(ref[0] < 0 for ref in num):
-            return Fraction(0) if spec is None else Jet.constant(Fraction(0), spec)
         if spec is None:
+            if any(ref[0] < 0 for ref in num):
+                return Fraction(0)
             return exact_div(prod(self.tau(*r) for r in num), prod(self.tau(*r) for r in den))
+        jets = _jets()
+        if any(ref[0] < 0 for ref in num):
+            return jets.Jet.constant(Fraction(0), spec)
         val = {ref: self._logd(*ref) for ref in {*num, *den}}
         d = prod(val[r][0] for r in den)
         if not d:
-            raise ZeroDivisionError(NOT_A_UNIT)
+            raise ZeroDivisionError(jets.NOT_A_UNIT)
         taus = [val[r][0] for r in num]
         big = exact_div(prod(taus), d)
         d1 = sum(val[r][1] * prod(taus[:i] + taus[i + 1:]) for i, r in enumerate(num))
-        return Jet.first_order(big, exact_div(d1, d) - big * sum(val[r][2] for r in den))
+        return jets.Jet.first_order(big, exact_div(d1, d) - big * sum(val[r][2] for r in den))
 
     # -- the coefficient table (module docstring) ---------------------------
 
@@ -392,10 +398,11 @@ class TauTable:
             num, den = self._member(idx, m, k, conj)
             self._polys[key] = PolyInZ([_q(c, den) for c in num])
         elif key not in self._polys:  # D a jet link, or 1 (rows 0 and 1)
+            jet = _jets().Jet
             num, den = self._member(idx, m, k, conj, spec)
             # R / D = R Dbar / d0^2 for D = d0 + d1 eps, Dbar = d0 - d1 eps
-            bar, d = ((Jet.constant(1, spec), 1) if den == 1 else
-                      (Jet.first_order(den.base, -den.slope), den.base * den.base))
+            bar, d = ((jet.constant(1, spec), 1) if den == 1 else
+                      (jet.first_order(den.base, -den.slope), den.base * den.base))
             if type(d) is GaussianRational:  # over the int norm of a Gaussian d0^2
                 bar, d = bar * d.conjugate(), d.norm()
             self._polys[key] = PolyInZ([_q(c * bar, d) for c in num])
@@ -406,15 +413,15 @@ class TauTable:
         R[i] z^i / D, ([], 1) for idx < 0: row idx (odd chain: idx + 1) of its
         chain's spectral column, of its first-order copy's for ``JetSpec(1)``
         coefficients (no other ring); a D that is no unit raises."""
-        if spec is not None and spec != J1:
-            raise TruncationError(f"jet members are JetSpec(1) only, not {spec}")
+        if spec is not None and spec != _jets().J1:
+            raise _jets().TruncationError(f"jet members are JetSpec(1) only, not {spec}")
         if idx < 0:
             return [], 1
         norm_idx, k = (idx, k) if k and idx % 2 else (idx - idx % 2, 1)
         num, den = self._chain(m, _tau_head(k, conj, norm_idx % 2), m + idx,
                                spec is not None)[2](idx + norm_idx % 2)
-        if not (den.base if isinstance(den, Jet) else den):
-            raise ZeroDivisionError(NOT_A_UNIT if spec else
+        if not _is_unit(den):
+            raise ZeroDivisionError(_jets().NOT_A_UNIT if spec else
                                     f"vanishing normalizer tau_{norm_idx}^({m}) k={k}")
         return num, den
 
@@ -441,6 +448,14 @@ class TauTable:
 
 
 _D0, _D1 = ("shift", 0), ("shift", 1)  # rank2's derivative rows (MomentKernel)
+
+
+@cache
+def _jets():
+    """:mod:`skewpoly.jets`, imported by the first jet-valued read, so a
+    scalar run never loads it (cached: the jet branches run once a read)."""
+    from . import jets
+    return jets
 
 
 def _tau_head(k: int, conj: bool, odd: int) -> tuple:
@@ -499,18 +514,6 @@ def psop(sys: MomentSystem, idx: int, m: int, k: int = 1) -> PolyInZ:
 
 def sop_at_zero(sys: MomentSystem, idx: int, m: int):
     return taus(sys).sop_at_zero(idx, m)
-
-
-def dt1(poly: PolyInZ) -> PolyInZ:
-    """d/dt_1 of a polynomial in z with jet coefficients."""
-    return poly.map_coeffs(lambda c: c.extract(1))
-
-
-def z_plus_dt1(tau: Jet, poly: PolyInZ) -> PolyInZ:
-    """(z + d/dt_1)(tau P) at the base point, for a jet tau and a polynomial
-    P with jet coefficients of the same ring."""
-    prod = poly * tau
-    return prod.map_coeffs(lambda c: c.base).shift(1) + dt1(prod)
 
 
 def skew_gram(sys: MomentSystem, fs, gs) -> list:

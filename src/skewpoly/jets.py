@@ -94,7 +94,7 @@ J1, J2 = JetSpec(1), JetSpec(2)  # the rings of the catalog's t_1 and t_2 data
 
 
 class Jet:
-    """Element of the truncated jet ring over an exact (or float) scalar ring."""
+    """Element of the truncated jet ring over a scalar ring."""
 
     __slots__ = ("spec", "coeffs")
 
@@ -124,14 +124,13 @@ class Jet:
     @staticmethod
     def of_derivatives(spec: JetSpec, derivs: dict) -> "Jet":
         """The jet whose mixed derivative of each order (as :meth:`extract`
-        takes it) is derivs[order], divided by order! once (exactly, unless
-        it is a float); orders outside the ring are dropped."""
+        takes it) is derivs[order], divided by order! once, exactly; orders
+        outside the ring are dropped."""
         coeffs = {}
         for order, v in derivs.items():
             if weight(order) <= spec.weight:
                 f = prod(map(factorial, order))
-                coeffs[(*order, *spec.zero)[:spec.ndir]] = (
-                    v if f == 1 else v / f if isinstance(v, float) else Fraction(1, f) * v)
+                coeffs[(*order, *spec.zero)[:spec.ndir]] = v if f == 1 else Fraction(1, f) * v
         return Jet._of(spec, coeffs)
 
     def map(self, fn) -> "Jet":

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .families import TauTable, dt1, taus, z_plus_dt1
+from .families import TauTable, taus
+from .hierarchy import dt1, z_plus_dt1
 from .jets import J1, J2, Jet
 from .moments import MomentSystem
 from .poly import PolyInZ
@@ -100,7 +101,6 @@ def build_psop_lax(sys: MomentSystem, m: int, n_size: int) -> dict:
     """
     if n_size < 4:
         raise ValueError("truncation size must be at least 4")
-    sys.require_exact()
     t = taus(sys)
     got = t.operators.get((m, n_size))
     if got is not None:
@@ -197,6 +197,12 @@ def lax_compat_residual(sys: MomentSystem, kind: str, m: int, n_size: int) -> di
     }
 
 
+def interior_residuals(sys: MomentSystem, kind: str, N: int, m: int) -> list:
+    """The interior block of :func:`lax_compat_residual`, row by row: the
+    residuals of the catalog's operator blocks (``LAX_*``)."""
+    return [v for row in lax_compat_residual(sys, kind, m, N)["interior"] for v in row]
+
+
 def wave_action_residuals(sys: MomentSystem, m: int, n_size: int) -> list:
     """Row action of L on (Q_0,...,Q_{N-1}) against z Q_i^{(m+1)}, interior rows."""
     t = taus(sys)
@@ -232,7 +238,6 @@ def c3_recurrence_residuals(sys: MomentSystem, m: int, n: int) -> dict:
                       + s_2(+dtilde) tau_{2n}/tau_{2n},
     the sign of the Schur argument being fixed by exact evaluation.
     """
-    sys.require_exact()
     if sys.constraint != "rank1skew":
         raise ValueError("this suite requires the rank1skew constraint")
     t = taus(sys)
@@ -272,7 +277,6 @@ def c3_recurrence_residuals(sys: MomentSystem, m: int, n: int) -> dict:
 
 def mixed_residual(sys: MomentSystem, m: int, n: int) -> PolyInZ:
     """(z + d/dt_1) Q_n = Q_{n+1} + K_n Q_n - J_n Q_{n-1}; holds for any tag."""
-    sys.require_exact()
     t = taus(sys)
     kc, jc = t.k_coeff(n, m), t.j_coeff(n, m)
     return (t.psop(n, m).shift(1) + dt1(t.psop(n, m, spec=J1)) - t.psop(n + 1, m)
@@ -290,7 +294,6 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
     the shifted evolution carries a minus sign on the derivative term of the
     lower family member.
     """
-    sys.require_exact()
     if sys.constraint != "rank2":
         raise ValueError("this suite requires the rank2 constraint")
     t = taus(sys)
@@ -328,7 +331,6 @@ def c2_evolution_residuals(sys: MomentSystem, m: int, n: int) -> dict:
 def toda_vars_and_residual(sys: MomentSystem, n: int) -> dict:
     """Second-derivative identity, the two family evolutions, and the lattice
     flow equations at site n, all as exact residuals (laurent tag)."""
-    sys.require_exact()
     if sys.constraint != "laurent":
         raise ValueError("the lattice variable suite requires the laurent tag")
     t = taus(sys)

@@ -8,7 +8,8 @@ the index-shift rule
     d/dt_n mu_{i,j} = mu_{i+n,j} + mu_{i,j+n},      d/dt_n beta_j = beta_{j+n},
 
 so every time derivative of a moment is again a finite combination of
-moments; :func:`lift_to_jet` packages iterated shifts into exact jets.
+moments; the expansion oracle (:mod:`skewpoly.oracle`) packages iterated
+shifts into exact jets (``lift_to_jet``, which still resolves here).
 
 Generators produce random systems satisfying each constraint exactly:
 
@@ -18,30 +19,27 @@ Generators produce random systems satisfying each constraint exactly:
 * ``rank1skew-multi``    same with beta replaced by the component sum
 * ``rank1skew-complex``  mu_{i,j+1} - mu_{i+1,j} = 2 sum_{a,b} beta_i^a bbar_j^b
 
-plus soliton data whose genuine time dependence realizes the shift rule.
+(soliton data, whose genuine time dependence realizes the shift rule, are
+in :mod:`skewpoly.solitons`, and the JSON file form in :mod:`skewpoly.files`).
 """
 
 from __future__ import annotations
 
-import json
-import math
 import random
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain
 from operator import mul
 from typing import Optional
 
 from .families import taus, vanishing_taus
-from .jets import Jet, JetSpec, weight
-from .pfaffian import LabelError, OutOfRangeError, _q, _z, det_bareiss
+from .pfaffian import OutOfRangeError, _q, _z, det_bareiss
 from .record import Record
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .scalars import GaussianRational
 
 CONSTRAINTS = ("none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
                "rank1skew-complex")
-# the scalar types each mode admits
-MODES = {"exact": (int, Fraction), "gauss": (int, Fraction, GaussianRational),
-         "float": (int, Fraction, GaussianRational, float)}
+# the scalar types each mode admits; no mode admits a float
+MODES = {"exact": (int, Fraction), "gauss": (int, Fraction, GaussianRational)}
 
 
 class MomentSystem(Record):
@@ -83,7 +81,7 @@ class MomentSystem(Record):
             if not isinstance(v, admitted):
                 raise ValueError(f"{self.mode} mode admits no {type(v).__name__} "
                                  f"scalar such as {v!r}")
-            if (isinstance(v, GaussianRational) and self.mode != "float"
+            if (isinstance(v, GaussianRational)
                     and not all(isinstance(x, (int, Fraction)) for x in (v.re, v.im))):
                 raise ValueError(f"{self.mode} mode admits no inexact part in {v!r}")
         # set by families.taus on first use; owns every derived cache
@@ -92,10 +90,6 @@ class MomentSystem(Record):
     @property
     def ell(self) -> int:
         return len(self.beta)
-
-    def require_exact(self) -> None:
-        if self.mode == "float":
-            raise TypeError("exact verification rejects float-mode systems")
 
     # -- entry access -----------------------------------------------------
 
@@ -124,79 +118,19 @@ class MomentSystem(Record):
                                   f" and indices 0..{self.max_index}")
         return rows[p - 1][q]
 
-    def entry_scalar(self, a, b):
-        """Pfaffian entry for a pair of z-free labels (antisymmetric in a,b)."""
-        ref = self._entry_ref(a, b)
-        return 0 if ref is None else ref[0] * self._moment(*ref[1])
-
-    def entry_jet(self, a, b, spec: JetSpec):
-        """The entry's jet under the shift rule (:func:`lift_to_jet`)."""
-        ref = self._entry_ref(a, b)
-        return Jet.constant(0, spec) if ref is None else ref[0] * lift_to_jet(self, ref[1], spec)
-
-    def _entry_ref(self, a, b):
-        """The label rules: ``None`` for an entry they make 0, else ``(sign,
-        (kind, p, q))``, the entry being sign times ``_moment(kind, p, q)``.
-        Pf(i,j) = mu_{i,j}, Pf(d_k,i) = beta^{(k)}_i (conjugate row for
-        ("cbar", k)), Pf(d0,i) = beta_i, Pf(d1,i) = beta_{i+1}, Pf(d0,d1) = 0;
-        any other pair of distinct row labels raises ``LabelError``."""
-        if isinstance(a, int) and isinstance(b, int):
-            if a == b:
-                return None
-            return (1, ("mu", a, b)) if a < b else (-1, ("mu", b, a))
-        if isinstance(a, int):
-            ref = self._entry_ref(b, a)
-            return ref and (-ref[0], ref[1])
-        if isinstance(b, int):
-            kind, k = a
-            if kind in ("comp", "cbar"):
-                return 1, ("beta" if kind == "comp" else "beta_bar", k, b)
-            if kind == "shift":
-                return 1, ("beta", 1, b + k)
-            raise LabelError(f"unrecognized label {a!r}")
-        if a == b or {a[0], b[0]} == {"shift"}:
-            return None  # Pf(d0,d1) = 0, forced by the rank2 derivative rule
-        raise LabelError(f"no entry rule for label pair ({a!r}, {b!r})")
+    def entry_jet(self, a, b, spec):
+        """The entry's jet under the shift rule, the expansion oracle's reader
+        (:func:`skewpoly.oracle.entry_jet`)."""
+        from .oracle import entry_jet
+        return entry_jet(self, a, b, spec)
 
 
-# ---------------------------------------------------------------------------
-# Shift derivation and jets
-# ---------------------------------------------------------------------------
-
-
-def shift_derivative(sys: MomentSystem, entry, flow: int):
-    """d/dt_flow of a moment entry via the index-shift rule."""
-    if flow < 1:
-        raise ValueError("flow index must be >= 1")
-    kind, p, q = entry
-    if kind == "mu":
-        return sys.mu_entry(p + flow, q) + sys.mu_entry(p, q + flow)
-    return sys._moment(kind, p, q + flow)
-
-
-def lift_to_jet(sys: MomentSystem, entry, spec: JetSpec) -> Jet:
-    """Jet of a moment entry under the shift rule, derivative by derivative.
-
-    d/dt_n acts on mu_{i,j} as X^n + Y^n, X and Y raising the first and the
-    second index, so the derivative of order alpha is prod_d (X^{d+1} +
-    Y^{d+1})^{alpha_d}: the sum over beta <= alpha of binom(alpha, beta)
-    mu_{i+w(beta), j+w(alpha-beta)}, w the weight.  A single-moment row
-    entry beta_j has derivative beta_{j+w(alpha)}.  :meth:`Jet.of_derivatives`
-    divides each by alpha!.
-    """
-    kind, a, j = entry
-    derivs = {}
-    for alpha in spec.weights:
-        if kind == "mu":
-            val = 0
-            for low in product(*(range(x + 1) for x in alpha)):
-                high = [x - y for x, y in zip(alpha, low)]
-                val = val + (math.prod(map(math.comb, alpha, low))
-                             * sys.mu_entry(a + weight(low), j + weight(high)))
-        else:
-            val = sys._moment(kind, a, j + weight(alpha))
-        derivs[alpha] = val
-    return Jet.of_derivatives(spec, derivs)
+def __getattr__(name):
+    """``lift_to_jet``, which moved to the oracle."""
+    if name == "lift_to_jet":
+        from . import oracle
+        return oracle.lift_to_jet
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,175 +376,3 @@ def stembridge_residual(sys: MomentSystem, n: int):
     rows = [[sum((sys.mu_entry(0, r) for r in range(abs(i - j) + 1, i + j, 2)), Fraction(0))
              for j in range(1, n + 1)] for i in range(1, n + 1)]
     return taus(sys).tau(2 * n, 0) - det_bareiss(rows)
-
-
-# ---------------------------------------------------------------------------
-# Solitons
-# ---------------------------------------------------------------------------
-
-
-class SolitonSpec(Record):
-    """Moment data built from exponential nodes; time enters through theta_a.
-    pair_amps holds (a, b, c_ab), node indices a < b; d_amps, per component,
-    one amplitude per node."""
-
-    __slots__ = _fields = ("nodes", "pair_amps", "d_amps")
-    _defaults = ((), ())
-
-    def _check(self):
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError("soliton nodes must be distinct")
-        if any(x == 0 for x in self.nodes):
-            raise ValueError("soliton nodes must be nonzero")
-        for (a, b, _) in self.pair_amps:
-            if not (0 <= a < b < len(self.nodes)):
-                raise ValueError(f"bad pair ({a},{b})")
-
-    def thetas(self, t) -> list:
-        out = []
-        for x in self.nodes:
-            th = 0.0
-            p = 1.0
-            for tn in t:
-                p *= x
-                th += tn * p
-            out.append(th)
-        return out
-
-    def mu_value(self, i: int, j: int, weights) -> float:
-        x = self.nodes
-        return sum(c * (x[a] ** i * x[b] ** j - x[b] ** i * x[a] ** j) * weights[a] * weights[b]
-                   for a, b, c in self.pair_amps)
-
-    def beta_value(self, k: int, j: int, weights):
-        return sum(d * self.nodes[a] ** j * weights[a] for a, d in enumerate(self.d_amps[k - 1]))
-
-
-def soliton_system(spec: SolitonSpec, t, max_index: int, mode: str = "exact",
-                   constraint: str = "none") -> MomentSystem:
-    """Evaluate soliton moments at time vector t (exact only at t = 0)."""
-    if mode == "exact":
-        if any(tn != 0 for tn in t):
-            raise ValueError("exact mode evaluates soliton data at t = 0 only")
-        weights = [1] * len(spec.nodes)
-    elif mode == "float":
-        weights = [math.exp(th) for th in spec.thetas(t)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    mu = {(i, j): spec.mu_value(i, j, weights)
-          for i in range(max_index) for j in range(i + 1, max_index + 1)}
-    beta = tuple(tuple(spec.beta_value(k, j, weights) for j in range(max_index + 1))
-                 for k in range(1, len(spec.d_amps) + 1))
-    return MomentSystem(max_index, mu, beta, constraint=constraint, mode=mode)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def to_json_dict(sys: MomentSystem) -> dict:
-    """The form :func:`from_json_dict` reads: every mu pair, zeros included."""
-    out = {
-        "max_index": sys.max_index,
-        "constraint": sys.constraint,
-        "mode": sys.mode,
-        "mu": [[i, j, format_scalar(sys.mu_entry(i, j))]
-               for i, j in combinations(range(sys.max_index + 1), 2)],
-    }
-    for name, rows in (("beta", sys.beta), ("beta_bar", sys.beta_bar)):
-        if rows is not None:
-            out[name] = [[k + 1, j, format_scalar(v)]
-                         for k, seq in enumerate(rows) for j, v in enumerate(seq)]
-    return out
-
-
-def from_json_dict(data: dict) -> MomentSystem:
-    """A system from its JSON object: ``max_index`` and ``mu`` present, no unknown
-    key, indices, components and ``max_index`` JSON integers (not booleans),
-    scalars strings, and each mu pair 0 <= i < j <= max_index given once."""
-    if not isinstance(data, dict):
-        raise ValueError(f"the file holds a JSON {type(data).__name__}, not an object")
-    for what, keys in (("unknown", set(data) - {"max_index", "constraint", "mode", "mu",
-                                                "beta", "beta_bar"}),
-                       ("missing", {"max_index", "mu"} - set(data))):
-        if keys:
-            raise ValueError(f"{what} key {min(keys)!r}")
-    max_index = _json_int(data["max_index"], "max_index")
-    mu = {(_json_int(i, "mu index"), _json_int(j, "mu index")): _json_scalar(s)
-          for i, j, s in _triples("mu", data["mu"])}
-    if len(mu) != len(data["mu"]):
-        raise ValueError("repeated mu triple")
-    beta = _seqs_from_triples("beta", data.get("beta", []), max_index)
-    bbar = (_seqs_from_triples("beta_bar", data["beta_bar"], max_index)
-            if "beta_bar" in data else None)
-    missing = next((p for p in combinations(range(max_index + 1), 2) if p not in mu), None)
-    if missing:  # the walk stops there: at most len(mu) + 1 steps
-        raise ValueError(f"missing mu triples, first {missing}")
-    return MomentSystem(max_index, mu, beta, beta_bar=bbar,
-                        constraint=data.get("constraint", "none"),
-                        mode=data.get("mode", "exact"))
-
-
-def _seqs_from_triples(name, triples, max_index) -> tuple:
-    """Rows from (k, j, value) triples, each (k, j) with 0 <= j <= max_index
-    given exactly once for every component k up to the largest one named."""
-    seqs: dict = {}
-    for k, j, s in _triples(name, triples):
-        k, j = _json_int(k, f"{name} component"), _json_int(j, f"{name} index")
-        if k < 1 or not 0 <= j <= max_index:
-            raise ValueError(f"{name} triple ({k},{j}) needs k >= 1 and "
-                             f"0 <= j <= {max_index}")
-        if (k, j) in seqs:
-            raise ValueError(f"repeated {name} triple ({k},{j})")
-        seqs[(k, j)] = _json_scalar(s)
-    ncomp = max((k for k, _ in seqs), default=0)
-    missing = next(((k, j) for k in range(1, ncomp + 1) for j in range(max_index + 1)
-                    if (k, j) not in seqs), None)
-    if missing:  # the walk stops there: at most len(seqs) + 1 steps
-        raise ValueError(f"missing {name} triples, first ({missing[0]},{missing[1]})")
-    return tuple(tuple(seqs[(k, j)] for j in range(max_index + 1))
-                 for k in range(1, ncomp + 1))
-
-
-def _triples(name, triples) -> list:
-    """``triples``, checked to be a JSON list of three-element lists."""
-    if type(triples) is not list:
-        raise ValueError(f"{name} {triples!r} is not a list of triples")
-    bad = next((t for t in triples if type(t) is not list or len(t) != 3), None)
-    if bad is not None:
-        raise ValueError(f"{name} entry {bad!r} is not a triple")
-    return triples
-
-
-def _json_int(x, what: str) -> int:
-    if type(x) is not int:  # bool is a subclass of int
-        raise ValueError(f"{what} {x!r} is not a JSON integer")
-    return x
-
-
-def _json_scalar(s):
-    if not isinstance(s, str):
-        raise ValueError(f"scalar {s!r} is not a string such as \"-3/4\"")
-    try:
-        return parse_scalar(s)
-    except ZeroDivisionError:  # Fraction's own error for a zero denominator
-        raise ValueError(f"scalar {s!r} has a zero denominator") from None
-
-
-def save(sys: MomentSystem, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(to_json_dict(sys), indent=1))
-
-
-def load(path) -> MomentSystem:
-    """:func:`from_json_dict` of a JSON file in which no object repeats a key."""
-    with open(path) as fh:
-        return from_json_dict(json.load(fh, object_pairs_hook=_unique_keys))
-
-
-def _unique_keys(pairs) -> dict:
-    keys = [key for key, _ in pairs]
-    if len(set(keys)) < len(keys):
-        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
-    return dict(pairs)

@@ -1,23 +1,17 @@
-"""Pfaffians over exact scalar rings and jets, plus the indexed-label resolver.
-
-One skew elimination loop and one expansion, each the other's test reference:
+"""The Pfaffian engine: one fraction-free skew elimination over exact scalar
+rings and first-order jets.
 
 * :func:`pf_chain` -- every leading Pfaffian of a label list (a tau or C2
   chain) from one scalar elimination without swaps, which always carries the
   spectral column along as a border and keeps the next entries of each
   pivot row; past a pivot that is no unit, a block of the rows it left
-  (:func:`_eliminated`); on first-order jets too, as dual numbers.
+  (:func:`_eliminated`), eliminated with swaps (:func:`_pf_rows`); on
+  first-order jets too, as dual numbers, a unit pivot being a nonzero base.
 * :func:`miwa_chain` -- the same at the Miwa-shifted time t - [z], one
   elimination per node z, with each link's top label raised beside it.
-* :func:`pfaffian` -- a plain square row list by the elimination with swaps
-  (:func:`_pf_rows`), as every block is: scalars, and first-order jets as
-  dual numbers, a unit pivot being a nonzero base; no heavier jet.
-* :func:`pf_labels` / :func:`pf_indexed` -- labelled Pfaffians by recursive
-  expansion along the first label (and z), memoized over label subsets, on
-  the system's own entry rules.  No division, so any commutative ring: the
-  tests' oracle, never the engine's; :func:`pfaffian_expand` runs it on a
-  row list.  Their labels are integer moment indices, single-moment rows
-  ``d``, derivative rows ``d0``/``d1`` and a spectral row ``z``.
+* :func:`det_bareiss` -- a determinant by Bareiss's elimination.
+
+The expansion by labels, the tests' oracle, is :mod:`skewpoly.oracle`.
 
 The loop is fraction-free, the Pfaffian form of Bareiss's integer-preserving
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
@@ -29,29 +23,36 @@ by the previous pivot (:func:`_exact_div`, shared with :func:`det_bareiss`).
 Entries enter the loop only through :func:`_z`, integral ones as ``int``
 (Gaussian ones with int parts, jets coefficient by coefficient), so integer
 moments stay in Z throughout; they leave it only through :func:`_q`, as
-``Fraction``, ``GaussianRational`` over Fractions, or jets of those.  The
-engine reads a system's moments only from its :class:`MomentKernel`,
-converted once and scaled to integers by the lcm of their denominators.
+``Fraction``, ``GaussianRational`` over Fractions, or jets of those.  Every
+loop value that is no scalar (``_SCALARS``) is a jet, so the scalar path
+never imports :mod:`skewpoly.jets`.  The engine reads a system's moments
+only from its :class:`MomentKernel`, converted once and scaled to integers
+by the lcm of their denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from math import lcm, prod
 
-from .jets import J1, Jet
 from .poly import PolyInZ
 from .scalars import GaussianRational
 
-
-class LabelError(ValueError):
-    """Forbidden label combination handed to the indexed resolver."""
+_SCALARS = frozenset((int, Fraction, GaussianRational))
 
 
 class OutOfRangeError(IndexError):
     """Moment index outside the stored range."""
+
+
+def __getattr__(name):
+    """``pf_labels`` and ``pf_indexed``, which moved to the oracle."""
+    if name in ("pf_labels", "pf_indexed"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -59,51 +60,18 @@ class OutOfRangeError(IndexError):
 # ---------------------------------------------------------------------------
 
 
-def _check_skew(rows) -> None:
-    n = len(rows)
-    if n % 2:
-        raise ValueError("Pfaffian requires even dimension")
-    for i in range(n):
-        if len(rows[i]) != n:
-            raise ValueError(f"row {i} has {len(rows[i])} entries, expected {n}")
-        if rows[i][i] != 0:
-            raise ValueError(f"nonzero diagonal entry at {i}")
-        for j in range(i + 1, n):
-            if rows[j][i] != -rows[i][j]:
-                raise ValueError(f"entries ({i},{j}) and ({j},{i}) not antisymmetric")
-
-
-def pfaffian_expand(rows):
-    """Pfaffian of a square skew row list by memoized expansion; empty gives 1."""
-    _check_skew(rows)
-    return _pf_expand(tuple(range(len(rows))), lambda i, j: rows[i][j], {})
-
-
-def _pf_expand(labels: tuple, entry, cache: dict):
-    """Expansion along the first label; memoized on label tuples."""
-    if not labels:
-        return 1
-    got = cache.get(labels)
-    if got is not None:
-        return got
-    first, rest = labels[0], labels[1:]
-    acc = 0
-    sign = 1
-    for t, lab in enumerate(rest):
-        e = entry(first, lab)
-        if e:
-            sub = rest[:t] + rest[t + 1:]
-            acc = acc + sign * (e * _pf_expand(sub, entry, cache))
-        sign = -sign
-    cache[labels] = acc
-    return acc
-
-
-def pfaffian(rows):
-    """Pfaffian of a square skew row list by the elimination with swaps
-    (:func:`_pf_rows`), on scalars or ``JetSpec(1)`` jets; empty gives 1."""
-    _check_skew(rows)
-    return _q(_pf_rows([[_z(x) for x in r] for r in rows]))
+def _zero(a):
+    """The loop zero of the ring of the row list ``a``: the ``JetSpec(1)``
+    zero for jet entries (a heavier jet raises ``ValueError``), a Gaussian
+    zero with int parts for Gaussian ones, else the int 0."""
+    kinds = {type(x) for row in a for x in row}
+    if kinds - _SCALARS:
+        from .jets import J1, Jet
+        specs = {x.spec for row in a for x in row if isinstance(x, Jet)}
+        if specs - {J1}:
+            raise ValueError(f"the elimination takes JetSpec(1) jets only, not {specs}")
+        return Jet.constant(0, J1)
+    return GaussianRational(0, 0) if GaussianRational in kinds else 0
 
 
 def _pf_rows(a):
@@ -113,11 +81,9 @@ def _pf_rows(a):
     ``JetSpec(1)`` jets run as dual numbers: the swaps find a unit (a nonzero
     base) while one is left, so a stall leaves only O(eps) entries, and its
     remainder of 4 or more rows (5 with the border) is 0 mod eps^2, as the
-    value is; a heavier jet raises ``ValueError``."""
-    specs = {x.spec for row in a for x in row if isinstance(x, Jet)}
-    if specs - {J1}:
-        raise ValueError(f"the elimination takes JetSpec(1) jets only, not {specs}")
-    n, zero = len(a), Jet.constant(0, J1) if specs else 0
+    value is; a heavier jet raises ``ValueError``.  A stall gives the zero of
+    the entries' ring (:func:`_zero`), one per border entry for an odd list."""
+    n, zero = len(a), _zero(a)
     stages = list(_stages(a, swaps=True))  # to the end: the last update fills the border
     if len(stages) < n // 2:
         return [zero] * (len(a[0]) - n) if n % 2 else zero
@@ -194,7 +160,7 @@ def _stages(a, swaps: bool):
 
 def _is_unit(x) -> bool:
     """A nonzero scalar, or a jet with a nonzero base."""
-    return bool(x.base if isinstance(x, Jet) else x)
+    return bool(x) if type(x) in _SCALARS else bool(x.base)
 
 
 def _swap(a, i, j):
@@ -206,15 +172,14 @@ def _swap(a, i, j):
 def _z(x):
     """The one way into the loop: an integral Fraction as an int, a Gaussian
     rational with integral parts as one with int parts, a jet coefficient
-    by coefficient; anything else as it is."""
-    if isinstance(x, Fraction):
+    by coefficient; an int as it is."""
+    t = type(x)
+    if t is Fraction:
         return x.numerator if x.denominator == 1 else x
-    if isinstance(x, GaussianRational):
+    if t is GaussianRational:
         re, im = _z(x.re), _z(x.im)
         return GaussianRational(re, im) if type(re) is type(im) is int else x
-    if isinstance(x, Jet):
-        return x.map(_z)
-    return x
+    return x if t is int else x.map(_z)
 
 
 def _q(x, den=1):
@@ -228,12 +193,12 @@ def _q(x, den=1):
             return Fraction(x, den)
         if t is GaussianRational and type(x.re) is type(x.im) is int:
             return GaussianRational(Fraction(x.re, den), Fraction(x.im, den))
-    if isinstance(x, Jet):
-        return x.map(lambda v: _q(v, den))
     if t is GaussianRational:
         x = GaussianRational(Fraction(x.re), Fraction(x.im))
     elif t is int:
         x = Fraction(x)
+    elif t is not Fraction:  # a jet
+        return x.map(lambda v: _q(v, den))
     return x if den == 1 else x / den
 
 
@@ -242,13 +207,14 @@ def det_bareiss(rows):
     Entries run as loop entries (``_z``), so integral ones stay in Z, and
     the value leaves through ``_q``.  Row entries past len(rows) are a
     border (:func:`_bareiss`): the value is then one determinant per column
-    from the last square one on, that column in the last place."""
+    from the last square one on, that column in the last place.  A column
+    with no pivot gives the zero of the entries' ring (:func:`_zero`)."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     m = [[_z(x) for x in r] for r in rows]
     done, sign = _bareiss(m, swaps=True)
-    last = m[n - 1][n - 1:] if done == n - 1 else [0] * (len(m[0]) - n + 1)
+    last = m[n - 1][n - 1:] if done == n - 1 else [_zero(m)] * (len(m[0]) - n + 1)
     values = [_q(sign * x) for x in last]
     return values if len(values) > 1 else values[0]
 
@@ -287,8 +253,8 @@ def _bareiss(m, swaps: bool):
 def _exact_div(num, den):
     """num / den for a den that divides num: ints and Gaussian integers (int
     parts) by remainder-checked integer division, a Gaussian divisor through
-    its conjugate and norm; ``JetSpec(1)`` jets by q0 = n0 / d0, q1 = (n1 -
-    q0 d1) / d0; anything else (rationals) by field division.  An inexact
+    its conjugate and norm; rationals by field division; ``JetSpec(1)`` jets
+    by q0 = n0 / d0, q1 = (n1 - q0 d1) / d0.  An inexact
     quotient raises ``ArithmeticError``.  Runs once per eliminated entry, so
     the int/int test comes first."""
     tn, td = type(num), type(den)
@@ -306,12 +272,12 @@ def _exact_div(num, den):
         if r or s:
             raise ArithmeticError(f"{den} does not divide {num}")
         return GaussianRational(a, b)
-    if isinstance(num, Jet):
-        if not isinstance(den, Jet):
-            return num.map(lambda v: _exact_div(v, den))
-        q0 = _exact_div(num.base, den.base)
-        return Jet.first_order(q0, _exact_div(num.slope - q0 * den.slope, den.base))
-    return num / den
+    if tn in _SCALARS:  # rationals, by field division
+        return num / den
+    if td in _SCALARS:  # a jet over a scalar
+        return num.map(lambda v: _exact_div(v, den))
+    q0 = _exact_div(num.base, den.base)
+    return num.first_order(q0, _exact_div(num.slope - q0 * den.slope, den.base))
 
 
 def _interpolate(ys: list, den: int) -> PolyInZ:
@@ -332,101 +298,21 @@ def _interpolate(ys: list, den: int) -> PolyInZ:
 
 
 # ---------------------------------------------------------------------------
-# Indexed Pfaffians
-# ---------------------------------------------------------------------------
-
-Z = "z"
-# canonical tuples: single-moment rows ("comp", k) and their conjugates
-# ("cbar", k), the rank2 derivative rows ("shift", 0) and ("shift", 1)
-_NAMED = {Z: Z, "d": ("comp", 1), "d0": ("shift", 0), "d1": ("shift", 1)}
-
-
-def parse_label(lab):
-    """Accepts ints, canonical tuples, and the strings z, d, d:k, dbar:k, d0, d1."""
-    if isinstance(lab, (int, tuple)):
-        return lab
-    if isinstance(lab, str):
-        head, sep, k = lab.partition(":")
-        if lab in _NAMED:
-            return _NAMED[lab]
-        if sep and head in ("d", "dbar"):
-            return ("comp" if head == "d" else "cbar", int(k))
-    raise LabelError(f"unrecognized label {lab!r}")
-
-
-def _validate_labels(labs, sys) -> None:
-    """At most one z, d0/d1 only under rank2, and row label pairs the entry rules allow."""
-    if labs.count(Z) > 1:
-        raise LabelError("at most one spectral label z is allowed")
-    rows = [l for l in labs if isinstance(l, tuple)]
-    if any(l[0] == "shift" for l in rows) and sys.constraint != "rank2":
-        raise LabelError("derivative rows d0/d1 require the rank2 constraint")
-    for a, b in combinations(rows, 2):
-        sys.entry_scalar(a, b)
-
-
-def pf_indexed(labels, sys, *, cache: dict | None = None, jet_spec=None) -> PolyInZ:
-    """Resolve a labelled Pfaffian against a moment system.
-
-    Entry rules: ``MomentSystem._entry_ref`` for a z-free pair, and Pf(i,z) =
-    z^i, Pf(row,z) = 0 for the rows d_k, dbar_k, d0 and d1, expanded along z
-    (repeated labels sum, and cancel).  Odd-length lists evaluate to the zero
-    polynomial.  With ``jet_spec`` the entries are lifted to jets and the
-    coefficients of the result are jets.
-    """
-    labs = [parse_label(l) for l in labels]
-    _validate_labels(labs, sys)
-    pf = lambda sub: pf_labels(sub, sys, cache=cache, jet_spec=jet_spec)  # noqa: E731
-    if len(labs) % 2:
-        return PolyInZ.zero()
-    if Z not in labs:
-        return PolyInZ([pf(labs)])
-    zpos = labs.index(Z)
-    rest = labs[:zpos] + labs[zpos + 1:]
-    coeffs = [0] * (max((x for x in rest if isinstance(x, int)), default=-1) + 1)
-    for t, lab in enumerate(rest):
-        if isinstance(lab, int) and (val := pf(rest[:t] + rest[t + 1:])):
-            coeffs[lab] += -val if (zpos + t + 1) % 2 else val
-    return PolyInZ(coeffs)
-
-
-def pf_labels(labels, sys, *, cache: dict | None = None, jet_spec=None):
-    """z-free labelled Pfaffian, expanded along the first label in the given
-    order.  ``cache`` is the memo of one ring (scalars, or jets of
-    ``jet_spec``, and the entry jets, by (label, label, spec)), keyed by
-    label tuples; the value leaves through ``_q`` in that ring, so an empty
-    list gives ``Fraction(1)``, a vanishing one 0."""
-    labs = tuple(parse_label(l) for l in labels)
-    memo = {} if cache is None else cache
-
-    def jet_entry(a, b):
-        if (a, b, jet_spec) not in memo:
-            memo[a, b, jet_spec] = sys.entry_jet(a, b, jet_spec)
-        return memo[a, b, jet_spec]
-    val = _pf_expand(labs, sys.entry_scalar if jet_spec is None else jet_entry, memo)
-    if jet_spec is not None and not isinstance(val, Jet):
-        val = Jet.constant(val, jet_spec)
-    return _q(val)
-
-
-# ---------------------------------------------------------------------------
 # Chains on a system's moments
 # ---------------------------------------------------------------------------
 
 
 def _den_lcm(values) -> int:
     """The lcm of the denominators of exact values (both parts of a Gaussian
-    one); 1 if any part is a float."""
-    parts = [p for v in values
-             for p in ((v.re, v.im) if isinstance(v, GaussianRational) else (v,))]
-    exact = not any(isinstance(p, float) for p in parts)
-    return lcm(*(p.denominator for p in parts)) if exact else 1
+    one)."""
+    return lcm(*(p.denominator for v in values
+                 for p in ((v.re, v.im) if isinstance(v, GaussianRational) else (v,))))
 
 
 def _scaled(v, scale):
-    """``_z(v * scale)``, as an int product where v is a Fraction whose
-    denominator divides ``scale``."""
-    if type(v) is Fraction and not scale % v.denominator:
+    """``_z(v * scale)``, as an int product for a Fraction v (its denominator
+    divides ``scale``)."""
+    if type(v) is Fraction:
         return v.numerator * (scale // v.denominator)
     return _z(v * scale)
 
@@ -435,8 +321,8 @@ class MomentKernel:
     """A system's moments as loop entries, converted once (its ``TauTable``
     owns it).  Each is scaled by ``scale``, the lcm of all their
     denominators (parts of Gaussian ones included), so rational moments run
-    as ints too and a Pfaffian of 2s labels reads scale^s times its value;
-    a float moment keeps ``scale`` at 1.  ``mu[i][j]`` is the full skew
+    as ints too and a Pfaffian of 2s labels reads scale^s times its value.
+    ``mu[i][j]`` is the full skew
     table of mu_{i,j}; ``rows[("comp", k)][j]`` is beta^{(k)}_j, ``rows[("cbar",
     k)]`` its conjugate row, and rank2's ``rows[("shift", s)][j]`` beta_{j+s}."""
 
@@ -498,6 +384,8 @@ def pf_chain(labels, kernel: MomentKernel, jets: bool = False):
     label past the last is read), the spectral column constant: every value
     becomes its jet, D a jet link, so the column holds the jet-valued family
     members."""
+    if jets:
+        from .jets import Jet
     labs = list(labels)
     moment = [x for x in labs if isinstance(x, int)]
     border = range(min(moment, default=0), max(moment, default=-1) + 1)

@@ -1,9 +1,8 @@
 """Exact scalar arithmetic: rationals, Gaussian rationals, parsing and formatting.
 
 Every quantity in the exact verification pipeline is either a ``Fraction``
-(rational mode) or a :class:`GaussianRational` (complex mode).  Plain floats
-are tolerated only by the dynamics module; exact-verification entry points
-call ``MomentSystem.require_exact`` to keep float-mode systems out.  Inside
+(rational mode) or a :class:`GaussianRational` (complex mode); no moment
+system holds a float (only the dynamics module computes in floats).  Inside
 the Pfaffian kernel a Gaussian integer is a :class:`GaussianRational` with
 int parts; public values hold Fraction parts.
 """
@@ -125,20 +124,16 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-Scalar = Union[int, Fraction, GaussianRational, float]
+Scalar = Union[int, Fraction, GaussianRational]
 
 
 def scalar_inv(x):
-    if isinstance(x, float):
-        return 1.0 / x
     return Fraction(1) / x
 
 
 def exact_div(a, b):
     """Division that never silently degrades int/int to float."""
     if isinstance(a, int):
-        if isinstance(b, float):
-            return a / b
         a = Fraction(a)
     return a / b
 

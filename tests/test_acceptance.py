@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from skewpoly import bilinear as bl
+from skewpoly import hierarchy as hy
 from skewpoly import christoffel as ct
 from skewpoly import cli
 from skewpoly import dynamics as dyn
@@ -17,7 +18,8 @@ from skewpoly import lax
 from skewpoly.families import (orthogonality_defects, orthogonality_determinant,
                                psop_inner_defects)
 from skewpoly.moments import gen, stembridge_residual
-from skewpoly.pfaffian import det_bareiss, pfaffian, pfaffian_expand
+from skewpoly.oracle import pfaffian, pfaffian_expand
+from skewpoly.pfaffian import det_bareiss
 
 
 def _verdict(num, label, ok, detail=""):
@@ -112,14 +114,14 @@ def test_criterion_4_derivative_and_schur_suites():
         s = gen("none", 20, components=2, seed=5000 + seed, require_tau=(4, 2))
         for n in range(4):
             for m in range(3):
-                if bl.derivative_residual(s, 2 * n, m):
+                if hy.derivative_residual(s, 2 * n, m):
                     bad = ("derivative", seed, n, m)
         # jet path vs polynomial-coefficient path through order six
         for idx in (5, 6):
             for m in (0, 1):
-                if any(d != 0 for d in bl.schur_coeff_defects(s, idx, m)):
+                if any(d != 0 for d in hy.schur_coeff_defects(s, idx, m)):
                     bad = ("schur-even", seed, idx, m)
-        if any(d != 0 for d in bl.schur_coeff_defects(s, 5, 0, comp=2)):
+        if any(d != 0 for d in hy.schur_coeff_defects(s, 5, 0, comp=2)):
             bad = ("schur-odd-component", seed)
     _verdict(4, "derivative identity and Schur-expansion coefficient "
                 "equivalence for orders through six", bad is None,

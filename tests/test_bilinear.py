@@ -1,6 +1,7 @@
 """Schur operators, Hirota derivatives, and the bilinear identity catalog."""
 
 import importlib
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -8,25 +9,27 @@ from fractions import Fraction
 import pytest
 
 from skewpoly import bilinear as bl
+from skewpoly import hierarchy as hy
+from skewpoly import oracle
 from skewpoly.families import ReadPlan, taus
-from skewpoly.jets import JetSpec
-from skewpoly.moments import MomentSystem, SolitonSpec, gen, soliton_system
-from skewpoly.pfaffian import pf_labels
+from skewpoly.jets import Jet, JetSpec
+from skewpoly.moments import MomentSystem, gen
+from skewpoly.oracle import pf_labels, pfaffian_expand
+from skewpoly.solitons import SolitonSpec, soliton_system
 
-# the package re-exports the function pfaffian under the module's name
 pfaffian_mod = importlib.import_module("skewpoly.pfaffian")
 
 
 def test_schur_polynomial_values():
-    assert bl.schur(0, []) == 1
-    assert bl.schur(1, [Fraction(4)]) == 4
+    assert hy.schur(0, []) == 1
+    assert hy.schur(1, [Fraction(4)]) == 4
     t1, t2 = Fraction(3), Fraction(-2)
-    assert bl.schur(2, [t1, t2]) == t2 + t1 * t1 / 2
+    assert hy.schur(2, [t1, t2]) == t2 + t1 * t1 / 2
     # generating function check: coefficient of z^4 in exp(t1 z + t2 z^2)
     t = [Fraction(1, 2), Fraction(1, 3)]
     expected = (Fraction(1, 24) * t[0] ** 4 + Fraction(1, 2) * t[0] ** 2 * t[1]
                 + Fraction(1, 2) * t[1] ** 2)
-    assert bl.schur(4, t) == expected
+    assert hy.schur(4, t) == expected
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +39,12 @@ def sys2():
 
 def test_schur_action_trivial_orders(sys2):
     t = taus(sys2)
-    assert bl.schur_d_tau(sys2, 0, 4, 0) == t.tau(4, 0)
+    assert hy.schur_d_tau(sys2, 0, 4, 0) == t.tau(4, 0)
     jet = t.tau_jet(4, 0, JetSpec(1))
-    assert bl.schur_d_tau(sys2, 1, 4, 0) == -jet.extract(1)  # s_1(-Dt) = -d/dt_1
+    assert hy.schur_d_tau(sys2, 1, 4, 0) == -jet.extract(1)  # s_1(-Dt) = -d/dt_1
     odd = t.tau_jet(3, 0, JetSpec(2), 2)
-    assert bl.schur_d_tau(sys2, 2, 3, 0, comp=2) == odd.schur()[2]
-    assert bl.schur_d_tau(sys2, 4, 3, 0, comp=2) == 0  # above idx
+    assert hy.schur_d_tau(sys2, 2, 3, 0, comp=2) == odd.schur()[2]
+    assert hy.schur_d_tau(sys2, 4, 3, 0, comp=2) == 0  # above idx
 
 
 # system -> {jet spec: pf_labels memo}; weak keys, since ids are reused
@@ -52,7 +55,7 @@ def _assert_miwa_matches_jet_oracle(s, idx, m, k=1, conj=False, spec=None):
     """SchurTau's lists against Jet.schur of the weight-(idx+1) tau jet by
     expansion (in ``spec`` and truncated, if given, so one memo serves all idx)."""
     t = taus(s)
-    st = bl.SchurTau(t, idx, m, k, conj)
+    st = hy.SchurTau(t, idx, m, k, conj)
     spec = spec or JetSpec(idx + 1)
     memo = _JET_MEMOS.setdefault(s, {}).setdefault(spec, {})
     jet = pf_labels(t.tau_labels(idx, m, k, conj), s, cache=memo,
@@ -79,7 +82,7 @@ def test_miwa_schur_layers_match_jet_oracle(kind, den_bound):
             for k in range(1, s.ell + 1):
                 for conj in conjs:
                     _assert_miwa_matches_jet_oracle(s, idx, m, k, conj, JetSpec(8))
-    st = bl.SchurTau(taus(s), -1, 0)
+    st = hy.SchurTau(taus(s), -1, 0)
     assert st.value(0) == st.d1(0) == 0
 
 
@@ -96,7 +99,7 @@ def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
         return MomentSystem(top, mu, beta=(tuple(beta),))
 
     calls, swapped = [], []
-    expand, with_swaps = pfaffian_mod._pf_expand, pfaffian_mod._pf_rows
+    expand, with_swaps = oracle._pf_expand, pfaffian_mod._pf_rows
 
     def counted(labels, entry, cache):
         calls.append(labels)
@@ -111,10 +114,10 @@ def test_miwa_stalled_nodes_need_no_expansion(monkeypatch):
         fallback counted; then the oracle."""
         calls.clear()
         swapped.clear()
-        monkeypatch.setattr(pfaffian_mod, "_pf_expand", counted)
+        monkeypatch.setattr(oracle, "_pf_expand", counted)
         monkeypatch.setattr(pfaffian_mod, "_pf_rows", counted_swaps)
-        bl.SchurTau(taus(s), idx, m)
-        monkeypatch.setattr(pfaffian_mod, "_pf_expand", expand)
+        hy.SchurTau(taus(s), idx, m)
+        monkeypatch.setattr(oracle, "_pf_expand", expand)
         monkeypatch.setattr(pfaffian_mod, "_pf_rows", with_swaps)
         assert not calls  # a nonzero scalar row always holds a unit pivot
         return _assert_miwa_matches_jet_oracle(s, idx, m)
@@ -148,13 +151,13 @@ def test_schur_coefficient_equivalence(sys2):
     # Miwa values vs polynomial coefficients, orders up to six
     for idx in (5, 6):
         for m in (0, 1):
-            assert all(d == 0 for d in bl.schur_coeff_defects(sys2, idx, m))
-    assert all(d == 0 for d in bl.schur_coeff_defects(sys2, 5, 0, comp=2))
+            assert all(d == 0 for d in hy.schur_coeff_defects(sys2, idx, m))
+    assert all(d == 0 for d in hy.schur_coeff_defects(sys2, 5, 0, comp=2))
 
 
 def test_hirota_basics(sys2):
-    assert bl.hirota((1, 0), sys2, (4, 0), (4, 0)) == 0  # odd order on equal args
-    d1 = bl.hirota((1, 0), sys2, (4, 0), (4, 1))
+    assert hy.hirota((1, 0), sys2, (4, 0), (4, 0)) == 0  # odd order on equal args
+    d1 = hy.hirota((1, 0), sys2, (4, 0), (4, 1))
     t = taus(sys2)
     spec = JetSpec(1)
     f = t.tau_jet(4, 0, spec)
@@ -167,41 +170,71 @@ def test_hirota_component_ref_defaults_to_unconjugated_row():
     for kind in ("rank1skew-multi", "rank1skew-complex"):
         s = gen(kind, 12, components=2, seed=3, require_tau=(3, 1))
         for orders in ((1,), (0, 1), (2,)):
-            assert (bl.hirota(orders, s, (3, 0, 2), (2, 0))
-                    == bl.hirota(orders, s, (3, 0, 2, False), (2, 0)))
-            assert (bl.hirota(orders, s, (2, 1), (1, 0, 2))
-                    == bl.hirota(orders, s, (2, 1), (1, 0, 2, False)))
+            assert (hy.hirota(orders, s, (3, 0, 2), (2, 0))
+                    == hy.hirota(orders, s, (3, 0, 2, False), (2, 0)))
+            assert (hy.hirota(orders, s, (2, 1), (1, 0, 2))
+                    == hy.hirota(orders, s, (2, 1), (1, 0, 2, False)))
 
 
 def test_hirota_antisymmetry_and_symmetry(sys2):
-    assert (bl.hirota((1, 0), sys2, (4, 0), (2, 1))
-            == -bl.hirota((1, 0), sys2, (2, 1), (4, 0)))
-    assert (bl.hirota((2, 0), sys2, (4, 0), (2, 1))
-            == bl.hirota((2, 0), sys2, (2, 1), (4, 0)))
+    assert (hy.hirota((1, 0), sys2, (4, 0), (2, 1))
+            == -hy.hirota((1, 0), sys2, (2, 1), (4, 0)))
+    assert (hy.hirota((2, 0), sys2, (4, 0), (2, 1))
+            == hy.hirota((2, 0), sys2, (2, 1), (4, 0)))
+
+
+def _float_tau_jet(spec, t, idx, m):
+    """tau_idx^{(m)} of the soliton moments at time t as a float
+    ``JetSpec(1)`` jet: the expansion (``pfaffian_expand``) of the entries'
+    value and t_1 derivative, each read off ``SolitonSpec`` in floats.  The
+    moments depend on t genuinely, and d/dt_1 of mu_{i,j} is mu_{i+1,j} +
+    mu_{i,j+1} (of beta_j, beta_{j+1}); an odd idx borders the moments with
+    the single-moment row of component 1.  The float lane lives here: no
+    moment system holds a float."""
+    w = [math.exp(th) for th in spec.thetas(t)]
+    labels = [None] * (idx % 2) + list(range(m, m + idx))
+    if not labels:
+        return Jet.constant(1.0, JetSpec(1))
+
+    def entry(i, j):
+        if i is None:
+            return Jet.first_order(spec.beta_value(1, j, w), spec.beta_value(1, j + 1, w))
+        if j is None:
+            return -entry(j, i)
+        mu = spec.mu_value
+        return Jet.first_order(mu(i, j, w), mu(i + 1, j, w) + mu(i, j + 1, w))
+    return pfaffian_expand([[entry(i, j) if i != j else Jet.constant(0.0, JetSpec(1))
+                             for j in labels] for i in labels])
+
+
+def _float_tau(spec, t, idx, m):
+    """The value of :func:`_float_tau_jet`; 0 for a negative idx."""
+    return _float_tau_jet(spec, t, idx, m).base if idx >= 0 else 0.0
 
 
 def test_hirota_float_finite_difference_oracle():
-    spec = SolitonSpec((1.6, 0.7, 1.2, 0.85, 1.9, 0.55),
-                       ((0, 1, 0.9), (2, 3, 1.4), (4, 5, 0.6), (0, 3, 0.2)))
-    t = (0.15, -0.1)
+    """D_t1 and D_t2 of two taus, exact off the shift rule on the soliton
+    system at t = 0, against central differences of the float soliton taus
+    at t = +-h."""
+    f = (Fraction(8, 5), Fraction(7, 10), Fraction(6, 5), Fraction(17, 20),
+         Fraction(19, 10), Fraction(11, 20))
+    spec = SolitonSpec(f, ((0, 1, Fraction(9, 10)), (2, 3, Fraction(7, 5)),
+                           (4, 5, Fraction(3, 5)), (0, 3, Fraction(1, 5))))
+    t = (0, 0)
     h = 1e-5
 
-    def tau_at(shift_t):
-        s = soliton_system(spec, shift_t, 10, mode="float")
-        return taus(s)
-
     f_idx, g_idx = (4, 0), (4, 1)
-    base = soliton_system(spec, t, 10, mode="float")
-    got_d1 = bl.hirota((1, 0), base, f_idx, g_idx)
-    got_d2 = bl.hirota((0, 1), base, f_idx, g_idx)
+    base = soliton_system(spec, t, 10)
+    got_d1 = float(hy.hirota((1, 0), base, f_idx, g_idx))
+    got_d2 = float(hy.hirota((0, 1), base, f_idx, g_idx))
 
     def fd(direction):
         tp = list(t)
         tm = list(t)
         tp[direction] += h
         tm[direction] -= h
-        fp = tau_at(tp).tau(*f_idx) * tau_at(tm).tau(*g_idx)
-        fm = tau_at(tm).tau(*f_idx) * tau_at(tp).tau(*g_idx)
+        fp = _float_tau(spec, tp, *f_idx) * _float_tau(spec, tm, *g_idx)
+        fm = _float_tau(spec, tm, *f_idx) * _float_tau(spec, tp, *g_idx)
         return (fp - fm) / (2 * h)
 
     assert abs(got_d1 - fd(0)) <= 1e-8 * max(1.0, abs(got_d1))
@@ -210,20 +243,18 @@ def test_hirota_float_finite_difference_oracle():
 
 def test_float_soliton_satisfies_unconstrained_identity():
     # downstream identities hold numerically on genuinely time-dependent data
-    from skewpoly.bilinear import hirota_jets
     spec = SolitonSpec((1.6, 0.7, 1.2, 0.85, 1.9, 0.55, 2.2, 0.45),
                        ((0, 1, 0.9), (2, 3, 1.4), (4, 5, 0.6), (6, 7, 1.1),
                         (0, 3, 0.2), (2, 5, -0.3)),
                        ((0.5, 1.0, -0.7, 0.3, 0.2, 0.8, 0.1, -0.4),))
-    s = soliton_system(spec, (0.2, -0.1), 14, mode="float")
-    t = taus(s)
-    spec1 = JetSpec(1)
+    t = (0.2, -0.1)
     for n in range(4):
         for m in (0, 1):
-            f = t.tau_jet(n, m + 1, spec1)
-            g = t.tau_jet(n + 1, m, spec1)
-            lhs = t.tau(n + 2, m) * t.tau(n - 1, m + 1)
-            rhs = hirota_jets((1,), f, g) + t.tau(n, m) * t.tau(n + 1, m + 1)
+            f = _float_tau_jet(spec, t, n, m + 1)
+            g = _float_tau_jet(spec, t, n + 1, m)
+            lhs = _float_tau(spec, t, n + 2, m) * _float_tau(spec, t, n - 1, m + 1)
+            rhs = (hy.hirota_jets((1,), f, g)
+                   + _float_tau(spec, t, n, m) * _float_tau(spec, t, n + 1, m + 1))
             scale = max(abs(lhs), abs(rhs), 1e-30)
             assert abs(lhs - rhs) <= 1e-10 * scale, (n, m)
 
@@ -231,9 +262,9 @@ def test_float_soliton_satisfies_unconstrained_identity():
 def test_derivative_identity(sys2):
     for n in range(4):
         for m in range(3):
-            assert not bl.derivative_residual(sys2, 2 * n, m)
+            assert not hy.derivative_residual(sys2, 2 * n, m)
     with pytest.raises(ValueError):
-        bl.derivative_residual(sys2, 3, 0)
+        hy.derivative_residual(sys2, 3, 0)
 
 
 def test_dkp_catalog(sys2):
@@ -352,7 +383,14 @@ def test_identity_names_cover_catalog():
 
 
 def test_float_mode_quarantined():
+    """No moment system holds a float, so no identity can see one: the
+    soliton moments are exact at t = 0 only, and a float moment is refused
+    in every mode."""
     spec = SolitonSpec((1.5, 0.5), ((0, 1, 1.0),))
-    s = soliton_system(spec, (0.1,), 8, mode="float")
-    with pytest.raises(TypeError):
-        bl.identity_residual(s, "GLV", n=0, m=0)
+    with pytest.raises(ValueError):
+        soliton_system(spec, (0.1,), 8)
+    with pytest.raises(ValueError):
+        soliton_system(spec, (0,), 8)  # float nodes give float moments
+    for mode in ("exact", "gauss", "float"):
+        with pytest.raises(ValueError):
+            MomentSystem(3, {(0, 1): 0.5}, mode=mode)

@@ -180,8 +180,10 @@ def test_tag_mismatch_errors(sys3):
 
 
 def test_float_mode_rejected():
-    from skewpoly.moments import SolitonSpec, soliton_system
+    """A transform never sees a float: no moment system can hold one, at
+    t = 0 or at any other time."""
+    from skewpoly.solitons import SolitonSpec, soliton_system
     spec = SolitonSpec((1.5, 0.5, 2.0, 0.25), ((0, 1, 1.0), (2, 3, 0.5)))
-    s = soliton_system(spec, (0.2,), 10, mode="float")
-    with pytest.raises(TypeError):
-        ct.sop_transform_residual(s, 1, 0)
+    for t in ((0.2,), (0,)):
+        with pytest.raises(ValueError):
+            soliton_system(spec, t, 10)

@@ -14,9 +14,10 @@ import pytest
 
 import skewpoly
 from skewpoly import bilinear, cli, moments
+from skewpoly import files as moment_files
 from skewpoly.families import ReadPlan, TauTable, taus
 from skewpoly.jets import Jet, JetSpec
-from skewpoly.pfaffian import pf_labels
+from skewpoly.oracle import pf_labels
 from skewpoly.scalars import GaussianRational, parse_scalar
 
 
@@ -33,7 +34,7 @@ def test_gen_writes_valid_system(tmp_path):
     code = run(["gen", "--kind", "rank1skew", "--n-max", "3", "--seed", "7",
                 "--out", str(out)])
     assert code == 0
-    sys_ = moments.load(out)
+    sys_ = moment_files.load(out)
     assert sys_.constraint == "rank1skew"
     assert moments.validate(sys_).all_zero
 
@@ -42,7 +43,7 @@ def test_gen_laurent_structure(tmp_path):
     out = tmp_path / "sys.json"
     assert run(["gen", "--kind", "laurent", "--n-max", "2", "--seed", "1",
                 "--out", str(out)]) == 0
-    sys_ = moments.load(out)
+    sys_ = moment_files.load(out)
     for gap in range(1, 5):
         assert sys_.mu_entry(3, 3 + gap) == sys_.mu_entry(0, gap)
 
@@ -136,7 +137,7 @@ def test_zero_beta_row_reports_degenerate_entries(tmp_path, capsys):
     assert isinstance(t.tau_jet(3, 0, JetSpec(1)), Jet)
     assert pf_labels([], s) == 1 and type(pf_labels([], s)) is Fraction
     path, rep = tmp_path / "sys.json", tmp_path / "rep.json"
-    moments.save(s, path)
+    moment_files.save(s, path)
     assert run(["verify", "--in", str(path), "--n-max", "2", "--m-max", "1",
                 "--out", str(rep)]) == 1
     assert "Traceback" not in capsys.readouterr().err
@@ -314,6 +315,86 @@ def test_verify_names_what_a_file_lacks(tmp_path, capsys):
                                            f"ValueError: {message}\n"), t
 
 
+def _structural_mutations(base: dict) -> dict:
+    """Named structural mutations of a ``gen`` file: each key dropped; each
+    triple list emptied, truncated or extended (a row and a triple); wrong
+    types for each key; negative, huge and float indices; null, list, 1/0,
+    bool and zero values; and the mode and constraint swapped."""
+    def edited(**changes):
+        data = json.loads(json.dumps(base))
+        data.update(changes)
+        return data
+
+    out = {f"drop {key}": {k: v for k, v in base.items() if k != key} for key in base}
+    for key in ("mu", "beta", "beta_bar"):
+        if key not in base:
+            continue
+        rows = base[key]
+        out[f"{key} emptied"] = edited(**{key: []})
+        out[f"{key} truncated"] = edited(**{key: rows[:-1]})
+        out[f"{key} extended"] = edited(**{key: rows + [[rows[-1][0], rows[-1][1] + 1, "1"]]})
+        out[f"{key} triple truncated"] = edited(**{key: [rows[0][:2], *rows[1:]]})
+        out[f"{key} triple extended"] = edited(**{key: [rows[0] + ["1"], *rows[1:]]})
+        for where, index in (("first", 0), ("second", 1)):
+            for label, value in (("negative", -1), ("huge", 10 ** 9), ("float", 1.5)):
+                row = list(rows[0])
+                row[index] = value
+                out[f"{key} {label} {where} index"] = edited(**{key: [row, *rows[1:]]})
+        for label, value in (("null", None), ("list", []), ("1/0", "1/0"), ("bool", True),
+                             ("zero", "0")):
+            row = list(rows[0])
+            row[2] = value
+            out[f"{key} {label} value"] = edited(**{key: [row, *rows[1:]]})
+    for key in base:
+        for label, value in (("null", None), ("list", []), ("bool", True), ("text", "x"),
+                             ("number", 1.5), ("object", {})):
+            out[f"{key} {label}"] = edited(**{key: value})
+    for label, value in (("negative", -1), ("huge", 10 ** 9)):
+        out[f"max_index {label}"] = edited(max_index=value)
+    out["mode and constraint swapped"] = edited(mode=base["constraint"],
+                                                constraint=base["mode"])
+    return out
+
+
+def test_malformed_files_never_escape_the_exit_contract(tmp_path):
+    """Each structural mutation of a ``gen`` file for none, rank2 and
+    rank1skew-complex, run through ``verify --in``, exits 0, 1 or 2 with no
+    exception escaping ``cli.main``; an exit 1 writes a report whose failing
+    entries name an identity (a zero mu_{0,1}, free under both tags, or
+    beta_0 on kind none: their degenerate entries).  A file that loses its ``constraint`` or ``mode``
+    verifies as ``none`` / ``exact`` (README), so a rank2 file without its
+    tag runs no constraint identity and exits 0; no other mutation does."""
+    catalog = set(bilinear.IDENTITIES)
+    outcomes, passed, failed = collections.Counter(), set(), set()
+    for kind in ("none", "rank2", "rank1skew-complex"):
+        path = tmp_path / f"{kind}.json"
+        assert run(["gen", "--kind", kind, "--seed", "3", "--n-max", "1", "--m-max", "0",
+                    "--out", str(path)]) == 0
+        for name, data in _structural_mutations(json.loads(path.read_text())).items():
+            bad, report = tmp_path / "bad.json", tmp_path / "report.json"
+            bad.write_text(json.dumps(data))
+            report.unlink(missing_ok=True)
+            code = cli.main(["verify", "--in", str(bad), "--n-max", "1", "--m-max", "0",
+                             "--out", str(report)])
+            assert code in (0, 1, 2), (kind, name, code)
+            outcomes[code] += 1
+            if code == 1:
+                failed.add((kind, name))
+                failing = [e for e in json.loads(report.read_text())["entries"]
+                           if e["status"] != "pass"]
+                assert failing and all(e["identity"].split(".")[0] in catalog
+                                       for e in failing), (kind, name)
+            if code == 0 and name == "drop constraint":
+                assert json.loads(report.read_text())["constraint"] == "none", kind
+            if code == 0:
+                passed.add((kind, name))
+    assert passed == {(kind, f"drop {key}") for kind in ("none", "rank2")
+                      for key in ("constraint", "mode")}, sorted(passed)
+    assert failed == {("none", "mu zero value"), ("none", "beta zero value"),
+                      ("rank2", "mu zero value")}, sorted(failed)
+    assert outcomes[2] > 200, outcomes
+
+
 def test_stembridge_reads_the_systems_own_toeplitz_pfaffian(tmp_path):
     """STEMBRIDGE takes its Pfaffian as the system's tau_{2n}^(0), so a
     laurent system whose mu_{1,3} is corrupted (no longer Toeplitz) fails it
@@ -456,7 +537,8 @@ def test_records_keep_value_semantics():
     re-runs the constructor's checks; a moment system equals only itself."""
     from skewpoly.bilinear import IDENTITIES
     from skewpoly.christoffel import PsopCoeffs, SopCoeffs
-    from skewpoly.moments import MomentSystem, SolitonSpec, ValidationReport
+    from skewpoly.moments import MomentSystem, ValidationReport
+    from skewpoly.solitons import SolitonSpec
     assert JetSpec(2) == JetSpec(weight=2) and hash(JetSpec(2)) == hash(JetSpec(2))
     assert JetSpec(1) != JetSpec(2) and JetSpec(0).zero == (0,)
     assert SopCoeffs(1, 2, 3, 4) == SopCoeffs(1, 2, 3, d=4) != SopCoeffs(1, 2, 3, 5)
@@ -559,8 +641,8 @@ def test_verify_eliminates_scalars_only(monkeypatch, tmp_path):
     scalar chains' pivot rows and its Miwa layers are scalar row lists.
     Jets pivot only inside first-order chains and, past a stall no generated
     seed reaches, their blocks (``_pf_rows``)."""
-    pf = importlib.import_module("skewpoly.pfaffian")
-    stages, pf_labels, expand = pf._stages, pf.pf_labels, pf.pfaffian_expand
+    pf, oracle = (importlib.import_module(f"skewpoly.{name}") for name in ("pfaffian", "oracle"))
+    stages, pf_labels, expand = pf._stages, oracle.pf_labels, oracle.pfaffian_expand
     pf_chain = pf.pf_chain
     seen = {"jet pivots": 0, "weight-2 pf_labels": 0, "pfaffian_expand": 0}
     in_jets = []
@@ -603,8 +685,8 @@ def test_verify_expands_no_jet_valued_pfaffian(monkeypatch, tmp_path):
     head), built once per run, every weight-1 coefficient off the tau
     chains, and the scalar C2 borders of rank2 are eliminated: a verify run
     never reaches the expansion ``_pf_expand``, in any ring."""
-    pf = importlib.import_module("skewpoly.pfaffian")
-    expand, pf_chain = pf._pf_expand, pf.pf_chain
+    pf, oracle = (importlib.import_module(f"skewpoly.{name}") for name in ("pfaffian", "oracle"))
+    expand, pf_chain = oracle._pf_expand, pf.pf_chain
     expanded, built = [], []
 
     def counted_expand(labels, entry, cache):
@@ -617,7 +699,7 @@ def test_verify_expands_no_jet_valued_pfaffian(monkeypatch, tmp_path):
             built.append((kernel, tuple(labels[:2])))
         return pf_chain(labels, kernel, **kwargs)
 
-    monkeypatch.setattr(pf, "_pf_expand", counted_expand)
+    monkeypatch.setattr(oracle, "_pf_expand", counted_expand)
     for modname, mod in list(sys.modules.items()):
         if modname.startswith("skewpoly") and getattr(mod, "pf_chain", None) is pf_chain:
             monkeypatch.setattr(mod, "pf_chain", counted_chain)
@@ -712,7 +794,7 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
     # tau_2^{(0)} = mu_{0,1} = 0 stalls the m = 0 chains at their first link
     stalled = moments.gen("none", ReadPlan.of(2, 1).max_index, seed=3)
     files["degenerate"] = str(tmp_path / "degenerate.json")
-    moments.save(stalled.replace(mu={**stalled.mu, (0, 1): Fraction(0)}),
+    moment_files.save(stalled.replace(mu={**stalled.mu, (0, 1): Fraction(0)}),
                  files["degenerate"])
     n2 = ["--n-max", "2", "--m-max", "1"]
     runs = [(0, ["--kind", kind, *n2]) for kind in KINDS]
@@ -737,8 +819,9 @@ def test_verify_builds_each_tau_chain_once(monkeypatch, tmp_path):
         assert built and not twice, (flags, twice)
     jet_built, reads, verified = chain_reads(monkeypatch)
     entry_reads = []
-    for owner, attr in ((moments.MomentSystem, "entry_scalar"),
-                        (moments.MomentSystem, "entry_jet"), (moments, "lift_to_jet")):
+    oracle = importlib.import_module("skewpoly.oracle")
+    for owner, attr in ((oracle, "entry_scalar"), (moments.MomentSystem, "entry_jet"),
+                        (oracle, "lift_to_jet")):
         monkeypatch.setattr(owner, attr, lambda *args, fn=getattr(owner, attr), name=attr:
                             entry_reads.append(name) or fn(*args))
     for kind in KINDS:
@@ -771,8 +854,8 @@ def test_two_component_rank2_sweep_covers_its_operator_blocks(monkeypatch, tmp_p
     src, two = tmp_path / "one.json", tmp_path / "two.json"
     assert run(["gen", "--kind", "rank2", "--seed", "3", "--n-max", "2", "--m-max", "1",
                 "--out", str(src)]) == 0
-    one = moments.load(str(src))
-    moments.save(one.replace(beta=(*one.beta, one.beta[0])), str(two))
+    one = moment_files.load(str(src))
+    moment_files.save(one.replace(beta=(*one.beta, one.beta[0])), str(two))
     built = counted_chains(monkeypatch)
     out = tmp_path / "rep.json"
     assert run(["verify", "--in", str(two), "--n-max", "1", "--m-max", "0",

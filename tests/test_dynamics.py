@@ -8,7 +8,7 @@ import pytest
 
 from skewpoly import dynamics as dyn
 from skewpoly.families import taus
-from skewpoly.moments import SolitonSpec, soliton_system
+from skewpoly.solitons import SolitonSpec, soliton_system
 
 
 def exact_spec():
@@ -23,7 +23,7 @@ def exact_spec():
 
 def test_lattice_state_matches_exact_rational_path():
     spec, rates, amps = exact_spec()
-    esys = soliton_system(spec, (0,), 13, mode="exact", constraint="laurent")
+    esys = soliton_system(spec, (0,), 13, constraint="laurent")
     t = taus(esys)
     tv_b, tv_c = [t.toda_b(n) for n in range(4)], [t.toda_c(n) for n in range(4)]
     fspec = dyn.reciprocal_pair_spec([float(x) for x in rates],

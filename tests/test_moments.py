@@ -10,12 +10,12 @@ import pytest
 
 from skewpoly.families import taus, vanishing_taus
 from skewpoly.jets import JetSpec
-from skewpoly.moments import (MomentSystem, OutOfRangeError, SolitonSpec,
-                              from_json_dict, gen, lift_to_jet, load,
-                              save, shift_derivative, soliton_system,
-                              stembridge_residual, to_json_dict, validate)
+from skewpoly.files import from_json_dict, load, save, to_json_dict
+from skewpoly.moments import MomentSystem, OutOfRangeError, gen, stembridge_residual, validate
+from skewpoly.oracle import lift_to_jet, shift_derivative
 from skewpoly.pfaffian import _q
 from skewpoly.scalars import GaussianRational
+from skewpoly.solitons import SolitonSpec, soliton_system
 
 ALL_KINDS = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi",
              "rank1skew-complex"]
@@ -56,28 +56,29 @@ def test_shift_derivative_rules():
 
 
 def test_shift_derivative_matches_soliton_time_derivative():
-    # finite-difference oracle on genuinely time-dependent moments
-    spec = SolitonSpec((1.7, 0.6, 1.2, 0.9),
-                       ((0, 1, 0.8), (2, 3, 1.3), (0, 2, -0.4)),
-                       ((0.5, 1.0, -0.7, 0.3),))
+    # finite-difference oracle on genuinely time-dependent moments: the
+    # exact system at t = 0 against SolitonSpec's float moments at t = +-h
+    spec = SolitonSpec((Fraction(17, 10), Fraction(3, 5), Fraction(6, 5), Fraction(9, 10)),
+                       ((0, 1, Fraction(4, 5)), (2, 3, Fraction(13, 10)), (0, 2, Fraction(-2, 5))),
+                       ((Fraction(1, 2), Fraction(1), Fraction(-7, 10), Fraction(3, 10)),))
     h = 1e-6
-    for n_flow, t in ((1, (0.3, 0.1)), (2, (0.2, -0.4))):
-        sys0 = soliton_system(spec, t, 8, mode="float")
-        tp = list(t)
+    sys0 = soliton_system(spec, (0, 0), 8)
+
+    def weights(t):
+        return [math.exp(th) for th in spec.thetas(t)]
+    for n_flow in (1, 2):
+        tp, tm = [0.0, 0.0], [0.0, 0.0]
         tp[n_flow - 1] += h
-        tm = list(t)
         tm[n_flow - 1] -= h
-        sp = soliton_system(spec, tp, 8, mode="float")
-        sm = soliton_system(spec, tm, 8, mode="float")
+        wp, wm = weights(tp), weights(tm)
         for (i, j) in [(0, 1), (1, 4), (2, 5)]:
-            fd = (sp.mu_entry(i, j) - sm.mu_entry(i, j)) / (2 * h)
+            fd = (spec.mu_value(i, j, wp) - spec.mu_value(i, j, wm)) / (2 * h)
             exact = shift_derivative(sys0, ("mu", i, j), n_flow)
             assert abs(fd - exact) <= 1e-12 + 1e-6 * abs(exact)
         for j in (0, 3):
-            fd = (sp.beta_entry(1, j) - sm.beta_entry(1, j)) / (2 * h)
+            fd = (spec.beta_value(1, j, wp) - spec.beta_value(1, j, wm)) / (2 * h)
             exact = shift_derivative(sys0, ("beta", 1, j), n_flow)
             assert abs(fd - exact) <= 1e-12 + 1e-6 * abs(exact)
-
 
 def test_lift_to_jet_second_order_by_hand():
     s = gen("none", 12, seed=2)
@@ -307,33 +308,36 @@ def test_soliton_exact_mode_matches_float_at_zero():
     spec = SolitonSpec((Fraction(2), Fraction(1, 2), Fraction(3), Fraction(1, 3)),
                        ((0, 1, Fraction(1)), (2, 3, Fraction(2))),
                        ((Fraction(1), Fraction(1), Fraction(1), Fraction(1)),))
-    es = soliton_system(spec, (0,), 6, mode="exact")
-    fs = soliton_system(spec, (0.0,), 6, mode="float")
+    es = soliton_system(spec, (0,), 6)
+    ones = [1.0] * len(spec.nodes)
     for i in range(3):
         for j in range(i + 1, 4):
-            assert math.isclose(float(es.mu_entry(i, j)), fs.mu_entry(i, j),
+            assert math.isclose(float(es.mu_entry(i, j)), spec.mu_value(i, j, ones),
                                 rel_tol=1e-12)
     with pytest.raises(ValueError):
-        soliton_system(spec, (0.5,), 6, mode="exact")
+        soliton_system(spec, (0.5,), 6)
 
 
 def test_soliton_reciprocal_pairs_are_laurent():
     spec = SolitonSpec((Fraction(2), Fraction(1, 2), Fraction(3), Fraction(1, 3)),
                        ((0, 1, Fraction(1)), (2, 3, Fraction(2))))
-    s = soliton_system(spec, (0,), 8, mode="exact", constraint="laurent")
+    s = soliton_system(spec, (0,), 8, constraint="laurent")
     assert validate(s).all_zero
 
 
 def test_float_mode_quarantine():
+    """No system holds a float: the float mode is gone, and a float moment,
+    or a float hidden in a Gaussian part, is refused in every mode."""
     spec = SolitonSpec((1.5, 0.5), ((0, 1, 1.0),))
-    s = soliton_system(spec, (0.1,), 6, mode="float")
-    with pytest.raises(TypeError):
-        s.require_exact()
-    # a float hidden in a Gaussian part is refused outside float mode
     with pytest.raises(ValueError):
-        MomentSystem(3, {(0, 1): GaussianRational(0.5, 1)}, mode="gauss")
-    MomentSystem(3, {(0, 1): GaussianRational(0.5, 1)}, mode="float")
-
+        soliton_system(spec, (0.1,), 6)
+    with pytest.raises(ValueError):
+        MomentSystem(3, {(0, 1): Fraction(1, 2)}, mode="float")
+    for mode in ("exact", "gauss"):
+        with pytest.raises(ValueError):
+            MomentSystem(3, {(0, 1): 0.5}, mode=mode)
+        with pytest.raises(ValueError):
+            MomentSystem(3, {(0, 1): GaussianRational(0.5, 1)}, mode=mode)
 
 def test_gen_info_records_attempts():
     info = {}
@@ -343,14 +347,13 @@ def test_gen_info_records_attempts():
 
 @pytest.mark.parametrize("kind, components", [("none", 1), ("rank1skew-multi", 2)])
 def test_gen_tau_scan_makes_no_expansion_call(monkeypatch, kind, components):
-    # the package attribute skewpoly.pfaffian is the function, not the module
-    pfaffian = importlib.import_module("skewpoly.pfaffian")
-    expand, calls = pfaffian._pf_expand, [0]
+    oracle = importlib.import_module("skewpoly.oracle")
+    expand, calls = oracle._pf_expand, [0]
 
     def counted(*args):
         calls[0] += 1
         return expand(*args)
-    monkeypatch.setattr(pfaffian, "_pf_expand", counted)
+    monkeypatch.setattr(oracle, "_pf_expand", counted)
     info = {}
     gen(kind, 35, components=components, seed=3, require_tau=(9, 2), info=info)
     if kind == "none":

@@ -4,7 +4,13 @@ every chain the catalog reads, the read plan states which operator blocks
 run, and one reader goes past a stalled elimination."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import skewpoly
 from skewpoly.bilinear import IDENTITIES
@@ -102,11 +108,12 @@ def test_only_the_tau_table_and_the_moments_import_the_engine():
     """Every catalog Pfaffian comes off a chain the tau table owns (the rank2
     C2 borders too, ``TauTable.c2_border``), so of the program's modules
     only ``families`` and ``moments`` import from ``pfaffian``; ``lax``,
-    ``bilinear``, ``christoffel`` and ``cli`` import nothing from it (the
-    package's ``__init__`` re-exports its public names)."""
+    ``bilinear``, ``hierarchy``, ``christoffel`` and ``cli`` import nothing
+    from it (the package's ``__init__`` names its public names' modules, and
+    the expansion oracle, no program module, runs its swapped elimination)."""
     importers = {path.name for path in sorted(SRC.glob("*.py"))
                  if _imports_engine(ast.parse(path.read_text()))}
-    assert importers - {"__init__.py"} == {"families.py", "moments.py"}, importers
+    assert importers - {"oracle.py"} == {"families.py", "moments.py"}, importers
     # the guard sees the imports it forbids
     for bad in ("from .pfaffian import pf_chain", "from . import pfaffian",
                 "import skewpoly.pfaffian as pf"):
@@ -122,8 +129,8 @@ def _defines(tree, name: str) -> bool:
 
 def test_one_swapped_elimination_for_every_ring():
     """The elimination with swaps (``_pf_rows``) takes scalars and
-    ``JetSpec(1)`` jets alike, the jets as dual numbers: only ``pfaffian``
-    and the blocks past a stall (``_pf_left``) call it; no Pfaffian is
+    ``JetSpec(1)`` jets alike, the jets as dual numbers: only the oracle's
+    ``pfaffian`` and the blocks past a stall (``_pf_left``) call it; no Pfaffian is
     interpolated over scalar eliminations, so only the Schur layers
     (``TauTable.schur_layers``) call ``_interpolate``; and the first-order
     chains are ``pf_chain(..., jets=True)``, with no ``jet_chain`` wrapper."""
@@ -131,7 +138,7 @@ def test_one_swapped_elimination_for_every_ring():
 
     def callers(name):
         return {(file, owner) for file, tree in trees.items() for owner in _callers(tree, name)}
-    assert callers("_pf_rows") == {("pfaffian.py", "pfaffian"),
+    assert callers("_pf_rows") == {("oracle.py", "pfaffian"),
                                    ("pfaffian.py", "_pf_left")}, callers("_pf_rows")
     assert callers("_interpolate") == {("families.py", "TauTable.schur_layers")}, \
         callers("_interpolate")
@@ -210,18 +217,107 @@ def test_one_reading_per_tau():
 
 
 def test_bilinear_imports_lax_only_in_its_evaluators():
-    """No module-level import of ``bilinear`` names ``lax``; the lax-backed
-    evaluators import it themselves, so a run that selects none of them
-    never compiles it.  No other program module imports it at all."""
-    tree = ast.parse((SRC / "bilinear.py").read_text())
-    top = [a.name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
-           for a in node.names]
-    assert top and not [name for name in top if "lax" in name], top
-    inner = _owners(tree, lambda node: isinstance(node, ast.ImportFrom)
-                    and [a.name for a in node.names] == ["lax"])
-    assert inner == {"_mixed", "_c2_suite", "_c3_suite", "_lax_interior", "_toda_vars"}, inner
+    """No import statement of a program module but ``lax`` itself names
+    ``lax``: the catalog names the lax-backed evaluators by module (MIXED,
+    C2_SUITE, C3_SUITE, the LAX_* blocks, TODA_VARS), and ``bilinear``
+    imports an evaluator's module only through its one loader, ``_load``,
+    when the entry first runs, so a run that selects none of them never
+    compiles it."""
     for path in sorted(SRC.glob("*.py")):
-        if path.name not in ("bilinear.py", "lax.py"):
+        if path.name != "lax.py":
             names = {a.name for node in ast.walk(ast.parse(path.read_text()))
                      if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
             assert "lax" not in names, path.name
+    lax_backed = {name for name, ident in IDENTITIES.items()
+                  if ident.evaluator.partition(".")[0] == "lax"}
+    assert lax_backed == {"MIXED", "C2_SUITE", "C3_SUITE", "LAX_RANK2_M", "LAX_RANK2_N",
+                          "LAX_MIXED", "TODA_VARS"}, lax_backed
+    tree = ast.parse((SRC / "bilinear.py").read_text())
+    assert _callers(tree, "__import__") == {"_load"}
+    assert {a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            and node.level for a in node.names} == {"ReadPlan", "Record"}
+
+
+# -- the import layers of a verify job ----------------------------------------
+
+# python -m skewpoly on the argv given as JSON (or, with RUN replaced, any
+# code), in a fresh interpreter; prints the exit code and, per loaded
+# skewpoly module, its source lines
+_PROBE = """\
+import json, runpy, sys
+code, sys.argv = 0, ['skewpoly', *json.loads(sys.argv[1])]
+try:
+    runpy.run_module('skewpoly', run_name='__main__', alter_sys=True)  # RUN
+except SystemExit as exc:
+    code = exc.code
+lines = {name: sum(1 for _ in open(mod.__file__)) for name, mod in sys.modules.items()
+         if name.partition('.')[0] == 'skewpoly'}
+print(json.dumps([code, lines]))
+"""
+_OFF_THE_SCALAR_PATH = {"skewpoly.jets", "skewpoly.lax", "skewpoly.dynamics",
+                        "skewpoly.oracle", "skewpoly.hierarchy", "skewpoly.solitons",
+                        "skewpoly.files"}
+
+
+def _probe(argv, run=None) -> tuple:
+    """(exit code, {module: source lines}) of one probe, bytecode unwritten."""
+    probe = _PROBE if run is None else _PROBE.replace(
+        "runpy.run_module('skewpoly', run_name='__main__', alter_sys=True)  # RUN", run)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    code, lines = json.loads(done.stdout.splitlines()[-1])
+    return code, lines
+
+
+@pytest.mark.parametrize("kind", ["none", "rank1skew-multi"])
+def test_a_scalar_verify_job_loads_only_the_scalar_core(kind, tmp_path):
+    """``verify --identities ORTHOGONALITY,TRANSFORMS`` (the benchmark's
+    scalar-n7 shape) loads none of the jets, the jet-valued evaluators, lax,
+    the float lane, the file form or the oracle, and its ``skewpoly`` modules
+    total at most 2,800 source lines."""
+    code, lines = _probe(["verify", "--kind", kind, "--seed", "1", "--n-max", "7",
+                          "--m-max", "1", "--identities", "ORTHOGONALITY,TRANSFORMS",
+                          "--out", str(tmp_path / "rep.json")])
+    assert code == 0
+    assert not _OFF_THE_SCALAR_PATH & set(lines), sorted(_OFF_THE_SCALAR_PATH & set(lines))
+    assert {"skewpoly.bilinear", "skewpoly.families", "skewpoly.pfaffian"} <= set(lines)
+    assert sum(lines.values()) <= 2800, lines
+
+
+def test_no_verify_loads_the_oracle(tmp_path):
+    """A full verify of every kind runs without the expansion oracle: no
+    program path reaches ``skewpoly.oracle``."""
+    kinds = ["none", "laurent", "rank2", "rank1skew", "rank1skew-multi", "rank1skew-complex"]
+    run = ("from skewpoly import cli\n"
+           f"    code = max(cli.main(['verify', '--kind', kind, '--seed', '3', '--n-max', '1',"
+           f" '--out', {str(tmp_path / 'rep.json')!r}]) for kind in {kinds!r})")
+    code, lines = _probe([], run)
+    assert code == 0 and "skewpoly.lax" in lines and "skewpoly.oracle" not in lines, lines
+
+
+def _imports_oracle(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return ((node.module or "").split(".")[-1] == "oracle"
+                or any(a.name == "oracle" for a in node.names))
+    return isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "oracle"
+                                                for a in node.names)
+
+
+def test_no_program_module_imports_the_oracle():
+    """No module of ``src`` imports the oracle at module level, and the only
+    function-level imports sit in the attribute hooks that keep its old
+    names resolving where they lived (``pfaffian.pf_labels`` and
+    ``pf_indexed``, ``moments.lift_to_jet``: the benchmark's tracer reads
+    them there) and in ``MomentSystem.entry_jet``, the oracle's jet reader;
+    :func:`test_no_verify_loads_the_oracle` shows that no run reaches them."""
+    owners = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+              if path.name != "oracle.py"
+              for owner in _owners(ast.parse(path.read_text()), _imports_oracle)}
+    assert owners == {("pfaffian.py", "__getattr__"), ("moments.py", "__getattr__"),
+                      ("moments.py", "MomentSystem.entry_jet")}, owners
+    # the guard sees the imports it forbids
+    for bad in ("from .oracle import pf_labels", "from . import oracle",
+                "import skewpoly.oracle"):
+        assert _owners(ast.parse(bad), _imports_oracle) == {"<module>"}, bad

@@ -3,15 +3,18 @@
 import importlib
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from skewpoly.families import ReadPlan, TauTable, taus
 from skewpoly.jets import J1, Jet, JetSpec
 from skewpoly.moments import MomentSystem, OutOfRangeError, gen
-from skewpoly.pfaffian import (Z, LabelError, MomentKernel, _bareiss, _exact_div, _stages,
-                               _z, det_bareiss, miwa_chain, parse_label, pf_chain,
-                               pf_indexed, pf_labels, pfaffian, pfaffian_expand)
+from skewpoly.oracle import (Z, LabelError, entry_scalar, parse_label, pf_indexed, pf_labels,
+                             pfaffian, pfaffian_expand)
+from skewpoly.pfaffian import (MomentKernel, _bareiss, _exact_div, _pf_rows, _stages, _z,
+                               det_bareiss,
+                               miwa_chain, pf_chain)
 from skewpoly.poly import PolyInZ
 from skewpoly.scalars import GaussianRational, exact_div
 
@@ -320,27 +323,26 @@ def test_det_bareiss_borders():
 
 
 def test_kernel_conversion_matches_scaled_entries():
-    """The kernel takes a Fraction whose denominator divides the scale as an
-    int, numerator times the cofactor, and any other moment as ``_z(v *
-    scale)``: a float moment keeps the scale at 1, so a Fraction of
-    denominator 2 stays one; entries and their types are as ``_z(v *
-    scale)`` gives them."""
+    """The kernel takes a Fraction moment as an int, numerator times the
+    cofactor of the scale, and a Gaussian one as ``_z(v * scale)``, whose
+    parts are then ints: entries and their types are as ``_z(v * scale)``
+    gives them, at a scale of 1 exactly on an integral system."""
     base = gen("none", 5, seed=2, den_bound=3)
-    mixed = base.replace(mu={**base.mu, (0, 3): 0.5, (1, 2): Fraction(3, 2)},
-                         beta=((0.25, *base.beta[0][1:]),), mode="float")
-    for s in (base, mixed):
+    gauss = gen("rank1skew-complex", 5, components=2, seed=2, den_bound=3)
+    integral = gen("none", 5, seed=2)
+    for s in (base, gauss, integral):
         kern = MomentKernel(s)
         scale = kern.scale
-        assert (scale == 1) == (s is mixed)
+        assert (scale == 1) == (s is integral)
         for (i, j), v in s.mu.items():
             want = _z(v * scale)
             assert (kern.mu[i][j], type(kern.mu[i][j])) == (want, type(want)), (i, j)
             assert kern.mu[j][i] == -want
         assert [(x, type(x)) for x in kern.rows["comp", 1]] == [
             (_z(v * scale), type(_z(v * scale))) for v in s.beta[0]]
-    assert type(MomentKernel(mixed).mu[1][2]) is Fraction
     assert type(MomentKernel(base).mu[1][2]) is int
-
+    g = MomentKernel(gauss).mu[1][2]
+    assert type(g) is GaussianRational and type(g.re) is type(g.im) is int
 
 def test_exact_div_refuses_inexact_quotients():
     spec = JetSpec(1)
@@ -436,7 +438,7 @@ def _squared_against_det(s, size: int, shifts=(0, 1), z0: int = 2) -> list:
     stalls, as (shift, parity, link), a vanishing link that a later stage
     would divide by: the member rows over a vanishing link have no value and
     are skipped."""
-    kern, e = taus(s).kernel(), s.entry_scalar
+    kern, e = taus(s).kernel(), partial(entry_scalar, s)
 
     def minors(labels, entry=e):
         """det of the square block at positions ``pos``, each entry read once."""
@@ -535,3 +537,45 @@ def test_pf_squared_check_catches_a_wrong_scale_power(monkeypatch):
     monkeypatch.setattr(pf, "_q", lambda x, den=1: q(x, den * scale if den != 1 else den))
     with pytest.raises(AssertionError):
         _squared_against_det(s, 8, shifts=(0,))
+
+
+# the loop zero of each ring, as a stalled elimination gives it
+RING_ZEROS = {"Z": 0, "Z[i]": GaussianRational(0, 0), "Z[eps]": Jet.constant(0, J1)}
+
+
+def test_every_elimination_zero_follows_the_ring():
+    """A zero determinant or Pfaffian has the type of the entries' ring on
+    every path: ``det_bareiss`` when its swap search finds no pivot and when
+    it eliminates the last one (Fraction for rationals, GaussianRational for
+    Gaussian entries), and ``_pf_rows`` when it stalls (the loop zero of its
+    ring: int, Gaussian with int parts, ``JetSpec(1)`` jet)."""
+    g = GaussianRational
+    for entry, public in ((Fraction, Fraction), (lambda x: g(Fraction(x), Fraction(0)), g)):
+        no_pivot = [[entry(0), entry(1)], [entry(0), entry(2)]]  # column 0 is zero
+        last_pivot = [[entry(1), entry(2)], [entry(1), entry(2)]]  # row 1 eliminates to 0
+        for rows in (no_pivot, last_pivot):
+            value = det_bareiss(rows)
+            assert value == 0 and type(value) is public, (rows, value)
+            assert all(type(p) is Fraction for p in (
+                [value.re, value.im] if public is g else [value]))
+    for ring, zero in RING_ZEROS.items():
+        rows = [[zero] * 4 for _ in range(4)]  # no unit: the stages stall at once
+        value = _pf_rows(rows)
+        assert value == 0 and type(value) is type(zero), (ring, value)
+        if ring == "Z[i]":
+            assert type(value.re) is type(value.im) is int
+
+
+@pytest.mark.parametrize("ring", sorted(RING_ZEROS))
+def test_a_stalled_odd_list_gives_one_zero_per_border_entry(ring):
+    """Kills the ``_pf_rows`` mutant that lengthens the zero list a stalled
+    odd row list returns: an odd list of 5 rows with no unit among them and a
+    border of w columns gives exactly w zeros of its ring, each of the
+    ring's type, for w = 1, 2 and 4."""
+    zero = RING_ZEROS[ring]
+    for w in (1, 2, 4):
+        rows = [[zero] * 5 + [zero + (i + j + 1) for j in range(w)] for i in range(5)]
+        value = _pf_rows(rows)
+        assert len(value) == w, (ring, w, value)
+        assert all(x == 0 and type(x) is type(zero) for x in value), (ring, w, value)
+

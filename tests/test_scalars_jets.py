@@ -8,7 +8,7 @@ import pytest
 
 from skewpoly.jets import (Jet, JetSpec, OrderMismatchError, TruncationError,
                            weight)
-from skewpoly.pfaffian import pfaffian, pfaffian_expand
+from skewpoly.oracle import pfaffian, pfaffian_expand
 from skewpoly.scalars import (GaussianRational, exact_div, format_scalar, parse_scalar,
                               scalar_inv)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewpoly import cli, moments
+from skewpoly import cli, files, moments
 from skewpoly.families import ReadPlan
 
 STANDARD_SET = {
@@ -103,7 +103,7 @@ DIGESTS = {
 
 def saved_system(name, path) -> str:
     """The system of placeholder ``name``, saved to ``path``."""
-    moments.save(SAVED[name](), path)
+    files.save(SAVED[name](), path)
     return str(path)
 
 
@@ -123,11 +123,11 @@ def report_digest(argv, out, run_argv=None) -> str:
 @pytest.mark.parametrize("name", sorted(STANDARD_SET))
 def test_standard_set_reports_unchanged(name, tmp_path, monkeypatch):
     """The digest holds, and no value is expanded and no entry read through
-    the system's entry rules: the expansion ``_pf_expand`` and the entry
-    readers ``MomentSystem.entry_scalar``/``entry_jet`` and ``lift_to_jet``
-    are the tests' oracle only; every engine path reads the moment kernel."""
-    # the package attribute skewpoly.pfaffian is the function, not the module
-    pf = importlib.import_module("skewpoly.pfaffian")
+    the system's entry rules: the expansion ``oracle._pf_expand`` and the
+    entry readers ``oracle.entry_scalar``, ``MomentSystem.entry_jet`` and
+    ``oracle.lift_to_jet`` are the tests' oracle only; every engine path
+    reads the moment kernel."""
+    oracle = importlib.import_module("skewpoly.oracle")
     called = []
 
     def counted(owner, attr):
@@ -141,8 +141,8 @@ def test_standard_set_reports_unchanged(name, tmp_path, monkeypatch):
     argv = run_argv = STANDARD_SET[name]
     if argv[0] == "--in":
         run_argv = ["--in", saved_system(argv[1], tmp_path / "system.json"), *argv[2:]]
-    for owner, attr in ((pf, "_pf_expand"), (moments.MomentSystem, "entry_scalar"),
-                        (moments.MomentSystem, "entry_jet"), (moments, "lift_to_jet")):
+    for owner, attr in ((oracle, "_pf_expand"), (oracle, "entry_scalar"),
+                        (moments.MomentSystem, "entry_jet"), (oracle, "lift_to_jet")):
         counted(owner, attr)
     assert report_digest(argv, tmp_path / "report.json", run_argv) == DIGESTS[name]
     assert not called, (len(called), called[:3])
